@@ -34,6 +34,7 @@ from .engine import (
     simulate_spin,
 )
 from .errors import (
+    ComplexOrderZero,
     EnvelopeUndersampled,
     FitDiverged,
     IncommensurateMoments,
@@ -58,7 +59,15 @@ from .ktspace import (
     simulate_kt,
     synthesize_echo,
 )
-from .phantom import Phantom, PhantomBox, SpinSample, parse_object_file, rasterize, shepp_logan
+from .phantom import (
+    Phantom,
+    PhantomBox,
+    SpinList,
+    SpinSample,
+    parse_object_file,
+    rasterize,
+    shepp_logan,
+)
 from .recon import ImageVolume, KSpaceMatrix, assemble_kspace, cpmg_fit, reconstruct
 from .sequence import (
     AcquisitionSpec,

@@ -140,6 +140,72 @@ def max_spacing(
     )
 
 
+class PruneBound:
+    """Running form of :func:`steady_state_prune`.
+
+    Called as ``bound(k, populations)`` with the transversal
+    configurations of one or more trace points (the ``observe`` hook of
+    :func:`mrsim.ktspace.simulate_kt`); ``k_max`` is the reduced per-axis
+    bound over every point seen so far.  Points are reduced in batches
+    of about ``batch`` points.
+    """
+
+    def __init__(self, grayscale_levels: int = 256, batch: int = 2048):
+        if grayscale_levels < 1:
+            raise InvalidParameter("grayscale_levels must be >= 1")
+        self.bound_ratio = 0.5 / grayscale_levels
+        self.batch = batch
+        self._reduced = np.zeros(3)
+        self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._points = 0
+
+    def __call__(self, k: np.ndarray, populations: np.ndarray) -> None:
+        """k: (points, m, 3) rad/m; populations: (points, m)."""
+        self._pending.append((k, populations))
+        self._points += populations.shape[0]
+        if self._points >= self.batch:
+            self._flush()
+
+    @property
+    def k_max(self) -> Tuple[float, float, float]:
+        self._flush()
+        return tuple(float(k) for k in self._reduced)
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        # pad every point to the widest one: a zero population at k = 0
+        # never moves the running sum, so it cannot set the bound
+        m = max(pops.shape[1] for _, pops in self._pending)
+        k_abs = np.zeros((self._points, m, 3))
+        mags = np.zeros((self._points, m))
+        row = 0
+        for k, pops in self._pending:
+            n, width = pops.shape
+            k_abs[row : row + n, :width] = np.abs(k)
+            mags[row : row + n, :width] = np.abs(pops)
+            row += n
+        self._pending.clear()
+        self._points = 0
+        ref = mags.max(axis=1)
+        live = ref != 0.0
+        k_abs, mags, ref = k_abs[live], mags[live], ref[live]
+        if not ref.size:
+            return
+        # per point and axis: configurations by descending |k| (ties keep
+        # their order), kept down to where the magnitudes summed so far
+        # exceed the budget
+        point = np.arange(ref.size)[:, None]
+        axis = np.arange(3)
+        rank = np.argsort(-k_abs, axis=1, kind="stable")
+        acc = np.cumsum(mags[point[:, :, None], rank], axis=1)
+        over = acc > (self.bound_ratio * ref)[:, None, None]
+        first = over.argmax(axis=1)
+        keep = k_abs[point, rank[point, first, axis], axis]
+        keep = np.where(over.any(axis=1), keep, 0.0)
+        self._reduced = np.maximum(self._reduced, keep.max(axis=0))
+
+
 def steady_state_prune(trace: List[TracePoint], grayscale_levels: int = 256) -> Tuple[float, float, float]:
     """Reduced per-axis K_max once invisibly weak configurations are dropped.
 
@@ -149,29 +215,15 @@ def steady_state_prune(trace: List[TracePoint], grayscale_levels: int = 256) -> 
     image value) stays below half a gray level; the returned K per axis
     is the largest |k| that must be kept at any time.
     """
-    if grayscale_levels < 1:
-        raise InvalidParameter("grayscale_levels must be >= 1")
-    bound_ratio = 0.5 / grayscale_levels
-    reduced = [0.0, 0.0, 0.0]
+    bound = PruneBound(grayscale_levels)
     for point in trace:
         trans = [e for e in point.entries if e.kind == "transversal"]
-        if not trans:
-            continue
-        ref = max(abs(e.population) for e in trans)
-        if ref == 0.0:
-            continue
-        for ax in range(3):
-            ordered = sorted(trans, key=lambda e: abs(e.k_position[ax]), reverse=True)
-            budget = bound_ratio * ref
-            acc = 0.0
-            keep_k = 0.0
-            for e in ordered:
-                acc += abs(e.population)
-                if acc > budget:
-                    keep_k = abs(e.k_position[ax])
-                    break
-            reduced[ax] = max(reduced[ax], keep_k)
-    return tuple(reduced)
+        if trans:
+            bound(
+                np.array([[e.k_position for e in trans]], dtype=float),
+                np.array([[e.population for e in trans]], dtype=complex),
+            )
+    return bound.k_max
 
 
 def pruned_max_spacing(
@@ -187,10 +239,12 @@ def pruned_max_spacing(
     configuration as immortal, which makes multi-repetition sequences
     look far more demanding than they are; here the quantitative
     tracker is run with the given (worst-case) tissue and configurations
-    below the grayscale visibility threshold are ignored.
+    below the grayscale visibility threshold are ignored.  The bound is
+    taken while the tracker runs, so no trace is stored.
     """
-    kt = simulate_kt(sequence, relax, gamma=gamma, record_trace=True)
-    k_max = steady_state_prune(kt.trace, grayscale_levels=grayscale_levels)
+    bound = PruneBound(grayscale_levels)
+    simulate_kt(sequence, relax, gamma=gamma, record_trace=False, observe=bound)
+    k_max = bound.k_max
     dx_max = tuple(math.pi / k if k > 0.0 else math.inf for k in k_max)
     spacing = tuple(safety * d if math.isfinite(d) else math.inf for d in dx_max)
     return SpacingReport(

@@ -9,10 +9,26 @@ spins through every elementary sequence and return per-block partial
 echo sums; the reducer accumulates partials into the final records.  In
 deterministic mode the reduction folds blocks in ascending index order
 regardless of completion order, so results do not depend on the worker
-count.
+count.  A spacing override only decides whether to warn, so with
+workers the master checks it (the relaxation-free bound, then the
+pruned k-t walk if that bound is broken) while they compute.
 
 Loop order inside a worker: elementary sequences outer, samples inner,
-with the per-spin arithmetic vectorized across the block.
+with the per-spin arithmetic vectorized across the block.  The kernel
+keeps the transverse magnetization as one complex array
+``mxy = mx + 1j*my``: free precession and T2 decay over an event are a
+single multiply by ``exp(-1j*(pos.dmom + domega*dt) - dt/T2)`` and a
+sample is one complex dot product with the coil weights, taken with
+BLAS ``zdotu`` directly (half the cost of ``np.dot`` per call on blocks
+of a few thousand spins).  Every ``(dt, dmom)`` key that recurs in the
+sequence owns a factor slot, numbered by the tables, whose per-spin
+factor the kernel computes on first use and reuses afterwards; one-off
+keys (phase-encode lobes) are computed inline and dropped.  The cache
+holds at most (repeated keys x block size) factors and never more than
+``_FACTOR_CACHE_BYTES`` per block: slots past that budget, the least
+used ones, are computed inline as well.  Only pulses and snapshots read
+Mz, so T1 relaxation is deferred: the elapsed time accumulates and Mz is
+relaxed over all of it just before it is read.
 
 The alternative decomposition, a pipeline of per-interval operator
 stages that spins stream through, was rejected: every spin must visit
@@ -23,6 +39,7 @@ communication between workers at all.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import platform
@@ -35,13 +52,21 @@ from typing import Dict, List, Optional, Sequence as TySequence, Tuple
 import multiprocessing as mp
 
 import numpy as np
+from scipy.linalg.blas import zdotu as _zdotu
 
 from .bloch import GAMMA_PROTON, RelaxationParams, hard_pulse_matrix
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import IncommensurateMoments, InvalidParameter, WorkerPanic
-from .phantom import Phantom, SpinSample, rasterize
+from .phantom import Phantom, SpinList, SpinSample, rasterize
 from .sequence import Sequence
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
+
+_log = logging.getLogger(__name__)
+# seconds the master waits for a result before checking for dead workers
+_POLL_S = 0.2
+# per-block budget of the kernel's factor cache (about 160 slots of a
+# 25k-spin block); a block of n spins caches this // (16 n) slots
+_FACTOR_CACHE_BYTES = 64 << 20
 
 # ---------------------------------------------------------------------------
 # spin-independent precomputation (master side)
@@ -56,7 +81,9 @@ class EsTable:
     ``ev_dt[i]`` seconds and gradient-moment increment ``ev_dmom[i]``
     (rad/m per axis) lead up to event i, which then either records a
     sample (``ev_sample[i]`` with running acquisition index ``acq``) or
-    a snapshot (``ev_snap[i]`` >= 0).
+    a snapshot (``ev_snap[i]`` >= 0).  ``ev_slot[i]`` is the factor slot
+    of the event's ``(dt, dmom)`` key, or -1 when the key occurs only
+    once in the sequence or the event does not evolve (dt = 0, dmom = 0).
     """
 
     pulse_mat: Optional[np.ndarray]
@@ -66,6 +93,7 @@ class EsTable:
     ev_dmom: np.ndarray
     ev_sample: np.ndarray
     ev_snap: np.ndarray
+    ev_slot: np.ndarray
     acq: int = -1
     n_samples: int = 0
 
@@ -78,6 +106,7 @@ class OperatorTables:
     snapshot_times: Tuple[float, ...]
     pulse_memo_hits: int
     gamma: float
+    factor_slots: int  # distinct (dt, dmom) keys that occur more than once
 
 
 def precompute_sequence_tables(
@@ -90,10 +119,12 @@ def precompute_sequence_tables(
 
     Pulse matrices are shared between identical pulses (the memo hit
     count is reported); gradient moments and the event timing grid are
-    evaluated once so workers never touch the waveform objects.
+    evaluated once so workers never touch the waveform objects.  Every
+    evolving ``(dt, dmom)`` key that occurs more than once across the
+    sequence gets a factor slot, the most frequent keys first.
     """
     snapshot_times = tuple(sorted(snapshot_times))
-    entries: List[EsTable] = []
+    fields: List[dict] = []  # EsTable fields of every entry but ev_slot
     acq_times: List[np.ndarray] = []
     memo: Dict[Tuple[float, float], np.ndarray] = {}
     hits = 0
@@ -112,56 +143,93 @@ def precompute_sequence_tables(
                     memo[key] = mat
         t1 = t0 + es.duration
         sample_ts = es.acquisition.sample_times(es.duration)
-        events: List[Tuple[float, bool, int]] = [(float(t), True, -1) for t in sample_ts]
-        for si, t_abs in enumerate(snapshot_times):
-            if t0 < t_abs <= t1 or (t_abs == 0.0 == t0):
-                events.append((float(t_abs - t0), False, si))
-        events.sort(key=lambda e: (e[0], e[1]))
-        ts = np.array([e[0] for e in events])
-        partial = (
-            es.gradient.partial_moments(ts, es.duration, gamma)
-            if ts.size
-            else np.zeros((0, 3))
-        )
-        total = es.gradient.moments(es.duration, gamma)
-        ev_dt, ev_dmom, ev_sample, ev_snap = [], [], [], []
-        prev_t, prev_m = 0.0, np.zeros(3)
-        for i, (t, is_sample, snap) in enumerate(events):
-            ev_dt.append(t - prev_t)
-            ev_dmom.append(partial[i] - prev_m)
-            ev_sample.append(is_sample)
-            ev_snap.append(snap)
-            prev_t, prev_m = t, partial[i]
+        snaps = [
+            (float(t_abs - t0), False, si)
+            for si, t_abs in enumerate(snapshot_times)
+            if t0 < t_abs <= t1 or (t_abs == 0.0 == t0)
+        ]
+        if snaps:
+            # a snapshot comes before a sample at the same instant
+            events = sorted([(float(t), True, -1) for t in sample_ts] + snaps)
+            ts = np.array([e[0] for e in events], dtype=float)
+            ev_sample = np.array([e[1] for e in events], dtype=bool)
+            ev_snap = np.array([e[2] for e in events], dtype=int)
+        else:
+            ts = np.sort(np.asarray(sample_ts, dtype=float))
+            ev_sample = np.ones(ts.size, dtype=bool)
+            ev_snap = np.full(ts.size, -1)
+        total = np.asarray(es.gradient.moments(es.duration, gamma), dtype=float)
+        if ts.size:
+            partial = es.gradient.partial_moments(ts, es.duration, gamma)
+            ev_dt = np.diff(ts, prepend=0.0)
+            ev_dmom = np.diff(partial, axis=0, prepend=np.zeros((1, 3)))
+            last_t, last_m = ts[-1], partial[-1]
+        else:
+            ev_dt, ev_dmom, last_t, last_m = np.zeros(0), np.zeros((0, 3)), 0.0, np.zeros(3)
         # tail: remaining evolution after the last event
-        if prev_t < es.duration or np.any(prev_m != total):
-            ev_dt.append(es.duration - prev_t)
-            ev_dmom.append(total - prev_m)
-            ev_sample.append(False)
-            ev_snap.append(-1)
-        entry = EsTable(
-            pulse_mat=mat,
-            duration=es.duration,
-            moments=np.asarray(total, dtype=float),
-            ev_dt=np.array(ev_dt, dtype=float),
-            ev_dmom=np.array(ev_dmom, dtype=float) if ev_dmom else np.zeros((0, 3)),
-            ev_sample=np.array(ev_sample, dtype=bool),
-            ev_snap=np.array(ev_snap, dtype=int),
+        if last_t < es.duration or np.any(last_m != total):
+            ev_dt = np.concatenate([ev_dt, [es.duration - last_t]])
+            ev_dmom = np.concatenate([ev_dmom, [total - last_m]])
+            ev_sample = np.concatenate([ev_sample, [False]])
+            ev_snap = np.concatenate([ev_snap, [-1]])
+        fields.append(
+            dict(
+                pulse_mat=mat,
+                duration=es.duration,
+                moments=total,
+                ev_dt=ev_dt,
+                ev_dmom=ev_dmom,
+                ev_sample=ev_sample,
+                ev_snap=ev_snap,
+            )
         )
         if es.acquisition.enabled:
-            entry.acq = acq
-            entry.n_samples = es.acquisition.n_samples
+            fields[-1].update(acq=acq, n_samples=es.acquisition.n_samples)
             acq_times.append(t0 + sample_ts)
             acq += 1
-        entries.append(entry)
         t0 = t1
+    slots, n_slots = _factor_slots(
+        [f["ev_dt"] for f in fields], [f["ev_dmom"] for f in fields]
+    )
     return OperatorTables(
-        entries=entries,
+        entries=[EsTable(ev_slot=slot, **f) for f, slot in zip(fields, slots)],
         n_acq=acq,
         acq_times=acq_times,
         snapshot_times=snapshot_times,
         pulse_memo_hits=hits,
         gamma=gamma,
+        factor_slots=n_slots,
     )
+
+
+def _factor_slots(
+    dts: List[np.ndarray], dmoms: List[np.ndarray]
+) -> Tuple[List[np.ndarray], int]:
+    """Factor slot of every event, per entry, and the number of slots.
+
+    Keys are the rows ``(dt, *dmom)`` of all events; a key that evolves
+    (not all zero) and occurs more than once gets a slot, numbered by
+    falling count, then by first occurrence; every other event gets -1.
+    """
+    # + 0.0 turns -0.0 into 0.0, so equal keys have equal bytes; rows are
+    # compared as 32-byte blobs, much faster than np.unique(axis=0)
+    keys = np.column_stack([np.concatenate(dts), np.concatenate(dmoms)]) + 0.0
+    bounds = np.cumsum([dt.size for dt in dts])[:-1]
+    if not keys.size:
+        return np.split(np.zeros(0, dtype=int), bounds), 0
+    _, first, inverse, counts = np.unique(
+        keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel(),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    repeated = np.flatnonzero((counts > 1) & keys[first].any(axis=1))
+    # most frequent keys first, so a block whose cache cannot hold every
+    # slot keeps the ones it uses most
+    repeated = repeated[np.lexsort((first[repeated], -counts[repeated]))]
+    slot_of_key = np.full(first.size, -1)
+    slot_of_key[repeated] = np.arange(repeated.size)
+    return np.split(slot_of_key[inverse.ravel()], bounds), int(repeated.size)
 
 
 # ---------------------------------------------------------------------------
@@ -190,37 +258,54 @@ class SpinBlock:
 
 
 def build_spin_arrays(
-    spins: List[SpinSample], system: SystemModel
+    spins: TySequence[SpinSample], system: SystemModel
 ) -> SpinBlock:
-    """Pack spins into arrays, folding in off-resonance and coil weight."""
+    """Pack spins into arrays, folding in off-resonance and coil weight.
+
+    A :class:`~mrsim.phantom.SpinList` from :func:`rasterize` hands over
+    its arrays (spins start in thermal equilibrium); any other sequence
+    of spins is read spin by spin.
+    """
     from .system import UniformSensitivity
 
     n = len(spins)
-    pos = np.array([s.position for s in spins], dtype=float).reshape(n, 3)
+    if isinstance(spins, SpinList):
+        pos, m0 = spins.pos, spins.m0
+        mx, my, mz = np.zeros(n), np.zeros(n), m0.copy()
+        t1, t2, object_dw = spins.t1, spins.t2, spins.delta_omega
+    else:
+        pos = np.array([s.position for s in spins], dtype=float).reshape(n, 3)
+        values = np.array(
+            [
+                (s.m.mx, s.m.my, s.m.mz, s.relax.t1, s.relax.t2, s.relax.m0, s.delta_omega)
+                for s in spins
+            ],
+            dtype=float,
+        ).reshape(n, 7)
+        mx, my, mz, t1, t2, m0, object_dw = values.T.copy()
     ctx = system.frame()
-    object_dw = np.array([s.delta_omega for s in spins], dtype=float)
     if system.field.inhomogeneity is None:
         domega = (ctx.gamma * system.field.b0 - ctx.omega_hf) + object_dw
     else:
         domega = np.array(
             [
-                spin_off_resonance(system.field, s.position, s.delta_omega, ctx)
-                for s in spins
+                spin_off_resonance(system.field, tuple(p), dw, ctx)
+                for p, dw in zip(pos.tolist(), object_dw.tolist())
             ]
         )
     if isinstance(system.receive, UniformSensitivity):
         weight = np.full(n, complex(system.receive.s, 0.0))
     else:
-        weight = np.array([complex_weight(system.receive, s.position) for s in spins])
+        weight = np.array([complex_weight(system.receive, tuple(p)) for p in pos.tolist()])
     return SpinBlock(
         index=0,
         pos=pos,
-        mx=np.array([s.m.mx for s in spins], dtype=float),
-        my=np.array([s.m.my for s in spins], dtype=float),
-        mz=np.array([s.m.mz for s in spins], dtype=float),
-        t1=np.array([s.relax.t1 for s in spins], dtype=float),
-        t2=np.array([s.relax.t2 for s in spins], dtype=float),
-        m0=np.array([s.relax.m0 for s in spins], dtype=float),
+        mx=mx,
+        my=my,
+        mz=mz,
+        t1=t1,
+        t2=t2,
+        m0=m0,
         domega=domega,
         weight=weight,
     )
@@ -264,50 +349,82 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
     snapshots is a list of (n, 3) magnetization arrays, one per
     requested snapshot time.
     """
-    mx, my, mz = block.mx.copy(), block.my.copy(), block.mz.copy()
-    pos, domega = block.pos, block.domega
-    w = block.weight
+    pos, domega, m0 = block.pos, block.domega, block.m0
+    w = np.ascontiguousarray(block.weight, dtype=complex)
     inv_t1, inv_t2 = 1.0 / block.t1, 1.0 / block.t2
-    m0 = block.m0
-    relax_cache: Dict[float, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    mxy = block.mx + 1j * block.my
+    # free precession writes into the spare array and the two swap: an
+    # in-place multiply costs about a microsecond more per call
+    spare = np.empty_like(mxy)
+    mz = block.mz.copy()
+    elapsed = 0.0  # time since Mz was last brought up to date
+    # slots past the byte budget are computed inline like one-off keys
+    n_cached = min(tables.factor_slots, _FACTOR_CACHE_BYTES // (16 * max(block.n, 1)))
+    factors: List[Optional[np.ndarray]] = [None] * n_cached
+
+    def factor(dt, dmom):
+        return np.exp(-dt * inv_t2 - 1j * (pos @ dmom + domega * dt))
+
+    def relaxed_mz():
+        e1 = np.exp(-elapsed * inv_t1)
+        return mz * e1 + m0 * (1.0 - e1)
+
     n_samples = max((e.n_samples for e in tables.entries), default=0)
     echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
     snapshots: Dict[int, np.ndarray] = {}
     for entry in tables.entries:
         if entry.pulse_mat is not None:
-            r = entry.pulse_mat
-            mx, my, mz = (
-                r[0, 0] * mx + r[0, 1] * my + r[0, 2] * mz,
-                r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz,
-                r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz,
+            if elapsed:
+                mz, elapsed = relaxed_mz(), 0.0
+            mxy, mz = _apply_pulse(entry.pulse_mat, mxy, mz)
+        dmoms = entry.ev_dmom
+        samples = []
+        for i, (slot, dt, is_sample, snap) in enumerate(
+            zip(
+                entry.ev_slot.tolist(),
+                entry.ev_dt.tolist(),
+                entry.ev_sample.tolist(),
+                entry.ev_snap.tolist(),
             )
-        sample_idx = 0
-        for i in range(entry.ev_dt.size):
-            dt = entry.ev_dt[i]
-            dmom = entry.ev_dmom[i]
-            if dt != 0.0 or dmom.any():
-                theta = pos @ dmom + domega * dt
-                c, s = np.cos(theta), np.sin(theta)
-                mx, my = c * mx + s * my, -s * mx + c * my
-                if dt != 0.0:
-                    cached = relax_cache.get(dt)
-                    if cached is None:
-                        e1 = np.exp(-dt * inv_t1)
-                        e2 = np.exp(-dt * inv_t2)
-                        cached = (e1, e2, m0 * (1.0 - e1))
-                        relax_cache[dt] = cached
-                    e1, e2, regrow = cached
-                    mx *= e2
-                    my *= e2
-                    mz = mz * e1 + regrow
-            if entry.ev_sample[i]:
-                echoes[entry.acq, sample_idx] = np.dot(w, mx) + 1j * np.dot(w, my)
-                sample_idx += 1
-            snap = entry.ev_snap[i]
+        ):
+            if 0 <= slot < n_cached:
+                f = factors[slot]
+                if f is None:
+                    f = factors[slot] = factor(dt, dmoms[i])
+            elif dt != 0.0 or dmoms[i].any():
+                f = factor(dt, dmoms[i])
+            else:
+                f = None
+            if f is not None:
+                np.multiply(mxy, f, out=spare)
+                mxy, spare = spare, mxy
+            elapsed += dt
+            if is_sample:
+                samples.append(_zdotu(w, mxy))
             if snap >= 0:
-                snapshots[snap] = np.column_stack([mx, my, mz])
+                if elapsed:
+                    mz, elapsed = relaxed_mz(), 0.0
+                snapshots[snap] = np.column_stack([mxy.real, mxy.imag, mz])
+        if samples:
+            echoes[entry.acq, : len(samples)] = samples
+    _log.debug(
+        "block %d: %d factor slots, %d cached, %d factor-cache bytes",
+        block.index,
+        tables.factor_slots,
+        n_cached,
+        sum(f.nbytes for f in factors if f is not None),
+    )
     snap_list = [snapshots.get(i) for i in range(len(tables.snapshot_times))]
     return echoes, snap_list
+
+
+def _apply_pulse(r: np.ndarray, mxy: np.ndarray, mz: np.ndarray):
+    """Rotate (Re mxy, Im mxy, mz) by the 3x3 pulse matrix r."""
+    mx, my = mxy.real, mxy.imag
+    out = np.empty_like(mxy)
+    out.real = r[0, 0] * mx + r[0, 1] * my + r[0, 2] * mz
+    out.imag = r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz
+    return out, r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz
 
 
 def simulate_spin(
@@ -406,60 +523,76 @@ def _worst_tissue(phantom: Phantom) -> RelaxationParams:
     return RelaxationParams(t1=t1, t2=t2, m0=1.0)
 
 
-def _resolve_spacing(exp: Experiment) -> Tuple[Tuple[float, float, float], SpacingReport]:
-    """Pick or validate the spin spacing.
+def _auto_spacing(exp: Experiment) -> Tuple[Tuple[float, float, float], SpacingReport]:
+    """The spin spacing when none is given: the steady-state pruned
+    bound (worst-case tissue, 256 gray levels), or twice the phantom's
+    extent on an axis the sequence leaves unbounded."""
+    report = max_spacing(exp.sequence, phantom=exp.phantom)
+    try:
+        chosen = pruned_max_spacing(exp.sequence, _worst_tissue(exp.phantom))
+    except IncommensurateMoments:
+        chosen = report
+    lo, hi = exp.phantom.bounding_box()
+    extent = np.maximum(np.asarray(hi) - np.asarray(lo), 1e-12)
+    spacing = tuple(
+        chosen.spacing[ax] if math.isfinite(chosen.spacing[ax]) else 2.0 * float(extent[ax])
+        for ax in range(3)
+    )
+    return spacing, chosen
 
-    The relaxation-free bound is authoritative; when it is exceeded the
-    steady-state pruned bound (worst-case tissue, 256 gray levels)
-    decides whether the spacing is still sound before warning.
+
+def _check_spacing(exp: Experiment, spacing) -> Tuple[SpacingReport, List[str]]:
+    """Validate a spacing override; returns the relaxation-free bound
+    and one warning per axis where the spacing breaks it and the
+    steady-state pruned bound as well.
+
+    The spacing is fixed before this runs, so ``run`` can check it while
+    the workers compute.
     """
     report = max_spacing(exp.sequence, phantom=exp.phantom)
     pruned: Optional[SpacingReport] = None
-
-    def pruned_report() -> SpacingReport:
-        nonlocal pruned
+    problems = []
+    for ax in range(3):
+        if spacing[ax] < report.dx_max[ax]:
+            continue
         if pruned is None:
             try:
                 pruned = pruned_max_spacing(exp.sequence, _worst_tissue(exp.phantom))
             except IncommensurateMoments:
                 pruned = report
-        return pruned
-
-    if exp.spacing is None:
-        chosen = pruned_report()
-        lo, hi = exp.phantom.bounding_box()
-        extent = np.maximum(np.asarray(hi) - np.asarray(lo), 1e-12)
-        spacing = tuple(
-            chosen.spacing[ax] if math.isfinite(chosen.spacing[ax]) else 2.0 * float(extent[ax])
-            for ax in range(3)
-        )
-        return spacing, chosen
-    spacing = tuple(float(s) for s in exp.spacing)
-    for ax in range(3):
-        if spacing[ax] >= report.dx_max[ax] and spacing[ax] >= pruned_report().dx_max[ax]:
-            warnings.warn(
+        if spacing[ax] >= pruned.dx_max[ax]:
+            problems.append(
                 f"spacing override {spacing[ax]:.6g} m on axis {'xyz'[ax]} violates the "
-                f"sampling bound {pruned_report().dx_max[ax]:.6g} m; expect replica artifacts",
-                stacklevel=3,
+                f"sampling bound {pruned.dx_max[ax]:.6g} m; expect replica artifacts"
             )
-    return spacing, report
+    return report, problems
 
 
-def _worker_main(task_q, result_q, tables, worker_id):
+def _warn_spacing(problems: List[str]) -> None:
+    for message in problems:
+        warnings.warn(message, stacklevel=3)  # at the caller of run()
+
+
+def _worker_main(task_q, result_q, tables, worker_id, holding):
+    """Compute blocks until the None sentinel; ``holding[worker_id]`` is
+    the index of the block in hand (-1 between blocks), so the master
+    can name it should this process die."""
     while True:
         task = task_q.get()
         if task is None:
             break
         block = task
+        holding[worker_id] = block.index
         started = time.perf_counter()
         try:
             echoes, snaps = compute_block(tables, block)
         except Exception as exc:  # surfaced as WorkerPanic by the master
             result_q.put((block.index, None, None, worker_id, 0.0, repr(exc)))
-            continue
-        result_q.put(
-            (block.index, echoes, snaps, worker_id, time.perf_counter() - started, None)
-        )
+        else:
+            result_q.put(
+                (block.index, echoes, snaps, worker_id, time.perf_counter() - started, None)
+            )
+        holding[worker_id] = -1
 
 
 def run(exp: Experiment) -> RunResult:
@@ -467,7 +600,13 @@ def run(exp: Experiment) -> RunResult:
     if exp.workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {exp.workers}")
     wall_start = time.perf_counter()
-    spacing, report = _resolve_spacing(exp)
+    if exp.spacing is None:
+        spacing, report = _auto_spacing(exp)
+    else:
+        spacing = tuple(float(s) for s in exp.spacing)
+        if exp.workers == 1:
+            report, problems = _check_spacing(exp, spacing)
+            _warn_spacing(problems)
     spins = rasterize(exp.phantom, spacing, cap=exp.spin_cap)
     if not spins:
         raise InvalidParameter("the phantom rasterized to zero spins")
@@ -488,7 +627,13 @@ def run(exp: Experiment) -> RunResult:
         ordered = [partials[i] for i in sorted(partials)]
         folds = ordered
     else:
-        folds, ordered = _run_pool(exp, tables, blocks, busy)
+        # the master has nothing to do while the workers compute, so it
+        # checks a spacing override then
+        check = None if exp.spacing is None else (lambda: _check_spacing(exp, spacing))
+        folds, ordered, checked = _run_pool(exp, tables, blocks, busy, meanwhile=check)
+        if checked is not None:
+            report, problems = checked
+            _warn_spacing(problems)
 
     n_spins = arrays.n
     echo_sum: Optional[np.ndarray] = None
@@ -537,40 +682,65 @@ def run(exp: Experiment) -> RunResult:
     )
 
 
-def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy):
+def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, meanwhile=None):
     """Dispatch blocks to worker processes over bounded queues.
 
     The task queue is bounded so the partitioner only stays ahead of the
     workers by a fixed number of blocks; a block is retired only after
     the reducer has folded its partial result (backpressure toward the
-    master).  Returns (fold_order, index_order): deterministic mode
-    folds echoes in ascending block index, nondeterministic mode in
-    completion order.
+    master).  Returns (fold_order, index_order, side): deterministic
+    mode folds echoes in ascending block index, nondeterministic mode in
+    completion order; side is the value of ``meanwhile()``, which the
+    master calls once the first blocks are queued (None without it).  A
+    worker that exits without reporting (killed, ``os._exit``) is
+    noticed while waiting for results and raised as
+    :class:`WorkerPanic` naming a block that never came back.
     """
     ctx = mp.get_context()
     task_q = ctx.Queue(maxsize=max(2, 2 * exp.workers))
     result_q = ctx.Queue()
+    holding = ctx.RawArray("q", [-1] * exp.workers)
     workers = [
-        ctx.Process(target=_worker_main, args=(task_q, result_q, tables, wid), daemon=True)
+        ctx.Process(
+            target=_worker_main, args=(task_q, result_q, tables, wid, holding), daemon=True
+        )
         for wid in range(exp.workers)
     ]
     for proc in workers:
         proc.start()
-    pending = list(blocks)
     sent = 0
     done = 0
     arrival: List[tuple] = []
     by_index: Dict[int, tuple] = {}
     failure = None
+    side = None
+    clean = False
+
+    def feed() -> None:
+        nonlocal sent
+        while sent < len(blocks):
+            try:
+                task_q.put_nowait(blocks[sent])
+            except queue_mod.Full:
+                break
+            sent += 1
+
     try:
+        feed()
+        if meanwhile is not None:
+            side = meanwhile()
         while done < len(blocks):
-            while sent < len(blocks):
-                try:
-                    task_q.put_nowait(pending[sent])
-                except queue_mod.Full:
+            feed()
+            try:
+                index, echoes, snaps, wid, t_comp, err = result_q.get(timeout=_POLL_S)
+            except queue_mod.Empty:
+                dead = next((w for w, p in enumerate(workers) if p.exitcode is not None), None)
+                if dead is not None:
+                    failure = _dead_worker_panic(
+                        workers[dead], holding[dead], blocks[:sent], by_index
+                    )
                     break
-                sent += 1
-            index, echoes, snaps, wid, t_comp, err = result_q.get()
+                continue
             done += 1
             if err is not None:
                 failure = WorkerPanic(index, err)
@@ -578,8 +748,11 @@ def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy):
             busy[wid] = busy.get(wid, 0.0) + t_comp
             arrival.append((echoes, snaps))
             by_index[index] = (echoes, snaps)
+        clean = failure is None
     finally:
-        if failure is not None:
+        if not clean:
+            # blocks nobody will read must not hold up interpreter exit
+            task_q.cancel_join_thread()
             for proc in workers:
                 proc.terminate()
         else:
@@ -592,7 +765,17 @@ def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy):
     if failure is not None:
         raise failure
     ordered = [by_index[i] for i in sorted(by_index)]
-    return (ordered if exp.deterministic else arrival), ordered
+    return (ordered if exp.deterministic else arrival), ordered, side
+
+
+def _dead_worker_panic(proc, held: int, sent_blocks, by_index) -> WorkerPanic:
+    """Name the block a worker died on: the one it held, or else the
+    first block that was sent but has not come back."""
+    died = f"worker process {proc.pid} exited with code {proc.exitcode} without reporting"
+    if held >= 0 and held not in by_index:
+        return WorkerPanic(held, f"{died} while computing this block")
+    outstanding = [b.index for b in sent_blocks if b.index not in by_index]
+    return WorkerPanic(outstanding[0], f"{died}; this block was sent but never returned")
 
 
 # ---------------------------------------------------------------------------

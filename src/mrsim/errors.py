@@ -38,6 +38,11 @@ class IncommensurateMoments(MrSimError):
     """No common gradient-moment unit exists within tolerance."""
 
 
+class ComplexOrderZero(MrSimError):
+    """The order-0 longitudinal population of a configuration set went
+    complex; it is the mean Mz and must stay real."""
+
+
 class OutOfGrid(MrSimError):
     """A sampled field grid was evaluated outside its coverage."""
 

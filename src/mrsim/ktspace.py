@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bloch import GAMMA_PROTON, HardPulse, RelaxationParams
-from .errors import IncommensurateMoments
+from .errors import ComplexOrderZero, IncommensurateMoments
 from .sequence import Sequence
 
 Order = Tuple[int, int, int]
@@ -112,11 +112,16 @@ class ConfigurationSet:
 
     def _enforce_real_b0(self) -> None:
         b0 = self.longi.get(ZERO)
-        if b0 is None:
-            return
-        if abs(b0.imag) > _B0_IMAG_BOUND * max(abs(b0), 1e-300):
-            raise AssertionError(f"order-0 longitudinal population went complex: {b0}")
-        self.longi[ZERO] = complex(b0.real, 0.0)
+        if b0 is not None:
+            self.longi[ZERO] = _real_b0(b0)
+
+
+def _real_b0(b0: complex) -> complex:
+    """The order-0 longitudinal population (the mean Mz) with its
+    round-off imaginary part dropped; a sizable one is an error."""
+    if abs(b0.imag) > _B0_IMAG_BOUND * max(abs(b0), 1e-300):
+        raise ComplexOrderZero(f"order-0 longitudinal population went complex: {b0}")
+    return complex(b0.real, 0.0)
 
 
 def rf_mixing_matrix(alpha: float, phi: float) -> np.ndarray:
@@ -306,6 +311,7 @@ def simulate_kt(
     prune_threshold: float = DEFAULT_PRUNE,
     unit=None,
     record_trace: bool = True,
+    observe: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> KtRun:
     """Quantitative configuration tracking through a whole sequence.
 
@@ -314,6 +320,13 @@ def simulate_kt(
     only needs the tissue relaxation constants; position dependence
     enters through the spectrum alone, so one run serves every region
     with the same T1/T2.
+
+    ``observe(k, populations)`` sees the transversal configurations at
+    every instant a trace would record, without building the trace: k
+    is (points, m, 3) rad/m and populations (points, m), the m
+    configurations in order.  When neither a spectrum nor a trace needs
+    the state at each sample, a readout is relaxed on population arrays
+    and observed in one call for all its samples.
 
     Sequences whose moments share no common measure are tracked on the
     continuous-k fallback grid (smallest moment / 1024), merging
@@ -335,6 +348,12 @@ def simulate_kt(
     def record(t):
         if record_trace:
             trace.append(TracePoint(t, state.entries()))
+        if observe is not None and state.trans:
+            orders = sorted(state.trans)
+            observe(
+                _k_positions(state.unit, orders, np.array([state.frac])),
+                np.array([[state.trans[o] for o in orders]]),
+            )
 
     record(now)
     for es in sequence.elements:
@@ -348,13 +367,16 @@ def simulate_kt(
             partial = es.gradient.partial_moments(ts, es.duration, gamma)
             samples = np.empty(ts.size, dtype=complex)
             prev = 0.0
-            for i, t in enumerate(ts):
-                state = apply_relax_interval(state, relax, t - prev)
-                prev = t
-                state.frac = tuple(partial[i])
-                if object_spectrum is not None:
-                    samples[i] = synthesize_echo(state, object_spectrum)
-                if record_trace:
+            if object_spectrum is None and not record_trace:
+                state = _relax_through_samples(state, relax, ts, partial, observe)
+                prev = ts[-1] if ts.size else prev
+            else:
+                for i, t in enumerate(ts):
+                    state = apply_relax_interval(state, relax, t - prev)
+                    prev = t
+                    state.frac = tuple(partial[i])
+                    if object_spectrum is not None:
+                        samples[i] = synthesize_echo(state, object_spectrum)
                     record(now + t)
             if object_spectrum is not None:
                 echoes.append(samples)
@@ -367,6 +389,56 @@ def simulate_kt(
         now += es.duration
         record(now)
     return KtRun(echoes=echoes, sample_times=times, trace=trace, final=state)
+
+
+def _k_positions(unit, orders, fracs: np.ndarray) -> np.ndarray:
+    """k of every configuration at every point: (points, m, 3) rad/m."""
+    scale = np.array([u if u else 0.0 for u in unit])
+    return np.array(orders, dtype=float).reshape(-1, 3) * scale + fracs[:, None, :]
+
+
+def _relax_through_samples(
+    state: ConfigurationSet, relax: RelaxationParams, ts, partial, observe
+) -> ConfigurationSet:
+    """The state at the last sample instant, relaxed sample by sample.
+
+    Equivalent to one :func:`apply_relax_interval` per sample interval,
+    with the same products in the same order; the transversal
+    populations of all samples are computed at once and handed to
+    ``observe`` in one call.
+    """
+    dts = np.diff(np.asarray(ts, dtype=float), prepend=0.0).tolist()
+    e1s = [math.exp(-dt / relax.t1) for dt in dts if dt != 0.0]
+    longi = dict(state.longi)
+    if e1s:
+        others = [o for o in longi if o != ZERO]
+        if others:
+            scan = np.empty((len(e1s) + 1, len(others)), dtype=complex)
+            scan[0] = [longi[o] for o in others]
+            scan[1:] = np.array(e1s)[:, None]
+            np.multiply.accumulate(scan, axis=0, out=scan)
+            longi.update(zip(others, scan[-1].tolist()))
+        b0 = longi.get(ZERO, 0j)
+        for e1 in e1s:
+            b0 = _real_b0(b0 * e1 + relax.m0 * (1.0 - e1))
+        longi[ZERO] = b0
+    orders = list(state.trans)
+    pops = np.empty((len(dts) + 1, len(orders)), dtype=complex)
+    pops[0] = [state.trans[o] for o in orders]
+    pops[1:] = np.array([math.exp(-dt / relax.t2) if dt != 0.0 else 1.0 for dt in dts])[:, None]
+    np.multiply.accumulate(pops, axis=0, out=pops)
+    if observe is not None and orders:
+        rank = sorted(range(len(orders)), key=orders.__getitem__)
+        observe(
+            _k_positions(state.unit, [orders[j] for j in rank], np.asarray(partial, dtype=float)),
+            pops[1:, rank],
+        )
+    return replace(
+        state,
+        trans=dict(zip(orders, pops[-1].tolist())),
+        longi=longi,
+        frac=tuple(partial[-1]) if len(dts) else state.frac,
+    )
 
 
 @dataclass

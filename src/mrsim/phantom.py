@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, List, Union
 
@@ -95,7 +97,73 @@ def _lattice(origin: float, size: float, spacing: float) -> np.ndarray:
     return origin + offset + spacing * np.arange(n)
 
 
-def rasterize(phantom: Phantom, spacing, cap: int = DEFAULT_SPIN_CAP) -> List[SpinSample]:
+def _eval_sites(prop: PropertyFn, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A property at every site; constants and :class:`Affine` on whole
+    arrays, other callables site by site."""
+    if isinstance(prop, Affine):
+        return prop.c + prop.gx * x + prop.gy * y + prop.gz * z
+    if callable(prop):
+        return np.array([float(prop(a, b, c)) for a, b, c in zip(x, y, z)], dtype=float)
+    return np.full(x.shape, float(prop))
+
+
+class SpinList(Sequence):
+    """Rasterized spins, held as arrays.
+
+    Indexing and iteration build :class:`SpinSample` objects (thermal
+    equilibrium start); :func:`mrsim.engine.build_spin_arrays` reads the
+    arrays directly.
+    """
+
+    def __init__(self, pos, m0, t1, t2, delta_omega):
+        self.pos = pos  # (n, 3)
+        self.m0 = m0
+        self.t1 = t1
+        self.t2 = t2
+        self.delta_omega = delta_omega
+
+    def __len__(self) -> int:
+        return self.m0.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._spin(
+            tuple(self.pos[index].tolist()),
+            *(float(a[index]) for a in (self.m0, self.t1, self.t2, self.delta_omega)),
+        )
+
+    def __iter__(self):
+        columns = (self.m0, self.t1, self.t2, self.delta_omega)
+        for position, *values in zip(self.pos.tolist(), *(a.tolist() for a in columns)):
+            yield self._spin(tuple(position), *values)
+
+    @staticmethod
+    def _spin(position, m0, t1, t2, delta_omega) -> SpinSample:
+        return SpinSample(
+            position=position,
+            m=Magnetization(0.0, 0.0, m0),
+            relax=RelaxationParams(t1=t1, t2=t2, m0=m0),
+            delta_omega=delta_omega,
+        )
+
+
+def _check_tissue(m0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
+    """The checks of :class:`RelaxationParams`, once per array."""
+    bad = np.flatnonzero(~((t1 > 0.0) & (t2 > 0.0)) | (m0 < 0.0))
+    if bad.size:
+        # the first offending spin raises as its RelaxationParams would
+        i = bad[0]
+        RelaxationParams(t1=float(t1[i]), t2=float(t2[i]), m0=float(m0[i]))
+    odd = np.flatnonzero(t2 > t1)
+    if odd.size:
+        i = odd[0]
+        warnings.warn(
+            f"t2={float(t2[i])} s exceeds t1={float(t1[i])} s (unphysical)", stacklevel=3
+        )
+
+
+def rasterize(phantom: Phantom, spacing, cap: int = DEFAULT_SPIN_CAP) -> SpinList:
     """Sample every box on a centered lattice with the given (dx, dy, dz).
 
     Each spin starts in thermal equilibrium (0, 0, m0) with the box
@@ -117,29 +185,30 @@ def rasterize(phantom: Phantom, spacing, cap: int = DEFAULT_SPIN_CAP) -> List[Sp
             f"{sum(counts)} lattice sites exceed the cap of {cap}; "
             "refine the spacing or raise the cap"
         )
-    spins: List[SpinSample] = []
+    columns: List[List[np.ndarray]] = [[] for _ in range(5)]
     for box in phantom.boxes:
-        xs = _lattice(box.origin[0], box.size[0], spacing[0])
-        ys = _lattice(box.origin[1], box.size[1], spacing[1])
-        zs = _lattice(box.origin[2], box.size[2], spacing[2])
-        for z in zs:
-            for y in ys:
-                for x in xs:
-                    m0 = _eval(box.m0, x, y, z)
-                    if m0 == 0.0:
-                        continue
-                    relax = RelaxationParams(
-                        t1=_eval(box.t1, x, y, z), t2=_eval(box.t2, x, y, z), m0=m0
-                    )
-                    spins.append(
-                        SpinSample(
-                            position=(float(x), float(y), float(z)),
-                            m=Magnetization(0.0, 0.0, m0),
-                            relax=relax,
-                            delta_omega=_eval(box.delta_omega, x, y, z),
-                        )
-                    )
-    return spins
+        zs, ys, xs = np.meshgrid(
+            _lattice(box.origin[2], box.size[2], spacing[2]),
+            _lattice(box.origin[1], box.size[1], spacing[1]),
+            _lattice(box.origin[0], box.size[0], spacing[0]),
+            indexing="ij",
+        )
+        x, y, z = xs.ravel(), ys.ravel(), zs.ravel()
+        m0 = _eval_sites(box.m0, x, y, z)
+        keep = m0 != 0.0
+        x, y, z, m0 = x[keep], y[keep], z[keep], m0[keep]
+        t1 = _eval_sites(box.t1, x, y, z)
+        t2 = _eval_sites(box.t2, x, y, z)
+        _check_tissue(m0, t1, t2)
+        for column, values in zip(
+            columns,
+            (np.column_stack([x, y, z]), m0, t1, t2, _eval_sites(box.delta_omega, x, y, z)),
+        ):
+            column.append(values)
+    return SpinList(
+        np.concatenate(columns[0]).reshape(-1, 3),
+        *(np.concatenate(c) for c in columns[1:]),
+    )
 
 
 # ---------------------------------------------------------------------------

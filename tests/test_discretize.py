@@ -25,6 +25,8 @@ from mrsim.sequence import (
     readout_gradient,
 )
 
+from oracles import reference_prune
+
 
 def readout_only(k_max, n=33, duration=0.01):
     els = [
@@ -133,6 +135,40 @@ def test_prune_one_gray_level_is_maximal():
     loose = steady_state_prune(out.trace, grayscale_levels=1)
     tight = steady_state_prune(out.trace, grayscale_levels=4096)
     assert loose[0] <= tight[0]
+
+
+@pytest.mark.parametrize("levels", [1, 256, 4096])
+def test_prune_matches_point_by_point_reference(levels):
+    for seq, relax in (
+        (ssfp_cycles(30), RelaxationParams(t1=0.1, t2=0.005, m0=1.0)),
+        (ssfp_cycles(12), RelaxationParams(t1=0.5, t2=0.3, m0=1.0)),
+        (readout_only(120.0), RelaxationParams(t1=1.0, t2=0.5, m0=1.0)),
+    ):
+        trace = simulate_kt(seq, relax).trace
+        assert steady_state_prune(trace, grayscale_levels=levels) == reference_prune(
+            trace, grayscale_levels=levels
+        )
+
+
+@pytest.mark.parametrize("t1, t2", [(0.8, 0.1), (2.0, 1.5)])
+def test_streaming_prune_matches_trace_prune(t1, t2):
+    from mrsim.sequence import build_tse
+
+    seq = build_tse(
+        fov=0.2, n=16, turbo_factor=4, echo_spacing=0.02, tr=0.3,
+        readout_grad=readout_gradient(0.2, 16, 0.004),
+    )
+    relax = RelaxationParams(t1=t1, t2=t2, m0=1.0)
+    traced = simulate_kt(seq, relax)
+    untraced = simulate_kt(seq, relax, record_trace=False)
+    # the untraced walk relaxes whole readouts at once, to the same state
+    assert untraced.trace == []
+    assert untraced.final.trans == traced.final.trans
+    assert untraced.final.longi == traced.final.longi
+    for levels in (1, 256, 4096):
+        report = pruned_max_spacing(seq, relax, grayscale_levels=levels)
+        assert report.k_max == steady_state_prune(traced.trace, grayscale_levels=levels)
+    assert report.k_max[0] > 0.0
 
 
 def test_pruned_max_spacing_relaxes_multi_repetition_bound():

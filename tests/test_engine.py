@@ -1,5 +1,9 @@
+import collections
+import logging
 import math
+import multiprocessing as mp
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from mrsim.bloch import GAMMA_PROTON, HardPulse, Magnetization, RelaxationParams
 from mrsim.engine import (
     Experiment,
+    SpinBlock,
     compare_results,
     compute_block,
     delta_e_stoer,
@@ -36,6 +41,8 @@ from mrsim.sequence import (
     readout_gradient,
 )
 from mrsim.system import default_system
+
+from oracles import reference_kernel
 
 
 def box_phantom(m0=1.0, t2=0.2):
@@ -156,6 +163,122 @@ def test_opposite_positions_sum_to_real_signal():
 
 
 # ---------------------------------------------------------------------------
+# fused kernel against the two-real-array reference kernel
+# ---------------------------------------------------------------------------
+
+ORACLE_SNAPSHOTS = (0.0105, 0.03, 0.06)
+
+
+def oracle_sequence():
+    """Several pulses, T1 regrowth between them, a one-off phase-encode
+    lobe and a readout / prephaser pair that each occur twice."""
+    prephase = GradientWaveform.constant(gx=-5e-3)
+    readout = GradientWaveform.constant(gx=1e-2)
+    els = [
+        ElementarySequence(pulse=HardPulse(math.pi / 2, 0.3), gradient=prephase, duration=2e-3),
+        ElementarySequence(gradient=GradientWaveform.constant(gy=3e-3), duration=1e-3),
+        ElementarySequence(pulse=HardPulse(math.pi, math.pi / 2), duration=4e-3),
+        ElementarySequence(
+            gradient=readout, duration=6e-3, acquisition=AcquisitionSpec(True, 7), kspace_row=0
+        ),
+        ElementarySequence(pulse=HardPulse(math.pi / 3, -0.4), duration=0.08),
+        ElementarySequence(pulse=HardPulse(math.pi / 2, 1.1), gradient=prephase, duration=2e-3),
+        ElementarySequence(
+            gradient=readout, duration=6e-3, acquisition=AcquisitionSpec(True, 7), kspace_row=1
+        ),
+    ]
+    return Sequence(els, name="oracle")
+
+
+def oracle_block(n=40, seed=3):
+    rng = np.random.default_rng(seed)
+    m0 = rng.uniform(0.5, 1.5, n)
+    return SpinBlock(
+        index=0,
+        pos=rng.uniform(-0.02, 0.02, (n, 3)),
+        mx=rng.uniform(-0.3, 0.3, n),
+        my=rng.uniform(-0.3, 0.3, n),
+        mz=m0 * rng.uniform(0.5, 1.0, n),
+        t1=rng.uniform(0.2, 1.5, n),
+        t2=rng.uniform(0.03, 0.3, n),
+        m0=m0,
+        domega=rng.uniform(-80.0, 80.0, n),
+        weight=rng.normal(size=n) + 1j * rng.normal(size=n),
+    )
+
+
+def test_fused_kernel_matches_reference_kernel():
+    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
+    block = oracle_block()
+    echoes, snaps = compute_block(tables, block)
+    ref_echoes, ref_snaps = reference_kernel(tables, block)
+    assert np.abs(ref_echoes).max() > 1e-2
+    assert delta_e_stoer(ref_echoes, echoes) <= -250.0
+    for snap, ref_snap in zip(snaps, ref_snaps):
+        assert delta_e_stoer(ref_snap, snap) <= -250.0
+    # both later snapshots sit inside the 80 ms delay after the third
+    # pulse: Mz regrows analytically from one to the other
+    e1 = np.exp(-(ORACLE_SNAPSHOTS[2] - ORACLE_SNAPSHOTS[1]) / block.t1)
+    np.testing.assert_allclose(
+        snaps[2][:, 2], snaps[1][:, 2] * e1 + block.m0 * (1.0 - e1), rtol=1e-12
+    )
+
+
+def test_factor_slots_only_for_repeated_keys():
+    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
+    events = [
+        ((dt, *dmom), slot)
+        for entry in tables.entries
+        for dt, dmom, slot in zip(
+            entry.ev_dt.tolist(), entry.ev_dmom.tolist(), entry.ev_slot.tolist()
+        )
+    ]
+    counts = collections.Counter(key for key, _ in events if any(key))
+    slot_of = {}
+    for key, slot in events:
+        if counts[key] > 1:
+            assert slot == slot_of.setdefault(key, slot) >= 0
+        else:
+            assert slot == -1
+    assert sorted(slot_of.values()) == list(range(tables.factor_slots))
+    # numbered by falling count, so a capped cache keeps the busiest keys
+    by_slot = sorted(slot_of, key=slot_of.get)
+    assert [counts[key] for key in by_slot] == sorted(counts[key] for key in by_slot)[::-1]
+    # the phase-encode lobe is a one-off key; the two readouts share slots
+    assert tables.entries[1].ev_slot.tolist() == [-1]
+    assert set(tables.entries[3].ev_slot) & set(tables.entries[6].ev_slot) - {-1}
+
+
+def test_kernel_logs_factor_cache_size(caplog):
+    tables = precompute_sequence_tables(oracle_sequence())
+    block = oracle_block()
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        compute_block(tables, block)
+    slots = tables.factor_slots
+    expected = f"{slots} factor slots, {slots} cached, {slots * block.n * 16} factor-cache bytes"
+    assert slots > 0
+    assert any(expected in rec.getMessage() for rec in caplog.records)
+
+
+def test_factor_cache_stays_within_byte_budget(monkeypatch, caplog):
+    import mrsim.engine as engine_mod
+
+    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
+    block = oracle_block()
+    assert tables.factor_slots > 2
+    # room for two slots of this block; the rest are computed inline
+    monkeypatch.setattr(engine_mod, "_FACTOR_CACHE_BYTES", 2 * 16 * block.n + 15)
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        echoes, snaps = compute_block(tables, block)
+    expected = f"2 cached, {2 * 16 * block.n} factor-cache bytes"
+    assert any(expected in rec.getMessage() for rec in caplog.records)
+    ref_echoes, ref_snaps = reference_kernel(tables, block)
+    assert delta_e_stoer(ref_echoes, echoes) <= -250.0
+    for snap, ref_snap in zip(snaps, ref_snaps):
+        assert delta_e_stoer(ref_snap, snap) <= -250.0
+
+
+# ---------------------------------------------------------------------------
 # runs: determinism, partitioning, linearity
 # ---------------------------------------------------------------------------
 
@@ -211,6 +334,19 @@ def test_spacing_override_warns_when_violating_bound():
         run(small_experiment(spacing=(0.1, 0.1, 0.002)))
 
 
+def test_pool_checks_spacing_override_like_one_process():
+    # the pool checks the override while its workers compute
+    reports = {}
+    for workers in (1, 2):
+        with pytest.warns(UserWarning, match="violates the sampling bound") as caught:
+            res = run(small_experiment(spacing=(0.1, 0.1, 0.002), workers=workers, blocks=4))
+        assert sorted(str(w.message).split(" on axis ")[1][0] for w in caught) == ["x", "y"]
+        assert {w.filename for w in caught} == {__file__}
+        reports[workers] = res.spacing_report
+    assert reports[1] == reports[2]
+    assert reports[1].dx_max[0] < 0.1
+
+
 def test_worker_panic_surfaces_block_index(monkeypatch):
     import mrsim.engine as engine_mod
 
@@ -220,6 +356,81 @@ def test_worker_panic_surfaces_block_index(monkeypatch):
     monkeypatch.setattr(engine_mod, "compute_block", boom)
     with pytest.raises(WorkerPanic):
         run(small_experiment(workers=2, blocks=4))
+
+
+@pytest.mark.skipif(
+    mp.get_start_method() != "fork", reason="the patched kernel reaches workers only by fork"
+)
+def test_dead_worker_raises_instead_of_hanging(monkeypatch):
+    import mrsim.engine as engine_mod
+
+    master = os.getpid()
+    kernel = engine_mod.compute_block
+
+    def die_on_block_2(tables, block):
+        if os.getpid() != master and block.index == 2:
+            os._exit(1)  # no report, no exception: as after an OOM kill
+        return kernel(tables, block)
+
+    def hung(signum, frame):
+        raise TimeoutError("run() still waiting on a dead worker")
+
+    monkeypatch.setattr(engine_mod, "compute_block", die_on_block_2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(WorkerPanic) as info:
+            run(small_experiment(workers=2, blocks=4))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert info.value.block_index == 2
+    assert "exited with code 1" in str(info.value)
+    assert "while computing this block" in str(info.value)
+
+
+@pytest.mark.skipif(
+    mp.get_start_method() != "fork", reason="the patched kernel reaches workers by fork"
+)
+def test_master_failure_in_pool_stops_workers(monkeypatch):
+    import time
+
+    import mrsim.engine as engine_mod
+
+    def broken_check(exp, spacing):
+        raise RuntimeError("check failed")
+
+    def hung(signum, frame):
+        raise TimeoutError("run() waited for the workers to finish their blocks")
+
+    # workers that would take 10 s over each queued block
+    monkeypatch.setattr(engine_mod, "compute_block", lambda tables, block: time.sleep(10))
+    monkeypatch.setattr(engine_mod, "_check_spacing", broken_check)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(RuntimeError, match="check failed"):
+            run(small_experiment(workers=2, blocks=8))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert mp.active_children() == []
+
+
+def test_dead_worker_blamed_on_a_block_it_held_or_an_outstanding_one():
+    from types import SimpleNamespace
+
+    from mrsim.engine import _dead_worker_panic
+
+    proc = SimpleNamespace(pid=4321, exitcode=-9)
+    sent = [SimpleNamespace(index=i) for i in range(3)]
+    returned = {0: None}
+    held = _dead_worker_panic(proc, 2, sent, returned)
+    assert held.block_index == 2 and "while computing this block" in str(held)
+    # died between blocks: the first block sent but not returned
+    idle = _dead_worker_panic(proc, -1, sent, returned)
+    assert idle.block_index == 1 and "sent but never returned" in str(idle)
+    assert "exited with code -9" in str(idle)
 
 
 def test_snapshots_in_rasterization_order():

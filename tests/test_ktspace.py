@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrsim.bloch import GAMMA_PROTON, HardPulse, RelaxationParams
-from mrsim.errors import IncommensurateMoments
+from mrsim.errors import ComplexOrderZero, IncommensurateMoments, MrSimError
 from mrsim.ktspace import (
     ZERO,
     ConfigurationSet,
@@ -109,6 +109,17 @@ def test_relax_interval_halves_transversal_at_t2_ln2():
     relax = RelaxationParams(t1=1.0, t2=0.3, m0=1.0)
     out = apply_relax_interval(state, relax, dt=0.3 * math.log(2))
     assert abs(out.trans[ZERO]) == pytest.approx(0.5)
+
+
+def test_complex_order_zero_population_raises_library_error():
+    state = ConfigurationSet.equilibrium(1.0)
+    state.longi = {ZERO: 1.0 + 0.1j}
+    relax = RelaxationParams(t1=1.0, t2=0.3, m0=1.0)
+    with pytest.raises(ComplexOrderZero) as info:
+        apply_relax_interval(state, relax, dt=0.01)
+    assert isinstance(info.value, MrSimError)
+    with pytest.raises(ComplexOrderZero):
+        apply_rf_split(state, HardPulse(math.pi / 2, 0.0))
 
 
 def test_gradient_shift_merges_on_interference():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from mrsim.bloch import Magnetization, RelaxationParams
+from mrsim.engine import build_spin_arrays
 from mrsim.errors import InvalidParameter, ParseError, SpinBudgetExceeded
+from mrsim.system import default_system
 from mrsim.phantom import (
     Affine,
     Phantom,
     PhantomBox,
+    SpinSample,
     parse_object_file,
     rasterize,
     shepp_logan,
@@ -52,6 +56,9 @@ def test_rasterize_deterministic_and_ordered():
     # x fastest, then y, then z
     assert first[0].position[0] < first[1].position[0]
     assert first[0].position[1] == first[1].position[1]
+    assert first[3].position[1] > first[0].position[1]
+    assert first[3].position[2] == first[0].position[2]
+    assert first[9].position[2] > first[0].position[2]
 
 
 def test_spin_budget_enforced():
@@ -69,6 +76,55 @@ def test_affine_properties_evaluated_at_positions():
         assert s.relax.m0 == pytest.approx(1.0 + 10.0 * s.position[0])
         assert s.m.mz == s.relax.m0  # thermal equilibrium start
         assert (s.m.mx, s.m.my) == (0.0, 0.0)
+
+
+def test_spin_list_matches_site_by_site_evaluation():
+    box = PhantomBox(
+        origin=(0, 0, 0),
+        size=(0.05, 0.03, 1e-3),
+        m0=Affine(1.0, gx=10.0, gy=-4.0),
+        t1=0.9,
+        t2=lambda x, y, z: 0.05 + x,
+        delta_omega=Affine(2.0, gy=30.0),
+    )
+    spacing = (0.01, 0.01, 1.0)
+    spins = rasterize(Phantom([box]), spacing)
+    expected = []
+    for y in (0.005, 0.015, 0.025):
+        for x in (0.005, 0.015, 0.025, 0.035, 0.045):
+            m0 = box.m0(x, y, 5e-4)
+            expected.append(
+                SpinSample(
+                    position=(x, y, 5e-4),
+                    m=Magnetization(0.0, 0.0, m0),
+                    relax=RelaxationParams(t1=0.9, t2=0.05 + x, m0=m0),
+                    delta_omega=box.delta_omega(x, y, 5e-4),
+                )
+            )
+    assert len(spins) == len(expected)
+    for got, want in zip(list(spins), expected):
+        assert got.position == pytest.approx(want.position, abs=1e-15)
+        assert got.m == want.m and got.delta_omega == pytest.approx(want.delta_omega)
+        assert got.relax.t2 == pytest.approx(want.relax.t2)
+    assert spins[-1] == list(spins)[-1]
+    assert spins[2:4] == list(spins)[2:4]
+    # the engine reads the arrays; a plain list of the same spins packs alike
+    packed = build_spin_arrays(spins, default_system())
+    plain = build_spin_arrays(list(spins), default_system())
+    for name in ("pos", "mx", "my", "mz", "t1", "t2", "m0", "domega", "weight"):
+        assert np.array_equal(getattr(packed, name), getattr(plain, name)), name
+
+
+def test_rasterize_checks_tissue_like_relaxation_params():
+    def cube(**props):
+        return Phantom([PhantomBox(origin=(0, 0, 0), size=(0.1, 0.1, 0.1), **props)])
+
+    with pytest.raises(ValueError, match="relaxation times must be positive"):
+        rasterize(cube(t2=0.0), (0.05, 0.05, 0.05))
+    with pytest.raises(ValueError, match="m0 must be non-negative"):
+        rasterize(cube(m0=-1.0), (0.05, 0.05, 0.05))
+    with pytest.warns(UserWarning, match="exceeds t1"):
+        rasterize(cube(t1=0.1, t2=0.2), (0.05, 0.05, 0.05))
 
 
 def test_equilibrium_magnetization_scale_invariance():
