@@ -88,9 +88,7 @@ from .system import (
     StaticField,
     SystemModel,
     UniformSensitivity,
-    coil_weight,
     default_system,
-    delta_b0,
     parse_system_file,
     spin_off_resonance,
 )

@@ -1,9 +1,14 @@
-"""Analytic single-spin magnetization operators in the rotating frame.
+"""Analytic magnetization operators in the rotating frame.
 
-All operators act on one magnetization vector and are exact for
-piecewise-constant fields, so arbitrarily long intervals cost one
-evaluation.  Everything lives in the frame rotating at the RF carrier
-about +z; the carrier itself is never synthesized.
+The operators are exact for piecewise-constant fields, so arbitrarily
+long intervals cost one evaluation.  Each piece of rotation and
+relaxation math exists once, as an array operator on the complex
+transverse state ``mxy = mx + 1j*my`` and Mz of many spins
+(:func:`apply_rotation`, :func:`precession_factor`, :func:`regrow_mz`);
+the spin-block kernel of :mod:`mrsim.engine` runs on them, and the
+single-spin operators on :class:`Magnetization` are the same operators
+applied to one spin.  Everything lives in the frame rotating at the RF
+carrier about +z; the carrier itself is never synthesized.
 
 Sign conventions (fixed here, inherited by every other module):
 
@@ -51,10 +56,6 @@ class Magnetization:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mx, self.my, self.mz], dtype=float)
-
-    @staticmethod
-    def from_array(v) -> "Magnetization":
-        return Magnetization(float(v[0]), float(v[1]), float(v[2]))
 
     def transverse(self) -> complex:
         """Complex transverse part mx + 1j*my."""
@@ -139,39 +140,42 @@ def hard_pulse_matrix(alpha: float, phi: float) -> np.ndarray:
     )
 
 
+# ---------------------------------------------------------------------------
+# array operators (one element per spin; mxy = mx + 1j*my) and the
+# single-spin operators, which apply them to one spin
+# ---------------------------------------------------------------------------
+
+
+def apply_rotation(r: np.ndarray, mxy, mz):
+    """Rotate (Re mxy, Im mxy, mz) by the 3x3 matrix r; returns (mxy, mz)."""
+    mx, my = np.real(mxy), np.imag(mxy)
+    out = np.empty_like(mxy, dtype=complex)
+    out.real = r[0, 0] * mx + r[0, 1] * my + r[0, 2] * mz
+    out.imag = r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz
+    return out, r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz
+
+
+def precession_factor(phase, dt, inv_t2):
+    """Factor ``exp(-dt/T2 - 1j*phase)`` that turns mxy clockwise by
+    ``phase`` and decays it with T2 over ``dt``."""
+    return np.exp(-dt * inv_t2 - 1j * phase)
+
+
+def regrow_mz(mz, m0, inv_t1, dt):
+    """Longitudinal magnetization after relaxing toward m0 with T1 for dt."""
+    e1 = np.exp(-dt * inv_t1)
+    return mz * e1 + m0 * (1.0 - e1)
+
+
+def _magnetization(mxy, mz) -> Magnetization:
+    return Magnetization(float(np.real(mxy)), float(np.imag(mxy)), float(mz))
+
+
 def apply_hard_pulse(m: Magnetization, p: HardPulse) -> Magnetization:
     """Rotate m by the hard pulse p (instantaneous, no relaxation)."""
     if p.is_identity:
         return m
-    return Magnetization.from_array(hard_pulse_matrix(p.alpha, p.phi) @ m.as_array())
-
-
-def _rotate_relax(m: Magnetization, r: RelaxationParams, angle: float, dt: float) -> Magnetization:
-    """Clockwise transverse rotation by ``angle`` followed by relaxation
-    over ``dt`` (the exact solution for a constant longitudinal field)."""
-    c, s = np.cos(angle), np.sin(angle)
-    mx = c * m.mx + s * m.my
-    my = -s * m.mx + c * m.my
-    e2 = np.exp(-dt / r.t2)
-    e1 = np.exp(-dt / r.t1)
-    return Magnetization(
-        float(mx * e2),
-        float(my * e2),
-        float(m.mz * e1 + r.m0 * (1.0 - e1)),
-    )
-
-
-def apply_precess_relax(
-    m: Magnetization, r: RelaxationParams, domega: float, dt: float
-) -> Magnetization:
-    """Free precession at off-resonance ``domega`` (rad/s) with relaxation.
-
-    Exact for a constant field: transverse part rotates clockwise by
-    domega*dt and decays with T2; Mz relaxes toward m0 with T1.
-    """
-    if dt < 0.0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
-    return _rotate_relax(m, r, domega * dt, dt)
+    return _magnetization(*apply_rotation(hard_pulse_matrix(p.alpha, p.phi), m.transverse(), m.mz))
 
 
 def apply_gradient_interval(
@@ -182,11 +186,35 @@ def apply_gradient_interval(
     ``gradient_moment`` is gamma * integral(G(tau) . x dtau) in radians,
     evaluated by the caller at the spin's position; the transverse phase
     change is -gradient_moment.  Keeping the moment on the caller side
-    keeps this module position-free.
+    keeps this module position-free.  Exact for a constant longitudinal
+    field: the transverse part decays with T2, Mz relaxes toward m0 with T1.
     """
     if dt < 0.0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    return _rotate_relax(m, r, gradient_moment, dt)
+    return _magnetization(
+        m.transverse() * precession_factor(gradient_moment, dt, 1.0 / r.t2),
+        regrow_mz(m.mz, r.m0, 1.0 / r.t1, dt),
+    )
+
+
+def apply_precess_relax(
+    m: Magnetization, r: RelaxationParams, domega: float, dt: float
+) -> Magnetization:
+    """Free precession at off-resonance ``domega`` (rad/s) with relaxation:
+    a gradient interval whose moment is domega*dt."""
+    return apply_gradient_interval(m, r, domega * dt, dt)
+
+
+def hard_pulse_decomposition(envelope, per_sample_dt: float, gamma: float) -> list:
+    """One hard pulse per sample of a complex envelope (tesla).
+
+    Sample i becomes ``HardPulse(gamma*|B1_i|*dt, arg(B1_i))``, or None
+    where B1_i is zero.
+    """
+    return [
+        HardPulse(float(gamma * abs(b1) * per_sample_dt), cmath.phase(b1)) if b1 else None
+        for b1 in np.asarray(envelope, dtype=complex)
+    ]
 
 
 def apply_shaped_pulse(
@@ -200,11 +228,11 @@ def apply_shaped_pulse(
 ) -> Magnetization:
     """Amplitude/phase-modulated pulse via the hard-pulse decomposition.
 
-    The complex envelope (tesla) is split into len(envelope) sub-pulses.
-    Sub-pulse i applies a hard pulse with alpha_i = gamma*|B1_i|*dt and
-    phi_i = arg(B1_i), then the local longitudinal rotation
-    ``local_bz_moment_per_sample`` (rad, covering gradient and
-    off-resonance effects at the spin position) plus relaxation for dt.
+    The complex envelope (tesla) is split into len(envelope) sub-pulses
+    (:func:`hard_pulse_decomposition`).  Each applies its hard pulse,
+    then the local longitudinal rotation ``local_bz_moment_per_sample``
+    (rad, covering gradient and off-resonance effects at the spin
+    position) plus relaxation for dt.
 
     ``sampling_ok`` is the verdict of the temporal sampling check
     (see :mod:`mrsim.discretize`); passing False raises
@@ -217,11 +245,10 @@ def apply_shaped_pulse(
         )
     if envelope.size and per_sample_dt <= 0.0:
         raise ValueError(f"per_sample_dt must be positive, got {per_sample_dt}")
-    for b1 in envelope:
-        amp = abs(b1)
-        if amp > 0.0:
-            m = apply_hard_pulse(m, HardPulse(ctx.gamma * amp * per_sample_dt, cmath.phase(b1)))
-        m = _rotate_relax(m, r, local_bz_moment_per_sample, per_sample_dt)
+    for pulse in hard_pulse_decomposition(envelope, per_sample_dt, ctx.gamma):
+        if pulse is not None:
+            m = apply_hard_pulse(m, pulse)
+        m = apply_gradient_interval(m, r, local_bz_moment_per_sample, per_sample_dt)
     return m
 
 

@@ -28,7 +28,9 @@ holds at most (repeated keys x block size) factors and never more than
 ``_FACTOR_CACHE_BYTES`` per block: slots past that budget, the least
 used ones, are computed inline as well.  Only pulses and snapshots read
 Mz, so T1 relaxation is deferred: the elapsed time accumulates and Mz is
-relaxed over all of it just before it is read.
+relaxed over all of it just before it is read.  The rotation, the
+precession factor and the Mz regrowth are the array operators of
+:mod:`mrsim.bloch`.
 
 The alternative decomposition, a pipeline of per-interval operator
 stages that spins stream through, was rejected: every spin must visit
@@ -46,7 +48,7 @@ import platform
 import queue as queue_mod
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence as TySequence, Tuple
 
 import multiprocessing as mp
@@ -54,7 +56,14 @@ import multiprocessing as mp
 import numpy as np
 from scipy.linalg.blas import zdotu as _zdotu
 
-from .bloch import GAMMA_PROTON, RelaxationParams, hard_pulse_matrix
+from .bloch import (
+    GAMMA_PROTON,
+    RelaxationParams,
+    apply_rotation,
+    hard_pulse_matrix,
+    precession_factor,
+    regrow_mz,
+)
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import IncommensurateMoments, InvalidParameter, WorkerPanic
 from .phantom import Phantom, SpinList, SpinSample, rasterize
@@ -257,83 +266,38 @@ class SpinBlock:
         return self.mx.size
 
 
-def build_spin_arrays(
-    spins: TySequence[SpinSample], system: SystemModel
-) -> SpinBlock:
-    """Pack spins into arrays, folding in off-resonance and coil weight.
-
-    A :class:`~mrsim.phantom.SpinList` from :func:`rasterize` hands over
-    its arrays (spins start in thermal equilibrium); any other sequence
-    of spins is read spin by spin.
-    """
-    from .system import UniformSensitivity
-
+def build_spin_arrays(spins: SpinList, system: SystemModel) -> SpinBlock:
+    """The rasterized spins as arrays, starting in thermal equilibrium,
+    with off-resonance and coil weight evaluated on all positions at once."""
     n = len(spins)
-    if isinstance(spins, SpinList):
-        pos, m0 = spins.pos, spins.m0
-        mx, my, mz = np.zeros(n), np.zeros(n), m0.copy()
-        t1, t2, object_dw = spins.t1, spins.t2, spins.delta_omega
-    else:
-        pos = np.array([s.position for s in spins], dtype=float).reshape(n, 3)
-        values = np.array(
-            [
-                (s.m.mx, s.m.my, s.m.mz, s.relax.t1, s.relax.t2, s.relax.m0, s.delta_omega)
-                for s in spins
-            ],
-            dtype=float,
-        ).reshape(n, 7)
-        mx, my, mz, t1, t2, m0, object_dw = values.T.copy()
-    ctx = system.frame()
-    if system.field.inhomogeneity is None:
-        domega = (ctx.gamma * system.field.b0 - ctx.omega_hf) + object_dw
-    else:
-        domega = np.array(
-            [
-                spin_off_resonance(system.field, tuple(p), dw, ctx)
-                for p, dw in zip(pos.tolist(), object_dw.tolist())
-            ]
-        )
-    if isinstance(system.receive, UniformSensitivity):
-        weight = np.full(n, complex(system.receive.s, 0.0))
-    else:
-        weight = np.array([complex_weight(system.receive, tuple(p)) for p in pos.tolist()])
     return SpinBlock(
         index=0,
-        pos=pos,
-        mx=mx,
-        my=my,
-        mz=mz,
-        t1=t1,
-        t2=t2,
-        m0=m0,
-        domega=domega,
-        weight=weight,
+        pos=spins.pos,
+        mx=np.zeros(n),
+        my=np.zeros(n),
+        mz=spins.m0.copy(),
+        t1=spins.t1,
+        t2=spins.t2,
+        m0=spins.m0,
+        domega=spin_off_resonance(system.field, spins.pos, spins.delta_omega, system.frame()),
+        weight=complex_weight(system.receive, spins.pos),
     )
 
 
 def partition_blocks(arrays: SpinBlock, n_blocks: int) -> List[SpinBlock]:
-    """Cut the spin arrays into at most n_blocks contiguous, disjoint blocks."""
+    """Cut the spin arrays into at most n_blocks contiguous, disjoint
+    blocks; each block's arrays are views of the source arrays."""
     n = arrays.n
     n_blocks = max(1, min(n_blocks, n)) if n else 1
     bounds = np.linspace(0, n, n_blocks + 1).astype(int)
-    blocks = []
-    for b in range(n_blocks):
-        lo, hi = bounds[b], bounds[b + 1]
-        blocks.append(
-            SpinBlock(
-                index=b,
-                pos=arrays.pos[lo:hi].copy(),
-                mx=arrays.mx[lo:hi].copy(),
-                my=arrays.my[lo:hi].copy(),
-                mz=arrays.mz[lo:hi].copy(),
-                t1=arrays.t1[lo:hi].copy(),
-                t2=arrays.t2[lo:hi].copy(),
-                m0=arrays.m0[lo:hi].copy(),
-                domega=arrays.domega[lo:hi].copy(),
-                weight=arrays.weight[lo:hi].copy(),
-            )
+    names = [f.name for f in fields(SpinBlock) if f.name != "index"]
+    return [
+        SpinBlock(
+            index=b,
+            **{name: getattr(arrays, name)[bounds[b] : bounds[b + 1]] for name in names},
         )
-    return blocks
+        for b in range(n_blocks)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +320,17 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
     # free precession writes into the spare array and the two swap: an
     # in-place multiply costs about a microsecond more per call
     spare = np.empty_like(mxy)
-    mz = block.mz.copy()
+    mz = block.mz  # never written in place: blocks are views of the run's arrays
     elapsed = 0.0  # time since Mz was last brought up to date
     # slots past the byte budget are computed inline like one-off keys
     n_cached = min(tables.factor_slots, _FACTOR_CACHE_BYTES // (16 * max(block.n, 1)))
     factors: List[Optional[np.ndarray]] = [None] * n_cached
 
     def factor(dt, dmom):
-        return np.exp(-dt * inv_t2 - 1j * (pos @ dmom + domega * dt))
+        return precession_factor(pos @ dmom + domega * dt, dt, inv_t2)
 
     def relaxed_mz():
-        e1 = np.exp(-elapsed * inv_t1)
-        return mz * e1 + m0 * (1.0 - e1)
+        return regrow_mz(mz, m0, inv_t1, elapsed)
 
     n_samples = max((e.n_samples for e in tables.entries), default=0)
     echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
@@ -376,7 +339,7 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
         if entry.pulse_mat is not None:
             if elapsed:
                 mz, elapsed = relaxed_mz(), 0.0
-            mxy, mz = _apply_pulse(entry.pulse_mat, mxy, mz)
+            mxy, mz = apply_rotation(entry.pulse_mat, mxy, mz)
         dmoms = entry.ev_dmom
         samples = []
         for i, (slot, dt, is_sample, snap) in enumerate(
@@ -416,15 +379,6 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
     )
     snap_list = [snapshots.get(i) for i in range(len(tables.snapshot_times))]
     return echoes, snap_list
-
-
-def _apply_pulse(r: np.ndarray, mxy: np.ndarray, mz: np.ndarray):
-    """Rotate (Re mxy, Im mxy, mz) by the 3x3 pulse matrix r."""
-    mx, my = mxy.real, mxy.imag
-    out = np.empty_like(mxy)
-    out.real = r[0, 0] * mx + r[0, 1] * my + r[0, 2] * mz
-    out.imag = r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz
-    return out, r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz
 
 
 def simulate_spin(

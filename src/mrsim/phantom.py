@@ -21,7 +21,7 @@ from typing import Callable, List, Union
 import numpy as np
 
 from .bloch import Magnetization, RelaxationParams
-from .errors import InvalidParameter, ParseError, SpinBudgetExceeded
+from .errors import InvalidParameter, ParseError, SpinBudgetExceeded, parse_number
 
 PropertyFn = Union[float, Callable[[float, float, float], float]]
 
@@ -39,12 +39,6 @@ class Affine:
 
     def __call__(self, x: float, y: float, z: float) -> float:
         return self.c + self.gx * x + self.gy * y + self.gz * z
-
-
-def _eval(prop: PropertyFn, x: float, y: float, z: float) -> float:
-    if callable(prop):
-        return float(prop(x, y, z))
-    return float(prop)
 
 
 @dataclass(frozen=True)
@@ -312,20 +306,14 @@ def _parse_property(value: str, key: str, line: int) -> PropertyFn:
             )
         except ValueError:
             raise ParseError(f"malformed affine coefficients for {key}: {expr!r}", line) from None
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"malformed value for {key}: {value!r}", line) from None
+    return parse_number(value, key, line)
 
 
 def _parse_vec3(value: str, key: str, line: int) -> tuple:
     parts = value.replace(",", " ").split()
     if len(parts) != 3:
         raise ParseError(f"{key} needs three components, got {value!r}", line)
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"malformed value for {key}: {value!r}", line) from None
+    return tuple(parse_number(p, key, line) for p in parts)
 
 
 _BOX_KEYS = {"origin_m", "size_m", "m0", "t1_s", "t2_s", "delta_omega_rad_s"}
@@ -390,10 +378,7 @@ def parse_object_file(text: str) -> Phantom:
         else:
             if key != "scale_m":
                 raise ParseError(f"unknown key {key!r} in [shepp_logan]", lineno)
-            try:
-                block[key] = float(value)
-            except ValueError:
-                raise ParseError(f"malformed value for scale_m: {value!r}", lineno) from None
+            block[key] = parse_number(value, key, lineno)
     flush()
     if not boxes:
         raise ParseError("no boxes in object file", 1)

@@ -25,8 +25,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .bloch import GAMMA_PROTON, HardPulse
-from .errors import InvalidParameter, ParseError, TimingInfeasible, UnitError
+from .bloch import GAMMA_PROTON, HardPulse, hard_pulse_decomposition
+from .errors import InvalidParameter, ParseError, TimingInfeasible, UnitError, parse_number
 
 __all__ = [
     "GradientWaveform",
@@ -190,6 +190,9 @@ class Sequence:
     def __post_init__(self):
         if not self.elements:
             raise InvalidParameter("a sequence needs at least one elementary sequence")
+        # nothing repeats a sequence, so a count other than 1 would be ignored
+        if self.repetitions != 1:
+            raise InvalidParameter(f"repetitions must be 1, got {self.repetitions}")
 
     @property
     def duration(self) -> float:
@@ -596,20 +599,13 @@ _UNITLESS = {
 }
 
 
-def _parse_float(value: str, key: str, line: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"malformed value for {key}: {value!r}", line) from None
-
-
 def _block_to_es(block: dict, lines: dict, blockline: int) -> ElementarySequence:
-    duration = _parse_float(block.get("duration_s", "0"), "duration_s", lines.get("duration_s", blockline))
-    flip = _parse_float(block.get("rf_flip_deg", "0"), "rf_flip_deg", lines.get("rf_flip_deg", blockline))
-    phase = _parse_float(block.get("rf_phase_deg", "0"), "rf_phase_deg", lines.get("rf_phase_deg", blockline))
+    duration = parse_number(block.get("duration_s", "0"), "duration_s", lines.get("duration_s", blockline))
+    flip = parse_number(block.get("rf_flip_deg", "0"), "rf_flip_deg", lines.get("rf_flip_deg", blockline))
+    phase = parse_number(block.get("rf_phase_deg", "0"), "rf_phase_deg", lines.get("rf_phase_deg", blockline))
     pulse = HardPulse(math.radians(flip), math.radians(phase)) if flip != 0.0 else None
     amps = [
-        1e-3 * _parse_float(block.get(k, "0"), k, lines.get(k, blockline))
+        1e-3 * parse_number(block.get(k, "0"), k, lines.get(k, blockline))
         for k in ("grad_x_mT_per_m", "grad_y_mT_per_m", "grad_z_mT_per_m")
     ]
     shape = block.get("grad_shape", "constant")
@@ -618,21 +614,20 @@ def _block_to_es(block: dict, lines: dict, blockline: int) -> ElementarySequence
     elif shape == "trapezoid":
         grad = GradientWaveform.trapezoid(
             *amps,
-            ramp_s=_parse_float(block.get("ramp_s", "0"), "ramp_s", blockline),
-            flat_s=_parse_float(block.get("flat_s", "0"), "flat_s", blockline),
+            ramp_s=parse_number(block.get("ramp_s", "0"), "ramp_s", lines.get("ramp_s", blockline)),
+            flat_s=parse_number(block.get("flat_s", "0"), "flat_s", lines.get("flat_s", blockline)),
         )
     else:
         raise ParseError(f"unknown grad_shape {shape!r}", lines.get("grad_shape", blockline))
     acq = NO_ACQ
     if "acquire" in block:
-        try:
-            n = int(block["acquire"])
-        except ValueError:
-            raise ParseError(f"malformed acquire count {block['acquire']!r}", lines["acquire"]) from None
-        acq = AcquisitionSpec(True, n)
+        acq = AcquisitionSpec(True, parse_number(block["acquire"], "acquire", lines["acquire"], int))
     row = None
     if "kspace_row" in block:
-        row = int(block["kspace_row"])
+        row = parse_number(block["kspace_row"], "kspace_row", lines["kspace_row"], int)
+    volume = parse_number(
+        block.get("kspace_volume", "0"), "kspace_volume", lines.get("kspace_volume", blockline), int
+    )
     try:
         return ElementarySequence(
             pulse=pulse,
@@ -640,7 +635,7 @@ def _block_to_es(block: dict, lines: dict, blockline: int) -> ElementarySequence
             duration=duration,
             acquisition=acq,
             kspace_row=row,
-            kspace_volume=int(block.get("kspace_volume", "0")),
+            kspace_volume=volume,
             kspace_reversed=block.get("kspace_reversed", "false").lower() == "true",
         )
     except InvalidParameter as exc:
@@ -660,31 +655,30 @@ def _expand_shaped(block: dict, lines: dict, blockline: int, base_dir: str, gamm
     if data.shape[1] != 2:
         raise ParseError(f"envelope file {path} must have two columns", lines["samples"])
     b1 = (data[:, 0] + 1j * data[:, 1]) * 1e-6  # uT -> T
-    dt = _parse_float(block["sample_dt_s"], "sample_dt_s", lines["sample_dt_s"])
+    dt = parse_number(block["sample_dt_s"], "sample_dt_s", lines["sample_dt_s"])
     amps = [
-        1e-3 * _parse_float(block.get(k, "0"), k, lines.get(k, blockline))
+        1e-3 * parse_number(block.get(k, "0"), k, lines.get(k, blockline))
         for k in ("grad_x_mT_per_m", "grad_y_mT_per_m", "grad_z_mT_per_m")
     ]
     grad = GradientWaveform.constant(*amps)
-    out = []
-    for sample in b1:
-        amp = abs(sample)
-        pulse = HardPulse(gamma * amp * dt, math.atan2(sample.imag, sample.real)) if amp else None
-        out.append(ElementarySequence(pulse=pulse, gradient=grad, duration=dt))
-    return out
+    return [
+        ElementarySequence(pulse=pulse, gradient=grad, duration=dt)
+        for pulse in hard_pulse_decomposition(b1, dt, gamma)
+    ]
 
 
 def parse_sequence_file(text: str, base_dir: str = ".", gamma: float = GAMMA_PROTON) -> Sequence:
     """Parse the sequence description grammar into a Sequence.
 
-    Blocks: ``[sequence]`` (name, repetitions), ``[elementary]`` and
-    ``[rf_shaped]`` (expanded into one elementary sequence per envelope
-    sample).  ``#`` starts a comment; keys carry their units in their
-    names.
+    Blocks: ``[sequence]`` (name, repetitions, which must be 1),
+    ``[elementary]`` and ``[rf_shaped]`` (expanded into one elementary
+    sequence per envelope sample by
+    :func:`mrsim.bloch.hard_pulse_decomposition`).  ``#`` starts a
+    comment; keys carry their units in their names.
     """
     elements: list = []
     name = "sequence"
-    reps = 1
+    reps, reps_line = 1, 0
     block: Optional[dict] = None
     block_kind = ""
     block_line = 0
@@ -727,7 +721,7 @@ def parse_sequence_file(text: str, base_dir: str = ".", gamma: float = GAMMA_PRO
             if key == "name":
                 name = value
             else:
-                reps = int(value)
+                reps, reps_line = parse_number(value, key, lineno, int), lineno
             block = {}
             continue
         block[key] = value
@@ -735,7 +729,10 @@ def parse_sequence_file(text: str, base_dir: str = ".", gamma: float = GAMMA_PRO
     flush()
     if not elements:
         raise ParseError("no elementary sequences in file", 1)
-    return Sequence(elements, name=name, repetitions=reps)
+    try:
+        return Sequence(elements, name=name, repetitions=reps)
+    except InvalidParameter as exc:
+        raise ParseError(str(exc), reps_line) from None
 
 
 def _fmt(value: float) -> str:

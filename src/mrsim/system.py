@@ -8,6 +8,7 @@ other tools), never computed here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -16,7 +17,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .bloch import GAMMA_PROTON, FrameContext
-from .errors import InvalidParameter, OutOfGrid, ParseError
+from .errors import InvalidParameter, OutOfGrid, ParseError, parse_number
 
 MU_0 = 4.0e-7 * math.pi
 
@@ -29,6 +30,14 @@ def legendre_p12(x) -> np.ndarray:
     return npleg.legval(np.asarray(x, dtype=float), _P12_COEFFS)
 
 
+def _positions(x) -> np.ndarray:
+    """Positions as a float array of shape (..., 3)."""
+    p = np.asarray(x, dtype=float)
+    if p.shape[-1:] != (3,):
+        raise InvalidParameter(f"positions need a last axis of length 3, got shape {p.shape}")
+    return p
+
+
 @dataclass(frozen=True)
 class ScalarGrid:
     """Regular scalar grid with trilinear interpolation, values x-fastest."""
@@ -38,35 +47,33 @@ class ScalarGrid:
     step: tuple  # (dx, dy, dz)
     values: np.ndarray  # shape (nz, ny, nx)
 
-    def _fractional_index(self, x: tuple) -> tuple:
-        idx = []
-        for axis in range(3):
-            n = self.shape[axis]
+    def __call__(self, x):
+        """Interpolated value at positions of shape (..., 3); a single
+        position gives a float.  Raises OutOfGrid if any position lies
+        outside the grid."""
+        p = _positions(x)
+        lower, frac = [], []
+        for axis, n in enumerate(self.shape):
             if n == 1:
-                f = 0.0
+                f = np.zeros(p.shape[:-1])
             else:
-                f = (x[axis] - self.origin[axis]) / self.step[axis]
-            if f < -1e-9 or f > n - 1 + 1e-9:
+                f = (p[..., axis] - self.origin[axis]) / self.step[axis]
+            outside = (f < -1e-9) | (f > n - 1 + 1e-9)
+            if np.any(outside):
+                bad = p[tuple(np.argwhere(outside)[0])]
                 raise OutOfGrid(
-                    f"position {x} outside grid coverage on axis {'xyz'[axis]}"
+                    f"position {tuple(bad.tolist())} outside grid coverage on axis {'xyz'[axis]}"
                 )
-            idx.append(min(max(f, 0.0), n - 1))
-        return tuple(idx)
-
-    def __call__(self, x: tuple) -> float:
-        fx, fy, fz = self._fractional_index(x)
+            f = np.clip(f, 0.0, n - 1)
+            lower.append(f.astype(int))
+            frac.append(f - lower[-1])
         out = 0.0
-        for dz in (0, 1):
-            for dy in (0, 1):
-                for dx in (0, 1):
-                    ix = min(int(fx) + dx, self.shape[0] - 1)
-                    iy = min(int(fy) + dy, self.shape[1] - 1)
-                    iz = min(int(fz) + dz, self.shape[2] - 1)
-                    wx = (fx - int(fx)) if dx else (1.0 - (fx - int(fx)))
-                    wy = (fy - int(fy)) if dy else (1.0 - (fy - int(fy)))
-                    wz = (fz - int(fz)) if dz else (1.0 - (fz - int(fz)))
-                    out += wx * wy * wz * float(self.values[iz, iy, ix])
-        return out
+        for dz, dy, dx in itertools.product((0, 1), repeat=3):
+            corner = (dx, dy, dz)
+            ix, iy, iz = (np.minimum(i + d, n - 1) for i, d, n in zip(lower, corner, self.shape))
+            wx, wy, wz = (f if d else 1.0 - f for f, d in zip(frac, corner))
+            out = out + wx * wy * wz * self.values[iz, iy, ix]
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,9 @@ class VectorGrid:
 
     components: tuple  # three ScalarGrid
 
-    def __call__(self, x: tuple) -> np.ndarray:
-        return np.array([g(x) for g in self.components])
+    def __call__(self, x) -> np.ndarray:
+        """Vectors of shape (..., 3) at positions of shape (..., 3)."""
+        return np.stack([g(x) for g in self.components], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -94,12 +102,15 @@ class Legendre12Inhomogeneity:
         if self.c < 0.0 or self.r <= 0.0:
             raise InvalidParameter(f"need C >= 0 and R > 0, got C={self.c}, R={self.r}")
 
-    def __call__(self, x: tuple) -> float:
-        rad = math.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-        if rad == 0.0:
-            return 0.0
-        cos_theta = x[2] / rad
-        return -self.c * (rad / self.r) ** 12 * float(legendre_p12(cos_theta))
+    def __call__(self, x):
+        """delta_B0 (tesla) at positions of shape (..., 3); a single
+        position gives a float."""
+        p = _positions(x)
+        rad = np.sqrt(p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
+        origin = rad == 0.0
+        cos_theta = p[..., 2] / np.where(origin, 1.0, rad)
+        value = -self.c * (rad / self.r) ** 12 * legendre_p12(cos_theta)
+        return np.where(origin, 0.0, value)[()]
 
 
 @dataclass(frozen=True)
@@ -109,21 +120,16 @@ class StaticField:
     b0: float
     inhomogeneity: Optional[object] = None  # None | Legendre12Inhomogeneity | ScalarGrid
 
-    def delta_b0(self, x: tuple) -> float:
+    def delta_b0(self, x):
+        """Static-field deviation (tesla) at positions of shape (..., 3)."""
         if self.inhomogeneity is None:
-            return 0.0
+            return np.zeros(np.shape(x)[:-1])[()]
         return self.inhomogeneity(x)
 
 
-def delta_b0(field: StaticField, x: tuple) -> float:
-    """Static-field deviation (tesla) at position x."""
-    return field.delta_b0(x)
-
-
-def spin_off_resonance(
-    field: StaticField, x: tuple, object_delta_omega: float, ctx: FrameContext
-) -> float:
-    """Rotating-frame precession rate (rad/s) of a spin at x.
+def spin_off_resonance(field: StaticField, x, object_delta_omega, ctx: FrameContext):
+    """Rotating-frame precession rate (rad/s) of spins at positions x of
+    shape (..., 3).
 
     Sum of the carrier detuning gamma*B0 - omega_hf, the static-field
     deviation gamma*delta_B0(x), and the object's own chemical-shift /
@@ -143,8 +149,11 @@ class UniformSensitivity:
 
     s: float = 1.0
 
-    def __call__(self, x: tuple) -> np.ndarray:
-        return np.array([self.s, 0.0, 0.0])
+    def __call__(self, x) -> np.ndarray:
+        """Sensitivity vectors of shape (..., 3) at positions of shape (..., 3)."""
+        out = np.zeros(_positions(x).shape)
+        out[..., 0] = self.s
+        return out
 
 
 @dataclass(frozen=True)
@@ -164,11 +173,17 @@ class CircularLoop:
     def __post_init__(self):
         if self.diameter <= 0.0:
             raise InvalidParameter(f"diameter must be positive, got {self.diameter}")
+        if np.shape(self.center) != (3,) or np.shape(self.normal) != (3,):
+            raise InvalidParameter(
+                f"center and normal must be 3-vectors, got {self.center} and {self.normal}"
+            )
         n = np.asarray(self.normal, dtype=float)
         if not np.linalg.norm(n) > 0.0:
             raise InvalidParameter("normal must be a nonzero vector")
 
-    def __call__(self, x: tuple) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
+        """Sensitivity vectors of shape (..., 3) at positions of shape (..., 3)."""
+        p = _positions(x)
         a = self.diameter / 2.0
         n = np.asarray(self.normal, dtype=float)
         n = n / np.linalg.norm(n)
@@ -177,7 +192,7 @@ class CircularLoop:
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(n, e1)
         theta = (np.arange(self.segments) + 0.5) * (2.0 * math.pi / self.segments)
-        points = (
+        wire = (
             np.asarray(self.center)
             + a * np.outer(np.cos(theta), e1)
             + a * np.outer(np.sin(theta), e2)
@@ -187,28 +202,38 @@ class CircularLoop:
             * (2.0 * math.pi / self.segments)
             * (-np.outer(np.sin(theta), e1) + np.outer(np.cos(theta), e2))
         )
-        rvec = np.asarray(x, dtype=float) - points
-        dist = np.linalg.norm(rvec, axis=1)
-        if np.any(dist < 1e-12):
-            raise InvalidParameter("sensitivity evaluated on the loop wire")
-        contrib = np.cross(dl, rvec) / dist[:, None] ** 3
-        return MU_0 / (4.0 * math.pi) * contrib.sum(axis=0)
+
+        def biot_savart(segment, rvec):
+            dist = np.linalg.norm(rvec, axis=-1)
+            if np.any(dist < 1e-12):
+                raise InvalidParameter("sensitivity evaluated on the loop wire")
+            return np.cross(segment, rvec) / dist[..., None] ** 3
+
+        # The sum over (point, segment) pairs loops over the shorter axis:
+        # a single point takes one pass over all segments, a spin array
+        # one pass over all points per segment, and no temporary outgrows
+        # max(points, segments) x 3.  Both orders add a point's segments
+        # in sequence, so they agree bit for bit.
+        flat = p.reshape(-1, 3)
+        if len(flat) < self.segments:
+            total = np.array([biot_savart(dl, point - wire).sum(axis=0) for point in flat])
+        else:
+            total = np.zeros_like(flat)
+            for q, d in zip(wire, dl):
+                total += biot_savart(d, flat - q)
+        return MU_0 / (4.0 * math.pi) * total.reshape(p.shape)
 
 
-def coil_weight(sensitivity, x: tuple) -> np.ndarray:
-    """Sensitivity 3-vector at position x."""
-    return sensitivity(x)
-
-
-def complex_weight(sensitivity, x: tuple) -> complex:
-    """Per-spin complex receive weight.
+def complex_weight(sensitivity, x):
+    """Complex receive weight of spins at positions x of shape (..., 3);
+    a single position gives a complex.
 
     A sample contribution is weight * (mx + 1j*my); with the scalar
     product convention Re(weight * mxy) = Sx*mx + Sy*my, so regions
     where the coil field is purely longitudinal receive nothing.
     """
     s = np.asarray(sensitivity(x), dtype=float)
-    return complex(s[0], -s[1])
+    return (s[..., 0] - 1j * s[..., 1])[()]
 
 
 @dataclass(frozen=True)
@@ -239,10 +264,13 @@ def _read_grid_numbers(path: str, per_node: int):
         tokens = fh.read().split()
     if len(tokens) < 9:
         raise ParseError(f"grid file {path} lacks the 9-number header")
-    nx, ny, nz = (int(float(t)) for t in tokens[:3])
-    origin = tuple(float(t) for t in tokens[3:6])
-    step = tuple(float(t) for t in tokens[6:9])
-    data = np.array([float(t) for t in tokens[9:]])
+    try:
+        nx, ny, nz = (int(float(t)) for t in tokens[:3])
+        origin = tuple(float(t) for t in tokens[3:6])
+        step = tuple(float(t) for t in tokens[6:9])
+        data = np.array([float(t) for t in tokens[9:]])
+    except ValueError as exc:
+        raise ParseError(f"grid file {path}: {exc}") from None
     want = nx * ny * nz * per_node
     if data.size != want:
         raise ParseError(f"grid file {path}: expected {want} values, found {data.size}")
@@ -301,59 +329,52 @@ def parse_system_file(text: str, base_dir: str = ".") -> SystemModel:
         if "=" not in line or section is None:
             raise ParseError(f"expected key = value inside a block, got {line!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if section == "static_field":
-            if key == "b0_T":
-                b0 = float(value)
-            elif key == "inhomogeneity":
-                parts = value.split()
-                model = parts[0]
-                kv = _parse_kv_tail(parts[1:], lineno)
+        if section == "static_field" and key == "b0_T":
+            b0 = parse_number(value, key, lineno)
+            continue
+        if (section, key) not in (("static_field", "inhomogeneity"), ("receive", "model")):
+            raise ParseError(f"unknown key {key!r} in [{section}]", lineno)
+        parts = value.split()
+        if not parts:
+            raise ParseError(f"{key} needs a model", lineno)
+        model = parts[0]
+        kv = _parse_kv_tail(parts[1:], lineno)
+
+        def number(name):
+            return parse_number(kv[name], name, lineno)
+
+        def vector(name):
+            return tuple(parse_number(v, name, lineno) for v in kv[name].split(","))
+
+        def grid_path():
+            if "file" not in kv:
+                raise ParseError(f"grid {key} needs file=<path>", lineno)
+            return os.path.join(base_dir, kv["file"])  # an absolute file stays as it is
+
+        try:
+            if section == "static_field":
                 if model == "none":
                     inhom = None
                 elif model == "legendre12":
-                    try:
-                        inhom = Legendre12Inhomogeneity(
-                            c=float(kv["C_uT"]) * 1e-6, r=float(kv["R_m"])
-                        )
-                    except KeyError as exc:
-                        raise ParseError(f"legendre12 needs {exc} ", lineno) from None
+                    inhom = Legendre12Inhomogeneity(c=number("C_uT") * 1e-6, r=number("R_m"))
                 elif model == "grid":
-                    if "file" not in kv:
-                        raise ParseError("grid inhomogeneity needs file=<path>", lineno)
-                    path = kv["file"]
-                    if not os.path.isabs(path):
-                        path = os.path.join(base_dir, path)
-                    inhom = load_scalar_grid(path)
+                    inhom = load_scalar_grid(grid_path())
                 else:
                     raise ParseError(f"unknown inhomogeneity model {model!r}", lineno)
-            else:
-                raise ParseError(f"unknown key {key!r} in [static_field]", lineno)
-        else:
-            if key != "model":
-                raise ParseError(f"unknown key {key!r} in [receive]", lineno)
-            parts = value.split()
-            model = parts[0]
-            kv = _parse_kv_tail(parts[1:], lineno)
-            if model == "uniform":
-                receive = UniformSensitivity(s=float(kv.get("S", "1")))
+            elif model == "uniform":
+                receive = UniformSensitivity(s=number("S") if "S" in kv else 1.0)
             elif model == "loop":
-                try:
-                    receive = CircularLoop(
-                        center=tuple(float(v) for v in kv["center_m"].split(",")),
-                        normal=tuple(float(v) for v in kv["normal"].split(",")),
-                        diameter=float(kv["diameter_m"]),
-                    )
-                except KeyError as exc:
-                    raise ParseError(f"loop model needs {exc}", lineno) from None
+                receive = CircularLoop(
+                    center=vector("center_m"), normal=vector("normal"), diameter=number("diameter_m")
+                )
             elif model == "grid":
-                if "file" not in kv:
-                    raise ParseError("grid receive model needs file=<path>", lineno)
-                path = kv["file"]
-                if not os.path.isabs(path):
-                    path = os.path.join(base_dir, path)
-                receive = load_vector_grid(path)
+                receive = load_vector_grid(grid_path())
             else:
                 raise ParseError(f"unknown receive model {model!r}", lineno)
+        except KeyError as exc:
+            raise ParseError(f"{model} model needs {exc}", lineno) from None
+        except InvalidParameter as exc:
+            raise ParseError(str(exc), lineno) from None
     if b0 is None:
         raise ParseError("system file is missing b0_T", 1)
     return SystemModel(field=StaticField(b0=b0, inhomogeneity=inhom), receive=receive)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import logging
 import math
 import multiprocessing as mp
@@ -8,7 +9,14 @@ import signal
 import numpy as np
 import pytest
 
-from mrsim.bloch import GAMMA_PROTON, HardPulse, Magnetization, RelaxationParams
+from mrsim.bloch import (
+    GAMMA_PROTON,
+    FrameContext,
+    HardPulse,
+    Magnetization,
+    RelaxationParams,
+    apply_shaped_pulse,
+)
 from mrsim.engine import (
     Experiment,
     SpinBlock,
@@ -38,6 +46,7 @@ from mrsim.sequence import (
     Sequence,
     build_spin_echo,
     build_tse,
+    parse_sequence_file,
     readout_gradient,
 )
 from mrsim.system import default_system
@@ -136,6 +145,32 @@ def test_simulate_spin_zero_m0_contributes_nothing():
     )
     echoes, _ = simulate_spin(spin, tables)
     assert np.all(echoes == 0)
+
+
+def test_rf_shaped_file_runs_like_apply_shaped_pulse(tmp_path):
+    # both paths cut the envelope with bloch.hard_pulse_decomposition
+    t = np.linspace(-3.0, 3.0, 40)
+    envelope_ut = np.column_stack([20.0 * np.sinc(t), 6.0 * np.sinc(t - 1.0)])
+    envelope_ut[5] = 0.0  # a zero sample is free evolution without a pulse
+    np.savetxt(tmp_path / "env.txt", envelope_ut)
+    dt, domega = 1e-5, 300.0
+    seq = parse_sequence_file(
+        f"[rf_shaped]\nsamples = env.txt\nsample_dt_s = {dt!r}\n", base_dir=str(tmp_path)
+    )
+    relax = RelaxationParams(0.8, 0.05, 1.0)
+    spin = SpinSample(position=(0, 0, 0), m=Magnetization(0, 0, 1), relax=relax)
+    tables = precompute_sequence_tables(seq, snapshot_times=(seq.duration,))
+    _, snaps = simulate_spin(spin, tables, domega=domega)
+    want = apply_shaped_pulse(
+        Magnetization(0, 0, 1),
+        relax,
+        (envelope_ut[:, 0] + 1j * envelope_ut[:, 1]) * 1e-6,
+        dt,
+        domega * dt,
+        FrameContext.on_resonance(1.5),
+    )
+    assert math.hypot(want.mx, want.my) > 0.3
+    np.testing.assert_allclose(snaps[0][0], want.as_array(), rtol=0, atol=1e-12)
 
 
 def test_opposite_positions_sum_to_real_signal():
@@ -560,3 +595,18 @@ def test_partition_blocks_cover_disjointly():
     assert sum(b.n for b in blocks) == arrays.n
     rebuilt = np.vstack([b.pos for b in blocks])
     assert np.array_equal(rebuilt, arrays.pos)
+
+
+def test_partition_blocks_are_views_the_kernel_leaves_unchanged():
+    arrays = oracle_block(n=60)
+    names = [f.name for f in dataclasses.fields(SpinBlock) if f.name != "index"]
+    before = {name: getattr(arrays, name).copy() for name in names}
+    # a delay before the first pulse makes the kernel relax the block's own Mz
+    seq = Sequence([ElementarySequence(duration=0.01)] + oracle_sequence().elements)
+    tables = precompute_sequence_tables(seq, snapshot_times=(0.005,))
+    for block in partition_blocks(arrays, 3):
+        for name in names:
+            assert np.shares_memory(getattr(block, name), getattr(arrays, name)), name
+        compute_block(tables, block)
+    for name in names:
+        assert np.array_equal(getattr(arrays, name), before[name]), name

@@ -210,6 +210,46 @@ def test_parse_malformed_flip_names_line():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[sequence]\nrepetitions = x\n[elementary]\nduration_s = 0.01\n", 2),
+        (
+            "[elementary]\nduration_s = 0.01\ngrad_x_mT_per_m = 1\nacquire = 4\nkspace_row = a\n",
+            5,
+        ),
+        (
+            "[elementary]\nduration_s = 0.01\ngrad_x_mT_per_m = 1\nacquire = 4\n"
+            "kspace_volume = b\n",
+            5,
+        ),
+    ],
+    ids=["repetitions", "kspace_row", "kspace_volume"],
+)
+def test_parse_malformed_integer_names_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_sequence_file(text)
+    assert err.value.line == line
+
+
+def test_parse_rejects_repetitions_other_than_one():
+    # nothing repeats a sequence, so a count other than 1 would be ignored
+    text = "[sequence]\nname = rep\nrepetitions = 10\n\n[elementary]\nduration_s = 0.01\n"
+    with pytest.raises(ParseError, match="repetitions") as err:
+        parse_sequence_file(text)
+    assert err.value.line == 3
+    assert parse_sequence_file(text.replace("= 10", "= 1")).repetitions == 1
+    with pytest.raises(InvalidParameter):
+        Sequence([ElementarySequence(duration=0.01)], repetitions=10)
+
+
+def test_parse_malformed_ramp_names_line():
+    text = "[elementary]\nduration_s = 0.006\ngrad_shape = trapezoid\nramp_s = x\nflat_s = 0.004\n"
+    with pytest.raises(ParseError) as err:
+        parse_sequence_file(text)
+    assert err.value.line == 4
+
+
 def test_parse_missing_unit_suffix():
     with pytest.raises(UnitError):
         parse_sequence_file("[elementary]\nduration = 0.01\n")

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from mrsim.bloch import GAMMA_PROTON, FrameContext
-from mrsim.errors import OutOfGrid, ParseError
+from mrsim.engine import build_spin_arrays
+from mrsim.errors import InvalidParameter, OutOfGrid, ParseError
+from mrsim.phantom import Affine, Phantom, PhantomBox, rasterize
 from mrsim.system import (
     MU_0,
     CircularLoop,
     Legendre12Inhomogeneity,
     ScalarGrid,
     StaticField,
+    SystemModel,
     UniformSensitivity,
-    coil_weight,
     complex_weight,
     default_system,
-    delta_b0,
     load_scalar_grid,
     parse_system_file,
     spin_off_resonance,
@@ -26,7 +27,7 @@ from oracles import legendre_recurrence
 
 def test_legendre12_at_origin_is_zero():
     field = StaticField(b0=1.5, inhomogeneity=Legendre12Inhomogeneity(c=20e-6, r=0.25))
-    assert delta_b0(field, (0, 0, 0)) == 0.0
+    assert field.delta_b0((0, 0, 0)) == 0.0
 
 
 def test_legendre12_on_axis_at_radius():
@@ -82,19 +83,92 @@ def test_spin_off_resonance_additive():
 
 
 # ---------------------------------------------------------------------------
+# models on arrays of positions, against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_grid_is_exact_for_an_affine_field_on_arrays():
+    shape, origin, step = (4, 5, 3), (-0.1, 0.2, -0.05), (0.05, 0.04, 0.1)
+
+    def affine(x, y, z):
+        return 0.3 + 2.0 * x - 1.5 * y + 0.7 * z
+
+    nodes = [origin[a] + step[a] * np.arange(shape[a]) for a in range(3)]
+    z, y, x = np.meshgrid(nodes[2], nodes[1], nodes[0], indexing="ij")
+    grid = ScalarGrid(shape=shape, origin=origin, step=step, values=affine(x, y, z))
+    lo = np.array(origin)
+    hi = lo + np.array(step) * (np.array(shape) - 1)
+    points = np.random.default_rng(5).uniform(lo, hi, (200, 3))
+    got = grid(points)
+    assert got.shape == (200,)
+    # trilinear interpolation reproduces an affine field up to rounding
+    np.testing.assert_allclose(got, affine(*points.T), rtol=0, atol=1e-14)
+    assert grid(points.reshape(10, 20, 3)).shape == (10, 20)
+    assert grid(tuple(points[7])) == got[7]
+    points[123] = hi + np.array([0.0, 0.01, 0.0])
+    with pytest.raises(OutOfGrid, match="axis y"):
+        grid(points)
+
+
+def test_legendre12_on_arrays_matches_recurrence_row_by_row():
+    c, r = 20e-6, 0.25
+    points = np.random.default_rng(8).uniform(-0.3, 0.3, (300, 3))
+    points[0] = 0.0
+    got = Legendre12Inhomogeneity(c=c, r=r)(points)
+    assert got.shape == (300,) and got[0] == 0.0
+    for p, value in zip(points[1:], got[1:]):
+        rad = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
+        want = -c * (rad / r) ** 12 * legendre_recurrence(12, p[2] / rad)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-24)
+
+
+def test_loop_on_axis_array_matches_closed_form():
+    a, z0 = 0.075, 0.02
+    loop = CircularLoop(center=(0, 0, z0), normal=(0, 0, 1), diameter=2 * a)
+    z = np.linspace(-0.3, 0.3, 301)  # more points than segments
+    points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
+    b = loop(points)
+    want = MU_0 * a**2 / (2 * (a**2 + (z - z0) ** 2) ** 1.5)
+    np.testing.assert_allclose(b[:, 2], want, rtol=1e-10)
+    np.testing.assert_allclose(b[:, :2], 0.0, atol=1e-10 * want.max())
+    # fewer points than segments: the sum runs point by point, bit for bit alike
+    assert np.array_equal(loop(points[:10]), b[:10])
+    assert np.array_equal(loop(points[5]), b[5])
+
+
+def test_build_spin_arrays_matches_per_spin_scalar_calls():
+    system = SystemModel(
+        field=StaticField(b0=1.5, inhomogeneity=Legendre12Inhomogeneity(c=20e-6, r=0.25)),
+        receive=CircularLoop(center=(0.01, 0, 0.1), normal=(0, 0.2, 1), diameter=0.15),
+    )
+    box = PhantomBox(
+        origin=(-0.2, -0.16, -5e-4), size=(0.4, 0.32, 1e-3), delta_omega=Affine(3.0, gx=40.0)
+    )
+    spins = rasterize(Phantom([box]), (0.016, 0.016, 1.0))
+    assert len(spins) > CircularLoop.segments
+    arrays = build_spin_arrays(spins, system)
+    ctx = system.frame()
+    for i, spin in enumerate(spins):
+        want = spin_off_resonance(system.field, spin.position, spin.delta_omega, ctx)
+        assert arrays.domega[i] == pytest.approx(want, rel=1e-12, abs=1e-9)
+        assert arrays.weight[i] == complex_weight(system.receive, spin.position)
+    assert np.ptp(arrays.domega) > 1.0 and np.ptp(np.abs(arrays.weight)) > 0.0
+
+
+# ---------------------------------------------------------------------------
 # receive sensitivity
 # ---------------------------------------------------------------------------
 
 
 def test_uniform_sensitivity():
     s = UniformSensitivity(s=1.0)
-    np.testing.assert_allclose(coil_weight(s, (0.1, 0.2, 0.3)), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(s((0.1, 0.2, 0.3)), [1.0, 0.0, 0.0])
     assert complex_weight(s, (0, 0, 0)) == 1.0 + 0.0j
 
 
 def test_loop_center_field_matches_closed_form():
     loop = CircularLoop(center=(0, 0, 0), normal=(0, 0, 1), diameter=0.15)
-    b = coil_weight(loop, (0, 0, 0))
+    b = loop((0, 0, 0))
     np.testing.assert_allclose(b[:2], 0.0, atol=1e-18)
     assert b[2] == pytest.approx(MU_0 / 0.15, rel=1e-10)
 
@@ -104,7 +178,7 @@ def test_loop_on_axis_closed_form():
     loop = CircularLoop(center=(0, 0, 0), normal=(0, 0, 1), diameter=2 * a)
     z = 0.1
     want = MU_0 * a**2 / (2 * (a**2 + z**2) ** 1.5)
-    assert coil_weight(loop, (0, 0, z))[2] == pytest.approx(want, rel=1e-10)
+    assert loop((0, 0, z))[2] == pytest.approx(want, rel=1e-10)
 
 
 def test_loop_quadrature_converges():
@@ -112,6 +186,16 @@ def test_loop_quadrature_converges():
     fine = CircularLoop(center=(0, 0, 0), normal=(0, 1, 0), diameter=0.15, segments=512)
     point = (0.05, 0.03, 0.02)  # > D/10 from the wire
     np.testing.assert_allclose(base(point), fine(point), atol=1e-8 * np.linalg.norm(base(point)))
+
+
+@pytest.mark.parametrize(
+    "center, normal",
+    [((0, 0), (0, 0, 1)), ((0, 0, 0), (0, 1)), ((0, 0, 0), (0, 0, 1, 0))],
+    ids=["short_center", "short_normal", "long_normal"],
+)
+def test_loop_rejects_center_or_normal_that_is_not_a_3_vector(center, normal):
+    with pytest.raises(InvalidParameter, match="3-vectors"):
+        CircularLoop(center=center, normal=normal, diameter=0.15)
 
 
 def test_loop_axis_points_receive_nothing():
@@ -161,8 +245,57 @@ def test_parse_system_requires_b0():
         parse_system_file("[receive]\nmodel = uniform\n")
 
 
+def test_load_scalar_grid_rejects_malformed_number(tmp_path):
+    path = tmp_path / "bad.grid"
+    path.write_text("2 2 x 0 0 0 1 1 1\n" + " ".join(["0"] * 8) + "\n")
+    with pytest.raises(ParseError, match="bad.grid"):
+        load_scalar_grid(str(path))
+
+
+@pytest.mark.parametrize(
+    "text", ["[static_field]\nb0_T = 1.5\ninhomogeneity =\n", "[receive]\nmodel =\n"]
+)
+def test_parse_system_empty_model_names_line(text):
+    with pytest.raises(ParseError, match="needs a model") as err:
+        parse_system_file(text)
+    assert err.value.line == text.count("\n")
+
+
 def test_load_scalar_grid_rejects_wrong_count(tmp_path):
     path = tmp_path / "bad.grid"
     path.write_text("2 2 2 0 0 0 1 1 1\n1 2 3\n")
     with pytest.raises(ParseError):
         load_scalar_grid(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[static_field]\nb0_T = abc\n", 2),
+        ("[static_field]\nb0_T = 1.5\ninhomogeneity = legendre12 C_uT=x R_m=0.25\n", 3),
+        ("[static_field]\nb0_T = 1.5\ninhomogeneity = legendre12 C_uT=20 R_m=y\n", 3),
+        ("[static_field]\nb0_T = 1.5\n[receive]\nmodel = uniform S=z\n", 4),
+        (
+            "[static_field]\nb0_T = 1.5\n[receive]\n"
+            "model = loop center_m=0,0,0.1 normal=0,0,1 diameter_m=w\n",
+            4,
+        ),
+    ],
+    ids=["b0_T", "C_uT", "R_m", "S", "diameter_m"],
+)
+def test_parse_system_malformed_number_names_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_system_file(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "loop",
+    ["center_m=0,0 normal=0,0,1", "center_m=0,0,0.1 normal=0,1", "center_m=0,0,0,1 normal=0,0,1"],
+    ids=["short_center", "short_normal", "long_center"],
+)
+def test_parse_system_loop_needs_3_vectors(loop):
+    text = f"[static_field]\nb0_T = 1.5\n[receive]\nmodel = loop {loop} diameter_m=0.15\n"
+    with pytest.raises(ParseError, match="3-vectors") as err:
+        parse_system_file(text)
+    assert err.value.line == 4
