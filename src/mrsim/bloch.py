@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnvelopeUndersampled
+from .errors import EnvelopeUndersampled, InvalidParameter
 
 # Gyromagnetic ratio of the proton, rad/(s*T).
 GAMMA_PROTON = 2.0 * math.pi * 42.6e6
@@ -85,9 +85,9 @@ class RelaxationParams:
 
     def __post_init__(self):
         if not (self.t1 > 0.0 and self.t2 > 0.0):
-            raise ValueError(f"relaxation times must be positive, got t1={self.t1}, t2={self.t2}")
+            raise InvalidParameter(f"relaxation times must be positive, got t1={self.t1}, t2={self.t2}")
         if self.m0 < 0.0:
-            raise ValueError(f"m0 must be non-negative, got {self.m0}")
+            raise InvalidParameter(f"m0 must be non-negative, got {self.m0}")
         if self.t2 > self.t1:
             warnings.warn(f"t2={self.t2} s exceeds t1={self.t1} s (unphysical)", stacklevel=3)
 
@@ -190,7 +190,7 @@ def apply_gradient_interval(
     field: the transverse part decays with T2, Mz relaxes toward m0 with T1.
     """
     if dt < 0.0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
+        raise InvalidParameter(f"dt must be non-negative, got {dt}")
     return _magnetization(
         m.transverse() * precession_factor(gradient_moment, dt, 1.0 / r.t2),
         regrow_mz(m.mz, r.m0, 1.0 / r.t1, dt),
@@ -244,7 +244,7 @@ def apply_shaped_pulse(
             "envelope violates the per-sample timing bound; refine the sampling"
         )
     if envelope.size and per_sample_dt <= 0.0:
-        raise ValueError(f"per_sample_dt must be positive, got {per_sample_dt}")
+        raise InvalidParameter(f"per_sample_dt must be positive, got {per_sample_dt}")
     for pulse in hard_pulse_decomposition(envelope, per_sample_dt, ctx.gamma):
         if pulse is not None:
             m = apply_hard_pulse(m, pulse)

@@ -122,7 +122,6 @@ def precompute_sequence_tables(
     sequence: Sequence,
     gamma: float = GAMMA_PROTON,
     snapshot_times: TySequence[float] = (),
-    memoize: bool = True,
 ) -> OperatorTables:
     """Build per-elementary-sequence operator tables.
 
@@ -143,13 +142,11 @@ def precompute_sequence_tables(
         mat = None
         if es.pulse is not None and not es.pulse.is_identity:
             key = (es.pulse.alpha, es.pulse.phi)
-            if memoize and key in memo:
-                mat = memo[key]
+            if key in memo:
                 hits += 1
             else:
-                mat = hard_pulse_matrix(es.pulse.alpha, es.pulse.phi)
-                if memoize:
-                    memo[key] = mat
+                memo[key] = hard_pulse_matrix(es.pulse.alpha, es.pulse.phi)
+            mat = memo[key]
         t1 = t0 + es.duration
         sample_ts = es.acquisition.sample_times(es.duration)
         snaps = [

@@ -55,8 +55,19 @@ class PhantomBox:
     def __post_init__(self):
         if len(self.origin) != 3 or len(self.size) != 3:
             raise InvalidParameter("origin and size must be 3-vectors")
-        if any(s <= 0.0 for s in self.size):
-            raise InvalidParameter(f"box size components must be positive, got {self.size}")
+        _check_box_field("size", self.size)
+
+
+def _check_box_field(name: str, value) -> None:
+    """Reject a box size with a non-positive component, a constant t1 or
+    t2 <= 0 and a constant m0 < 0; properties that vary with position
+    are checked site by site by :func:`rasterize`."""
+    if name == "size" and any(s <= 0.0 for s in value):
+        raise InvalidParameter(f"box size components must be positive, got {value}")
+    if name in ("t1", "t2") and not callable(value) and not value > 0.0:
+        raise InvalidParameter(f"{name} must be positive, got {value}")
+    if name == "m0" and not callable(value) and value < 0.0:
+        raise InvalidParameter(f"m0 must be non-negative, got {value}")
 
 
 @dataclass
@@ -316,7 +327,15 @@ def _parse_vec3(value: str, key: str, line: int) -> tuple:
     return tuple(parse_number(p, key, line) for p in parts)
 
 
-_BOX_KEYS = {"origin_m", "size_m", "m0", "t1_s", "t2_s", "delta_omega_rad_s"}
+# [box] keys and the PhantomBox fields they set
+_BOX_KEYS = {
+    "origin_m": "origin",
+    "size_m": "size",
+    "m0": "m0",
+    "t1_s": "t1",
+    "t2_s": "t2",
+    "delta_omega_rad_s": "delta_omega",
+}
 
 
 def parse_object_file(text: str) -> Phantom:
@@ -334,16 +353,7 @@ def parse_object_file(text: str) -> Phantom:
             for required in ("origin_m", "size_m"):
                 if required not in block:
                     raise ParseError(f"[box] is missing {required}", block_line)
-            boxes.append(
-                PhantomBox(
-                    origin=block["origin_m"],
-                    size=block["size_m"],
-                    m0=block.get("m0", 1.0),
-                    t1=block.get("t1_s", 1.0),
-                    t2=block.get("t2_s", 0.1),
-                    delta_omega=block.get("delta_omega_rad_s", 0.0),
-                )
-            )
+            boxes.append(PhantomBox(**{_BOX_KEYS[key]: value for key, value in block.items()}))
         else:
             if "scale_m" not in block:
                 raise ParseError("[shepp_logan] is missing scale_m", block_line)
@@ -375,6 +385,10 @@ def parse_object_file(text: str) -> Phantom:
                 block[key] = _parse_vec3(value, key, lineno)
             else:
                 block[key] = _parse_property(value, key, lineno)
+            try:
+                _check_box_field(_BOX_KEYS[key], block[key])
+            except InvalidParameter as exc:
+                raise ParseError(str(exc), lineno) from None
         else:
             if key != "scale_m":
                 raise ParseError(f"unknown key {key!r} in [shepp_logan]", lineno)

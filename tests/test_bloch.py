@@ -19,7 +19,7 @@ from mrsim.bloch import (
     equilibrium,
     small_tip_response,
 )
-from mrsim.errors import EnvelopeUndersampled
+from mrsim.errors import EnvelopeUndersampled, InvalidParameter
 
 from oracles import rk4_bloch, rotate_axis_angle
 
@@ -84,8 +84,23 @@ def test_gradient_interval_rotations(moment, m_in, m_out):
 
 
 def test_gradient_interval_rejects_negative_dt():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         apply_gradient_interval(equilibrium(1.0), NO_RELAX, 0.0, dt=-1e-3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RelaxationParams(t1=1.0, t2=0.0, m0=1.0),
+        lambda: RelaxationParams(t1=-1.0, t2=0.1, m0=1.0),
+        lambda: RelaxationParams(t1=1.0, t2=0.1, m0=-0.5),
+        lambda: apply_shaped_pulse(equilibrium(1.0), NO_RELAX, [1e-6], 0.0, 0.0, CTX),
+    ],
+    ids=["t2", "t1", "m0", "per_sample_dt"],
+)
+def test_invalid_arguments_raise_library_error(call):
+    with pytest.raises(InvalidParameter):
+        call()
 
 
 def test_t2_larger_than_t1_warns_but_works():

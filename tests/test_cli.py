@@ -145,8 +145,15 @@ def test_kt_diagram(workdir, capsys):
         ]
     )
     assert code == 0
-    header = out.read_text().splitlines()[0]
+    header, *rows = out.read_text().splitlines()
     assert header == "time_s,kind,order_i,kx_rad_per_m,pop_re,pop_im"
+    assert rows
+    for row in rows:
+        time_s, kind, order, kx, pop_re, pop_im = row.split(",")
+        assert kind in ("transversal", "longitudinal")
+        int(order)
+        for value in (time_s, kx, pop_re, pop_im):
+            float(value)
 
 
 def test_fit_t2_cli(workdir, capsys):

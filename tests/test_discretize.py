@@ -171,6 +171,16 @@ def test_streaming_prune_matches_trace_prune(t1, t2):
     assert report.k_max[0] > 0.0
 
 
+def test_streaming_prune_sees_configurations_outside_readouts():
+    # no acquisition: every configuration the bound sees sits at a pulse
+    # or an interval boundary
+    seq = ssfp_cycles(30)
+    relax = RelaxationParams(t1=0.1, t2=0.005, m0=1.0)
+    report = pruned_max_spacing(seq, relax)
+    assert report.k_max == steady_state_prune(simulate_kt(seq, relax).trace)
+    assert report.k_max[0] > 0.0
+
+
 def test_pruned_max_spacing_relaxes_multi_repetition_bound():
     from mrsim.sequence import build_spin_echo
 

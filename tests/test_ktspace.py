@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from mrsim import ktspace
 from mrsim.bloch import GAMMA_PROTON, HardPulse, RelaxationParams
 from mrsim.errors import ComplexOrderZero, IncommensurateMoments, MrSimError
 from mrsim.ktspace import (
     ZERO,
+    Configuration,
     ConfigurationSet,
+    TracePoint,
     apply_gradient_shift,
     apply_relax_interval,
     apply_rf_split,
@@ -192,6 +195,25 @@ def test_longitudinal_pairs_are_conjugate():
         assert abs(state.longi[ZERO].imag) < 1e-12
 
 
+def test_readout_step_matches_per_sample_relaxation():
+    # the array readout step against one apply_relax_interval per sample;
+    # a repeated instant (zero-length interval) must leave the state as it is
+    state = ConfigurationSet.equilibrium(1.0, unit=(40.0, None, None))
+    for alpha, q in ((1.1, 1), (2.5, -2), (0.7, 1)):
+        state = apply_rf_split(state, HardPulse(alpha, 0.3 * alpha))
+        state = apply_gradient_shift(state, (q, 0, 0))
+    assert len(state.trans) > 2 and len(state.longi) > 2
+    relax = RelaxationParams(t1=0.4, t2=0.1, m0=0.9)
+    ts = np.array([0.0, 0.001, 0.001, 0.0025, 0.004, 0.004])
+    orders, pops, longi, lpops = ktspace._relax_readout(state, relax, ts)
+    assert orders == sorted(state.trans) and longi == sorted(state.longi)
+    ref, prev = state, 0.0
+    for i, t in enumerate(ts):
+        ref, prev = apply_relax_interval(ref, relax, t - prev), t
+        assert np.array_equal(pops[i], [ref.trans[o] for o in orders])
+        assert np.array_equal(lpops[i], [ref.longi[o] for o in longi])
+
+
 def test_quantitative_trace_decays_monotonically():
     # two 90 deg pulses, 400 ms span, T1 = 500 ms / T2 = 300 ms
     relax = RelaxationParams(t1=0.5, t2=0.3, m0=1.0)
@@ -233,7 +255,7 @@ def test_synthesize_far_configurations_vanish():
     state.trans = {(5, 0, 0): 1.0 + 0j}
 
     def spec(k):  # compact spatial-frequency function
-        return math.exp(-0.5 * (k[0] * 0.01) ** 2)
+        return np.exp(-0.5 * (np.asarray(k)[..., 0] * 0.01) ** 2)
 
     assert abs(synthesize_echo(state, spec)) < 1e-4 * spec((0, 0, 0))
 
@@ -244,6 +266,22 @@ def test_synthesize_sums_overlapping_configurations():
     state.trans = {(0, 0, 0): 0.5 + 0j, (1, 0, 0): 0.25j}
     want = 0.5 * spec((0, 0, 0)) + 0.25j * spec((30.0, 0, 0))
     assert synthesize_echo(state, spec) == pytest.approx(want)
+    # inside a readout the k offset moves every configuration
+    want = 0.5 * spec((-12.0, 0, 0)) + 0.25j * spec((18.0, 0, 0))
+    assert synthesize_echo(state, spec, frac=(-12.0, 0.0, 0.0)) == pytest.approx(want)
+
+
+def test_box_spectrum_matches_fine_lattice():
+    # midpoint lattice over the box: its spectrum tends to the box's
+    center, size, m0 = np.array([0.01, -0.002, 0.0]), np.array([0.05, 0.01, 0.004]), 0.7
+    axes = [c - s / 2 + s * (np.arange(n) + 0.5) / n for c, s, n in zip(center, size, (200, 40, 32))]
+    pos = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = lattice_spectrum(pos, np.full(len(pos), m0 * np.prod(size) / len(pos)))
+    box = box_spectrum(center, size, m0)
+    k = np.array([[[0.0, 0.0, 0.0], [150.0, 0.0, 0.0]], [[-90.0, 400.0, 0.0], [30.0, -200.0, 500.0]]])
+    assert box(k).shape == (2, 2)
+    assert np.abs(box(k) - lattice(k)).max() < 1e-3 * abs(box(k[0, 0]))
+    assert np.ndim(box(k[1, 1])) == 0 and box(k[1, 1]) == pytest.approx(box(k)[1, 1], rel=1e-12)
 
 
 def test_incommensurate_sequence_uses_continuous_fallback():
@@ -273,14 +311,23 @@ def test_incommensurate_sequence_uses_continuous_fallback():
     assert abs(got - total) <= 1e-3 * max(abs(total), 1.0)
 
 
-def test_lattice_spectrum_matches_direct_sum():
+def test_lattice_spectrum_matches_direct_sum(monkeypatch):
     rng = np.random.default_rng(5)
     pos = rng.uniform(-0.05, 0.05, size=(20, 3))
     w = rng.uniform(0.1, 1.0, size=20)
+    monkeypatch.setattr(ktspace, "_LATTICE_CHUNK", 50)  # chunks of 2 k
     spec = lattice_spectrum(pos, w)
+
+    def direct(k):
+        return sum(wi * cmath.exp(-1j * float(k @ p)) for wi, p in zip(w, pos))
+
     k = np.array([12.0, -4.0, 3.0])
-    direct = sum(wi * cmath.exp(-1j * float(k @ p)) for wi, p in zip(w, pos))
-    assert spec(k) == pytest.approx(direct)
+    assert np.ndim(spec(k)) == 0 and spec(k) == pytest.approx(direct(k))
+    ks = rng.uniform(-40.0, 40.0, size=(3, 5, 3))
+    got = spec(ks)
+    assert got.shape == (3, 5)
+    assert got == pytest.approx(np.array([[direct(kk) for kk in row] for row in ks]))
+    assert spec(np.zeros((4, 0, 3))).shape == (4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +430,21 @@ def test_export_diagram_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "time_s,kind,order_i,kx_rad_per_m,pop_re,pop_im"
     assert len(lines) > 4
+    for line in lines[1:]:
+        time_s, _kind, order, kx, pop_re, pop_im = line.split(",")
+        int(order)
+        for value in (time_s, kx, pop_re, pop_im):
+            float(value)
     points, _ = qualitative_walk(seq)
     qual = export_kt_diagram(points)
     assert qual.count("transversal") > 0
     assert ",,," in qual  # qualitative rows carry no populations
+
+
+def test_export_diagram_writes_plain_floats():
+    # numpy scalars must not leak their repr (np.float64(...)) into the CSV
+    entry = Configuration(
+        "transversal", (1, 0, 0), np.complex128(0.25 - 0.5j), (np.float64(3.0), 0.0, 0.0)
+    )
+    point = TracePoint(np.float64(0.5), [entry])
+    assert export_kt_diagram([point]).splitlines()[1] == "0.5,transversal,1,3.0,0.25,-0.5"

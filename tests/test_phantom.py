@@ -120,9 +120,9 @@ def test_rasterize_checks_tissue_like_relaxation_params():
     def cube(**props):
         return Phantom([PhantomBox(origin=(0, 0, 0), size=(0.1, 0.1, 0.1), **props)])
 
-    with pytest.raises(ValueError, match="relaxation times must be positive"):
+    with pytest.raises(InvalidParameter, match="relaxation times must be positive"):
         rasterize(cube(t2=0.0), (0.05, 0.05, 0.05))
-    with pytest.raises(ValueError, match="m0 must be non-negative"):
+    with pytest.raises(InvalidParameter, match="m0 must be non-negative"):
         rasterize(cube(m0=-1.0), (0.05, 0.05, 0.05))
     with pytest.warns(UserWarning, match="exceeds t1"):
         rasterize(cube(t1=0.1, t2=0.2), (0.05, 0.05, 0.05))
@@ -215,6 +215,22 @@ def test_parse_object_shepp_logan_block():
     ph = parse_object_file("[shepp_logan]\nscale_m = 0.25\n")
     lo, hi = ph.bounding_box()
     assert hi[0] - lo[0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["t1_s = 0", "t2_s = -1", "m0 = -0.5", "size_m = 0,1,1", "size_m = 1 1 -1e-3"],
+)
+def test_parse_object_rejects_bad_box_value_at_its_line(line):
+    text = f"# phantom\n[box]\norigin_m = 0 0 0\nsize_m = 1 1 1\n{line}\nt1_s = 2\n"
+    with pytest.raises(ParseError) as info:
+        parse_object_file(text)
+    assert info.value.line == 5
+
+
+def test_parse_object_leaves_affine_tissue_to_rasterize():
+    ph = parse_object_file("[box]\norigin_m = 0 0 0\nsize_m = 1 1 1\nt2_s = affine: 0.1 + 1*x\n")
+    assert ph.boxes[0].t2(-0.2, 0.0, 0.0) == pytest.approx(-0.1)
 
 
 def test_parse_object_errors():
