@@ -9,6 +9,7 @@ text headers plus a JSON manifest.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -177,6 +178,13 @@ def _cmd_spacing(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mrsim", description=__doc__)
+    parser.add_argument(
+        "--log-level",
+        default=None,
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        help="print the mrsim logger's messages at this level and above to stderr "
+        "(default: not configured)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a spin-level simulation")
@@ -226,11 +234,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logger = logging.getLogger("mrsim")
+    handler, level = None, logger.level
+    if args.log_level is not None:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(args.log_level)
     try:
         return args.func(args)
     except (MrSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
 
 
 if __name__ == "__main__":

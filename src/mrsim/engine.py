@@ -67,7 +67,7 @@ from .bloch import (
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import IncommensurateMoments, InvalidParameter, WorkerPanic
 from .phantom import Phantom, SpinList, SpinSample, rasterize
-from .sequence import Sequence
+from .sequence import Sequence, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
 
 _log = logging.getLogger(__name__)
@@ -127,18 +127,25 @@ def precompute_sequence_tables(
 
     Pulse matrices are shared between identical pulses (the memo hit
     count is reported); gradient moments and the event timing grid are
-    evaluated once so workers never touch the waveform objects.  Every
-    evolving ``(dt, dmom)`` key that occurs more than once across the
-    sequence gets a factor slot, the most frequent keys first.
+    evaluated once so workers never touch the waveform objects.  Elements
+    that :func:`mrsim.sequence.distinct_elements` groups together and
+    that hold no snapshot share one set of read-only event arrays
+    (``moments``, ``ev_dt``, ``ev_dmom``, ``ev_sample``, ``ev_snap``);
+    an element with a snapshot inside gets its own.  Every evolving
+    ``(dt, dmom)`` key that occurs more than once across the sequence
+    gets a factor slot, the most frequent keys first.
     """
     snapshot_times = tuple(sorted(snapshot_times))
+    reps, groups = distinct_elements(sequence)
+    _log.debug("operator tables: %d elements, %d distinct", len(groups), len(reps))
+    shared: Dict[int, dict] = {}  # group -> its read-only event arrays
     fields: List[dict] = []  # EsTable fields of every entry but ev_slot
     acq_times: List[np.ndarray] = []
     memo: Dict[Tuple[float, float], np.ndarray] = {}
     hits = 0
     t0 = 0.0
     acq = 0
-    for es in sequence.elements:
+    for es, g in zip(sequence.elements, groups):
         mat = None
         if es.pulse is not None and not es.pulse.is_identity:
             key = (es.pulse.alpha, es.pulse.phi)
@@ -148,50 +155,23 @@ def precompute_sequence_tables(
                 memo[key] = hard_pulse_matrix(es.pulse.alpha, es.pulse.phi)
             mat = memo[key]
         t1 = t0 + es.duration
-        sample_ts = es.acquisition.sample_times(es.duration)
         snaps = [
             (float(t_abs - t0), False, si)
             for si, t_abs in enumerate(snapshot_times)
             if t0 < t_abs <= t1 or (t_abs == 0.0 == t0)
         ]
         if snaps:
-            # a snapshot comes before a sample at the same instant
-            events = sorted([(float(t), True, -1) for t in sample_ts] + snaps)
-            ts = np.array([e[0] for e in events], dtype=float)
-            ev_sample = np.array([e[1] for e in events], dtype=bool)
-            ev_snap = np.array([e[2] for e in events], dtype=int)
+            events = _event_arrays(es, gamma, snaps)
+        elif g in shared:
+            events = shared[g]
         else:
-            ts = np.sort(np.asarray(sample_ts, dtype=float))
-            ev_sample = np.ones(ts.size, dtype=bool)
-            ev_snap = np.full(ts.size, -1)
-        total = np.asarray(es.gradient.moments(es.duration, gamma), dtype=float)
-        if ts.size:
-            partial = es.gradient.partial_moments(ts, es.duration, gamma)
-            ev_dt = np.diff(ts, prepend=0.0)
-            ev_dmom = np.diff(partial, axis=0, prepend=np.zeros((1, 3)))
-            last_t, last_m = ts[-1], partial[-1]
-        else:
-            ev_dt, ev_dmom, last_t, last_m = np.zeros(0), np.zeros((0, 3)), 0.0, np.zeros(3)
-        # tail: remaining evolution after the last event
-        if last_t < es.duration or np.any(last_m != total):
-            ev_dt = np.concatenate([ev_dt, [es.duration - last_t]])
-            ev_dmom = np.concatenate([ev_dmom, [total - last_m]])
-            ev_sample = np.concatenate([ev_sample, [False]])
-            ev_snap = np.concatenate([ev_snap, [-1]])
-        fields.append(
-            dict(
-                pulse_mat=mat,
-                duration=es.duration,
-                moments=total,
-                ev_dt=ev_dt,
-                ev_dmom=ev_dmom,
-                ev_sample=ev_sample,
-                ev_snap=ev_snap,
-            )
-        )
+            events = shared[g] = _event_arrays(es, gamma, snaps)
+            for arr in events.values():
+                arr.flags.writeable = False
+        fields.append(dict(pulse_mat=mat, duration=es.duration, **events))
         if es.acquisition.enabled:
             fields[-1].update(acq=acq, n_samples=es.acquisition.n_samples)
-            acq_times.append(t0 + sample_ts)
+            acq_times.append(t0 + es.acquisition.sample_times(es.duration))
             acq += 1
         t0 = t1
     slots, n_slots = _factor_slots(
@@ -205,6 +185,39 @@ def precompute_sequence_tables(
         pulse_memo_hits=hits,
         gamma=gamma,
         factor_slots=n_slots,
+    )
+
+
+def _event_arrays(es, gamma: float, snaps: list) -> dict:
+    """Moments and event arrays of one elementary sequence; ``snaps``
+    holds (time from its start, False, snapshot index) per snapshot."""
+    sample_ts = es.acquisition.sample_times(es.duration)
+    if snaps:
+        # a snapshot comes before a sample at the same instant
+        events = sorted([(float(t), True, -1) for t in sample_ts] + snaps)
+        ts = np.array([e[0] for e in events], dtype=float)
+        ev_sample = np.array([e[1] for e in events], dtype=bool)
+        ev_snap = np.array([e[2] for e in events], dtype=int)
+    else:
+        ts = np.sort(np.asarray(sample_ts, dtype=float))
+        ev_sample = np.ones(ts.size, dtype=bool)
+        ev_snap = np.full(ts.size, -1)
+    total = np.asarray(es.gradient.moments(es.duration, gamma), dtype=float)
+    if ts.size:
+        partial = es.gradient.partial_moments(ts, es.duration, gamma)
+        ev_dt = np.diff(ts, prepend=0.0)
+        ev_dmom = np.diff(partial, axis=0, prepend=np.zeros((1, 3)))
+        last_t, last_m = ts[-1], partial[-1]
+    else:
+        ev_dt, ev_dmom, last_t, last_m = np.zeros(0), np.zeros((0, 3)), 0.0, np.zeros(3)
+    # tail: remaining evolution after the last event
+    if last_t < es.duration or np.any(last_m != total):
+        ev_dt = np.concatenate([ev_dt, [es.duration - last_t]])
+        ev_dmom = np.concatenate([ev_dmom, [total - last_m]])
+        ev_sample = np.concatenate([ev_sample, [False]])
+        ev_snap = np.concatenate([ev_snap, [-1]])
+    return dict(
+        moments=total, ev_dt=ev_dt, ev_dmom=ev_dmom, ev_sample=ev_sample, ev_snap=ev_snap
     )
 
 

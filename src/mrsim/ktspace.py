@@ -22,8 +22,9 @@ obey b(-o) = conj(b(o)), which keeps Mz real.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -31,7 +32,9 @@ import numpy as np
 
 from .bloch import GAMMA_PROTON, HardPulse, RelaxationParams
 from .errors import ComplexOrderZero, IncommensurateMoments
-from .sequence import Sequence
+from .sequence import Sequence, distinct_elements
+
+_log = logging.getLogger(__name__)
 
 Order = Tuple[int, int, int]
 ZERO: Order = (0, 0, 0)
@@ -99,6 +102,10 @@ class ConfigurationSet:
         if b0 is not None:
             self.longi[ZERO] = _real_b0(b0)
 
+    def _with(self, trans: Dict[Order, complex], longi: Dict[Order, complex]):
+        """A set with the same unit and pruning and these populations."""
+        return ConfigurationSet(self.unit, trans, longi, self.prune_threshold, self.m0_scale)
+
 
 def _row(pops: Dict[Order, complex]):
     """Sorted orders and their populations as one row (1, m)."""
@@ -130,11 +137,25 @@ def rf_mixing_matrix(alpha: float, phi: float) -> np.ndarray:
     )
 
 
+def _mixing_coefficients(pulse: Optional[HardPulse]):
+    """The rows of :func:`rf_mixing_matrix` that a split reads, as six
+    scalars; None for no pulse or a zero flip."""
+    if pulse is None or pulse.alpha == 0.0:
+        return None
+    t = rf_mixing_matrix(pulse.alpha, pulse.phi)
+    return t[0, 0], t[0, 1], t[0, 2], t[2, 0], t[2, 1], t[2, 2]
+
+
 def apply_rf_split(state: ConfigurationSet, pulse: HardPulse) -> ConfigurationSet:
     """Weighted population exchange within every |order| group."""
-    if pulse is None or pulse.alpha == 0.0:
-        return replace(state, trans=dict(state.trans), longi=dict(state.longi))
-    t = rf_mixing_matrix(pulse.alpha, pulse.phi)
+    mix = _mixing_coefficients(pulse)
+    if mix is None:
+        return state._with(dict(state.trans), dict(state.longi))
+    return _rf_split(state, mix)
+
+
+def _rf_split(state: ConfigurationSet, mix) -> ConfigurationSet:
+    t00, t01, t02, t20, t21, t22 = mix
     orders = set(state.trans) | set(state.longi)
     orders |= {_neg(o) for o in orders}
     new_trans: Dict[Order, complex] = {}
@@ -143,16 +164,23 @@ def apply_rf_split(state: ConfigurationSet, pulse: HardPulse) -> ConfigurationSe
         a = state.trans.get(o, 0j)
         a_conj_neg = state.trans.get(_neg(o), 0j).conjugate()
         b = state.longi.get(o, 0j)
-        na = t[0, 0] * a + t[0, 1] * a_conj_neg + t[0, 2] * b
-        nb = t[2, 0] * a + t[2, 1] * a_conj_neg + t[2, 2] * b
+        na = t00 * a + t01 * a_conj_neg + t02 * b
+        nb = t20 * a + t21 * a_conj_neg + t22 * b
         if na != 0j:
             new_trans[o] = new_trans.get(o, 0j) + na
         if nb != 0j or o == ZERO:
             new_longi[o] = new_longi.get(o, 0j) + nb
-    out = replace(state, trans=new_trans, longi=new_longi)
+    out = state._with(new_trans, new_longi)
     out._enforce_real_b0()
     out.prune()
     return out
+
+
+def _interval_decay(relax: RelaxationParams, dt: float) -> Tuple[float, float, float]:
+    """(e2, e1, regrowth) of the order-0 Mz over dt."""
+    e2 = math.exp(-dt / relax.t2)
+    e1 = math.exp(-dt / relax.t1)
+    return e2, e1, relax.m0 * (1.0 - e1)
 
 
 def apply_relax_interval(
@@ -161,13 +189,16 @@ def apply_relax_interval(
     """T2 decay of transversal, T1 decay of longitudinal populations;
     the order-0 longitudinal population additionally regrows toward m0."""
     if dt == 0.0:
-        return replace(state, trans=dict(state.trans), longi=dict(state.longi))
-    e2 = math.exp(-dt / relax.t2)
-    e1 = math.exp(-dt / relax.t1)
+        return state._with(dict(state.trans), dict(state.longi))
+    return _relax(state, _interval_decay(relax, dt))
+
+
+def _relax(state: ConfigurationSet, decay: Tuple[float, float, float]) -> ConfigurationSet:
+    e2, e1, regrowth = decay
     new_trans = {o: p * e2 for o, p in state.trans.items()}
     new_longi = {o: p * e1 for o, p in state.longi.items()}
-    new_longi[ZERO] = new_longi.get(ZERO, 0j) + relax.m0 * (1.0 - e1)
-    out = replace(state, trans=new_trans, longi=new_longi)
+    new_longi[ZERO] = new_longi.get(ZERO, 0j) + regrowth
+    out = state._with(new_trans, new_longi)
     out._enforce_real_b0()
     return out
 
@@ -176,12 +207,16 @@ def apply_gradient_shift(state: ConfigurationSet, q: Order) -> ConfigurationSet:
     """Shift every transversal order by the integer triple q; populations
     landing on the same order merge (configuration interference)."""
     if q == ZERO:
-        return replace(state, trans=dict(state.trans), longi=dict(state.longi))
+        return state._with(dict(state.trans), dict(state.longi))
+    return state._with(_shifted(state.trans, q), dict(state.longi))
+
+
+def _shifted(trans: Dict[Order, complex], q: Order) -> Dict[Order, complex]:
     new_trans: Dict[Order, complex] = {}
-    for o, p in state.trans.items():
+    for o, p in trans.items():
         key = (o[0] + q[0], o[1] + q[1], o[2] + q[2])
         new_trans[key] = new_trans.get(key, 0j) + p
-    return replace(state, trans=new_trans, longi=dict(state.longi))
+    return new_trans
 
 
 def synthesize_echo(
@@ -197,7 +232,7 @@ def synthesize_echo(
     array of shape (...); it is called once, on all configurations.
     """
     orders, pops = _row(state.trans)
-    k = _k_positions(state.unit, orders, np.array([frac], dtype=float))
+    k = _k_positions(_k_scale(state.unit), orders, np.array([frac], dtype=float))
     return complex((pops * object_spectrum(k)).sum())
 
 
@@ -225,6 +260,20 @@ def _axis_unit(moments: List[float], tol: float, max_den: int) -> Optional[float
     return abs(ref) * num_gcd / den_lcm
 
 
+def _element_moments(elements, gamma: float) -> List[np.ndarray]:
+    return [es.gradient.moments(es.duration, gamma) for es in elements]
+
+
+def _unit_of(moments: List[np.ndarray], tol: float = 1e-9, max_den: int = 10**6):
+    """Per-axis unit of a list of moments, each axis on its distinct
+    values in order of first occurrence: the reference moment and the
+    gcd / lcm are those of the full list."""
+    return tuple(
+        _axis_unit(list(dict.fromkeys(float(m[ax]) for m in moments)), tol, max_den)
+        for ax in range(3)
+    )
+
+
 def derive_unit_k(
     sequence: Sequence,
     gamma: float = GAMMA_PROTON,
@@ -234,12 +283,8 @@ def derive_unit_k(
     """Per-axis unit spatial frequency: the greatest common measure of
     all per-elementary-sequence gradient moments.  Axes whose moments
     are all zero have no unit (order stays 0)."""
-    per_axis: List[List[float]] = [[], [], []]
-    for es in sequence.elements:
-        m = es.gradient.moments(es.duration, gamma)
-        for ax in range(3):
-            per_axis[ax].append(float(m[ax]))
-    return tuple(_axis_unit(per_axis[ax], tol, max_den) for ax in range(3))
+    reps, _ = distinct_elements(sequence)
+    return _unit_of(_element_moments(reps, gamma), tol, max_den)
 
 
 def _integer_shift(moments: np.ndarray, unit, tol: float = 1e-6) -> Order:
@@ -258,15 +303,12 @@ def _integer_shift(moments: np.ndarray, unit, tol: float = 1e-6) -> Order:
     return tuple(q)
 
 
-def fallback_unit(
-    sequence: Sequence, gamma: float = GAMMA_PROTON, resolution: int = 1024
-):
-    """Continuous-k fallback unit for sequences without a common measure:
+def _fallback_unit(moments: List[np.ndarray], resolution: int = 1024):
+    """Continuous-k fallback unit for moments without a common measure:
     the smallest nonzero per-axis moment divided by ``resolution``, so
     orders become rounded k positions at that quantization."""
     per_axis: List[Optional[float]] = [None, None, None]
-    for es in sequence.elements:
-        m = es.gradient.moments(es.duration, gamma)
+    for m in moments:
         for ax in range(3):
             v = abs(float(m[ax]))
             if v > 0.0 and (per_axis[ax] is None or v < per_axis[ax]):
@@ -323,14 +365,26 @@ def simulate_kt(
     Sequences whose moments share no common measure are tracked on the
     continuous-k fallback grid (smallest moment / 1024), merging
     configurations whose k positions round together.
+
+    Everything an elementary sequence contributes apart from the state
+    (mixing coefficients, integer shift, decay factors, sample instants
+    and partial moments) is computed once per group of
+    :func:`mrsim.sequence.distinct_elements` at the start of the call;
+    the walk then applies those steps in element order.
     """
+    reps, groups = distinct_elements(sequence)
+    _log.debug("k-t walk: %d elements, %d distinct", len(groups), len(reps))
+    moments = _element_moments(reps, gamma)
     shift_tol = 1e-6
     if unit is None:
         try:
-            unit = derive_unit_k(sequence, gamma)
+            unit = _unit_of(moments)
         except IncommensurateMoments:
-            unit = fallback_unit(sequence, gamma)
+            unit = _fallback_unit(moments)
             shift_tol = math.inf
+    steps = [_WalkStep.of(es, m, relax, unit, shift_tol, gamma) for es, m in zip(reps, moments)]
+    scale = _k_scale(unit)
+    at_boundary = np.zeros((1, 3))
     state = ConfigurationSet.equilibrium(relax.m0, unit, prune_threshold)
     trace: List[TracePoint] = []
     echoes: List[np.ndarray] = []
@@ -340,83 +394,157 @@ def simulate_kt(
     def emit(at, fracs, orders, pops, longi, lpops):
         """Trace rows and observe call for the configurations at the
         instants ``at``; returns the transversal k (points, m, 3)."""
-        k = _k_positions(unit, orders, fracs)
+        k = _k_positions(scale, orders, fracs)
         if observe is not None and orders:
             observe(k, pops)
         if record_trace:
             rows = zip(
                 at,
                 _entries("transversal", orders, pops, k),
-                _entries("longitudinal", longi, lpops, _k_positions(unit, longi, fracs)),
+                _entries("longitudinal", longi, lpops, _k_positions(scale, longi, fracs)),
             )
             trace.extend(TracePoint(t, a + b) for t, a, b in rows)
         return k
 
     def record(t):
-        if record_trace or (observe is not None and state.trans):
-            emit([t], np.zeros((1, 3)), *_row(state.trans), *_row(state.longi))
+        if record_trace:
+            emit([t], at_boundary, *_row(state.trans), *_row(state.longi))
+        elif observe is not None and state.trans:
+            orders, pops = _row(state.trans)
+            observe(_k_positions(scale, orders, at_boundary), pops)
 
     record(now)
-    for es in sequence.elements:
-        if es.pulse is not None:
-            state = apply_rf_split(state, es.pulse)
+    for g in groups:
+        step = steps[g]
+        if step.pulse:
+            if step.mix is not None:
+                state = _rf_split(state, step.mix)
             record(now)
-        moments = es.gradient.moments(es.duration, gamma)
-        q = _integer_shift(moments, unit, tol=shift_tol)
-        rest = es.duration
-        if es.acquisition.enabled:
-            ts = es.acquisition.sample_times(es.duration)
-            partial = es.gradient.partial_moments(ts, es.duration, gamma)
-            orders, pops, longi, lpops = _relax_readout(state, relax, ts)
-            k = emit((now + ts).tolist(), partial, orders, pops, longi, lpops)
+        if step.samples is not None:
+            orders, pops, longi, lpops = _relax_readout(state, step.samples)
+            k = emit((now + step.ts).tolist(), step.partial, orders, pops, longi, lpops)
             if object_spectrum is not None:
                 echoes.append((pops * object_spectrum(k)).sum(-1))
-                times.append(now + ts)
+                times.append(now + step.ts)
             state.trans = dict(zip(orders, pops[-1].tolist()))
             state.longi = dict(zip(longi, lpops[-1].tolist()))
-            rest = es.duration - ts[-1]
-        state = apply_relax_interval(state, relax, rest)
-        state = apply_gradient_shift(state, q)
-        now += es.duration
+        if step.decay is not None:
+            state = _relax(state, step.decay)
+        if step.q != ZERO:
+            state.trans = _shifted(state.trans, step.q)
+        now += step.duration
         record(now)
     return KtRun(echoes=echoes, sample_times=times, trace=trace, final=state)
 
 
-def _k_positions(unit, orders, fracs: np.ndarray) -> np.ndarray:
+@dataclass
+class _SampleRelaxation:
+    """Relaxation of one tissue through the sample instants of a readout.
+
+    ``row[i]`` is the running-product row of sample i (row 0 holds the
+    populations at the readout start, row j the state after the j-th
+    interval that moves); ``e2`` / ``e1`` are those intervals' decay
+    factors as (intervals, 1) columns, ``e1s`` / ``regrowth`` the same
+    T1 factors and the order-0 regrowth ``m0 * (1 - e1)`` as floats.
+    """
+
+    row: np.ndarray
+    e2: np.ndarray
+    e1: np.ndarray
+    e1s: List[float]
+    regrowth: List[float]
+
+    @staticmethod
+    def of(relax: RelaxationParams, ts: np.ndarray) -> "_SampleRelaxation":
+        dts = np.empty_like(ts)
+        dts[0], dts[1:] = ts[0], ts[1:] - ts[:-1]
+        moved = dts != 0.0
+        live = dts[moved].tolist()
+        e1s = [math.exp(-dt / relax.t1) for dt in live]
+        return _SampleRelaxation(
+            row=moved.cumsum(),
+            e2=np.array([math.exp(-dt / relax.t2) for dt in live])[:, None],
+            e1=np.array(e1s)[:, None],
+            e1s=e1s,
+            regrowth=[relax.m0 * (1.0 - e1) for e1 in e1s],
+        )
+
+
+@dataclass
+class _WalkStep:
+    """What one elementary sequence does to the configuration state.
+
+    ``pulse``: the element carries a pulse (a zero flip still records a
+    point); ``mix``: its mixing coefficients, None for no flip; ``decay``:
+    (e2, e1, regrowth) over the time left after the last sample, None
+    when none is left; ``q``: the integer order shift of its moment;
+    ``ts`` / ``partial`` / ``samples``: sample instants, the moment moved
+    by each and their relaxation, None without acquisition.
+    """
+
+    duration: float
+    pulse: bool
+    mix: Optional[tuple]
+    decay: Optional[Tuple[float, float, float]]
+    q: Order
+    ts: Optional[np.ndarray] = None
+    partial: Optional[np.ndarray] = None
+    samples: Optional[_SampleRelaxation] = None
+
+    @staticmethod
+    def of(es, moments, relax: RelaxationParams, unit, shift_tol: float, gamma: float):
+        step = _WalkStep(
+            es.duration,
+            es.pulse is not None,
+            _mixing_coefficients(es.pulse),
+            None,
+            _integer_shift(moments, unit, tol=shift_tol),
+        )
+        rest = es.duration
+        if es.acquisition.enabled:
+            step.ts = es.acquisition.sample_times(es.duration)
+            step.partial = es.gradient.partial_moments(step.ts, es.duration, gamma)
+            step.samples = _SampleRelaxation.of(relax, step.ts)
+            rest = es.duration - step.ts[-1]
+        if rest != 0.0:
+            step.decay = _interval_decay(relax, rest)
+        return step
+
+
+def _k_scale(unit) -> np.ndarray:
+    return np.array([u if u else 0.0 for u in unit])
+
+
+def _k_positions(scale: np.ndarray, orders, fracs: np.ndarray) -> np.ndarray:
     """k of every configuration at every point: (points, m, 3) rad/m."""
-    scale = np.array([u if u else 0.0 for u in unit])
     return np.array(orders, dtype=float).reshape(-1, 3) * scale + fracs[:, None, :]
 
 
-def _relax_readout(state: ConfigurationSet, relax: RelaxationParams, ts: np.ndarray):
-    """Populations at every sample instant ``ts`` of one readout.
+def _relax_readout(state: ConfigurationSet, samples: _SampleRelaxation):
+    """Populations at every sample instant of one readout.
 
     The same products in the same order as one :func:`apply_relax_interval`
     per sample interval: one running product of T2 / T1 decay factors
-    over both kinds, the order-0 Mz by its scalar regrowth recurrence;
-    a zero-length interval leaves the populations as they are.  Returns
-    the sorted transversal orders, their populations (samples, m), and
-    the same pair for the longitudinal configurations.
+    over both kinds, the order-0 Mz by its regrowth recurrence; a
+    zero-length interval leaves the populations as they are.  The
+    recurrence runs on real floats: the order-0 population enters real
+    and the factors are real, so the complex form's imaginary part stays
+    exactly 0.  Returns the sorted transversal orders, their populations
+    (samples, m), and the same pair for the longitudinal configurations.
     """
-    dts = np.empty_like(ts)
-    dts[0], dts[1:] = ts[0], ts[1:] - ts[:-1]
-    moved = dts != 0.0
-    live = dts[moved].tolist()
-    e1s = [math.exp(-dt / relax.t1) for dt in live]
     (orders, pops), (longi, lpops) = _row(state.trans), _row(state.longi)
     m = len(orders)
-    scan = np.empty((len(live) + 1, m + len(longi)), dtype=complex)
+    scan = np.empty((len(samples.e1s) + 1, m + len(longi)), dtype=complex)
     scan[0, :m], scan[0, m:] = pops[0], lpops[0]
-    scan[1:, :m] = np.array([math.exp(-dt / relax.t2) for dt in live])[:, None]
-    scan[1:, m:] = np.array(e1s)[:, None]
+    scan[1:, :m] = samples.e2
+    scan[1:, m:] = samples.e1
     np.multiply.accumulate(scan, axis=0, out=scan)
-    b0s, b0 = [], state.longi[ZERO]
-    for e1 in e1s:
-        b0 = _real_b0(b0 * e1 + relax.m0 * (1.0 - e1))
+    b0s, b0 = [], state.longi[ZERO].real
+    for e1, regrowth in zip(samples.e1s, samples.regrowth):
+        b0 = b0 * e1 + regrowth
         b0s.append(b0)
     scan[1:, m + longi.index(ZERO)] = b0s
-    row = moved.cumsum()
-    return orders, scan[row, :m], longi, scan[row, m:]
+    return orders, scan[samples.row, :m], longi, scan[samples.row, m:]
 
 
 def _entries(kind: str, orders, pops: np.ndarray, k: np.ndarray) -> List[List[Configuration]]:
@@ -489,7 +617,26 @@ def max_k_excursion(
                 a, b = a + frac[ax], b + frac[ax]
             kmax[ax] = max(kmax[ax], abs(a), abs(b))
 
-    for es in sequence.elements:
+    def motion(es):
+        """Per-axis lowest and highest partial moment inside the interval,
+        None where k does not move.  A rounded sum is monotone in each
+        term, so |lo + row| over all rows peaks at one of the two."""
+        if es.duration <= 0.0 or es.gradient.is_zero:
+            return None
+        if es.gradient.shape == "sampled":
+            ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
+        else:
+            ts = np.array([0.0, es.duration])
+        rows = es.gradient.partial_moments(ts, es.duration, gamma)
+        return rows.min(axis=0), rows.max(axis=0)
+
+    reps, groups = distinct_elements(sequence)
+    plan = [
+        (es, np.asarray(m, dtype=float), motion(es))
+        for es, m in zip(reps, _element_moments(reps, gamma))
+    ]
+    for g in groups:
+        es, moments, span = plan[g]
         if es.pulse is not None and es.pulse.alpha != 0.0:
             m = np.maximum.reduce(
                 [np.abs(t_lo), np.abs(t_hi), np.abs(z_lo), np.abs(z_hi)]
@@ -499,14 +646,8 @@ def max_k_excursion(
             t_lo, t_hi = -m, m.copy()
             z_lo, z_hi = -m, m.copy()
             has_trans = True
-        moments = np.asarray(es.gradient.moments(es.duration, gamma), dtype=float)
-        if has_trans and es.duration > 0.0 and not es.gradient.is_zero:
-            if es.gradient.shape == "sampled":
-                n = len(es.gradient.samples)
-                ts = np.linspace(0.0, es.duration, max(n, 2))
-            else:
-                ts = np.array([0.0, es.duration])
-            for row in es.gradient.partial_moments(ts, es.duration, gamma):
+        if has_trans and span is not None:
+            for row in span:
                 visit(t_lo, t_hi, row)
         elif has_trans:
             visit(t_lo, t_hi)

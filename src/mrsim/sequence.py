@@ -21,7 +21,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "AcquisitionSpec",
     "ElementarySequence",
     "Sequence",
+    "distinct_elements",
     "readout_gradient",
     "readout_duration",
     "build_spin_echo",
@@ -50,7 +51,8 @@ class GradientWaveform:
     """Per-axis gradient over one elementary sequence.
 
     ``gx, gy, gz`` are amplitudes in T/m (flat-top amplitudes for the
-    trapezoid shape).  Sampled waveforms carry an (n, 3) array in T/m
+    trapezoid shape).  Sampled waveforms carry (n, 3) samples in T/m,
+    stored as a tuple of float 3-tuples so the waveform stays hashable,
     plus the sample spacing.
     """
 
@@ -62,6 +64,19 @@ class GradientWaveform:
     flat_s: float = 0.0
     samples: Optional[tuple] = None  # row-major ((gx,gy,gz), ...) in T/m
     sample_dt: float = 0.0
+
+    def __post_init__(self):
+        if self.shape != "sampled":
+            return
+        try:
+            arr = np.asarray(self.samples, dtype=float)
+        except (TypeError, ValueError):
+            arr = np.empty(0)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 3:
+            raise InvalidParameter(
+                f"sampled gradient needs (n, 3) samples in T/m, got shape {arr.shape}"
+            )
+        object.__setattr__(self, "samples", tuple(map(tuple, arr.tolist())))
 
     @staticmethod
     def none() -> "GradientWaveform":
@@ -77,13 +92,14 @@ class GradientWaveform:
 
     @staticmethod
     def from_samples(samples, sample_dt: float) -> "GradientWaveform":
-        arr = tuple(tuple(float(v) for v in row) for row in np.atleast_2d(samples))
-        return GradientWaveform("sampled", samples=arr, sample_dt=float(sample_dt))
+        return GradientWaveform(
+            "sampled", samples=np.atleast_2d(samples), sample_dt=float(sample_dt)
+        )
 
     @property
     def is_zero(self) -> bool:
         if self.shape == "sampled":
-            return self.samples is None or not np.any(np.asarray(self.samples))
+            return not np.any(np.asarray(self.samples))
         return self.gx == 0.0 and self.gy == 0.0 and self.gz == 0.0
 
     def amplitudes(self) -> np.ndarray:
@@ -176,6 +192,13 @@ class ElementarySequence:
                 raise InvalidParameter(
                     f"trapezoid 2*ramp+flat = {want} does not match duration {self.duration}"
                 )
+        if self.gradient.shape == "sampled":
+            span = (len(self.gradient.samples) - 1) * self.gradient.sample_dt
+            if abs(span - self.duration) > 1e-12 * max(1.0, self.duration):
+                raise InvalidParameter(
+                    f"sampled gradient spans (n-1)*sample_dt = {span} s, "
+                    f"not the duration {self.duration} s"
+                )
 
 
 @dataclass
@@ -213,6 +236,30 @@ class Sequence:
         return [
             (es.kspace_volume, es.kspace_row, es.kspace_reversed) for _, es in self.acquisitions()
         ]
+
+
+def distinct_elements(sequence: Sequence) -> Tuple[list, List[int]]:
+    """Group the elementary sequences by their physics fields.
+
+    Two elements belong to one group when their pulse, gradient,
+    duration and acquisition compare equal; the k-space placement
+    (``kspace_row``, ``kspace_volume``, ``kspace_reversed``) is ignored.
+    Returns the representatives (the first element of each group, in
+    order of first occurrence) and the group index of every element.
+    Per-element data that depends only on those fields can be computed
+    once per representative.  Equal means ``==``, so a field of -0.0
+    groups with 0.0.
+    """
+    index: dict = {}
+    reps: list = []
+    groups: List[int] = []
+    for es in sequence.elements:
+        key = (es.pulse, es.gradient, es.duration, es.acquisition)
+        g = index.setdefault(key, len(reps))
+        if g == len(reps):
+            reps.append(es)
+        groups.append(g)
+    return reps, groups
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,33 @@ generic axis-angle form, and the Legendre value comes from the
 three-term recurrence; the reference kernel is the spin-block event
 loop on two real transverse arrays that the fused complex kernel of
 ``mrsim.engine`` replaced, and the reference prune is the point-by-point
-form of ``mrsim.discretize.steady_state_prune``.
+form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
+unit and k excursion are the per-element forms of
+``mrsim.ktspace.simulate_kt``, ``derive_unit_k`` and ``max_k_excursion``:
+every elementary sequence computes its own moments, shift, decay
+factors and sample relaxation.
 """
 
+import math
+
 import numpy as np
+
+from mrsim.bloch import GAMMA_PROTON
+from mrsim.errors import IncommensurateMoments
+from mrsim.ktspace import (
+    DEFAULT_PRUNE,
+    ConfigurationSet,
+    KtRun,
+    TracePoint,
+    _axis_unit,
+    _entries,
+    _integer_shift,
+    _real_b0,
+    _row,
+    apply_gradient_shift,
+    apply_relax_interval,
+    apply_rf_split,
+)
 
 
 def bloch_rhs(m, b, gamma, t1, t2, m0):
@@ -160,3 +183,161 @@ def reference_prune(trace, grayscale_levels=256):
                     reduced[ax] = max(reduced[ax], abs(e.k_position[ax]))
                     break
     return tuple(reduced)
+
+
+def reference_unit(sequence, gamma=GAMMA_PROTON, tol=1e-9, max_den=10**6):
+    """Per-axis unit from the moments of every element, repeats included."""
+    per_axis = [[], [], []]
+    for es in sequence.elements:
+        m = es.gradient.moments(es.duration, gamma)
+        for ax in range(3):
+            per_axis[ax].append(float(m[ax]))
+    return tuple(_axis_unit(per_axis[ax], tol, max_den) for ax in range(3))
+
+
+def reference_fallback_unit(sequence, gamma=GAMMA_PROTON, resolution=1024):
+    per_axis = [None, None, None]
+    for es in sequence.elements:
+        m = es.gradient.moments(es.duration, gamma)
+        for ax in range(3):
+            v = abs(float(m[ax]))
+            if v > 0.0 and (per_axis[ax] is None or v < per_axis[ax]):
+                per_axis[ax] = v
+    return tuple(None if v is None else v / resolution for v in per_axis)
+
+
+def _reference_k_positions(unit, orders, fracs):
+    scale = np.array([u if u else 0.0 for u in unit])
+    return np.array(orders, dtype=float).reshape(-1, 3) * scale + fracs[:, None, :]
+
+
+def _reference_readout(state, relax, ts):
+    """Populations at every sample instant, one running product of the
+    decay factors and the complex order-0 regrowth recurrence."""
+    dts = np.empty_like(ts)
+    dts[0], dts[1:] = ts[0], ts[1:] - ts[:-1]
+    moved = dts != 0.0
+    live = dts[moved].tolist()
+    e1s = [math.exp(-dt / relax.t1) for dt in live]
+    (orders, pops), (longi, lpops) = _row(state.trans), _row(state.longi)
+    m = len(orders)
+    scan = np.empty((len(live) + 1, m + len(longi)), dtype=complex)
+    scan[0, :m], scan[0, m:] = pops[0], lpops[0]
+    scan[1:, :m] = np.array([math.exp(-dt / relax.t2) for dt in live])[:, None]
+    scan[1:, m:] = np.array(e1s)[:, None]
+    np.multiply.accumulate(scan, axis=0, out=scan)
+    b0s, b0 = [], state.longi[(0, 0, 0)]
+    for e1 in e1s:
+        b0 = _real_b0(b0 * e1 + relax.m0 * (1.0 - e1))
+        b0s.append(b0)
+    scan[1:, m + longi.index((0, 0, 0))] = b0s
+    row = moved.cumsum()
+    return orders, scan[row, :m], longi, scan[row, m:]
+
+
+def reference_walk(
+    sequence,
+    relax,
+    object_spectrum=None,
+    gamma=GAMMA_PROTON,
+    prune_threshold=DEFAULT_PRUNE,
+    unit=None,
+    record_trace=True,
+    observe=None,
+):
+    """Configuration tracking element by element: same inputs and outputs
+    as ``mrsim.ktspace.simulate_kt``."""
+    shift_tol = 1e-6
+    if unit is None:
+        try:
+            unit = reference_unit(sequence, gamma)
+        except IncommensurateMoments:
+            unit = reference_fallback_unit(sequence, gamma)
+            shift_tol = math.inf
+    state = ConfigurationSet.equilibrium(relax.m0, unit, prune_threshold)
+    trace, echoes, times = [], [], []
+    now = 0.0
+
+    def emit(at, fracs, orders, pops, longi, lpops):
+        k = _reference_k_positions(unit, orders, fracs)
+        if observe is not None and orders:
+            observe(k, pops)
+        if record_trace:
+            rows = zip(
+                at,
+                _entries("transversal", orders, pops, k),
+                _entries("longitudinal", longi, lpops, _reference_k_positions(unit, longi, fracs)),
+            )
+            trace.extend(TracePoint(t, a + b) for t, a, b in rows)
+        return k
+
+    def record(t):
+        if record_trace or (observe is not None and state.trans):
+            emit([t], np.zeros((1, 3)), *_row(state.trans), *_row(state.longi))
+
+    record(now)
+    for es in sequence.elements:
+        if es.pulse is not None:
+            state = apply_rf_split(state, es.pulse)
+            record(now)
+        moments = es.gradient.moments(es.duration, gamma)
+        q = _integer_shift(moments, unit, tol=shift_tol)
+        rest = es.duration
+        if es.acquisition.enabled:
+            ts = es.acquisition.sample_times(es.duration)
+            partial = es.gradient.partial_moments(ts, es.duration, gamma)
+            orders, pops, longi, lpops = _reference_readout(state, relax, ts)
+            k = emit((now + ts).tolist(), partial, orders, pops, longi, lpops)
+            if object_spectrum is not None:
+                echoes.append((pops * object_spectrum(k)).sum(-1))
+                times.append(now + ts)
+            state.trans = dict(zip(orders, pops[-1].tolist()))
+            state.longi = dict(zip(longi, lpops[-1].tolist()))
+            rest = es.duration - ts[-1]
+        state = apply_relax_interval(state, relax, rest)
+        state = apply_gradient_shift(state, q)
+        now += es.duration
+        record(now)
+    return KtRun(echoes=echoes, sample_times=times, trace=trace, final=state)
+
+
+def reference_k_excursion(sequence, gamma=GAMMA_PROTON, domega_margin=(0.0, 0.0, 0.0)):
+    """Per-axis maximum |k|, visiting every partial-moment row of every
+    element: same inputs and outputs as ``mrsim.ktspace.max_k_excursion``."""
+    kmax = [0.0, 0.0, 0.0]
+    t_lo, t_hi, z_lo, z_hi = np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3)
+    has_trans = False
+
+    def visit(lo, hi, frac=None):
+        for ax in range(3):
+            a, b = lo[ax], hi[ax]
+            if frac is not None:
+                a, b = a + frac[ax], b + frac[ax]
+            kmax[ax] = max(kmax[ax], abs(a), abs(b))
+
+    for es in sequence.elements:
+        if es.pulse is not None and es.pulse.alpha != 0.0:
+            m = np.maximum.reduce(
+                [np.abs(t_lo), np.abs(t_hi), np.abs(z_lo), np.abs(z_hi)]
+                if has_trans
+                else [np.abs(z_lo), np.abs(z_hi)]
+            )
+            t_lo, t_hi = -m, m.copy()
+            z_lo, z_hi = -m, m.copy()
+            has_trans = True
+        moments = np.asarray(es.gradient.moments(es.duration, gamma), dtype=float)
+        if has_trans and es.duration > 0.0 and not es.gradient.is_zero:
+            if es.gradient.shape == "sampled":
+                ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
+            else:
+                ts = np.array([0.0, es.duration])
+            for row in es.gradient.partial_moments(ts, es.duration, gamma):
+                visit(t_lo, t_hi, row)
+        elif has_trans:
+            visit(t_lo, t_hi)
+        visit(z_lo, z_hi)
+        if has_trans:
+            t_lo = t_lo + moments
+            t_hi = t_hi + moments
+            visit(t_lo, t_hi)
+    return tuple(kmax[ax] + domega_margin[ax] for ax in range(3))

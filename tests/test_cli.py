@@ -156,6 +156,26 @@ def test_kt_diagram(workdir, capsys):
             float(value)
 
 
+def test_log_level_prints_mrsim_debug_lines(workdir, capsys):
+    args = [
+        "kt-diagram",
+        "--sequence",
+        str(workdir / "seq.txt"),
+        "--tissue",
+        "1.0,0.2",
+        "--out",
+        str(workdir / "logged.csv"),
+    ]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["--log-level", "DEBUG", *args]) == 0
+    err = capsys.readouterr().err
+    # 8 rows of 4 elements: 8 encoding lobes, one shared 180, readout and filler
+    assert "DEBUG mrsim.ktspace: k-t walk: 32 elements, 11 distinct" in err
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_fit_t2_cli(workdir, capsys):
     series = workdir / "series.txt"
     t = np.arange(1, 13) * 0.02

@@ -102,13 +102,41 @@ def test_pulse_memo_shares_repeated_pulses():
 
 def test_memoized_tables_bit_identical_to_recomputation():
     seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
-    tables = precompute_sequence_tables(seq)
+    # per row: encoding lobe, 180, readout, filler; a snapshot 1 ms into
+    # the third row's readout, whose group every row's readout shares
+    snapped = 10
+    t_snap = sum(es.duration for es in seq.elements[:snapped]) + 1e-3
+    tables = precompute_sequence_tables(seq, snapshot_times=(t_snap,))
     assert tables.pulse_memo_hits > 0
-    for es, entry in zip(seq.elements, tables.entries):
+    events = ("moments", "ev_dt", "ev_dmom", "ev_sample", "ev_snap")
+
+    def bits(a):
+        return a.dtype, a.shape, a.tobytes()
+
+    for i, (es, entry) in enumerate(zip(seq.elements, tables.entries)):
         if es.pulse is None or es.pulse.is_identity:
             assert entry.pulse_mat is None
         else:
             assert np.array_equal(entry.pulse_mat, hard_pulse_matrix(es.pulse.alpha, es.pulse.phi))
+        if i == snapped:
+            continue
+        alone = precompute_sequence_tables(Sequence([es])).entries[0]
+        for name in events:
+            assert bits(getattr(entry, name)) == bits(getattr(alone, name)), (i, name)
+    shared, own = tables.entries[2], tables.entries[snapped]
+    assert tables.entries[6].ev_dt is shared.ev_dt
+    assert own.ev_dt is not shared.ev_dt and own.ev_dt.flags.writeable
+    assert list(own.ev_snap).count(0) == 1 and not (shared.ev_snap >= 0).any()
+    for name in events:
+        with pytest.raises(ValueError):
+            getattr(shared, name)[0] = 1
+
+
+def test_tables_log_element_and_distinct_counts(caplog):
+    seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        precompute_sequence_tables(seq)
+    assert any("32 elements, 11 distinct" in rec.getMessage() for rec in caplog.records)
 
 
 # ---------------------------------------------------------------------------

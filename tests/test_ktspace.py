@@ -1,11 +1,15 @@
 import cmath
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from mrsim import ktspace
 from mrsim.bloch import GAMMA_PROTON, HardPulse, RelaxationParams
+from mrsim.discretize import PruneBound
 from mrsim.errors import ComplexOrderZero, IncommensurateMoments, MrSimError
 from mrsim.ktspace import (
     ZERO,
@@ -32,6 +36,8 @@ from mrsim.sequence import (
     build_spin_echo,
     readout_gradient,
 )
+
+from oracles import reference_k_excursion, reference_unit, reference_walk
 
 NO_RELAX = RelaxationParams(t1=math.inf, t2=math.inf, m0=1.0)
 
@@ -205,7 +211,8 @@ def test_readout_step_matches_per_sample_relaxation():
     assert len(state.trans) > 2 and len(state.longi) > 2
     relax = RelaxationParams(t1=0.4, t2=0.1, m0=0.9)
     ts = np.array([0.0, 0.001, 0.001, 0.0025, 0.004, 0.004])
-    orders, pops, longi, lpops = ktspace._relax_readout(state, relax, ts)
+    samples = ktspace._SampleRelaxation.of(relax, ts)
+    orders, pops, longi, lpops = ktspace._relax_readout(state, samples)
     assert orders == sorted(state.trans) and longi == sorted(state.longi)
     ref, prev = state, 0.0
     for i, t in enumerate(ts):
@@ -448,3 +455,125 @@ def test_export_diagram_writes_plain_floats():
     )
     point = TracePoint(np.float64(0.5), [entry])
     assert export_kt_diagram([point]).splitlines()[1] == "0.5,transversal,1,3.0,0.25,-0.5"
+
+
+# ---------------------------------------------------------------------------
+# walks on distinct elements against the per-element oracles
+# ---------------------------------------------------------------------------
+
+_M = 60.0  # rad/m; every moment of the alphabet but one is a multiple
+
+
+def _const(mx=0.0, my=0.0, duration=0.004):
+    return GradientWaveform.constant(
+        gx=mx / (GAMMA_PROTON * duration), gy=my / (GAMMA_PROTON * duration)
+    )
+
+
+_RAMP = 1e-3
+_SAMPLED_AMP = _M / (GAMMA_PROTON * 1e-3)
+ALPHABET = [
+    ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0), gradient=_const(2 * _M), duration=0.004),
+    ElementarySequence(pulse=HardPulse(math.pi, math.pi / 2), duration=0.002),
+    ElementarySequence(pulse=HardPulse(0.7, 1.3), gradient=_const(my=_M, duration=0.003), duration=0.003),
+    ElementarySequence(pulse=HardPulse(0.0, 0.0), duration=0.001),
+    ElementarySequence(duration=0.0),
+    ElementarySequence(duration=0.003),
+    ElementarySequence(pulse=HardPulse(2.0, 0.4), gradient=_const(-_M, duration=0.002), duration=0.0),
+    ElementarySequence(
+        gradient=GradientWaveform.trapezoid(
+            gx=3 * _M / (GAMMA_PROTON * 3 * _RAMP), ramp_s=_RAMP, flat_s=2 * _RAMP
+        ),
+        duration=4 * _RAMP,
+    ),
+    # k dips to -6 _M along x inside the interval and ends at -2 _M
+    ElementarySequence(
+        gradient=GradientWaveform.from_samples(
+            np.array([[0, 0, 0], [-3, 0, 0], [-3, 1, 0], [0, 0, 0], [2, 0, 0], [2, 0, 0], [0, 0, 0]])
+            * _SAMPLED_AMP,
+            1e-3,
+        ),
+        duration=6e-3,
+    ),
+    *(
+        ElementarySequence(
+            gradient=_const(4 * _M, duration=0.008),
+            duration=0.008,
+            acquisition=AcquisitionSpec(True, 9),
+            kspace_row=row,
+        )
+        for row in range(3)
+    ),
+    ElementarySequence(
+        gradient=_const(my=-_M, duration=0.002),
+        duration=0.002,
+        acquisition=AcquisitionSpec(True, 1),
+        kspace_row=4,
+    ),
+]
+INCOMMENSURATE = ElementarySequence(gradient=_const(math.sqrt(2.0) * _M), duration=0.004)
+TISSUES = [RelaxationParams(0.3, 0.08, 1.0), RelaxationParams(1.0, 0.05, 0.7), NO_RELAX]
+SPECTRUM = box_spectrum((0.004, -0.002, 0.0), (0.03, 0.02, 1e-3), 0.9)
+
+
+def _observed(walk, seq, relax):
+    seen = []
+    walk(seq, relax, record_trace=False, observe=lambda k, p: seen.append((k.tobytes(), p.tobytes())))
+    bound = PruneBound()
+    walk(seq, relax, record_trace=False, observe=bound)
+    return seen, bound.k_max
+
+
+def _unit_or_error(derive, seq):
+    try:
+        return derive(seq)
+    except IncommensurateMoments as exc:
+        return repr(exc)
+
+
+@given(
+    # more picks than letters, so some element always repeats
+    picks=st.lists(st.integers(0, len(ALPHABET) - 1), min_size=len(ALPHABET) + 1, max_size=24),
+    tissue=st.sampled_from(TISSUES),
+    odd=st.booleans(),
+)
+# no shrink phase: each example runs eight walks, and a failing one is
+# short enough to read unshrunk
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+def test_walks_on_distinct_elements_match_per_element_oracles(picks, tissue, odd):
+    elements = [ALPHABET[i] for i in picks]
+    if odd:
+        elements.insert(len(elements) // 2, INCOMMENSURATE)
+    seq = Sequence(elements, name="alphabet")
+    assert _unit_or_error(derive_unit_k, seq) == _unit_or_error(reference_unit, seq)
+    assert max_k_excursion(seq) == reference_k_excursion(seq)
+    got = simulate_kt(seq, tissue, object_spectrum=SPECTRUM)
+    want = reference_walk(seq, tissue, object_spectrum=SPECTRUM)
+    # repr spells every float and complex part exactly, signed zeros
+    # included; only the names of differing parts are compared, because
+    # a diff of the long texts would take minutes
+    differ = [
+        name
+        for name, a, b in (
+            ("trace", repr(got.trace), repr(want.trace)),
+            ("echoes", [e.tobytes() for e in got.echoes], [e.tobytes() for e in want.echoes]),
+            ("times", [t.tobytes() for t in got.sample_times], [t.tobytes() for t in want.sample_times]),
+            ("final", repr(got.final), repr(want.final)),
+            ("observed", _observed(simulate_kt, seq, tissue), _observed(reference_walk, seq, tissue)),
+        )
+        if a != b
+    ]
+    assert differ == []
+
+
+def test_walk_logs_element_and_distinct_counts(caplog):
+    seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        simulate_kt(seq, NO_RELAX, record_trace=False)
+    assert any("32 elements, 11 distinct" in rec.getMessage() for rec in caplog.records)

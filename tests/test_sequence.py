@@ -14,6 +14,7 @@ from mrsim.sequence import (
     build_gradient_epi,
     build_spin_echo,
     build_tse,
+    distinct_elements,
     parse_sequence_file,
     readout_duration,
     readout_gradient,
@@ -69,6 +70,60 @@ def test_sampled_waveform_moment_matches_trapz():
     np.testing.assert_allclose(
         m, GAMMA_PROTON * np.trapezoid(samples, dx=1e-4, axis=0), rtol=1e-12
     )
+
+
+def test_sampled_waveform_from_array_is_hashable_and_comparable():
+    samples = np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 2e-3], [0.0, 0.0, 0.0]])
+    g = GradientWaveform("sampled", samples=samples, sample_dt=1e-3)
+    assert g.samples == ((0.0, 0.0, 0.0), (1e-3, 0.0, 2e-3), (0.0, 0.0, 0.0))
+    assert hash(g) == hash(GradientWaveform.from_samples(samples.tolist(), 1e-3))
+    a = ElementarySequence(gradient=g, duration=2e-3)
+    b = ElementarySequence(
+        gradient=GradientWaveform("sampled", samples=samples.copy(), sample_dt=1e-3),
+        duration=2e-3,
+    )
+    assert a == b
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [np.zeros((4, 2)), np.zeros((4, 4)), np.zeros(2), np.zeros((2, 2, 3)), np.zeros((0, 3)), None],
+)
+def test_sampled_waveform_rejects_other_shapes_than_n_by_3(samples):
+    with pytest.raises(InvalidParameter):
+        GradientWaveform("sampled", samples=samples, sample_dt=1e-3)
+    if samples is not None:
+        with pytest.raises(InvalidParameter):
+            GradientWaveform.from_samples(samples, 1e-3)
+
+
+def test_sampled_span_must_match_duration():
+    # 11 samples at 1 ms span 10 ms: on a 4 ms interval the moments and
+    # the partial moments at the interval end would disagree
+    g = GradientWaveform.from_samples(np.full((11, 3), 1e-3), 1e-3)
+    with pytest.raises(InvalidParameter):
+        ElementarySequence(gradient=g, duration=4e-3)
+    ElementarySequence(gradient=g, duration=10e-3)
+    ElementarySequence(gradient=GradientWaveform.from_samples(np.ones((5, 3)) * 1e-3, 1e-3), duration=4e-3)
+
+
+def test_distinct_elements_ignores_kspace_placement():
+    seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+    reps, groups = distinct_elements(seq)
+    # per row: its own encoding lobe, then the shared 180, readout and filler
+    assert len(groups) == 32 and len(reps) == 11
+    assert all(reps[g] is seq.elements[i] for i, g in enumerate(groups) if i < 4)
+    for es, g in zip(seq.elements, groups):
+        rep = reps[g]
+        assert (rep.pulse, rep.gradient, rep.duration, rep.acquisition) == (
+            es.pulse,
+            es.gradient,
+            es.duration,
+            es.acquisition,
+        )
+    readouts = {groups[i] for i, _ in seq.acquisitions()}
+    assert len(readouts) == 1
+    assert len({es.kspace_row for _, es in seq.acquisitions()}) == 8
 
 
 def test_trapezoid_duration_mismatch_rejected():
