@@ -31,7 +31,6 @@ from .engine import (
     delta_e_stoer,
     precompute_sequence_tables,
     run,
-    simulate_spin,
 )
 from .errors import (
     ComplexOrderZero,

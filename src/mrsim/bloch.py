@@ -155,10 +155,18 @@ def apply_rotation(r: np.ndarray, mxy, mz):
     return out, r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz
 
 
-def precession_factor(phase, dt, inv_t2):
+def precession_factor(phase, dt, inv_t2, out=None):
     """Factor ``exp(-dt/T2 - 1j*phase)`` that turns mxy clockwise by
-    ``phase`` and decays it with T2 over ``dt``."""
-    return np.exp(-dt * inv_t2 - 1j * phase)
+    ``phase`` and decays it with T2 over ``dt``; the arguments broadcast.
+
+    ``out``, a complex array of the broadcast shape, receives the factor;
+    ``phase`` may be ``out.imag``, so a large factor needs no temporary.
+    """
+    if out is None:
+        out = np.empty(np.broadcast(phase, dt, inv_t2).shape, dtype=complex)
+    np.negative(phase, out=out.imag)
+    np.multiply(np.negative(dt), inv_t2, out=out.real)
+    return np.exp(out, out=out)[()]
 
 
 def regrow_mz(mz, m0, inv_t1, dt):

@@ -13,23 +13,27 @@ count.  A spacing override only decides whether to warn, so with
 workers the master checks it (the relaxation-free bound, then the
 pruned k-t walk if that bound is broken) while they compute.
 
-Loop order inside a worker: elementary sequences outer, samples inner,
-with the per-spin arithmetic vectorized across the block.  The kernel
-keeps the transverse magnetization as one complex array
-``mxy = mx + 1j*my``: free precession and T2 decay over an event are a
-single multiply by ``exp(-1j*(pos.dmom + domega*dt) - dt/T2)`` and a
-sample is one complex dot product with the coil weights, taken with
-BLAS ``zdotu`` directly (half the cost of ``np.dot`` per call on blocks
-of a few thousand spins).  Every ``(dt, dmom)`` key that recurs in the
-sequence owns a factor slot, numbered by the tables, whose per-spin
-factor the kernel computes on first use and reuses afterwards; one-off
-keys (phase-encode lobes) are computed inline and dropped.  The cache
-holds at most (repeated keys x block size) factors and never more than
-``_FACTOR_CACHE_BYTES`` per block: slots past that budget, the least
-used ones, are computed inline as well.  Only pulses and snapshots read
-Mz, so T1 relaxation is deferred: the elapsed time accumulates and Mz is
-relaxed over all of it just before it is read.  The rotation, the
-precession factor and the Mz regrowth are the array operators of
+Loop order inside a worker: elementary sequences outer, with the
+per-spin arithmetic vectorized across the block.  The kernel keeps the
+transverse magnetization as one complex array ``mxy = mx + 1j*my``.
+After an element's pulse, its evolution is one fixed product of
+per-event factors ``exp(-1j*(pos.dmom + domega*dt) - dt/T2)``, so the
+kernel evolves every spin through an element with its *propagator*: an
+``(events, n)`` array whose row i is the running product up to event i,
+evaluated from the cumulative time and moment.  A sample is the dot
+product of its row with ``w * mxy``, taken with BLAS ``zdotu``; a
+snapshot reads its row without touching the running state; then
+``mxy`` is multiplied by the last row.  Elements that
+:func:`mrsim.sequence.distinct_elements` groups together, that recur
+and that hold no snapshot share one cached propagator; every other
+element builds its own and drops it.  The kernel evolves a block in
+chunks of spins whose propagators, the cached ones plus the largest
+built one, fit ``_PROPAGATOR_BYTES``, so a block of any size needs that
+much extra memory at most.  Without an explicit block count, ``run``
+cuts one block per chunk, and at least one per worker.  Only pulses and snapshots read Mz, so T1
+relaxation is deferred: the elapsed time accumulates and Mz is relaxed
+over all of it just before it is read.  The rotation, the precession
+factor and the Mz regrowth are the array operators of
 :mod:`mrsim.bloch`.
 
 The alternative decomposition, a pipeline of per-interval operator
@@ -41,6 +45,7 @@ communication between workers at all.
 
 from __future__ import annotations
 
+import collections
 import logging
 import math
 import os
@@ -66,16 +71,16 @@ from .bloch import (
 )
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import IncommensurateMoments, InvalidParameter, WorkerPanic
-from .phantom import Phantom, SpinList, SpinSample, rasterize
+from .phantom import Phantom, SpinList, rasterize
 from .sequence import Sequence, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
 
 _log = logging.getLogger(__name__)
 # seconds the master waits for a result before checking for dead workers
 _POLL_S = 0.2
-# per-block budget of the kernel's factor cache (about 160 slots of a
-# 25k-spin block); a block of n spins caches this // (16 n) slots
-_FACTOR_CACHE_BYTES = 64 << 20
+# budget of the propagators that the kernel holds at once; it sets the
+# kernel's chunk size and so bounds its extra memory per worker
+_PROPAGATOR_BYTES = 16 << 20
 
 # ---------------------------------------------------------------------------
 # spin-independent precomputation (master side)
@@ -90,9 +95,10 @@ class EsTable:
     ``ev_dt[i]`` seconds and gradient-moment increment ``ev_dmom[i]``
     (rad/m per axis) lead up to event i, which then either records a
     sample (``ev_sample[i]`` with running acquisition index ``acq``) or
-    a snapshot (``ev_snap[i]`` >= 0).  ``ev_slot[i]`` is the factor slot
-    of the event's ``(dt, dmom)`` key, or -1 when the key occurs only
-    once in the sequence or the event does not evolve (dt = 0, dmom = 0).
+    a snapshot (``ev_snap[i]`` >= 0).  ``group`` numbers the propagator
+    that the entry shares with the other snapshot-free entries of its
+    distinct element, or is -1 when the entry builds its own: its
+    element occurs once without a snapshot, or it holds a snapshot.
     """
 
     pulse_mat: Optional[np.ndarray]
@@ -102,7 +108,7 @@ class EsTable:
     ev_dmom: np.ndarray
     ev_sample: np.ndarray
     ev_snap: np.ndarray
-    ev_slot: np.ndarray
+    group: int = -1
     acq: int = -1
     n_samples: int = 0
 
@@ -115,7 +121,7 @@ class OperatorTables:
     snapshot_times: Tuple[float, ...]
     pulse_memo_hits: int
     gamma: float
-    factor_slots: int  # distinct (dt, dmom) keys that occur more than once
+    group_rows: List[int]  # events, i.e. propagator rows, of each group
 
 
 def precompute_sequence_tables(
@@ -131,21 +137,22 @@ def precompute_sequence_tables(
     that :func:`mrsim.sequence.distinct_elements` groups together and
     that hold no snapshot share one set of read-only event arrays
     (``moments``, ``ev_dt``, ``ev_dmom``, ``ev_sample``, ``ev_snap``);
-    an element with a snapshot inside gets its own.  Every evolving
-    ``(dt, dmom)`` key that occurs more than once across the sequence
-    gets a factor slot, the most frequent keys first.
+    an element with a snapshot inside gets its own.  A group that
+    occurs more than once without a snapshot is numbered, in order of
+    first occurrence, so that a kernel chunk builds its propagator once.
     """
     snapshot_times = tuple(sorted(snapshot_times))
-    reps, groups = distinct_elements(sequence)
-    _log.debug("operator tables: %d elements, %d distinct", len(groups), len(reps))
-    shared: Dict[int, dict] = {}  # group -> its read-only event arrays
-    fields: List[dict] = []  # EsTable fields of every entry but ev_slot
+    reps, distinct = distinct_elements(sequence)
+    _log.debug("operator tables: %d elements, %d distinct", len(distinct), len(reps))
+    shared: Dict[int, dict] = {}  # distinct element -> its read-only event arrays
+    fields: List[dict] = []  # EsTable fields of every entry but group
+    keys: List[int] = []  # distinct element of every entry, -1 with a snapshot
     acq_times: List[np.ndarray] = []
     memo: Dict[Tuple[float, float], np.ndarray] = {}
     hits = 0
     t0 = 0.0
     acq = 0
-    for es, g in zip(sequence.elements, groups):
+    for es, g in zip(sequence.elements, distinct):
         mat = None
         if es.pulse is not None and not es.pulse.is_identity:
             key = (es.pulse.alpha, es.pulse.phi)
@@ -169,22 +176,25 @@ def precompute_sequence_tables(
             for arr in events.values():
                 arr.flags.writeable = False
         fields.append(dict(pulse_mat=mat, duration=es.duration, **events))
+        keys.append(-1 if snaps else g)
         if es.acquisition.enabled:
             fields[-1].update(acq=acq, n_samples=es.acquisition.n_samples)
             acq_times.append(t0 + es.acquisition.sample_times(es.duration))
             acq += 1
         t0 = t1
-    slots, n_slots = _factor_slots(
-        [f["ev_dt"] for f in fields], [f["ev_dmom"] for f in fields]
-    )
+    counts = collections.Counter(keys)
+    group_of: Dict[int, int] = {}  # distinct element -> its propagator group
+    for g in keys:
+        if g >= 0 and counts[g] > 1:
+            group_of.setdefault(g, len(group_of))
     return OperatorTables(
-        entries=[EsTable(ev_slot=slot, **f) for f, slot in zip(fields, slots)],
+        entries=[EsTable(group=group_of.get(g, -1), **f) for f, g in zip(fields, keys)],
         n_acq=acq,
         acq_times=acq_times,
         snapshot_times=snapshot_times,
         pulse_memo_hits=hits,
         gamma=gamma,
-        factor_slots=n_slots,
+        group_rows=[shared[g]["ev_dt"].size for g in group_of],
     )
 
 
@@ -219,36 +229,6 @@ def _event_arrays(es, gamma: float, snaps: list) -> dict:
     return dict(
         moments=total, ev_dt=ev_dt, ev_dmom=ev_dmom, ev_sample=ev_sample, ev_snap=ev_snap
     )
-
-
-def _factor_slots(
-    dts: List[np.ndarray], dmoms: List[np.ndarray]
-) -> Tuple[List[np.ndarray], int]:
-    """Factor slot of every event, per entry, and the number of slots.
-
-    Keys are the rows ``(dt, *dmom)`` of all events; a key that evolves
-    (not all zero) and occurs more than once gets a slot, numbered by
-    falling count, then by first occurrence; every other event gets -1.
-    """
-    # + 0.0 turns -0.0 into 0.0, so equal keys have equal bytes; rows are
-    # compared as 32-byte blobs, much faster than np.unique(axis=0)
-    keys = np.column_stack([np.concatenate(dts), np.concatenate(dmoms)]) + 0.0
-    bounds = np.cumsum([dt.size for dt in dts])[:-1]
-    if not keys.size:
-        return np.split(np.zeros(0, dtype=int), bounds), 0
-    _, first, inverse, counts = np.unique(
-        keys.view(np.dtype((np.void, keys.itemsize * 4))).ravel(),
-        return_index=True,
-        return_inverse=True,
-        return_counts=True,
-    )
-    repeated = np.flatnonzero((counts > 1) & keys[first].any(axis=1))
-    # most frequent keys first, so a block whose cache cannot hold every
-    # slot keeps the ones it uses most
-    repeated = repeated[np.lexsort((first[repeated], -counts[repeated]))]
-    slot_of_key = np.full(first.size, -1)
-    slot_of_key[repeated] = np.arange(repeated.size)
-    return np.split(slot_of_key[inverse.ravel()], bounds), int(repeated.size)
 
 
 # ---------------------------------------------------------------------------
@@ -321,99 +301,90 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
     Returns (echo_partials, snapshots): echo_partials is a complex array
     (n_acq, n_samples) of coil-weighted transverse sums over the block;
     snapshots is a list of (n, 3) magnetization arrays, one per
-    requested snapshot time.
+    requested snapshot time.  The block is evolved in chunks of at most
+    ``_chunk_spins(tables)`` spins, so that its propagators stay within
+    ``_PROPAGATOR_BYTES`` whatever the block size.
     """
-    pos, domega, m0 = block.pos, block.domega, block.m0
-    w = np.ascontiguousarray(block.weight, dtype=complex)
-    inv_t1, inv_t2 = 1.0 / block.t1, 1.0 / block.t2
-    mxy = block.mx + 1j * block.my
-    # free precession writes into the spare array and the two swap: an
-    # in-place multiply costs about a microsecond more per call
-    spare = np.empty_like(mxy)
-    mz = block.mz  # never written in place: blocks are views of the run's arrays
-    elapsed = 0.0  # time since Mz was last brought up to date
-    # slots past the byte budget are computed inline like one-off keys
-    n_cached = min(tables.factor_slots, _FACTOR_CACHE_BYTES // (16 * max(block.n, 1)))
-    factors: List[Optional[np.ndarray]] = [None] * n_cached
-
-    def factor(dt, dmom):
-        return precession_factor(pos @ dmom + domega * dt, dt, inv_t2)
-
-    def relaxed_mz():
-        return regrow_mz(mz, m0, inv_t1, elapsed)
-
+    per_chunk = _chunk_spins(tables)
     n_samples = max((e.n_samples for e in tables.entries), default=0)
     echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
-    snapshots: Dict[int, np.ndarray] = {}
-    for entry in tables.entries:
-        if entry.pulse_mat is not None:
-            if elapsed:
-                mz, elapsed = relaxed_mz(), 0.0
-            mxy, mz = apply_rotation(entry.pulse_mat, mxy, mz)
-        dmoms = entry.ev_dmom
-        samples = []
-        for i, (slot, dt, is_sample, snap) in enumerate(
-            zip(
-                entry.ev_slot.tolist(),
-                entry.ev_dt.tolist(),
-                entry.ev_sample.tolist(),
-                entry.ev_snap.tolist(),
-            )
-        ):
-            if 0 <= slot < n_cached:
-                f = factors[slot]
-                if f is None:
-                    f = factors[slot] = factor(dt, dmoms[i])
-            elif dt != 0.0 or dmoms[i].any():
-                f = factor(dt, dmoms[i])
-            else:
-                f = None
-            if f is not None:
-                np.multiply(mxy, f, out=spare)
-                mxy, spare = spare, mxy
-            elapsed += dt
-            if is_sample:
-                samples.append(_zdotu(w, mxy))
-            if snap >= 0:
-                if elapsed:
-                    mz, elapsed = relaxed_mz(), 0.0
-                snapshots[snap] = np.column_stack([mxy.real, mxy.imag, mz])
-        if samples:
-            echoes[entry.acq, : len(samples)] = samples
+    snapshots: Dict[int, List[np.ndarray]] = collections.defaultdict(list)
+    chunks = partition_blocks(block, -(-block.n // per_chunk))
+    cached_bytes = max(_evolve(tables, chunk, echoes, snapshots) for chunk in chunks)
     _log.debug(
-        "block %d: %d factor slots, %d cached, %d factor-cache bytes",
+        "block %d: %d chunks of <= %d spins, %d propagator groups, %d propagator-cache bytes",
         block.index,
-        tables.factor_slots,
-        n_cached,
-        sum(f.nbytes for f in factors if f is not None),
+        len(chunks),
+        per_chunk,
+        len(tables.group_rows),
+        cached_bytes,
     )
-    snap_list = [snapshots.get(i) for i in range(len(tables.snapshot_times))]
+    snap_list = [
+        np.concatenate(snapshots[i]) if i in snapshots else None
+        for i in range(len(tables.snapshot_times))
+    ]
     return echoes, snap_list
 
 
-def simulate_spin(
-    spin: SpinSample,
-    tables: OperatorTables,
-    domega: float = 0.0,
-    weight: complex = 1.0 + 0.0j,
-):
-    """Evolve a single spin; returns (echo contributions, snapshots).
+def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
+    """Evolve one chunk, adding its echo sums to ``echoes`` and its
+    snapshot arrays to ``snapshots``; returns its cached propagator bytes."""
+    inv_t1, inv_t2, m0 = 1.0 / chunk.t1, 1.0 / chunk.t2, chunk.m0
+    pos_domega = np.column_stack([chunk.pos, chunk.domega])
+    w = np.ascontiguousarray(chunk.weight, dtype=complex)
+    mxy = chunk.mx + 1j * chunk.my
+    mz = chunk.mz  # never written in place: chunks are views of the run's arrays
+    elapsed = 0.0  # time since Mz was last brought up to date
+    cache: Dict[int, np.ndarray] = {}  # group -> its propagator
 
-    Convenience wrapper over the block kernel for tests and oracles.
-    """
-    block = SpinBlock(
-        index=0,
-        pos=np.array([spin.position], dtype=float),
-        mx=np.array([spin.m.mx]),
-        my=np.array([spin.m.my]),
-        mz=np.array([spin.m.mz]),
-        t1=np.array([spin.relax.t1]),
-        t2=np.array([spin.relax.t2]),
-        m0=np.array([spin.relax.m0]),
-        domega=np.array([float(domega)]),
-        weight=np.array([complex(weight)]),
-    )
-    return compute_block(tables, block)
+    def propagator(entry):
+        # row i: cumulative phase pos . moment + domega * time through
+        # event i, written into the imaginary part, then the factor in
+        # place.  einsum and ufuncs rather than matmul: BLAS would start
+        # threads of its own in every worker process of the pool
+        t = np.cumsum(entry.ev_dt)
+        p = np.empty((t.size, chunk.n), dtype=complex)
+        moments = np.column_stack([np.cumsum(entry.ev_dmom, axis=0), t])
+        np.einsum("ek,nk->en", moments, pos_domega, out=p.imag)
+        return precession_factor(p.imag, t[:, None], inv_t2, out=p)
+
+    for entry in tables.entries:
+        if entry.pulse_mat is not None:
+            if elapsed:
+                mz, elapsed = regrow_mz(mz, m0, inv_t1, elapsed), 0.0
+            mxy, mz = apply_rotation(entry.pulse_mat, mxy, mz)
+        p = cache.get(entry.group)
+        if p is None:
+            p = propagator(entry)
+            if entry.group >= 0:
+                cache[entry.group] = p
+        if entry.n_samples:
+            wm = w * mxy
+            echoes[entry.acq, : entry.n_samples] += [
+                _zdotu(p[i], wm) for i in np.flatnonzero(entry.ev_sample)
+            ]
+        # (a run without snapshots skips the per-entry search for them)
+        for i in np.flatnonzero(entry.ev_snap >= 0) if tables.snapshot_times else ():
+            at = mxy * p[i]
+            mz_at = regrow_mz(mz, m0, inv_t1, elapsed + np.cumsum(entry.ev_dt)[i])
+            snapshots[entry.ev_snap[i]].append(np.column_stack([at.real, at.imag, mz_at]))
+        if len(p):
+            mxy *= p[-1]
+        elapsed += entry.duration
+    return sum(p.nbytes for p in cache.values())
+
+
+def _chunk_spins(tables: OperatorTables) -> int:
+    """The most spins whose propagators fit ``_PROPAGATOR_BYTES``: every
+    group's cached one, plus the largest that an entry builds for itself."""
+    own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
+    rows = sum(tables.group_rows) + own
+    return max(1, _PROPAGATOR_BYTES // (16 * max(rows, 1)))  # complex128 per spin and row
+
+
+def _default_blocks(tables: OperatorTables, n_spins: int, workers: int) -> int:
+    """One block per kernel chunk, and at least one block per worker."""
+    return max(workers, -(-n_spins // _chunk_spins(tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +433,9 @@ class Experiment:
     spacing: Optional[Tuple[float, float, float]] = None
     workers: int = 1
     deterministic: bool = True
-    blocks: Optional[int] = None  # default 4 * workers
+    # default: one per kernel chunk (see _chunk_spins), and at least one
+    # per worker; any count gives the kernel the same memory bound
+    blocks: Optional[int] = None
     snapshot_times: Tuple[float, ...] = ()
     spin_cap: int = 2_000_000
 
@@ -578,7 +551,10 @@ def run(exp: Experiment) -> RunResult:
     tables = precompute_sequence_tables(
         exp.sequence, gamma=exp.system.gamma, snapshot_times=exp.snapshot_times
     )
-    n_blocks = exp.blocks if exp.blocks is not None else 4 * exp.workers
+    if exp.blocks is not None:
+        n_blocks = exp.blocks
+    else:
+        n_blocks = _default_blocks(tables, arrays.n, exp.workers)
     blocks = partition_blocks(arrays, n_blocks)
     busy: Dict[int, float] = {}
 

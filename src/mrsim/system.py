@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+from scipy.special import ellipe, ellipk, hyp2f1
 
 from .bloch import GAMMA_PROTON, FrameContext
 from .errors import InvalidParameter, OutOfGrid, ParseError, parse_number
@@ -161,14 +162,14 @@ class CircularLoop:
     """Sensitivity of a circular receive loop via the field it would
     produce per unit current (reciprocity).
 
-    The line integral over the loop is evaluated with the midpoint rule,
-    which converges spectrally for points away from the wire.
+    The field is the closed form in the complete elliptic integrals K
+    and E (Smythe, *Static and Dynamic Electricity*; Simpson et al.,
+    NASA/TM-2001-210946), exact everywhere off the wire.
     """
 
     center: tuple
     normal: tuple
     diameter: float
-    segments: int = 256
 
     def __post_init__(self):
         if self.diameter <= 0.0:
@@ -187,41 +188,29 @@ class CircularLoop:
         a = self.diameter / 2.0
         n = np.asarray(self.normal, dtype=float)
         n = n / np.linalg.norm(n)
-        helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(n, helper)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        theta = (np.arange(self.segments) + 0.5) * (2.0 * math.pi / self.segments)
-        wire = (
-            np.asarray(self.center)
-            + a * np.outer(np.cos(theta), e1)
-            + a * np.outer(np.sin(theta), e2)
+        d = p - np.asarray(self.center, dtype=float)
+        z = np.einsum("...k,k->...", d, n)  # along the axis
+        radial = d - z[..., None] * n
+        rho = np.sqrt(np.einsum("...k,...k->...", radial, radial))
+        alpha2 = (a - rho) ** 2 + z**2  # squared distance to the nearest wire point
+        beta2 = (a + rho) ** 2 + z**2
+        if np.any(alpha2 < 1e-24):
+            raise InvalidParameter("sensitivity evaluated on the loop wire")
+        m = 4.0 * a * rho / beta2  # elliptic parameter k**2
+        beta = np.sqrt(beta2)
+        b_axial = (
+            MU_0
+            / (2.0 * math.pi * alpha2 * beta)
+            * ((a * a - rho * rho - z * z) * ellipe(m) + alpha2 * ellipk(m))
         )
-        dl = (
-            a
-            * (2.0 * math.pi / self.segments)
-            * (-np.outer(np.sin(theta), e1) + np.outer(np.cos(theta), e2))
+        # the radial part in K and E, (1 - m/2) E - (1 - m) K, cancels to
+        # 3 pi m^2 / 32 near the axis; its hypergeometric form
+        # (3 pi m^2 / 32) 2F1(1/2, 3/2; 3; m) keeps every digit there and
+        # gives B_rho / rho, so points on the axis need no special case
+        b_rho_per_rho = (
+            0.75 * MU_0 * a * a * z * hyp2f1(0.5, 1.5, 3.0, m) / (alpha2 * beta2 * beta)
         )
-
-        def biot_savart(segment, rvec):
-            dist = np.linalg.norm(rvec, axis=-1)
-            if np.any(dist < 1e-12):
-                raise InvalidParameter("sensitivity evaluated on the loop wire")
-            return np.cross(segment, rvec) / dist[..., None] ** 3
-
-        # The sum over (point, segment) pairs loops over the shorter axis:
-        # a single point takes one pass over all segments, a spin array
-        # one pass over all points per segment, and no temporary outgrows
-        # max(points, segments) x 3.  Both orders add a point's segments
-        # in sequence, so they agree bit for bit.
-        flat = p.reshape(-1, 3)
-        if len(flat) < self.segments:
-            total = np.array([biot_savart(dl, point - wire).sum(axis=0) for point in flat])
-        else:
-            total = np.zeros_like(flat)
-            for q, d in zip(wire, dl):
-                total += biot_savart(d, flat - q)
-        return MU_0 / (4.0 * math.pi) * total.reshape(p.shape)
+        return b_axial[..., None] * n + b_rho_per_rho[..., None] * radial
 
 
 def complex_weight(sensitivity, x):

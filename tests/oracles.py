@@ -2,10 +2,11 @@
 
 These deliberately avoid the package's analytic operators: the ODE
 integrator works on the raw coupled system, the rotation uses the
-generic axis-angle form, and the Legendre value comes from the
-three-term recurrence; the reference kernel is the spin-block event
-loop on two real transverse arrays that the fused complex kernel of
-``mrsim.engine`` replaced, and the reference prune is the point-by-point
+generic axis-angle form, the Legendre value comes from the three-term
+recurrence and the loop-coil field from the midpoint rule over the
+wire; the reference kernel is the spin-block event loop on two real
+transverse arrays that the fused complex kernel of ``mrsim.engine``
+replaced, and the reference prune is the point-by-point
 form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
 unit and k excursion are the per-element forms of
 ``mrsim.ktspace.simulate_kt``, ``derive_unit_k`` and ``max_k_excursion``:
@@ -103,6 +104,29 @@ def rotate_axis_angle(v, axis, angle):
         + np.cross(k, v) * np.sin(angle)
         + k * np.dot(k, v) * (1.0 - np.cos(angle))
     )
+
+
+def loop_field_quadrature(loop, x, segments=256):
+    """Field per unit current of a ``mrsim.system.CircularLoop`` at
+    positions x of shape (..., 3): the Biot-Savart line integral by the
+    midpoint rule over ``segments`` straight pieces of the wire."""
+    p = np.asarray(x, dtype=float)
+    a = loop.diameter / 2.0
+    n = np.asarray(loop.normal, dtype=float)
+    n = n / np.linalg.norm(n)
+    helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(n, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    theta = (np.arange(segments) + 0.5) * (2.0 * math.pi / segments)
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    wire = np.asarray(loop.center) + a * (cos * e1 + sin * e2)
+    dl = a * (2.0 * math.pi / segments) * (cos * e2 - sin * e1)
+    total = np.zeros(p.shape)
+    for q, d in zip(wire, dl):
+        r = p - q
+        total += np.cross(d, r) / np.linalg.norm(r, axis=-1)[..., None] ** 3
+    return 1e-7 * total  # mu_0 / (4 pi)
 
 
 def legendre_recurrence(order, x):

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import logging
 import math
@@ -28,7 +27,6 @@ from mrsim.engine import (
     build_spin_arrays,
     precompute_sequence_tables,
     run,
-    simulate_spin,
 )
 from mrsim.errors import WorkerPanic
 from mrsim.io import (
@@ -66,6 +64,22 @@ def box_phantom(m0=1.0, t2=0.2):
                 t2=t2,
             )
         ]
+    )
+
+
+def spin_block(spin, domega=0.0, weight=1.0 + 0.0j):
+    """A one-spin block of the spin sample."""
+    return SpinBlock(
+        index=0,
+        pos=np.array([spin.position], dtype=float),
+        mx=np.array([spin.m.mx]),
+        my=np.array([spin.m.my]),
+        mz=np.array([spin.m.mz]),
+        t1=np.array([spin.relax.t1]),
+        t2=np.array([spin.relax.t2]),
+        m0=np.array([spin.relax.m0]),
+        domega=np.array([float(domega)]),
+        weight=np.array([complex(weight)]),
     )
 
 
@@ -160,7 +174,7 @@ def test_simulate_spin_fid_amplitude():
     spin = SpinSample(
         position=(0, 0, 0), m=Magnetization(0, 0, 1), relax=RelaxationParams(1.0, t2, 1.0)
     )
-    echoes, _ = simulate_spin(spin, tables, weight=0.5 + 0.0j)
+    echoes, _ = compute_block(tables, spin_block(spin, weight=0.5 + 0.0j))
     assert abs(echoes[0, 0]) == pytest.approx(0.5 * math.exp(-te / t2), rel=1e-12)
 
 
@@ -169,7 +183,7 @@ def test_simulate_spin_zero_m0_contributes_nothing():
     spin = SpinSample(
         position=(0.01, 0, 0), m=Magnetization(0, 0, 0), relax=RelaxationParams(1.0, 0.2, 0.0)
     )
-    echoes, _ = simulate_spin(spin, tables)
+    echoes, _ = compute_block(tables, spin_block(spin))
     assert np.all(echoes == 0)
 
 
@@ -186,7 +200,7 @@ def test_rf_shaped_file_runs_like_apply_shaped_pulse(tmp_path):
     relax = RelaxationParams(0.8, 0.05, 1.0)
     spin = SpinSample(position=(0, 0, 0), m=Magnetization(0, 0, 1), relax=relax)
     tables = precompute_sequence_tables(seq, snapshot_times=(seq.duration,))
-    _, snaps = simulate_spin(spin, tables, domega=domega)
+    _, snaps = compute_block(tables, spin_block(spin, domega=domega))
     want = apply_shaped_pulse(
         Magnetization(0, 0, 1),
         relax,
@@ -217,7 +231,7 @@ def test_opposite_positions_sum_to_real_signal():
     total = np.zeros((1, 9), dtype=complex)
     for x in (+0.004, -0.004):
         spin = SpinSample(position=(x, 0, 0), m=Magnetization(0, 0, 1), relax=relax)
-        echoes, _ = simulate_spin(spin, tables)
+        echoes, _ = compute_block(tables, spin_block(spin))
         total += echoes
     np.testing.assert_allclose(total.imag, 0.0, atol=1e-14)
     assert np.max(np.abs(total.real)) > 0.1
@@ -285,29 +299,16 @@ def test_fused_kernel_matches_reference_kernel():
     )
 
 
-def test_factor_slots_only_for_repeated_keys():
-    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
-    events = [
-        ((dt, *dmom), slot)
-        for entry in tables.entries
-        for dt, dmom, slot in zip(
-            entry.ev_dt.tolist(), entry.ev_dmom.tolist(), entry.ev_slot.tolist()
-        )
-    ]
-    counts = collections.Counter(key for key, _ in events if any(key))
-    slot_of = {}
-    for key, slot in events:
-        if counts[key] > 1:
-            assert slot == slot_of.setdefault(key, slot) >= 0
-        else:
-            assert slot == -1
-    assert sorted(slot_of.values()) == list(range(tables.factor_slots))
-    # numbered by falling count, so a capped cache keeps the busiest keys
-    by_slot = sorted(slot_of, key=slot_of.get)
-    assert [counts[key] for key in by_slot] == sorted(counts[key] for key in by_slot)[::-1]
-    # the phase-encode lobe is a one-off key; the two readouts share slots
-    assert tables.entries[1].ev_slot.tolist() == [-1]
-    assert set(tables.entries[3].ev_slot) & set(tables.entries[6].ev_slot) - {-1}
+def test_propagator_groups_only_for_recurring_snapshot_free_elements():
+    els = oracle_sequence().elements
+    seq = Sequence(els + [dataclasses.replace(els[6], kspace_row=2)])
+    # entries 3, 6 and 7 are the readout; the first holds a snapshot
+    tables = precompute_sequence_tables(seq, snapshot_times=ORACLE_SNAPSHOTS)
+    assert [e.group for e in tables.entries] == [-1, -1, -1, -1, -1, -1, 0, 0]
+    assert tables.entries[6].ev_dt is tables.entries[7].ev_dt
+    assert tables.group_rows == [tables.entries[6].ev_dt.size]
+    plain = precompute_sequence_tables(seq)
+    assert [e.group for e in plain.entries] == [-1, -1, -1, 0, -1, -1, 0, 0]
 
 
 def test_kernel_logs_factor_cache_size(caplog):
@@ -315,28 +316,65 @@ def test_kernel_logs_factor_cache_size(caplog):
     block = oracle_block()
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         compute_block(tables, block)
-    slots = tables.factor_slots
-    expected = f"{slots} factor slots, {slots} cached, {slots * block.n * 16} factor-cache bytes"
-    assert slots > 0
-    assert any(expected in rec.getMessage() for rec in caplog.records)
+    groups, rows = len(tables.group_rows), sum(tables.group_rows)
+    expected = f"{groups} propagator groups, {rows * block.n * 16} propagator-cache bytes"
+    assert rows > 0
+    assert any(
+        "block 0: 1 chunks" in rec.getMessage() and expected in rec.getMessage()
+        for rec in caplog.records
+    )
+
+
+def propagator_rows(tables):
+    """Propagator rows per spin that a kernel chunk holds at most: every
+    group's, plus the largest one-off or snapshot entry's."""
+    own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
+    return sum(tables.group_rows) + own
 
 
 def test_factor_cache_stays_within_byte_budget(monkeypatch, caplog):
     import mrsim.engine as engine_mod
 
-    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
+    # the second pass repeats every element without a snapshot
+    seq = Sequence(oracle_sequence().elements * 2)
+    tables = precompute_sequence_tables(seq, snapshot_times=ORACLE_SNAPSHOTS)
     block = oracle_block()
-    assert tables.factor_slots > 2
-    # room for two slots of this block; the rest are computed inline
-    monkeypatch.setattr(engine_mod, "_FACTOR_CACHE_BYTES", 2 * 16 * block.n + 15)
+    assert len(tables.group_rows) > 2
+    # room for the propagators of 13 spins: the block runs in 4 chunks,
+    # and every chunk caches every group
+    budget = 16 * propagator_rows(tables) * 13
+    monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", budget + 15)
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         echoes, snaps = compute_block(tables, block)
-    expected = f"2 cached, {2 * 16 * block.n} factor-cache bytes"
+    expected = (
+        f"block 0: 4 chunks of <= 13 spins, {len(tables.group_rows)} propagator groups, "
+        f"{16 * sum(tables.group_rows) * 10} propagator-cache bytes"
+    )
     assert any(expected in rec.getMessage() for rec in caplog.records)
     ref_echoes, ref_snaps = reference_kernel(tables, block)
     assert delta_e_stoer(ref_echoes, echoes) <= -250.0
     for snap, ref_snap in zip(snaps, ref_snaps):
+        assert snap.shape == (block.n, 3)
         assert delta_e_stoer(ref_snap, snap) <= -250.0
+
+
+def test_one_off_readout_is_chunked_to_the_budget(monkeypatch, caplog):
+    import mrsim.engine as engine_mod
+
+    # the sequence's only readout occurs once: no propagator is cached
+    tables = precompute_sequence_tables(Sequence(oracle_sequence().elements[:4]))
+    assert tables.group_rows == []
+    readout_rows = tables.entries[3].ev_dt.size
+    assert readout_rows == propagator_rows(tables) >= 7
+    block = oracle_block()
+    monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * readout_rows * 10)
+    assert engine_mod._default_blocks(tables, block.n, 1) == 4
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        echoes, _ = compute_block(tables, block)
+    expected = "block 0: 4 chunks of <= 10 spins, 0 propagator groups, 0 propagator-cache bytes"
+    assert any(expected in rec.getMessage() for rec in caplog.records)
+    ref_echoes, _ = reference_kernel(tables, block)
+    assert delta_e_stoer(ref_echoes, echoes) <= -250.0
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +392,31 @@ def test_run_produces_expected_shape(reference_run):
     assert all(rec.values.size == 16 for rec in reference_run.echoes)
     assert reference_run.metrics.throughput > 0
     assert reference_run.metrics.spin_count == reference_run.spin_count
+
+
+def test_default_blocks_fit_the_propagator_budget(monkeypatch, caplog):
+    import mrsim.engine as engine_mod
+
+    one = run(small_experiment(blocks=1))
+    assert run(small_experiment()).metrics.blocks == 1
+    pooled = run(small_experiment(workers=2))
+    assert pooled.metrics.blocks == 2
+    # a budget of a third of the spins' propagators
+    tables = precompute_sequence_tables(small_experiment().sequence)
+    per_block = one.spin_count // 3
+    monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * propagator_rows(tables) * per_block)
+    shrunk = run(small_experiment())
+    chunks = -(-one.spin_count // per_block)
+    assert shrunk.metrics.blocks == chunks >= 3
+    # an explicit block count keeps its meaning; the kernel chunks the block
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        explicit = run(small_experiment(blocks=1))
+    assert explicit.metrics.blocks == 1
+    groups = len(tables.group_rows)
+    expected = f"block 0: {chunks} chunks of <= {per_block} spins, {groups} propagator groups"
+    assert any(expected in rec.getMessage() for rec in caplog.records)
+    for res in (pooled, shrunk, explicit):
+        assert delta_e_stoer(one.echo_matrix(), res.echo_matrix()) <= -250.0
 
 
 def test_block_partition_invariance(reference_run):
@@ -516,13 +579,13 @@ def test_snapshot_mid_interval_is_exact():
     spin = SpinSample(
         position=(0, 0, 0), m=Magnetization(0, 0, 1), relax=RelaxationParams(1.0, t2, 1.0)
     )
-    echoes, snaps = simulate_spin(spin, tables)
+    echoes, snaps = compute_block(tables, spin_block(spin))
     assert snaps[0] is not None
     np.testing.assert_allclose(
         np.hypot(snaps[0][0, 0], snaps[0][0, 1]), math.exp(-0.02 / t2), rtol=1e-12
     )
     plain = precompute_sequence_tables(seq)
-    echoes_plain, _ = simulate_spin(spin, plain)
+    echoes_plain, _ = compute_block(plain, spin_block(spin))
     np.testing.assert_allclose(echoes, echoes_plain, rtol=1e-14)
 
 
@@ -536,8 +599,8 @@ def test_split_interval_trajectories_identical():
         m=Magnetization(0, 0, 1),
         relax=RelaxationParams(1.0, 0.2, 1.0),
     )
-    a, _ = simulate_spin(spin, precompute_sequence_tables(seq), domega=12.0)
-    b, _ = simulate_spin(spin, precompute_sequence_tables(split), domega=12.0)
+    a, _ = compute_block(precompute_sequence_tables(seq), spin_block(spin, domega=12.0))
+    b, _ = compute_block(precompute_sequence_tables(split), spin_block(spin, domega=12.0))
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
 

@@ -22,7 +22,7 @@ from mrsim.system import (
     spin_off_resonance,
 )
 
-from oracles import legendre_recurrence
+from oracles import legendre_recurrence, loop_field_quadrature
 
 
 def test_legendre12_at_origin_is_zero():
@@ -125,14 +125,14 @@ def test_legendre12_on_arrays_matches_recurrence_row_by_row():
 def test_loop_on_axis_array_matches_closed_form():
     a, z0 = 0.075, 0.02
     loop = CircularLoop(center=(0, 0, z0), normal=(0, 0, 1), diameter=2 * a)
-    z = np.linspace(-0.3, 0.3, 301)  # more points than segments
+    z = np.linspace(-0.3, 0.3, 301)
     points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
     b = loop(points)
     want = MU_0 * a**2 / (2 * (a**2 + (z - z0) ** 2) ** 1.5)
     np.testing.assert_allclose(b[:, 2], want, rtol=1e-10)
     np.testing.assert_allclose(b[:, :2], 0.0, atol=1e-10 * want.max())
-    # fewer points than segments: the sum runs point by point, bit for bit alike
-    assert np.array_equal(loop(points[:10]), b[:10])
+    quadrature = loop_field_quadrature(loop, points)
+    np.testing.assert_allclose(b, quadrature, rtol=0, atol=1e-10 * want.max())
     assert np.array_equal(loop(points[5]), b[5])
 
 
@@ -145,7 +145,6 @@ def test_build_spin_arrays_matches_per_spin_scalar_calls():
         origin=(-0.2, -0.16, -5e-4), size=(0.4, 0.32, 1e-3), delta_omega=Affine(3.0, gx=40.0)
     )
     spins = rasterize(Phantom([box]), (0.016, 0.016, 1.0))
-    assert len(spins) > CircularLoop.segments
     arrays = build_spin_arrays(spins, system)
     ctx = system.frame()
     for i, spin in enumerate(spins):
@@ -182,10 +181,31 @@ def test_loop_on_axis_closed_form():
 
 
 def test_loop_quadrature_converges():
-    base = CircularLoop(center=(0, 0, 0), normal=(0, 1, 0), diameter=0.15, segments=256)
-    fine = CircularLoop(center=(0, 0, 0), normal=(0, 1, 0), diameter=0.15, segments=512)
+    loop = CircularLoop(center=(0, 0, 0), normal=(0, 1, 0), diameter=0.15)
     point = (0.05, 0.03, 0.02)  # > D/10 from the wire
-    np.testing.assert_allclose(base(point), fine(point), atol=1e-8 * np.linalg.norm(base(point)))
+    b = loop(point)
+    for segments in (256, 512):
+        quadrature = loop_field_quadrature(loop, point, segments)
+        np.testing.assert_allclose(quadrature, b, atol=1e-8 * np.linalg.norm(b))
+
+
+def test_loop_closed_form_matches_fine_quadrature_off_axis():
+    loop = CircularLoop(center=(0.01, 0, 0.1), normal=(0.3, -0.5, 0.8), diameter=0.15)
+    points = np.random.default_rng(4).uniform(-0.25, 0.25, (500, 3))
+    b = loop(points)
+    quadrature = loop_field_quadrature(loop, points, 4096)
+    rel = np.linalg.norm(b - quadrature, axis=-1) / np.linalg.norm(quadrature, axis=-1)
+    assert rel.max() < 1e-12
+    # a point a hair off the axis: the radial part keeps its digits
+    axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    near = np.array([0.01, 0, 0.1]) + 0.05 * axis + 1e-15 * np.array([1.0, 0.0, 0.0])
+    np.testing.assert_allclose(loop(near), loop_field_quadrature(loop, near), rtol=1e-12)
+
+
+def test_loop_rejects_points_on_the_wire():
+    loop = CircularLoop(center=(0, 0, 0.1), normal=(0, 0, 1), diameter=0.15)
+    with pytest.raises(InvalidParameter, match="loop wire"):
+        loop(np.array([[0.0, 0.0, 0.0], [0.075, 0.0, 0.1]]))
 
 
 @pytest.mark.parametrize(
