@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -147,7 +147,10 @@ class PruneBound:
     configurations of one or more trace points (the ``observe`` hook of
     :func:`mrsim.ktspace.simulate_kt`); ``k_max`` is the reduced per-axis
     bound over every point seen so far.  Points are reduced in batches
-    of about ``batch`` points.
+    of about ``batch`` points.  Calls that pass the same k array, as the
+    walk does at element boundaries with the same orders, are reduced
+    together: the configurations of each k row are ranked by |k| once
+    for all the points that share it.  The arrays are only read.
     """
 
     def __init__(self, grayscale_levels: int = 256, batch: int = 2048):
@@ -156,12 +159,17 @@ class PruneBound:
         self.bound_ratio = 0.5 / grayscale_levels
         self.batch = batch
         self._reduced = np.zeros(3)
-        self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        # id of each pending k array -> (k, the populations seen with it)
+        self._pending: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
         self._points = 0
 
     def __call__(self, k: np.ndarray, populations: np.ndarray) -> None:
         """k: (points, m, 3) rad/m; populations: (points, m)."""
-        self._pending.append((k, populations))
+        group = self._pending.get(id(k))
+        if group is None:
+            self._pending[id(k)] = (k, [populations])
+        else:
+            group[1].append(populations)
         self._points += populations.shape[0]
         if self._points >= self.batch:
             self._flush()
@@ -172,37 +180,41 @@ class PruneBound:
         return tuple(float(k) for k in self._reduced)
 
     def _flush(self) -> None:
-        if not self._pending:
-            return
-        # pad every point to the widest one: a zero population at k = 0
-        # never moves the running sum, so it cannot set the bound
-        m = max(pops.shape[1] for _, pops in self._pending)
-        k_abs = np.zeros((self._points, m, 3))
-        mags = np.zeros((self._points, m))
-        row = 0
-        for k, pops in self._pending:
-            n, width = pops.shape
-            k_abs[row : row + n, :width] = np.abs(k)
-            mags[row : row + n, :width] = np.abs(pops)
-            row += n
+        # configurations of different widths never share a k row, so
+        # each width is reduced on its own and nothing is padded
+        by_width: Dict[int, list] = {}
+        for k, pops in self._pending.values():
+            by_width.setdefault(k.shape[1], []).append((k, pops))
         self._pending.clear()
         self._points = 0
-        ref = mags.max(axis=1)
-        live = ref != 0.0
-        k_abs, mags, ref = k_abs[live], mags[live], ref[live]
-        if not ref.size:
+        for width, groups in by_width.items():
+            if width:
+                self._reduce(groups)
+
+    def _reduce(self, groups) -> None:
+        """Fold points of one width into the bound: ``groups`` pairs each
+        k array (rows, m, 3) with the populations (rows, m) of every call
+        that passed it."""
+        rows: List[int] = []  # the k row of every point
+        start = 0
+        for k, pops in groups:
+            rows += [*range(start, start + len(k))] * len(pops)
+            start += len(k)
+        if not rows:
             return
+        point_rows = np.array(rows, dtype=np.intp)
+        k_abs = np.abs(np.concatenate([k for k, _ in groups])).transpose(0, 2, 1)
+        mags = np.abs(np.concatenate([p for _, pops in groups for p in pops]))
         # per point and axis: configurations by descending |k| (ties keep
-        # their order), kept down to where the magnitudes summed so far
-        # exceed the budget
-        point = np.arange(ref.size)[:, None]
-        axis = np.arange(3)
-        rank = np.argsort(-k_abs, axis=1, kind="stable")
-        acc = np.cumsum(mags[point[:, :, None], rank], axis=1)
-        over = acc > (self.bound_ratio * ref)[:, None, None]
-        first = over.argmax(axis=1)
-        keep = k_abs[point, rank[point, first, axis], axis]
-        keep = np.where(over.any(axis=1), keep, 0.0)
+        # their order), ranked once per k row, kept down to where the
+        # magnitudes summed so far exceed the budget; a point with no
+        # population keeps nothing
+        rank = np.argsort(-k_abs, axis=-1, kind="stable")
+        acc = np.cumsum(mags[np.arange(len(rows))[:, None, None], rank[point_rows]], axis=-1)
+        over = acc > (self.bound_ratio * mags.max(axis=1))[:, None, None]
+        k_sorted = np.take_along_axis(k_abs, rank, axis=-1)
+        keep = k_sorted[point_rows[:, None], np.arange(3), over.argmax(axis=-1)]
+        keep = np.where(over.any(axis=-1), keep, 0.0)
         self._reduced = np.maximum(self._reduced, keep.max(axis=0))
 
 

@@ -70,7 +70,7 @@ from .bloch import (
     regrow_mz,
 )
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
-from .errors import IncommensurateMoments, InvalidParameter, WorkerPanic
+from .errors import InvalidParameter, WorkerPanic
 from .phantom import Phantom, SpinList, rasterize
 from .sequence import Sequence, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
@@ -460,20 +460,36 @@ def _worst_tissue(phantom: Phantom) -> RelaxationParams:
     return RelaxationParams(t1=t1, t2=t2, m0=1.0)
 
 
+def _triple(values) -> str:
+    return "(" + ", ".join(f"{v:.6g}" for v in values) + ")"
+
+
 def _auto_spacing(exp: Experiment) -> Tuple[Tuple[float, float, float], SpacingReport]:
     """The spin spacing when none is given: the steady-state pruned
     bound (worst-case tissue, 256 gray levels), or twice the phantom's
-    extent on an axis the sequence leaves unbounded."""
-    report = max_spacing(exp.sequence, phantom=exp.phantom)
-    try:
-        chosen = pruned_max_spacing(exp.sequence, _worst_tissue(exp.phantom))
-    except IncommensurateMoments:
-        chosen = report
+    extent on an axis the sequence leaves unbounded.  The returned
+    report is the pruned one, with the relaxation-free bound in its
+    notes."""
+    free = max_spacing(exp.sequence, phantom=exp.phantom)
+    chosen = pruned_max_spacing(exp.sequence, _worst_tissue(exp.phantom))
+    chosen.notes.append(
+        f"relaxation-free bound: K_max = {_triple(free.k_max)} rad/m, "
+        f"dx_max = {_triple(free.dx_max)} m"
+    )
     lo, hi = exp.phantom.bounding_box()
     extent = np.maximum(np.asarray(hi) - np.asarray(lo), 1e-12)
+    bounded = [math.isfinite(chosen.spacing[ax]) for ax in range(3)]
     spacing = tuple(
-        chosen.spacing[ax] if math.isfinite(chosen.spacing[ax]) else 2.0 * float(extent[ax])
-        for ax in range(3)
+        chosen.spacing[ax] if bounded[ax] else 2.0 * float(extent[ax]) for ax in range(3)
+    )
+    _log.debug(
+        "automatic spacing %s m: %s; relaxation-free dx_max %s m",
+        _triple(spacing),
+        ", ".join(
+            f"{name} from the {'pruned bound' if b else 'phantom extent'}"
+            for name, b in zip("xyz", bounded)
+        ),
+        _triple(free.dx_max),
     )
     return spacing, chosen
 
@@ -487,21 +503,25 @@ def _check_spacing(exp: Experiment, spacing) -> Tuple[SpacingReport, List[str]]:
     the workers compute.
     """
     report = max_spacing(exp.sequence, phantom=exp.phantom)
-    pruned: Optional[SpacingReport] = None
-    problems = []
-    for ax in range(3):
-        if spacing[ax] < report.dx_max[ax]:
-            continue
-        if pruned is None:
-            try:
-                pruned = pruned_max_spacing(exp.sequence, _worst_tissue(exp.phantom))
-            except IncommensurateMoments:
-                pruned = report
-        if spacing[ax] >= pruned.dx_max[ax]:
-            problems.append(
-                f"spacing override {spacing[ax]:.6g} m on axis {'xyz'[ax]} violates the "
-                f"sampling bound {pruned.dx_max[ax]:.6g} m; expect replica artifacts"
-            )
+    broken = [ax for ax in range(3) if not spacing[ax] < report.dx_max[ax]]
+    if not broken:
+        _log.debug(
+            "spacing override %s m within the relaxation-free bound; pruned walk skipped",
+            _triple(spacing),
+        )
+        return report, []
+    _log.debug(
+        "spacing override %s m breaks the relaxation-free bound on %s; pruned walk runs",
+        _triple(spacing),
+        "".join("xyz"[ax] for ax in broken),
+    )
+    pruned = pruned_max_spacing(exp.sequence, _worst_tissue(exp.phantom))
+    problems = [
+        f"spacing override {spacing[ax]:.6g} m on axis {'xyz'[ax]} violates the "
+        f"sampling bound {pruned.dx_max[ax]:.6g} m; expect replica artifacts"
+        for ax in broken
+        if spacing[ax] >= pruned.dx_max[ax]
+    ]
     return report, problems
 
 

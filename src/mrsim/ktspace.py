@@ -360,7 +360,10 @@ def simulate_kt(
     every instant a trace would record, without building the trace: k
     is (points, m, 3) rad/m and populations (points, m), the m
     configurations in order.  A readout is observed in one call for all
-    its samples.
+    its samples.  Every k array it receives is read-only: at element
+    boundaries the walk builds one per set of orders, so ``observe`` may
+    receive the same array in several calls, and may group the calls
+    that share it.
 
     Sequences whose moments share no common measure are tracked on the
     continuous-k fallback grid (smallest moment / 1024), merging
@@ -385,33 +388,47 @@ def simulate_kt(
     steps = [_WalkStep.of(es, m, relax, unit, shift_tol, gamma) for es, m in zip(reps, moments)]
     scale = _k_scale(unit)
     at_boundary = np.zeros((1, 3))
+    boundary_k: Dict[tuple, np.ndarray] = {}
     state = ConfigurationSet.equilibrium(relax.m0, unit, prune_threshold)
     trace: List[TracePoint] = []
     echoes: List[np.ndarray] = []
     times: List[np.ndarray] = []
     now = 0.0
 
+    def k_at(orders, fracs):
+        """Read-only k (points, m, 3) of ``orders`` offset by ``fracs``; at
+        a boundary (fracs None) one array per order tuple."""
+        if fracs is None:
+            key = tuple(orders)
+            k = boundary_k.get(key)
+            if k is None:
+                k = boundary_k[key] = k_at(orders, at_boundary)
+            return k
+        k = _k_positions(scale, orders, fracs)
+        k.flags.writeable = False
+        return k
+
     def emit(at, fracs, orders, pops, longi, lpops):
         """Trace rows and observe call for the configurations at the
         instants ``at``; returns the transversal k (points, m, 3)."""
-        k = _k_positions(scale, orders, fracs)
+        k = k_at(orders, fracs)
         if observe is not None and orders:
             observe(k, pops)
         if record_trace:
             rows = zip(
                 at,
                 _entries("transversal", orders, pops, k),
-                _entries("longitudinal", longi, lpops, _k_positions(scale, longi, fracs)),
+                _entries("longitudinal", longi, lpops, k_at(longi, fracs)),
             )
             trace.extend(TracePoint(t, a + b) for t, a, b in rows)
         return k
 
     def record(t):
         if record_trace:
-            emit([t], at_boundary, *_row(state.trans), *_row(state.longi))
+            emit([t], None, *_row(state.trans), *_row(state.longi))
         elif observe is not None and state.trans:
             orders, pops = _row(state.trans)
-            observe(_k_positions(scale, orders, at_boundary), pops)
+            observe(k_at(orders, None), pops)
 
     record(now)
     for g in groups:
@@ -593,7 +610,7 @@ def max_k_excursion(
     """Per-axis maximum |k| reached by any configuration at any time.
 
     Walks per-axis intervals: the extreme moments the transversal and
-    longitudinal configurations span, visited at every boundary and
+    longitudinal configurations span, visited wherever they change and
     along the continuous k motion inside each interval.  RF mixing maps
     the extremes of both sets onto those of the mixed set and gradient
     shifts translate them, so this is exact for the maximum over every
@@ -601,14 +618,16 @@ def max_k_excursion(
     ``domega_margin`` (rad/m per axis) is added on top as a
     user-supplied off-resonance allowance.  Works directly on the
     continuous moments, so no common k unit is required.
+
+    Whether an element flips, its moment and the span of its k motion
+    are worked out once per group of
+    :func:`mrsim.sequence.distinct_elements`, as Python floats; the walk
+    over the elements then does scalar arithmetic only.
     """
     kmax = [0.0, 0.0, 0.0]
     # per-axis moment intervals, in rad/m (continuous; integer units not needed)
-    t_lo = np.zeros(3)
-    t_hi = np.zeros(3)
+    t_lo = t_hi = z_lo = z_hi = [0.0, 0.0, 0.0]
     has_trans = False
-    z_lo = np.zeros(3)
-    z_hi = np.zeros(3)
 
     def visit(lo, hi, frac=None):
         for ax in range(3):
@@ -628,33 +647,30 @@ def max_k_excursion(
         else:
             ts = np.array([0.0, es.duration])
         rows = es.gradient.partial_moments(ts, es.duration, gamma)
-        return rows.min(axis=0), rows.max(axis=0)
+        return rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
 
     reps, groups = distinct_elements(sequence)
     plan = [
-        (es, np.asarray(m, dtype=float), motion(es))
+        (es.pulse is not None and es.pulse.alpha != 0.0, [float(v) for v in m], motion(es))
         for es, m in zip(reps, _element_moments(reps, gamma))
     ]
+    # the longitudinal interval changes only at a flip, where the
+    # transversal one equals it; revisiting an unchanged interval cannot
+    # raise the maximum
     for g in groups:
-        es, moments, span = plan[g]
-        if es.pulse is not None and es.pulse.alpha != 0.0:
-            m = np.maximum.reduce(
-                [np.abs(t_lo), np.abs(t_hi), np.abs(z_lo), np.abs(z_hi)]
-                if has_trans
-                else [np.abs(z_lo), np.abs(z_hi)]
-            )
-            t_lo, t_hi = -m, m.copy()
-            z_lo, z_hi = -m, m.copy()
+        flips, moments, span = plan[g]
+        if flips:
+            ends = (t_lo, t_hi, z_lo, z_hi) if has_trans else (z_lo, z_hi)
+            m = [max(abs(end[ax]) for end in ends) for ax in range(3)]
+            t_lo = z_lo = [-v for v in m]
+            t_hi = z_hi = m
             has_trans = True
-        if has_trans and span is not None:
-            for row in span:
-                visit(t_lo, t_hi, row)
-        elif has_trans:
-            visit(t_lo, t_hi)
-        visit(z_lo, z_hi)
+            visit(z_lo, z_hi)
         if has_trans:
-            t_lo = t_lo + moments
-            t_hi = t_hi + moments
+            for row in span or ():
+                visit(t_lo, t_hi, row)
+            t_lo = [a + b for a, b in zip(t_lo, moments)]
+            t_hi = [a + b for a, b in zip(t_hi, moments)]
             visit(t_lo, t_hi)
     return tuple(kmax[ax] + domega_margin[ax] for ax in range(3))
 

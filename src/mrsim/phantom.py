@@ -230,13 +230,6 @@ class _Ellipse:
     phi_deg: float
     m0: float
 
-    def contains(self, x: float, y: float) -> bool:
-        phi = math.radians(self.phi_deg)
-        dx, dy = x - self.x0, y - self.y0
-        u = (dx * math.cos(phi) + dy * math.sin(phi)) / self.a
-        v = (-dx * math.sin(phi) + dy * math.cos(phi)) / self.b
-        return u * u + v * v <= 1.0
-
 
 # Ten-ellipse head phantom: classic geometry in units of the half-width,
 # with per-region equilibrium magnetization; later entries override
@@ -254,17 +247,40 @@ _HEAD_ELLIPSES = (
     _Ellipse(0.06, -0.605, 0.023, 0.046, 0.0, 0.70),
 )
 
+# The ellipses innermost first, as (x0, y0, a, b, cos, sin, half, m0):
+# the tilt's cosine and sine, and the half-width of the square around
+# the center that holds the ellipse.  The relative slack of 1e-9 dwarfs
+# the rounding of the membership test, so the square never rejects a
+# point the test would accept.
+_HEAD_TABLE = tuple(
+    (e.x0, e.y0, e.a, e.b, math.cos(phi), math.sin(phi), max(e.a, e.b) * (1.0 + 1e-9), e.m0)
+    for e in reversed(_HEAD_ELLIPSES)
+    for phi in (math.radians(e.phi_deg),)
+)
+
 SHEPP_LOGAN_T1 = 1.0
 SHEPP_LOGAN_T2 = 0.2
 
 
 def shepp_logan_m0(x: float, y: float, scale: float = 1.0) -> float:
-    """Equilibrium magnetization of the head phantom at (x, y); 0 outside."""
-    value = 0.0
-    for e in _HEAD_ELLIPSES:
-        if e.contains(x / scale, y / scale):
-            value = e.m0
-    return value
+    """Equilibrium magnetization of the head phantom at (x, y); 0 outside.
+
+    The innermost ellipse that contains the point sets the value.  The
+    arithmetic runs on Python floats whatever scalar type comes in.
+    """
+    x, y = float(x) / scale, float(y) / scale
+    for x0, y0, a, b, cos, sin, half, m0 in _HEAD_TABLE:
+        dx = x - x0
+        if abs(dx) > half:
+            continue
+        dy = y - y0
+        if abs(dy) > half:
+            continue
+        u = (dx * cos + dy * sin) / a
+        v = (-dx * sin + dy * cos) / b
+        if u * u + v * v <= 1.0:
+            return m0
+    return 0.0
 
 
 def shepp_logan(scale: float, thickness: float = 1e-3) -> Phantom:

@@ -11,7 +11,8 @@ form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
 unit and k excursion are the per-element forms of
 ``mrsim.ktspace.simulate_kt``, ``derive_unit_k`` and ``max_k_excursion``:
 every elementary sequence computes its own moments, shift, decay
-factors and sample relaxation.
+factors and sample relaxation.  The reference head phantom tests every
+ellipse of ``mrsim.phantom.shepp_logan_m0`` in table order.
 """
 
 import math
@@ -34,6 +35,7 @@ from mrsim.ktspace import (
     apply_relax_interval,
     apply_rf_split,
 )
+from mrsim.phantom import _HEAD_ELLIPSES
 
 
 def bloch_rhs(m, b, gamma, t1, t2, m0):
@@ -365,3 +367,18 @@ def reference_k_excursion(sequence, gamma=GAMMA_PROTON, domega_margin=(0.0, 0.0,
             t_hi = t_hi + moments
             visit(t_lo, t_hi)
     return tuple(kmax[ax] + domega_margin[ax] for ax in range(3))
+
+
+def reference_shepp_logan_m0(x, y, scale=1.0):
+    """Head-phantom m0 with every ellipse tested in table order, the last
+    one that contains the point winning: same inputs and outputs as
+    ``mrsim.phantom.shepp_logan_m0``."""
+    value = 0.0
+    for e in _HEAD_ELLIPSES:
+        phi = math.radians(e.phi_deg)
+        dx, dy = x / scale - e.x0, y / scale - e.y0
+        u = (dx * math.cos(phi) + dy * math.sin(phi)) / e.a
+        v = (-dx * math.sin(phi) + dy * math.cos(phi)) / e.b
+        if u * u + v * v <= 1.0:
+            value = e.m0
+    return value

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,11 @@ def test_spacing_report(workdir, capsys):
     out = capsys.readouterr().out
     assert "k_max_x_rad_per_m=" in out
     assert "spacing report" in out
+    # the machine lines hold plain numbers, never a numpy scalar's repr
+    machine = [line.split("=") for line in out.splitlines() if re.fullmatch(r"\w+=\S+", line)]
+    assert len(machine) >= 9
+    for _key, value in machine:
+        float(value)
 
 
 def test_kt_diagram(workdir, capsys):

@@ -20,7 +20,9 @@ from mrsim.sequence import (
     ElementarySequence,
     GradientWaveform,
     Sequence,
+    build_cpmg,
     build_gradient_epi,
+    build_spin_echo,
     readout_duration,
     readout_gradient,
 )
@@ -171,6 +173,35 @@ def test_streaming_prune_matches_trace_prune(t1, t2):
     assert report.k_max[0] > 0.0
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        # head96_loop's spin-echo design at n = 16, with its tissue
+        lambda: (
+            build_spin_echo(fov=0.5, n=16, te=0.05, tr=3.0, readout_grad=0.239e-3),
+            RelaxationParams(t1=1.0, t2=0.2, m0=1.0),
+        ),
+        # cpmg12_auto's twelve-echo train at n = 8, with its longest T2
+        lambda: (
+            build_cpmg(
+                fov=0.375, n=8, n_echoes=12, dte=0.02, tr=2.0,
+                readout_grad=readout_gradient(0.375, 8, 0.012),
+            ),
+            RelaxationParams(t1=0.3, t2=0.2, m0=1.0),
+        ),
+    ],
+    ids=["spin_echo", "cpmg12"],
+)
+def test_streaming_prune_matches_reference_on_served_families(family):
+    seq, relax = family()
+    trace = simulate_kt(seq, relax).trace
+    for levels in (1, 256, 4096):
+        streamed = pruned_max_spacing(seq, relax, grayscale_levels=levels).k_max
+        assert streamed == steady_state_prune(trace, grayscale_levels=levels)
+        assert streamed == reference_prune(trace, grayscale_levels=levels)
+        assert streamed[0] > 0.0
+
+
 def test_streaming_prune_sees_configurations_outside_readouts():
     # no acquisition: every configuration the bound sees sits at a pulse
     # or an interval boundary
@@ -182,8 +213,6 @@ def test_streaming_prune_sees_configurations_outside_readouts():
 
 
 def test_pruned_max_spacing_relaxes_multi_repetition_bound():
-    from mrsim.sequence import build_spin_echo
-
     g = readout_gradient(0.25, 16, 0.01)
     seq = build_spin_echo(fov=0.25, n=16, te=0.03, tr=2.0, readout_grad=g)
     hard = max_spacing(seq)

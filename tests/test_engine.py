@@ -17,6 +17,7 @@ from mrsim.bloch import (
     apply_shaped_pulse,
     hard_pulse_matrix,
 )
+from mrsim.discretize import pruned_max_spacing
 from mrsim.engine import (
     Experiment,
     SpinBlock,
@@ -28,7 +29,7 @@ from mrsim.engine import (
     precompute_sequence_tables,
     run,
 )
-from mrsim.errors import WorkerPanic
+from mrsim.errors import IncommensurateMoments, WorkerPanic
 from mrsim.io import (
     read_echo_file,
     read_raw_grid,
@@ -37,6 +38,7 @@ from mrsim.io import (
     write_raw_grid,
     write_snapshot_file,
 )
+from mrsim.ktspace import derive_unit_k
 from mrsim.phantom import Phantom, PhantomBox, SpinSample, rasterize
 from mrsim.sequence import (
     AcquisitionSpec,
@@ -469,6 +471,75 @@ def test_pool_checks_spacing_override_like_one_process():
         reports[workers] = res.spacing_report
     assert reports[1] == reports[2]
     assert reports[1].dx_max[0] < 0.1
+
+
+def incommensurate_sequence():
+    """Two pulses with x moments whose ratio is no fraction of bounded
+    denominator, so no common k unit exists."""
+    dt = 0.01
+    return Sequence(
+        [
+            ElementarySequence(
+                pulse=HardPulse(math.radians(alpha), math.radians(phi)),
+                gradient=GradientWaveform.constant(gx=moment / (GAMMA_PROTON * dt)),
+                duration=dt,
+            )
+            for alpha, phi, moment in ((90, 0, 100.0), (120, 45, 100.0 * (1.0 + 1.23e-7)))
+        ],
+        name="incommensurate",
+    )
+
+
+def test_auto_spacing_on_incommensurate_moments_takes_the_pruned_bound():
+    # the pruned walk tracks such a sequence on the continuous-k grid
+    # rather than raising, so the automatic spacing is still its bound
+    seq = incommensurate_sequence()
+    with pytest.raises(IncommensurateMoments):
+        derive_unit_k(seq)
+    res = run(Experiment(sequence=seq, phantom=box_phantom()))
+    # the box phantom's tissue is the worst case
+    pruned = pruned_max_spacing(seq, RelaxationParams(t1=1.0, t2=0.2, m0=1.0))
+    assert res.spacing_report.k_max == pruned.k_max
+    assert res.spacing_report.dx_max == pruned.dx_max
+    assert res.spacing[0] == pruned.spacing[0] and pruned.k_max[0] > 0.0
+
+
+def test_run_logs_which_spacing_bound_applied(caplog):
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        auto = run(small_experiment(spacing=None))
+        fine = (0.005, 1.0, 1.0)
+        run(Experiment(sequence=incommensurate_sequence(), phantom=box_phantom(), spacing=fine))
+        run(small_experiment())
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert any(
+        m.startswith("automatic spacing")
+        and "x from the pruned bound, y from the pruned bound, z from the phantom extent" in m
+        for m in messages
+    )
+    assert any("within the relaxation-free bound; pruned walk skipped" in m for m in messages)
+    assert any("breaks the relaxation-free bound on xy; pruned walk runs" in m for m in messages)
+    # the report of an automatic spacing names the relaxation-free bound too
+    notes = auto.spacing_report.notes
+    assert any(note.startswith("relaxation-free bound: K_max = (") for note in notes)
+
+
+def test_run_takes_the_relaxation_free_bound_on_every_run(monkeypatch):
+    # a traced benchmark run needs a max_spacing span in every run, so
+    # neither spacing path may skip the call
+    import mrsim.engine as engine_mod
+
+    calls = []
+    original = engine_mod.max_spacing
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "max_spacing", counted)
+    run(small_experiment(spacing=None))
+    assert len(calls) == 1
+    run(small_experiment())
+    assert len(calls) == 2
 
 
 def test_worker_panic_surfaces_block_index(monkeypatch):

@@ -572,6 +572,18 @@ def test_walks_on_distinct_elements_match_per_element_oracles(picks, tissue, odd
     assert differ == []
 
 
+def test_observer_cannot_write_into_k():
+    # boundary k arrays are shared between calls, so a write would
+    # corrupt what later calls see
+    seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+
+    def scribble(k, populations):
+        k[...] = 0.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        simulate_kt(seq, NO_RELAX, record_trace=False, observe=scribble)
+
+
 def test_walk_logs_element_and_distinct_counts(caplog):
     seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
     with caplog.at_level(logging.DEBUG, logger="mrsim"):

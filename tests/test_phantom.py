@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mrsim.engine import build_spin_arrays
 from mrsim.errors import InvalidParameter, ParseError, SpinBudgetExceeded
 from mrsim.system import default_system
 from mrsim.phantom import (
+    _HEAD_ELLIPSES,
     Affine,
     Phantom,
     PhantomBox,
@@ -15,6 +18,8 @@ from mrsim.phantom import (
     shepp_logan,
     shepp_logan_m0,
 )
+
+from oracles import reference_shepp_logan_m0
 
 
 def thin(origin2, size2, **props):
@@ -158,6 +163,58 @@ def test_head_phantom_region_values():
     assert shepp_logan_m0(0.4, 0.0) == pytest.approx(0.51)
     # scaling maps the same regions
     assert shepp_logan_m0(0.04, 0.0, scale=0.1) == pytest.approx(0.51)
+
+
+def _lattice_sites(scale, spacing, shift=(0.0, 0.0)):
+    """(x, y) of every lattice site of the head phantom's box at this
+    spacing, the box moved by ``shift`` and the sites moved back, as a
+    workload that shifts the head evaluates them."""
+    box = PhantomBox(
+        origin=(-scale + shift[0], -scale + shift[1], -5e-4), size=(2 * scale, 2 * scale, 1e-3)
+    )
+    return rasterize(Phantom([box]), (spacing, spacing, 1.0)).pos[:, :2] - np.asarray(shift)
+
+
+def _near_boundaries(steps=4):
+    """Points up to ``steps`` ulps inside and outside every ellipse at
+    both ends of both of its axes, in units of the half-width."""
+    points = []
+    for e in _HEAD_ELLIPSES:
+        phi = math.radians(e.phi_deg)
+        c, s = math.cos(phi), math.sin(phi)
+        for r, (ux, uy) in ((e.a, (c, s)), (e.b, (-s, c))):
+            for sign in (1.0, -1.0):
+                x = e.x0 + sign * r * ux
+                y = e.y0 + sign * r * uy
+                for _ in range(steps):
+                    x, y = np.nextafter(x, -np.inf), np.nextafter(y, -np.inf)
+                for _ in range(2 * steps + 1):
+                    points.append((x, y))
+                    points.append((x, e.y0 + sign * r * uy))
+                    points.append((e.x0 + sign * r * ux, y))
+                    x, y = np.nextafter(x, np.inf), np.nextafter(y, np.inf)
+    return points
+
+
+def test_head_phantom_bit_identical_to_reference():
+    scale = 0.255
+    spacing = 0.5 / 64 / 1.5 * 0.999
+    cases = {
+        # crit. 6's lattice: one spin per pixel of a 64^2 image
+        "crit. 6": (_lattice_sites(scale, 0.5 / 64 * 0.999), scale),
+        # head96_loop's lattice: 1.5 spins per pixel, shifted by a sub-voxel
+        "head96_loop": (_lattice_sites(scale, spacing, (0.37 * spacing, -0.21 * spacing)), scale),
+        "random": (np.random.default_rng(7).uniform(-1.05, 1.05, (100_000, 2)), 1.0),
+        "boundaries": (np.array(_near_boundaries()), 1.0),
+        "boundaries, scaled": (np.array(_near_boundaries()) * scale, scale),
+    }
+    for name, (points, s) in cases.items():
+        got = [shepp_logan_m0(x, y, s) for x, y in points]
+        want = [reference_shepp_logan_m0(x, y, s) for x, y in points]
+        assert got == want, name
+    # the boundary points reach the outside and every region
+    values = {shepp_logan_m0(x, y) for x, y in _near_boundaries()}
+    assert {0.0} | {e.m0 for e in _HEAD_ELLIPSES} <= values
 
 
 def test_head_phantom_outside_emits_no_spins():
