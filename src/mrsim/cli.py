@@ -19,7 +19,8 @@ from . import io as mrio
 from .bloch import RelaxationParams
 from .discretize import max_spacing
 from .engine import Experiment, compare_results, run
-from .errors import MrSimError
+from .errors import MrSimError, ParseError
+from .grammar import boolean, numbers, parse_number
 from .ktspace import export_kt_diagram, simulate_kt
 from .phantom import parse_object_file
 from .recon import assemble_kspace, cpmg_fit, export_image, reconstruct, trajectory_table
@@ -48,11 +49,8 @@ def _cmd_simulate(args) -> int:
     system = _load_system(args.system) if args.system else default_system()
     spacing = None
     if args.spacing_override:
-        parts = [float(v) for v in args.spacing_override.split(",")]
-        if len(parts) != 3:
-            raise MrSimError("--spacing-override needs dx,dy,dz")
-        spacing = tuple(parts)
-    snapshots = tuple(float(v) for v in args.snapshot.split(",")) if args.snapshot else ()
+        spacing = parse_number(args.spacing_override, "--spacing-override", None, numbers(3))
+    snapshots = parse_number(args.snapshot, "--snapshot", None, numbers()) if args.snapshot else ()
     result = run(
         Experiment(
             sequence=sequence,
@@ -111,17 +109,26 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _read_table(path: str) -> list:
+    """Trajectory table: one ``volume row reversed`` line per acquisition."""
+    table = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 3:
+                raise ParseError(f"{path}: expected volume row reversed, got {line!r}", lineno)
+            columns = zip(parts, ("volume", "row", "reversed"), (int, int, boolean))
+            table.append(tuple(parse_number(v, key, lineno, kind) for v, key, kind in columns))
+    return table
+
+
 def _cmd_recon(args) -> int:
     echoes = mrio.read_echo_file(args.echoes)
     if args.trajectory.startswith("table:"):
-        table = []
-        with open(args.trajectory[len("table:") :], "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                vol, row, rev = line.replace(",", " ").split()
-                table.append((int(vol), int(row), rev.lower() in ("1", "true")))
+        table = _read_table(args.trajectory[len("table:") :])
     else:
         table = trajectory_table(args.trajectory, echoes.shape[0], turbo_factor=args.turbo_factor)
     matrices = assemble_kspace(echoes, table, n_rows=args.size[1], fov=args.fov)
@@ -138,10 +145,8 @@ def _cmd_recon(args) -> int:
 
 def _cmd_kt_diagram(args) -> int:
     sequence = _load_sequence(args.sequence)
-    parts = [float(v) for v in args.tissue.split(",")]
-    t1, t2 = parts[0], parts[1]
-    m0 = parts[2] if len(parts) > 2 else 1.0
-    runout = simulate_kt(sequence, RelaxationParams(t1=t1, t2=t2, m0=m0))
+    t1, t2, *m0 = parse_number(args.tissue, "--tissue", None, numbers(2, 3))
+    runout = simulate_kt(sequence, RelaxationParams(t1=t1, t2=t2, m0=m0[0] if m0 else 1.0))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(export_kt_diagram(runout.trace))
     print(args.out)

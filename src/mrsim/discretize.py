@@ -33,7 +33,6 @@ class SpacingReport:
     safety: float
     margin_k: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     predicted_spins: Optional[int] = None
-    pruned_orders: List[tuple] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
     def text(self) -> str:

@@ -71,7 +71,7 @@ from .bloch import (
 )
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import InvalidParameter, WorkerPanic
-from .phantom import Phantom, SpinList, rasterize
+from .phantom import DEFAULT_SPIN_CAP, Phantom, SpinList, rasterize
 from .sequence import Sequence, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
 
@@ -437,7 +437,7 @@ class Experiment:
     # per worker; any count gives the kernel the same memory bound
     blocks: Optional[int] = None
     snapshot_times: Tuple[float, ...] = ()
-    spin_cap: int = 2_000_000
+    spin_cap: int = DEFAULT_SPIN_CAP
 
 
 def _worst_tissue(phantom: Phantom) -> RelaxationParams:
@@ -601,12 +601,10 @@ def run(exp: Experiment) -> RunResult:
         echo_sum = echoes if echo_sum is None else echo_sum + echoes
     # snapshots concatenate in block-index order regardless of the fold
     # order, preserving rasterization order
-    snap_sums: List[Optional[np.ndarray]] = [None] * len(exp.snapshot_times)
-    for _echoes, snaps in ordered:
-        for i, snap in enumerate(snaps):
-            if snap is None:
-                continue
-            snap_sums[i] = snap if snap_sums[i] is None else np.vstack([snap_sums[i], snap])
+    snap_sums: List[Optional[np.ndarray]] = []
+    for i in range(len(exp.snapshot_times)):
+        parts = [snaps[i] for _echoes, snaps in ordered if snaps[i] is not None]
+        snap_sums.append(np.concatenate(parts) if parts else None)
     records = []
     if echo_sum is not None and tables.n_acq:
         echo_sum = echo_sum / n_spins

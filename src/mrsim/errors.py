@@ -26,15 +26,6 @@ class ParseError(MrSimError):
         super().__init__(message)
 
 
-def parse_number(value: str, key: str, line, kind=float):
-    """``kind(value)`` for a description-file value; a malformed value
-    raises ParseError naming the key and the line."""
-    try:
-        return kind(value)
-    except ValueError:
-        raise ParseError(f"malformed value for {key}: {value!r}", line) from None
-
-
 class UnitError(ParseError):
     """A description-file key is missing its unit suffix."""
 

@@ -6,7 +6,8 @@ they may be constants, affine functions of position, or arbitrary
 callables (x, y, z) -> float.  Overlapping boxes emit independent spin
 populations, which is how multi-exponential relaxation is modeled: two
 boxes covering the same region contribute two spins per site with their
-own T2 each.
+own T2 each.  The ``[box]`` and ``[shepp_logan]`` blocks of an object
+description file, read by :mod:`mrsim.grammar`, become boxes here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Callable, List, Union
 import numpy as np
 
 from .bloch import Magnetization, RelaxationParams
-from .errors import InvalidParameter, ParseError, SpinBudgetExceeded, parse_number
+from .errors import InvalidParameter, ParseError, SpinBudgetExceeded
+from .grammar import numbers, read_blocks
 
 PropertyFn = Union[float, Callable[[float, float, float], float]]
 
@@ -311,105 +313,66 @@ _AFFINE_RE = re.compile(
 )
 
 
-def _parse_property(value: str, key: str, line: int) -> PropertyFn:
-    value = value.strip()
-    if value.startswith("affine:"):
-        expr = value[len("affine:") :]
-        m = _AFFINE_RE.match(expr)
-        if not m:
-            raise ParseError(f"malformed affine expression for {key}: {expr!r}", line)
+def _property(value: str) -> PropertyFn:
+    """A constant, or ``affine: c + gx*x + gy*y + gz*z``."""
+    if not value.startswith("affine:"):
+        return float(value)
+    m = _AFFINE_RE.match(value[len("affine:") :])
+    if not m:
+        raise ValueError(value)
 
-        def coeff(sign, digits):
-            if sign is None:
-                return 0.0
-            return float(sign + (digits or "1"))
+    def coeff(sign, digits):
+        if sign is None:
+            return 0.0
+        return float(sign + (digits or "1"))
 
-        try:
-            return Affine(
-                c=float(m.group("c")),
-                gx=coeff(m.group("sx"), m.group("gx")),
-                gy=coeff(m.group("sy"), m.group("gy")),
-                gz=coeff(m.group("sz"), m.group("gz")),
-            )
-        except ValueError:
-            raise ParseError(f"malformed affine coefficients for {key}: {expr!r}", line) from None
-    return parse_number(value, key, line)
+    return Affine(
+        c=float(m.group("c")),
+        gx=coeff(m.group("sx"), m.group("gx")),
+        gy=coeff(m.group("sy"), m.group("gy")),
+        gz=coeff(m.group("sz"), m.group("gz")),
+    )
 
 
-def _parse_vec3(value: str, key: str, line: int) -> tuple:
-    parts = value.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ParseError(f"{key} needs three components, got {value!r}", line)
-    return tuple(parse_number(p, key, line) for p in parts)
+def _box_field(name: str, read):
+    """Reader of one [box] key: ``read``, then the PhantomBox check of
+    field ``name``."""
+
+    def reader(value: str):
+        out = read(value)
+        _check_box_field(name, out)
+        return out
+
+    return reader
 
 
-# [box] keys and the PhantomBox fields they set
+# [box] keys, the PhantomBox fields they set and their readers
 _BOX_KEYS = {
-    "origin_m": "origin",
-    "size_m": "size",
-    "m0": "m0",
-    "t1_s": "t1",
-    "t2_s": "t2",
-    "delta_omega_rad_s": "delta_omega",
+    "origin_m": ("origin", numbers(3)),
+    "size_m": ("size", numbers(3)),
+    "m0": ("m0", _property),
+    "t1_s": ("t1", _property),
+    "t2_s": ("t2", _property),
+    "delta_omega_rad_s": ("delta_omega", _property),
+}
+_GRAMMAR = {
+    "box": {key: _box_field(name, read) for key, (name, read) in _BOX_KEYS.items()},
+    "shepp_logan": {"scale_m": float},
 }
 
 
 def parse_object_file(text: str) -> Phantom:
     """Parse the object description grammar into a Phantom."""
     boxes: list = []
-    block = None
-    kind = ""
-    block_line = 0
-
-    def flush():
-        nonlocal block
-        if block is None:
-            return
+    for kind, line, block in read_blocks(text, _GRAMMAR):
+        required = ("origin_m", "size_m") if kind == "box" else ("scale_m",)
+        for key in required:
+            if key not in block:
+                raise ParseError(f"[{kind}] is missing {key}", line)
         if kind == "box":
-            for required in ("origin_m", "size_m"):
-                if required not in block:
-                    raise ParseError(f"[box] is missing {required}", block_line)
-            boxes.append(PhantomBox(**{_BOX_KEYS[key]: value for key, value in block.items()}))
+            boxes.append(PhantomBox(**{_BOX_KEYS[k][0]: value for k, (value, _) in block.items()}))
         else:
-            if "scale_m" not in block:
-                raise ParseError("[shepp_logan] is missing scale_m", block_line)
-            boxes.extend(shepp_logan(block["scale_m"]).boxes)
-        block = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError(f"malformed block header {line!r}", lineno)
-            flush()
-            kind = line[1:-1].strip()
-            if kind not in ("box", "shepp_logan"):
-                raise ParseError(f"unknown block [{kind}]", lineno)
-            block, block_line = {}, lineno
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key = value, got {line!r}", lineno)
-        if block is None:
-            raise ParseError("key outside of any block", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if kind == "box":
-            if key not in _BOX_KEYS:
-                raise ParseError(f"unknown key {key!r} in [box]", lineno)
-            if key in ("origin_m", "size_m"):
-                block[key] = _parse_vec3(value, key, lineno)
-            else:
-                block[key] = _parse_property(value, key, lineno)
-            try:
-                _check_box_field(_BOX_KEYS[key], block[key])
-            except InvalidParameter as exc:
-                raise ParseError(str(exc), lineno) from None
-        else:
-            if key != "scale_m":
-                raise ParseError(f"unknown key {key!r} in [shepp_logan]", lineno)
-            block[key] = parse_number(value, key, lineno)
-    flush()
+            boxes.extend(shepp_logan(block["scale_m"][0]).boxes)
     if not boxes:
         raise ParseError("no boxes in object file", 1)
     return Phantom(boxes)

@@ -4,8 +4,9 @@ An elementary sequence is the universal building block: an (optional)
 hard RF pulse acting at its start, a gradient waveform whose functional
 form is fixed over the interval, a duration, and an optional acquisition
 window.  Builders for the standard experiments (spin echo, turbo spin
-echo, gradient EPI, CPMG) and a line-oriented description-file grammar
-live here too.
+echo, gradient EPI, CPMG) live here too, and so does the step from the
+blocks of a sequence description file (read by :mod:`mrsim.grammar`)
+to elementary sequences.
 
 Readout dimensioning follows the rectangular-gradient relation
 
@@ -19,14 +20,14 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .bloch import GAMMA_PROTON, HardPulse, hard_pulse_decomposition
-from .errors import InvalidParameter, ParseError, TimingInfeasible, UnitError, parse_number
+from .errors import InvalidParameter, ParseError, TimingInfeasible, UnitError
+from .grammar import boolean, read_blocks
 
 __all__ = [
     "GradientWaveform",
@@ -226,10 +227,6 @@ class Sequence:
         for i, es in enumerate(self.elements):
             if es.acquisition.enabled:
                 yield i, es
-
-    @property
-    def n_acquisitions(self) -> int:
-        return sum(1 for _ in self.acquisitions())
 
     def trajectory_table(self) -> list:
         """(volume, row, reversed) per acquisition, in acquisition order."""
@@ -609,29 +606,23 @@ def split_elementary(seq: Sequence, index: int, t_split: float) -> Sequence:
 # description files
 # ---------------------------------------------------------------------------
 
-_ES_KEYS = {
-    "duration_s",
-    "rf_flip_deg",
-    "rf_phase_deg",
-    "grad_x_mT_per_m",
-    "grad_y_mT_per_m",
-    "grad_z_mT_per_m",
-    "grad_shape",
-    "ramp_s",
-    "flat_s",
-    "acquire",
-    "kspace_row",
-    "kspace_volume",
-    "kspace_reversed",
-}
-_SHAPED_KEYS = {
-    "samples",
-    "sample_dt_s",
-    "grad_x_mT_per_m",
-    "grad_y_mT_per_m",
-    "grad_z_mT_per_m",
-}
-_SEQ_KEYS = {"name", "repetitions"}
+_GRAD_KEYS = ("grad_x_mT_per_m", "grad_y_mT_per_m", "grad_z_mT_per_m")
+
+
+def _repetitions(value: str) -> int:
+    reps = int(value)
+    if reps != 1:
+        # nothing repeats a sequence, so a count other than 1 would be ignored
+        raise InvalidParameter(f"must be 1, got {reps}")
+    return reps
+
+
+def _grad_shape(value: str) -> str:
+    if value not in ("constant", "trapezoid"):
+        raise InvalidParameter(f"unknown shape {value!r}")
+    return value
+
+
 # bare stems that are missing their unit suffix
 _UNITLESS = {
     "duration": "duration_s",
@@ -646,68 +637,77 @@ _UNITLESS = {
 }
 
 
-def _block_to_es(block: dict, lines: dict, blockline: int) -> ElementarySequence:
-    duration = parse_number(block.get("duration_s", "0"), "duration_s", lines.get("duration_s", blockline))
-    flip = parse_number(block.get("rf_flip_deg", "0"), "rf_flip_deg", lines.get("rf_flip_deg", blockline))
-    phase = parse_number(block.get("rf_phase_deg", "0"), "rf_phase_deg", lines.get("rf_phase_deg", blockline))
+def _missing_unit(stem: str, full: str):
+    def read(value: str):
+        raise UnitError(f"key {stem!r} is missing its unit suffix (use {full!r})")
+
+    return read
+
+
+_UNITLESS_KEYS = {stem: _missing_unit(stem, full) for stem, full in _UNITLESS.items()}
+_GRAMMAR = {
+    "sequence": {"name": str, "repetitions": _repetitions},
+    "elementary": {
+        **dict.fromkeys(("duration_s", "rf_flip_deg", "rf_phase_deg", *_GRAD_KEYS), float),
+        "grad_shape": _grad_shape,
+        **dict.fromkeys(("ramp_s", "flat_s"), float),
+        **dict.fromkeys(("acquire", "kspace_row", "kspace_volume"), int),
+        "kspace_reversed": boolean,
+        **_UNITLESS_KEYS,
+    },
+    "rf_shaped": {
+        "samples": str,
+        **dict.fromkeys(("sample_dt_s", *_GRAD_KEYS), float),
+        **_UNITLESS_KEYS,
+    },
+}
+
+
+def _block_to_es(block: dict, blockline: int) -> ElementarySequence:
+    get = {key: value for key, (value, _) in block.items()}.get
+    shape = get("grad_shape", "constant")
+    for key, (_, line) in block.items():
+        # parameters that only one shape or an acquisition would read
+        if key in ("ramp_s", "flat_s") and shape != "trapezoid":
+            raise ParseError(f"{key} needs grad_shape = trapezoid", line)
+        if key.startswith("kspace_") and "acquire" not in block:
+            raise ParseError(f"{key} needs acquire", line)
+    flip, phase = get("rf_flip_deg", 0.0), get("rf_phase_deg", 0.0)
     pulse = HardPulse(math.radians(flip), math.radians(phase)) if flip != 0.0 else None
-    amps = [
-        1e-3 * parse_number(block.get(k, "0"), k, lines.get(k, blockline))
-        for k in ("grad_x_mT_per_m", "grad_y_mT_per_m", "grad_z_mT_per_m")
-    ]
-    shape = block.get("grad_shape", "constant")
-    if shape == "constant":
-        grad = GradientWaveform.constant(*amps)
-    elif shape == "trapezoid":
-        grad = GradientWaveform.trapezoid(
-            *amps,
-            ramp_s=parse_number(block.get("ramp_s", "0"), "ramp_s", lines.get("ramp_s", blockline)),
-            flat_s=parse_number(block.get("flat_s", "0"), "flat_s", lines.get("flat_s", blockline)),
-        )
+    amps = [1e-3 * get(k, 0.0) for k in _GRAD_KEYS]
+    if shape == "trapezoid":
+        grad = GradientWaveform.trapezoid(*amps, get("ramp_s", 0.0), get("flat_s", 0.0))
     else:
-        raise ParseError(f"unknown grad_shape {shape!r}", lines.get("grad_shape", blockline))
-    acq = NO_ACQ
-    if "acquire" in block:
-        acq = AcquisitionSpec(True, parse_number(block["acquire"], "acquire", lines["acquire"], int))
-    row = None
-    if "kspace_row" in block:
-        row = parse_number(block["kspace_row"], "kspace_row", lines["kspace_row"], int)
-    volume = parse_number(
-        block.get("kspace_volume", "0"), "kspace_volume", lines.get("kspace_volume", blockline), int
-    )
+        grad = GradientWaveform.constant(*amps)
     try:
         return ElementarySequence(
             pulse=pulse,
             gradient=grad,
-            duration=duration,
-            acquisition=acq,
-            kspace_row=row,
-            kspace_volume=volume,
-            kspace_reversed=block.get("kspace_reversed", "false").lower() == "true",
+            duration=get("duration_s", 0.0),
+            acquisition=AcquisitionSpec(True, get("acquire")) if "acquire" in block else NO_ACQ,
+            kspace_row=get("kspace_row"),
+            kspace_volume=get("kspace_volume", 0),
+            kspace_reversed=get("kspace_reversed", False),
         )
     except InvalidParameter as exc:
         raise ParseError(str(exc), blockline) from None
 
 
-def _expand_shaped(block: dict, lines: dict, blockline: int, base_dir: str, gamma: float) -> list:
+def _expand_shaped(block: dict, blockline: int, base_dir: str, gamma: float) -> list:
     if "samples" not in block or "sample_dt_s" not in block:
         raise ParseError("[rf_shaped] needs samples=<file> and sample_dt_s", blockline)
-    path = block["samples"]
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
+    get = {key: value for key, (value, _) in block.items()}.get
+    name, line = block["samples"]
+    path = os.path.join(base_dir, name)  # an absolute file stays as it is
     try:
         data = np.loadtxt(path, ndmin=2)
     except OSError as exc:
-        raise ParseError(f"cannot read envelope file {path}: {exc}", lines["samples"]) from None
+        raise ParseError(f"cannot read envelope file {path}: {exc}", line) from None
     if data.shape[1] != 2:
-        raise ParseError(f"envelope file {path} must have two columns", lines["samples"])
+        raise ParseError(f"envelope file {path} must have two columns", line)
     b1 = (data[:, 0] + 1j * data[:, 1]) * 1e-6  # uT -> T
-    dt = parse_number(block["sample_dt_s"], "sample_dt_s", lines["sample_dt_s"])
-    amps = [
-        1e-3 * parse_number(block.get(k, "0"), k, lines.get(k, blockline))
-        for k in ("grad_x_mT_per_m", "grad_y_mT_per_m", "grad_z_mT_per_m")
-    ]
-    grad = GradientWaveform.constant(*amps)
+    dt = get("sample_dt_s")
+    grad = GradientWaveform.constant(*(1e-3 * get(k, 0.0) for k in _GRAD_KEYS))
     return [
         ElementarySequence(pulse=pulse, gradient=grad, duration=dt)
         for pulse in hard_pulse_decomposition(b1, dt, gamma)
@@ -717,69 +717,24 @@ def _expand_shaped(block: dict, lines: dict, blockline: int, base_dir: str, gamm
 def parse_sequence_file(text: str, base_dir: str = ".", gamma: float = GAMMA_PROTON) -> Sequence:
     """Parse the sequence description grammar into a Sequence.
 
-    Blocks: ``[sequence]`` (name, repetitions, which must be 1),
-    ``[elementary]`` and ``[rf_shaped]`` (expanded into one elementary
-    sequence per envelope sample by
-    :func:`mrsim.bloch.hard_pulse_decomposition`).  ``#`` starts a
-    comment; keys carry their units in their names.
+    Blocks: ``[sequence]`` (name, repetitions, which must be 1; each at
+    most once per file), ``[elementary]`` and ``[rf_shaped]`` (expanded
+    into one elementary sequence per envelope sample by
+    :func:`mrsim.bloch.hard_pulse_decomposition`).  Keys carry their
+    units in their names; the line format is :mod:`mrsim.grammar`'s.
     """
     elements: list = []
     name = "sequence"
-    reps, reps_line = 1, 0
-    block: Optional[dict] = None
-    block_kind = ""
-    block_line = 0
-    key_lines: dict = {}
-
-    def flush():
-        nonlocal block
-        if block is None:
-            return
-        if block_kind == "elementary":
-            elements.append(_block_to_es(block, key_lines, block_line))
-        elif block_kind == "rf_shaped":
-            elements.extend(_expand_shaped(block, key_lines, block_line, base_dir, gamma))
-        block = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError(f"malformed block header {line!r}", lineno)
-            flush()
-            kind = line[1:-1].strip()
-            if kind not in ("sequence", "elementary", "rf_shaped"):
-                raise ParseError(f"unknown block [{kind}]", lineno)
-            block, block_kind, block_line, key_lines = {}, kind, lineno, {}
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key = value, got {line!r}", lineno)
-        if block is None:
-            raise ParseError("key outside of any block", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in _UNITLESS:
-            raise UnitError(f"key {key!r} is missing its unit suffix (use {_UNITLESS[key]!r})", lineno)
-        allowed = {"sequence": _SEQ_KEYS, "elementary": _ES_KEYS, "rf_shaped": _SHAPED_KEYS}[block_kind]
-        if key not in allowed:
-            raise ParseError(f"unknown key {key!r} in [{block_kind}]", lineno)
-        if block_kind == "sequence":
-            if key == "name":
-                name = value
-            else:
-                reps, reps_line = parse_number(value, key, lineno, int), lineno
-            block = {}
-            continue
-        block[key] = value
-        key_lines[key] = lineno
-    flush()
+    for kind, line, block in read_blocks(text, _GRAMMAR, file_wide=("sequence",)):
+        if kind == "sequence":
+            name = block.get("name", (name,))[0]
+        elif kind == "elementary":
+            elements.append(_block_to_es(block, line))
+        else:
+            elements.extend(_expand_shaped(block, line, base_dir, gamma))
     if not elements:
         raise ParseError("no elementary sequences in file", 1)
-    try:
-        return Sequence(elements, name=name, repetitions=reps)
-    except InvalidParameter as exc:
-        raise ParseError(str(exc), reps_line) from None
+    return Sequence(elements, name=name)
 
 
 def _fmt(value: float) -> str:

@@ -3,13 +3,16 @@
 Off-resonance sign convention (shared with :mod:`mrsim.bloch`): positive
 delta-omega means faster clockwise precession in the rotating frame.
 Susceptibility field maps are input data (sampled grids produced by
-other tools), never computed here.
+other tools), never computed here.  The ``[static_field]`` and
+``[receive]`` blocks of a system description file, read by
+:mod:`mrsim.grammar`, become these models here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +21,8 @@ from numpy.polynomial import legendre as npleg
 from scipy.special import ellipe, ellipk, hyp2f1
 
 from .bloch import GAMMA_PROTON, FrameContext
-from .errors import InvalidParameter, OutOfGrid, ParseError, parse_number
+from .errors import InvalidParameter, OutOfGrid, ParseError
+from .grammar import model_reader, numbers, read_blocks
 
 MU_0 = 4.0e-7 * math.pi
 
@@ -285,85 +289,38 @@ def load_vector_grid(path: str) -> VectorGrid:
     return VectorGrid(components=tuple(comps))
 
 
-def _parse_kv_tail(parts, line):
-    out = {}
-    for part in parts:
-        if "=" not in part:
-            raise ParseError(f"expected key=value, got {part!r}", line)
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
 def parse_system_file(text: str, base_dir: str = ".") -> SystemModel:
     """Parse the system description grammar into a SystemModel."""
-    import os
 
-    b0 = None
-    inhom = None
-    receive = UniformSensitivity()
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if line == "[static_field]":
-                section = "static_field"
-            elif line == "[receive]":
-                section = "receive"
-            else:
-                raise ParseError(f"unknown block {line!r}", lineno)
-            continue
-        if "=" not in line or section is None:
-            raise ParseError(f"expected key = value inside a block, got {line!r}", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if section == "static_field" and key == "b0_T":
-            b0 = parse_number(value, key, lineno)
-            continue
-        if (section, key) not in (("static_field", "inhomogeneity"), ("receive", "model")):
-            raise ParseError(f"unknown key {key!r} in [{section}]", lineno)
-        parts = value.split()
-        if not parts:
-            raise ParseError(f"{key} needs a model", lineno)
-        model = parts[0]
-        kv = _parse_kv_tail(parts[1:], lineno)
+    def grid_path(params):
+        return os.path.join(base_dir, params["file"])  # an absolute file stays as it is
 
-        def number(name):
-            return parse_number(kv[name], name, lineno)
-
-        def vector(name):
-            return tuple(parse_number(v, name, lineno) for v in kv[name].split(","))
-
-        def grid_path():
-            if "file" not in kv:
-                raise ParseError(f"grid {key} needs file=<path>", lineno)
-            return os.path.join(base_dir, kv["file"])  # an absolute file stays as it is
-
-        try:
-            if section == "static_field":
-                if model == "none":
-                    inhom = None
-                elif model == "legendre12":
-                    inhom = Legendre12Inhomogeneity(c=number("C_uT") * 1e-6, r=number("R_m"))
-                elif model == "grid":
-                    inhom = load_scalar_grid(grid_path())
-                else:
-                    raise ParseError(f"unknown inhomogeneity model {model!r}", lineno)
-            elif model == "uniform":
-                receive = UniformSensitivity(s=number("S") if "S" in kv else 1.0)
-            elif model == "loop":
-                receive = CircularLoop(
-                    center=vector("center_m"), normal=vector("normal"), diameter=number("diameter_m")
-                )
-            elif model == "grid":
-                receive = load_vector_grid(grid_path())
-            else:
-                raise ParseError(f"unknown receive model {model!r}", lineno)
-        except KeyError as exc:
-            raise ParseError(f"{model} model needs {exc}", lineno) from None
-        except InvalidParameter as exc:
-            raise ParseError(str(exc), lineno) from None
-    if b0 is None:
+    inhomogeneity = {
+        "none": ({}, lambda p: None),
+        "legendre12": (
+            {"C_uT": float, "R_m": float},
+            lambda p: Legendre12Inhomogeneity(c=p["C_uT"] * 1e-6, r=p["R_m"]),
+        ),
+        "grid": ({"file": str}, lambda p: load_scalar_grid(grid_path(p))),
+    }
+    receive = {
+        "uniform": ({"S": float}, lambda p: UniformSensitivity(s=p.get("S", 1.0))),
+        "loop": (
+            {"center_m": numbers(), "normal": numbers(), "diameter_m": float},
+            lambda p: CircularLoop(p["center_m"], p["normal"], p["diameter_m"]),
+        ),
+        "grid": ({"file": str}, lambda p: load_vector_grid(grid_path(p))),
+    }
+    grammar = {
+        "static_field": {"b0_T": float, "inhomogeneity": model_reader(inhomogeneity)},
+        "receive": {"model": model_reader(receive)},
+    }
+    params: dict = {}
+    for _kind, _line, block in read_blocks(text, grammar, file_wide=("static_field", "receive")):
+        params.update((key, value) for key, (value, _) in block.items())
+    if "b0_T" not in params:
         raise ParseError("system file is missing b0_T", 1)
-    return SystemModel(field=StaticField(b0=b0, inhomogeneity=inhom), receive=receive)
+    return SystemModel(
+        field=StaticField(b0=params["b0_T"], inhomogeneity=params.get("inhomogeneity")),
+        receive=params.get("model", UniformSensitivity()),
+    )

@@ -193,9 +193,40 @@ def test_fit_t2_cli(workdir, capsys):
     assert t2 == pytest.approx(0.12, rel=1e-6)
 
 
-def test_cli_reports_errors_cleanly(workdir, capsys):
-    code = main(
-        ["fit-t2", "--series", str(workdir / "object.txt")]
-    )
+ROWS = [f"0 {row} false" for row in range(8)]
+TABLES = {
+    "table_two_columns.txt": "\n".join(ROWS[:3] + ["0 3"] + ROWS[4:]),
+    "table_rev_yes.txt": "\n".join(ROWS[:3] + ["0 3 yes"] + ROWS[4:]),
+}
+SIMULATE = ["simulate", "--sequence", "{w}/seq.txt", "--object", "{w}/object.txt"]
+KT_DIAGRAM = ["kt-diagram", "--sequence", "{w}/seq.txt", "--out", "{w}/bad.csv"]
+RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit-t2", "--series", "{w}/object.txt"],
+        [*KT_DIAGRAM, "--tissue", "1.0"],
+        [*KT_DIAGRAM, "--tissue", "1,0.1,1,7"],
+        [*SIMULATE, "--spacing-override", "a,b,c", "--out", "{w}/bad"],
+        [*SIMULATE, "--snapshot", "x", "--out", "{w}/bad"],
+        [*RECON, "--trajectory", "table:{w}/table_two_columns.txt", "--out", "{w}/bad.pgm"],
+        [*RECON, "--trajectory", "table:{w}/table_rev_yes.txt", "--out", "{w}/bad.pgm"],
+    ],
+    ids=[
+        "series_not_two_columns",
+        "tissue_one_value",
+        "tissue_four_values",
+        "spacing_override_not_numbers",
+        "snapshot_not_a_number",
+        "table_two_columns",
+        "table_rev_yes",
+    ],
+)
+def test_cli_reports_errors_cleanly(argv, workdir, simulated, capsys):
+    for name, text in TABLES.items():
+        (workdir / name).write_text(text + "\n")
+    code = main([arg.format(w=workdir, run=simulated) for arg in argv])
     assert code == 2
     assert "error:" in capsys.readouterr().err

@@ -298,6 +298,50 @@ def test_parse_rejects_repetitions_other_than_one():
         Sequence([ElementarySequence(duration=0.01)], repetitions=10)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # the first count is checked before a repeat could override it
+        ("[sequence]\nrepetitions = 2\nrepetitions = 1\n[elementary]\nduration_s = 0.01\n", 2),
+        ("[sequence]\nname = a\n[elementary]\nduration_s = 0.01\n[sequence]\nname = b\n", 6),
+        (
+            "[sequence]\nrepetitions = 1\n[elementary]\nduration_s = 0.01\n"
+            "[sequence]\nrepetitions = 1\n",
+            6,
+        ),
+    ],
+    ids=["repeated_repetitions", "name_in_two_blocks", "repetitions_in_two_blocks"],
+)
+def test_parse_rejects_sequence_parameter_set_twice(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_sequence_file(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("key", ["ramp_s = 0.001", "flat_s = 0.004"])
+def test_parse_rejects_trapezoid_timing_without_trapezoid(key):
+    text = f"[elementary]\nduration_s = 0.006\n{key}\ngrad_x_mT_per_m = 1\n"
+    with pytest.raises(ParseError, match="trapezoid") as err:
+        parse_sequence_file(text)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("key", ["kspace_row = 3", "kspace_volume = 1", "kspace_reversed = true"])
+def test_parse_rejects_kspace_placement_without_acquire(key):
+    text = f"[elementary]\nduration_s = 0.01\ngrad_x_mT_per_m = 1\n{key}\n"
+    with pytest.raises(ParseError, match="acquire") as err:
+        parse_sequence_file(text)
+    assert err.value.line == 4
+
+
+def test_parse_rejects_kspace_reversed_other_than_true_or_false():
+    text = "[elementary]\nduration_s = 0.01\nacquire = 4\nkspace_row = 0\nkspace_reversed = {}\n"
+    with pytest.raises(ParseError, match="kspace_reversed") as err:
+        parse_sequence_file(text.format("yes"))
+    assert err.value.line == 5
+    assert parse_sequence_file(text.format("True")).elements[0].kspace_reversed
+
+
 def test_parse_malformed_ramp_names_line():
     text = "[elementary]\nduration_s = 0.006\ngrad_shape = trapezoid\nramp_s = x\nflat_s = 0.004\n"
     with pytest.raises(ParseError) as err:

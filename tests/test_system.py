@@ -319,3 +319,30 @@ def test_parse_system_loop_needs_3_vectors(loop):
     with pytest.raises(ParseError, match="3-vectors") as err:
         parse_system_file(text)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[static_field]\nb0_T = 1.5\n[receive]\nmodel = uniform\n[static_field]\nb0_T = 3\n", 6),
+        (
+            "[static_field]\nb0_T = 1.5\n[receive]\nmodel = uniform S=2\n"
+            "[receive]\nmodel = uniform\n",
+            6,
+        ),
+        ("[static_field]\nb0_T = 1.5\ninhomogeneity = legendre12 C_uT=1 R_m=0.2 C_uT=2\n", 3),
+        ("[static_field]\nb0_T = 1.5\ninhomogeneity = legendre12 C_uT=1 R_m=0.2 r=1\n", 3),
+        ("[static_field]\nb0_T = 1.5\ninhomogeneity = none C_uT=1\n", 3),
+    ],
+    ids=[
+        "b0_in_two_blocks",
+        "model_in_two_blocks",
+        "repeated_model_parameter",
+        "unknown_model_parameter",
+        "parameter_of_none",
+    ],
+)
+def test_parse_system_rejects_parameters_it_would_ignore(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_system_file(text)
+    assert err.value.line == line
