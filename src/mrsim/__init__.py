@@ -9,7 +9,6 @@ over spin blocks.
 
 from .bloch import (
     GAMMA_PROTON,
-    FrameContext,
     HardPulse,
     Magnetization,
     RelaxationParams,

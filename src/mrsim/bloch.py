@@ -7,8 +7,15 @@ transverse state ``mxy = mx + 1j*my`` and Mz of many spins
 (:func:`apply_rotation`, :func:`precession_factor`, :func:`regrow_mz`);
 the spin-block kernel of :mod:`mrsim.engine` runs on them, and the
 single-spin operators on :class:`Magnetization` are the same operators
-applied to one spin.  Everything lives in the frame rotating at the RF
-carrier about +z; the carrier itself is never synthesized.
+applied to one spin.
+
+mrsim simulates protons: every gradient moment, pulse flip and
+field deviation uses the one gyromagnetic ratio :data:`GAMMA_PROTON`.
+Everything lives in the frame rotating about +z at gamma * B0, the
+nominal Larmor frequency, so the carrier itself is never synthesized
+and a spin precesses only at the off-resonance of
+:func:`mrsim.system.spin_off_resonance`: gamma times the static-field
+deviation plus the object's own ``delta_omega``.
 
 Sign conventions (fixed here, inherited by every other module):
 
@@ -109,19 +116,6 @@ class HardPulse:
         return self.alpha == 0.0
 
 
-@dataclass(frozen=True)
-class FrameContext:
-    """Rotating-frame carrier and gyromagnetic ratio."""
-
-    omega_hf: float
-    gamma: float = GAMMA_PROTON
-
-    @staticmethod
-    def on_resonance(b0: float, gamma: float = GAMMA_PROTON) -> "FrameContext":
-        """Frame locked to the nominal Larmor frequency of field b0."""
-        return FrameContext(omega_hf=gamma * b0, gamma=gamma)
-
-
 def hard_pulse_matrix(alpha: float, phi: float) -> np.ndarray:
     """3x3 rotation matrix of a hard pulse (norm preserving).
 
@@ -213,14 +207,14 @@ def apply_precess_relax(
     return apply_gradient_interval(m, r, domega * dt, dt)
 
 
-def hard_pulse_decomposition(envelope, per_sample_dt: float, gamma: float) -> list:
+def hard_pulse_decomposition(envelope, per_sample_dt: float) -> list:
     """One hard pulse per sample of a complex envelope (tesla).
 
     Sample i becomes ``HardPulse(gamma*|B1_i|*dt, arg(B1_i))``, or None
     where B1_i is zero.
     """
     return [
-        HardPulse(float(gamma * abs(b1) * per_sample_dt), cmath.phase(b1)) if b1 else None
+        HardPulse(float(GAMMA_PROTON * abs(b1) * per_sample_dt), cmath.phase(b1)) if b1 else None
         for b1 in np.asarray(envelope, dtype=complex)
     ]
 
@@ -231,7 +225,6 @@ def apply_shaped_pulse(
     envelope,
     per_sample_dt: float,
     local_bz_moment_per_sample: float,
-    ctx: FrameContext,
     sampling_ok: bool = True,
 ) -> Magnetization:
     """Amplitude/phase-modulated pulse via the hard-pulse decomposition.
@@ -253,7 +246,7 @@ def apply_shaped_pulse(
         )
     if envelope.size and per_sample_dt <= 0.0:
         raise InvalidParameter(f"per_sample_dt must be positive, got {per_sample_dt}")
-    for pulse in hard_pulse_decomposition(envelope, per_sample_dt, ctx.gamma):
+    for pulse in hard_pulse_decomposition(envelope, per_sample_dt):
         if pulse is not None:
             m = apply_hard_pulse(m, pulse)
         m = apply_gradient_interval(m, r, local_bz_moment_per_sample, per_sample_dt)
@@ -265,7 +258,6 @@ def small_tip_response(
     per_sample_dt: float,
     bz: float,
     m0z: float,
-    gamma: float = GAMMA_PROTON,
 ) -> complex:
     """Linearized transverse response to a shaped pulse (test oracle).
 
@@ -286,6 +278,6 @@ def small_tip_response(
         return 0.0 + 0.0j
     t = np.arange(envelope.size) * per_sample_dt
     total = envelope.size * per_sample_dt
-    integrand = envelope * np.exp(1j * gamma * bz * t)
+    integrand = envelope * np.exp(1j * GAMMA_PROTON * bz * t)
     integral = np.trapezoid(integrand, dx=per_sample_dt)
-    return 1j * gamma * m0z * np.exp(-1j * gamma * bz * total) * integral
+    return 1j * GAMMA_PROTON * m0z * np.exp(-1j * GAMMA_PROTON * bz * total) * integral

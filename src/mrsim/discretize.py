@@ -20,7 +20,10 @@ from .errors import InvalidParameter
 from .ktspace import TracePoint, max_k_excursion, simulate_kt
 from .sequence import Sequence
 
-DEFAULT_SAFETY = 0.8
+# recommended spacing as a fraction of the strict bound dx_max
+SAFETY = 0.8
+# points that PruneBound collects before it reduces them
+_PRUNE_BATCH = 2048
 
 
 @dataclass
@@ -29,8 +32,7 @@ class SpacingReport:
 
     k_max: Tuple[float, float, float]
     dx_max: Tuple[float, float, float]  # strict upper bounds, inf where k_max = 0
-    spacing: Tuple[float, float, float]  # recommended (safety factor applied)
-    safety: float
+    spacing: Tuple[float, float, float]  # recommended: SAFETY * dx_max
     margin_k: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     predicted_spins: Optional[int] = None
     notes: List[str] = field(default_factory=list)
@@ -79,8 +81,6 @@ def max_spacing(
     phantom=None,
     object_delta_omega_bound: float = 0.0,
     char_length: Optional[float] = None,
-    safety: float = DEFAULT_SAFETY,
-    gamma: float = GAMMA_PROTON,
 ) -> SpacingReport:
     """Spin-spacing bound dx < pi/K_max per axis, with an off-resonance margin.
 
@@ -115,9 +115,9 @@ def max_spacing(
             f"off-resonance margin {extra:.6g} rad/m over lifetime {lifetime:.6g} s "
             f"applied to axes {sorted(readout_axes)}"
         )
-    k_max = max_k_excursion(sequence, gamma, domega_margin=tuple(margin))
+    k_max = max_k_excursion(sequence, domega_margin=tuple(margin))
     dx_max = tuple(math.pi / k if k > 0.0 else math.inf for k in k_max)
-    spacing = tuple(safety * d if math.isfinite(d) else math.inf for d in dx_max)
+    spacing = tuple(SAFETY * d if math.isfinite(d) else math.inf for d in dx_max)
     predicted = None
     if phantom is not None:
         predicted = 0
@@ -132,7 +132,6 @@ def max_spacing(
         k_max=tuple(k_max),
         dx_max=dx_max,
         spacing=spacing,
-        safety=safety,
         margin_k=tuple(margin),
         predicted_spins=predicted,
         notes=notes,
@@ -146,17 +145,16 @@ class PruneBound:
     configurations of one or more trace points (the ``observe`` hook of
     :func:`mrsim.ktspace.simulate_kt`); ``k_max`` is the reduced per-axis
     bound over every point seen so far.  Points are reduced in batches
-    of about ``batch`` points.  Calls that pass the same k array, as the
+    of about ``_PRUNE_BATCH`` points.  Calls that pass the same k array, as the
     walk does at element boundaries with the same orders, are reduced
     together: the configurations of each k row are ranked by |k| once
     for all the points that share it.  The arrays are only read.
     """
 
-    def __init__(self, grayscale_levels: int = 256, batch: int = 2048):
+    def __init__(self, grayscale_levels: int = 256):
         if grayscale_levels < 1:
             raise InvalidParameter("grayscale_levels must be >= 1")
         self.bound_ratio = 0.5 / grayscale_levels
-        self.batch = batch
         self._reduced = np.zeros(3)
         # id of each pending k array -> (k, the populations seen with it)
         self._pending: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
@@ -170,7 +168,7 @@ class PruneBound:
         else:
             group[1].append(populations)
         self._points += populations.shape[0]
-        if self._points >= self.batch:
+        if self._points >= _PRUNE_BATCH:
             self._flush()
 
     @property
@@ -241,8 +239,6 @@ def pruned_max_spacing(
     sequence: Sequence,
     relax: RelaxationParams,
     grayscale_levels: int = 256,
-    safety: float = DEFAULT_SAFETY,
-    gamma: float = GAMMA_PROTON,
 ) -> SpacingReport:
     """Spacing bound after discarding invisibly weak configurations.
 
@@ -254,15 +250,14 @@ def pruned_max_spacing(
     taken while the tracker runs, so no trace is stored.
     """
     bound = PruneBound(grayscale_levels)
-    simulate_kt(sequence, relax, gamma=gamma, record_trace=False, observe=bound)
+    simulate_kt(sequence, relax, record_trace=False, observe=bound)
     k_max = bound.k_max
     dx_max = tuple(math.pi / k if k > 0.0 else math.inf for k in k_max)
-    spacing = tuple(safety * d if math.isfinite(d) else math.inf for d in dx_max)
+    spacing = tuple(SAFETY * d if math.isfinite(d) else math.inf for d in dx_max)
     return SpacingReport(
         k_max=k_max,
         dx_max=dx_max,
         spacing=spacing,
-        safety=safety,
         notes=[
             f"steady-state pruned bound (1/{grayscale_levels} gray levels, "
             f"t1={relax.t1:.3g} s, t2={relax.t2:.3g} s)"
@@ -287,7 +282,6 @@ def acquisition_params(
     n: Optional[int] = None,
     dt: Optional[float] = None,
     grad: Optional[float] = None,
-    gamma: float = GAMMA_PROTON,
 ) -> AcquisitionParams:
     """Solve the rectangular-readout relation for the missing quantity.
 
@@ -300,11 +294,11 @@ def acquisition_params(
     if len(missing) != 1:
         raise InvalidParameter(f"exactly one of fov/dt/grad must be omitted, missing: {missing}")
     if fov is None:
-        fov = 2.0 * math.pi * (n - 1) / (gamma * grad * dt)
+        fov = 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * grad * dt)
     elif dt is None:
-        dt = 2.0 * math.pi * (n - 1) / (gamma * fov * grad)
+        dt = 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * grad)
     else:
-        grad = 2.0 * math.pi * (n - 1) / (gamma * fov * dt)
+        grad = 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * dt)
     if fov <= 0.0 or dt <= 0.0 or grad <= 0.0:
         raise InvalidParameter("fov, dt and grad must come out positive")
     k_max = math.pi * (n - 1) / fov
@@ -325,7 +319,6 @@ def rf_sampling_check(
     dt_per_sample: float,
     gz: float,
     fov: float,
-    gamma: float = GAMMA_PROTON,
     bandwidth: Optional[float] = None,
 ) -> RfSamplingReport:
     """Temporal sampling condition for a shaped pulse.
@@ -337,7 +330,7 @@ def rf_sampling_check(
     the whole FOV).
     """
     envelope = np.asarray(envelope, dtype=complex)
-    omega_max = gamma * abs(gz) * fov / 2.0
+    omega_max = GAMMA_PROTON * abs(gz) * fov / 2.0
     if bandwidth is None:
         bandwidth = 2.0 * omega_max
     denom = omega_max + bandwidth / 2.0

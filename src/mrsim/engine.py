@@ -62,7 +62,6 @@ import numpy as np
 from scipy.linalg.blas import zdotu as _zdotu
 
 from .bloch import (
-    GAMMA_PROTON,
     RelaxationParams,
     apply_rotation,
     hard_pulse_matrix,
@@ -71,7 +70,7 @@ from .bloch import (
 )
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import InvalidParameter, WorkerPanic
-from .phantom import DEFAULT_SPIN_CAP, Phantom, SpinList, rasterize
+from .phantom import Phantom, SpinList, rasterize
 from .sequence import Sequence, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
 
@@ -120,13 +119,11 @@ class OperatorTables:
     acq_times: List[np.ndarray]
     snapshot_times: Tuple[float, ...]
     pulse_memo_hits: int
-    gamma: float
     group_rows: List[int]  # events, i.e. propagator rows, of each group
 
 
 def precompute_sequence_tables(
     sequence: Sequence,
-    gamma: float = GAMMA_PROTON,
     snapshot_times: TySequence[float] = (),
 ) -> OperatorTables:
     """Build per-elementary-sequence operator tables.
@@ -168,11 +165,11 @@ def precompute_sequence_tables(
             if t0 < t_abs <= t1 or (t_abs == 0.0 == t0)
         ]
         if snaps:
-            events = _event_arrays(es, gamma, snaps)
+            events = _event_arrays(es, snaps)
         elif g in shared:
             events = shared[g]
         else:
-            events = shared[g] = _event_arrays(es, gamma, snaps)
+            events = shared[g] = _event_arrays(es, snaps)
             for arr in events.values():
                 arr.flags.writeable = False
         fields.append(dict(pulse_mat=mat, duration=es.duration, **events))
@@ -193,12 +190,11 @@ def precompute_sequence_tables(
         acq_times=acq_times,
         snapshot_times=snapshot_times,
         pulse_memo_hits=hits,
-        gamma=gamma,
         group_rows=[shared[g]["ev_dt"].size for g in group_of],
     )
 
 
-def _event_arrays(es, gamma: float, snaps: list) -> dict:
+def _event_arrays(es, snaps: list) -> dict:
     """Moments and event arrays of one elementary sequence; ``snaps``
     holds (time from its start, False, snapshot index) per snapshot."""
     sample_ts = es.acquisition.sample_times(es.duration)
@@ -212,9 +208,9 @@ def _event_arrays(es, gamma: float, snaps: list) -> dict:
         ts = np.sort(np.asarray(sample_ts, dtype=float))
         ev_sample = np.ones(ts.size, dtype=bool)
         ev_snap = np.full(ts.size, -1)
-    total = np.asarray(es.gradient.moments(es.duration, gamma), dtype=float)
+    total = np.asarray(es.gradient.moments(es.duration), dtype=float)
     if ts.size:
-        partial = es.gradient.partial_moments(ts, es.duration, gamma)
+        partial = es.gradient.partial_moments(ts, es.duration)
         ev_dt = np.diff(ts, prepend=0.0)
         ev_dmom = np.diff(partial, axis=0, prepend=np.zeros((1, 3)))
         last_t, last_m = ts[-1], partial[-1]
@@ -269,7 +265,7 @@ def build_spin_arrays(spins: SpinList, system: SystemModel) -> SpinBlock:
         t1=spins.t1,
         t2=spins.t2,
         m0=spins.m0,
-        domega=spin_off_resonance(system.field, spins.pos, spins.delta_omega, system.frame()),
+        domega=spin_off_resonance(system.field, spins.pos, spins.delta_omega),
         weight=complex_weight(system.receive, spins.pos),
     )
 
@@ -437,7 +433,6 @@ class Experiment:
     # per worker; any count gives the kernel the same memory bound
     blocks: Optional[int] = None
     snapshot_times: Tuple[float, ...] = ()
-    spin_cap: int = DEFAULT_SPIN_CAP
 
 
 def _worst_tissue(phantom: Phantom) -> RelaxationParams:
@@ -564,13 +559,11 @@ def run(exp: Experiment) -> RunResult:
         if exp.workers == 1:
             report, problems = _check_spacing(exp, spacing)
             _warn_spacing(problems)
-    spins = rasterize(exp.phantom, spacing, cap=exp.spin_cap)
+    spins = rasterize(exp.phantom, spacing)
     if not spins:
         raise InvalidParameter("the phantom rasterized to zero spins")
     arrays = build_spin_arrays(spins, exp.system)
-    tables = precompute_sequence_tables(
-        exp.sequence, gamma=exp.system.gamma, snapshot_times=exp.snapshot_times
-    )
+    tables = precompute_sequence_tables(exp.sequence, snapshot_times=exp.snapshot_times)
     if exp.blocks is not None:
         n_blocks = exp.blocks
     else:

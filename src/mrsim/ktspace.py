@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bloch import GAMMA_PROTON, HardPulse, RelaxationParams
+from .bloch import HardPulse, RelaxationParams
 from .errors import ComplexOrderZero, IncommensurateMoments
 from .sequence import Sequence, distinct_elements
 
@@ -41,6 +41,13 @@ ZERO: Order = (0, 0, 0)
 
 DEFAULT_PRUNE = 1e-12
 _B0_IMAG_BOUND = 1e-10
+# a moment is a rational multiple of the axis reference when it is one
+# within this relative tolerance and with a denominator up to _MAX_DEN
+_UNIT_TOL = 1e-9
+_MAX_DEN = 10**6
+# moments without a common measure: orders quantize k at the smallest
+# moment over this many steps
+_FALLBACK_RESOLUTION = 1024
 # (k, spin) pairs per lattice-spectrum chunk, ~40 MiB of temporaries.  A
 # whole readout at once is no faster and, for 768 k on 20,000 spins,
 # peaks ~470 MiB higher.
@@ -241,16 +248,16 @@ def synthesize_echo(
 # ---------------------------------------------------------------------------
 
 
-def _axis_unit(moments: List[float], tol: float, max_den: int) -> Optional[float]:
+def _axis_unit(moments: List[float]) -> Optional[float]:
     scale = max(abs(m) for m in moments) if moments else 0.0
-    nonzero = [m for m in moments if abs(m) > tol * max(scale, 1.0)]
+    nonzero = [m for m in moments if abs(m) > _UNIT_TOL * max(scale, 1.0)]
     if not nonzero:
         return None
     ref = min(nonzero, key=abs)
     fracs = []
     for m in nonzero:
-        f = Fraction(m / ref).limit_denominator(max_den)
-        if f == 0 or abs(m / ref - float(f)) > tol * max(1.0, abs(m / ref)):
+        f = Fraction(m / ref).limit_denominator(_MAX_DEN)
+        if f == 0 or abs(m / ref - float(f)) > _UNIT_TOL * max(1.0, abs(m / ref)):
             raise IncommensurateMoments(
                 f"moment {m} is not a rational multiple of {ref} within tolerance"
             )
@@ -260,31 +267,26 @@ def _axis_unit(moments: List[float], tol: float, max_den: int) -> Optional[float
     return abs(ref) * num_gcd / den_lcm
 
 
-def _element_moments(elements, gamma: float) -> List[np.ndarray]:
-    return [es.gradient.moments(es.duration, gamma) for es in elements]
+def _element_moments(elements) -> List[np.ndarray]:
+    return [es.gradient.moments(es.duration) for es in elements]
 
 
-def _unit_of(moments: List[np.ndarray], tol: float = 1e-9, max_den: int = 10**6):
+def _unit_of(moments: List[np.ndarray]):
     """Per-axis unit of a list of moments, each axis on its distinct
     values in order of first occurrence: the reference moment and the
     gcd / lcm are those of the full list."""
     return tuple(
-        _axis_unit(list(dict.fromkeys(float(m[ax]) for m in moments)), tol, max_den)
+        _axis_unit(list(dict.fromkeys(float(m[ax]) for m in moments)))
         for ax in range(3)
     )
 
 
-def derive_unit_k(
-    sequence: Sequence,
-    gamma: float = GAMMA_PROTON,
-    tol: float = 1e-9,
-    max_den: int = 10**6,
-) -> Tuple[Optional[float], Optional[float], Optional[float]]:
+def derive_unit_k(sequence: Sequence) -> Tuple[Optional[float], Optional[float], Optional[float]]:
     """Per-axis unit spatial frequency: the greatest common measure of
     all per-elementary-sequence gradient moments.  Axes whose moments
     are all zero have no unit (order stays 0)."""
     reps, _ = distinct_elements(sequence)
-    return _unit_of(_element_moments(reps, gamma), tol, max_den)
+    return _unit_of(_element_moments(reps))
 
 
 def _integer_shift(moments: np.ndarray, unit, tol: float = 1e-6) -> Order:
@@ -303,17 +305,18 @@ def _integer_shift(moments: np.ndarray, unit, tol: float = 1e-6) -> Order:
     return tuple(q)
 
 
-def _fallback_unit(moments: List[np.ndarray], resolution: int = 1024):
+def _fallback_unit(moments: List[np.ndarray]):
     """Continuous-k fallback unit for moments without a common measure:
-    the smallest nonzero per-axis moment divided by ``resolution``, so
-    orders become rounded k positions at that quantization."""
+    the smallest nonzero per-axis moment divided by
+    ``_FALLBACK_RESOLUTION``, so orders become rounded k positions at
+    that quantization."""
     per_axis: List[Optional[float]] = [None, None, None]
     for m in moments:
         for ax in range(3):
             v = abs(float(m[ax]))
             if v > 0.0 and (per_axis[ax] is None or v < per_axis[ax]):
                 per_axis[ax] = v
-    return tuple(None if v is None else v / resolution for v in per_axis)
+    return tuple(None if v is None else v / _FALLBACK_RESOLUTION for v in per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +344,6 @@ def simulate_kt(
     sequence: Sequence,
     relax: RelaxationParams,
     object_spectrum: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    gamma: float = GAMMA_PROTON,
     prune_threshold: float = DEFAULT_PRUNE,
     unit=None,
     record_trace: bool = True,
@@ -377,7 +379,7 @@ def simulate_kt(
     """
     reps, groups = distinct_elements(sequence)
     _log.debug("k-t walk: %d elements, %d distinct", len(groups), len(reps))
-    moments = _element_moments(reps, gamma)
+    moments = _element_moments(reps)
     shift_tol = 1e-6
     if unit is None:
         try:
@@ -385,7 +387,7 @@ def simulate_kt(
         except IncommensurateMoments:
             unit = _fallback_unit(moments)
             shift_tol = math.inf
-    steps = [_WalkStep.of(es, m, relax, unit, shift_tol, gamma) for es, m in zip(reps, moments)]
+    steps = [_WalkStep.of(es, m, relax, unit, shift_tol) for es, m in zip(reps, moments)]
     scale = _k_scale(unit)
     at_boundary = np.zeros((1, 3))
     boundary_k: Dict[tuple, np.ndarray] = {}
@@ -509,7 +511,7 @@ class _WalkStep:
     samples: Optional[_SampleRelaxation] = None
 
     @staticmethod
-    def of(es, moments, relax: RelaxationParams, unit, shift_tol: float, gamma: float):
+    def of(es, moments, relax: RelaxationParams, unit, shift_tol: float):
         step = _WalkStep(
             es.duration,
             es.pulse is not None,
@@ -520,7 +522,7 @@ class _WalkStep:
         rest = es.duration
         if es.acquisition.enabled:
             step.ts = es.acquisition.sample_times(es.duration)
-            step.partial = es.gradient.partial_moments(step.ts, es.duration, gamma)
+            step.partial = es.gradient.partial_moments(step.ts, es.duration)
             step.samples = _SampleRelaxation.of(relax, step.ts)
             rest = es.duration - step.ts[-1]
         if rest != 0.0:
@@ -579,11 +581,11 @@ class QualitativePoint:
     longi: set
 
 
-def qualitative_walk(sequence: Sequence, gamma: float = GAMMA_PROTON, unit=None):
+def qualitative_walk(sequence: Sequence, unit=None):
     """All reachable configuration orders, assuming every RF split occurs
     (flip and phase angles treated as arbitrary)."""
     if unit is None:
-        unit = derive_unit_k(sequence, gamma)
+        unit = derive_unit_k(sequence)
     trans: set = set()
     longi: set = {ZERO}
     points: List[QualitativePoint] = []
@@ -595,7 +597,7 @@ def qualitative_walk(sequence: Sequence, gamma: float = GAMMA_PROTON, unit=None)
             trans = set(mixed)
             longi = set(mixed) | {ZERO}
             points.append(QualitativePoint(now, set(trans), set(longi)))
-        q = _integer_shift(es.gradient.moments(es.duration, gamma), unit)
+        q = _integer_shift(es.gradient.moments(es.duration), unit)
         trans = {(o[0] + q[0], o[1] + q[1], o[2] + q[2]) for o in trans}
         now += es.duration
         points.append(QualitativePoint(now, set(trans), set(longi)))
@@ -604,7 +606,6 @@ def qualitative_walk(sequence: Sequence, gamma: float = GAMMA_PROTON, unit=None)
 
 def max_k_excursion(
     sequence: Sequence,
-    gamma: float = GAMMA_PROTON,
     domega_margin: Tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> Tuple[float, float, float]:
     """Per-axis maximum |k| reached by any configuration at any time.
@@ -646,13 +647,13 @@ def max_k_excursion(
             ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
         else:
             ts = np.array([0.0, es.duration])
-        rows = es.gradient.partial_moments(ts, es.duration, gamma)
+        rows = es.gradient.partial_moments(ts, es.duration)
         return rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
 
     reps, groups = distinct_elements(sequence)
     plan = [
         (es.pulse is not None and es.pulse.alpha != 0.0, [float(v) for v in m], motion(es))
-        for es, m in zip(reps, _element_moments(reps, gamma))
+        for es, m in zip(reps, _element_moments(reps))
     ]
     # the longitudinal interval changes only at a flip, where the
     # transversal one equals it; revisiting an unchanged interval cannot

@@ -27,7 +27,8 @@ from .grammar import numbers, read_blocks
 
 PropertyFn = Union[float, Callable[[float, float, float], float]]
 
-DEFAULT_SPIN_CAP = 2_000_000
+# most lattice sites one rasterization may produce
+SPIN_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,14 @@ def _check_tissue(m0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
         )
 
 
-def rasterize(phantom: Phantom, spacing, cap: int = DEFAULT_SPIN_CAP) -> SpinList:
+def rasterize(phantom: Phantom, spacing) -> SpinList:
     """Sample every box on a centered lattice with the given (dx, dy, dz).
 
     Each spin starts in thermal equilibrium (0, 0, m0) with the box
     properties evaluated at its position; sites where m0 evaluates to
     zero emit no spin.  Ordering is deterministic: box index, then z, y,
-    x lattice order (x fastest).
+    x lattice order (x fastest).  More than ``SPIN_CAP`` lattice sites
+    raise SpinBudgetExceeded before any is allocated.
     """
     spacing = tuple(float(s) for s in spacing)
     if any(s <= 0.0 for s in spacing):
@@ -187,10 +189,10 @@ def rasterize(phantom: Phantom, spacing, cap: int = DEFAULT_SPIN_CAP) -> SpinLis
         for axis in range(3):
             n *= max(1, int(math.floor(box.size[axis] / spacing[axis] + 1e-9)))
         counts.append(n)
-    if sum(counts) > cap:
+    if sum(counts) > SPIN_CAP:
         raise SpinBudgetExceeded(
-            f"{sum(counts)} lattice sites exceed the cap of {cap}; "
-            "refine the spacing or raise the cap"
+            f"{sum(counts)} lattice sites exceed the cap of {SPIN_CAP}; "
+            "coarsen the spacing or shrink the phantom"
         )
     columns: List[List[np.ndarray]] = [[] for _ in range(5)]
     for box in phantom.boxes:

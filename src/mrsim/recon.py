@@ -195,6 +195,11 @@ def forward_dft(img: ImageVolume, k0: Tuple[float, float], dk: Tuple[float, floa
 # ---------------------------------------------------------------------------
 
 
+# convergence tolerance and evaluation budget of the T2 fit
+_FIT_TOL = 1e-10
+_FIT_MAX_NFEV = 300
+
+
 @dataclass(frozen=True)
 class ExponentialFit:
     rho: float
@@ -203,7 +208,7 @@ class ExponentialFit:
     iterations: int
 
 
-def cpmg_fit(times, intensities, max_iter: int = 100, tol: float = 1e-10) -> ExponentialFit:
+def cpmg_fit(times, intensities) -> ExponentialFit:
     """Fit I(t) = rho * exp(-t/T2) to a pixel-intensity series.
 
     Damped least squares seeded by a log-linear regression; raises
@@ -227,8 +232,9 @@ def cpmg_fit(times, intensities, max_iter: int = 100, tol: float = 1e-10) -> Exp
         rho, t2 = params
         return rho * np.exp(-t / t2) - y
 
+    tol = _FIT_TOL
     result = least_squares(
-        residual, seed, method="lm", xtol=tol, ftol=tol, gtol=tol, max_nfev=max_iter * 3
+        residual, seed, method="lm", xtol=tol, ftol=tol, gtol=tol, max_nfev=_FIT_MAX_NFEV
     )
     rho, t2 = result.x
     if not result.success or t2 <= 0.0 or t2 > 1000.0 * span:

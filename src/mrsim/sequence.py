@@ -12,6 +12,9 @@ Readout dimensioning follows the rectangular-gradient relation
 
     G = 2*pi*(N-1) / (gamma * FOV * dt)
 
+with gamma the proton's :data:`mrsim.bloch.GAMMA_PROTON`, like every
+gradient moment here,
+
 so the k-step between adjacent samples (and between phase-encode rows)
 is 2*pi/FOV and the N samples span +-k_max = +-pi*(N-1)/FOV inclusive.
 """
@@ -106,20 +109,20 @@ class GradientWaveform:
     def amplitudes(self) -> np.ndarray:
         return np.array([self.gx, self.gy, self.gz])
 
-    def moments(self, duration: float, gamma: float = GAMMA_PROTON) -> np.ndarray:
+    def moments(self, duration: float) -> np.ndarray:
         """gamma * integral(G dt) per axis over the full interval, rad/m."""
         if self.shape == "constant":
-            return gamma * self.amplitudes() * duration
+            return GAMMA_PROTON * self.amplitudes() * duration
         if self.shape == "trapezoid":
-            return gamma * self.amplitudes() * (self.ramp_s + self.flat_s)
+            return GAMMA_PROTON * self.amplitudes() * (self.ramp_s + self.flat_s)
         arr = np.asarray(self.samples, dtype=float)
-        return gamma * np.trapezoid(arr, dx=self.sample_dt, axis=0)
+        return GAMMA_PROTON * np.trapezoid(arr, dx=self.sample_dt, axis=0)
 
-    def partial_moments(self, ts, duration: float, gamma: float = GAMMA_PROTON) -> np.ndarray:
+    def partial_moments(self, ts, duration: float) -> np.ndarray:
         """Cumulative moments gamma * integral_0^t(G) at times ts, shape (len(ts), 3)."""
         ts = np.asarray(ts, dtype=float)
         if self.shape == "constant":
-            return gamma * np.outer(ts, self.amplitudes())
+            return GAMMA_PROTON * np.outer(ts, self.amplitudes())
         if self.shape == "trapezoid":
             r, f = self.ramp_s, self.flat_s
             up = np.clip(ts, 0.0, r)
@@ -130,7 +133,7 @@ class GradientWaveform:
             unit = unit + flat
             if r > 0.0:
                 unit = unit + down - down**2 / (2.0 * r)
-            return gamma * np.outer(unit, self.amplitudes())
+            return GAMMA_PROTON * np.outer(unit, self.amplitudes())
         arr = np.asarray(self.samples, dtype=float)
         grid = np.arange(arr.shape[0]) * self.sample_dt
         cum = np.concatenate(
@@ -139,7 +142,7 @@ class GradientWaveform:
         out = np.empty((ts.size, 3))
         for ax in range(3):
             out[:, ax] = np.interp(ts, grid, cum[:, ax])
-        return gamma * out
+        return GAMMA_PROTON * out
 
 
 @dataclass(frozen=True)
@@ -208,15 +211,11 @@ class Sequence:
 
     elements: list
     name: str = "sequence"
-    repetitions: int = 1
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.elements:
             raise InvalidParameter("a sequence needs at least one elementary sequence")
-        # nothing repeats a sequence, so a count other than 1 would be ignored
-        if self.repetitions != 1:
-            raise InvalidParameter(f"repetitions must be 1, got {self.repetitions}")
 
     @property
     def duration(self) -> float:
@@ -264,22 +263,22 @@ def distinct_elements(sequence: Sequence) -> Tuple[list, List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def readout_gradient(fov: float, n: int, dt: float, gamma: float = GAMMA_PROTON) -> float:
+def readout_gradient(fov: float, n: int, dt: float) -> float:
     """Rectangular readout gradient (T/m) for n samples over duration dt."""
-    if fov <= 0.0 or dt <= 0.0 or gamma <= 0.0:
-        raise InvalidParameter("fov, dt and gamma must be positive")
+    if fov <= 0.0 or dt <= 0.0:
+        raise InvalidParameter("fov and dt must be positive")
     if n < 2:
         raise InvalidParameter(f"need at least 2 samples, got {n}")
-    return 2.0 * math.pi * (n - 1) / (gamma * fov * dt)
+    return 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * dt)
 
 
-def readout_duration(fov: float, n: int, grad: float, gamma: float = GAMMA_PROTON) -> float:
+def readout_duration(fov: float, n: int, grad: float) -> float:
     """Acquisition duration (s) matching a given readout gradient."""
-    if fov <= 0.0 or grad <= 0.0 or gamma <= 0.0:
-        raise InvalidParameter("fov, grad and gamma must be positive")
+    if fov <= 0.0 or grad <= 0.0:
+        raise InvalidParameter("fov and grad must be positive")
     if n < 2:
         raise InvalidParameter(f"need at least 2 samples, got {n}")
-    return 2.0 * math.pi * (n - 1) / (gamma * fov * grad)
+    return 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * grad)
 
 
 def _k_step(fov: float) -> float:
@@ -291,12 +290,12 @@ def _phase_encode(row: int, n_rows: int, fov: float) -> float:
     return (row - (n_rows - 1) / 2.0) * _k_step(fov)
 
 
-def _grad_for_moments(mx: float, my: float, duration: float, gamma: float) -> GradientWaveform:
+def _grad_for_moments(mx: float, my: float, duration: float) -> GradientWaveform:
     """Constant gradient realizing the requested x/y moments over duration."""
     if mx == 0.0 and my == 0.0:
         return GradientWaveform.none()
     return GradientWaveform.constant(
-        gx=mx / (gamma * duration), gy=my / (gamma * duration)
+        gx=mx / (GAMMA_PROTON * duration), gy=my / (GAMMA_PROTON * duration)
     )
 
 
@@ -317,7 +316,6 @@ def build_spin_echo(
     te: float,
     tr: float,
     readout_grad: float,
-    gamma: float = GAMMA_PROTON,
 ) -> Sequence:
     """Two-pulse spin echo, one excitation per phase-encode row.
 
@@ -326,8 +324,8 @@ def build_spin_echo(
     with n samples whose k=0 crossing sits at te, and a relaxation
     filler up to tr.  Rows run from the most negative ky upward.
     """
-    tau = readout_duration(fov, n, readout_grad, gamma)
-    k_max = gamma * readout_grad * tau / 2.0
+    tau = readout_duration(fov, n, readout_grad)
+    k_max = GAMMA_PROTON * readout_grad * tau / 2.0
     half1 = _check_interval(te / 2.0, "time before the refocusing pulse")
     half2 = _check_interval(te / 2.0 - tau / 2.0, "interval between 180deg pulse and readout")
     filler = _check_interval(tr - te - tau / 2.0, "relaxation filler")
@@ -339,7 +337,7 @@ def build_spin_echo(
         elements.append(
             ElementarySequence(
                 pulse=HardPulse(math.pi / 2.0, 0.0),
-                gradient=_grad_for_moments(k_max, -ky, half1, gamma),
+                gradient=_grad_for_moments(k_max, -ky, half1),
                 duration=half1,
             )
         )
@@ -367,15 +365,14 @@ def _echo_train(
     dte: float,
     tr: float,
     readout_grad: float,
-    gamma: float,
     row_of_echo,
     volume_of_echo,
     shot_rows: int,
     blip_s: float,
 ):
     """Common 90-(180-encode-read-rewind)* skeleton for TSE and CPMG."""
-    tau = readout_duration(fov, n, readout_grad, gamma)
-    k_max = gamma * readout_grad * tau / 2.0
+    tau = readout_duration(fov, n, readout_grad)
+    k_max = GAMMA_PROTON * readout_grad * tau / 2.0
     half1 = _check_interval(dte / 2.0, "time before the first refocusing pulse")
     gap = _check_interval(
         dte / 2.0 - tau / 2.0 - blip_s, "interval between refocusing pulse and readout"
@@ -388,7 +385,7 @@ def _echo_train(
         elements.append(
             ElementarySequence(
                 pulse=HardPulse(math.pi / 2.0, 0.0),
-                gradient=_grad_for_moments(k_max, 0.0, half1, gamma),
+                gradient=_grad_for_moments(k_max, 0.0, half1),
                 duration=half1,
             )
         )
@@ -397,7 +394,7 @@ def _echo_train(
             ky = _phase_encode(row, n, fov)
             elements.append(ElementarySequence(pulse=HardPulse(math.pi, math.pi / 2.0), duration=gap))
             elements.append(
-                ElementarySequence(gradient=_grad_for_moments(0.0, ky, blip_s, gamma), duration=blip_s)
+                ElementarySequence(gradient=_grad_for_moments(0.0, ky, blip_s), duration=blip_s)
             )
             elements.append(
                 ElementarySequence(
@@ -409,7 +406,7 @@ def _echo_train(
                 )
             )
             elements.append(
-                ElementarySequence(gradient=_grad_for_moments(0.0, -ky, blip_s, gamma), duration=blip_s)
+                ElementarySequence(gradient=_grad_for_moments(0.0, -ky, blip_s), duration=blip_s)
             )
             if echo < n_echoes - 1:
                 elements.append(
@@ -426,7 +423,6 @@ def build_tse(
     echo_spacing: float,
     tr: float,
     readout_grad: float,
-    gamma: float = GAMMA_PROTON,
     blip_s: float = 1e-3,
 ) -> Sequence:
     """Turbo spin echo: turbo_factor echoes per excitation.
@@ -445,7 +441,6 @@ def build_tse(
         echo_spacing,
         tr,
         readout_grad,
-        gamma,
         row_of_echo=lambda s, e: s * turbo_factor + e,
         volume_of_echo=lambda s, e: 0,
         shot_rows=turbo_factor,
@@ -474,7 +469,6 @@ def build_cpmg(
     dte: float,
     tr: float,
     readout_grad: float,
-    gamma: float = GAMMA_PROTON,
     blip_s: float = 1e-3,
 ) -> Sequence:
     """CPMG multi-echo train: every echo re-acquires the same row.
@@ -490,7 +484,6 @@ def build_cpmg(
         dte,
         tr,
         readout_grad,
-        gamma,
         row_of_echo=lambda s, e: s,
         volume_of_echo=lambda s, e: e,
         shot_rows=1,
@@ -519,7 +512,6 @@ def build_gradient_epi(
     n_echoes: int,
     readout_grad: float,
     shots: int = 1,
-    gamma: float = GAMMA_PROTON,
     blip_s: float = 1e-4,
     prephase_s: Optional[float] = None,
 ) -> Sequence:
@@ -530,8 +522,8 @@ def build_gradient_epi(
     order.  With shots > 1 the shots interleave: shot s, echo e covers
     row e*shots + s.  Rows beyond shots*n_echoes stay empty.
     """
-    tau = readout_duration(fov, n, readout_grad, gamma)
-    k_max = gamma * readout_grad * tau / 2.0
+    tau = readout_duration(fov, n, readout_grad)
+    k_max = GAMMA_PROTON * readout_grad * tau / 2.0
     if prephase_s is None:
         prephase_s = tau / 2.0
     if shots * n_echoes > n:
@@ -543,7 +535,7 @@ def build_gradient_epi(
         elements.append(
             ElementarySequence(
                 pulse=HardPulse(math.pi / 2.0, 0.0),
-                gradient=_grad_for_moments(-k_max, ky0, prephase_s, gamma),
+                gradient=_grad_for_moments(-k_max, ky0, prephase_s),
                 duration=prephase_s,
             )
         )
@@ -562,7 +554,7 @@ def build_gradient_epi(
             if echo < n_echoes - 1:
                 elements.append(
                     ElementarySequence(
-                        gradient=_grad_for_moments(0.0, shots * dky, blip_s, gamma),
+                        gradient=_grad_for_moments(0.0, shots * dky, blip_s),
                         duration=blip_s,
                     )
                 )
@@ -599,7 +591,7 @@ def split_elementary(seq: Sequence, index: int, t_split: float) -> Sequence:
     first = replace(es, duration=t_split)
     second = replace(es, pulse=None, duration=es.duration - t_split)
     elements = list(seq.elements[:index]) + [first, second] + list(seq.elements[index + 1 :])
-    return Sequence(elements, name=seq.name, repetitions=seq.repetitions, meta=dict(seq.meta))
+    return Sequence(elements, name=seq.name, meta=dict(seq.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +659,13 @@ def _block_to_es(block: dict, blockline: int) -> ElementarySequence:
     get = {key: value for key, (value, _) in block.items()}.get
     shape = get("grad_shape", "constant")
     for key, (_, line) in block.items():
-        # parameters that only one shape or an acquisition would read
+        # parameters that only one shape, an acquisition or a pulse would read
         if key in ("ramp_s", "flat_s") and shape != "trapezoid":
             raise ParseError(f"{key} needs grad_shape = trapezoid", line)
         if key.startswith("kspace_") and "acquire" not in block:
             raise ParseError(f"{key} needs acquire", line)
+        if key == "rf_phase_deg" and get("rf_flip_deg", 0.0) == 0.0:
+            raise ParseError("rf_phase_deg needs a nonzero rf_flip_deg", line)
     flip, phase = get("rf_flip_deg", 0.0), get("rf_phase_deg", 0.0)
     pulse = HardPulse(math.radians(flip), math.radians(phase)) if flip != 0.0 else None
     amps = [1e-3 * get(k, 0.0) for k in _GRAD_KEYS]
@@ -693,7 +687,7 @@ def _block_to_es(block: dict, blockline: int) -> ElementarySequence:
         raise ParseError(str(exc), blockline) from None
 
 
-def _expand_shaped(block: dict, blockline: int, base_dir: str, gamma: float) -> list:
+def _expand_shaped(block: dict, blockline: int, base_dir: str) -> list:
     if "samples" not in block or "sample_dt_s" not in block:
         raise ParseError("[rf_shaped] needs samples=<file> and sample_dt_s", blockline)
     get = {key: value for key, (value, _) in block.items()}.get
@@ -710,11 +704,11 @@ def _expand_shaped(block: dict, blockline: int, base_dir: str, gamma: float) -> 
     grad = GradientWaveform.constant(*(1e-3 * get(k, 0.0) for k in _GRAD_KEYS))
     return [
         ElementarySequence(pulse=pulse, gradient=grad, duration=dt)
-        for pulse in hard_pulse_decomposition(b1, dt, gamma)
+        for pulse in hard_pulse_decomposition(b1, dt)
     ]
 
 
-def parse_sequence_file(text: str, base_dir: str = ".", gamma: float = GAMMA_PROTON) -> Sequence:
+def parse_sequence_file(text: str, base_dir: str = ".") -> Sequence:
     """Parse the sequence description grammar into a Sequence.
 
     Blocks: ``[sequence]`` (name, repetitions, which must be 1; each at
@@ -731,7 +725,7 @@ def parse_sequence_file(text: str, base_dir: str = ".", gamma: float = GAMMA_PRO
         elif kind == "elementary":
             elements.append(_block_to_es(block, line))
         else:
-            elements.extend(_expand_shaped(block, line, base_dir, gamma))
+            elements.extend(_expand_shaped(block, line, base_dir))
     if not elements:
         raise ParseError("no elementary sequences in file", 1)
     return Sequence(elements, name=name)
@@ -771,7 +765,7 @@ def _fmt_deg(angle: float) -> str:
 
 def serialize_sequence(seq: Sequence) -> str:
     """Render a Sequence in the description grammar (round-trip exact)."""
-    out = ["[sequence]", f"name = {seq.name}", f"repetitions = {seq.repetitions}", ""]
+    out = ["[sequence]", f"name = {seq.name}", ""]
     for es in seq.elements:
         out.append("[elementary]")
         out.append(f"duration_s = {_fmt(es.duration)}")

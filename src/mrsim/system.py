@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.special import ellipe, ellipk, hyp2f1
 
-from .bloch import GAMMA_PROTON, FrameContext
+from .bloch import GAMMA_PROTON
 from .errors import InvalidParameter, OutOfGrid, ParseError
 from .grammar import model_reader, numbers, read_blocks
 
@@ -132,15 +132,15 @@ class StaticField:
         return self.inhomogeneity(x)
 
 
-def spin_off_resonance(field: StaticField, x, object_delta_omega, ctx: FrameContext):
+def spin_off_resonance(field: StaticField, x, object_delta_omega):
     """Rotating-frame precession rate (rad/s) of spins at positions x of
     shape (..., 3).
 
-    Sum of the carrier detuning gamma*B0 - omega_hf, the static-field
-    deviation gamma*delta_B0(x), and the object's own chemical-shift /
-    susceptibility offset.
+    The frame rotates at gamma*B0 (:mod:`mrsim.bloch`), so the rate is
+    the static-field deviation gamma*delta_B0(x) plus the object's own
+    chemical-shift / susceptibility offset; nothing else detunes a spin.
     """
-    return (ctx.gamma * field.b0 - ctx.omega_hf) + ctx.gamma * field.delta_b0(x) + object_delta_omega
+    return GAMMA_PROTON * field.delta_b0(x) + object_delta_omega
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +231,10 @@ def complex_weight(sensitivity, x):
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Static field plus receive coil, with the rotating-frame context."""
+    """Static field plus receive coil."""
 
     field: StaticField
     receive: object
-    gamma: float = GAMMA_PROTON
-    omega_hf: Optional[float] = None
-
-    def frame(self) -> FrameContext:
-        omega = self.omega_hf if self.omega_hf is not None else self.gamma * self.field.b0
-        return FrameContext(omega_hf=omega, gamma=self.gamma)
 
 
 def default_system(b0: float = 1.5) -> SystemModel:
@@ -253,8 +247,11 @@ def default_system(b0: float = 1.5) -> SystemModel:
 
 
 def _read_grid_numbers(path: str, per_node: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read grid file {path}: {exc}") from None
     if len(tokens) < 9:
         raise ParseError(f"grid file {path} lacks the 9-number header")
     try:

@@ -38,8 +38,9 @@ from mrsim.ktspace import (
 from mrsim.phantom import _HEAD_ELLIPSES
 
 
-def bloch_rhs(m, b, gamma, t1, t2, m0):
-    """Raw coupled system: dM/dt = gamma * (M x B) + relaxation."""
+def bloch_rhs(m, b, t1, t2, m0):
+    """Raw coupled system: dM/dt = gamma * (M x B) + relaxation, for protons."""
+    gamma = GAMMA_PROTON
     mx, my, mz = m
     bx, by, bz = b
     return np.array(
@@ -51,24 +52,24 @@ def bloch_rhs(m, b, gamma, t1, t2, m0):
     )
 
 
-def rk4_bloch(m_start, b, gamma, t1, t2, m0, dt, steps=None):
+def rk4_bloch(m_start, b, t1, t2, m0, dt, steps=None):
     """Classic 4th-order integration with a constant field over dt."""
     m = np.asarray(m_start, dtype=float).copy()
     b = np.asarray(b, dtype=float)
     if steps is None:
-        angle = abs(gamma) * float(np.linalg.norm(b)) * dt
+        angle = abs(GAMMA_PROTON) * float(np.linalg.norm(b)) * dt
         steps = max(2000, int(80 * angle))
     h = dt / steps
     for _ in range(steps):
-        k1 = bloch_rhs(m, b, gamma, t1, t2, m0)
-        k2 = bloch_rhs(m + 0.5 * h * k1, b, gamma, t1, t2, m0)
-        k3 = bloch_rhs(m + 0.5 * h * k2, b, gamma, t1, t2, m0)
-        k4 = bloch_rhs(m + h * k3, b, gamma, t1, t2, m0)
+        k1 = bloch_rhs(m, b, t1, t2, m0)
+        k2 = bloch_rhs(m + 0.5 * h * k1, b, t1, t2, m0)
+        k3 = bloch_rhs(m + 0.5 * h * k2, b, t1, t2, m0)
+        k4 = bloch_rhs(m + h * k3, b, t1, t2, m0)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return m
 
 
-def rk4_bloch_batch(m_start, b, gamma, t1, t2, m0, dt, steps):
+def rk4_bloch_batch(m_start, b, t1, t2, m0, dt, steps):
     """Vectorized variant: every row of the inputs is one case."""
     m = np.asarray(m_start, dtype=float).copy()
     b = np.asarray(b, dtype=float)
@@ -80,7 +81,7 @@ def rk4_bloch_batch(m_start, b, gamma, t1, t2, m0, dt, steps):
 
     def rhs(state):
         cross = np.cross(state, b)
-        out = gamma * cross
+        out = GAMMA_PROTON * cross
         out[:, 0] -= state[:, 0] / t2
         out[:, 1] -= state[:, 1] / t2
         out[:, 2] -= (state[:, 2] - m0) / t1
@@ -211,25 +212,25 @@ def reference_prune(trace, grayscale_levels=256):
     return tuple(reduced)
 
 
-def reference_unit(sequence, gamma=GAMMA_PROTON, tol=1e-9, max_den=10**6):
+def reference_unit(sequence):
     """Per-axis unit from the moments of every element, repeats included."""
     per_axis = [[], [], []]
     for es in sequence.elements:
-        m = es.gradient.moments(es.duration, gamma)
+        m = es.gradient.moments(es.duration)
         for ax in range(3):
             per_axis[ax].append(float(m[ax]))
-    return tuple(_axis_unit(per_axis[ax], tol, max_den) for ax in range(3))
+    return tuple(_axis_unit(per_axis[ax]) for ax in range(3))
 
 
-def reference_fallback_unit(sequence, gamma=GAMMA_PROTON, resolution=1024):
+def reference_fallback_unit(sequence):
     per_axis = [None, None, None]
     for es in sequence.elements:
-        m = es.gradient.moments(es.duration, gamma)
+        m = es.gradient.moments(es.duration)
         for ax in range(3):
             v = abs(float(m[ax]))
             if v > 0.0 and (per_axis[ax] is None or v < per_axis[ax]):
                 per_axis[ax] = v
-    return tuple(None if v is None else v / resolution for v in per_axis)
+    return tuple(None if v is None else v / 1024 for v in per_axis)
 
 
 def _reference_k_positions(unit, orders, fracs):
@@ -265,7 +266,6 @@ def reference_walk(
     sequence,
     relax,
     object_spectrum=None,
-    gamma=GAMMA_PROTON,
     prune_threshold=DEFAULT_PRUNE,
     unit=None,
     record_trace=True,
@@ -276,9 +276,9 @@ def reference_walk(
     shift_tol = 1e-6
     if unit is None:
         try:
-            unit = reference_unit(sequence, gamma)
+            unit = reference_unit(sequence)
         except IncommensurateMoments:
-            unit = reference_fallback_unit(sequence, gamma)
+            unit = reference_fallback_unit(sequence)
             shift_tol = math.inf
     state = ConfigurationSet.equilibrium(relax.m0, unit, prune_threshold)
     trace, echoes, times = [], [], []
@@ -306,12 +306,12 @@ def reference_walk(
         if es.pulse is not None:
             state = apply_rf_split(state, es.pulse)
             record(now)
-        moments = es.gradient.moments(es.duration, gamma)
+        moments = es.gradient.moments(es.duration)
         q = _integer_shift(moments, unit, tol=shift_tol)
         rest = es.duration
         if es.acquisition.enabled:
             ts = es.acquisition.sample_times(es.duration)
-            partial = es.gradient.partial_moments(ts, es.duration, gamma)
+            partial = es.gradient.partial_moments(ts, es.duration)
             orders, pops, longi, lpops = _reference_readout(state, relax, ts)
             k = emit((now + ts).tolist(), partial, orders, pops, longi, lpops)
             if object_spectrum is not None:
@@ -327,7 +327,7 @@ def reference_walk(
     return KtRun(echoes=echoes, sample_times=times, trace=trace, final=state)
 
 
-def reference_k_excursion(sequence, gamma=GAMMA_PROTON, domega_margin=(0.0, 0.0, 0.0)):
+def reference_k_excursion(sequence, domega_margin=(0.0, 0.0, 0.0)):
     """Per-axis maximum |k|, visiting every partial-moment row of every
     element: same inputs and outputs as ``mrsim.ktspace.max_k_excursion``."""
     kmax = [0.0, 0.0, 0.0]
@@ -351,13 +351,13 @@ def reference_k_excursion(sequence, gamma=GAMMA_PROTON, domega_margin=(0.0, 0.0,
             t_lo, t_hi = -m, m.copy()
             z_lo, z_hi = -m, m.copy()
             has_trans = True
-        moments = np.asarray(es.gradient.moments(es.duration, gamma), dtype=float)
+        moments = np.asarray(es.gradient.moments(es.duration), dtype=float)
         if has_trans and es.duration > 0.0 and not es.gradient.is_zero:
             if es.gradient.shape == "sampled":
                 ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
             else:
                 ts = np.array([0.0, es.duration])
-            for row in es.gradient.partial_moments(ts, es.duration, gamma):
+            for row in es.gradient.partial_moments(ts, es.duration):
                 visit(t_lo, t_hi, row)
         elif has_trans:
             visit(t_lo, t_hi)

@@ -106,7 +106,7 @@ def test_criterion_01_operators_match_ode():
             b[i] = (0.0, 0.0, moment / (GAMMA_PROTON * dt[i]))
         analytic[i] = (out.mx, out.my, out.mz)
     started = time.perf_counter()
-    reference = rk4_bloch_batch(start, b, GAMMA_PROTON, t1, t2, m0, dt, steps=4000)
+    reference = rk4_bloch_batch(start, b, t1, t2, m0, dt, steps=4000)
     runtime = time.perf_counter() - started
     rel = np.linalg.norm(analytic - reference, axis=1) / np.maximum(
         np.linalg.norm(reference, axis=1), 1e-9
@@ -431,10 +431,9 @@ def test_criterion_08_epi_phase_map():
     )
     k = assemble_kspace(res.echo_matrix(), seq.trajectory_table(), n_rows=n, fov=fov)[0]
     img = reconstruct(k)
-    ctx = system.frame()
     xs, ys = img.axis_coords(1), img.axis_coords(0)
     model = np.array(
-        [[spin_off_resonance(system.field, (x, y, 0.0), 0.0, ctx) for x in xs] for y in ys]
+        [[spin_off_resonance(system.field, (x, y, 0.0), 0.0) for x in xs] for y in ys]
     )
     residual = np.angle(img.complex_image * np.exp(1j * model * te_eff))
     residual = np.angle(np.exp(1j * (residual - residual[n // 2, n // 2])))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mrsim.bloch import (
     GAMMA_PROTON,
     NO_RELAX,
-    FrameContext,
     HardPulse,
     Magnetization,
     RelaxationParams,
@@ -23,7 +22,6 @@ from mrsim.errors import EnvelopeUndersampled, InvalidParameter
 
 from oracles import rk4_bloch, rotate_axis_angle
 
-CTX = FrameContext.on_resonance(1.5)
 
 
 def as_tuple(m):
@@ -94,7 +92,7 @@ def test_gradient_interval_rejects_negative_dt():
         lambda: RelaxationParams(t1=1.0, t2=0.0, m0=1.0),
         lambda: RelaxationParams(t1=-1.0, t2=0.1, m0=1.0),
         lambda: RelaxationParams(t1=1.0, t2=0.1, m0=-0.5),
-        lambda: apply_shaped_pulse(equilibrium(1.0), NO_RELAX, [1e-6], 0.0, 0.0, CTX),
+        lambda: apply_shaped_pulse(equilibrium(1.0), NO_RELAX, [1e-6], 0.0, 0.0),
     ],
     ids=["t2", "t1", "m0", "per_sample_dt"],
 )
@@ -119,19 +117,19 @@ def test_shaped_pulse_constant_envelope_matches_hard_pulse():
     alpha = math.pi / 2
     b1 = alpha / (GAMMA_PROTON * n * dt)
     env = np.full(n, b1, dtype=complex) * np.exp(1j * 0.3)
-    got = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, 0.0, CTX)
+    got = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, 0.0)
     want = apply_hard_pulse(equilibrium(1.0), HardPulse(alpha, 0.3))
     np.testing.assert_allclose(as_tuple(got), as_tuple(want), atol=1e-9)
 
 
 def test_shaped_pulse_empty_envelope_is_identity():
     m = Magnetization(0.1, 0.2, 0.3)
-    assert apply_shaped_pulse(m, NO_RELAX, [], 1e-6, 0.0, CTX) == m
+    assert apply_shaped_pulse(m, NO_RELAX, [], 1e-6, 0.0) == m
 
 
 def test_shaped_pulse_undersampled_flag_raises():
     with pytest.raises(EnvelopeUndersampled):
-        apply_shaped_pulse(equilibrium(1.0), NO_RELAX, [1e-6], 1e-6, 0.0, CTX, sampling_ok=False)
+        apply_shaped_pulse(equilibrium(1.0), NO_RELAX, [1e-6], 1e-6, 0.0, sampling_ok=False)
 
 
 def test_shaped_pulse_effective_field_axis():
@@ -145,13 +143,13 @@ def test_shaped_pulse_effective_field_axis():
     def evolve(n):
         dt = total / n
         env = np.full(n, b1) * np.exp(1j * phi)
-        m = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, domega * dt, CTX)
+        m = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, domega * dt)
         return np.array(as_tuple(m))
 
     f1, f2, f4 = evolve(2000), evolve(4000), evolve(8000)
     extrapolated = (8.0 * f4 - 6.0 * f2 + f1) / 3.0
-    axis = np.array([b1 * math.cos(phi), b1 * math.sin(phi), domega / CTX.gamma])
-    angle = -CTX.gamma * np.linalg.norm(axis) * total
+    axis = np.array([b1 * math.cos(phi), b1 * math.sin(phi), domega / GAMMA_PROTON])
+    angle = -GAMMA_PROTON * np.linalg.norm(axis) * total
     want = rotate_axis_angle([0, 0, 1], axis, angle)
     np.testing.assert_allclose(extrapolated, want, atol=1e-8)
 
@@ -178,7 +176,7 @@ def test_small_tip_vs_shaped_pulse_sinc():
     n, dt = 512, 2e-6
     env = _sinc_envelope(n, 3, 1.0)
     env *= math.radians(10.0) / (GAMMA_PROTON * np.real(np.trapezoid(env, dx=dt)))
-    full = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, 0.0, CTX)
+    full = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, 0.0)
     approx = small_tip_response(env, dt, 0.0, 1.0)
     got = complex(full.mx, full.my)
     assert abs(got - approx) < 5e-3
@@ -191,7 +189,7 @@ def test_small_tip_error_follows_linearization_law(alpha_deg):
     env = _sinc_envelope(n, 3, 1.0)
     alpha = math.radians(alpha_deg)
     env *= alpha / (GAMMA_PROTON * np.real(np.trapezoid(env, dx=dt)))
-    full = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, 0.0, CTX)
+    full = apply_shaped_pulse(equilibrium(1.0), NO_RELAX, env, dt, 0.0)
     approx = small_tip_response(env, dt, 0.0, 1.0)
     got = complex(full.mx, full.my)
     law = (alpha - math.sin(alpha)) / math.sin(alpha)
@@ -246,7 +244,7 @@ def test_precess_relax_matches_ode_integration():
     domega, dt = 2 * math.pi * 321.0, 0.01
     start = (0.5, -0.4, 0.3)
     got = apply_precess_relax(Magnetization(*start), r, domega, dt)
-    want = rk4_bloch(start, (0, 0, domega / GAMMA_PROTON), GAMMA_PROTON, r.t1, r.t2, r.m0, dt)
+    want = rk4_bloch(start, (0, 0, domega / GAMMA_PROTON), r.t1, r.t2, r.m0, dt)
     np.testing.assert_allclose(as_tuple(got), want, rtol=1e-7, atol=1e-10)
 
 
@@ -259,7 +257,6 @@ def test_hard_pulse_matches_ode_integration():
     want = rk4_bloch(
         start,
         (b1 * math.cos(phi), b1 * math.sin(phi), 0.0),
-        GAMMA_PROTON,
         1e9,
         1e9,
         0.0,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrsim.bloch import GAMMA_PROTON, NO_RELAX, FrameContext, HardPulse, RelaxationParams
+from mrsim.bloch import GAMMA_PROTON, NO_RELAX, HardPulse, RelaxationParams
 from mrsim.bloch import apply_shaped_pulse, equilibrium
 from mrsim.discretize import (
     acquisition_params,
@@ -296,7 +296,6 @@ def spurious_excitation(n_hf, gz, fov, total_t, flip, bandwidth):
             env,
             dt,
             GAMMA_PROTON * gz * z * dt,
-            FrameContext.on_resonance(1.5),
         )
         worst = max(worst, abs(complex(m.mx, m.my)))
     return worst

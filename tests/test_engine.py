@@ -10,7 +10,6 @@ import pytest
 
 from mrsim.bloch import (
     GAMMA_PROTON,
-    FrameContext,
     HardPulse,
     Magnetization,
     RelaxationParams,
@@ -209,7 +208,6 @@ def test_rf_shaped_file_runs_like_apply_shaped_pulse(tmp_path):
         (envelope_ut[:, 0] + 1j * envelope_ut[:, 1]) * 1e-6,
         dt,
         domega * dt,
-        FrameContext.on_resonance(1.5),
     )
     assert math.hypot(want.mx, want.my) > 0.3
     np.testing.assert_allclose(snaps[0][0], want.as_array(), rtol=0, atol=1e-12)

@@ -399,7 +399,7 @@ def _max_k_set_oracle(seq):
         if es.pulse is not None and es.pulse.alpha != 0.0:
             mixed = trans | {-o for o in trans} | longi | {-o for o in longi}
             trans, longi = set(mixed), set(mixed) | {0}
-        m = float(es.gradient.moments(es.duration, GAMMA_PROTON)[0])
+        m = float(es.gradient.moments(es.duration)[0])
         best = max(best, probe(trans, 0.0), probe(trans, m), probe(longi, 0.0))
         q = round(m / unit) if unit else 0
         trans = {o + q for o in trans}

@@ -67,9 +67,10 @@ def test_rasterize_deterministic_and_ordered():
 
 
 def test_spin_budget_enforced():
-    box = PhantomBox(origin=(0, 0, 0), size=(1, 1, 1), m0=1.0)
+    # 2000 x 2000 x 1 sites, twice the cap; they are counted, never allocated
+    box = PhantomBox(origin=(0, 0, 0), size=(2, 2, 1e-3), m0=1.0)
     with pytest.raises(SpinBudgetExceeded):
-        rasterize(Phantom([box]), (1e-3, 1e-3, 1e-3), cap=1000)
+        rasterize(Phantom([box]), (1e-3, 1e-3, 1e-3))
 
 
 def test_affine_properties_evaluated_at_positions():

@@ -52,13 +52,13 @@ def test_readout_gradient_rejects_bad_input():
 def test_trapezoid_moment_closed_form():
     g = GradientWaveform.trapezoid(gx=2e-3, ramp_s=1e-3, flat_s=4e-3)
     dur = 6e-3
-    m = g.moments(dur, GAMMA_PROTON)
+    m = g.moments(dur)
     assert m[0] == pytest.approx(GAMMA_PROTON * 2e-3 * 5e-3, rel=1e-12)
     # quadrature oracle on the partial moments
     ts = np.linspace(0, dur, 1201)
     amp = np.where(ts < 1e-3, ts / 1e-3, np.where(ts < 5e-3, 1.0, (6e-3 - ts) / 1e-3)) * 2e-3
     numeric = GAMMA_PROTON * np.concatenate([[0.0], np.cumsum((amp[1:] + amp[:-1]) / 2 * np.diff(ts))])
-    analytic = g.partial_moments(ts, dur, GAMMA_PROTON)[:, 0]
+    analytic = g.partial_moments(ts, dur)[:, 0]
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
@@ -66,7 +66,7 @@ def test_sampled_waveform_moment_matches_trapz():
     rng = np.random.default_rng(3)
     samples = rng.normal(size=(25, 3)) * 1e-3
     g = GradientWaveform.from_samples(samples, sample_dt=1e-4)
-    m = g.moments(24e-4, GAMMA_PROTON)
+    m = g.moments(24e-4)
     np.testing.assert_allclose(
         m, GAMMA_PROTON * np.trapezoid(samples, dx=1e-4, axis=0), rtol=1e-12
     )
@@ -152,13 +152,13 @@ def test_spin_echo_counts_and_moments():
     assert len(acqs) == n
     assert all(es.acquisition.n_samples == n for _, es in acqs)
     # dephasing moment is half the readout moment
-    dephase = seq.elements[0].gradient.moments(seq.elements[0].duration, GAMMA_PROTON)[0]
-    readout = acqs[0][1].gradient.moments(acqs[0][1].duration, GAMMA_PROTON)[0]
+    dephase = seq.elements[0].gradient.moments(seq.elements[0].duration)[0]
+    readout = acqs[0][1].gradient.moments(acqs[0][1].duration)[0]
     assert dephase == pytest.approx(readout / 2.0, rel=1e-12)
     # effective phase encodes (sign flipped by the 180 pulse) run from the
     # most negative ky upward in steps of 2*pi/FOV
     ky = [
-        -seq.elements[4 * r].gradient.moments(seq.elements[4 * r].duration, GAMMA_PROTON)[1]
+        -seq.elements[4 * r].gradient.moments(seq.elements[4 * r].duration)[1]
         for r in range(n)
     ]
     steps = np.diff(ky)
@@ -178,10 +178,10 @@ def test_spin_echo_echo_crosses_k_zero_at_te():
             k = -k
         if es.acquisition.enabled:
             ts = es.acquisition.sample_times(es.duration)
-            partial = es.gradient.partial_moments(ts, es.duration, GAMMA_PROTON)[:, 0]
+            partial = es.gradient.partial_moments(ts, es.duration)[:, 0]
             crossing = ts[np.argmin(np.abs(k + partial))]
             assert t + crossing == pytest.approx(te, rel=1e-9)
-        k += es.gradient.moments(es.duration, GAMMA_PROTON)[0]
+        k += es.gradient.moments(es.duration)[0]
         t += es.duration
 
 
@@ -293,8 +293,8 @@ def test_parse_rejects_repetitions_other_than_one():
     with pytest.raises(ParseError, match="repetitions") as err:
         parse_sequence_file(text)
     assert err.value.line == 3
-    assert parse_sequence_file(text.replace("= 10", "= 1")).repetitions == 1
-    with pytest.raises(InvalidParameter):
+    assert parse_sequence_file(text.replace("= 10", "= 1")).name == "rep"
+    with pytest.raises(TypeError):
         Sequence([ElementarySequence(duration=0.01)], repetitions=10)
 
 
@@ -332,6 +332,15 @@ def test_parse_rejects_kspace_placement_without_acquire(key):
     with pytest.raises(ParseError, match="acquire") as err:
         parse_sequence_file(text)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("flip", ["", "rf_flip_deg = 0\n"], ids=["absent_flip", "zero_flip"])
+def test_parse_rejects_phase_without_flip(flip):
+    # without a flip there is no pulse for the phase to set
+    text = f"[elementary]\nduration_s = 0.01\n{flip}rf_phase_deg = 90\n"
+    with pytest.raises(ParseError, match="rf_phase_deg") as err:
+        parse_sequence_file(text)
+    assert err.value.line == text.count("\n")
 
 
 def test_parse_rejects_kspace_reversed_other_than_true_or_false():
@@ -405,10 +414,10 @@ def test_split_preserves_fields():
     assert split.elements[1].pulse is None
     total = split.elements[0].duration + split.elements[1].duration
     assert total == pytest.approx(seq.elements[0].duration, rel=1e-15)
-    m_orig = seq.elements[0].gradient.moments(seq.elements[0].duration, GAMMA_PROTON)
+    m_orig = seq.elements[0].gradient.moments(seq.elements[0].duration)
     m_split = split.elements[0].gradient.moments(
-        split.elements[0].duration, GAMMA_PROTON
-    ) + split.elements[1].gradient.moments(split.elements[1].duration, GAMMA_PROTON)
+        split.elements[0].duration
+    ) + split.elements[1].gradient.moments(split.elements[1].duration)
     np.testing.assert_allclose(m_split, m_orig, rtol=1e-12)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrsim.bloch import GAMMA_PROTON, FrameContext
+from mrsim.bloch import GAMMA_PROTON
 from mrsim.engine import build_spin_arrays
 from mrsim.errors import InvalidParameter, OutOfGrid, ParseError
 from mrsim.phantom import Affine, Phantom, PhantomBox, rasterize
@@ -67,19 +67,18 @@ def test_scalar_grid_reproduces_nodes_and_interpolates():
 
 def test_spin_off_resonance_on_resonance_is_zero():
     sys = default_system(b0=1.5)
-    assert spin_off_resonance(sys.field, (0, 0, 0), 0.0, sys.frame()) == 0.0
+    assert spin_off_resonance(sys.field, (0, 0, 0), 0.0) == 0.0
 
 
 def test_spin_off_resonance_per_microtesla():
     field = StaticField(b0=1.5, inhomogeneity=lambda x: 1e-6)
-    ctx = FrameContext.on_resonance(1.5)
-    dw = spin_off_resonance(field, (0, 0, 0), 0.0, ctx)
+    dw = spin_off_resonance(field, (0, 0, 0), 0.0)
     assert dw == pytest.approx(2 * math.pi * 42.6, rel=1e-12)
 
 
 def test_spin_off_resonance_additive():
     sys = default_system(b0=1.5)
-    assert spin_off_resonance(sys.field, (0, 0, 0), 100.0, sys.frame()) == pytest.approx(100.0)
+    assert spin_off_resonance(sys.field, (0, 0, 0), 100.0) == pytest.approx(100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +145,8 @@ def test_build_spin_arrays_matches_per_spin_scalar_calls():
     )
     spins = rasterize(Phantom([box]), (0.016, 0.016, 1.0))
     arrays = build_spin_arrays(spins, system)
-    ctx = system.frame()
     for i, spin in enumerate(spins):
-        want = spin_off_resonance(system.field, spin.position, spin.delta_omega, ctx)
+        want = spin_off_resonance(system.field, spin.position, spin.delta_omega)
         assert arrays.domega[i] == pytest.approx(want, rel=1e-12, abs=1e-9)
         assert arrays.weight[i] == complex_weight(system.receive, spin.position)
     assert np.ptp(arrays.domega) > 1.0 and np.ptp(np.abs(arrays.weight)) > 0.0
@@ -346,3 +344,28 @@ def test_parse_system_rejects_parameters_it_would_ignore(text, line):
     with pytest.raises(ParseError) as err:
         parse_system_file(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "block, missing",
+    [
+        ("[static_field]\nb0_T = 1\ninhomogeneity = grid file={}\n", "nope.grid"),
+        ("[static_field]\nb0_T = 1\n[receive]\nmodel = grid file={}\n", "nope.grid"),
+        # a directory is there but cannot be read as a grid
+        ("[static_field]\nb0_T = 1\ninhomogeneity = grid file={}\n", "."),
+        ("[static_field]\nb0_T = 1\ninhomogeneity = grid file={}\n", "binary.grid"),
+    ],
+    ids=["missing_inhomogeneity", "missing_receive", "unreadable", "not_text"],
+)
+def test_parse_system_grid_file_that_cannot_be_read_names_line(tmp_path, block, missing):
+    (tmp_path / "binary.grid").write_bytes(b"\xff\xfe\x00")
+    text = block.format(missing)
+    with pytest.raises(ParseError, match="cannot read grid file") as err:
+        parse_system_file(text, base_dir=str(tmp_path))
+    assert err.value.line == text.count("\n")
+
+
+def test_system_model_takes_no_gyromagnetic_ratio():
+    # mrsim simulates protons: the spacing bound and the kernel share GAMMA_PROTON
+    with pytest.raises(TypeError):
+        SystemModel(field=StaticField(b0=1.5), receive=UniformSensitivity(), gamma=2 * GAMMA_PROTON)
