@@ -7,18 +7,7 @@ simulation needs; simulation is parallelized by domain decomposition
 over spin blocks.
 """
 
-from .bloch import (
-    GAMMA_PROTON,
-    HardPulse,
-    Magnetization,
-    RelaxationParams,
-    apply_gradient_interval,
-    apply_hard_pulse,
-    apply_precess_relax,
-    apply_shaped_pulse,
-    equilibrium,
-    small_tip_response,
-)
+from .bloch import GAMMA_PROTON, HardPulse, RelaxationParams
 from .discretize import acquisition_params, max_spacing, rf_sampling_check, steady_state_prune
 from .engine import (
     EchoRecord,
@@ -33,7 +22,6 @@ from .engine import (
 )
 from .errors import (
     ComplexOrderZero,
-    EnvelopeUndersampled,
     FitDiverged,
     IncommensurateMoments,
     InvalidParameter,

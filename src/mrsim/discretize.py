@@ -18,6 +18,7 @@ import numpy as np
 from .bloch import GAMMA_PROTON, RelaxationParams
 from .errors import InvalidParameter
 from .ktspace import TracePoint, max_k_excursion, simulate_kt
+from .phantom import lattice_sites
 from .sequence import Sequence
 
 # recommended spacing as a fraction of the strict bound dx_max
@@ -62,6 +63,15 @@ class SpacingReport:
         if self.predicted_spins is not None:
             out.append(f"predicted_spins={self.predicted_spins}")
         return "\n".join(out)
+
+
+def _report(k_max, **fields) -> SpacingReport:
+    """The spacing report of a per-axis K_max: dx_max = pi/K_max, inf
+    where K_max is 0, and the recommended spacing SAFETY * dx_max."""
+    dx_max = tuple(math.pi / k if k > 0.0 else math.inf for k in k_max)
+    return SpacingReport(
+        k_max=tuple(k_max), dx_max=dx_max, spacing=tuple(SAFETY * d for d in dx_max), **fields
+    )
 
 
 def _transverse_lifetime(sequence: Sequence) -> float:
@@ -115,27 +125,12 @@ def max_spacing(
             f"off-resonance margin {extra:.6g} rad/m over lifetime {lifetime:.6g} s "
             f"applied to axes {sorted(readout_axes)}"
         )
-    k_max = max_k_excursion(sequence, domega_margin=tuple(margin))
-    dx_max = tuple(math.pi / k if k > 0.0 else math.inf for k in k_max)
-    spacing = tuple(SAFETY * d if math.isfinite(d) else math.inf for d in dx_max)
-    predicted = None
-    if phantom is not None:
-        predicted = 0
-        for box in phantom.boxes:
-            n = 1
-            for ax in range(3):
-                if math.isinf(spacing[ax]):
-                    continue
-                n *= max(1, int(math.floor(box.size[ax] / spacing[ax] + 1e-9)))
-            predicted += n
-    return SpacingReport(
-        k_max=tuple(k_max),
-        dx_max=dx_max,
-        spacing=spacing,
-        margin_k=tuple(margin),
-        predicted_spins=predicted,
-        notes=notes,
+    report = _report(
+        max_k_excursion(sequence, domega_margin=tuple(margin)), margin_k=tuple(margin), notes=notes
     )
+    if phantom is not None:
+        report.predicted_spins = lattice_sites(phantom, report.spacing)
+    return report
 
 
 class PruneBound:
@@ -251,13 +246,8 @@ def pruned_max_spacing(
     """
     bound = PruneBound(grayscale_levels)
     simulate_kt(sequence, relax, record_trace=False, observe=bound)
-    k_max = bound.k_max
-    dx_max = tuple(math.pi / k if k > 0.0 else math.inf for k in k_max)
-    spacing = tuple(SAFETY * d if math.isfinite(d) else math.inf for d in dx_max)
-    return SpacingReport(
-        k_max=k_max,
-        dx_max=dx_max,
-        spacing=spacing,
+    return _report(
+        bound.k_max,
         notes=[
             f"steady-state pruned bound (1/{grayscale_levels} gray levels, "
             f"t1={relax.t1:.3g} s, t2={relax.t2:.3g} s)"

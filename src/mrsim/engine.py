@@ -102,7 +102,6 @@ class EsTable:
 
     pulse_mat: Optional[np.ndarray]
     duration: float
-    moments: np.ndarray
     ev_dt: np.ndarray
     ev_dmom: np.ndarray
     ev_sample: np.ndarray
@@ -133,7 +132,7 @@ def precompute_sequence_tables(
     evaluated once so workers never touch the waveform objects.  Elements
     that :func:`mrsim.sequence.distinct_elements` groups together and
     that hold no snapshot share one set of read-only event arrays
-    (``moments``, ``ev_dt``, ``ev_dmom``, ``ev_sample``, ``ev_snap``);
+    (``ev_dt``, ``ev_dmom``, ``ev_sample``, ``ev_snap``);
     an element with a snapshot inside gets its own.  A group that
     occurs more than once without a snapshot is numbered, in order of
     first occurrence, so that a kernel chunk builds its propagator once.
@@ -195,7 +194,7 @@ def precompute_sequence_tables(
 
 
 def _event_arrays(es, snaps: list) -> dict:
-    """Moments and event arrays of one elementary sequence; ``snaps``
+    """Event arrays of one elementary sequence; ``snaps``
     holds (time from its start, False, snapshot index) per snapshot."""
     sample_ts = es.acquisition.sample_times(es.duration)
     if snaps:
@@ -222,9 +221,7 @@ def _event_arrays(es, snaps: list) -> dict:
         ev_dmom = np.concatenate([ev_dmom, [total - last_m]])
         ev_sample = np.concatenate([ev_sample, [False]])
         ev_snap = np.concatenate([ev_snap, [-1]])
-    return dict(
-        moments=total, ev_dt=ev_dt, ev_dmom=ev_dmom, ev_sample=ev_sample, ev_snap=ev_snap
-    )
+    return dict(ev_dt=ev_dt, ev_dmom=ev_dmom, ev_sample=ev_sample, ev_snap=ev_snap)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +397,6 @@ class EchoRecord:
 @dataclass
 class RunMetrics:
     wall_time_s: float
-    spin_count: int
     throughput: float  # spins per second of wall time
     workers: int
     blocks: int
@@ -498,7 +494,7 @@ def _check_spacing(exp: Experiment, spacing) -> Tuple[SpacingReport, List[str]]:
     the workers compute.
     """
     report = max_spacing(exp.sequence, phantom=exp.phantom)
-    broken = [ax for ax in range(3) if not spacing[ax] < report.dx_max[ax]]
+    broken = [ax for ax in range(3) if _breaks(spacing[ax], report.dx_max[ax])]
     if not broken:
         _log.debug(
             "spacing override %s m within the relaxation-free bound; pruned walk skipped",
@@ -515,9 +511,15 @@ def _check_spacing(exp: Experiment, spacing) -> Tuple[SpacingReport, List[str]]:
         f"spacing override {spacing[ax]:.6g} m on axis {'xyz'[ax]} violates the "
         f"sampling bound {pruned.dx_max[ax]:.6g} m; expect replica artifacts"
         for ax in broken
-        if spacing[ax] >= pruned.dx_max[ax]
+        if _breaks(spacing[ax], pruned.dx_max[ax])
     ]
     return report, problems
+
+
+def _breaks(spacing: float, dx_max: float) -> bool:
+    """Whether a spacing breaks a bound; the infinite bound of an axis
+    without k excursion holds for every spacing, infinite included."""
+    return math.isfinite(dx_max) and not spacing < dx_max
 
 
 def _warn_spacing(problems: List[str]) -> None:
@@ -571,14 +573,14 @@ def run(exp: Experiment) -> RunResult:
     blocks = partition_blocks(arrays, n_blocks)
     busy: Dict[int, float] = {}
 
-    partials: Dict[int, tuple] = {}
     if exp.workers == 1:
+        # the blocks run in index order, so they also fold in that order
+        folds = []
         for block in blocks:
             started = time.perf_counter()
-            partials[block.index] = compute_block(tables, block)
+            folds.append(compute_block(tables, block))
             busy[0] = busy.get(0, 0.0) + (time.perf_counter() - started)
-        ordered = [partials[i] for i in sorted(partials)]
-        folds = ordered
+        ordered = folds
     else:
         # the master has nothing to do while the workers compute, so it
         # checks a spacing override then
@@ -612,7 +614,6 @@ def run(exp: Experiment) -> RunResult:
     wall = time.perf_counter() - wall_start
     metrics = RunMetrics(
         wall_time_s=wall,
-        spin_count=n_spins,
         throughput=n_spins / wall if wall > 0 else math.inf,
         workers=exp.workers,
         blocks=len(blocks),

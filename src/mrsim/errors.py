@@ -47,10 +47,6 @@ class OutOfGrid(MrSimError):
     """A sampled field grid was evaluated outside its coverage."""
 
 
-class EnvelopeUndersampled(MrSimError):
-    """A shaped-pulse envelope fails the temporal sampling condition."""
-
-
 class TrajectoryMismatch(MrSimError):
     """Echo records and trajectory metadata disagree in shape."""
 

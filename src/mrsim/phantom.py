@@ -21,7 +21,7 @@ from typing import Callable, List, Union
 
 import numpy as np
 
-from .bloch import Magnetization, RelaxationParams
+from .bloch import RelaxationParams
 from .errors import InvalidParameter, ParseError, SpinBudgetExceeded
 from .grammar import numbers, read_blocks
 
@@ -90,17 +90,34 @@ class Phantom:
 
 @dataclass
 class SpinSample:
-    """One discretized object atom: position, state, tissue constants."""
+    """One discretized object atom: position and tissue constants; it
+    starts in thermal equilibrium (0, 0, relax.m0)."""
 
     position: tuple
-    m: Magnetization
     relax: RelaxationParams
     delta_omega: float = 0.0
 
 
+def _axis_sites(size: float, spacing: float) -> int:
+    """Sites of the centered lattice along one axis of a box: one where
+    the spacing is at least the box size, infinite spacing included."""
+    return max(1, int(math.floor(size / spacing + 1e-9)))
+
+
+def lattice_sites(phantom: Phantom, spacing) -> int:
+    """Lattice sites of all boxes at spacing (dx, dy, dz), counted
+    without building them."""
+    return sum(
+        math.prod(_axis_sites(box.size[ax], spacing[ax]) for ax in range(3))
+        for box in phantom.boxes
+    )
+
+
 def _lattice(origin: float, size: float, spacing: float) -> np.ndarray:
     """Regular 1-D lattice with the given spacing, centered in [origin, origin+size]."""
-    n = max(1, int(math.floor(size / spacing + 1e-9)))
+    n = _axis_sites(size, spacing)
+    if n == 1:  # (n - 1) * spacing would be NaN for an infinite spacing
+        return np.array([origin + size / 2.0])
     offset = (size - (n - 1) * spacing) / 2.0
     return origin + offset + spacing * np.arange(n)
 
@@ -150,7 +167,6 @@ class SpinList(Sequence):
     def _spin(position, m0, t1, t2, delta_omega) -> SpinSample:
         return SpinSample(
             position=position,
-            m=Magnetization(0.0, 0.0, m0),
             relax=RelaxationParams(t1=t1, t2=t2, m0=m0),
             delta_omega=delta_omega,
         )
@@ -183,15 +199,10 @@ def rasterize(phantom: Phantom, spacing) -> SpinList:
     spacing = tuple(float(s) for s in spacing)
     if any(s <= 0.0 for s in spacing):
         raise InvalidParameter(f"spacing components must be positive, got {spacing}")
-    counts = []
-    for box in phantom.boxes:
-        n = 1
-        for axis in range(3):
-            n *= max(1, int(math.floor(box.size[axis] / spacing[axis] + 1e-9)))
-        counts.append(n)
-    if sum(counts) > SPIN_CAP:
+    sites = lattice_sites(phantom, spacing)
+    if sites > SPIN_CAP:
         raise SpinBudgetExceeded(
-            f"{sum(counts)} lattice sites exceed the cap of {SPIN_CAP}; "
+            f"{sites} lattice sites exceed the cap of {SPIN_CAP}; "
             "coarsen the spacing or shrink the phantom"
         )
     columns: List[List[np.ndarray]] = [[] for _ in range(5)]

@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's analytic operators: the ODE
 integrator works on the raw coupled system, the rotation uses the
-generic axis-angle form, the Legendre value comes from the three-term
-recurrence and the loop-coil field from the midpoint rule over the
-wire; the reference kernel is the spin-block event loop on two real
+generic axis-angle form, and so does the sample-by-sample shaped pulse,
+which the small-tip response checks in turn; the Legendre value comes
+from the three-term recurrence and the loop-coil field from the
+midpoint rule over the wire; the reference kernel is the spin-block event loop on two real
 transverse arrays that the fused complex kernel of ``mrsim.engine``
 replaced, and the reference prune is the point-by-point
 form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
@@ -15,6 +16,7 @@ factors and sample relaxation.  The reference head phantom tests every
 ellipse of ``mrsim.phantom.shepp_logan_m0`` in table order.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -107,6 +109,52 @@ def rotate_axis_angle(v, axis, angle):
         + np.cross(k, v) * np.sin(angle)
         + k * np.dot(k, v) * (1.0 - np.cos(angle))
     )
+
+
+def shaped_pulse(m_start, relax, envelope, per_sample_dt, local_bz_moment_per_sample):
+    """One spin (mx, my, mz) through a shaped pulse, sample by sample.
+
+    Each nonzero complex envelope sample B1 (tesla) is a hard pulse: a
+    turn by gamma*|B1|*dt about the transverse axis (Re B1, Im B1, 0),
+    the cut of ``mrsim.bloch.hard_pulse_decomposition``, as an axis-angle
+    rotation.  Then mx + 1j*my turns clockwise by
+    ``local_bz_moment_per_sample`` (rad) and decays with T2 over dt, and
+    Mz relaxes toward m0 with T1.
+    """
+    m = np.asarray(m_start, dtype=float)
+    turn = cmath.exp(-1j * local_bz_moment_per_sample - per_sample_dt / relax.t2)
+    e1 = math.exp(-per_sample_dt / relax.t1)
+    for b1 in np.asarray(envelope, dtype=complex):
+        if b1:
+            angle = -GAMMA_PROTON * abs(b1) * per_sample_dt
+            m = rotate_axis_angle(m, (b1.real, b1.imag, 0.0), angle)
+        mxy = complex(m[0], m[1]) * turn
+        m = np.array([mxy.real, mxy.imag, relax.m0 + (m[2] - relax.m0) * e1])
+    return m
+
+
+def small_tip_response(envelope, per_sample_dt, bz, m0z):
+    """Linearized transverse response to a shaped pulse.
+
+    Valid for small total flip angles, assuming the longitudinal
+    magnetization stays at m0z throughout.  Starting with no transverse
+    magnetization, the response after the full envelope of duration
+    T = len(envelope)*dt in a constant longitudinal field bz is::
+
+        1j * gamma * m0z * exp(-1j*gamma*bz*T)
+            * integral_0^T B1(tau) * exp(1j*gamma*bz*tau) dtau
+
+    evaluated by trapezoidal quadrature over the envelope samples: an
+    independent check on :func:`shaped_pulse`.
+    """
+    envelope = np.asarray(envelope, dtype=complex)
+    if envelope.size == 0:
+        return 0.0 + 0.0j
+    t = np.arange(envelope.size) * per_sample_dt
+    total = envelope.size * per_sample_dt
+    integrand = envelope * np.exp(1j * GAMMA_PROTON * bz * t)
+    integral = np.trapezoid(integrand, dx=per_sample_dt)
+    return 1j * GAMMA_PROTON * m0z * np.exp(-1j * GAMMA_PROTON * bz * total) * integral
 
 
 def loop_field_quadrature(loop, x, segments=256):

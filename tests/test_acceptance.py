@@ -17,11 +17,11 @@ import mrsim
 from mrsim.bloch import (
     GAMMA_PROTON,
     HardPulse,
-    Magnetization,
     RelaxationParams,
-    apply_gradient_interval,
-    apply_hard_pulse,
-    apply_precess_relax,
+    apply_rotation,
+    hard_pulse_matrix,
+    precession_factor,
+    regrow_mz,
 )
 from mrsim.discretize import max_spacing
 from mrsim.engine import Experiment, compare_results, delta_e_stoer, run
@@ -82,29 +82,38 @@ def test_criterion_01_operators_match_ode():
     m0 = rng.uniform(0.0, 1.0, size=n)
     dt = rng.uniform(1e-4, 10e-3, size=n)
     b = np.zeros((n, 3))
-    analytic = np.zeros((n, 3))
+    phase = np.zeros(n)  # turn of a precession or gradient interval, rad
+    alpha = np.zeros(n)  # flip and phase of a hard pulse
+    phi = np.zeros(n)
     for i in range(n):
-        m_in = Magnetization(*start[i])
         if kinds[i] == 0:  # free precession with relaxation
             domega = rng.uniform(-2 * math.pi * 400, 2 * math.pi * 400)
-            r = RelaxationParams(t1[i], t2[i], m0[i])
-            out = apply_precess_relax(m_in, r, domega, dt[i])
+            phase[i] = domega * dt[i]
             b[i] = (0.0, 0.0, domega / GAMMA_PROTON)
         elif kinds[i] == 1:  # hard pulse (relaxation-free rotation)
-            alpha = rng.uniform(0.05, math.pi)
-            phi = rng.uniform(0.0, 2 * math.pi)
+            alpha[i] = rng.uniform(0.05, math.pi)
+            phi[i] = rng.uniform(0.0, 2 * math.pi)
             dt[i] = 1e-4
             t1[i] = t2[i] = 1e9
             m0[i] = 0.0
-            b1 = alpha / (GAMMA_PROTON * dt[i])
-            out = apply_hard_pulse(m_in, HardPulse(alpha, phi))
-            b[i] = (b1 * math.cos(phi), b1 * math.sin(phi), 0.0)
+            b1 = alpha[i] / (GAMMA_PROTON * dt[i])
+            b[i] = (b1 * math.cos(phi[i]), b1 * math.sin(phi[i]), 0.0)
         else:  # gradient interval with relaxation
             moment = rng.uniform(-25.0, 25.0)
-            r = RelaxationParams(t1[i], t2[i], m0[i])
-            out = apply_gradient_interval(m_in, r, moment, dt[i])
+            phase[i] = moment
             b[i] = (0.0, 0.0, moment / (GAMMA_PROTON * dt[i]))
-        analytic[i] = (out.mx, out.my, out.mz)
+    # the kernel's operators, each once over all 100 cases: a pulse per
+    # case (hard_pulse_matrix of arrays holds one matrix per case along
+    # its last axis), or a turn with relaxation
+    mxy = start[:, 0] + 1j * start[:, 1]
+    pulsed_mxy, pulsed_mz = apply_rotation(hard_pulse_matrix(alpha, phi), mxy, start[:, 2])
+    free_mxy = mxy * precession_factor(phase, dt, 1.0 / t2)
+    free_mz = regrow_mz(start[:, 2], m0, 1.0 / t1, dt)
+    pulsed = kinds == 1
+    out_mxy = np.where(pulsed, pulsed_mxy, free_mxy)
+    analytic = np.column_stack(
+        [out_mxy.real, out_mxy.imag, np.where(pulsed, pulsed_mz, free_mz)]
+    )
     started = time.perf_counter()
     reference = rk4_bloch_batch(start, b, t1, t2, m0, dt, steps=4000)
     runtime = time.perf_counter() - started

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 
@@ -180,6 +179,16 @@ def test_log_level_prints_mrsim_debug_lines(workdir, capsys):
     assert "DEBUG mrsim.ktspace: k-t walk: 32 elements, 11 distinct" in err
     assert main(args) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_spacing_override_takes_inf_as_one_spin_along_the_axis(workdir, recwarn):
+    # the spin echo has no k excursion along z, where `mrsim spacing` recommends inf
+    for z in ("inf", "1.0"):
+        argv = [*SIMULATE, "--spacing-override", f"0.005,0.005,{z}", "--out", f"{{w}}/z_{z}"]
+        assert main([arg.format(w=workdir) for arg in argv]) == 0
+    assert [str(w.message) for w in recwarn] == []
+    inf, wide = (read_echo_file(str(workdir / f"z_{z}" / "echoes.mrsim")) for z in ("inf", "1.0"))
+    assert np.isfinite(inf).all() and np.array_equal(inf, wide)
 
 
 def test_fit_t2_cli(workdir, capsys):

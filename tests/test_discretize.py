@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mrsim.bloch import GAMMA_PROTON, NO_RELAX, HardPulse, RelaxationParams
-from mrsim.bloch import apply_shaped_pulse, equilibrium
 from mrsim.discretize import (
     acquisition_params,
     max_spacing,
@@ -23,11 +22,10 @@ from mrsim.sequence import (
     build_cpmg,
     build_gradient_epi,
     build_spin_echo,
-    readout_duration,
     readout_gradient,
 )
 
-from oracles import reference_prune
+from oracles import reference_prune, shaped_pulse
 
 
 def readout_only(k_max, n=33, duration=0.01):
@@ -290,14 +288,8 @@ def spurious_excitation(n_hf, gz, fov, total_t, flip, bandwidth):
     for z in np.linspace(-fov / 2, fov / 2, 81):
         if abs(z) < 2.0 * slice_half:
             continue
-        m = apply_shaped_pulse(
-            equilibrium(1.0),
-            NO_RELAX,
-            env,
-            dt,
-            GAMMA_PROTON * gz * z * dt,
-        )
-        worst = max(worst, abs(complex(m.mx, m.my)))
+        m = shaped_pulse((0, 0, 1), NO_RELAX, env, dt, GAMMA_PROTON * gz * z * dt)
+        worst = max(worst, abs(complex(m[0], m[1])))
     return worst
 
 

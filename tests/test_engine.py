@@ -4,6 +4,7 @@ import math
 import multiprocessing as mp
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ import pytest
 from mrsim.bloch import (
     GAMMA_PROTON,
     HardPulse,
-    Magnetization,
     RelaxationParams,
-    apply_shaped_pulse,
     hard_pulse_matrix,
 )
-from mrsim.discretize import pruned_max_spacing
+from mrsim.discretize import max_spacing, pruned_max_spacing
 from mrsim.engine import (
     Experiment,
     SpinBlock,
@@ -51,7 +50,7 @@ from mrsim.sequence import (
 )
 from mrsim.system import default_system
 
-from oracles import reference_kernel
+from oracles import reference_kernel, shaped_pulse
 
 
 def box_phantom(m0=1.0, t2=0.2):
@@ -69,13 +68,13 @@ def box_phantom(m0=1.0, t2=0.2):
 
 
 def spin_block(spin, domega=0.0, weight=1.0 + 0.0j):
-    """A one-spin block of the spin sample."""
+    """A one-spin block of the spin sample, in thermal equilibrium."""
     return SpinBlock(
         index=0,
         pos=np.array([spin.position], dtype=float),
-        mx=np.array([spin.m.mx]),
-        my=np.array([spin.m.my]),
-        mz=np.array([spin.m.mz]),
+        mx=np.zeros(1),
+        my=np.zeros(1),
+        mz=np.array([spin.relax.m0]),
         t1=np.array([spin.relax.t1]),
         t2=np.array([spin.relax.t2]),
         m0=np.array([spin.relax.m0]),
@@ -123,7 +122,7 @@ def test_memoized_tables_bit_identical_to_recomputation():
     t_snap = sum(es.duration for es in seq.elements[:snapped]) + 1e-3
     tables = precompute_sequence_tables(seq, snapshot_times=(t_snap,))
     assert tables.pulse_memo_hits > 0
-    events = ("moments", "ev_dt", "ev_dmom", "ev_sample", "ev_snap")
+    events = ("ev_dt", "ev_dmom", "ev_sample", "ev_snap")
 
     def bits(a):
         return a.dtype, a.shape, a.tobytes()
@@ -172,24 +171,21 @@ def delay_and_sample(te, t2, n=5):
 def test_simulate_spin_fid_amplitude():
     t2, te = 0.2, 0.05
     tables = precompute_sequence_tables(delay_and_sample(te, t2))
-    spin = SpinSample(
-        position=(0, 0, 0), m=Magnetization(0, 0, 1), relax=RelaxationParams(1.0, t2, 1.0)
-    )
+    spin = SpinSample(position=(0, 0, 0), relax=RelaxationParams(1.0, t2, 1.0))
     echoes, _ = compute_block(tables, spin_block(spin, weight=0.5 + 0.0j))
     assert abs(echoes[0, 0]) == pytest.approx(0.5 * math.exp(-te / t2), rel=1e-12)
 
 
 def test_simulate_spin_zero_m0_contributes_nothing():
     tables = precompute_sequence_tables(delay_and_sample(0.05, 0.2))
-    spin = SpinSample(
-        position=(0.01, 0, 0), m=Magnetization(0, 0, 0), relax=RelaxationParams(1.0, 0.2, 0.0)
-    )
+    spin = SpinSample(position=(0.01, 0, 0), relax=RelaxationParams(1.0, 0.2, 0.0))
     echoes, _ = compute_block(tables, spin_block(spin))
     assert np.all(echoes == 0)
 
 
 def test_rf_shaped_file_runs_like_apply_shaped_pulse(tmp_path):
-    # both paths cut the envelope with bloch.hard_pulse_decomposition
+    # the kernel runs the hard pulses of bloch.hard_pulse_decomposition;
+    # the oracle turns the spin sample by sample with axis-angle rotations
     t = np.linspace(-3.0, 3.0, 40)
     envelope_ut = np.column_stack([20.0 * np.sinc(t), 6.0 * np.sinc(t - 1.0)])
     envelope_ut[5] = 0.0  # a zero sample is free evolution without a pulse
@@ -199,18 +195,18 @@ def test_rf_shaped_file_runs_like_apply_shaped_pulse(tmp_path):
         f"[rf_shaped]\nsamples = env.txt\nsample_dt_s = {dt!r}\n", base_dir=str(tmp_path)
     )
     relax = RelaxationParams(0.8, 0.05, 1.0)
-    spin = SpinSample(position=(0, 0, 0), m=Magnetization(0, 0, 1), relax=relax)
+    spin = SpinSample(position=(0, 0, 0), relax=relax)
     tables = precompute_sequence_tables(seq, snapshot_times=(seq.duration,))
     _, snaps = compute_block(tables, spin_block(spin, domega=domega))
-    want = apply_shaped_pulse(
-        Magnetization(0, 0, 1),
+    want = shaped_pulse(
+        (0, 0, 1),
         relax,
         (envelope_ut[:, 0] + 1j * envelope_ut[:, 1]) * 1e-6,
         dt,
         domega * dt,
     )
-    assert math.hypot(want.mx, want.my) > 0.3
-    np.testing.assert_allclose(snaps[0][0], want.as_array(), rtol=0, atol=1e-12)
+    assert math.hypot(want[0], want[1]) > 0.3
+    np.testing.assert_allclose(snaps[0][0], want, rtol=0, atol=1e-12)
 
 
 def test_opposite_positions_sum_to_real_signal():
@@ -230,7 +226,7 @@ def test_opposite_positions_sum_to_real_signal():
     relax = RelaxationParams(math.inf, math.inf, 1.0)
     total = np.zeros((1, 9), dtype=complex)
     for x in (+0.004, -0.004):
-        spin = SpinSample(position=(x, 0, 0), m=Magnetization(0, 0, 1), relax=relax)
+        spin = SpinSample(position=(x, 0, 0), relax=relax)
         echoes, _ = compute_block(tables, spin_block(spin))
         total += echoes
     np.testing.assert_allclose(total.imag, 0.0, atol=1e-14)
@@ -391,7 +387,9 @@ def test_run_produces_expected_shape(reference_run):
     assert len(reference_run.echoes) == 16
     assert all(rec.values.size == 16 for rec in reference_run.echoes)
     assert reference_run.metrics.throughput > 0
-    assert reference_run.metrics.spin_count == reference_run.spin_count
+    assert reference_run.metrics.throughput == pytest.approx(
+        reference_run.spin_count / reference_run.metrics.wall_time_s
+    )
 
 
 def test_default_blocks_fit_the_propagator_budget(monkeypatch, caplog):
@@ -456,6 +454,21 @@ def test_scaling_m0_by_power_of_two_is_exact():
 def test_spacing_override_warns_when_violating_bound():
     with pytest.warns(UserWarning, match="sampling bound"):
         run(small_experiment(spacing=(0.1, 0.1, 0.002)))
+
+
+def test_infinite_spacing_on_an_axis_without_k_excursion():
+    # max_spacing recommends inf along z for this 2-D spin echo: one spin
+    # along z, as any spacing wider than the box gives, and no warning
+    exp = small_experiment()
+    report = max_spacing(exp.sequence, phantom=exp.phantom)
+    assert report.spacing[2] == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inf = run(dataclasses.replace(exp, spacing=(0.008, 0.008, report.spacing[2])))
+    wide = run(dataclasses.replace(exp, spacing=(0.008, 0.008, 1.0)))
+    assert inf.spin_count == wide.spin_count == 12 * 10
+    assert np.array_equal(inf.echo_matrix(), wide.echo_matrix())
+    assert np.isfinite(inf.echo_matrix()).all()
 
 
 def test_pool_checks_spacing_override_like_one_process():
@@ -645,9 +658,7 @@ def test_snapshot_mid_interval_is_exact():
     t2, te = 0.2, 0.05
     seq = delay_and_sample(te, t2)
     tables = precompute_sequence_tables(seq, snapshot_times=(0.02,))
-    spin = SpinSample(
-        position=(0, 0, 0), m=Magnetization(0, 0, 1), relax=RelaxationParams(1.0, t2, 1.0)
-    )
+    spin = SpinSample(position=(0, 0, 0), relax=RelaxationParams(1.0, t2, 1.0))
     echoes, snaps = compute_block(tables, spin_block(spin))
     assert snaps[0] is not None
     np.testing.assert_allclose(
@@ -663,11 +674,7 @@ def test_split_interval_trajectories_identical():
 
     seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
     split = split_elementary(seq, 0, seq.elements[0].duration * 0.37)
-    spin = SpinSample(
-        position=(0.013, -0.007, 0.0),
-        m=Magnetization(0, 0, 1),
-        relax=RelaxationParams(1.0, 0.2, 1.0),
-    )
+    spin = SpinSample(position=(0.013, -0.007, 0.0), relax=RelaxationParams(1.0, 0.2, 1.0))
     a, _ = compute_block(precompute_sequence_tables(seq), spin_block(spin, domega=12.0))
     b, _ = compute_block(precompute_sequence_tables(split), spin_block(spin, domega=12.0))
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)

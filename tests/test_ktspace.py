@@ -8,7 +8,15 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mrsim import ktspace
-from mrsim.bloch import GAMMA_PROTON, HardPulse, RelaxationParams
+from mrsim.bloch import (
+    GAMMA_PROTON,
+    HardPulse,
+    RelaxationParams,
+    apply_rotation,
+    hard_pulse_matrix,
+    precession_factor,
+    regrow_mz,
+)
 from mrsim.discretize import PruneBound
 from mrsim.errors import ComplexOrderZero, IncommensurateMoments, MrSimError
 from mrsim.ktspace import (
@@ -294,8 +302,6 @@ def test_box_spectrum_matches_fine_lattice():
 def test_incommensurate_sequence_uses_continuous_fallback():
     # no common unit exists, so the tracker quantizes at min-moment/1024;
     # the synthesized echo must still match the spin picture closely
-    import cmath as _cm
-
     dt = 0.01
     moments = [(90, 0, 100.0), (120, 45, 100.0 * (1.0 + 1.23e-7))]
     seq = pulse_seq(*moments)
@@ -304,16 +310,13 @@ def test_incommensurate_sequence_uses_continuous_fallback():
     positions = np.linspace(-0.02, 0.02, 41)
     spec = lattice_spectrum([(x, 0, 0) for x in positions], np.full(41, 1.0 / 41))
     out = simulate_kt(seq, NO_RELAX, object_spectrum=spec)
-    # direct spin-sum reference at the final time
-    from mrsim.bloch import Magnetization, apply_gradient_interval, apply_hard_pulse
-
-    total = 0j
-    for x in positions:
-        m = Magnetization(0.0, 0.0, 1.0)
-        for (a, p, mom) in moments:
-            m = apply_hard_pulse(m, HardPulse(math.radians(a), math.radians(p)))
-            m = apply_gradient_interval(m, NO_RELAX, mom * x, dt)
-        total += complex(m.mx, m.my) / 41
+    # direct spin-sum reference at the final time, all 41 spins at once
+    mxy, mz = np.zeros(41, dtype=complex), np.ones(41)
+    for (a, p, mom) in moments:
+        mxy, mz = apply_rotation(hard_pulse_matrix(math.radians(a), math.radians(p)), mxy, mz)
+        mxy = mxy * precession_factor(mom * positions, dt, 1.0 / NO_RELAX.t2)
+        mz = regrow_mz(mz, NO_RELAX.m0, 1.0 / NO_RELAX.t1, dt)
+    total = mxy.sum() / 41
     got = synthesize_echo(out.final, spec)
     assert abs(got - total) <= 1e-3 * max(abs(total), 1.0)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrsim.bloch import Magnetization, RelaxationParams
+from mrsim.bloch import RelaxationParams
 from mrsim.engine import build_spin_arrays
 from mrsim.errors import InvalidParameter, ParseError, SpinBudgetExceeded
 from mrsim.system import default_system
@@ -66,6 +66,15 @@ def test_rasterize_deterministic_and_ordered():
     assert first[9].position[2] > first[0].position[2]
 
 
+def test_infinite_spacing_puts_one_site_at_the_box_centre():
+    # max_spacing recommends inf on an axis without k excursion
+    box = PhantomBox(origin=(0, 0, -5e-4), size=(0.1, 0.04, 1e-3), m0=1.0)
+    inf = rasterize(Phantom([box]), (0.01, 0.01, math.inf))
+    wide = rasterize(Phantom([box]), (0.01, 0.01, 1.0))
+    assert len(inf) == 40 and not inf.pos[:, 2].any()
+    assert np.array_equal(inf.pos, wide.pos)
+
+
 def test_spin_budget_enforced():
     # 2000 x 2000 x 1 sites, twice the cap; they are counted, never allocated
     box = PhantomBox(origin=(0, 0, 0), size=(2, 2, 1e-3), m0=1.0)
@@ -80,8 +89,6 @@ def test_affine_properties_evaluated_at_positions():
     spins = rasterize(Phantom([box]), (0.01, 1.0, 1.0))
     for s in spins:
         assert s.relax.m0 == pytest.approx(1.0 + 10.0 * s.position[0])
-        assert s.m.mz == s.relax.m0  # thermal equilibrium start
-        assert (s.m.mx, s.m.my) == (0.0, 0.0)
 
 
 def test_spin_list_matches_site_by_site_evaluation():
@@ -102,7 +109,6 @@ def test_spin_list_matches_site_by_site_evaluation():
             expected.append(
                 SpinSample(
                     position=(x, y, 5e-4),
-                    m=Magnetization(0.0, 0.0, m0),
                     relax=RelaxationParams(t1=0.9, t2=0.05 + x, m0=m0),
                     delta_omega=box.delta_omega(x, y, 5e-4),
                 )
@@ -110,7 +116,8 @@ def test_spin_list_matches_site_by_site_evaluation():
     assert len(spins) == len(expected)
     for got, want in zip(list(spins), expected):
         assert got.position == pytest.approx(want.position, abs=1e-15)
-        assert got.m == want.m and got.delta_omega == pytest.approx(want.delta_omega)
+        assert got.relax.m0 == want.relax.m0
+        assert got.delta_omega == pytest.approx(want.delta_omega)
         assert got.relax.t2 == pytest.approx(want.relax.t2)
     assert spins[-1] == list(spins)[-1]
     assert spins[2:4] == list(spins)[2:4]
