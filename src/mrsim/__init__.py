@@ -35,10 +35,6 @@ from .errors import (
     WorkerPanic,
 )
 from .ktspace import (
-    ConfigurationSet,
-    apply_gradient_shift,
-    apply_relax_interval,
-    apply_rf_split,
     derive_unit_k,
     export_kt_diagram,
     max_k_excursion,

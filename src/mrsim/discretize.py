@@ -19,7 +19,7 @@ from .bloch import GAMMA_PROTON, RelaxationParams
 from .errors import InvalidParameter
 from .ktspace import TracePoint, max_k_excursion, simulate_kt
 from .phantom import lattice_sites
-from .sequence import Sequence
+from .sequence import Sequence, _solve_readout
 
 # recommended spacing as a fraction of the strict bound dx_max
 SAFETY = 0.8
@@ -284,11 +284,11 @@ def acquisition_params(
     if len(missing) != 1:
         raise InvalidParameter(f"exactly one of fov/dt/grad must be omitted, missing: {missing}")
     if fov is None:
-        fov = 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * grad * dt)
+        fov = _solve_readout(n, grad, dt)
     elif dt is None:
-        dt = 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * grad)
+        dt = _solve_readout(n, fov, grad)
     else:
-        grad = 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * dt)
+        grad = _solve_readout(n, fov, dt)
     if fov <= 0.0 or dt <= 0.0 or grad <= 0.0:
         raise InvalidParameter("fov, dt and grad must come out positive")
     k_max = math.pi * (n - 1) / fov

@@ -459,13 +459,18 @@ def _auto_spacing(exp: Experiment) -> Tuple[Tuple[float, float, float], SpacingR
     """The spin spacing when none is given: the steady-state pruned
     bound (worst-case tissue, 256 gray levels), or twice the phantom's
     extent on an axis the sequence leaves unbounded.  The returned
-    report is the pruned one, with the relaxation-free bound in its
-    notes."""
+    report is the pruned one, with the relaxation-free bound and the
+    worst-case tissue in its notes."""
     free = max_spacing(exp.sequence, phantom=exp.phantom)
-    chosen = pruned_max_spacing(exp.sequence, _worst_tissue(exp.phantom))
+    tissue = _worst_tissue(exp.phantom)
+    chosen = pruned_max_spacing(exp.sequence, tissue)
     chosen.notes.append(
         f"relaxation-free bound: K_max = {_triple(free.k_max)} rad/m, "
         f"dx_max = {_triple(free.dx_max)} m"
+    )
+    chosen.notes.append(
+        f"worst-case tissue T1 = {tissue.t1:.6g} s, T2 = {tissue.t2:.6g} s: the largest T1 "
+        "and the largest T2, each taken on its own over the box centres and corners"
     )
     lo, hi = exp.phantom.bounding_box()
     extent = np.maximum(np.asarray(hi) - np.asarray(lo), 1e-12)

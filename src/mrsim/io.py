@@ -7,6 +7,7 @@ lines so the files stay trivially consumable by other tools.
 from __future__ import annotations
 
 import json
+import math
 import time
 from typing import Optional, Tuple
 
@@ -22,7 +23,9 @@ def write_echo_file(path: str, matrix: np.ndarray, manifest: Optional[dict] = No
     little-endian float64 (re, im) pairs, acquisition-major.
 
     A JSON manifest with run metadata is always written alongside as
-    ``<path>.manifest.json``.
+    ``<path>.manifest.json``.  It is strict JSON: a non-finite float is
+    written as the string "inf", "-inf" or "nan", which ``float()`` reads
+    back.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
@@ -39,15 +42,27 @@ def write_echo_file(path: str, matrix: np.ndarray, manifest: Optional[dict] = No
     meta["n_acq"] = n_acq
     meta["n_samples"] = n_samples
     with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, default=_json_default)
+        json.dump(_finite(meta), fh, indent=2, default=_json_default, allow_nan=False)
         fh.write("\n")
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float, in lists and dict values too,
+    as its string "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
 
 
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _finite(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _finite(obj.item())
     return str(obj)
 
 

@@ -79,39 +79,10 @@ class ConfigurationSet:
     unit: Tuple[Optional[float], Optional[float], Optional[float]]
     trans: Dict[Order, complex] = field(default_factory=dict)
     longi: Dict[Order, complex] = field(default_factory=dict)
-    prune_threshold: float = DEFAULT_PRUNE
-    m0_scale: float = 1.0
 
     @staticmethod
-    def equilibrium(
-        m0: float = 1.0,
-        unit=(None, None, None),
-        prune_threshold: float = DEFAULT_PRUNE,
-    ) -> "ConfigurationSet":
-        return ConfigurationSet(
-            unit=tuple(unit),
-            longi={ZERO: complex(m0)},
-            prune_threshold=prune_threshold,
-            m0_scale=m0 if m0 > 0 else 1.0,
-        )
-
-    def prune(self) -> None:
-        if self.prune_threshold <= 0.0:
-            return
-        cut = self.prune_threshold * self.m0_scale
-        self.trans = {o: p for o, p in self.trans.items() if abs(p) >= cut}
-        self.longi = {
-            o: p for o, p in self.longi.items() if abs(p) >= cut or o == ZERO
-        }
-
-    def _enforce_real_b0(self) -> None:
-        b0 = self.longi.get(ZERO)
-        if b0 is not None:
-            self.longi[ZERO] = _real_b0(b0)
-
-    def _with(self, trans: Dict[Order, complex], longi: Dict[Order, complex]):
-        """A set with the same unit and pruning and these populations."""
-        return ConfigurationSet(self.unit, trans, longi, self.prune_threshold, self.m0_scale)
+    def equilibrium(m0: float = 1.0, unit=(None, None, None)) -> "ConfigurationSet":
+        return ConfigurationSet(unit=tuple(unit), longi={ZERO: complex(m0)})
 
 
 def _row(pops: Dict[Order, complex]):
@@ -128,40 +99,27 @@ def _real_b0(b0: complex) -> complex:
     return complex(b0.real, 0.0)
 
 
-def rf_mixing_matrix(alpha: float, phi: float) -> np.ndarray:
-    """Complex 3x3 pulse matrix acting on (a_o, conj(a_-o), b_o)."""
+def _mixing_coefficients(pulse: Optional[HardPulse]):
+    """The rows for a_o and b_o of the complex pulse matrix acting on
+    (a_o, conj(a_-o), b_o), as six scalars; None for no pulse or a zero
+    flip."""
+    if pulse is None or pulse.alpha == 0.0:
+        return None
+    alpha, phi = pulse.alpha, pulse.phi
     ca2 = math.cos(alpha / 2.0) ** 2
     sa2 = math.sin(alpha / 2.0) ** 2
     sa = math.sin(alpha)
     ephi = cmath.exp(1j * phi)
-    return np.array(
-        [
-            [ca2, sa2 * ephi * ephi, 1j * sa * ephi],
-            [sa2 / (ephi * ephi), ca2, -1j * sa / ephi],
-            [0.5j * sa / ephi, -0.5j * sa * ephi, math.cos(alpha)],
-        ],
-        dtype=complex,
-    )
+    row_a = [ca2, sa2 * ephi * ephi, 1j * sa * ephi]
+    row_b = [0.5j * sa / ephi, -0.5j * sa * ephi, math.cos(alpha)]
+    # numpy complex scalars, whose type the split's populations inherit
+    return tuple(np.array(row_a + row_b, dtype=complex))
 
 
-def _mixing_coefficients(pulse: Optional[HardPulse]):
-    """The rows of :func:`rf_mixing_matrix` that a split reads, as six
-    scalars; None for no pulse or a zero flip."""
-    if pulse is None or pulse.alpha == 0.0:
-        return None
-    t = rf_mixing_matrix(pulse.alpha, pulse.phi)
-    return t[0, 0], t[0, 1], t[0, 2], t[2, 0], t[2, 1], t[2, 2]
-
-
-def apply_rf_split(state: ConfigurationSet, pulse: HardPulse) -> ConfigurationSet:
-    """Weighted population exchange within every |order| group."""
-    mix = _mixing_coefficients(pulse)
-    if mix is None:
-        return state._with(dict(state.trans), dict(state.longi))
-    return _rf_split(state, mix)
-
-
-def _rf_split(state: ConfigurationSet, mix) -> ConfigurationSet:
+def _rf_split(state: ConfigurationSet, mix, cut: float) -> ConfigurationSet:
+    """Weighted population exchange within every |order| group, then
+    the prune: populations below ``cut`` go, except the order-0 Mz; a
+    cut of 0 keeps everything."""
     t00, t01, t02, t20, t21, t22 = mix
     orders = set(state.trans) | set(state.longi)
     orders |= {_neg(o) for o in orders}
@@ -177,10 +135,12 @@ def _rf_split(state: ConfigurationSet, mix) -> ConfigurationSet:
             new_trans[o] = new_trans.get(o, 0j) + na
         if nb != 0j or o == ZERO:
             new_longi[o] = new_longi.get(o, 0j) + nb
-    out = state._with(new_trans, new_longi)
-    out._enforce_real_b0()
-    out.prune()
-    return out
+    if ZERO in new_longi:
+        new_longi[ZERO] = _real_b0(new_longi[ZERO])
+    if cut > 0.0:
+        new_trans = {o: p for o, p in new_trans.items() if abs(p) >= cut}
+        new_longi = {o: p for o, p in new_longi.items() if abs(p) >= cut or o == ZERO}
+    return ConfigurationSet(state.unit, new_trans, new_longi)
 
 
 def _interval_decay(relax: RelaxationParams, dt: float) -> Tuple[float, float, float]:
@@ -190,35 +150,20 @@ def _interval_decay(relax: RelaxationParams, dt: float) -> Tuple[float, float, f
     return e2, e1, relax.m0 * (1.0 - e1)
 
 
-def apply_relax_interval(
-    state: ConfigurationSet, relax: RelaxationParams, dt: float
-) -> ConfigurationSet:
+def _relax(state: ConfigurationSet, decay: Tuple[float, float, float]) -> ConfigurationSet:
     """T2 decay of transversal, T1 decay of longitudinal populations;
     the order-0 longitudinal population additionally regrows toward m0."""
-    if dt == 0.0:
-        return state._with(dict(state.trans), dict(state.longi))
-    return _relax(state, _interval_decay(relax, dt))
-
-
-def _relax(state: ConfigurationSet, decay: Tuple[float, float, float]) -> ConfigurationSet:
     e2, e1, regrowth = decay
     new_trans = {o: p * e2 for o, p in state.trans.items()}
     new_longi = {o: p * e1 for o, p in state.longi.items()}
-    new_longi[ZERO] = new_longi.get(ZERO, 0j) + regrowth
-    out = state._with(new_trans, new_longi)
-    out._enforce_real_b0()
-    return out
-
-
-def apply_gradient_shift(state: ConfigurationSet, q: Order) -> ConfigurationSet:
-    """Shift every transversal order by the integer triple q; populations
-    landing on the same order merge (configuration interference)."""
-    if q == ZERO:
-        return state._with(dict(state.trans), dict(state.longi))
-    return state._with(_shifted(state.trans, q), dict(state.longi))
+    new_longi[ZERO] = _real_b0(new_longi.get(ZERO, 0j) + regrowth)
+    return ConfigurationSet(state.unit, new_trans, new_longi)
 
 
 def _shifted(trans: Dict[Order, complex], q: Order) -> Dict[Order, complex]:
+    """Every transversal order shifted by the integer triple q;
+    populations landing on the same order merge (configuration
+    interference)."""
     new_trans: Dict[Order, complex] = {}
     for o, p in trans.items():
         key = (o[0] + q[0], o[1] + q[1], o[2] + q[2])
@@ -345,7 +290,6 @@ def simulate_kt(
     relax: RelaxationParams,
     object_spectrum: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     prune_threshold: float = DEFAULT_PRUNE,
-    unit=None,
     record_trace: bool = True,
     observe: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> KtRun:
@@ -381,17 +325,18 @@ def simulate_kt(
     _log.debug("k-t walk: %d elements, %d distinct", len(groups), len(reps))
     moments = _element_moments(reps)
     shift_tol = 1e-6
-    if unit is None:
-        try:
-            unit = _unit_of(moments)
-        except IncommensurateMoments:
-            unit = _fallback_unit(moments)
-            shift_tol = math.inf
+    try:
+        unit = _unit_of(moments)
+    except IncommensurateMoments:
+        unit = _fallback_unit(moments)
+        shift_tol = math.inf
     steps = [_WalkStep.of(es, m, relax, unit, shift_tol) for es, m in zip(reps, moments)]
     scale = _k_scale(unit)
     at_boundary = np.zeros((1, 3))
     boundary_k: Dict[tuple, np.ndarray] = {}
-    state = ConfigurationSet.equilibrium(relax.m0, unit, prune_threshold)
+    state = ConfigurationSet.equilibrium(relax.m0, unit)
+    # populations below the cut are pruned after every pulse split
+    cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
     trace: List[TracePoint] = []
     echoes: List[np.ndarray] = []
     times: List[np.ndarray] = []
@@ -437,7 +382,7 @@ def simulate_kt(
         step = steps[g]
         if step.pulse:
             if step.mix is not None:
-                state = _rf_split(state, step.mix)
+                state = _rf_split(state, step.mix, cut)
             record(now)
         if step.samples is not None:
             orders, pops, longi, lpops = _relax_readout(state, step.samples)
@@ -542,8 +487,8 @@ def _k_positions(scale: np.ndarray, orders, fracs: np.ndarray) -> np.ndarray:
 def _relax_readout(state: ConfigurationSet, samples: _SampleRelaxation):
     """Populations at every sample instant of one readout.
 
-    The same products in the same order as one :func:`apply_relax_interval`
-    per sample interval: one running product of T2 / T1 decay factors
+    The same products in the same order as one :func:`_relax` per
+    sample interval: one running product of T2 / T1 decay factors
     over both kinds, the order-0 Mz by its regrowth recurrence; a
     zero-length interval leaves the populations as they are.  The
     recurrence runs on real floats: the order-0 population enters real
@@ -581,11 +526,10 @@ class QualitativePoint:
     longi: set
 
 
-def qualitative_walk(sequence: Sequence, unit=None):
+def qualitative_walk(sequence: Sequence) -> List[QualitativePoint]:
     """All reachable configuration orders, assuming every RF split occurs
     (flip and phase angles treated as arbitrary)."""
-    if unit is None:
-        unit = derive_unit_k(sequence)
+    unit = derive_unit_k(sequence)
     trans: set = set()
     longi: set = {ZERO}
     points: List[QualitativePoint] = []
@@ -601,7 +545,7 @@ def qualitative_walk(sequence: Sequence, unit=None):
         trans = {(o[0] + q[0], o[1] + q[1], o[2] + q[2]) for o in trans}
         now += es.duration
         points.append(QualitativePoint(now, set(trans), set(longi)))
-    return points, unit
+    return points
 
 
 def max_k_excursion(

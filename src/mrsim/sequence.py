@@ -263,13 +263,19 @@ def distinct_elements(sequence: Sequence) -> Tuple[list, List[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _solve_readout(n: int, a: float, b: float) -> float:
+    """The third of fov, duration and gradient from the other two, a and
+    b, by the rectangular-readout relation gamma * a * b = 2*pi*(n-1)."""
+    return 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * a * b)
+
+
 def readout_gradient(fov: float, n: int, dt: float) -> float:
     """Rectangular readout gradient (T/m) for n samples over duration dt."""
     if fov <= 0.0 or dt <= 0.0:
         raise InvalidParameter("fov and dt must be positive")
     if n < 2:
         raise InvalidParameter(f"need at least 2 samples, got {n}")
-    return 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * dt)
+    return _solve_readout(n, fov, dt)
 
 
 def readout_duration(fov: float, n: int, grad: float) -> float:
@@ -278,7 +284,7 @@ def readout_duration(fov: float, n: int, grad: float) -> float:
         raise InvalidParameter("fov and grad must be positive")
     if n < 2:
         raise InvalidParameter(f"need at least 2 samples, got {n}")
-    return 2.0 * math.pi * (n - 1) / (GAMMA_PROTON * fov * grad)
+    return _solve_readout(n, fov, grad)
 
 
 def _k_step(fov: float) -> float:

@@ -11,9 +11,12 @@ replaced, and the reference prune is the point-by-point
 form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
 unit and k excursion are the per-element forms of
 ``mrsim.ktspace.simulate_kt``, ``derive_unit_k`` and ``max_k_excursion``:
-every elementary sequence computes its own moments, shift, decay
-factors and sample relaxation.  The reference head phantom tests every
-ellipse of ``mrsim.phantom.shepp_logan_m0`` in table order.
+every elementary sequence computes its own moments, shift, mixing
+coefficients, decay factors and sample relaxation, and the walk applies
+them through the package's own steps, wrapped with their no-op guards
+in ``rf_split``, ``relax_interval`` and ``gradient_shift``.  The
+reference head phantom tests every ellipse of
+``mrsim.phantom.shepp_logan_m0`` in table order.
 """
 
 import cmath
@@ -25,17 +28,20 @@ from mrsim.bloch import GAMMA_PROTON
 from mrsim.errors import IncommensurateMoments
 from mrsim.ktspace import (
     DEFAULT_PRUNE,
+    ZERO,
     ConfigurationSet,
     KtRun,
     TracePoint,
     _axis_unit,
     _entries,
     _integer_shift,
+    _interval_decay,
+    _mixing_coefficients,
     _real_b0,
+    _relax,
+    _rf_split,
     _row,
-    apply_gradient_shift,
-    apply_relax_interval,
-    apply_rf_split,
+    _shifted,
 )
 from mrsim.phantom import _HEAD_ELLIPSES
 
@@ -310,25 +316,42 @@ def _reference_readout(state, relax, ts):
     return orders, scan[row, :m], longi, scan[row, m:]
 
 
+def rf_split(state, pulse, cut=DEFAULT_PRUNE):
+    """The walk's pulse split and prune at ``cut``; no pulse or a zero
+    flip leaves the state as it is."""
+    mix = _mixing_coefficients(pulse)
+    return state if mix is None else _rf_split(state, mix, cut)
+
+
+def relax_interval(state, relax, dt):
+    """The walk's relaxation over dt; dt == 0 leaves the state as it is."""
+    return state if dt == 0.0 else _relax(state, _interval_decay(relax, dt))
+
+
+def gradient_shift(state, q):
+    """The walk's shift of every transversal order by q; q == ZERO leaves
+    the state as it is."""
+    return state if q == ZERO else ConfigurationSet(state.unit, _shifted(state.trans, q), state.longi)
+
+
 def reference_walk(
     sequence,
     relax,
     object_spectrum=None,
     prune_threshold=DEFAULT_PRUNE,
-    unit=None,
     record_trace=True,
     observe=None,
 ):
     """Configuration tracking element by element: same inputs and outputs
     as ``mrsim.ktspace.simulate_kt``."""
     shift_tol = 1e-6
-    if unit is None:
-        try:
-            unit = reference_unit(sequence)
-        except IncommensurateMoments:
-            unit = reference_fallback_unit(sequence)
-            shift_tol = math.inf
-    state = ConfigurationSet.equilibrium(relax.m0, unit, prune_threshold)
+    try:
+        unit = reference_unit(sequence)
+    except IncommensurateMoments:
+        unit = reference_fallback_unit(sequence)
+        shift_tol = math.inf
+    state = ConfigurationSet.equilibrium(relax.m0, unit)
+    cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
     trace, echoes, times = [], [], []
     now = 0.0
 
@@ -352,7 +375,7 @@ def reference_walk(
     record(now)
     for es in sequence.elements:
         if es.pulse is not None:
-            state = apply_rf_split(state, es.pulse)
+            state = rf_split(state, es.pulse, cut)
             record(now)
         moments = es.gradient.moments(es.duration)
         q = _integer_shift(moments, unit, tol=shift_tol)
@@ -368,8 +391,8 @@ def reference_walk(
             state.trans = dict(zip(orders, pops[-1].tolist()))
             state.longi = dict(zip(longi, lpops[-1].tolist()))
             rest = es.duration - ts[-1]
-        state = apply_relax_interval(state, relax, rest)
-        state = apply_gradient_shift(state, q)
+        state = relax_interval(state, relax, rest)
+        state = gradient_shift(state, q)
         now += es.duration
         record(now)
     return KtRun(echoes=echoes, sample_times=times, trace=trace, final=state)

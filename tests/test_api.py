@@ -43,3 +43,15 @@ def test_no_public_callable_or_dataclass_takes_gamma_or_a_frame():
     assert "mrsim.engine.run" in members and "mrsim.sequence.GradientWaveform.moments" in members
     offenders = {name: sorted(_names(obj) & FIXED) for name, obj in members.items()}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_k_t_steps_are_the_walks_own():
+    """The walk's private steps are the only k-t operators, the state
+    carries no pruning settings, and the walks derive their own unit."""
+    operators = {"apply_rf_split", "apply_relax_interval", "apply_gradient_shift"}
+    assert sorted((operators | {"ConfigurationSet"}) & set(vars(mrsim))) == []
+    assert sorted((operators | {"rf_mixing_matrix"}) & set(vars(mrsim.ktspace))) == []
+    fields = [f.name for f in dataclasses.fields(mrsim.ktspace.ConfigurationSet)]
+    assert fields == ["unit", "trans", "longi"]
+    for walk in (mrsim.ktspace.simulate_kt, mrsim.ktspace.qualitative_walk):
+        assert "unit" not in inspect.signature(walk).parameters

@@ -191,6 +191,18 @@ def test_spacing_override_takes_inf_as_one_spin_along_the_axis(workdir, recwarn)
     assert np.isfinite(inf).all() and np.array_equal(inf, wide)
 
 
+def test_manifest_is_strict_json_with_inf_as_a_string(workdir):
+    argv = [*SIMULATE, "--spacing-override", "0.005,0.005,inf", "--out", "{w}/strict"]
+    assert main([arg.format(w=workdir) for arg in argv]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = (workdir / "strict" / "echoes.mrsim.manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=reject)
+    assert [float(v) for v in manifest["spacing_m"]] == [0.005, 0.005, float("inf")]
+
+
 def test_fit_t2_cli(workdir, capsys):
     series = workdir / "series.txt"
     t = np.arange(1, 13) * 0.02

@@ -234,6 +234,7 @@ def test_acquisition_params_whole_body_protocol():
 def test_acquisition_params_solves_each_variable():
     ref = acquisition_params(fov=0.5, n=64, grad=1e-3)
     assert acquisition_params(fov=0.5, n=64, dt=ref.dt).grad == pytest.approx(1e-3)
+    assert acquisition_params(fov=0.5, n=64, dt=ref.dt).grad == readout_gradient(0.5, 64, ref.dt)
     assert acquisition_params(n=64, dt=ref.dt, grad=1e-3).fov == pytest.approx(0.5)
     with pytest.raises(InvalidParameter):
         acquisition_params(fov=0.5, n=64)

@@ -515,6 +515,19 @@ def test_auto_spacing_on_incommensurate_moments_takes_the_pruned_bound():
     assert res.spacing[0] == pruned.spacing[0] and pruned.k_max[0] > 0.0
 
 
+def test_auto_spacing_report_says_how_the_worst_tissue_was_chosen():
+    # T1 and T2 peak in different boxes; the worst case takes both maxima
+    boxes = [
+        PhantomBox(origin=(-0.05, -0.04, -5e-4), size=(0.05, 0.08, 1e-3), m0=1.0, t1=1.2, t2=0.05),
+        PhantomBox(origin=(0.0, -0.04, -5e-4), size=(0.05, 0.08, 1e-3), m0=1.0, t1=0.3, t2=0.25),
+    ]
+    res = run(small_experiment(phantom=Phantom(boxes), spacing=None))
+    assert (
+        "note: worst-case tissue T1 = 1.2 s, T2 = 0.25 s: the largest T1 and the largest T2, "
+        "each taken on its own over the box centres and corners"
+    ) in res.spacing_report.text()
+
+
 def test_run_logs_which_spacing_bound_applied(caplog):
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         auto = run(small_experiment(spacing=None))

@@ -20,13 +20,11 @@ from mrsim.bloch import (
 from mrsim.discretize import PruneBound
 from mrsim.errors import ComplexOrderZero, IncommensurateMoments, MrSimError
 from mrsim.ktspace import (
+    DEFAULT_PRUNE,
     ZERO,
     Configuration,
     ConfigurationSet,
     TracePoint,
-    apply_gradient_shift,
-    apply_relax_interval,
-    apply_rf_split,
     box_spectrum,
     derive_unit_k,
     export_kt_diagram,
@@ -45,7 +43,14 @@ from mrsim.sequence import (
     readout_gradient,
 )
 
-from oracles import reference_k_excursion, reference_unit, reference_walk
+from oracles import (
+    gradient_shift,
+    reference_k_excursion,
+    reference_unit,
+    reference_walk,
+    relax_interval,
+    rf_split,
+)
 
 NO_RELAX = RelaxationParams(t1=math.inf, t2=math.inf, m0=1.0)
 
@@ -97,7 +102,7 @@ def test_unit_incommensurate_raises():
 
 def test_rf_split_from_equilibrium():
     state = ConfigurationSet.equilibrium(1.0)
-    out = apply_rf_split(state, HardPulse(math.pi / 2, 0.0))
+    out = rf_split(state, HardPulse(math.pi / 2, 0.0))
     assert out.trans[ZERO] == pytest.approx(1j)
     assert out.longi[ZERO] == pytest.approx(0.0, abs=1e-15)
 
@@ -105,26 +110,29 @@ def test_rf_split_from_equilibrium():
 def test_rf_split_zero_flip_is_exact_identity():
     state = ConfigurationSet.equilibrium(1.0)
     state.trans[(1, 0, 0)] = 0.25 - 0.1j
-    out = apply_rf_split(state, HardPulse(0.0, 1.23))
+    # the walk skips the split where a pulse has no mixing coefficients
+    assert ktspace._mixing_coefficients(HardPulse(0.0, 1.23)) is None
+    out = rf_split(state, HardPulse(0.0, 1.23))
     assert out.trans == state.trans
     assert out.longi == state.longi
 
 
 def test_relax_interval_long_time_leaves_equilibrium():
     state = ConfigurationSet.equilibrium(1.0)
-    state = apply_rf_split(state, HardPulse(math.pi / 3, 0.5))
+    state = rf_split(state, HardPulse(math.pi / 3, 0.5))
     relax = RelaxationParams(t1=0.1, t2=0.05, m0=1.0)
-    out = apply_relax_interval(state, relax, dt=50 * relax.t1)
-    out.prune()
+    out = relax_interval(state, relax, dt=50 * relax.t1)
+    # prune through the walk's split, with the identity for its mixing
+    out = ktspace._rf_split(out, (1, 0, 0, 0, 0, 1), DEFAULT_PRUNE)
     assert set(out.trans) == set()
     assert out.longi[ZERO] == pytest.approx(1.0)
 
 
 def test_relax_interval_halves_transversal_at_t2_ln2():
     state = ConfigurationSet.equilibrium(1.0)
-    state = apply_rf_split(state, HardPulse(math.pi / 2, 0.0))
+    state = rf_split(state, HardPulse(math.pi / 2, 0.0))
     relax = RelaxationParams(t1=1.0, t2=0.3, m0=1.0)
-    out = apply_relax_interval(state, relax, dt=0.3 * math.log(2))
+    out = relax_interval(state, relax, dt=0.3 * math.log(2))
     assert abs(out.trans[ZERO]) == pytest.approx(0.5)
 
 
@@ -133,16 +141,16 @@ def test_complex_order_zero_population_raises_library_error():
     state.longi = {ZERO: 1.0 + 0.1j}
     relax = RelaxationParams(t1=1.0, t2=0.3, m0=1.0)
     with pytest.raises(ComplexOrderZero) as info:
-        apply_relax_interval(state, relax, dt=0.01)
+        relax_interval(state, relax, dt=0.01)
     assert isinstance(info.value, MrSimError)
     with pytest.raises(ComplexOrderZero):
-        apply_rf_split(state, HardPulse(math.pi / 2, 0.0))
+        rf_split(state, HardPulse(math.pi / 2, 0.0))
 
 
 def test_gradient_shift_merges_on_interference():
     state = ConfigurationSet.equilibrium(0.0, unit=(1.0, None, None))
     state.trans = {(-1, 0, 0): 0.5 + 0j, (1, 0, 0): 0.25 + 0j, (0, 0, 0): 1j}
-    out = apply_gradient_shift(state, (1, 0, 0))
+    out = gradient_shift(state, (1, 0, 0))
     assert out.trans[(0, 0, 0)] == pytest.approx(0.5)
     assert out.trans[(2, 0, 0)] == pytest.approx(0.25)
     assert out.trans[(1, 0, 0)] == pytest.approx(1j)
@@ -151,7 +159,7 @@ def test_gradient_shift_merges_on_interference():
 def test_gradient_shift_zero_is_identity():
     state = ConfigurationSet.equilibrium(1.0)
     state.trans = {(2, 0, 0): 1j}
-    out = apply_gradient_shift(state, ZERO)
+    out = gradient_shift(state, ZERO)
     assert out.trans == state.trans
 
 
@@ -195,14 +203,14 @@ def test_two_pulse_populations_match_closed_form(a1_deg, a2_deg):
 def test_longitudinal_pairs_are_conjugate():
     # b(-i) = conj(b(i)) keeps Mz real; checked after every operation
     rng = np.random.default_rng(7)
-    state = ConfigurationSet.equilibrium(1.0, prune_threshold=0.0)
+    state = ConfigurationSet.equilibrium(1.0)
     relax = RelaxationParams(t1=0.5, t2=0.3, m0=1.0)
     for step in range(6):
-        state = apply_rf_split(
-            state, HardPulse(rng.uniform(0.2, 3.0), rng.uniform(0, 2 * math.pi))
+        state = rf_split(
+            state, HardPulse(rng.uniform(0.2, 3.0), rng.uniform(0, 2 * math.pi)), cut=0.0
         )
-        state = apply_relax_interval(state, relax, rng.uniform(0.001, 0.05))
-        state = apply_gradient_shift(state, (int(rng.integers(-2, 3)), 0, 0))
+        state = relax_interval(state, relax, rng.uniform(0.001, 0.05))
+        state = gradient_shift(state, (int(rng.integers(-2, 3)), 0, 0))
         for order, b in state.longi.items():
             mirror = state.longi.get((-order[0], -order[1], -order[2]), 0j)
             assert abs(b.conjugate() - mirror) < 1e-12
@@ -210,12 +218,12 @@ def test_longitudinal_pairs_are_conjugate():
 
 
 def test_readout_step_matches_per_sample_relaxation():
-    # the array readout step against one apply_relax_interval per sample;
+    # the array readout step against one relaxation step per sample;
     # a repeated instant (zero-length interval) must leave the state as it is
     state = ConfigurationSet.equilibrium(1.0, unit=(40.0, None, None))
     for alpha, q in ((1.1, 1), (2.5, -2), (0.7, 1)):
-        state = apply_rf_split(state, HardPulse(alpha, 0.3 * alpha))
-        state = apply_gradient_shift(state, (q, 0, 0))
+        state = rf_split(state, HardPulse(alpha, 0.3 * alpha))
+        state = gradient_shift(state, (q, 0, 0))
     assert len(state.trans) > 2 and len(state.longi) > 2
     relax = RelaxationParams(t1=0.4, t2=0.1, m0=0.9)
     ts = np.array([0.0, 0.001, 0.001, 0.0025, 0.004, 0.004])
@@ -224,7 +232,7 @@ def test_readout_step_matches_per_sample_relaxation():
     assert orders == sorted(state.trans) and longi == sorted(state.longi)
     ref, prev = state, 0.0
     for i, t in enumerate(ts):
-        ref, prev = apply_relax_interval(ref, relax, t - prev), t
+        ref, prev = relax_interval(ref, relax, t - prev), t
         assert np.array_equal(pops[i], [ref.trans[o] for o in orders])
         assert np.array_equal(lpops[i], [ref.longi[o] for o in longi])
 
@@ -347,14 +355,14 @@ def test_lattice_spectrum_matches_direct_sum(monkeypatch):
 
 def test_qualitative_equilibrium_single_trajectory():
     seq = pulse_seq((90, 0, 10.0))
-    points, _ = qualitative_walk(seq)
+    points = qualitative_walk(seq)
     assert points[0].trans == set()
     assert points[0].longi == {ZERO}
 
 
 def test_qualitative_two_pulse_branching():
     seq = pulse_seq((90, 0, 10.0), (90, 0, 10.0))
-    points, _ = qualitative_walk(seq)
+    points = qualitative_walk(seq)
     # points: start, pulse 1, end ES 1, pulse 2, end ES 2
     after_second = points[3]
     assert {(1, 0, 0), (-1, 0, 0)} <= after_second.trans
@@ -363,7 +371,7 @@ def test_qualitative_two_pulse_branching():
 
 def test_qualitative_branch_bound():
     seq = pulse_seq(*[(90, 0, 10.0)] * 5)
-    points, _ = qualitative_walk(seq)
+    points = qualitative_walk(seq)
     for i, point in enumerate(points):
         total = len(point.trans) + len(point.longi)
         assert total <= 4 ** (i + 1)
@@ -445,7 +453,7 @@ def test_export_diagram_csv():
         int(order)
         for value in (time_s, kx, pop_re, pop_im):
             float(value)
-    points, _ = qualitative_walk(seq)
+    points = qualitative_walk(seq)
     qual = export_kt_diagram(points)
     assert qual.count("transversal") > 0
     assert ",,," in qual  # qualitative rows carry no populations
