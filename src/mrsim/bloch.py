@@ -88,10 +88,6 @@ class HardPulse:
     alpha: float
     phi: float = 0.0
 
-    @property
-    def is_identity(self) -> bool:
-        return self.alpha == 0.0
-
 
 def hard_pulse_matrix(alpha: float, phi: float) -> np.ndarray:
     """3x3 rotation matrix of a hard pulse (norm preserving).

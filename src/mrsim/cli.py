@@ -127,10 +127,12 @@ def _read_table(path: str) -> list:
 
 def _cmd_recon(args) -> int:
     echoes = mrio.read_echo_file(args.echoes)
+    if args.size[0] != echoes.shape[1]:
+        raise MrSimError(f"--size NX is {args.size[0]}, the echoes have {echoes.shape[1]} samples")
     if args.trajectory.startswith("table:"):
         table = _read_table(args.trajectory[len("table:") :])
     else:
-        table = trajectory_table(args.trajectory, echoes.shape[0], turbo_factor=args.turbo_factor)
+        table = trajectory_table(args.trajectory, echoes.shape[0])
     matrices = assemble_kspace(echoes, table, n_rows=args.size[1], fov=args.fov)
     base, ext = os.path.splitext(args.out)
     outputs = []
@@ -211,10 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("recon", help="assemble k-space and reconstruct")
     rec.add_argument("--echoes", required=True)
-    rec.add_argument("--trajectory", required=True, help="se | epi | tse-seq | table:PATH")
+    rec.add_argument("--trajectory", required=True, help="se | epi | tse-seq (= se) | table:PATH")
     rec.add_argument("--size", type=int, nargs=2, required=True, metavar=("NX", "NY"))
     rec.add_argument("--fov", type=float, default=None)
-    rec.add_argument("--turbo-factor", type=int, default=2)
     rec.add_argument("--out", default="image.pgm")
     rec.set_defaults(func=_cmd_recon)
 

@@ -34,7 +34,6 @@ class SpacingReport:
     k_max: Tuple[float, float, float]
     dx_max: Tuple[float, float, float]  # strict upper bounds, inf where k_max = 0
     spacing: Tuple[float, float, float]  # recommended: SAFETY * dx_max
-    margin_k: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     predicted_spins: Optional[int] = None
     notes: List[str] = field(default_factory=list)
 
@@ -80,7 +79,7 @@ def _transverse_lifetime(sequence: Sequence) -> float:
     t = 0.0
     first = None
     for es in sequence.elements:
-        if es.pulse is not None and es.pulse.alpha != 0.0 and first is None:
+        if es.pulse is not None and first is None:
             first = t
         t += es.duration
     return 0.0 if first is None else t - first
@@ -125,9 +124,7 @@ def max_spacing(
             f"off-resonance margin {extra:.6g} rad/m over lifetime {lifetime:.6g} s "
             f"applied to axes {sorted(readout_axes)}"
         )
-    report = _report(
-        max_k_excursion(sequence, domega_margin=tuple(margin)), margin_k=tuple(margin), notes=notes
-    )
+    report = _report(max_k_excursion(sequence, domega_margin=tuple(margin)), notes=notes)
     if phantom is not None:
         report.predicted_spins = lattice_sites(phantom, report.spacing)
     return report
@@ -300,7 +297,6 @@ class RfSamplingReport:
     ok: bool
     required_n_hf: int
     omega_max: float
-    bandwidth: float
     dt_bound: float
 
 
@@ -331,6 +327,5 @@ def rf_sampling_check(
         ok=dt_per_sample < dt_bound,
         required_n_hf=required,
         omega_max=omega_max,
-        bandwidth=bandwidth,
         dt_bound=dt_bound,
     )

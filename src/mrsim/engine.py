@@ -137,7 +137,7 @@ def precompute_sequence_tables(
     occurs more than once without a snapshot is numbered, in order of
     first occurrence, so that a kernel chunk builds its propagator once.
     """
-    snapshot_times = tuple(sorted(snapshot_times))
+    snapshot_times = tuple(snapshot_times)
     reps, distinct = distinct_elements(sequence)
     _log.debug("operator tables: %d elements, %d distinct", len(distinct), len(reps))
     shared: Dict[int, dict] = {}  # distinct element -> its read-only event arrays
@@ -150,7 +150,7 @@ def precompute_sequence_tables(
     acq = 0
     for es, g in zip(sequence.elements, distinct):
         mat = None
-        if es.pulse is not None and not es.pulse.is_identity:
+        if es.pulse is not None:
             key = (es.pulse.alpha, es.pulse.phi)
             if key in memo:
                 hits += 1
@@ -161,7 +161,7 @@ def precompute_sequence_tables(
         snaps = [
             (float(t_abs - t0), False, si)
             for si, t_abs in enumerate(snapshot_times)
-            if t0 < t_abs <= t1 or (t_abs == 0.0 == t0)
+            if t0 < t_abs <= t1 or (t_abs == 0.0 and not fields)
         ]
         if snaps:
             events = _event_arrays(es, snaps)
@@ -389,7 +389,6 @@ def _default_blocks(tables: OperatorTables, n_spins: int, workers: int) -> int:
 class EchoRecord:
     """One acquisition: normalized complex samples plus their timestamps."""
 
-    acq_index: int
     values: np.ndarray
     timestamps: np.ndarray
 
@@ -414,6 +413,9 @@ class RunResult:
     spacing_report: Optional[SpacingReport] = None
 
     def echo_matrix(self) -> np.ndarray:
+        counts = sorted({rec.values.size for rec in self.echoes})
+        if len(counts) > 1:
+            raise InvalidParameter(f"acquisitions take {counts} samples; an echo matrix needs one")
         return np.array([rec.values for rec in self.echoes])
 
 
@@ -447,7 +449,11 @@ def _worst_tissue(phantom: Phantom) -> RelaxationParams:
             t1 = max(t1, value(box.t1, p))
             t2 = max(t2, value(box.t2, p))
     if t1 <= 0.0 or t2 <= 0.0:
-        t1, t2 = 1.0, 1.0
+        raise InvalidParameter(
+            f"the automatic spacing samples T1 and T2 at the box centres and corners, where the "
+            f"largest are T1 = {t1:.6g} s, T2 = {t2:.6g} s; an explicit spacing within the "
+            "relaxation-free bound avoids this"
+        )
     return RelaxationParams(t1=t1, t2=t2, m0=1.0)
 
 
@@ -558,6 +564,8 @@ def run(exp: Experiment) -> RunResult:
     """Execute one experiment; see the module docstring for the roles."""
     if exp.workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {exp.workers}")
+    if not all(0.0 <= t <= exp.sequence.duration for t in exp.snapshot_times):
+        raise InvalidParameter(f"snapshot times {exp.snapshot_times} s lie outside the sequence")
     wall_start = time.perf_counter()
     if exp.spacing is None:
         spacing, report = _auto_spacing(exp)
@@ -599,19 +607,12 @@ def run(exp: Experiment) -> RunResult:
     echo_sum: Optional[np.ndarray] = None
     for echoes, _snaps in folds:
         echo_sum = echoes if echo_sum is None else echo_sum + echoes
-    # snapshots concatenate in block-index order regardless of the fold
-    # order, preserving rasterization order
-    snap_sums: List[Optional[np.ndarray]] = []
-    for i in range(len(exp.snapshot_times)):
-        parts = [snaps[i] for _echoes, snaps in ordered if snaps[i] is not None]
-        snap_sums.append(np.concatenate(parts) if parts else None)
     records = []
     if echo_sum is not None and tables.n_acq:
         echo_sum = echo_sum / n_spins
         for i in range(tables.n_acq):
             records.append(
                 EchoRecord(
-                    acq_index=i,
                     values=echo_sum[i, : tables.acq_times[i].size],
                     timestamps=tables.acq_times[i],
                 )
@@ -625,8 +626,10 @@ def run(exp: Experiment) -> RunResult:
         busy_fraction={w: t / wall for w, t in sorted(busy.items())} if wall > 0 else {},
         hardware=f"{platform.machine()} {platform.processor() or 'cpu'} x{os.cpu_count()}",
     )
+    # snapshots concatenate in block-index order regardless of the fold
+    # order, preserving rasterization order
     snapshots = [
-        (t, snap_sums[i] if snap_sums[i] is not None else np.zeros((0, 3)))
+        (t, np.concatenate([snaps[i] for _echoes, snaps in ordered]))
         for i, t in enumerate(exp.snapshot_times)
     ]
     return RunResult(

@@ -101,9 +101,8 @@ def _real_b0(b0: complex) -> complex:
 
 def _mixing_coefficients(pulse: Optional[HardPulse]):
     """The rows for a_o and b_o of the complex pulse matrix acting on
-    (a_o, conj(a_-o), b_o), as six scalars; None for no pulse or a zero
-    flip."""
-    if pulse is None or pulse.alpha == 0.0:
+    (a_o, conj(a_-o), b_o), as six scalars; None for no pulse."""
+    if pulse is None:
         return None
     alpha, phi = pulse.alpha, pulse.phi
     ca2 = math.cos(alpha / 2.0) ** 2
@@ -280,7 +279,6 @@ class KtRun:
     """Result of a quantitative walk: per-acquisition echoes plus trace."""
 
     echoes: List[np.ndarray]
-    sample_times: List[np.ndarray]
     trace: List[TracePoint]
     final: ConfigurationSet
 
@@ -339,7 +337,6 @@ def simulate_kt(
     cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
     trace: List[TracePoint] = []
     echoes: List[np.ndarray] = []
-    times: List[np.ndarray] = []
     now = 0.0
 
     def k_at(orders, fracs):
@@ -380,16 +377,14 @@ def simulate_kt(
     record(now)
     for g in groups:
         step = steps[g]
-        if step.pulse:
-            if step.mix is not None:
-                state = _rf_split(state, step.mix, cut)
+        if step.mix is not None:
+            state = _rf_split(state, step.mix, cut)
             record(now)
         if step.samples is not None:
             orders, pops, longi, lpops = _relax_readout(state, step.samples)
             k = emit((now + step.ts).tolist(), step.partial, orders, pops, longi, lpops)
             if object_spectrum is not None:
                 echoes.append((pops * object_spectrum(k)).sum(-1))
-                times.append(now + step.ts)
             state.trans = dict(zip(orders, pops[-1].tolist()))
             state.longi = dict(zip(longi, lpops[-1].tolist()))
         if step.decay is not None:
@@ -398,7 +393,7 @@ def simulate_kt(
             state.trans = _shifted(state.trans, step.q)
         now += step.duration
         record(now)
-    return KtRun(echoes=echoes, sample_times=times, trace=trace, final=state)
+    return KtRun(echoes=echoes, trace=trace, final=state)
 
 
 @dataclass
@@ -438,8 +433,7 @@ class _SampleRelaxation:
 class _WalkStep:
     """What one elementary sequence does to the configuration state.
 
-    ``pulse``: the element carries a pulse (a zero flip still records a
-    point); ``mix``: its mixing coefficients, None for no flip; ``decay``:
+    ``mix``: the mixing coefficients of its pulse, None without one; ``decay``:
     (e2, e1, regrowth) over the time left after the last sample, None
     when none is left; ``q``: the integer order shift of its moment;
     ``ts`` / ``partial`` / ``samples``: sample instants, the moment moved
@@ -447,7 +441,6 @@ class _WalkStep:
     """
 
     duration: float
-    pulse: bool
     mix: Optional[tuple]
     decay: Optional[Tuple[float, float, float]]
     q: Order
@@ -459,7 +452,6 @@ class _WalkStep:
     def of(es, moments, relax: RelaxationParams, unit, shift_tol: float):
         step = _WalkStep(
             es.duration,
-            es.pulse is not None,
             _mixing_coefficients(es.pulse),
             None,
             _integer_shift(moments, unit, tol=shift_tol),
@@ -536,7 +528,7 @@ def qualitative_walk(sequence: Sequence) -> List[QualitativePoint]:
     now = 0.0
     points.append(QualitativePoint(now, set(trans), set(longi)))
     for es in sequence.elements:
-        if es.pulse is not None and es.pulse.alpha != 0.0:
+        if es.pulse is not None:
             mixed = trans | {_neg(o) for o in trans} | longi | {_neg(o) for o in longi}
             trans = set(mixed)
             longi = set(mixed) | {ZERO}
@@ -596,7 +588,7 @@ def max_k_excursion(
 
     reps, groups = distinct_elements(sequence)
     plan = [
-        (es.pulse is not None and es.pulse.alpha != 0.0, [float(v) for v in m], motion(es))
+        (es.pulse is not None, [float(v) for v in m], motion(es))
         for es, m in zip(reps, _element_moments(reps))
     ]
     # the longitudinal interval changes only at a flip, where the

@@ -11,7 +11,7 @@ phase correction for the half-sample offset of symmetric readouts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence as TySequence, Tuple
 
 import numpy as np
@@ -34,7 +34,6 @@ class KSpaceMatrix:
     k0: Tuple[float, float]
     dk: Tuple[float, float]
     volume: int = 0
-    provenance: List[tuple] = field(default_factory=list)  # (row, acq_index, reversed)
 
 
 @dataclass
@@ -43,7 +42,6 @@ class ImageVolume:
 
     complex_image: np.ndarray
     pixel_size: Tuple[float, float]
-    window: Optional[Tuple[float, float]] = None
 
     @property
     def magnitude(self) -> np.ndarray:
@@ -64,22 +62,17 @@ def standard_axes(fov: float, n: int) -> Tuple[float, float]:
     return (-(n - 1) / 2.0 * dk, dk)
 
 
-def trajectory_table(mode: str, n_acq: int, turbo_factor: int = 2) -> List[tuple]:
+def trajectory_table(mode: str, n_acq: int) -> List[tuple]:
     """Built-in (volume, row, reversed) tables.
 
     ``se``: one row per acquisition in order; ``epi``: meandering, odd
-    acquisitions sample-reversed; ``tse-seq``: echo e of shot s lands in
-    row s*turbo_factor + e.
+    acquisitions sample-reversed; ``tse-seq``: the ``se`` table, which
+    sequential sorting fills for any turbo factor.
     """
-    if mode == "se":
+    if mode in ("se", "tse-seq"):
         return [(0, i, False) for i in range(n_acq)]
     if mode == "epi":
         return [(0, i, i % 2 == 1) for i in range(n_acq)]
-    if mode == "tse-seq":
-        return [
-            (0, (i // turbo_factor) * turbo_factor + i % turbo_factor, False)
-            for i in range(n_acq)
-        ]
     raise InvalidParameter(f"unknown trajectory mode {mode!r}")
 
 
@@ -117,7 +110,6 @@ def assemble_kspace(
     for vol in volumes:
         data = np.zeros((n_rows, nx), dtype=complex)
         filled = np.zeros(n_rows, dtype=bool)
-        provenance = []
         for acq, (v, row, rev) in enumerate(trajectory):
             if int(v) != vol:
                 continue
@@ -129,7 +121,6 @@ def assemble_kspace(
             line = echoes[acq]
             data[row] = line[::-1] if rev else line
             filled[row] = True
-            provenance.append((row, acq, bool(rev)))
         out.append(
             KSpaceMatrix(
                 data=data,
@@ -137,7 +128,6 @@ def assemble_kspace(
                 k0=(ky0, kx0),
                 dk=(dky, dkx),
                 volume=vol,
-                provenance=provenance,
             )
         )
     return out
@@ -205,7 +195,6 @@ class ExponentialFit:
     rho: float
     t2: float
     residual_norm: float
-    iterations: int
 
 
 def cpmg_fit(times, intensities) -> ExponentialFit:
@@ -243,7 +232,6 @@ def cpmg_fit(times, intensities) -> ExponentialFit:
         rho=float(rho),
         t2=float(t2),
         residual_norm=float(np.linalg.norm(result.fun)),
-        iterations=int(result.nfev),
     )
 
 

@@ -50,6 +50,14 @@ __all__ = [
 ]
 
 
+# the fields each gradient shape reads; every other field keeps its default
+_SHAPE_FIELDS = {
+    "constant": ("gx", "gy", "gz"),
+    "trapezoid": ("gx", "gy", "gz", "ramp_s", "flat_s"),
+    "sampled": ("samples", "sample_dt"),
+}
+
+
 @dataclass(frozen=True)
 class GradientWaveform:
     """Per-axis gradient over one elementary sequence.
@@ -57,7 +65,7 @@ class GradientWaveform:
     ``gx, gy, gz`` are amplitudes in T/m (flat-top amplitudes for the
     trapezoid shape).  Sampled waveforms carry (n, 3) samples in T/m,
     stored as a tuple of float 3-tuples so the waveform stays hashable,
-    plus the sample spacing.
+    plus the sample spacing.  A field its shape does not read is rejected.
     """
 
     shape: str = "constant"  # constant | trapezoid | sampled
@@ -70,6 +78,17 @@ class GradientWaveform:
     sample_dt: float = 0.0
 
     def __post_init__(self):
+        if self.shape not in _SHAPE_FIELDS:
+            raise InvalidParameter(f"unknown gradient shape {self.shape!r}")
+        unread = [
+            name
+            for name in ("gx", "gy", "gz", "ramp_s", "flat_s", "sample_dt")
+            if name not in _SHAPE_FIELDS[self.shape] and getattr(self, name) != 0.0
+        ]
+        if self.shape != "sampled" and self.samples is not None:
+            unread.append("samples")
+        if unread:
+            raise InvalidParameter(f"a {self.shape} gradient does not read {', '.join(unread)}")
         if self.shape != "sampled":
             return
         try:
@@ -81,10 +100,6 @@ class GradientWaveform:
                 f"sampled gradient needs (n, 3) samples in T/m, got shape {arr.shape}"
             )
         object.__setattr__(self, "samples", tuple(map(tuple, arr.tolist())))
-
-    @staticmethod
-    def none() -> "GradientWaveform":
-        return GradientWaveform()
 
     @staticmethod
     def constant(gx: float = 0.0, gy: float = 0.0, gz: float = 0.0) -> "GradientWaveform":
@@ -149,12 +164,19 @@ class GradientWaveform:
 class AcquisitionSpec:
     """Data acquisition within one elementary sequence.
 
-    When enabled, n_samples points are taken at i*duration/(n-1),
-    i = 0..n-1, i.e. both endpoints are sampled.
+    n_samples points are taken at i*duration/(n-1), i = 0..n-1, i.e.
+    both endpoints are sampled; zero samples is no acquisition.
     """
 
-    enabled: bool = False
     n_samples: int = 0
+
+    def __post_init__(self):
+        if self.n_samples < 0:
+            raise InvalidParameter(f"n_samples must be >= 0, got {self.n_samples}")
+
+    @property
+    def enabled(self) -> bool:
+        return self.n_samples > 0
 
     def sample_times(self, duration: float) -> np.ndarray:
         if not self.enabled:
@@ -164,18 +186,16 @@ class AcquisitionSpec:
         return np.arange(self.n_samples) * (duration / (self.n_samples - 1))
 
 
-NO_ACQ = AcquisitionSpec()
-
-
 @dataclass(frozen=True)
 class ElementarySequence:
     """One atomic interval: hard pulse at the start, fixed-form gradient,
-    optional acquisition.  Zero fields and zero duration are allowed."""
+    optional acquisition.  Zero fields and zero duration are allowed; a
+    zero-flip pulse is stored as ``pulse=None``."""
 
     pulse: Optional[HardPulse] = None
-    gradient: GradientWaveform = field(default_factory=GradientWaveform.none)
+    gradient: GradientWaveform = GradientWaveform()
     duration: float = 0.0
-    acquisition: AcquisitionSpec = NO_ACQ
+    acquisition: AcquisitionSpec = AcquisitionSpec()
     # k-space placement of this acquisition, recorded by the builders so
     # reconstruction needs no sequence-specific knowledge
     kspace_row: Optional[int] = None
@@ -183,13 +203,15 @@ class ElementarySequence:
     kspace_reversed: bool = False
 
     def __post_init__(self):
+        if self.pulse is not None and self.pulse.alpha == 0.0:
+            object.__setattr__(self, "pulse", None)
         if self.duration < 0.0:
             raise InvalidParameter(f"duration must be >= 0, got {self.duration}")
         if self.acquisition.enabled:
             if self.duration <= 0.0:
                 raise InvalidParameter("acquisition requires duration > 0")
-            if self.acquisition.n_samples < 1:
-                raise InvalidParameter("acquisition requires n_samples >= 1")
+        elif (self.kspace_row, self.kspace_volume, self.kspace_reversed) != (None, 0, False):
+            raise InvalidParameter("k-space placement needs an acquisition")
         if self.gradient.shape == "trapezoid" and self.duration > 0.0:
             want = 2.0 * self.gradient.ramp_s + self.gradient.flat_s
             if abs(want - self.duration) > 1e-12 * max(1.0, self.duration):
@@ -299,7 +321,7 @@ def _phase_encode(row: int, n_rows: int, fov: float) -> float:
 def _grad_for_moments(mx: float, my: float, duration: float) -> GradientWaveform:
     """Constant gradient realizing the requested x/y moments over duration."""
     if mx == 0.0 and my == 0.0:
-        return GradientWaveform.none()
+        return GradientWaveform()
     return GradientWaveform.constant(
         gx=mx / (GAMMA_PROTON * duration), gy=my / (GAMMA_PROTON * duration)
     )
@@ -352,7 +374,7 @@ def build_spin_echo(
             ElementarySequence(
                 gradient=GradientWaveform.constant(gx=readout_grad),
                 duration=tau,
-                acquisition=AcquisitionSpec(True, n),
+                acquisition=AcquisitionSpec(n),
                 kspace_row=row,
             )
         )
@@ -406,7 +428,7 @@ def _echo_train(
                 ElementarySequence(
                     gradient=GradientWaveform.constant(gx=readout_grad),
                     duration=tau,
-                    acquisition=AcquisitionSpec(True, n),
+                    acquisition=AcquisitionSpec(n),
                     kspace_row=row,
                     kspace_volume=volume_of_echo(shot, echo),
                 )
@@ -552,7 +574,7 @@ def build_gradient_epi(
                 ElementarySequence(
                     gradient=GradientWaveform.constant(gx=sign * readout_grad),
                     duration=tau,
-                    acquisition=AcquisitionSpec(True, n),
+                    acquisition=AcquisitionSpec(n),
                     kspace_row=row,
                     kspace_reversed=echo % 2 == 1,
                 )
@@ -585,7 +607,7 @@ def build_gradient_epi(
 def split_elementary(seq: Sequence, index: int, t_split: float) -> Sequence:
     """Cut one constant-gradient, non-acquiring elementary sequence in two.
 
-    The fields are unchanged and the second half starts with a null
+    The fields are unchanged and the second half starts without a
     pulse, so spin trajectories must not change (decomposition
     soundness).
     """
@@ -670,10 +692,12 @@ def _block_to_es(block: dict, blockline: int) -> ElementarySequence:
             raise ParseError(f"{key} needs grad_shape = trapezoid", line)
         if key.startswith("kspace_") and "acquire" not in block:
             raise ParseError(f"{key} needs acquire", line)
+        if key == "acquire" and get(key) < 1:
+            raise ParseError("acquire needs at least 1 sample; leave it out for none", line)
         if key == "rf_phase_deg" and get("rf_flip_deg", 0.0) == 0.0:
             raise ParseError("rf_phase_deg needs a nonzero rf_flip_deg", line)
     flip, phase = get("rf_flip_deg", 0.0), get("rf_phase_deg", 0.0)
-    pulse = HardPulse(math.radians(flip), math.radians(phase)) if flip != 0.0 else None
+    pulse = HardPulse(math.radians(flip), math.radians(phase))
     amps = [1e-3 * get(k, 0.0) for k in _GRAD_KEYS]
     if shape == "trapezoid":
         grad = GradientWaveform.trapezoid(*amps, get("ramp_s", 0.0), get("flat_s", 0.0))
@@ -684,7 +708,7 @@ def _block_to_es(block: dict, blockline: int) -> ElementarySequence:
             pulse=pulse,
             gradient=grad,
             duration=get("duration_s", 0.0),
-            acquisition=AcquisitionSpec(True, get("acquire")) if "acquire" in block else NO_ACQ,
+            acquisition=AcquisitionSpec(get("acquire", 0)),
             kspace_row=get("kspace_row"),
             kspace_volume=get("kspace_volume", 0),
             kspace_reversed=get("kspace_reversed", False),
@@ -775,7 +799,7 @@ def serialize_sequence(seq: Sequence) -> str:
     for es in seq.elements:
         out.append("[elementary]")
         out.append(f"duration_s = {_fmt(es.duration)}")
-        if es.pulse is not None and es.pulse.alpha != 0.0:
+        if es.pulse is not None:
             out.append(f"rf_flip_deg = {_fmt_deg(es.pulse.alpha)}")
             out.append(f"rf_phase_deg = {_fmt_deg(es.pulse.phi)}")
         g = es.gradient

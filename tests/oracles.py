@@ -317,8 +317,8 @@ def _reference_readout(state, relax, ts):
 
 
 def rf_split(state, pulse, cut=DEFAULT_PRUNE):
-    """The walk's pulse split and prune at ``cut``; no pulse or a zero
-    flip leaves the state as it is."""
+    """The walk's pulse split and prune at ``cut``; no pulse leaves the
+    state as it is."""
     mix = _mixing_coefficients(pulse)
     return state if mix is None else _rf_split(state, mix, cut)
 
@@ -352,7 +352,7 @@ def reference_walk(
         shift_tol = math.inf
     state = ConfigurationSet.equilibrium(relax.m0, unit)
     cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
-    trace, echoes, times = [], [], []
+    trace, echoes = [], []
     now = 0.0
 
     def emit(at, fracs, orders, pops, longi, lpops):
@@ -387,7 +387,6 @@ def reference_walk(
             k = emit((now + ts).tolist(), partial, orders, pops, longi, lpops)
             if object_spectrum is not None:
                 echoes.append((pops * object_spectrum(k)).sum(-1))
-                times.append(now + ts)
             state.trans = dict(zip(orders, pops[-1].tolist()))
             state.longi = dict(zip(longi, lpops[-1].tolist()))
             rest = es.duration - ts[-1]
@@ -395,7 +394,7 @@ def reference_walk(
         state = gradient_shift(state, q)
         now += es.duration
         record(now)
-    return KtRun(echoes=echoes, sample_times=times, trace=trace, final=state)
+    return KtRun(echoes=echoes, trace=trace, final=state)
 
 
 def reference_k_excursion(sequence, domega_margin=(0.0, 0.0, 0.0)):

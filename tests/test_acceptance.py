@@ -169,7 +169,7 @@ def test_criterion_02_kt_vs_spin_engine():
             ElementarySequence(
                 gradient=GradientWaveform.constant(gx=4 * unit / (GAMMA_PROTON * ro)),
                 duration=ro,
-                acquisition=AcquisitionSpec(True, 33),
+                acquisition=AcquisitionSpec(33),
                 kspace_row=0,
             )
         )
@@ -284,7 +284,7 @@ def test_criterion_05_sampling_bound():
         ElementarySequence(
             gradient=GradientWaveform.constant(gx=2 * k_max / (GAMMA_PROTON * tau)),
             duration=tau,
-            acquisition=AcquisitionSpec(True, n),
+            acquisition=AcquisitionSpec(n),
             kspace_row=0,
         ),
     ]

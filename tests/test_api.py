@@ -1,14 +1,17 @@
 """The public API takes no nucleus and no frame: mrsim simulates protons
 (``GAMMA_PROTON``) in the frame rotating at gamma * B0."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import mrsim
 
 FIXED = {"gamma", "ctx", "omega_hf"}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _public_members():
@@ -55,3 +58,53 @@ def test_k_t_steps_are_the_walks_own():
     assert fields == ["unit", "trans", "longi"]
     for walk in (mrsim.ktspace.simulate_kt, mrsim.ktspace.qualitative_walk):
         assert "unit" not in inspect.signature(walk).parameters
+
+
+def _attributes_read():
+    """Every attribute name loaded (``x.name``) or read by a literal
+    ``getattr(x, "name")`` in the package, its tests and the benchmark."""
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    read.add(node.args[1].value)
+    return read
+
+
+def test_every_dataclass_field_is_read():
+    """A field of an mrsim dataclass that nothing reads is a result or a
+    setting that cannot change anything.  Fields are matched by name
+    alone: a field counts as read when any attribute of that name is
+    read anywhere, so a name shared with a method or another class's
+    field hides an unread field."""
+    read = _attributes_read()
+    unread = []
+    for info in pkgutil.iter_modules(mrsim.__path__):
+        module = importlib.import_module(f"mrsim.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj)
+                and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__
+            ):
+                unread += [
+                    f"{module.__name__}.{name}.{f.name}"
+                    for f in dataclasses.fields(obj)
+                    if f.name not in read
+                ]
+    assert unread == []
+
+
+def test_one_encoding_for_no_pulse_and_no_acquisition():
+    fields = [f.name for f in dataclasses.fields(mrsim.AcquisitionSpec)]
+    assert fields == ["n_samples"]
+    assert not hasattr(mrsim.HardPulse, "is_identity")

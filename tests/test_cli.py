@@ -232,8 +232,10 @@ RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov",
         [*KT_DIAGRAM, "--tissue", "1,0.1,1,7"],
         [*SIMULATE, "--spacing-override", "a,b,c", "--out", "{w}/bad"],
         [*SIMULATE, "--snapshot", "x", "--out", "{w}/bad"],
+        [*SIMULATE, "--snapshot", "5.0", "--out", "{w}/bad"],
         [*RECON, "--trajectory", "table:{w}/table_two_columns.txt", "--out", "{w}/bad.pgm"],
         [*RECON, "--trajectory", "table:{w}/table_rev_yes.txt", "--out", "{w}/bad.pgm"],
+        [*RECON[:3], "--size", "4", "8", "--trajectory", "se", "--out", "{w}/bad.pgm"],
     ],
     ids=[
         "series_not_two_columns",
@@ -241,8 +243,10 @@ RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov",
         "tissue_four_values",
         "spacing_override_not_numbers",
         "snapshot_not_a_number",
+        "snapshot_after_the_sequence",
         "table_two_columns",
         "table_rev_yes",
+        "size_nx_not_the_sample_count",
     ],
 )
 def test_cli_reports_errors_cleanly(argv, workdir, simulated, capsys):
@@ -251,3 +255,16 @@ def test_cli_reports_errors_cleanly(argv, workdir, simulated, capsys):
     code = main([arg.format(w=workdir, run=simulated) for arg in argv])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_reports_acquisitions_of_different_lengths(workdir, capsys):
+    # a 4-sample and a 1-sample readout make no echo matrix
+    text = (
+        "[elementary]\nduration_s = 0.001\nrf_flip_deg = 90\n"
+        "[elementary]\nduration_s = 0.004\ngrad_x_mT_per_m = 0.1\nacquire = 4\n"
+        "[elementary]\nduration_s = 0.001\ngrad_x_mT_per_m = 0.1\nacquire = 1\n"
+    )
+    (workdir / "uneven.txt").write_text(text)
+    argv = ["simulate", "--sequence", "{w}/uneven.txt", "--object", "{w}/object.txt"]
+    assert main([arg.format(w=workdir) for arg in [*argv, "--out", "{w}/uneven"]]) == 2
+    assert "error: acquisitions take [1, 4] samples" in capsys.readouterr().err

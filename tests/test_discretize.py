@@ -38,7 +38,7 @@ def readout_only(k_max, n=33, duration=0.01):
         ElementarySequence(
             gradient=GradientWaveform.constant(gx=2 * k_max / (GAMMA_PROTON * duration)),
             duration=duration,
-            acquisition=AcquisitionSpec(True, n),
+            acquisition=AcquisitionSpec(n),
             kspace_row=0,
         ),
     ]

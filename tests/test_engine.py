@@ -27,7 +27,7 @@ from mrsim.engine import (
     precompute_sequence_tables,
     run,
 )
-from mrsim.errors import IncommensurateMoments, WorkerPanic
+from mrsim.errors import IncommensurateMoments, InvalidParameter, WorkerPanic
 from mrsim.io import (
     read_echo_file,
     read_raw_grid,
@@ -128,7 +128,7 @@ def test_memoized_tables_bit_identical_to_recomputation():
         return a.dtype, a.shape, a.tobytes()
 
     for i, (es, entry) in enumerate(zip(seq.elements, tables.entries)):
-        if es.pulse is None or es.pulse.is_identity:
+        if es.pulse is None:
             assert entry.pulse_mat is None
         else:
             assert np.array_equal(entry.pulse_mat, hard_pulse_matrix(es.pulse.alpha, es.pulse.phi))
@@ -162,7 +162,7 @@ def delay_and_sample(te, t2, n=5):
     els = [
         ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0), duration=te),
         ElementarySequence(
-            duration=1e-3, acquisition=AcquisitionSpec(True, n), kspace_row=0
+            duration=1e-3, acquisition=AcquisitionSpec(n), kspace_row=0
         ),
     ]
     return Sequence(els, name="fid")
@@ -218,7 +218,7 @@ def test_opposite_positions_sum_to_real_signal():
         ElementarySequence(
             gradient=GradientWaveform.constant(gx=k / (GAMMA_PROTON * 0.01)),
             duration=0.01,
-            acquisition=AcquisitionSpec(True, 9),
+            acquisition=AcquisitionSpec(9),
             kspace_row=0,
         ),
     ]
@@ -250,12 +250,12 @@ def oracle_sequence():
         ElementarySequence(gradient=GradientWaveform.constant(gy=3e-3), duration=1e-3),
         ElementarySequence(pulse=HardPulse(math.pi, math.pi / 2), duration=4e-3),
         ElementarySequence(
-            gradient=readout, duration=6e-3, acquisition=AcquisitionSpec(True, 7), kspace_row=0
+            gradient=readout, duration=6e-3, acquisition=AcquisitionSpec(7), kspace_row=0
         ),
         ElementarySequence(pulse=HardPulse(math.pi / 3, -0.4), duration=0.08),
         ElementarySequence(pulse=HardPulse(math.pi / 2, 1.1), gradient=prephase, duration=2e-3),
         ElementarySequence(
-            gradient=readout, duration=6e-3, acquisition=AcquisitionSpec(True, 7), kspace_row=1
+            gradient=readout, duration=6e-3, acquisition=AcquisitionSpec(7), kspace_row=1
         ),
     ]
     return Sequence(els, name="oracle")
@@ -528,6 +528,22 @@ def test_auto_spacing_report_says_how_the_worst_tissue_was_chosen():
     ) in res.spacing_report.text()
 
 
+def test_auto_spacing_rejects_a_phantom_without_a_positive_tissue(monkeypatch):
+    # T2 is 0 at every box centre and corner, so the pruned bound has no
+    # tissue to walk with; the run stops before the walk
+    import mrsim.engine as engine_mod
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the pruned spacing walk ran")
+
+    monkeypatch.setattr(engine_mod, "pruned_max_spacing", walk)
+    box = PhantomBox(
+        origin=(-0.05, -0.04, -5e-4), size=(0.1, 0.08, 1e-3), t1=1.0, t2=lambda x, y, z: 0.0 * x
+    )
+    with pytest.raises(InvalidParameter, match="centres and corners.*explicit spacing"):
+        run(small_experiment(phantom=Phantom([box]), spacing=None))
+
+
 def test_run_logs_which_spacing_bound_applied(caplog):
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         auto = run(small_experiment(spacing=None))
@@ -663,6 +679,55 @@ def test_snapshots_in_rasterization_order():
     # snapshot at t = 0 is taken right after the excitation pulse: Mz ~ 0
     np.testing.assert_allclose(m0_snap[:, 2], 0.0, atol=1e-12)
     np.testing.assert_allclose(np.hypot(m0_snap[:, 0], m0_snap[:, 1]), 1.0, atol=1e-12)
+
+
+def test_snapshots_keep_the_order_of_their_times():
+    # each snapshot is the state at its own time, in whatever order the
+    # times are given; the sequence's end is a valid time too
+    end = small_experiment().sequence.duration
+    times = (0.0301, end, 0.0, 0.02)
+    res = run(small_experiment(snapshot_times=times))
+    assert [t for t, _ in res.snapshots] == list(times)
+    for t, snap in res.snapshots:
+        alone = run(small_experiment(snapshot_times=(t,))).snapshots[0]
+        assert np.array_equal(alone[1], snap)
+
+
+def test_snapshot_at_zero_belongs_to_the_first_element():
+    # every element of zero length starts at t = 0; the snapshot there is
+    # taken once, after the first pulse
+    els = [
+        ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0)),
+        ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0)),
+        ElementarySequence(duration=1e-3),
+    ]
+    exp = small_experiment(sequence=Sequence(els), snapshot_times=(0.0,))
+    res = run(exp)
+    snap = res.snapshots[0][1]
+    assert snap.shape == (res.spin_count, 3)
+    np.testing.assert_allclose(snap[:, 2], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("times", [(-1.0, 5.0), (-1e-9,), (1.001,), (float("nan"),)])
+def test_run_rejects_snapshot_times_outside_the_sequence(times):
+    # one row of small_experiment's spin echo, a TR of 1 s
+    one_row = Sequence(small_experiment().sequence.elements[:4])
+    assert one_row.duration == pytest.approx(1.0)
+    with pytest.raises(InvalidParameter, match="outside the sequence"):
+        run(small_experiment(sequence=one_row, snapshot_times=times))
+
+
+def test_echo_matrix_rejects_acquisitions_of_different_lengths():
+    readout = GradientWaveform.constant(gx=1e-4)
+    els = [
+        ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0), duration=1e-3),
+        ElementarySequence(gradient=readout, duration=4e-3, acquisition=AcquisitionSpec(4)),
+        ElementarySequence(gradient=readout, duration=1e-3, acquisition=AcquisitionSpec(1)),
+    ]
+    res = run(small_experiment(sequence=Sequence(els)))
+    assert [rec.values.size for rec in res.echoes] == [4, 1]
+    with pytest.raises(InvalidParameter, match=r"\[1, 4\] samples"):
+        res.echo_matrix()
 
 
 def test_snapshot_mid_interval_is_exact():

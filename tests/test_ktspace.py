@@ -40,6 +40,7 @@ from mrsim.sequence import (
     GradientWaveform,
     Sequence,
     build_spin_echo,
+    distinct_elements,
     readout_gradient,
 )
 
@@ -56,8 +57,8 @@ NO_RELAX = RelaxationParams(t1=math.inf, t2=math.inf, m0=1.0)
 
 
 def gradient_es(moment_x, duration=0.01, pulse=None, acquire=0):
-    g = GradientWaveform.constant(gx=moment_x / (GAMMA_PROTON * duration)) if moment_x else GradientWaveform.none()
-    acq = AcquisitionSpec(True, acquire) if acquire else AcquisitionSpec()
+    g = GradientWaveform.constant(gx=moment_x / (GAMMA_PROTON * duration)) if moment_x else GradientWaveform()
+    acq = AcquisitionSpec(acquire)
     return ElementarySequence(pulse=pulse, gradient=g, duration=duration, acquisition=acq)
 
 
@@ -110,11 +111,28 @@ def test_rf_split_from_equilibrium():
 def test_rf_split_zero_flip_is_exact_identity():
     state = ConfigurationSet.equilibrium(1.0)
     state.trans[(1, 0, 0)] = 0.25 - 0.1j
-    # the walk skips the split where a pulse has no mixing coefficients
-    assert ktspace._mixing_coefficients(HardPulse(0.0, 1.23)) is None
-    out = rf_split(state, HardPulse(0.0, 1.23))
+    # a zero flip is no pulse: the element drops it, and the walk skips
+    # the split where a pulse has no mixing coefficients
+    pulse = ElementarySequence(pulse=HardPulse(0.0, 1.23), duration=0.001).pulse
+    assert pulse is None
+    assert ktspace._mixing_coefficients(pulse) is None
+    out = rf_split(state, pulse)
     assert out.trans == state.trans
     assert out.longi == state.longi
+
+
+def test_zero_flip_element_is_a_no_pulse_element():
+    # one group in distinct_elements, and the same walk point by point
+    excite = gradient_es(40.0, pulse=HardPulse(math.pi / 2, 0.0))
+    zero = gradient_es(40.0, pulse=HardPulse(0.0, 0.3), acquire=5)
+    bare = gradient_es(40.0, acquire=5)
+    assert distinct_elements(Sequence([excite, zero, bare]))[1] == [0, 1, 1]
+    relax = RelaxationParams(t1=0.5, t2=0.1, m0=1.0)
+    walks = [
+        simulate_kt(Sequence([excite, es]), relax, object_spectrum=SPECTRUM) for es in (zero, bare)
+    ]
+    assert repr(walks[0].trace) == repr(walks[1].trace)
+    assert [e.tobytes() for e in walks[0].echoes] == [e.tobytes() for e in walks[1].echoes]
 
 
 def test_relax_interval_long_time_leaves_equilibrium():
@@ -510,7 +528,7 @@ ALPHABET = [
         ElementarySequence(
             gradient=_const(4 * _M, duration=0.008),
             duration=0.008,
-            acquisition=AcquisitionSpec(True, 9),
+            acquisition=AcquisitionSpec(9),
             kspace_row=row,
         )
         for row in range(3)
@@ -518,7 +536,7 @@ ALPHABET = [
     ElementarySequence(
         gradient=_const(my=-_M, duration=0.002),
         duration=0.002,
-        acquisition=AcquisitionSpec(True, 1),
+        acquisition=AcquisitionSpec(1),
         kspace_row=4,
     ),
 ]
@@ -574,7 +592,6 @@ def test_walks_on_distinct_elements_match_per_element_oracles(picks, tissue, odd
         for name, a, b in (
             ("trace", repr(got.trace), repr(want.trace)),
             ("echoes", [e.tobytes() for e in got.echoes], [e.tobytes() for e in want.echoes]),
-            ("times", [t.tobytes() for t in got.sample_times], [t.tobytes() for t in want.sample_times]),
             ("final", repr(got.final), repr(want.final)),
             ("observed", _observed(simulate_kt, seq, tissue), _observed(reference_walk, seq, tissue)),
         )

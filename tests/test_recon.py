@@ -54,7 +54,7 @@ def test_assemble_epi_reverses_odd_rows():
 
 
 def test_assemble_tse_sequential_rows():
-    table = trajectory_table("tse-seq", 8, turbo_factor=2)
+    table = trajectory_table("tse-seq", 8)
     assert [row for _, row, _ in table] == list(range(8))
 
 

@@ -135,7 +135,7 @@ def test_trapezoid_duration_mismatch_rejected():
 
 
 def test_acquisition_sample_times_span_interval():
-    acq = AcquisitionSpec(True, 5)
+    acq = AcquisitionSpec(5)
     np.testing.assert_allclose(acq.sample_times(1.0), [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -255,7 +255,7 @@ def test_parse_acquisition_block():
     seq = parse_sequence_file(
         "[elementary]\nduration_s = 0.01\ngrad_x_mT_per_m = 0.5\nacquire = 64\n"
     )
-    assert seq.elements[0].acquisition == AcquisitionSpec(True, 64)
+    assert seq.elements[0].acquisition == AcquisitionSpec(64)
 
 
 def test_parse_malformed_flip_names_line():
@@ -427,5 +427,60 @@ def test_sequence_requires_elements():
 
 
 def test_null_pulse_allowed():
+    # a zero flip is no pulse: the element holds it as pulse=None
     es = ElementarySequence(pulse=HardPulse(0.0, 0.0), duration=0.0)
-    assert es.pulse.is_identity
+    assert es.pulse is None
+    assert es == ElementarySequence(duration=0.0)
+
+
+def test_zero_flip_element_round_trips_through_files():
+    seq = Sequence(
+        [
+            ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0), duration=0.001),
+            ElementarySequence(
+                pulse=HardPulse(0.0, 0.3), gradient=GradientWaveform.constant(gx=1e-3), duration=0.002
+            ),
+        ]
+    )
+    assert parse_sequence_file(serialize_sequence(seq)).elements == seq.elements
+
+
+def test_acquisition_is_its_sample_count():
+    assert not AcquisitionSpec().enabled and AcquisitionSpec(1).enabled
+    with pytest.raises(InvalidParameter):
+        AcquisitionSpec(-1)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_parse_rejects_acquire_without_samples(count):
+    # leaving acquire out is no acquisition; a count below 1 is an error
+    text = f"[elementary]\nduration_s = 0.01\nacquire = {count}\ngrad_x_mT_per_m = 1\n"
+    with pytest.raises(ParseError, match="acquire") as err:
+        parse_sequence_file(text)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "placement", [dict(kspace_row=0), dict(kspace_volume=1), dict(kspace_reversed=True)]
+)
+def test_kspace_placement_needs_an_acquisition(placement):
+    with pytest.raises(InvalidParameter, match="acquisition"):
+        ElementarySequence(duration=0.01, **placement)
+    ElementarySequence(duration=0.01, acquisition=AcquisitionSpec(4), **placement)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GradientWaveform("sine", gx=1e-3),
+        lambda: GradientWaveform("constant", gx=1e-3, ramp_s=1e-3),
+        lambda: GradientWaveform("constant", flat_s=1e-3),
+        lambda: GradientWaveform("constant", samples=((0.0, 0.0, 0.0),), sample_dt=1e-3),
+        lambda: GradientWaveform("trapezoid", gx=1e-3, sample_dt=1e-3),
+        lambda: GradientWaveform("sampled", gy=1e-3, samples=((0.0, 0.0, 0.0),), sample_dt=1e-3),
+    ],
+    ids=["unknown_shape", "constant_ramp", "constant_flat", "constant_samples", "trapezoid_dt", "sampled_gy"],
+)
+def test_gradient_rejects_fields_its_shape_does_not_read(make):
+    with pytest.raises(InvalidParameter):
+        make()
