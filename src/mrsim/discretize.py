@@ -114,10 +114,10 @@ def max_spacing(
         extra = object_delta_omega_bound * lifetime / char_length
         readout_axes = set()
         for _, es in sequence.acquisitions():
-            amps = es.gradient.amplitudes()
-            for ax in range(3):
-                if amps[ax] != 0.0:
-                    readout_axes.add(ax)
+            # the k moves of the readout, whatever the waveform's shape
+            ts = np.append(es.acquisition.sample_times(es.duration), es.duration)
+            moved = np.any(es.gradient.partial_moments(ts, es.duration) != 0.0, axis=0)
+            readout_axes.update(np.flatnonzero(moved).tolist())
         for ax in readout_axes:
             margin[ax] = extra
         notes.append(

@@ -20,10 +20,12 @@ After an element's pulse, its evolution is one fixed product of
 per-event factors ``exp(-1j*(pos.dmom + domega*dt) - dt/T2)``, so the
 kernel evolves every spin through an element with its *propagator*: an
 ``(events, n)`` array whose row i is the running product up to event i,
-evaluated from the cumulative time and moment.  A sample is the dot
-product of its row with ``w * mxy``, taken with BLAS ``zdotu``; a
-snapshot reads its row without touching the running state; then
-``mxy`` is multiplied by the last row.  Elements that
+evaluated from the cumulative time and moment.  A sample is the
+unconjugated dot product of its row with ``weight * mxy``; one
+``np.vecdot`` takes those of all the element's sample rows, which are
+contiguous unless a snapshot falls among them.  A snapshot reads its
+row without touching the running state; then ``mxy`` is multiplied by
+the last row.  Elements that
 :func:`mrsim.sequence.distinct_elements` groups together, that recur
 and that hold no snapshot share one cached propagator; every other
 element builds its own and drops it.  The kernel evolves a block in
@@ -59,7 +61,6 @@ from typing import Dict, List, Optional, Sequence as TySequence, Tuple
 import multiprocessing as mp
 
 import numpy as np
-from scipy.linalg.blas import zdotu as _zdotu
 
 from .bloch import (
     RelaxationParams,
@@ -136,6 +137,7 @@ def precompute_sequence_tables(
     an element with a snapshot inside gets its own.  A group that
     occurs more than once without a snapshot is numbered, in order of
     first occurrence, so that a kernel chunk builds its propagator once.
+    Raises InvalidParameter for a snapshot time outside the sequence.
     """
     snapshot_times = tuple(snapshot_times)
     reps, distinct = distinct_elements(sequence)
@@ -178,6 +180,12 @@ def precompute_sequence_tables(
             acq_times.append(t0 + es.acquisition.sample_times(es.duration))
             acq += 1
         t0 = t1
+    # checked against the running sum that placed the snapshots, so that
+    # every time accepted here has been placed in an element
+    if not all(0.0 <= t <= t0 for t in snapshot_times):
+        raise InvalidParameter(
+            f"snapshot times {snapshot_times} s lie outside the sequence of {t0:.6g} s"
+        )
     counts = collections.Counter(keys)
     group_of: Dict[int, int] = {}  # distinct element -> its propagator group
     for g in keys:
@@ -324,7 +332,6 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
     snapshot arrays to ``snapshots``; returns its cached propagator bytes."""
     inv_t1, inv_t2, m0 = 1.0 / chunk.t1, 1.0 / chunk.t2, chunk.m0
     pos_domega = np.column_stack([chunk.pos, chunk.domega])
-    w = np.ascontiguousarray(chunk.weight, dtype=complex)
     mxy = chunk.mx + 1j * chunk.my
     mz = chunk.mz  # never written in place: chunks are views of the run's arrays
     elapsed = 0.0  # time since Mz was last brought up to date
@@ -351,13 +358,18 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
             p = propagator(entry)
             if entry.group >= 0:
                 cache[entry.group] = p
-        if entry.n_samples:
-            wm = w * mxy
-            echoes[entry.acq, : entry.n_samples] += [
-                _zdotu(p[i], wm) for i in np.flatnonzero(entry.ev_sample)
-            ]
         # (a run without snapshots skips the per-entry search for them)
-        for i in np.flatnonzero(entry.ev_snap >= 0) if tables.snapshot_times else ():
+        snaps = np.flatnonzero(entry.ev_snap >= 0) if tables.snapshot_times else ()
+        if entry.n_samples:
+            # the sample rows come first unless a snapshot is among them
+            # (_event_arrays).  vecdot conjugates its first argument, so
+            # the two conj() leave the plain sum of row * wm; it takes
+            # one dot product per row, where a matrix product would start
+            # OpenBLAS threads in every worker process of the pool
+            rows = p[entry.ev_sample] if len(snaps) else p[: entry.n_samples]
+            wm = chunk.weight * mxy
+            echoes[entry.acq, : entry.n_samples] += np.vecdot(rows, wm.conj()).conj()
+        for i in snaps:
             at = mxy * p[i]
             mz_at = regrow_mz(mz, m0, inv_t1, elapsed + np.cumsum(entry.ev_dt)[i])
             snapshots[entry.ev_snap[i]].append(np.column_stack([at.real, at.imag, mz_at]))
@@ -564,8 +576,6 @@ def run(exp: Experiment) -> RunResult:
     """Execute one experiment; see the module docstring for the roles."""
     if exp.workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {exp.workers}")
-    if not all(0.0 <= t <= exp.sequence.duration for t in exp.snapshot_times):
-        raise InvalidParameter(f"snapshot times {exp.snapshot_times} s lie outside the sequence")
     wall_start = time.perf_counter()
     if exp.spacing is None:
         spacing, report = _auto_spacing(exp)

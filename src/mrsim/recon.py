@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence as TySequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitDiverged, InvalidParameter, TrajectoryMismatch
 
@@ -216,23 +215,73 @@ def cpmg_fit(times, intensities) -> ExponentialFit:
     if slope >= 0.0 or -1.0 / slope > 100.0 * span:
         raise FitDiverged("no decay observable within the sampled echo times")
     seed = np.array([math.exp(intercept), -1.0 / slope])
-
-    def residual(params):
-        rho, t2 = params
-        return rho * np.exp(-t / t2) - y
-
-    tol = _FIT_TOL
-    result = least_squares(
-        residual, seed, method="lm", xtol=tol, ftol=tol, gtol=tol, max_nfev=_FIT_MAX_NFEV
-    )
-    rho, t2 = result.x
-    if not result.success or t2 <= 0.0 or t2 > 1000.0 * span:
-        raise FitDiverged(f"fit did not converge (status {result.status}, T2 = {t2:.3g})")
+    (rho, t2), residual, converged = _fit_decay(t, y, seed)
+    if not converged or t2 > 1000.0 * span:
+        raise FitDiverged(f"fit did not converge (T2 = {t2:.3g})")
     return ExponentialFit(
         rho=float(rho),
         t2=float(t2),
-        residual_norm=float(np.linalg.norm(result.fun)),
+        residual_norm=float(np.linalg.norm(residual)),
     )
+
+
+def _fit_decay(t, y, x):
+    """Levenberg-Marquardt least squares of rho * exp(-t/T2) - y over
+    x = (rho, T2), from the seed x; returns (x, residual, converged).
+
+    The damping is Marquardt's, a multiple of diag(J^T J), and is
+    updated by the gain ratio as Nielsen proposes (Madsen, Nielsen and
+    Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004).
+    A step to T2 <= 0 is refused like one that raises the cost.  It
+    has converged when the residual is orthogonal to every column of J
+    to within ``_FIT_TOL`` (MINPACK's gtol), or when a step, measured
+    in the column norms of J, is at most ``_FIT_TOL`` of x (its xtol).
+    MINPACK's third test, a gain of at most ``_FIT_TOL`` of the cost,
+    is left out: on a noisy series it can stop with the parameters
+    still sqrt(_FIT_TOL) of their noise uncertainty from the minimum.
+    Each evaluation of the model counts against ``_FIT_MAX_NFEV``.
+    """
+    tol = _FIT_TOL
+
+    def evaluate(x):
+        decay = np.exp(-t / x[1])
+        return x[0] * decay - y, decay
+
+    r, decay = evaluate(x)
+    cost = float(r @ r)
+    nfev, damping, growth, relinearize = 1, 1e-3, 2.0, True
+    while nfev < _FIT_MAX_NFEV:
+        if relinearize:
+            jac = np.column_stack([decay, x[0] * t / (x[1] * x[1]) * decay])
+            g, a = jac.T @ r, jac.T @ jac
+            scale = np.sqrt(np.diag(a))  # column norms of J
+            if not np.all(scale > 0.0):
+                return x, r, False  # a parameter that moves no residual
+            if not np.any(np.abs(g) > tol * scale * math.sqrt(cost)):
+                return x, r, True
+        step = np.linalg.solve(a + damping * np.diag(scale * scale), -g)
+        trial = x + step
+        # cost - |r + J step|^2, written without its cancellation
+        predicted = float(step @ a @ step + 2.0 * damping * np.sum((scale * step) ** 2))
+        small_step = np.linalg.norm(scale * step) <= tol * np.linalg.norm(scale * x)
+        if trial[1] > 0.0:
+            r_trial, decay_trial = evaluate(trial)
+            nfev += 1
+            cost_trial = float(r_trial @ r_trial)
+            actual = cost - cost_trial
+        else:
+            actual = -math.inf
+        relinearize = actual > 0.0
+        if relinearize:
+            x, r, decay, cost = trial, r_trial, decay_trial, cost_trial
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
+            growth = 2.0
+        else:
+            damping *= growth
+            growth *= 2.0
+        if small_step:
+            return x, r, True
+    return x, r, False
 
 
 def export_image(img: ImageVolume, path: str, window: Optional[Tuple[float, float]] = None):

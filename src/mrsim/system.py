@@ -18,13 +18,15 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import ellipe, ellipk, hyp2f1
 
 from .bloch import GAMMA_PROTON
 from .errors import InvalidParameter, OutOfGrid, ParseError
 from .grammar import model_reader, numbers, read_blocks
 
 MU_0 = 4.0e-7 * math.pi
+_EPS = float(np.finfo(float).eps)
+# the elliptic parameter below which _loop_hyp2f1 sums its power series
+_SERIES_BELOW = 0.5
 
 _P12_COEFFS = np.zeros(13)
 _P12_COEFFS[12] = 1.0
@@ -168,7 +170,9 @@ class CircularLoop:
 
     The field is the closed form in the complete elliptic integrals K
     and E (Smythe, *Static and Dynamic Electricity*; Simpson et al.,
-    NASA/TM-2001-210946), exact everywhere off the wire.
+    NASA/TM-2001-210946), exact everywhere off the wire.  K and E come
+    from the arithmetic-geometric mean (Abramowitz & Stegun 17.6;
+    Carlson, *Numer. Algorithms* 10:13, 1995).
     """
 
     center: tuple
@@ -202,19 +206,66 @@ class CircularLoop:
             raise InvalidParameter("sensitivity evaluated on the loop wire")
         m = 4.0 * a * rho / beta2  # elliptic parameter k**2
         beta = np.sqrt(beta2)
+        k, e = _ellipke(m)
         b_axial = (
-            MU_0
-            / (2.0 * math.pi * alpha2 * beta)
-            * ((a * a - rho * rho - z * z) * ellipe(m) + alpha2 * ellipk(m))
+            MU_0 / (2.0 * math.pi * alpha2 * beta) * ((a * a - rho * rho - z * z) * e + alpha2 * k)
         )
         # the radial part in K and E, (1 - m/2) E - (1 - m) K, cancels to
         # 3 pi m^2 / 32 near the axis; its hypergeometric form
         # (3 pi m^2 / 32) 2F1(1/2, 3/2; 3; m) keeps every digit there and
         # gives B_rho / rho, so points on the axis need no special case
-        b_rho_per_rho = (
-            0.75 * MU_0 * a * a * z * hyp2f1(0.5, 1.5, 3.0, m) / (alpha2 * beta2 * beta)
-        )
+        b_rho_per_rho = 0.75 * MU_0 * a * a * z * _loop_hyp2f1(m, k, e) / (alpha2 * beta2 * beta)
         return b_axial[..., None] * n + b_rho_per_rho[..., None] * radial
+
+
+def _ellipke(m):
+    """Complete elliptic integrals K(m) and E(m) of parameter 0 <= m < 1.
+
+    By the arithmetic-geometric mean (Abramowitz & Stegun 17.6.3-4):
+    a_0 = 1, b_0 = sqrt(1 - m), c_0 = sqrt(m), then K = pi / (2 a_N) and
+    E = K (1 - sum_n 2^(n-1) c_n^2).  c_(n+1) is taken as
+    c_n^2 / (4 a_(n+1)), which equals (a_n - b_n) / 2 without its
+    cancellation.  c falls quadratically, so once every c is below an
+    ulp of its a, the next term of the sum is below eps^2 and a has
+    converged: the loop stops there (5 steps at m = 0.75, 9 at 1 - 1e-15).
+    """
+    a, b, c = np.ones_like(m), np.sqrt(1.0 - m), np.sqrt(m)
+    total, weight = 0.5 * m, 0.5  # sum of 2^(n-1) c_n^2, and 2^(n-1)
+    while np.any(c > _EPS * a):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        weight *= 2.0
+        total = total + weight * c * c
+    k = 0.5 * math.pi / a
+    return k, k * (1.0 - total)
+
+
+def _loop_hyp2f1(m, k, e):
+    """2F1(1/2, 3/2; 3; m) for 0 <= m < 1, given k = K(m) and e = E(m).
+
+    Below ``_SERIES_BELOW`` it is the power series, whose term ratio
+    (n + 1/2)(n + 3/2) m / ((n + 1)(n + 3)) stays below m: at m < 1/2
+    the terms fall faster than 2^-n, and the loop stops at the first
+    term below an ulp of the sum (at most 42 terms after the first).  Above, it is
+    32 ((1 - m/2) E - (1 - m) K) / (3 pi m^2).  The difference cancels
+    by a factor ((1 - m/2) E + (1 - m) K) / ((1 - m/2) E - (1 - m) K),
+    which grows as 32 / (3 m^2) towards the axis but is 23 at m = 1/2
+    and falls from there, so that form loses at most 5 bits; the
+    series would need ever more terms as m approaches 1, near the wire.
+    """
+    out = np.empty_like(m)
+    series = m < _SERIES_BELOW
+    x = m[series]
+    term = total = np.ones_like(x)
+    n = 0
+    while np.any(term > _EPS * total):
+        term = term * ((n + 0.5) * (n + 1.5) / ((n + 1.0) * (n + 3.0)) * x)
+        total = total + term
+        n += 1
+    out[series] = total
+    x, k, e = m[~series], k[~series], e[~series]
+    out[~series] = 32.0 * ((1.0 - 0.5 * x) * e - (1.0 - x) * k) / (3.0 * math.pi * x * x)
+    return out
 
 
 def complex_weight(sensitivity, x):

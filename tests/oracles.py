@@ -5,7 +5,10 @@ integrator works on the raw coupled system, the rotation uses the
 generic axis-angle form, and so does the sample-by-sample shaped pulse,
 which the small-tip response checks in turn; the Legendre value comes
 from the three-term recurrence and the loop-coil field from the
-midpoint rule over the wire; the reference kernel is the spin-block event loop on two real
+midpoint rule over the wire, or from the closed form with K, E and
+2F1 taken from ``scipy.special``; the reference exponential fit is
+``scipy.optimize.least_squares`` from the seed and with the tolerances
+of ``mrsim.recon.cpmg_fit``; the reference kernel is the spin-block event loop on two real
 transverse arrays that the fused complex kernel of ``mrsim.engine``
 replaced, and the reference prune is the point-by-point
 form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
@@ -23,6 +26,8 @@ import cmath
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
+from scipy.special import ellipe, ellipk, hyp2f1
 
 from mrsim.bloch import GAMMA_PROTON
 from mrsim.errors import IncommensurateMoments
@@ -44,6 +49,7 @@ from mrsim.ktspace import (
     _shifted,
 )
 from mrsim.phantom import _HEAD_ELLIPSES
+from mrsim.recon import _FIT_MAX_NFEV, _FIT_TOL
 
 
 def bloch_rhs(m, b, t1, t2, m0):
@@ -184,6 +190,51 @@ def loop_field_quadrature(loop, x, segments=256):
         r = p - q
         total += np.cross(d, r) / np.linalg.norm(r, axis=-1)[..., None] ** 3
     return 1e-7 * total  # mu_0 / (4 pi)
+
+
+def loop_field_scipy(loop, x):
+    """Field per unit current of a ``mrsim.system.CircularLoop`` at
+    positions x of shape (..., 3), and the elliptic parameter m of each:
+    the closed form of the class, in the same arithmetic but with K, E
+    and 2F1(1/2, 3/2; 3; m) from ``scipy.special``."""
+    p = np.asarray(x, dtype=float)
+    a = loop.diameter / 2.0
+    n = np.asarray(loop.normal, dtype=float)
+    n = n / np.linalg.norm(n)
+    d = p - np.asarray(loop.center, dtype=float)
+    z = np.einsum("...k,k->...", d, n)
+    radial = d - z[..., None] * n
+    rho = np.sqrt(np.einsum("...k,...k->...", radial, radial))
+    alpha2 = (a - rho) ** 2 + z**2
+    beta2 = (a + rho) ** 2 + z**2
+    m = 4.0 * a * rho / beta2
+    beta = np.sqrt(beta2)
+    mu_0 = 4.0e-7 * math.pi
+    b_axial = (
+        mu_0
+        / (2.0 * math.pi * alpha2 * beta)
+        * ((a * a - rho * rho - z * z) * ellipe(m) + alpha2 * ellipk(m))
+    )
+    b_rho_per_rho = 0.75 * mu_0 * a * a * z * hyp2f1(0.5, 1.5, 3.0, m) / (alpha2 * beta2 * beta)
+    return b_axial[..., None] * n + b_rho_per_rho[..., None] * radial, m
+
+
+def reference_cpmg_fit(t, y):
+    """(rho, T2) of the least-squares fit of rho * exp(-t/T2) to y by
+    MINPACK's Levenberg-Marquardt, from the log-linear seed of
+    ``mrsim.recon.cpmg_fit`` and with its tolerances and budget."""
+    slope, intercept = np.polyfit(t[y > 0], np.log(y[y > 0]), 1)
+    result = least_squares(
+        lambda x: x[0] * np.exp(-t / x[1]) - y,
+        np.array([math.exp(intercept), -1.0 / slope]),
+        method="lm",
+        xtol=_FIT_TOL,
+        ftol=_FIT_TOL,
+        gtol=_FIT_TOL,
+        max_nfev=_FIT_MAX_NFEV,
+    )
+    assert result.success
+    return tuple(result.x)
 
 
 def legendre_recurrence(order, x):

@@ -85,6 +85,29 @@ def test_max_spacing_margin_applied_to_readout_axis():
         max_spacing(seq, object_delta_omega_bound=500.0)
 
 
+@pytest.mark.parametrize(
+    "readout",
+    [
+        GradientWaveform.constant(gx=1e-3),
+        GradientWaveform.from_samples([[1e-3, 0.0, 0.0]] * 5, 1e-3),
+    ],
+    ids=["constant", "sampled"],
+)
+def test_max_spacing_margin_follows_the_readout_of_any_shape(readout):
+    seq = Sequence(
+        [
+            ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0), duration=1e-3),
+            ElementarySequence(gradient=readout, duration=4e-3, acquisition=AcquisitionSpec(5)),
+        ]
+    )
+    report = max_spacing(seq, object_delta_omega_bound=100.0, char_length=0.1)
+    # the readout's 1070.65 rad/m plus 100 rad/s * 5 ms / 0.1 m
+    assert report.k_max == (pytest.approx(1075.65, abs=0.005), 0.0, 0.0)
+    assert report.notes == [
+        "off-resonance margin 5 rad/m over lifetime 0.005 s applied to axes [0]"
+    ]
+
+
 def test_max_spacing_predicts_spin_count():
     ph = Phantom([PhantomBox(origin=(0, 0, 0), size=(0.1, 0.1, 0.001), m0=1.0)])
     report = max_spacing(readout_only(200.0), phantom=ph)

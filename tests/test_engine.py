@@ -295,6 +295,30 @@ def test_fused_kernel_matches_reference_kernel():
     )
 
 
+@pytest.mark.parametrize("snapshots", [(), ORACLE_SNAPSHOTS])
+def test_kernel_echoes_equal_per_row_dot_products(monkeypatch, snapshots):
+    """The kernel's one vecdot per readout gives exactly the per-row
+    np.dot of each of its sample rows with w * mxy.  With the snapshots,
+    the first falls among the samples of the first readout.  That these
+    are the right rows, the reference kernel test checks."""
+    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=snapshots)
+    block = oracle_block()
+    calls = []
+
+    def per_row(rows, conj_wm):
+        # vecdot(rows, conj(wm)) is conj(sum(row * wm)) per row
+        calls.append(rows.shape)
+        return np.array([np.dot(row, conj_wm.conj()) for row in rows]).conj()
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "vecdot", per_row)
+        by_row, _ = compute_block(tables, block)
+    echoes, _ = compute_block(tables, block)
+    assert calls == [(7, block.n)] * 2
+    assert np.abs(echoes).max() > 1e-2
+    assert np.array_equal(echoes, by_row)
+
+
 def test_propagator_groups_only_for_recurring_snapshot_free_elements():
     els = oracle_sequence().elements
     seq = Sequence(els + [dataclasses.replace(els[6], kspace_row=2)])
@@ -715,6 +739,16 @@ def test_run_rejects_snapshot_times_outside_the_sequence(times):
     assert one_row.duration == pytest.approx(1.0)
     with pytest.raises(InvalidParameter, match="outside the sequence"):
         run(small_experiment(sequence=one_row, snapshot_times=times))
+
+
+@pytest.mark.parametrize("times", [(-1.0, 5.0), (-1e-9,), (1.001,), (float("nan"),)])
+def test_tables_reject_snapshot_times_outside_the_sequence(times):
+    one_row = Sequence(small_experiment().sequence.elements[:4])
+    with pytest.raises(InvalidParameter, match="outside the sequence"):
+        precompute_sequence_tables(one_row, snapshot_times=times)
+    tables = precompute_sequence_tables(one_row, snapshot_times=(0.0, one_row.duration))
+    _echoes, snaps = compute_block(tables, oracle_block())
+    assert [s.shape for s in snaps] == [(oracle_block().n, 3)] * 2
 
 
 def test_echo_matrix_rejects_acquisitions_of_different_lengths():

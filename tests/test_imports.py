@@ -1,9 +1,15 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and
+the package imports numpy alone at run time.
 
-The package ``__init__`` re-exports what it imports, so it is exempt.
+The package ``__init__`` re-exports what it imports, so it is exempt
+from the first check.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +50,65 @@ def test_no_module_has_an_unused_import():
         if (unused := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def scipy_imports(source: str) -> list:
+    """Lines of the import statements, at any depth, that load scipy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_scan_finds_a_scipy_import_in_a_function():
+    source = "import os, scipy\ndef f():\n    from scipy.special import ellipk\nimport scipyx\n"
+    assert scipy_imports(source) == [1, 3]
+
+
+def test_no_module_of_the_package_imports_scipy():
+    package = sorted((ROOT / "src" / "mrsim").glob("*.py"))
+    assert len(package) > 10
+    found = {p.name: lines for p in package if (lines := scipy_imports(p.read_text("utf-8")))}
+    assert found == {}
+
+
+def test_a_run_with_a_loop_coil_and_a_fit_loads_no_scipy():
+    script = textwrap.dedent(
+        """
+        import math, sys
+        import numpy as np
+        import mrsim
+        seq = mrsim.Sequence([
+            mrsim.ElementarySequence(pulse=mrsim.HardPulse(math.pi / 2, 0.0), duration=1e-3),
+            mrsim.ElementarySequence(
+                gradient=mrsim.GradientWaveform.constant(gx=1e-3),
+                duration=4e-3,
+                acquisition=mrsim.AcquisitionSpec(5),
+            ),
+        ])
+        box = mrsim.PhantomBox(origin=(-0.01, -0.01, -5e-4), size=(0.02, 0.02, 1e-3))
+        coil = mrsim.CircularLoop(center=(0.0, 0.0, 0.05), normal=(0.0, 0.0, 1.0), diameter=0.1)
+        system = mrsim.SystemModel(field=mrsim.StaticField(b0=1.5), receive=coil)
+        result = mrsim.run(mrsim.Experiment(seq, mrsim.Phantom([box]), system=system))
+        assert result.spin_count > 1 and np.all(np.isfinite(result.echo_matrix()))
+        t = np.arange(1, 7) * 0.02
+        assert abs(mrsim.cpmg_fit(t, 0.8 * np.exp(-t / 0.1)).t2 - 0.1) < 1e-9
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mrsim.recon as recon_mod
 from mrsim.errors import FitDiverged, TrajectoryMismatch
 from mrsim.io import read_raw_grid
 from mrsim.recon import (
@@ -17,6 +18,8 @@ from mrsim.recon import (
     standard_axes,
     trajectory_table,
 )
+
+from oracles import reference_cpmg_fit
 
 
 def make_kspace(data, fov=0.5):
@@ -165,21 +168,42 @@ def test_reconstruct_half_sample_offset_has_no_phase_ramp():
 # ---------------------------------------------------------------------------
 
 
+FIT_T = np.arange(1, 13) * 0.02
+
+
+def decay_series(t2, noise, seed=4):
+    """0.8 exp(-t/T2) at FIT_T, times 1 + noise * N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    return 0.8 * np.exp(-FIT_T / t2) * (1.0 + noise * rng.normal(size=FIT_T.size))
+
+
 def test_cpmg_fit_exact_series():
-    t = np.arange(1, 13) * 0.02
-    y = 0.8 * np.exp(-t / 0.2)
-    fit = cpmg_fit(t, y)
+    fit = cpmg_fit(FIT_T, decay_series(0.2, 0.0))
     assert fit.rho == pytest.approx(0.8, abs=1e-9)
     assert fit.t2 == pytest.approx(0.2, abs=1e-9)
     assert isinstance(fit, ExponentialFit)
 
 
 def test_cpmg_fit_survives_noise():
-    rng = np.random.default_rng(4)
-    t = np.arange(1, 13) * 0.02
-    y = 0.8 * np.exp(-t / 0.15) * (1.0 + 0.01 * rng.normal(size=12))
-    fit = cpmg_fit(t, y)
+    fit = cpmg_fit(FIT_T, decay_series(0.15, 0.01))
     assert fit.t2 == pytest.approx(0.15, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "t2, noise, seed", [(0.2, 0.0, 4), (0.15, 0.01, 4), (0.05, 1e-3, 5), (0.4, 1e-3, 6)]
+)
+def test_cpmg_fit_matches_least_squares(t2, noise, seed):
+    y = decay_series(t2, noise, seed)
+    rho, t2_fit = reference_cpmg_fit(FIT_T, y)
+    fit = cpmg_fit(FIT_T, y)
+    assert fit.rho == pytest.approx(rho, rel=1e-9)
+    assert fit.t2 == pytest.approx(t2_fit, rel=1e-9)
+
+
+def test_cpmg_fit_diverges_when_its_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(recon_mod, "_FIT_MAX_NFEV", 2)
+    with pytest.raises(FitDiverged, match="did not converge"):
+        cpmg_fit(FIT_T, decay_series(0.15, 0.01))
 
 
 def test_cpmg_fit_constant_series_diverges():

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipe, ellipk, hyp2f1
 
 from mrsim.bloch import GAMMA_PROTON
 from mrsim.engine import build_spin_arrays
 from mrsim.errors import InvalidParameter, OutOfGrid, ParseError
 from mrsim.phantom import Affine, Phantom, PhantomBox, rasterize
 from mrsim.system import (
+    _SERIES_BELOW,
     MU_0,
     CircularLoop,
     Legendre12Inhomogeneity,
@@ -20,9 +22,11 @@ from mrsim.system import (
     load_scalar_grid,
     parse_system_file,
     spin_off_resonance,
+    _ellipke,
+    _loop_hyp2f1,
 )
 
-from oracles import legendre_recurrence, loop_field_quadrature
+from oracles import legendre_recurrence, loop_field_quadrature, loop_field_scipy
 
 
 def test_legendre12_at_origin_is_zero():
@@ -198,6 +202,65 @@ def test_loop_closed_form_matches_fine_quadrature_off_axis():
     axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
     near = np.array([0.01, 0, 0.1]) + 0.05 * axis + 1e-15 * np.array([1.0, 0.0, 0.0])
     np.testing.assert_allclose(loop(near), loop_field_quadrature(loop, near), rtol=1e-12)
+
+
+def test_loop_elliptic_functions_match_scipy():
+    threshold = np.array([np.nextafter(_SERIES_BELOW, 0.0), _SERIES_BELOW])
+    m = np.concatenate(
+        [
+            [0.0, 1e-300, 1e-20, 1e-8, 1e-4],  # on and near the axis
+            threshold,
+            _SERIES_BELOW + np.linspace(-0.05, 0.05, 11),
+            np.linspace(0.01, 0.99, 99),
+            # towards the wire; closer, scipy's hyp2f1 itself drifts
+            # (rel 2e-13 at 1 - m = 1e-14 against 30-digit arithmetic)
+            1.0 - np.logspace(-12, -1, 23),
+        ]
+    )
+    k, e = _ellipke(m)
+    np.testing.assert_allclose(k, ellipk(m), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(e, ellipe(m), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(
+        _loop_hyp2f1(m, k, e), hyp2f1(0.5, 1.5, 3.0, m), rtol=1e-13, atol=0.0
+    )
+    assert _loop_hyp2f1(np.array(0.0), *_ellipke(np.array(0.0))) == 1.0
+
+
+def test_loop_field_matches_scipy_closed_form_from_axis_to_wire():
+    a = 0.075
+    loop = CircularLoop(center=(0.01, 0.0, 0.1), normal=(0.3, -0.5, 0.8), diameter=2 * a)
+    n = np.array(loop.normal) / np.linalg.norm(loop.normal)
+    u = np.cross(n, [1.0, 0.0, 0.0])
+    u /= np.linalg.norm(u)
+    # rho / a: the axis, near it, both sides of the series threshold
+    # (m = 1/2 in the plane at rho / a = 3 - 2 sqrt 2) and up to the wire
+    frac = np.concatenate(
+        [
+            [0.0, 1e-12, 1e-6],
+            (3.0 - 2.0 * math.sqrt(2.0)) * (1.0 + np.linspace(-1e-3, 1e-3, 5)),
+            np.linspace(0.01, 0.99, 99),
+            1.0 - np.logspace(-5, -2, 7),
+        ]
+    )
+    heights = np.array([0.0, 1e-7, 1e-3, 0.5]) * a
+    points = (
+        np.asarray(loop.center)
+        + (frac[:, None, None] * a * u)
+        + heights[None, :, None] * n
+    ).reshape(-1, 3)
+    want, m = loop_field_scipy(loop, points)
+    assert m.min() == 0.0 and m.max() > 1.0 - 1e-9
+    assert np.any((m < _SERIES_BELOW) & (m > _SERIES_BELOW - 1e-3))
+    assert np.any((m >= _SERIES_BELOW) & (m < _SERIES_BELOW + 1e-3))
+    b = loop(points)
+    rel = np.linalg.norm(b - want, axis=-1) / np.linalg.norm(want, axis=-1)
+    assert rel.max() <= 1e-13
+    # where the midpoint rule converges, at least D/10 from the wire
+    wire_distance = np.hypot(a * (1.0 - frac[:, None]), heights[None, :]).ravel()
+    far = wire_distance >= 0.2 * a
+    quadrature = loop_field_quadrature(loop, points[far], 4096)
+    rel = np.linalg.norm(b[far] - quadrature, axis=-1) / np.linalg.norm(quadrature, axis=-1)
+    assert rel.max() < 1e-12
 
 
 def test_loop_rejects_points_on_the_wire():
