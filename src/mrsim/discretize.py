@@ -9,6 +9,7 @@ configuration attains during the sequence.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -19,12 +20,17 @@ from .bloch import GAMMA_PROTON, RelaxationParams
 from .errors import InvalidParameter
 from .ktspace import TracePoint, max_k_excursion, simulate_kt
 from .phantom import lattice_sites
-from .sequence import Sequence, _solve_readout
+from .sequence import Sequence, _solve_readout, distinct_elements
+
+_log = logging.getLogger(__name__)
 
 # recommended spacing as a fraction of the strict bound dx_max
 SAFETY = 0.8
-# points that PruneBound collects before it reduces them
-_PRUNE_BATCH = 2048
+# populations (points times configurations) that PruneBound collects
+# before it reduces them; each of its temporaries holds about this many
+# numbers
+_PRUNE_BATCH = 1 << 13
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -113,7 +119,9 @@ def max_spacing(
         lifetime = _transverse_lifetime(sequence)
         extra = object_delta_omega_bound * lifetime / char_length
         readout_axes = set()
-        for _, es in sequence.acquisitions():
+        for es in distinct_elements(sequence)[0]:
+            if not es.acquisition.enabled:
+                continue
             # the k moves of the readout, whatever the waveform's shape
             ts = np.append(es.acquisition.sample_times(es.duration), es.duration)
             moved = np.any(es.gradient.partial_moments(ts, es.duration) != 0.0, axis=0)
@@ -136,75 +144,109 @@ class PruneBound:
     Called as ``bound(k, populations)`` with the transversal
     configurations of one or more trace points (the ``observe`` hook of
     :func:`mrsim.ktspace.simulate_kt`); ``k_max`` is the reduced per-axis
-    bound over every point seen so far.  Points are reduced in batches
-    of about ``_PRUNE_BATCH`` points.  Calls that pass the same k array, as the
-    walk does at element boundaries with the same orders, are reduced
-    together: the configurations of each k row are ranked by |k| once
-    for all the points that share it.  The arrays are only read.
+    bound over every point seen so far, bit-identical to the
+    point-by-point form.  Points are reduced in batches of about
+    ``_PRUNE_BATCH`` populations.  A point is ranked by |k| only where
+    its weak configurations could decide the bound (see
+    :meth:`_reduce`); ``points`` and ``ranked`` count the points reduced
+    and the (point, axis) pairs ranked.  The arrays are only read.
     """
 
     def __init__(self, grayscale_levels: int = 256):
         if grayscale_levels < 1:
             raise InvalidParameter("grayscale_levels must be >= 1")
         self.bound_ratio = 0.5 / grayscale_levels
-        self._reduced = np.zeros(3)
-        # id of each pending k array -> (k, the populations seen with it)
-        self._pending: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
-        self._points = 0
+        self._reduced = [0.0, 0.0, 0.0]
+        # configuration count -> the (k, populations) of each pending call
+        self._pending: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._size = 0  # populations pending
+        self.points = 0  # points reduced
+        self.ranked = 0  # (point, axis) pairs that needed the ranking
 
     def __call__(self, k: np.ndarray, populations: np.ndarray) -> None:
         """k: (points, m, 3) rad/m; populations: (points, m)."""
-        group = self._pending.get(id(k))
-        if group is None:
-            self._pending[id(k)] = (k, [populations])
-        else:
-            group[1].append(populations)
-        self._points += populations.shape[0]
-        if self._points >= _PRUNE_BATCH:
+        self._pending.setdefault(populations.shape[1], []).append((k, populations))
+        self._size += populations.size
+        if self._size >= _PRUNE_BATCH:
             self._flush()
 
     @property
     def k_max(self) -> Tuple[float, float, float]:
         self._flush()
-        return tuple(float(k) for k in self._reduced)
+        return tuple(self._reduced)
 
     def _flush(self) -> None:
-        # configurations of different widths never share a k row, so
-        # each width is reduced on its own and nothing is padded
-        by_width: Dict[int, list] = {}
-        for k, pops in self._pending.values():
-            by_width.setdefault(k.shape[1], []).append((k, pops))
-        self._pending.clear()
-        self._points = 0
-        for width, groups in by_width.items():
+        # points of different widths are reduced apart, so nothing is padded
+        pending, self._pending, self._size = self._pending, {}, 0
+        for width, calls in pending.items():
             if width:
-                self._reduce(groups)
+                self._reduce(calls)
 
-    def _reduce(self, groups) -> None:
-        """Fold points of one width into the bound: ``groups`` pairs each
-        k array (rows, m, 3) with the populations (rows, m) of every call
-        that passed it."""
-        rows: List[int] = []  # the k row of every point
-        start = 0
-        for k, pops in groups:
-            rows += [*range(start, start + len(k))] * len(pops)
-            start += len(k)
-        if not rows:
+    def _reduce(self, calls) -> None:
+        """Fold the points of calls of one width into the bound: ``calls``
+        holds the k (points, m, 3) and populations (points, m) of each.
+
+        The point-by-point form ranks a point's configurations by
+        descending |k| on each axis, sums their magnitudes in that order
+        and keeps the |k| at which the sum first exceeds the budget, half
+        a gray level of the largest magnitude.  Call a configuration
+        strong when its magnitude exceeds the budget, weak otherwise.
+        When the weak magnitudes of a point add up to no more than the
+        budget, the sum stays within it until the first strong
+        configuration in the ranking and exceeds it there, so the kept
+        |k| is the largest |k| of a strong configuration, or nothing
+        without one; no ranking is needed.  Rounding cannot move that
+        point: a rounded sum of j >= 0 terms, in any order, lies within
+        a factor (1 + u)^(j-1) of the exact sum (u = eps/2, the unit
+        roundoff), so when the weak sum, in whatever order it was
+        taken, times 1 + 4*m*eps is at most the budget, so is every
+        partial sum of the weak configurations that lead the ranking;
+        and the first strong one takes the sum over, as a rounded sum
+        of terms >= 0 is at least each of them.  The other points take
+        the point-by-point arithmetic (:func:`_ranked_keep`).  An axis on
+        which no |k| of the batch exceeds the bound so far cannot raise
+        it and is skipped.
+        """
+        k_abs = np.abs(np.concatenate([k for k, _ in calls]))  # (points, m, 3)
+        m = k_abs.shape[1]
+        self.points += len(k_abs)
+        flat = k_abs.reshape(-1)
+        axes = [ax for ax in range(3) if flat[ax::3].max() > self._reduced[ax]]
+        if not axes:
             return
-        point_rows = np.array(rows, dtype=np.intp)
-        k_abs = np.abs(np.concatenate([k for k, _ in groups])).transpose(0, 2, 1)
-        mags = np.abs(np.concatenate([p for _, pops in groups for p in pops]))
-        # per point and axis: configurations by descending |k| (ties keep
-        # their order), ranked once per k row, kept down to where the
-        # magnitudes summed so far exceed the budget; a point with no
-        # population keeps nothing
-        rank = np.argsort(-k_abs, axis=-1, kind="stable")
-        acc = np.cumsum(mags[np.arange(len(rows))[:, None, None], rank[point_rows]], axis=-1)
-        over = acc > (self.bound_ratio * mags.max(axis=1))[:, None, None]
-        k_sorted = np.take_along_axis(k_abs, rank, axis=-1)
-        keep = k_sorted[point_rows[:, None], np.arange(3), over.argmax(axis=-1)]
-        keep = np.where(over.any(axis=-1), keep, 0.0)
-        self._reduced = np.maximum(self._reduced, keep.max(axis=0))
+        # magnitudes as (m, points); the budget of every point
+        mags = np.ascontiguousarray(np.abs(np.concatenate([p for _, p in calls])).T)
+        budget = self.bound_ratio * np.maximum.reduce(mags)
+        strong = mags > budget
+        weak = np.where(strong, 0.0, mags).sum(axis=0)
+        ranked = np.flatnonzero(~(weak * (1.0 + 4.0 * m * _EPS) <= budget))
+        for ax in axes:
+            k_points = k_abs[:, :, ax].T  # (m, points)
+            keep = np.where(strong, k_points, 0.0).max(axis=0)
+            if len(ranked):
+                keep[ranked] = _ranked_keep(k_points[:, ranked], mags[:, ranked], budget[ranked])
+                self.ranked += len(ranked)
+            self._reduced[ax] = max(self._reduced[ax], float(keep.max()))
+
+
+def _ranked_keep(k_abs: np.ndarray, mags: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """The kept |k| of each point by the point-by-point form: the
+    configurations ranked by descending |k| (ties in their order), their
+    magnitudes summed in that order, and the |k| where the sum first
+    exceeds the budget, 0 where it never does.  ``k_abs`` and ``mags``
+    are (m, points), ``budget`` (points,)."""
+    m, n = k_abs.shape
+    rank = np.argsort(-k_abs.T, axis=-1, kind="stable")  # (points, m)
+    sorted_mags = mags.T[np.arange(n)[:, None], rank].T
+    # the sum never falls, so the configurations it keeps within the
+    # budget lead the ranking
+    acc = sorted_mags[0].copy()
+    cut = (acc <= budget).astype(np.intp)
+    for col in sorted_mags[1:]:
+        acc += col
+        cut += acc <= budget
+    config = rank[np.arange(n), np.minimum(cut, m - 1)]
+    return np.where(cut < m, k_abs[config, np.arange(n)], 0.0)
 
 
 def steady_state_prune(trace: List[TracePoint], grayscale_levels: int = 256) -> Tuple[float, float, float]:
@@ -243,8 +285,14 @@ def pruned_max_spacing(
     """
     bound = PruneBound(grayscale_levels)
     simulate_kt(sequence, relax, record_trace=False, observe=bound)
+    k_max = bound.k_max
+    _log.debug(
+        "steady-state prune: %d points observed, %d (point, axis) pairs ranked",
+        bound.points,
+        bound.ranked,
+    )
     return _report(
-        bound.k_max,
+        k_max,
         notes=[
             f"steady-state pruned bound (1/{grayscale_levels} gray levels, "
             f"t1={relax.t1:.3g} s, t2={relax.t2:.3g} s)"

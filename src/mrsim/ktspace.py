@@ -354,13 +354,13 @@ def simulate_kt(
 
     def emit(at, fracs, orders, pops, longi, lpops):
         """Trace rows and observe call for the configurations at the
-        instants ``at``; returns the transversal k (points, m, 3)."""
+        instants ``at`` (an array); returns the transversal k (points, m, 3)."""
         k = k_at(orders, fracs)
         if observe is not None and orders:
             observe(k, pops)
         if record_trace:
             rows = zip(
-                at,
+                at.tolist(),
                 _entries("transversal", orders, pops, k),
                 _entries("longitudinal", longi, lpops, k_at(longi, fracs)),
             )
@@ -369,7 +369,7 @@ def simulate_kt(
 
     def record(t):
         if record_trace:
-            emit([t], None, *_row(state.trans), *_row(state.longi))
+            emit(np.array([t]), None, *_row(state.trans), *_row(state.longi))
         elif observe is not None and state.trans:
             orders, pops = _row(state.trans)
             observe(k_at(orders, None), pops)
@@ -382,7 +382,7 @@ def simulate_kt(
             record(now)
         if step.samples is not None:
             orders, pops, longi, lpops = _relax_readout(state, step.samples)
-            k = emit((now + step.ts).tolist(), step.partial, orders, pops, longi, lpops)
+            k = emit(now + step.ts, step.partial, orders, pops, longi, lpops)
             if object_spectrum is not None:
                 echoes.append((pops * object_spectrum(k)).sum(-1))
             state.trans = dict(zip(orders, pops[-1].tolist()))
@@ -520,20 +520,25 @@ class QualitativePoint:
 
 def qualitative_walk(sequence: Sequence) -> List[QualitativePoint]:
     """All reachable configuration orders, assuming every RF split occurs
-    (flip and phase angles treated as arbitrary)."""
-    unit = derive_unit_k(sequence)
+    (flip and phase angles treated as arbitrary).  The unit and every
+    element's order shift are worked out once per group of
+    :func:`mrsim.sequence.distinct_elements`."""
+    reps, groups = distinct_elements(sequence)
+    moments = _element_moments(reps)
+    unit = _unit_of(moments)
+    shifts = [_integer_shift(m, unit) for m in moments]
     trans: set = set()
     longi: set = {ZERO}
     points: List[QualitativePoint] = []
     now = 0.0
     points.append(QualitativePoint(now, set(trans), set(longi)))
-    for es in sequence.elements:
+    for es, g in zip(sequence.elements, groups):
         if es.pulse is not None:
             mixed = trans | {_neg(o) for o in trans} | longi | {_neg(o) for o in longi}
             trans = set(mixed)
             longi = set(mixed) | {ZERO}
             points.append(QualitativePoint(now, set(trans), set(longi)))
-        q = _integer_shift(es.gradient.moments(es.duration), unit)
+        q = shifts[g]
         trans = {(o[0] + q[0], o[1] + q[1], o[2] + q[2]) for o in trans}
         now += es.duration
         points.append(QualitativePoint(now, set(trans), set(longi)))
@@ -558,20 +563,10 @@ def max_k_excursion(
 
     Whether an element flips, its moment and the span of its k motion
     are worked out once per group of
-    :func:`mrsim.sequence.distinct_elements`, as Python floats; the walk
-    over the elements then does scalar arithmetic only.
+    :func:`mrsim.sequence.distinct_elements`, as Python floats.  The
+    axes are independent, so each is walked on its own with scalar
+    arithmetic only; an axis without moment or motion stays at 0.
     """
-    kmax = [0.0, 0.0, 0.0]
-    # per-axis moment intervals, in rad/m (continuous; integer units not needed)
-    t_lo = t_hi = z_lo = z_hi = [0.0, 0.0, 0.0]
-    has_trans = False
-
-    def visit(lo, hi, frac=None):
-        for ax in range(3):
-            a, b = lo[ax], hi[ax]
-            if frac is not None:
-                a, b = a + frac[ax], b + frac[ax]
-            kmax[ax] = max(kmax[ax], abs(a), abs(b))
 
     def motion(es):
         """Per-axis lowest and highest partial moment inside the interval,
@@ -588,28 +583,48 @@ def max_k_excursion(
 
     reps, groups = distinct_elements(sequence)
     plan = [
-        (es.pulse is not None, [float(v) for v in m], motion(es))
+        (es.pulse is not None, m.tolist(), motion(es))
         for es, m in zip(reps, _element_moments(reps))
     ]
-    # the longitudinal interval changes only at a flip, where the
-    # transversal one equals it; revisiting an unchanged interval cannot
-    # raise the maximum
-    for g in groups:
-        flips, moments, span = plan[g]
-        if flips:
-            ends = (t_lo, t_hi, z_lo, z_hi) if has_trans else (z_lo, z_hi)
-            m = [max(abs(end[ax]) for end in ends) for ax in range(3)]
-            t_lo = z_lo = [-v for v in m]
-            t_hi = z_hi = m
-            has_trans = True
-            visit(z_lo, z_hi)
-        if has_trans:
-            for row in span or ():
-                visit(t_lo, t_hi, row)
-            t_lo = [a + b for a, b in zip(t_lo, moments)]
-            t_hi = [a + b for a, b in zip(t_hi, moments)]
-            visit(t_lo, t_hi)
+    kmax = []
+    for ax in range(3):
+        steps = [
+            (flips, m[ax], None if span is None else (span[0][ax], span[1][ax]))
+            for flips, m, span in plan
+        ]
+        idle = all(m == 0.0 and span in (None, (0.0, 0.0)) for _, m, span in steps)
+        kmax.append(0.0 if idle else _axis_excursion(steps, groups))
     return tuple(kmax[ax] + domega_margin[ax] for ax in range(3))
+
+
+def _axis_excursion(steps, groups) -> float:
+    """Largest |k| on one axis.  ``steps`` holds, per distinct element,
+    whether it flips, its moment and the lowest and highest partial
+    moment of its motion (None without); ``groups`` orders them.
+
+    The transversal interval is [lo, hi].  The longitudinal one is
+    [-z, z]: it changes only at a flip, where the transversal one
+    equals it, and revisiting an unchanged interval cannot raise the
+    maximum.
+    """
+    k = lo = hi = z = 0.0
+    has_trans = False
+    for g in groups:
+        flips, moment, span = steps[g]
+        if flips:
+            if has_trans:
+                z = max(abs(lo), abs(hi), z)
+            lo, hi = -z, z
+            has_trans = True
+            k = max(k, z)
+        if has_trans:
+            if span is not None:
+                for row in span:
+                    k = max(k, abs(lo + row), abs(hi + row))
+            lo += moment
+            hi += moment
+            k = max(k, abs(lo), abs(hi))
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -229,11 +229,18 @@ class ElementarySequence:
 
 @dataclass
 class Sequence:
-    """Ordered, immutable-after-construction list of elementary sequences."""
+    """Ordered, immutable-after-construction list of elementary sequences.
+
+    The grouping of :func:`distinct_elements` is computed on first use
+    and held, so the elements must not change after that.
+    """
 
     elements: list
     name: str = "sequence"
     meta: dict = field(default_factory=dict)
+    _distinct: Optional[Tuple[tuple, tuple]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.elements:
@@ -266,18 +273,27 @@ def distinct_elements(sequence: Sequence) -> Tuple[list, List[int]]:
     order of first occurrence) and the group index of every element.
     Per-element data that depends only on those fields can be computed
     once per representative.  Equal means ``==``, so a field of -0.0
-    groups with 0.0.
+    groups with 0.0.  The sequence groups its elements on the first
+    call and holds the result; each call returns new lists.
     """
+    if sequence._distinct is None:
+        sequence._distinct = _group_elements(sequence.elements)
+    reps, groups = sequence._distinct
+    return list(reps), list(groups)
+
+
+def _group_elements(elements) -> Tuple[tuple, tuple]:
+    """The representatives and group indices of :func:`distinct_elements`."""
     index: dict = {}
     reps: list = []
     groups: List[int] = []
-    for es in sequence.elements:
+    for es in elements:
         key = (es.pulse, es.gradient, es.duration, es.acquisition)
         g = index.setdefault(key, len(reps))
         if g == len(reps):
             reps.append(es)
         groups.append(g)
-    return reps, groups
+    return tuple(reps), tuple(groups)
 
 
 # ---------------------------------------------------------------------------

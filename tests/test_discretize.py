@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mrsim.bloch import GAMMA_PROTON, NO_RELAX, HardPulse, RelaxationParams
 from mrsim.discretize import (
+    PruneBound,
     acquisition_params,
     max_spacing,
     pruned_max_spacing,
@@ -12,7 +14,7 @@ from mrsim.discretize import (
     steady_state_prune,
 )
 from mrsim.errors import InvalidParameter
-from mrsim.ktspace import simulate_kt
+from mrsim.ktspace import Configuration, TracePoint, qualitative_walk, simulate_kt
 from mrsim.phantom import Phantom, PhantomBox
 from mrsim.sequence import (
     AcquisitionSpec,
@@ -22,10 +24,17 @@ from mrsim.sequence import (
     build_cpmg,
     build_gradient_epi,
     build_spin_echo,
+    build_tse,
     readout_gradient,
 )
 
-from oracles import reference_prune, shaped_pulse
+from oracles import (
+    reference_k_excursion,
+    reference_prune,
+    reference_qualitative_walk,
+    reference_readout_axes,
+    shaped_pulse,
+)
 
 
 def readout_only(k_max, n=33, duration=0.01):
@@ -106,6 +115,38 @@ def test_max_spacing_margin_follows_the_readout_of_any_shape(readout):
     assert report.notes == [
         "off-resonance margin 5 rad/m over lifetime 0.005 s applied to axes [0]"
     ]
+
+
+def test_grouped_margin_and_qualitative_walk_match_per_element_forms():
+    # two readout shapes, each repeated: a constant one along x and a
+    # sampled one along y, and an acquisition that moves no k
+    along_y = np.zeros((5, 3))
+    along_y[:, 1] = [0.0, 1e-3, 2e-3, 1e-3, 0.0]
+    readouts = [
+        ElementarySequence(
+            gradient=GradientWaveform.constant(gx=1e-3), duration=0.004,
+            acquisition=AcquisitionSpec(5), kspace_row=0,
+        ),
+        ElementarySequence(
+            gradient=GradientWaveform.from_samples(along_y, 1e-3), duration=0.004,
+            acquisition=AcquisitionSpec(5), kspace_row=1,
+        ),
+        ElementarySequence(duration=0.002, acquisition=AcquisitionSpec(3), kspace_row=2),
+    ]
+    refocus = ElementarySequence(pulse=HardPulse(math.pi, 0.0), duration=0.001)
+    excite = ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0))
+    seq = Sequence([excite] + 2 * ([refocus] + readouts), name="two shapes")
+    report = max_spacing(seq, object_delta_omega_bound=100.0, char_length=0.1)
+    lifetime = seq.duration
+    extra = 100.0 * lifetime / 0.1
+    axes = reference_readout_axes(seq)
+    assert axes == [0, 1]
+    assert report.notes == [
+        f"off-resonance margin {extra:.6g} rad/m over lifetime {lifetime:.6g} s "
+        f"applied to axes {axes}"
+    ]
+    assert report.k_max == reference_k_excursion(seq, domega_margin=(extra, extra, 0.0))
+    assert qualitative_walk(seq) == reference_qualitative_walk(seq)
 
 
 def test_max_spacing_predicts_spin_count():
@@ -210,8 +251,16 @@ def test_streaming_prune_matches_trace_prune(t1, t2):
             ),
             RelaxationParams(t1=0.3, t2=0.2, m0=1.0),
         ),
+        # tse128_pool's turbo-factor-2 design at n = 16, with its tissue
+        lambda: (
+            build_tse(
+                fov=0.5, n=16, turbo_factor=2, echo_spacing=0.04, tr=3.0,
+                readout_grad=readout_gradient(0.5, 16, 0.01),
+            ),
+            RelaxationParams(t1=0.8, t2=0.1, m0=1.0),
+        ),
     ],
-    ids=["spin_echo", "cpmg12"],
+    ids=["spin_echo", "cpmg12", "tse128"],
 )
 def test_streaming_prune_matches_reference_on_served_families(family):
     seq, relax = family()
@@ -223,6 +272,127 @@ def test_streaming_prune_matches_reference_on_served_families(family):
         assert streamed[0] > 0.0
 
 
+UNIT = 100.0  # rad/m per order of the hand-built sequences below
+
+
+def _pulse(deg, phase_deg=0.0):
+    return ElementarySequence(pulse=HardPulse(math.radians(deg), math.radians(phase_deg)))
+
+
+def _lobe(orders, duration=1e-3):
+    g = orders * UNIT / (GAMMA_PROTON * duration)
+    return ElementarySequence(gradient=GradientWaveform.constant(gx=g), duration=duration)
+
+
+# three pulses spread the configurations over orders -6..6, with
+# magnitudes close enough that the weak ones can add up past one gray level
+SPREAD = [_pulse(90), _lobe(2), _pulse(60, 90), _lobe(3), _pulse(60), _lobe(-6)]
+
+
+def _streamed_matches_reference(seq, relax):
+    """Assert the streamed bound equals the point-by-point reference at
+    1, 256 and 4096 gray levels; return the points the streamed form
+    ranked at each, as the walk's own bound counts them."""
+    trace = simulate_kt(seq, relax).trace
+    ranked = []
+    for levels in (1, 256, 4096):
+        streamed = pruned_max_spacing(seq, relax, grayscale_levels=levels).k_max
+        assert streamed == reference_prune(trace, grayscale_levels=levels)
+        bound = PruneBound(levels)
+        simulate_kt(seq, relax, record_trace=False, observe=bound)
+        assert bound.k_max == streamed
+        ranked.append(bound.ranked)
+    return trace, ranked
+
+
+def _x_order(point):
+    """The transversal orders of a trace point ranked by descending |kx|."""
+    trans = [e for e in point.entries if e.kind == "transversal"]
+    return [e.order for e in sorted(trans, key=lambda e: abs(e.k_position[0]), reverse=True)]
+
+
+def test_streaming_prune_matches_reference_when_the_k_order_changes_inside_a_readout():
+    # the readout sweeps k through every configuration
+    els = list(SPREAD)
+    els.append(
+        ElementarySequence(
+            gradient=GradientWaveform.constant(gx=12 * UNIT / (GAMMA_PROTON * 0.012)),
+            duration=0.012,
+            acquisition=AcquisitionSpec(49),
+            kspace_row=0,
+        )
+    )
+    seq = Sequence(els, name="sweep")
+    trace, ranked = _streamed_matches_reference(seq, RelaxationParams(t1=1.0, t2=0.3, m0=1.0))
+    # the readout runs from 3 to 15 ms; its inner samples change order
+    inner = [_x_order(p) for p in trace if 0.003 < p.time < 0.015]
+    assert sum(a != b for a, b in zip(inner, inner[1:])) >= 5
+    assert ranked[0] > 0
+
+
+def test_streaming_prune_matches_reference_when_a_sampled_readout_turns():
+    # the readout's moment rises for half the window, then falls back
+    g = 6 * UNIT / (GAMMA_PROTON * 0.006)
+    shape = np.zeros((13, 3))
+    shape[1:6, 0], shape[7:12, 0] = g, -g
+    readout = ElementarySequence(
+        gradient=GradientWaveform.from_samples(shape, 0.001),
+        duration=0.012,
+        acquisition=AcquisitionSpec(25),
+        kspace_row=0,
+    )
+    seq = Sequence(SPREAD + [readout], name="turn")
+    moved = readout.gradient.partial_moments(readout.acquisition.sample_times(0.012), 0.012)[:, 0]
+    assert moved.argmax() not in (0, len(moved) - 1)
+    _, ranked = _streamed_matches_reference(seq, RelaxationParams(t1=1.0, t2=0.3, m0=1.0))
+    assert ranked[0] > 0
+
+
+def test_streaming_prune_matches_reference_at_an_exact_tie_with_the_budget():
+    # without relaxation the 90-degree splits give magnitudes of 1/2 and
+    # 1/4; after the last lobe the farthest configuration, at order -5,
+    # holds exactly the one-gray-level budget, half the largest
+    # magnitude, so the strict comparison decides whether the kept |k|
+    # is its 500 rad/m or the 300 rad/m of the next ones
+    relax = RelaxationParams(t1=math.inf, t2=math.inf, m0=1.0)
+    seq = Sequence([_pulse(90), _lobe(1), _pulse(90), _lobe(3), _pulse(90), _lobe(-1)], name="tie")
+    trace, ranked = _streamed_matches_reference(seq, relax)
+    ties = 0
+    for point in trace:
+        trans = [e for e in point.entries if e.kind == "transversal"]
+        if not trans:
+            continue
+        budget = 0.5 * max(abs(e.population) for e in trans)
+        acc = 0.0
+        for e in sorted(trans, key=lambda e: abs(e.k_position[0]), reverse=True):
+            acc += abs(e.population)
+            ties += acc == budget
+    assert ties > 0
+    assert ranked[0] > 0
+
+
+def test_streaming_prune_ranks_a_point_whose_weak_sum_meets_the_budget_by_rounding():
+    # five weak magnitudes that add up to exactly the budget, 1.0, in the
+    # order given and to one ulp past it in the order of descending |k|,
+    # so the point-by-point sum is over at the fifth, not at the strong one
+    weak = [0.11042957507252793, 0.27218647384834266, 0.11346415917667864,
+            0.2921939923042366, 0.21172579959821422]
+    kx = [500.0, 400.0, 100.0, 300.0, 200.0, 50.0]
+    pops = np.array([weak + [2.0]], dtype=complex)
+    k = np.zeros((1, 6, 3))
+    k[0, :, 0] = kx
+    trace = [
+        TracePoint(0.0, [
+            Configuration("transversal", (i, 0, 0), complex(p), (kx[i], 0.0, 0.0))
+            for i, p in enumerate(pops[0])
+        ])
+    ]
+    bound = PruneBound(grayscale_levels=1)
+    bound(k, pops)
+    assert bound.k_max == reference_prune(trace, grayscale_levels=1) == (100.0, 0.0, 0.0)
+    assert bound.ranked == 1
+
+
 def test_streaming_prune_sees_configurations_outside_readouts():
     # no acquisition: every configuration the bound sees sits at a pulse
     # or an interval boundary
@@ -231,6 +401,14 @@ def test_streaming_prune_sees_configurations_outside_readouts():
     report = pruned_max_spacing(seq, relax)
     assert report.k_max == steady_state_prune(simulate_kt(seq, relax).trace)
     assert report.k_max[0] > 0.0
+
+
+def test_pruned_max_spacing_logs_points_observed_and_ranked(caplog):
+    seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        pruned_max_spacing(seq, RelaxationParams(t1=1.0, t2=0.2, m0=1.0))
+    logged = "steady-state prune: 112 points observed, 140 (point, axis) pairs ranked"
+    assert any(rec.getMessage() == logged for rec in caplog.records)
 
 
 def test_pruned_max_spacing_relaxes_multi_repetition_bound():

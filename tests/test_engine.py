@@ -606,6 +606,26 @@ def test_run_takes_the_relaxation_free_bound_on_every_run(monkeypatch):
     assert len(calls) == 2
 
 
+def test_run_with_automatic_spacing_groups_its_sequence_once(monkeypatch):
+    # the spacing walks and the tables share one grouping, held by the
+    # sequence
+    import mrsim.sequence as sequence_mod
+
+    calls = []
+    original = sequence_mod._group_elements
+
+    def counted(elements):
+        calls.append(len(elements))
+        return original(elements)
+
+    monkeypatch.setattr(sequence_mod, "_group_elements", counted)
+    exp = small_experiment(spacing=None)
+    run(exp)
+    assert calls == [len(exp.sequence.elements)]
+    run(exp)
+    assert len(calls) == 1
+
+
 def test_worker_panic_surfaces_block_index(monkeypatch):
     import mrsim.engine as engine_mod
 
