@@ -145,11 +145,12 @@ class PruneBound:
     configurations of one or more trace points (the ``observe`` hook of
     :func:`mrsim.ktspace.simulate_kt`); ``k_max`` is the reduced per-axis
     bound over every point seen so far, bit-identical to the
-    point-by-point form.  Points are reduced in batches of about
-    ``_PRUNE_BATCH`` populations.  A point is ranked by |k| only where
-    its weak configurations could decide the bound (see
-    :meth:`_reduce`); ``points`` and ``ranked`` count the points reduced
-    and the (point, axis) pairs ranked.  The arrays are only read.
+    point-by-point form on the magnitudes that ``np.abs`` gives.  Points
+    are reduced in batches of about ``_PRUNE_BATCH`` populations.  A
+    point is ranked by |k| only where its weak configurations could
+    decide the bound (see :meth:`_reduce`); ``points`` and ``ranked``
+    count the points reduced and the (point, axis) pairs ranked.  The
+    arrays are only read.
     """
 
     def __init__(self, grayscale_levels: int = 256):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrsim.bloch import GAMMA_PROTON, NO_RELAX, HardPulse, RelaxationParams
 from mrsim.discretize import (
@@ -391,6 +393,57 @@ def test_streaming_prune_ranks_a_point_whose_weak_sum_meets_the_budget_by_roundi
     bound(k, pops)
     assert bound.k_max == reference_prune(trace, grayscale_levels=1) == (100.0, 0.0, 0.0)
     assert bound.ranked == 1
+
+
+def _point(raw_weak, strong, share, ulps, ks):
+    """Magnitudes of one point at one gray level: the strong ones as
+    given, the weak ones scaled to add up to ``share`` of the budget
+    (half the largest) and the first moved ``ulps`` ulps; ``ks`` the
+    signed kx."""
+    budget = 0.5 * max(strong)
+    weak = [share * budget * r / sum(raw_weak) for r in raw_weak]
+    for _ in range(abs(ulps)):
+        weak[0] = math.nextafter(weak[0], math.inf if ulps > 0 else 0.0)
+    mags = weak + list(strong)
+    return mags, [float(k) for k in ks[: len(mags)]]
+
+
+@given(
+    points=st.lists(
+        st.tuples(
+            st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+            st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3),
+            st.sampled_from([0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13]),
+            st.integers(-3, 3),
+            st.lists(st.integers(-6, 6), min_size=8, max_size=8),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_streaming_prune_matches_reference_near_the_budget(points):
+    # weak sums well within, just within, at and just past the budget,
+    # |k| ties and configurations of either sign: the shortcut and the ranking must agree with the
+    # point-by-point form wherever they apply.  The phases are exact
+    # quarter turns, so np.abs and abs() give the same magnitudes.
+    bound = PruneBound(grayscale_levels=1)
+    trace = []
+    for raw_weak, strong, share, ulps, ks in points:
+        mags, kx = _point(raw_weak, strong, share, ulps, ks)
+        m = len(mags)
+        k = np.zeros((1, m, 3))
+        k[0, :, 0] = [25.0 * v for v in kx]
+        k[0, :, 1] = [-25.0 * v for v in reversed(kx)]
+        pops = np.array([mags], dtype=complex) * np.array([[1, 1j, -1, -1j] * 2])[:, :m]
+        bound(k, pops)
+        trace.append(
+            TracePoint(0.0, [
+                Configuration("transversal", (i, 0, 0), complex(p), tuple(k[0, i]))
+                for i, p in enumerate(pops[0])
+            ])
+        )
+    assert bound.k_max == reference_prune(trace, grayscale_levels=1)
 
 
 def test_streaming_prune_sees_configurations_outside_readouts():
