@@ -88,7 +88,7 @@ class ConfigurationSet:
 def _row(pops: Dict[Order, complex]):
     """Sorted orders and their populations as one row (1, m)."""
     orders = sorted(pops)
-    return orders, np.array([[pops[o] for o in orders]], dtype=complex)
+    return orders, np.fromiter([pops[o] for o in orders], complex, len(orders)).reshape(1, -1)
 
 
 def _real_b0(b0: complex) -> complex:
@@ -332,6 +332,7 @@ def simulate_kt(
     scale = _k_scale(unit)
     at_boundary = np.zeros((1, 3))
     boundary_k: Dict[tuple, np.ndarray] = {}
+    bases: Dict[tuple, np.ndarray] = {}  # order tuple -> its k without offset
     state = ConfigurationSet.equilibrium(relax.m0, unit)
     # populations below the cut are pruned after every pulse split
     cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
@@ -342,13 +343,16 @@ def simulate_kt(
     def k_at(orders, fracs):
         """Read-only k (points, m, 3) of ``orders`` offset by ``fracs``; at
         a boundary (fracs None) one array per order tuple."""
+        key = tuple(orders)
         if fracs is None:
-            key = tuple(orders)
             k = boundary_k.get(key)
             if k is None:
                 k = boundary_k[key] = k_at(orders, at_boundary)
             return k
-        k = _k_positions(scale, orders, fracs)
+        base = bases.get(key)
+        if base is None:
+            base = bases[key] = _k_base(scale, orders)
+        k = base + fracs[:, None, :]
         k.flags.writeable = False
         return k
 
@@ -471,9 +475,14 @@ def _k_scale(unit) -> np.ndarray:
     return np.array([u if u else 0.0 for u in unit])
 
 
+def _k_base(scale: np.ndarray, orders) -> np.ndarray:
+    """k of every configuration without offset: (m, 3) rad/m."""
+    return np.array(orders, dtype=float).reshape(-1, 3) * scale
+
+
 def _k_positions(scale: np.ndarray, orders, fracs: np.ndarray) -> np.ndarray:
     """k of every configuration at every point: (points, m, 3) rad/m."""
-    return np.array(orders, dtype=float).reshape(-1, 3) * scale + fracs[:, None, :]
+    return _k_base(scale, orders) + fracs[:, None, :]
 
 
 def _relax_readout(state: ConfigurationSet, samples: _SampleRelaxation):
