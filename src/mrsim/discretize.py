@@ -104,8 +104,15 @@ def max_spacing(
     the transverse lifetime it behaves like an extra pseudo-gradient of
     bound/char_length, which is added to K_max along the axes the
     acquisition gradients use; this margin model is deliberately
-    conservative.
+    conservative.  Raises InvalidParameter for a negative bound or a
+    char_length that is not positive.
     """
+    if not object_delta_omega_bound >= 0.0:
+        raise InvalidParameter(
+            f"object_delta_omega_bound must be >= 0 rad/s, got {object_delta_omega_bound!r}"
+        )
+    if char_length is not None and not char_length > 0.0:
+        raise InvalidParameter(f"char_length must be > 0 m, got {char_length!r}")
     notes = []
     margin = [0.0, 0.0, 0.0]
     if object_delta_omega_bound > 0.0:

@@ -22,21 +22,22 @@ kernel evolves every spin through an element with its *propagator*: an
 ``(events, n)`` array whose row i is the running product up to event i,
 evaluated from the cumulative time and moment.  A sample is the
 unconjugated dot product of its row with ``weight * mxy``; one
-``np.vecdot`` takes those of all the element's sample rows, which are
-contiguous unless a snapshot falls among them.  A snapshot reads its
-row without touching the running state; then ``mxy`` is multiplied by
-the last row.  Elements that
-:func:`mrsim.sequence.distinct_elements` groups together, that recur
-and that hold no snapshot share one cached propagator; every other
-element builds its own and drops it.  The kernel evolves a block in
-chunks of spins whose propagators, the cached ones plus the largest
-built one, fit ``_PROPAGATOR_BYTES``, so a block of any size needs that
-much extra memory at most.  Without an explicit block count, ``run``
-cuts one block per chunk, and at least one per worker.  Only pulses and snapshots read Mz, so T1
-relaxation is deferred: the elapsed time accumulates and Mz is relaxed
-over all of it just before it is read.  The rotation, the precession
-factor and the Mz regrowth are the array operators of
-:mod:`mrsim.bloch`.
+``np.vecdot`` takes those of all the element's sample rows, which come
+first.  Then ``mxy`` is multiplied by the last row.  A snapshot only
+reads: it is the element-start state times the one factor from the
+start to its time, so asking for it changes no echo.  Elements that
+:func:`mrsim.sequence.distinct_elements` groups together and that
+recur share one cached propagator; an element that occurs once builds
+its own and drops it.  The kernel evolves a block in chunks of spins
+whose propagators, the cached ones plus the largest built one, fit
+``_PROPAGATOR_BYTES``, so a block of any size needs that much extra
+memory at most.  Without an explicit block count, ``run`` cuts one
+block per chunk, and at least one per worker.  Every spin starts in
+thermal equilibrium, ``mxy = 0`` and ``mz = m0``.  Only pulses and
+snapshots read Mz, so T1 relaxation is deferred: the elapsed time
+accumulates and Mz is relaxed over all of it just before it is read.
+The rotation, the precession factor and the Mz regrowth are the array
+operators of :mod:`mrsim.bloch`.
 
 The alternative decomposition, a pipeline of per-interval operator
 stages that spins stream through, was rejected: every spin must visit
@@ -91,22 +92,23 @@ _PROPAGATOR_BYTES = 16 << 20
 class EsTable:
     """Precomputed operator data of one elementary sequence.
 
-    Events partition the interval at every sample and snapshot instant:
-    ``ev_dt[i]`` seconds and gradient-moment increment ``ev_dmom[i]``
-    (rad/m per axis) lead up to event i, which then either records a
-    sample (``ev_sample[i]`` with running acquisition index ``acq``) or
-    a snapshot (``ev_snap[i]`` >= 0).  ``group`` numbers the propagator
-    that the entry shares with the other snapshot-free entries of its
-    distinct element, or is -1 when the entry builds its own: its
-    element occurs once without a snapshot, or it holds a snapshot.
+    Events partition the interval at every sample instant: ``ev_dt[i]``
+    seconds and gradient-moment increment ``ev_dmom[i]`` (rad/m per
+    axis) lead up to event i.  The first ``n_samples`` events record the
+    samples of acquisition ``acq``; a last event, if any, covers the rest
+    of the interval.  Every entry of a distinct element shares the same
+    read-only event arrays.  ``snaps`` holds one (time from the element
+    start, partial moment at that time, snapshot index) per snapshot in
+    the element, which reads the element-start state.  ``group`` numbers
+    the propagator that the entry shares with the other entries of its
+    distinct element, or is -1 when the element occurs once.
     """
 
     pulse_mat: Optional[np.ndarray]
     duration: float
     ev_dt: np.ndarray
     ev_dmom: np.ndarray
-    ev_sample: np.ndarray
-    ev_snap: np.ndarray
+    snaps: Tuple[Tuple[float, np.ndarray, int], ...] = ()
     group: int = -1
     acq: int = -1
     n_samples: int = 0
@@ -130,21 +132,21 @@ def precompute_sequence_tables(
 
     Pulse matrices are shared between identical pulses (the memo hit
     count is reported); gradient moments and the event timing grid are
-    evaluated once so workers never touch the waveform objects.  Elements
-    that :func:`mrsim.sequence.distinct_elements` groups together and
-    that hold no snapshot share one set of read-only event arrays
-    (``ev_dt``, ``ev_dmom``, ``ev_sample``, ``ev_snap``);
-    an element with a snapshot inside gets its own.  A group that
-    occurs more than once without a snapshot is numbered, in order of
-    first occurrence, so that a kernel chunk builds its propagator once.
-    Raises InvalidParameter for a snapshot time outside the sequence.
+    evaluated once so workers never touch the waveform objects.  Every
+    entry of a distinct element (:func:`mrsim.sequence.distinct_elements`)
+    shares one set of read-only event arrays (``ev_dt``, ``ev_dmom``),
+    whether or not a snapshot falls inside it; a snapshot is one
+    (time, partial moment, index) tuple of its entry's ``snaps``.  A
+    distinct element that occurs more than once is numbered as a group,
+    in order of first occurrence, so that a kernel chunk builds its
+    propagator once.  Raises InvalidParameter for a snapshot time outside
+    the sequence.
     """
     snapshot_times = tuple(snapshot_times)
     reps, distinct = distinct_elements(sequence)
     _log.debug("operator tables: %d elements, %d distinct", len(distinct), len(reps))
     shared: Dict[int, dict] = {}  # distinct element -> its read-only event arrays
     fields: List[dict] = []  # EsTable fields of every entry but group
-    keys: List[int] = []  # distinct element of every entry, -1 with a snapshot
     acq_times: List[np.ndarray] = []
     memo: Dict[Tuple[float, float], np.ndarray] = {}
     hits = 0
@@ -160,21 +162,17 @@ def precompute_sequence_tables(
                 memo[key] = hard_pulse_matrix(es.pulse.alpha, es.pulse.phi)
             mat = memo[key]
         t1 = t0 + es.duration
+        if g not in shared:
+            shared[g] = _event_arrays(es)
+        fields.append(dict(pulse_mat=mat, duration=es.duration, **shared[g]))
         snaps = [
-            (float(t_abs - t0), False, si)
+            (float(t_abs - t0), si)
             for si, t_abs in enumerate(snapshot_times)
-            if t0 < t_abs <= t1 or (t_abs == 0.0 and not fields)
+            if t0 < t_abs <= t1 or (t_abs == 0.0 and len(fields) == 1)
         ]
         if snaps:
-            events = _event_arrays(es, snaps)
-        elif g in shared:
-            events = shared[g]
-        else:
-            events = shared[g] = _event_arrays(es, snaps)
-            for arr in events.values():
-                arr.flags.writeable = False
-        fields.append(dict(pulse_mat=mat, duration=es.duration, **events))
-        keys.append(-1 if snaps else g)
+            moments = es.gradient.partial_moments([t for t, _ in snaps], es.duration)
+            fields[-1]["snaps"] = tuple((t, m, si) for (t, si), m in zip(snaps, moments))
         if es.acquisition.enabled:
             fields[-1].update(acq=acq, n_samples=es.acquisition.n_samples)
             acq_times.append(t0 + es.acquisition.sample_times(es.duration))
@@ -186,13 +184,13 @@ def precompute_sequence_tables(
         raise InvalidParameter(
             f"snapshot times {snapshot_times} s lie outside the sequence of {t0:.6g} s"
         )
-    counts = collections.Counter(keys)
+    counts = collections.Counter(distinct)
     group_of: Dict[int, int] = {}  # distinct element -> its propagator group
-    for g in keys:
-        if g >= 0 and counts[g] > 1:
+    for g in distinct:
+        if counts[g] > 1:
             group_of.setdefault(g, len(group_of))
     return OperatorTables(
-        entries=[EsTable(group=group_of.get(g, -1), **f) for f, g in zip(fields, keys)],
+        entries=[EsTable(group=group_of.get(g, -1), **f) for f, g in zip(fields, distinct)],
         n_acq=acq,
         acq_times=acq_times,
         snapshot_times=snapshot_times,
@@ -201,20 +199,10 @@ def precompute_sequence_tables(
     )
 
 
-def _event_arrays(es, snaps: list) -> dict:
-    """Event arrays of one elementary sequence; ``snaps``
-    holds (time from its start, False, snapshot index) per snapshot."""
-    sample_ts = es.acquisition.sample_times(es.duration)
-    if snaps:
-        # a snapshot comes before a sample at the same instant
-        events = sorted([(float(t), True, -1) for t in sample_ts] + snaps)
-        ts = np.array([e[0] for e in events], dtype=float)
-        ev_sample = np.array([e[1] for e in events], dtype=bool)
-        ev_snap = np.array([e[2] for e in events], dtype=int)
-    else:
-        ts = np.sort(np.asarray(sample_ts, dtype=float))
-        ev_sample = np.ones(ts.size, dtype=bool)
-        ev_snap = np.full(ts.size, -1)
+def _event_arrays(es) -> dict:
+    """Read-only event arrays of one elementary sequence: one event per
+    sample in time order, then one for the rest of the interval."""
+    ts = np.sort(np.asarray(es.acquisition.sample_times(es.duration), dtype=float))
     total = np.asarray(es.gradient.moments(es.duration), dtype=float)
     if ts.size:
         partial = es.gradient.partial_moments(ts, es.duration)
@@ -227,9 +215,9 @@ def _event_arrays(es, snaps: list) -> dict:
     if last_t < es.duration or np.any(last_m != total):
         ev_dt = np.concatenate([ev_dt, [es.duration - last_t]])
         ev_dmom = np.concatenate([ev_dmom, [total - last_m]])
-        ev_sample = np.concatenate([ev_sample, [False]])
-        ev_snap = np.concatenate([ev_snap, [-1]])
-    return dict(ev_dt=ev_dt, ev_dmom=ev_dmom, ev_sample=ev_sample, ev_snap=ev_snap)
+    for arr in (ev_dt, ev_dmom):
+        arr.flags.writeable = False
+    return dict(ev_dt=ev_dt, ev_dmom=ev_dmom)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +231,6 @@ class SpinBlock:
 
     index: int
     pos: np.ndarray  # (n, 3)
-    mx: np.ndarray
-    my: np.ndarray
-    mz: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
     m0: np.ndarray
@@ -254,19 +239,15 @@ class SpinBlock:
 
     @property
     def n(self) -> int:
-        return self.mx.size
+        return self.m0.size
 
 
 def build_spin_arrays(spins: SpinList, system: SystemModel) -> SpinBlock:
-    """The rasterized spins as arrays, starting in thermal equilibrium,
-    with off-resonance and coil weight evaluated on all positions at once."""
-    n = len(spins)
+    """The rasterized spins as arrays, with off-resonance and coil
+    weight evaluated on all positions at once."""
     return SpinBlock(
         index=0,
         pos=spins.pos,
-        mx=np.zeros(n),
-        my=np.zeros(n),
-        mz=spins.m0.copy(),
         t1=spins.t1,
         t2=spins.t2,
         m0=spins.m0,
@@ -309,7 +290,7 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
     per_chunk = _chunk_spins(tables)
     n_samples = max((e.n_samples for e in tables.entries), default=0)
     echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
-    snapshots: Dict[int, List[np.ndarray]] = collections.defaultdict(list)
+    snapshots: List[List[np.ndarray]] = [[] for _ in tables.snapshot_times]
     chunks = partition_blocks(block, -(-block.n // per_chunk))
     cached_bytes = max(_evolve(tables, chunk, echoes, snapshots) for chunk in chunks)
     _log.debug(
@@ -320,32 +301,27 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
         len(tables.group_rows),
         cached_bytes,
     )
-    snap_list = [
-        np.concatenate(snapshots[i]) if i in snapshots else None
-        for i in range(len(tables.snapshot_times))
-    ]
-    return echoes, snap_list
+    return echoes, [np.concatenate(s) for s in snapshots]
 
 
 def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
-    """Evolve one chunk, adding its echo sums to ``echoes`` and its
-    snapshot arrays to ``snapshots``; returns its cached propagator bytes."""
+    """Evolve one chunk from thermal equilibrium, adding its echo sums to
+    ``echoes`` and its snapshot arrays to ``snapshots``; returns its
+    cached propagator bytes."""
     inv_t1, inv_t2, m0 = 1.0 / chunk.t1, 1.0 / chunk.t2, chunk.m0
     pos_domega = np.column_stack([chunk.pos, chunk.domega])
-    mxy = chunk.mx + 1j * chunk.my
-    mz = chunk.mz  # never written in place: chunks are views of the run's arrays
+    mxy = np.zeros(chunk.n, dtype=complex)
+    mz = m0  # never written in place: chunks are views of the run's arrays
     elapsed = 0.0  # time since Mz was last brought up to date
     cache: Dict[int, np.ndarray] = {}  # group -> its propagator
 
-    def propagator(entry):
-        # row i: cumulative phase pos . moment + domega * time through
-        # event i, written into the imaginary part, then the factor in
-        # place.  einsum and ufuncs rather than matmul: BLAS would start
-        # threads of its own in every worker process of the pool
-        t = np.cumsum(entry.ev_dt)
+    def factors(t, moments):
+        # row i: the phase pos . moments[i] + domega * t[i], written into
+        # the imaginary part, then the factor in place.  einsum and ufuncs
+        # rather than matmul: BLAS would start threads of its own in
+        # every worker process of the pool
         p = np.empty((t.size, chunk.n), dtype=complex)
-        moments = np.column_stack([np.cumsum(entry.ev_dmom, axis=0), t])
-        np.einsum("ek,nk->en", moments, pos_domega, out=p.imag)
+        np.einsum("ek,nk->en", np.column_stack([moments, t]), pos_domega, out=p.imag)
         return precession_factor(p.imag, t[:, None], inv_t2, out=p)
 
     for entry in tables.entries:
@@ -353,26 +329,22 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
             if elapsed:
                 mz, elapsed = regrow_mz(mz, m0, inv_t1, elapsed), 0.0
             mxy, mz = apply_rotation(entry.pulse_mat, mxy, mz)
+        for t, moment, si in entry.snaps:
+            at = mxy * factors(np.array([t]), moment[None])[0]
+            mz_at = regrow_mz(mz, m0, inv_t1, elapsed + t)
+            snapshots[si].append(np.column_stack([at.real, at.imag, mz_at]))
         p = cache.get(entry.group)
         if p is None:
-            p = propagator(entry)
+            p = factors(np.cumsum(entry.ev_dt), np.cumsum(entry.ev_dmom, axis=0))
             if entry.group >= 0:
                 cache[entry.group] = p
-        # (a run without snapshots skips the per-entry search for them)
-        snaps = np.flatnonzero(entry.ev_snap >= 0) if tables.snapshot_times else ()
         if entry.n_samples:
-            # the sample rows come first unless a snapshot is among them
-            # (_event_arrays).  vecdot conjugates its first argument, so
-            # the two conj() leave the plain sum of row * wm; it takes
-            # one dot product per row, where a matrix product would start
-            # OpenBLAS threads in every worker process of the pool
-            rows = p[entry.ev_sample] if len(snaps) else p[: entry.n_samples]
-            wm = chunk.weight * mxy
+            # vecdot conjugates its first argument, so the two conj()
+            # leave the plain sum of row * wm; it takes one dot product
+            # per row, where a matrix product would start OpenBLAS
+            # threads in every worker process of the pool
+            rows, wm = p[: entry.n_samples], chunk.weight * mxy
             echoes[entry.acq, : entry.n_samples] += np.vecdot(rows, wm.conj()).conj()
-        for i in snaps:
-            at = mxy * p[i]
-            mz_at = regrow_mz(mz, m0, inv_t1, elapsed + np.cumsum(entry.ev_dt)[i])
-            snapshots[entry.ev_snap[i]].append(np.column_stack([at.real, at.imag, mz_at]))
         if len(p):
             mxy *= p[-1]
         elapsed += entry.duration
@@ -381,7 +353,8 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
 
 def _chunk_spins(tables: OperatorTables) -> int:
     """The most spins whose propagators fit ``_PROPAGATOR_BYTES``: every
-    group's cached one, plus the largest that an entry builds for itself."""
+    group's cached one, plus the largest that an element occurring once
+    builds for itself (a snapshot's single row is not counted)."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
     rows = sum(tables.group_rows) + own
     return max(1, _PROPAGATOR_BYTES // (16 * max(rows, 1)))  # complex128 per spin and row
@@ -425,9 +398,12 @@ class RunResult:
     spacing_report: Optional[SpacingReport] = None
 
     def echo_matrix(self) -> np.ndarray:
+        """(acquisitions, samples); (0, 0) when nothing acquires."""
         counts = sorted({rec.values.size for rec in self.echoes})
         if len(counts) > 1:
             raise InvalidParameter(f"acquisitions take {counts} samples; an echo matrix needs one")
+        if not self.echoes:
+            return np.zeros((0, 0), dtype=complex)
         return np.array([rec.values for rec in self.echoes])
 
 

@@ -830,9 +830,12 @@ def serialize_sequence(seq: Sequence) -> str:
                 out.append(f"grad_{axis}_mT_per_m = {_fmt_mt_per_m(amp)}")
         if es.acquisition.enabled:
             out.append(f"acquire = {es.acquisition.n_samples}")
+            # each placement key that differs from its default
             if es.kspace_row is not None:
                 out.append(f"kspace_row = {es.kspace_row}")
+            if es.kspace_volume:
                 out.append(f"kspace_volume = {es.kspace_volume}")
-                out.append(f"kspace_reversed = {'true' if es.kspace_reversed else 'false'}")
+            if es.kspace_reversed:
+                out.append("kspace_reversed = true")
         out.append("")
     return "\n".join(out)

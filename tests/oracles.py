@@ -252,14 +252,18 @@ def legendre_recurrence(order, x):
 
 
 def reference_kernel(tables, block):
-    """Evolve a spin block event by event on real (mx, my, mz) arrays.
+    """Evolve a spin block from thermal equilibrium event by event on
+    real (mx, my, mz) arrays.
 
     Every event rotates the transverse plane by ``pos . dmom + domega*dt``
     and relaxes all three components over ``dt``; pulses apply their
-    3x3 matrix.  Same inputs and outputs as ``mrsim.engine.compute_block``.
+    3x3 matrix.  Events ``i < n_samples`` record the samples.  A snapshot
+    turns and relaxes the element-start state over its time from the
+    element start, with its own cos/sin and exp.  Same inputs and outputs
+    as ``mrsim.engine.compute_block``.
     """
-    mx, my, mz = block.mx.copy(), block.my.copy(), block.mz.copy()
     pos, domega, w, m0 = block.pos, block.domega, block.weight, block.m0
+    mx, my, mz = np.zeros(m0.size), np.zeros(m0.size), m0.copy()
     inv_t1, inv_t2 = 1.0 / block.t1, 1.0 / block.t2
     n_samples = max((e.n_samples for e in tables.entries), default=0)
     echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
@@ -272,7 +276,13 @@ def reference_kernel(tables, block):
                 r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz,
                 r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz,
             )
-        sample_idx = 0
+        for t, moment, snap in entry.snaps:
+            theta = pos @ moment + domega * t
+            c, s = np.cos(theta), np.sin(theta)
+            e1, e2 = np.exp(-t * inv_t1), np.exp(-t * inv_t2)
+            snapshots[snap] = np.column_stack(
+                [(c * mx + s * my) * e2, (-s * mx + c * my) * e2, mz * e1 + m0 * (1.0 - e1)]
+            )
         for i in range(entry.ev_dt.size):
             dt = entry.ev_dt[i]
             dmom = entry.ev_dmom[i]
@@ -286,13 +296,9 @@ def reference_kernel(tables, block):
                     mx = mx * e2
                     my = my * e2
                     mz = mz * e1 + m0 * (1.0 - e1)
-            if entry.ev_sample[i]:
-                echoes[entry.acq, sample_idx] = np.dot(w, mx) + 1j * np.dot(w, my)
-                sample_idx += 1
-            snap = entry.ev_snap[i]
-            if snap >= 0:
-                snapshots[snap] = np.column_stack([mx, my, mz])
-    return echoes, [snapshots.get(i) for i in range(len(tables.snapshot_times))]
+            if i < entry.n_samples:
+                echoes[entry.acq, i] = np.dot(w, mx) + 1j * np.dot(w, my)
+    return echoes, [snapshots[i] for i in range(len(tables.snapshot_times))]
 
 
 def reference_prune(trace, grayscale_levels=256):

@@ -222,6 +222,7 @@ TABLES = {
 SIMULATE = ["simulate", "--sequence", "{w}/seq.txt", "--object", "{w}/object.txt"]
 KT_DIAGRAM = ["kt-diagram", "--sequence", "{w}/seq.txt", "--out", "{w}/bad.csv"]
 RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov", "0.2"]
+MARGIN = ["spacing", "--sequence", "{w}/seq.txt", "--delta-omega-bound"]
 
 
 @pytest.mark.parametrize(
@@ -236,6 +237,9 @@ RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov",
         [*RECON, "--trajectory", "table:{w}/table_two_columns.txt", "--out", "{w}/bad.pgm"],
         [*RECON, "--trajectory", "table:{w}/table_rev_yes.txt", "--out", "{w}/bad.pgm"],
         [*RECON[:3], "--size", "4", "8", "--trajectory", "se", "--out", "{w}/bad.pgm"],
+        [*MARGIN, "100", "--char-length", "-0.1"],
+        [*MARGIN, "100", "--char-length", "0"],
+        [*MARGIN, "-100", "--char-length", "0.1"],
     ],
     ids=[
         "series_not_two_columns",
@@ -247,6 +251,9 @@ RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov",
         "table_two_columns",
         "table_rev_yes",
         "size_nx_not_the_sample_count",
+        "margin_char_length_negative",
+        "margin_char_length_zero",
+        "margin_bound_negative",
     ],
 )
 def test_cli_reports_errors_cleanly(argv, workdir, simulated, capsys):
@@ -268,3 +275,19 @@ def test_simulate_reports_acquisitions_of_different_lengths(workdir, capsys):
     argv = ["simulate", "--sequence", "{w}/uneven.txt", "--object", "{w}/object.txt"]
     assert main([arg.format(w=workdir) for arg in [*argv, "--out", "{w}/uneven"]]) == 2
     assert "error: acquisitions take [1, 4] samples" in capsys.readouterr().err
+
+
+def test_simulate_without_acquisitions_writes_snapshot_and_empty_echoes(workdir):
+    text = "[elementary]\nduration_s = 0.01\nrf_flip_deg = 90\ngrad_x_mT_per_m = 1\n"
+    (workdir / "no_acq.txt").write_text(text)
+    out = workdir / "no_acq"
+    argv = ["simulate", "--sequence", "{w}/no_acq.txt", "--object", "{w}/object.txt"]
+    argv += ["--snapshot", "0.005", "--out", str(out)]
+    assert main([arg.format(w=workdir) for arg in argv]) == 0
+    from mrsim.io import read_snapshot_file
+
+    t, arr = read_snapshot_file(str(out / "snapshot_000.mrsim"))
+    assert t == 0.005 and arr.shape[1] == 3 and arr.shape[0] > 0
+    assert read_echo_file(str(out / "echoes.mrsim")).shape == (0, 0)
+    with open(out / "echoes.mrsim", "rb") as fh:
+        assert fh.readline().decode().split() == ["MRSIM1", "0", "0"]

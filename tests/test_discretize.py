@@ -97,6 +97,18 @@ def test_max_spacing_margin_applied_to_readout_axis():
 
 
 @pytest.mark.parametrize(
+    "bound, char_length",
+    [(100.0, -0.1), (100.0, 0.0), (-100.0, 0.1), (-100.0, None), (math.nan, 0.1)],
+)
+def test_max_spacing_rejects_a_margin_out_of_range(bound, char_length):
+    # a negative char_length would lower K_max below its value without a
+    # margin, a zero one divide by zero, and a negative bound be ignored
+    seq = readout_only(100.0)
+    with pytest.raises(InvalidParameter, match="must be"):
+        max_spacing(seq, object_delta_omega_bound=bound, char_length=char_length)
+
+
+@pytest.mark.parametrize(
     "readout",
     [
         GradientWaveform.constant(gx=1e-3),

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrsim.bloch import (
     GAMMA_PROTON,
@@ -68,13 +70,10 @@ def box_phantom(m0=1.0, t2=0.2):
 
 
 def spin_block(spin, domega=0.0, weight=1.0 + 0.0j):
-    """A one-spin block of the spin sample, in thermal equilibrium."""
+    """A one-spin block of the spin sample."""
     return SpinBlock(
         index=0,
         pos=np.array([spin.position], dtype=float),
-        mx=np.zeros(1),
-        my=np.zeros(1),
-        mz=np.array([spin.relax.m0]),
         t1=np.array([spin.relax.t1]),
         t2=np.array([spin.relax.t2]),
         m0=np.array([spin.relax.m0]),
@@ -117,12 +116,12 @@ def test_pulse_memo_shares_repeated_pulses():
 def test_memoized_tables_bit_identical_to_recomputation():
     seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
     # per row: encoding lobe, 180, readout, filler; a snapshot 1 ms into
-    # the third row's readout, whose group every row's readout shares
+    # the third row's readout, whose event arrays every readout shares
     snapped = 10
     t_snap = sum(es.duration for es in seq.elements[:snapped]) + 1e-3
     tables = precompute_sequence_tables(seq, snapshot_times=(t_snap,))
     assert tables.pulse_memo_hits > 0
-    events = ("ev_dt", "ev_dmom", "ev_sample", "ev_snap")
+    events = ("ev_dt", "ev_dmom")
 
     def bits(a):
         return a.dtype, a.shape, a.tobytes()
@@ -132,15 +131,17 @@ def test_memoized_tables_bit_identical_to_recomputation():
             assert entry.pulse_mat is None
         else:
             assert np.array_equal(entry.pulse_mat, hard_pulse_matrix(es.pulse.alpha, es.pulse.phi))
-        if i == snapped:
-            continue
         alone = precompute_sequence_tables(Sequence([es])).entries[0]
         for name in events:
             assert bits(getattr(entry, name)) == bits(getattr(alone, name)), (i, name)
-    shared, own = tables.entries[2], tables.entries[snapped]
+        assert (entry.snaps != ()) == (i == snapped)
+    shared, snap = tables.entries[2], tables.entries[snapped]
     assert tables.entries[6].ev_dt is shared.ev_dt
-    assert own.ev_dt is not shared.ev_dt and own.ev_dt.flags.writeable
-    assert list(own.ev_snap).count(0) == 1 and not (shared.ev_snap >= 0).any()
+    assert snap.ev_dt is shared.ev_dt and snap.ev_dmom is shared.ev_dmom
+    [(t, moment, index)] = snap.snaps
+    assert t == pytest.approx(1e-3, abs=1e-15) and index == 0
+    g = seq.elements[snapped].gradient
+    assert np.array_equal(moment, g.partial_moments([t], seq.elements[snapped].duration)[0])
     for name in events:
         with pytest.raises(ValueError):
             getattr(shared, name)[0] = 1
@@ -267,9 +268,6 @@ def oracle_block(n=40, seed=3):
     return SpinBlock(
         index=0,
         pos=rng.uniform(-0.02, 0.02, (n, 3)),
-        mx=rng.uniform(-0.3, 0.3, n),
-        my=rng.uniform(-0.3, 0.3, n),
-        mz=m0 * rng.uniform(0.5, 1.0, n),
         t1=rng.uniform(0.2, 1.5, n),
         t2=rng.uniform(0.03, 0.3, n),
         m0=m0,
@@ -299,8 +297,9 @@ def test_fused_kernel_matches_reference_kernel():
 def test_kernel_echoes_equal_per_row_dot_products(monkeypatch, snapshots):
     """The kernel's one vecdot per readout gives exactly the per-row
     np.dot of each of its sample rows with w * mxy.  With the snapshots,
-    the first falls among the samples of the first readout.  That these
-    are the right rows, the reference kernel test checks."""
+    the first falls among the samples of the first readout and adds no
+    row.  That these are the right rows, the reference kernel test
+    checks."""
     tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=snapshots)
     block = oracle_block()
     calls = []
@@ -319,16 +318,18 @@ def test_kernel_echoes_equal_per_row_dot_products(monkeypatch, snapshots):
     assert np.array_equal(echoes, by_row)
 
 
-def test_propagator_groups_only_for_recurring_snapshot_free_elements():
+def test_propagator_groups_only_for_recurring_elements():
     els = oracle_sequence().elements
     seq = Sequence(els + [dataclasses.replace(els[6], kspace_row=2)])
-    # entries 3, 6 and 7 are the readout; the first holds a snapshot
-    tables = precompute_sequence_tables(seq, snapshot_times=ORACLE_SNAPSHOTS)
-    assert [e.group for e in tables.entries] == [-1, -1, -1, -1, -1, -1, 0, 0]
-    assert tables.entries[6].ev_dt is tables.entries[7].ev_dt
-    assert tables.group_rows == [tables.entries[6].ev_dt.size]
+    # entries 3, 6 and 7 are the readout; the first holds a snapshot,
+    # which changes neither the groups nor the shared event arrays
     plain = precompute_sequence_tables(seq)
-    assert [e.group for e in plain.entries] == [-1, -1, -1, 0, -1, -1, 0, 0]
+    tables = precompute_sequence_tables(seq, snapshot_times=ORACLE_SNAPSHOTS)
+    groups = [-1, -1, -1, 0, -1, -1, 0, 0]
+    assert [e.group for e in plain.entries] == [e.group for e in tables.entries] == groups
+    assert tables.entries[3].ev_dt is tables.entries[6].ev_dt is tables.entries[7].ev_dt
+    assert tables.entries[3].snaps and not tables.entries[6].snaps
+    assert tables.group_rows == plain.group_rows == [tables.entries[6].ev_dt.size]
 
 
 def test_kernel_logs_factor_cache_size(caplog):
@@ -347,7 +348,7 @@ def test_kernel_logs_factor_cache_size(caplog):
 
 def propagator_rows(tables):
     """Propagator rows per spin that a kernel chunk holds at most: every
-    group's, plus the largest one-off or snapshot entry's."""
+    group's, plus the largest of an element that occurs once."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
     return sum(tables.group_rows) + own
 
@@ -355,7 +356,7 @@ def propagator_rows(tables):
 def test_factor_cache_stays_within_byte_budget(monkeypatch, caplog):
     import mrsim.engine as engine_mod
 
-    # the second pass repeats every element without a snapshot
+    # the second pass repeats every element, so each is a group
     seq = Sequence(oracle_sequence().elements * 2)
     tables = precompute_sequence_tables(seq, snapshot_times=ORACLE_SNAPSHOTS)
     block = oracle_block()
@@ -785,8 +786,8 @@ def test_echo_matrix_rejects_acquisitions_of_different_lengths():
 
 
 def test_snapshot_mid_interval_is_exact():
-    # splitting the relaxation interval at the snapshot time must not
-    # change anything downstream, and the snapshot itself is analytic
+    # a snapshot inside the relaxation interval changes nothing
+    # downstream, and the snapshot itself is analytic
     t2, te = 0.2, 0.05
     seq = delay_and_sample(te, t2)
     tables = precompute_sequence_tables(seq, snapshot_times=(0.02,))
@@ -798,7 +799,43 @@ def test_snapshot_mid_interval_is_exact():
     )
     plain = precompute_sequence_tables(seq)
     echoes_plain, _ = compute_block(plain, spin_block(spin))
-    np.testing.assert_allclose(echoes, echoes_plain, rtol=1e-14)
+    assert np.array_equal(echoes, echoes_plain)
+
+
+def test_snapshot_inside_a_tse_readout_leaves_its_echoes_unchanged():
+    seq = build_tse(
+        fov=0.25,
+        n=16,
+        turbo_factor=4,
+        echo_spacing=0.03,
+        tr=0.3,
+        readout_grad=readout_gradient(0.25, 16, 0.008),
+    )
+    exp = small_experiment(sequence=seq, phantom=box_phantom(t2=0.1), spacing=(0.004, 0.004, 0.002))
+    t_snap = 0.08618088424437502
+    starts = np.cumsum([0.0] + [es.duration for es in seq.elements])
+    inside = [
+        es for es, t0, t1 in zip(seq.elements, starts, starts[1:]) if t0 < t_snap <= t1
+    ]
+    assert [es.acquisition.enabled for es in inside] == [True]
+    plain = run(exp)
+    snapped = run(dataclasses.replace(exp, snapshot_times=(t_snap,)))
+    assert np.array_equal(plain.echo_matrix(), snapped.echo_matrix())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_snapshots_only_read(fractions):
+    seq = oracle_sequence()
+    times = tuple(f * seq.duration for f in fractions)
+    block = oracle_block()
+    plain, _ = compute_block(precompute_sequence_tables(seq), block)
+    tables = precompute_sequence_tables(seq, snapshot_times=times)
+    echoes, snaps = compute_block(tables, block)
+    assert np.array_equal(echoes, plain)
+    _, ref_snaps = reference_kernel(tables, block)
+    for snap, ref_snap in zip(snaps, ref_snaps):
+        assert delta_e_stoer(ref_snap, snap) <= -250.0
 
 
 def test_split_interval_trajectories_identical():
@@ -898,7 +935,7 @@ def test_partition_blocks_are_views_the_kernel_leaves_unchanged():
     arrays = oracle_block(n=60)
     names = [f.name for f in dataclasses.fields(SpinBlock) if f.name != "index"]
     before = {name: getattr(arrays, name).copy() for name in names}
-    # a delay before the first pulse makes the kernel relax the block's own Mz
+    # a delay before the first pulse makes the kernel relax Mz from the block's m0
     seq = Sequence([ElementarySequence(duration=0.01)] + oracle_sequence().elements)
     tables = precompute_sequence_tables(seq, snapshot_times=(0.005,))
     for block in partition_blocks(arrays, 3):

@@ -121,11 +121,10 @@ def test_spin_list_matches_site_by_site_evaluation():
         assert got.relax.t2 == pytest.approx(want.relax.t2)
     assert spins[-1] == list(spins)[-1]
     assert spins[2:4] == list(spins)[2:4]
-    # the engine reads the arrays; spins start in thermal equilibrium
+    # the engine reads the arrays; the kernel starts every spin from m0
     packed = build_spin_arrays(spins, default_system())
     for name in ("pos", "t1", "t2", "m0"):
         assert getattr(packed, name) is getattr(spins, name), name
-    assert np.array_equal(packed.mz, spins.m0) and not packed.mx.any() and not packed.my.any()
     assert np.array_equal(packed.domega, spins.delta_omega)
 
 

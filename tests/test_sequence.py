@@ -387,6 +387,17 @@ def test_parse_rf_shaped_expands(tmp_path):
         lambda: build_tse(0.5, 8, 2, 0.04, 0.5, readout_gradient(0.5, 8, 0.01)),
         lambda: build_gradient_epi(0.5, 8, 8, readout_gradient(0.5, 8, 1e-3)),
         lambda: build_cpmg(0.5, 4, 3, 0.04, 0.5, readout_gradient(0.5, 4, 0.01)),
+        # k-space placement without a row
+        lambda: Sequence(
+            [
+                ElementarySequence(
+                    duration=0.01,
+                    acquisition=AcquisitionSpec(4),
+                    kspace_volume=2,
+                    kspace_reversed=True,
+                )
+            ]
+        ),
     ],
 )
 def test_builders_round_trip_through_files(builder):
