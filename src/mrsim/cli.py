@@ -58,7 +58,6 @@ def _cmd_simulate(args) -> int:
             system=system,
             spacing=spacing,
             workers=args.workers,
-            deterministic=args.deterministic,
             snapshot_times=snapshots,
         )
     )
@@ -70,7 +69,6 @@ def _cmd_simulate(args) -> int:
         "spacing_m": list(result.spacing),
         "workers": result.metrics.workers,
         "blocks": result.metrics.blocks,
-        "deterministic": args.deterministic,
         "wall_time_s": result.metrics.wall_time_s,
         "throughput_spins_per_s": result.metrics.throughput,
         "busy_fraction": result.metrics.busy_fraction,
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--object", required=True)
     sim.add_argument("--system", default=None)
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--deterministic", action="store_true")
     sim.add_argument("--spacing-override", default=None, metavar="DX,DY,DZ")
     sim.add_argument("--snapshot", default=None, metavar="T1,T2,...")
     sim.add_argument("--out", required=True)

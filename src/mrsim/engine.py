@@ -8,10 +8,15 @@ workers as they become free over a bounded queue; workers evolve their
 spins through every elementary sequence and return per-block partial
 echo sums; the reducer accumulates partials into the final records.  In
 deterministic mode the reduction folds blocks in ascending index order
-regardless of completion order, so results do not depend on the worker
-count.  A spacing override only decides whether to warn, so with
-workers the master checks it (the relaxation-free bound, then the
-pruned k-t walk if that bound is broken) while they compute.
+regardless of completion order, so a result never depends on which
+block finishes first.  It depends on the worker count only through the
+block count: results at different worker counts are bit-identical when
+``blocks`` is fixed, or when the spins fill at least one kernel chunk
+per worker at each count, since without ``blocks`` ``run`` cuts at
+least one block per worker.  A spacing override only decides whether
+to warn, so with workers the master checks it (the relaxation-free
+bound, then the pruned k-t walk if that bound is broken) while they
+compute.
 
 Loop order inside a worker: elementary sequences outer, with the
 per-spin arithmetic vectorized across the block.  The kernel keeps the
@@ -72,7 +77,7 @@ from .bloch import (
 )
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import InvalidParameter, WorkerPanic
-from .phantom import Phantom, SpinList, rasterize
+from .phantom import Phantom, SpinList, _positive_spacing, rasterize
 from .sequence import Sequence, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
 
@@ -552,11 +557,13 @@ def run(exp: Experiment) -> RunResult:
     """Execute one experiment; see the module docstring for the roles."""
     if exp.workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {exp.workers}")
+    if exp.blocks is not None and exp.blocks < 1:
+        raise InvalidParameter(f"blocks must be >= 1, got {exp.blocks}")
     wall_start = time.perf_counter()
     if exp.spacing is None:
         spacing, report = _auto_spacing(exp)
     else:
-        spacing = tuple(float(s) for s in exp.spacing)
+        spacing = _positive_spacing(exp.spacing)
         if exp.workers == 1:
             report, problems = _check_spacing(exp, spacing)
             _warn_spacing(problems)

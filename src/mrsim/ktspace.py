@@ -520,40 +520,6 @@ def _entries(kind: str, orders, pops: np.ndarray, k: np.ndarray) -> List[List[Co
     ]
 
 
-@dataclass
-class QualitativePoint:
-    time: float
-    trans: set
-    longi: set
-
-
-def qualitative_walk(sequence: Sequence) -> List[QualitativePoint]:
-    """All reachable configuration orders, assuming every RF split occurs
-    (flip and phase angles treated as arbitrary).  The unit and every
-    element's order shift are worked out once per group of
-    :func:`mrsim.sequence.distinct_elements`."""
-    reps, groups = distinct_elements(sequence)
-    moments = _element_moments(reps)
-    unit = _unit_of(moments)
-    shifts = [_integer_shift(m, unit) for m in moments]
-    trans: set = set()
-    longi: set = {ZERO}
-    points: List[QualitativePoint] = []
-    now = 0.0
-    points.append(QualitativePoint(now, set(trans), set(longi)))
-    for es, g in zip(sequence.elements, groups):
-        if es.pulse is not None:
-            mixed = trans | {_neg(o) for o in trans} | longi | {_neg(o) for o in longi}
-            trans = set(mixed)
-            longi = set(mixed) | {ZERO}
-            points.append(QualitativePoint(now, set(trans), set(longi)))
-        q = shifts[g]
-        trans = {(o[0] + q[0], o[1] + q[1], o[2] + q[2]) for o in trans}
-        now += es.duration
-        points.append(QualitativePoint(now, set(trans), set(longi)))
-    return points
-
-
 def max_k_excursion(
     sequence: Sequence,
     domega_margin: Tuple[float, float, float] = (0.0, 0.0, 0.0),
@@ -642,24 +608,15 @@ def _axis_excursion(steps, groups) -> float:
 
 
 def export_kt_diagram(trace) -> str:
-    """CSV rows (time_s, kind, order_i, kx_rad_per_m, pop_re, pop_im).
-
-    Accepts either a quantitative trace (TracePoint list) or a
-    qualitative one (QualitativePoint list); qualitative rows leave the
-    population columns empty.
-    """
+    """CSV rows (time_s, kind, order_i, kx_rad_per_m, pop_re, pop_im) of a
+    :class:`TracePoint` list."""
     lines = ["time_s,kind,order_i,kx_rad_per_m,pop_re,pop_im"]
     for point in trace:
-        if isinstance(point, TracePoint):
-            for e in point.entries:
-                lines.append(
-                    f"{float(point.time)!r},{e.kind},{e.order[0]},{float(e.k_position[0])!r},"
-                    f"{float(e.population.real)!r},{float(e.population.imag)!r}"
-                )
-        else:
-            for kind, orders in (("transversal", point.trans), ("longitudinal", point.longi)):
-                for o in sorted(orders):
-                    lines.append(f"{float(point.time)!r},{kind},{o[0]},,,")
+        for e in point.entries:
+            lines.append(
+                f"{float(point.time)!r},{e.kind},{e.order[0]},{float(e.k_position[0])!r},"
+                f"{float(e.population.real)!r},{float(e.population.imag)!r}"
+            )
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, List, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -187,6 +187,15 @@ def _check_tissue(m0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
         )
 
 
+def _positive_spacing(spacing) -> Tuple[float, float, float]:
+    """(dx, dy, dz) as floats; InvalidParameter unless every component
+    is positive (NaN is not)."""
+    spacing = tuple(float(s) for s in spacing)
+    if any(not s > 0.0 for s in spacing):
+        raise InvalidParameter(f"spacing components must be positive, got {spacing}")
+    return spacing
+
+
 def rasterize(phantom: Phantom, spacing) -> SpinList:
     """Sample every box on a centered lattice with the given (dx, dy, dz).
 
@@ -196,9 +205,7 @@ def rasterize(phantom: Phantom, spacing) -> SpinList:
     x lattice order (x fastest).  More than ``SPIN_CAP`` lattice sites
     raise SpinBudgetExceeded before any is allocated.
     """
-    spacing = tuple(float(s) for s in spacing)
-    if any(s <= 0.0 for s in spacing):
-        raise InvalidParameter(f"spacing components must be positive, got {spacing}")
+    spacing = _positive_spacing(spacing)
     sites = lattice_sites(phantom, spacing)
     if sites > SPIN_CAP:
         raise SpinBudgetExceeded(

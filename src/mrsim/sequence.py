@@ -395,11 +395,7 @@ def build_spin_echo(
             )
         )
         elements.append(ElementarySequence(duration=filler))
-    return Sequence(
-        elements,
-        name="spin_echo",
-        meta={"kind": "se", "fov": fov, "n": n, "te": te, "tr": tr, "readout_grad": readout_grad},
-    )
+    return Sequence(elements, name="spin_echo", meta={"fov": fov, "n": n})
 
 
 def _echo_train(
@@ -457,7 +453,7 @@ def _echo_train(
                     ElementarySequence(duration=_check_interval(gap, "inter-echo filler"))
                 )
         elements.append(ElementarySequence(duration=filler))
-    return elements, tau
+    return elements
 
 
 def build_tse(
@@ -478,7 +474,7 @@ def build_tse(
     """
     if n % turbo_factor != 0:
         raise InvalidParameter(f"matrix size {n} not divisible by turbo factor {turbo_factor}")
-    elements, tau = _echo_train(
+    elements = _echo_train(
         fov,
         n,
         turbo_factor,
@@ -490,20 +486,7 @@ def build_tse(
         shot_rows=turbo_factor,
         blip_s=blip_s,
     )
-    return Sequence(
-        elements,
-        name="tse",
-        meta={
-            "kind": "tse",
-            "fov": fov,
-            "n": n,
-            "tf": turbo_factor,
-            "echo_spacing": echo_spacing,
-            "tr": tr,
-            "readout_grad": readout_grad,
-            "readout_duration": tau,
-        },
-    )
+    return Sequence(elements, name="tse", meta={"fov": fov, "n": n})
 
 
 def build_cpmg(
@@ -521,7 +504,7 @@ def build_cpmg(
     k-space matrix per echo time (e+1)*dte; fitting the per-pixel decay
     over those volumes recovers T2 and the relative spin density.
     """
-    elements, tau = _echo_train(
+    elements = _echo_train(
         fov,
         n,
         n_echoes,
@@ -536,17 +519,7 @@ def build_cpmg(
     return Sequence(
         elements,
         name="cpmg",
-        meta={
-            "kind": "cpmg",
-            "fov": fov,
-            "n": n,
-            "n_echoes": n_echoes,
-            "dte": dte,
-            "tr": tr,
-            "readout_grad": readout_grad,
-            "echo_times": [(e + 1) * dte for e in range(n_echoes)],
-            "readout_duration": tau,
-        },
+        meta={"fov": fov, "n": n, "echo_times": [(e + 1) * dte for e in range(n_echoes)]},
     )
 
 
@@ -607,16 +580,7 @@ def build_gradient_epi(
     return Sequence(
         elements,
         name="gradient_epi",
-        meta={
-            "kind": "epi",
-            "fov": fov,
-            "n": n,
-            "n_echoes": n_echoes,
-            "shots": shots,
-            "readout_grad": readout_grad,
-            "readout_duration": tau,
-            "te_eff": te_eff,
-        },
+        meta={"fov": fov, "n": n, "te_eff": te_eff},
     )
 
 

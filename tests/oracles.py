@@ -12,10 +12,10 @@ of ``mrsim.recon.cpmg_fit``; the reference kernel is the spin-block event loop o
 transverse arrays that the fused complex kernel of ``mrsim.engine``
 replaced, and the reference prune is the point-by-point
 form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
-unit, k excursion, qualitative walk and readout axes are the
-per-element forms of ``mrsim.ktspace.simulate_kt``, ``derive_unit_k``,
-``max_k_excursion`` and ``qualitative_walk`` and of the off-resonance
-margin's axes in ``mrsim.discretize.max_spacing``:
+unit, k excursion and readout axes are the per-element forms of
+``mrsim.ktspace.simulate_kt``, ``derive_unit_k`` and
+``max_k_excursion`` and of the off-resonance margin's axes in
+``mrsim.discretize.max_spacing``:
 every elementary sequence computes its own moments, shift, mixing
 coefficients, decay factors and sample relaxation, and the walk applies
 them through the package's own steps, wrapped with their no-op guards
@@ -38,14 +38,12 @@ from mrsim.ktspace import (
     ZERO,
     ConfigurationSet,
     KtRun,
-    QualitativePoint,
     TracePoint,
     _axis_unit,
     _entries,
     _integer_shift,
     _interval_decay,
     _mixing_coefficients,
-    _neg,
     _real_b0,
     _relax,
     _rf_split,
@@ -335,25 +333,6 @@ def reference_unit(sequence):
         for ax in range(3):
             per_axis[ax].append(float(m[ax]))
     return tuple(_axis_unit(per_axis[ax]) for ax in range(3))
-
-
-def reference_qualitative_walk(sequence):
-    """Reachable orders with every element's own moment and shift: same
-    inputs and outputs as ``mrsim.ktspace.qualitative_walk``."""
-    unit = reference_unit(sequence)
-    trans, longi = set(), {ZERO}
-    now = 0.0
-    points = [QualitativePoint(now, set(trans), set(longi))]
-    for es in sequence.elements:
-        if es.pulse is not None:
-            mixed = trans | {_neg(o) for o in trans} | longi | {_neg(o) for o in longi}
-            trans, longi = set(mixed), set(mixed) | {ZERO}
-            points.append(QualitativePoint(now, set(trans), set(longi)))
-        q = _integer_shift(es.gradient.moments(es.duration), unit)
-        trans = {(o[0] + q[0], o[1] + q[1], o[2] + q[2]) for o in trans}
-        now += es.duration
-        points.append(QualitativePoint(now, set(trans), set(longi)))
-    return points
 
 
 def reference_readout_axes(sequence):

@@ -50,33 +50,44 @@ def test_no_public_callable_or_dataclass_takes_gamma_or_a_frame():
 
 def test_k_t_steps_are_the_walks_own():
     """The walk's private steps are the only k-t operators, the state
-    carries no pruning settings, and the walks derive their own unit."""
+    carries no pruning settings, and ``simulate_kt`` is the only walk
+    and derives its own unit: the module's public names are these."""
     operators = {"apply_rf_split", "apply_relax_interval", "apply_gradient_shift"}
     assert sorted((operators | {"ConfigurationSet"}) & set(vars(mrsim))) == []
-    assert sorted((operators | {"rf_mixing_matrix"}) & set(vars(mrsim.ktspace))) == []
+    prefix = "mrsim.ktspace."
+    public = [n[len(prefix):] for n, _ in _public_members() if n.startswith(prefix)]
+    assert sorted(n for n in public if "." not in n) == [
+        "Configuration", "ConfigurationSet", "KtRun", "TracePoint", "box_spectrum",
+        "derive_unit_k", "export_kt_diagram", "lattice_spectrum", "max_k_excursion",
+        "simulate_kt", "synthesize_echo",
+    ]
     fields = [f.name for f in dataclasses.fields(mrsim.ktspace.ConfigurationSet)]
     assert fields == ["unit", "trans", "longi"]
-    for walk in (mrsim.ktspace.simulate_kt, mrsim.ktspace.qualitative_walk):
-        assert "unit" not in inspect.signature(walk).parameters
+    assert "unit" not in inspect.signature(mrsim.ktspace.simulate_kt).parameters
+
+
+def _nodes(folders=("src", "tests", "perfbench")):
+    """Every AST node of the package, its tests and the benchmark."""
+    for folder in folders:
+        for path in (ROOT / folder).rglob("*.py"):
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
 
 
 def _attributes_read():
     """Every attribute name loaded (``x.name``) or read by a literal
     ``getattr(x, "name")`` in the package, its tests and the benchmark."""
     read = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "getattr"
-                    and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)
-                ):
-                    read.add(node.args[1].value)
+    for node in _nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            read.add(node.args[1].value)
     return read
 
 
@@ -102,6 +113,45 @@ def test_every_dataclass_field_is_read():
                     if f.name not in read
                 ]
     assert unread == []
+
+
+def _is_meta(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "meta") or (
+        isinstance(node, ast.Name) and node.id == "meta"
+    )
+
+
+def test_every_builder_meta_key_is_read():
+    """A key that a builder writes into ``Sequence.meta`` and that no
+    ``meta["key"]`` or ``meta.get("key")`` reads is a result nothing
+    uses.  Builders write ``meta={...}`` dict literals in the package."""
+    written = {
+        key.value
+        for node in _nodes(("src",))
+        if isinstance(node, ast.keyword) and node.arg == "meta" and isinstance(node.value, ast.Dict)
+        for key in node.value.keys
+        if isinstance(key, ast.Constant)
+    }
+    read = set()
+    for node in _nodes():
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and _is_meta(node.value)
+            and isinstance(node.slice, ast.Constant)
+        ):
+            read.add(node.slice.value)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and _is_meta(node.func.value)
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            read.add(node.args[0].value)
+    assert {"fov", "n", "echo_times", "te_eff"} <= written
+    assert sorted(written - read) == []
 
 
 def test_one_encoding_for_no_pulse_and_no_acquisition():

@@ -54,7 +54,6 @@ def simulated(workdir):
             str(workdir / "system.txt"),
             "--workers",
             "1",
-            "--deterministic",
             "--snapshot",
             "0.0,0.02",
             "--out",
@@ -81,6 +80,7 @@ def test_simulate_writes_outputs(simulated):
     assert manifest["n_acq"] == 8
     assert manifest["spin_count"] > 0
     assert len(manifest["trajectory"]) == 8
+    assert "deterministic" not in manifest
     assert os.path.exists(simulated / "spacing.txt")
 
 
@@ -232,6 +232,7 @@ MARGIN = ["spacing", "--sequence", "{w}/seq.txt", "--delta-omega-bound"]
         [*KT_DIAGRAM, "--tissue", "1.0"],
         [*KT_DIAGRAM, "--tissue", "1,0.1,1,7"],
         [*SIMULATE, "--spacing-override", "a,b,c", "--out", "{w}/bad"],
+        [*SIMULATE, "--spacing-override", "nan,0.001,0.001", "--out", "{w}/bad"],
         [*SIMULATE, "--snapshot", "x", "--out", "{w}/bad"],
         [*SIMULATE, "--snapshot", "5.0", "--out", "{w}/bad"],
         [*RECON, "--trajectory", "table:{w}/table_two_columns.txt", "--out", "{w}/bad.pgm"],
@@ -246,6 +247,7 @@ MARGIN = ["spacing", "--sequence", "{w}/seq.txt", "--delta-omega-bound"]
         "tissue_one_value",
         "tissue_four_values",
         "spacing_override_not_numbers",
+        "spacing_override_nan",
         "snapshot_not_a_number",
         "snapshot_after_the_sequence",
         "table_two_columns",
@@ -262,6 +264,14 @@ def test_cli_reports_errors_cleanly(argv, workdir, simulated, capsys):
     code = main([arg.format(w=workdir, run=simulated) for arg in argv])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_always_folds_in_block_order_and_takes_no_flag_for_it(workdir, capsys):
+    argv = [*SIMULATE, "--deterministic", "--out", "{w}/flag"]
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(w=workdir) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
 
 
 def test_simulate_reports_acquisitions_of_different_lengths(workdir, capsys):

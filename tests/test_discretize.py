@@ -16,7 +16,7 @@ from mrsim.discretize import (
     steady_state_prune,
 )
 from mrsim.errors import InvalidParameter
-from mrsim.ktspace import Configuration, TracePoint, qualitative_walk, simulate_kt
+from mrsim.ktspace import Configuration, TracePoint, simulate_kt
 from mrsim.phantom import Phantom, PhantomBox
 from mrsim.sequence import (
     AcquisitionSpec,
@@ -33,7 +33,6 @@ from mrsim.sequence import (
 from oracles import (
     reference_k_excursion,
     reference_prune,
-    reference_qualitative_walk,
     reference_readout_axes,
     shaped_pulse,
 )
@@ -131,7 +130,7 @@ def test_max_spacing_margin_follows_the_readout_of_any_shape(readout):
     ]
 
 
-def test_grouped_margin_and_qualitative_walk_match_per_element_forms():
+def test_grouped_margin_and_k_excursion_match_per_element_forms():
     # two readout shapes, each repeated: a constant one along x and a
     # sampled one along y, and an acquisition that moves no k
     along_y = np.zeros((5, 3))
@@ -160,7 +159,6 @@ def test_grouped_margin_and_qualitative_walk_match_per_element_forms():
         f"applied to axes {axes}"
     ]
     assert report.k_max == reference_k_excursion(seq, domega_margin=(extra, extra, 0.0))
-    assert qualitative_walk(seq) == reference_qualitative_walk(seq)
 
 
 def test_max_spacing_predicts_spin_count():

@@ -481,6 +481,21 @@ def test_spacing_override_warns_when_violating_bound():
         run(small_experiment(spacing=(0.1, 0.1, 0.002)))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nan_spacing_override_is_rejected_before_the_check(workers):
+    # not a bound violation: no pruned walk runs and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="must be positive"):
+            run(small_experiment(spacing=(math.nan, 0.008, 0.002), workers=workers))
+
+
+@pytest.mark.parametrize("blocks", [0, -5])
+def test_run_rejects_fewer_than_one_block(blocks):
+    with pytest.raises(InvalidParameter, match="blocks must be >= 1"):
+        run(small_experiment(blocks=blocks))
+
+
 def test_infinite_spacing_on_an_axis_without_k_excursion():
     # max_spacing recommends inf along z for this 2-D spin echo: one spin
     # along z, as any spacing wider than the box gives, and no warning

@@ -30,7 +30,6 @@ from mrsim.ktspace import (
     export_kt_diagram,
     lattice_spectrum,
     max_k_excursion,
-    qualitative_walk,
     simulate_kt,
     synthesize_echo,
 )
@@ -366,35 +365,6 @@ def test_lattice_spectrum_matches_direct_sum(monkeypatch):
     assert spec(np.zeros((4, 0, 3))).shape == (4, 0)
 
 
-# ---------------------------------------------------------------------------
-# qualitative tracking
-# ---------------------------------------------------------------------------
-
-
-def test_qualitative_equilibrium_single_trajectory():
-    seq = pulse_seq((90, 0, 10.0))
-    points = qualitative_walk(seq)
-    assert points[0].trans == set()
-    assert points[0].longi == {ZERO}
-
-
-def test_qualitative_two_pulse_branching():
-    seq = pulse_seq((90, 0, 10.0), (90, 0, 10.0))
-    points = qualitative_walk(seq)
-    # points: start, pulse 1, end ES 1, pulse 2, end ES 2
-    after_second = points[3]
-    assert {(1, 0, 0), (-1, 0, 0)} <= after_second.trans
-    assert {(1, 0, 0), (-1, 0, 0)} <= after_second.longi
-
-
-def test_qualitative_branch_bound():
-    seq = pulse_seq(*[(90, 0, 10.0)] * 5)
-    points = qualitative_walk(seq)
-    for i, point in enumerate(points):
-        total = len(point.trans) + len(point.longi)
-        assert total <= 4 ** (i + 1)
-
-
 def test_max_k_single_readout():
     k_max = 150.0
     els = [
@@ -416,7 +386,8 @@ def test_max_k_multipulse_train():
 
 
 def _max_k_set_oracle(seq):
-    """Brute-force qualitative walk over full order sets (1-D, x axis)."""
+    """Brute-force walk over every reachable order, all RF splits taken
+    (1-D, x axis)."""
     unit = derive_unit_k(seq)[0] or 0.0
     trans, longi = set(), {0}
     best = 0.0
@@ -471,10 +442,6 @@ def test_export_diagram_csv():
         int(order)
         for value in (time_s, kx, pop_re, pop_im):
             float(value)
-    points = qualitative_walk(seq)
-    qual = export_kt_diagram(points)
-    assert qual.count("transversal") > 0
-    assert ",,," in qual  # qualitative rows carry no populations
 
 
 def test_export_diagram_writes_plain_floats():

@@ -75,6 +75,12 @@ def test_infinite_spacing_puts_one_site_at_the_box_centre():
     assert np.array_equal(inf.pos, wide.pos)
 
 
+def test_rasterize_rejects_a_nan_spacing():
+    box = PhantomBox(origin=(0, 0, 0), size=(0.03, 0.03, 0.03), m0=1.0)
+    with pytest.raises(InvalidParameter, match="must be positive"):
+        rasterize(Phantom([box]), (math.nan, 0.01, 0.01))
+
+
 def test_spin_budget_enforced():
     # 2000 x 2000 x 1 sites, twice the cap; they are counted, never allocated
     box = PhantomBox(origin=(0, 0, 0), size=(2, 2, 1e-3), m0=1.0)
