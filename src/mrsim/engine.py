@@ -23,26 +23,36 @@ per-spin arithmetic vectorized across the block.  The kernel keeps the
 transverse magnetization as one complex array ``mxy = mx + 1j*my``.
 After an element's pulse, its evolution is one fixed product of
 per-event factors ``exp(-1j*(pos.dmom + domega*dt) - dt/T2)``, so the
-kernel evolves every spin through an element with its *propagator*: an
-``(events, n)`` array whose row i is the running product up to event i,
-evaluated from the cumulative time and moment.  A sample is the
-unconjugated dot product of its row with ``weight * mxy``; one
-``np.vecdot`` takes those of all the element's sample rows, which come
-first.  Then ``mxy`` is multiplied by the last row.  A snapshot only
-reads: it is the element-start state times the one factor from the
-start to its time, so asking for it changes no echo.  Elements that
+kernel evolves every spin through an element with its *propagator*,
+whose row i is the running product up to event i, evaluated from the
+cumulative time and moment that the tables hold.  A row reads a spin
+only through its Δω, its T2 and its position on the axes that the
+element's moment moves, and on a regular lattice in a homogeneous field
+many spins share all of these.  So a chunk numbers the distinct values
+of that key and builds an ``(events, keys)`` propagator, one column per
+key: a sample is the unconjugated dot product of its row with the
+per-key sums of ``weight * mxy``, taken by two real ``np.bincount``s,
+and ``mxy`` is multiplied by the last row mapped back to the spins.
+When more than half of a chunk's spins would need their own column, as
+when a Legendre field gives each spin its own Δω, or the chunk has too
+few spins for the keys to pay, the propagator is ``(events, n)``, one
+column per spin, and a sample is the dot product with ``weight * mxy``
+itself.  One ``np.vecdot`` takes all of an
+element's sample rows, which come first.  A snapshot only reads: it is
+the element-start state times the one factor from the start to its
+time, per spin, so asking for it changes no echo.  Elements that
 :func:`mrsim.sequence.distinct_elements` groups together and that
 recur share one cached propagator; an element that occurs once builds
 its own and drops it.  The kernel evolves a block in chunks of spins
 whose propagators, the cached ones plus the largest built one, fit
-``_PROPAGATOR_BYTES``, so a block of any size needs that much extra
-memory at most.  Without an explicit block count, ``run`` cuts one
-block per chunk, and at least one per worker.  Every spin starts in
-thermal equilibrium, ``mxy = 0`` and ``mz = m0``.  Only pulses and
-snapshots read Mz, so T1 relaxation is deferred: the elapsed time
-accumulates and Mz is relaxed over all of it just before it is read.
-The rotation, the precession factor and the Mz regrowth are the array
-operators of :mod:`mrsim.bloch`.
+``_PROPAGATOR_BYTES`` at one column per spin, so a block of any size
+needs that much extra memory at most.  Without an explicit block count,
+``run`` cuts one block per chunk, and at least one per worker.  Every
+spin starts in thermal equilibrium, ``mxy = 0`` and ``mz = m0``.  Only
+pulses and snapshots read Mz, so T1 relaxation is deferred: the elapsed
+time accumulates and Mz is relaxed over all of it just before it is
+read.  The rotation, the precession factor and the Mz regrowth are the
+array operators of :mod:`mrsim.bloch`.
 
 The alternative decomposition, a pipeline of per-interval operator
 stages that spins stream through, was rejected: every spin must visit
@@ -62,7 +72,7 @@ import queue as queue_mod
 import time
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence as TySequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence as TySequence, Tuple
 
 import multiprocessing as mp
 
@@ -87,6 +97,8 @@ _POLL_S = 0.2
 # budget of the propagators that the kernel holds at once; it sets the
 # kernel's chunk size and so bounds its extra memory per worker
 _PROPAGATOR_BYTES = 16 << 20
+# the fewest spins whose propagators a chunk builds on distinct keys (see _columns)
+_MIN_KEYED_SPINS = 256
 
 # ---------------------------------------------------------------------------
 # spin-independent precomputation (master side)
@@ -99,20 +111,27 @@ class EsTable:
 
     Events partition the interval at every sample instant: ``ev_dt[i]``
     seconds and gradient-moment increment ``ev_dmom[i]`` (rad/m per
-    axis) lead up to event i.  The first ``n_samples`` events record the
-    samples of acquisition ``acq``; a last event, if any, covers the rest
-    of the interval.  Every entry of a distinct element shares the same
-    read-only event arrays.  ``snaps`` holds one (time from the element
-    start, partial moment at that time, snapshot index) per snapshot in
-    the element, which reads the element-start state.  ``group`` numbers
-    the propagator that the entry shares with the other entries of its
-    distinct element, or is -1 when the element occurs once.
+    axis) lead up to event i, and ``ev_t[i]`` / ``ev_mom[i]`` are their
+    running sums from the element start.  ``axes`` lists the axes on
+    which some ``ev_mom[i]`` is nonzero, the only coordinates of a spin
+    that the element's propagator reads.  The first ``n_samples`` events
+    record the samples of acquisition ``acq``; a last event, if any,
+    covers the rest of the interval.  Every entry of a distinct element
+    shares the same read-only event arrays.  ``snaps`` holds one (time
+    from the element start, partial moment at that time, snapshot index)
+    per snapshot in the element, which reads the element-start state.
+    ``group`` numbers the propagator that the entry shares with the other
+    entries of its distinct element, or is -1 when the element occurs
+    once.
     """
 
     pulse_mat: Optional[np.ndarray]
     duration: float
     ev_dt: np.ndarray
     ev_dmom: np.ndarray
+    ev_t: np.ndarray
+    ev_mom: np.ndarray
+    axes: Tuple[int, ...]
     snaps: Tuple[Tuple[float, np.ndarray, int], ...] = ()
     group: int = -1
     acq: int = -1
@@ -139,19 +158,19 @@ def precompute_sequence_tables(
     count is reported); gradient moments and the event timing grid are
     evaluated once so workers never touch the waveform objects.  Every
     entry of a distinct element (:func:`mrsim.sequence.distinct_elements`)
-    shares one set of read-only event arrays (``ev_dt``, ``ev_dmom``),
-    whether or not a snapshot falls inside it; a snapshot is one
-    (time, partial moment, index) tuple of its entry's ``snaps``.  A
-    distinct element that occurs more than once is numbered as a group,
-    in order of first occurrence, so that a kernel chunk builds its
-    propagator once.  Raises InvalidParameter for a snapshot time outside
-    the sequence.
+    shares one set of read-only event arrays (``ev_dt``, ``ev_dmom``,
+    their running sums and moving axes), whether or not a snapshot falls
+    inside it; a snapshot is one (time, partial moment, index) tuple of
+    its entry's ``snaps``.  A distinct element that occurs more than once
+    is numbered as a group, in order of first occurrence, so that a
+    kernel chunk builds its propagator once.  Raises InvalidParameter for
+    a snapshot time outside the sequence.
     """
     snapshot_times = tuple(snapshot_times)
     reps, distinct = distinct_elements(sequence)
     _log.debug("operator tables: %d elements, %d distinct", len(distinct), len(reps))
     shared: Dict[int, dict] = {}  # distinct element -> its read-only event arrays
-    fields: List[dict] = []  # EsTable fields of every entry but group
+    entry_fields: List[dict] = []  # EsTable fields of every entry but group
     acq_times: List[np.ndarray] = []
     memo: Dict[Tuple[float, float], np.ndarray] = {}
     hits = 0
@@ -169,17 +188,17 @@ def precompute_sequence_tables(
         t1 = t0 + es.duration
         if g not in shared:
             shared[g] = _event_arrays(es)
-        fields.append(dict(pulse_mat=mat, duration=es.duration, **shared[g]))
+        entry_fields.append(dict(pulse_mat=mat, duration=es.duration, **shared[g]))
         snaps = [
             (float(t_abs - t0), si)
             for si, t_abs in enumerate(snapshot_times)
-            if t0 < t_abs <= t1 or (t_abs == 0.0 and len(fields) == 1)
+            if t0 < t_abs <= t1 or (t_abs == 0.0 and len(entry_fields) == 1)
         ]
         if snaps:
             moments = es.gradient.partial_moments([t for t, _ in snaps], es.duration)
-            fields[-1]["snaps"] = tuple((t, m, si) for (t, si), m in zip(snaps, moments))
+            entry_fields[-1]["snaps"] = tuple((t, m, si) for (t, si), m in zip(snaps, moments))
         if es.acquisition.enabled:
-            fields[-1].update(acq=acq, n_samples=es.acquisition.n_samples)
+            entry_fields[-1].update(acq=acq, n_samples=es.acquisition.n_samples)
             acq_times.append(t0 + es.acquisition.sample_times(es.duration))
             acq += 1
         t0 = t1
@@ -195,7 +214,7 @@ def precompute_sequence_tables(
         if counts[g] > 1:
             group_of.setdefault(g, len(group_of))
     return OperatorTables(
-        entries=[EsTable(group=group_of.get(g, -1), **f) for f, g in zip(fields, distinct)],
+        entries=[EsTable(group=group_of.get(g, -1), **f) for f, g in zip(entry_fields, distinct)],
         n_acq=acq,
         acq_times=acq_times,
         snapshot_times=snapshot_times,
@@ -206,7 +225,8 @@ def precompute_sequence_tables(
 
 def _event_arrays(es) -> dict:
     """Read-only event arrays of one elementary sequence: one event per
-    sample in time order, then one for the rest of the interval."""
+    sample in time order, then one for the rest of the interval; their
+    running sums, and the axes that the running moment moves."""
     ts = np.sort(np.asarray(es.acquisition.sample_times(es.duration), dtype=float))
     total = np.asarray(es.gradient.moments(es.duration), dtype=float)
     if ts.size:
@@ -220,9 +240,11 @@ def _event_arrays(es) -> dict:
     if last_t < es.duration or np.any(last_m != total):
         ev_dt = np.concatenate([ev_dt, [es.duration - last_t]])
         ev_dmom = np.concatenate([ev_dmom, [total - last_m]])
-    for arr in (ev_dt, ev_dmom):
+    ev_t, ev_mom = ev_dt.cumsum(), ev_dmom.cumsum(axis=0)
+    for arr in (ev_dt, ev_dmom, ev_t, ev_mom):
         arr.flags.writeable = False
-    return dict(ev_dt=ev_dt, ev_dmom=ev_dmom)
+    axes = tuple(ax for ax, moved in enumerate(ev_mom.any(axis=0).tolist()) if moved)
+    return dict(ev_dt=ev_dt, ev_dmom=ev_dmom, ev_t=ev_t, ev_mom=ev_mom, axes=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -297,37 +319,65 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
     echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
     snapshots: List[List[np.ndarray]] = [[] for _ in tables.snapshot_times]
     chunks = partition_blocks(block, -(-block.n // per_chunk))
-    cached_bytes = max(_evolve(tables, chunk, echoes, snapshots) for chunk in chunks)
+    evolved = [_evolve(tables, chunk, echoes, snapshots) for chunk in chunks]
     _log.debug(
-        "block %d: %d chunks of <= %d spins, %d propagator groups, %d propagator-cache bytes",
+        "block %d: %d chunks of <= %d spins, %d propagator groups, %d propagator-cache bytes, "
+        "propagator columns / spins per chunk: %s",
         block.index,
         len(chunks),
         per_chunk,
         len(tables.group_rows),
-        cached_bytes,
+        max(cached for cached, _ in evolved),
+        " ".join(f"{cols}/{chunk.n}" for (_, cols), chunk in zip(evolved, chunks)),
     )
     return echoes, [np.concatenate(s) for s in snapshots]
 
 
-def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
+def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> Tuple[int, int]:
     """Evolve one chunk from thermal equilibrium, adding its echo sums to
     ``echoes`` and its snapshot arrays to ``snapshots``; returns its
-    cached propagator bytes."""
+    cached propagator bytes and the most columns of any propagator it
+    built."""
     inv_t1, inv_t2, m0 = 1.0 / chunk.t1, 1.0 / chunk.t2, chunk.m0
     pos_domega = np.column_stack([chunk.pos, chunk.domega])
     mxy = np.zeros(chunk.n, dtype=complex)
     mz = m0  # never written in place: chunks are views of the run's arrays
     elapsed = 0.0  # time since Mz was last brought up to date
-    cache: Dict[int, np.ndarray] = {}  # group -> its propagator
+    cache: Dict[int, tuple] = {}  # group -> its propagator, _Columns, last row per spin
+    codes: Dict[int, np.ndarray] = {}  # position axis -> code of each spin
+    keyed: Dict[Tuple[int, ...], Optional[_Columns]] = {}  # moving axes -> columns(axes)
+    widest = 0
 
-    def factors(t, moments):
+    def factors(t, moments, spins=None):
         # row i: the phase pos . moments[i] + domega * t[i], written into
-        # the imaginary part, then the factor in place.  einsum and ufuncs
-        # rather than matmul: BLAS would start threads of its own in
-        # every worker process of the pool
-        p = np.empty((t.size, chunk.n), dtype=complex)
-        np.einsum("ek,nk->en", np.column_stack([moments, t]), pos_domega, out=p.imag)
-        return precession_factor(p.imag, t[:, None], inv_t2, out=p)
+        # the imaginary part, then the factor in place; ``spins`` picks
+        # the columns.  einsum and ufuncs rather than matmul: BLAS would
+        # start threads of its own in every worker process of the pool
+        sites, decay = (pos_domega, inv_t2) if spins is None else (pos_domega[spins], inv_t2[spins])
+        p = np.empty((t.size, len(sites)), dtype=complex)
+        np.einsum("ek,nk->en", np.column_stack([moments, t]), sites, out=p.imag)
+        return precession_factor(p.imag, t[:, None], decay, out=p)
+
+    def columns(axes):
+        # the columns of a propagator that reads the positions on
+        # ``axes``, or None for one per spin; every key refines the
+        # (domega, T2) one, so it has at least as many columns
+        if () not in keyed:
+            keyed[()] = (
+                _columns([_codes(chunk.domega), _codes(inv_t2)])
+                if chunk.n >= _MIN_KEYED_SPINS
+                else None
+            )
+        if axes not in keyed:
+            pair = keyed[()]
+            if pair is None:
+                keyed[axes] = None
+            else:
+                for ax in axes:
+                    if ax not in codes:
+                        codes[ax] = _codes(chunk.pos[:, ax])
+                keyed[axes] = _columns([pair.of_spin] + [codes[ax] for ax in axes])
+        return keyed[axes]
 
     for entry in tables.entries:
         if entry.pulse_mat is not None:
@@ -338,28 +388,113 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> int:
             at = mxy * factors(np.array([t]), moment[None])[0]
             mz_at = regrow_mz(mz, m0, inv_t1, elapsed + t)
             snapshots[si].append(np.column_stack([at.real, at.imag, mz_at]))
-        p = cache.get(entry.group)
-        if p is None:
-            p = factors(np.cumsum(entry.ev_dt), np.cumsum(entry.ev_dmom, axis=0))
+        elapsed += entry.duration
+        if not entry.ev_t.size:
+            continue
+        if entry.group in cache:
+            p, cols, last = cache[entry.group]
+        else:
+            cols = columns(entry.axes)
+            p = factors(entry.ev_t, entry.ev_mom, None if cols is None else cols.spin)
+            widest = max(widest, p.shape[1])
+            last = p[-1] if cols is None else p[-1][cols.of_spin]
             if entry.group >= 0:
-                cache[entry.group] = p
+                # later entries read only the sample rows and the last row
+                # per spin: a keyed group without samples keeps the latter
+                if cols is not None and not entry.n_samples:
+                    p = None
+                cache[entry.group] = p, cols, last
         if entry.n_samples:
             # vecdot conjugates its first argument, so the two conj()
             # leave the plain sum of row * wm; it takes one dot product
             # per row, where a matrix product would start OpenBLAS
             # threads in every worker process of the pool
-            rows, wm = p[: entry.n_samples], chunk.weight * mxy
+            wm = chunk.weight * mxy
+            if cols is not None:
+                # echo_i = sum over columns c of p[i, c] * (sum of wm over c's spins)
+                wm = np.bincount(cols.parts, wm.view(float), 2 * p.shape[1]).view(complex)
+            rows = p[: entry.n_samples]
             echoes[entry.acq, : entry.n_samples] += np.vecdot(rows, wm.conj()).conj()
-        if len(p):
-            mxy *= p[-1]
-        elapsed += entry.duration
-    return sum(p.nbytes for p in cache.values())
+        mxy *= last
+    # a keyed last row is an array of its own, a per-spin one a row of p
+    return sum(
+        (0 if p is None else p.nbytes) + (0 if cols is None else last.nbytes)
+        for p, cols, last in cache.values()
+    ), widest
+
+
+def _codes(values: np.ndarray) -> np.ndarray:
+    """One integer per spin, equal for equal values: the values' ranks
+    among the distinct ones, so every code is below the spin count."""
+    return np.unique(values, return_inverse=True)[1]
+
+
+def _number_tuples(codes: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the distinct tuples of per-spin codes (of :func:`_codes`).
+
+    Returns (of_spin, spin): the number of each spin's tuple, from 0,
+    and a spin of each tuple.  Every code is below n, the spin count, and the
+    key is renumbered after each column, so ``key * count + code`` stays
+    below n**2 and cannot overflow int64 however many tuples the columns'
+    counts could form.
+    """
+    key = codes[0]
+    for code in codes[1:]:
+        key = np.unique(key * (int(code.max(initial=0)) + 1) + code, return_inverse=True)[1]
+    spin = np.empty(int(key.max(initial=-1)) + 1, dtype=np.intp)
+    spin[key] = np.arange(key.size)
+    return key, spin
+
+
+class _Columns(NamedTuple):
+    """The columns of a keyed propagator: the column of each spin, a spin
+    of each column, and the column of each spin's real and imaginary
+    part, interleaved, so that one ``np.bincount`` over ``mxy``'s floats
+    sums a complex value per column."""
+
+    of_spin: np.ndarray
+    spin: np.ndarray
+    parts: np.ndarray
+
+
+def _columns(codes: List[np.ndarray]) -> Optional[_Columns]:
+    """The columns of the distinct tuples of per-spin codes, or None for
+    one column per spin.
+
+    A chunk is keyed when it has ``_MIN_KEYED_SPINS`` spins or more (the
+    kernel checks that before it codes them) and the columns are at most
+    half the spins.  Measured on a 2-core x86_64 box, keyed against
+    per-spin kernel time:
+    - with the tables of ``tse128_pool``, ``cpmg12_auto`` and
+      ``head96_loop`` on 2,000-5,000 spins: 0.3-0.8x at 5 % distinct
+      columns, 0.6-1.0x at 50 %, and about 1x between 60 % and 75 %;
+    - at 1/8 distinct columns on 32-512 spins: 1.0-1.1x up to 128 spins
+      with the CPMG tables of ``cpmg12_auto`` and ``kt_cpmg12``, whose
+      cost is per element, and 0.9-1.0x at 256; 0.6-0.8x at 256-512 with
+      the TSE and head tables.  So ``kt_cpmg12``'s 64-spin check run
+      keeps one column per spin.
+
+    At half, a keyed propagator of two events or more, with its last row
+    per spin, also fits the per-spin budget of :func:`_chunk_spins`.
+    """
+    spins = codes[0].size
+    # the tuples are at least as many as the values of any one column
+    if any(2 * (int(code.max(initial=-1)) + 1) > spins for code in codes):
+        return None
+    of_spin, spin = _number_tuples(codes)
+    if 2 * spin.size > spins:
+        return None
+    return _Columns(of_spin, spin, (2 * of_spin[:, None] + (0, 1)).ravel())
 
 
 def _chunk_spins(tables: OperatorTables) -> int:
     """The most spins whose propagators fit ``_PROPAGATOR_BYTES``: every
     group's cached one, plus the largest that an element occurring once
-    builds for itself (a snapshot's single row is not counted)."""
+    builds for itself (a snapshot's single row is not counted), at one
+    column per spin.  A keyed propagator has fewer columns (see
+    :func:`_columns`); a cached one without samples keeps only its last
+    row, and a one-off one-event propagator may hold half a row per spin
+    more than its share while it maps its last row back."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
     rows = sum(tables.group_rows) + own
     return max(1, _PROPAGATOR_BYTES // (16 * max(rows, 1)))  # complex128 per spin and row

@@ -399,6 +399,144 @@ def test_one_off_readout_is_chunked_to_the_budget(monkeypatch, caplog):
 
 
 # ---------------------------------------------------------------------------
+# propagators on the distinct keys of a chunk
+# ---------------------------------------------------------------------------
+
+
+def keyed_block(pos, domega, t2, seed=5):
+    """A block at the given positions, off-resonances and T2s.  T1, m0
+    and the coil weights are random: none of them enters a propagator
+    column, so they split none."""
+    n = len(pos)
+    rng = np.random.default_rng(seed)
+    return SpinBlock(
+        index=0,
+        pos=np.asarray(pos, dtype=float),
+        t1=rng.uniform(0.2, 1.5, n),
+        t2=np.broadcast_to(np.asarray(t2, dtype=float), (n,)).copy(),
+        m0=rng.uniform(0.5, 1.5, n),
+        domega=np.broadcast_to(np.asarray(domega, dtype=float), (n,)).copy(),
+        weight=rng.normal(size=n) + 1j * rng.normal(size=n),
+    )
+
+
+def lattice_block(nx=16):
+    """nx x 8 x 2 sites 2 mm apart in one tissue: nx distinct x and 8
+    distinct y, x slowest."""
+    axes = [np.arange(nx) * 2e-3 - nx * 1e-3, np.arange(8) * 2e-3 - 8e-3, np.array([-1e-3, 1e-3])]
+    pos = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return keyed_block(pos, domega=25.0, t2=0.1)
+
+
+def one_site(n):
+    return np.tile([4e-3, -3e-3, 1e-3], (n, 1))
+
+
+def cycle(values, n):
+    return np.asarray(values)[np.arange(n) % len(values)]
+
+
+def logged_kernel(caplog, tables, block):
+    """compute_block's result and its DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        result = compute_block(tables, block)
+    [line] = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("block ")]
+    return result, line
+
+
+def columns_per_chunk(line):
+    return line.rsplit(": ", 1)[1]
+
+
+def assert_matches_reference_kernel(tables, block, echoes, snaps):
+    ref_echoes, ref_snaps = reference_kernel(tables, block)
+    assert np.abs(ref_echoes).max() > 1e-2
+    assert delta_e_stoer(ref_echoes, echoes) <= -250.0
+    for snap, ref_snap in zip(snaps, ref_snaps):
+        assert snap.shape == (block.n, 3)
+        assert delta_e_stoer(ref_snap, snap) <= -250.0
+
+
+def test_lattice_block_builds_one_propagator_column_per_lattice_column(caplog):
+    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
+    block = lattice_block()
+    (echoes, snaps), line = logged_kernel(caplog, tables, block)
+    # the readout and the prephaser move x, the phase-encode lobe y
+    assert sorted({e.axes for e in tables.entries}) == [(), (0,), (1,)]
+    assert columns_per_chunk(line) == "16/256"
+    assert_matches_reference_kernel(tables, block, echoes, snaps)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        dict(domega=25.0, t2=cycle([0.03, 0.08, 0.3], 256)),
+        dict(domega=cycle([-60.0, 0.0, 45.0], 256), t2=0.1),
+    ],
+    ids=["t2", "domega"],
+)
+def test_spins_at_one_site_keep_a_column_per_distinct_t2_or_domega(caplog, column):
+    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
+    block = keyed_block(one_site(256), **column)
+    (echoes, snaps), line = logged_kernel(caplog, tables, block)
+    assert columns_per_chunk(line) == "3/256"
+    assert_matches_reference_kernel(tables, block, echoes, snaps)
+
+
+@pytest.mark.parametrize(
+    "spins, distinct, columns", [(256, 128, 128), (256, 129, 256), (255, 3, 255)]
+)
+def test_columns_are_keyed_up_to_half_of_at_least_256_spins(caplog, spins, distinct, columns):
+    """At 128 distinct off-resonances among 256 spins the propagators have
+    128 columns; at 129, or on 255 spins, they keep one per spin."""
+    tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
+    values = np.random.default_rng(7).uniform(-80.0, 80.0, distinct)
+    block = keyed_block(one_site(spins), domega=cycle(values, spins), t2=0.1)
+    (echoes, snaps), line = logged_kernel(caplog, tables, block)
+    assert columns_per_chunk(line) == f"{columns}/{spins}"
+    assert_matches_reference_kernel(tables, block, echoes, snaps)
+
+
+def test_kernel_logs_keyed_columns_and_reduced_cache_bytes(monkeypatch, caplog):
+    import mrsim.engine as engine_mod
+
+    tables = precompute_sequence_tables(oracle_sequence())
+    block = lattice_block(nx=32)
+    # two chunks of 256 spins, each on 16 of the lattice's 32 x values:
+    # the readout's and the prephaser's 16 columns are the most
+    monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * propagator_rows(tables) * 256)
+    readout = tables.entries[3]
+    assert readout.group >= 0 and readout.n_samples == readout.ev_t.size == 7
+    assert tables.group_rows == [7]
+    (echoes, _), line = logged_kernel(caplog, tables, block)
+    # the readout, the one group, keeps its 7 rows on 16 columns and its
+    # last row per spin, which carries mxy through the element
+    cache = 16 * (7 * 16 + 256)
+    assert line == (
+        f"block 0: 2 chunks of <= 256 spins, 1 propagator groups, {cache} propagator-cache "
+        "bytes, propagator columns / spins per chunk: 16/256 16/256"
+    )
+    ref_echoes, _ = reference_kernel(tables, block)
+    assert delta_e_stoer(ref_echoes, echoes) <= -250.0
+
+
+def test_number_tuples_separates_tuples_whose_count_product_passes_int64():
+    from mrsim.engine import _codes, _number_tuples
+
+    rng = np.random.default_rng(11)
+    # 3,000 spins on 1,000 tuples of 7 columns, each column about 630 values
+    tuples = rng.integers(0, 1000, (1000, 7)) * 0.1
+    spins = tuples[rng.integers(0, len(tuples), 3000)]
+    codes = [_codes(col) for col in spins.T]
+    assert math.prod(int(code.max()) + 1 for code in codes) > 2**63
+    of_spin, spin = _number_tuples(codes)
+    assert spin.size == len(np.unique(spins, axis=0))
+    # the spin that stands for each spin's tuple has the same one
+    assert np.array_equal(spins[spin[of_spin]], spins)
+
+
+# ---------------------------------------------------------------------------
 # runs: determinism, partitioning, linearity
 # ---------------------------------------------------------------------------
 
