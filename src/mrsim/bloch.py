@@ -59,7 +59,8 @@ class RelaxationParams:
     """Relaxation constants of one tissue.
 
     t1, t2 in seconds (may be ``math.inf`` to disable relaxation),
-    m0 is the equilibrium magnetization the longitudinal part recovers to.
+    m0 (finite, non-negative) is the equilibrium magnetization the
+    longitudinal part recovers to.
     t2 > t1 is unphysical but permitted; it only triggers a warning.
     """
 
@@ -70,8 +71,8 @@ class RelaxationParams:
     def __post_init__(self):
         if not (self.t1 > 0.0 and self.t2 > 0.0):
             raise InvalidParameter(f"relaxation times must be positive, got t1={self.t1}, t2={self.t2}")
-        if self.m0 < 0.0:
-            raise InvalidParameter(f"m0 must be non-negative, got {self.m0}")
+        if not (self.m0 >= 0.0 and math.isfinite(self.m0)):
+            raise InvalidParameter(f"m0 must be non-negative and finite, got {self.m0}")
         if self.t2 > self.t1:
             warnings.warn(f"t2={self.t2} s exceeds t1={self.t1} s (unphysical)", stacklevel=3)
 

@@ -3,7 +3,11 @@
 A phantom is a list of boxes.  Each box carries evaluators for the
 equilibrium magnetization, relaxation times and local off-resonance;
 they may be constants, affine functions of position, or arbitrary
-callables (x, y, z) -> float.  Overlapping boxes emit independent spin
+callables (x, y, z) -> float.  Rasterization calls a callable once, on
+the arrays of a box's lattice sites, and keeps the result when it has
+one value per site and matches per-site calls at the first, middle and
+last site; otherwise it calls it site by site.  The head phantom's m0,
+:func:`shepp_logan_m0`, takes arrays.  Overlapping boxes emit independent spin
 populations, which is how multi-exponential relaxation is modeled: two
 boxes covering the same region contribute two spins per site with their
 own T2 each.  The ``[box]`` and ``[shepp_logan]`` blocks of an object
@@ -12,18 +16,21 @@ description file, read by :mod:`mrsim.grammar`, become boxes here.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .bloch import RelaxationParams
 from .errors import InvalidParameter, ParseError, SpinBudgetExceeded
 from .grammar import numbers, read_blocks
+
+_log = logging.getLogger(__name__)
 
 PropertyFn = Union[float, Callable[[float, float, float], float]]
 
@@ -63,14 +70,19 @@ class PhantomBox:
 
 def _check_box_field(name: str, value) -> None:
     """Reject a box size with a non-positive component, a constant t1 or
-    t2 <= 0 and a constant m0 < 0; properties that vary with position
-    are checked site by site by :func:`rasterize`."""
+    t2 <= 0, a constant m0 that is negative or not finite and a constant
+    delta_omega that is not finite; properties that vary with position
+    are checked at every site by :func:`rasterize`."""
     if name == "size" and any(s <= 0.0 for s in value):
         raise InvalidParameter(f"box size components must be positive, got {value}")
-    if name in ("t1", "t2") and not callable(value) and not value > 0.0:
+    if callable(value):
+        return
+    if name in ("t1", "t2") and not value > 0.0:
         raise InvalidParameter(f"{name} must be positive, got {value}")
-    if name == "m0" and not callable(value) and value < 0.0:
-        raise InvalidParameter(f"m0 must be non-negative, got {value}")
+    if name == "m0" and not (value >= 0.0 and math.isfinite(value)):
+        raise InvalidParameter(f"m0 must be non-negative and finite, got {value}")
+    if name == "delta_omega" and not math.isfinite(value):
+        raise InvalidParameter(f"delta_omega must be finite, got {value}")
 
 
 @dataclass
@@ -122,14 +134,50 @@ def _lattice(origin: float, size: float, spacing: float) -> np.ndarray:
     return origin + offset + spacing * np.arange(n)
 
 
-def _eval_sites(prop: PropertyFn, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _site_by_site(prop: Callable, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A callable property called once per site, on numpy scalars."""
+    return np.array([float(prop(a, b, c)) for a, b, c in zip(x, y, z)], dtype=float)
+
+
+def _on_arrays(
+    prop: Callable, x: np.ndarray, y: np.ndarray, z: np.ndarray, where: str
+) -> Optional[np.ndarray]:
+    """A callable property called once on the site arrays; None, with a
+    DEBUG line naming ``where`` and the reason, when the call raises or
+    its result is not one float per site equal, bit for bit, to per-site
+    calls at the first, middle and last site."""
+    # read-only, so that a callable cannot move the sites by working in place
+    x, y, z = (a.view() for a in (x, y, z))
+    for a in (x, y, z):
+        a.flags.writeable = False
+    try:
+        values = np.asarray(prop(x, y, z), dtype=float)
+        if values.shape != x.shape:
+            reason = f"returned shape {values.shape} for {x.size} sites"
+        else:
+            probe = [0, x.size // 2, x.size - 1]
+            per_site = _site_by_site(prop, x[probe], y[probe], z[probe])
+            if values[probe].tobytes() == per_site.tobytes():
+                return values
+            reason = "differs from per-site calls"
+    except Exception as exc:  # the site-by-site loop decides what a site raises
+        reason = f"raised {type(exc).__name__}: {exc}"
+    _log.debug("%s: site-by-site evaluation, since the call on arrays %s", where, reason)
+    return None
+
+
+def _eval_sites(
+    prop: PropertyFn, x: np.ndarray, y: np.ndarray, z: np.ndarray, where: str
+) -> np.ndarray:
     """A property at every site; constants and :class:`Affine` on whole
-    arrays, other callables site by site."""
+    arrays, other callables by :func:`_on_arrays`, or site by site when
+    that gives None."""
     if isinstance(prop, Affine):
         return prop.c + prop.gx * x + prop.gy * y + prop.gz * z
-    if callable(prop):
-        return np.array([float(prop(a, b, c)) for a, b, c in zip(x, y, z)], dtype=float)
-    return np.full(x.shape, float(prop))
+    if not callable(prop):
+        return np.full(x.shape, float(prop))
+    values = _on_arrays(prop, x, y, z, where) if x.size else None
+    return _site_by_site(prop, x, y, z) if values is None else values
 
 
 class SpinList(Sequence):
@@ -172,13 +220,17 @@ class SpinList(Sequence):
         )
 
 
-def _check_tissue(m0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
-    """The checks of :class:`RelaxationParams`, once per array."""
-    bad = np.flatnonzero(~((t1 > 0.0) & (t2 > 0.0)) | (m0 < 0.0))
+def _check_tissue(m0: np.ndarray, t1: np.ndarray, t2: np.ndarray, delta_omega: np.ndarray) -> None:
+    """The checks of :class:`RelaxationParams`, once per array, and a
+    finite off-resonance."""
+    bad = np.flatnonzero(~((t1 > 0.0) & (t2 > 0.0) & (m0 >= 0.0) & np.isfinite(m0)))
     if bad.size:
         # the first offending spin raises as its RelaxationParams would
         i = bad[0]
         RelaxationParams(t1=float(t1[i]), t2=float(t2[i]), m0=float(m0[i]))
+    bad = np.flatnonzero(~np.isfinite(delta_omega))
+    if bad.size:
+        raise InvalidParameter(f"delta_omega must be finite, got {float(delta_omega[bad[0]])}")
     odd = np.flatnonzero(t2 > t1)
     if odd.size:
         i = odd[0]
@@ -200,8 +252,11 @@ def rasterize(phantom: Phantom, spacing) -> SpinList:
     """Sample every box on a centered lattice with the given (dx, dy, dz).
 
     Each spin starts in thermal equilibrium (0, 0, m0) with the box
-    properties evaluated at its position; sites where m0 evaluates to
-    zero emit no spin.  Ordering is deterministic: box index, then z, y,
+    properties evaluated at its position, a callable once on all of a
+    box's sites when it takes arrays (see the module docstring); sites
+    where m0 evaluates to zero emit no spin, and an m0 that is negative
+    or not finite, a T1 or T2 that is not positive and a Δω that is not
+    finite raise InvalidParameter.  Ordering is deterministic: box index, then z, y,
     x lattice order (x fastest).  More than ``SPIN_CAP`` lattice sites
     raise SpinBudgetExceeded before any is allocated.
     """
@@ -213,7 +268,7 @@ def rasterize(phantom: Phantom, spacing) -> SpinList:
             "coarsen the spacing or shrink the phantom"
         )
     columns: List[List[np.ndarray]] = [[] for _ in range(5)]
-    for box in phantom.boxes:
+    for index, box in enumerate(phantom.boxes):
         zs, ys, xs = np.meshgrid(
             _lattice(box.origin[2], box.size[2], spacing[2]),
             _lattice(box.origin[1], box.size[1], spacing[1]),
@@ -221,16 +276,15 @@ def rasterize(phantom: Phantom, spacing) -> SpinList:
             indexing="ij",
         )
         x, y, z = xs.ravel(), ys.ravel(), zs.ravel()
-        m0 = _eval_sites(box.m0, x, y, z)
+        m0 = _eval_sites(box.m0, x, y, z, f"box {index} m0")
         keep = m0 != 0.0
         x, y, z, m0 = x[keep], y[keep], z[keep], m0[keep]
-        t1 = _eval_sites(box.t1, x, y, z)
-        t2 = _eval_sites(box.t2, x, y, z)
-        _check_tissue(m0, t1, t2)
-        for column, values in zip(
-            columns,
-            (np.column_stack([x, y, z]), m0, t1, t2, _eval_sites(box.delta_omega, x, y, z)),
-        ):
+        t1, t2, delta_omega = (
+            _eval_sites(getattr(box, name), x, y, z, f"box {index} {name}")
+            for name in ("t1", "t2", "delta_omega")
+        )
+        _check_tissue(m0, t1, t2, delta_omega)
+        for column, values in zip(columns, (np.column_stack([x, y, z]), m0, t1, t2, delta_omega)):
             column.append(values)
     return SpinList(
         np.concatenate(columns[0]).reshape(-1, 3),
@@ -269,40 +323,48 @@ _HEAD_ELLIPSES = (
     _Ellipse(0.06, -0.605, 0.023, 0.046, 0.0, 0.70),
 )
 
-# The ellipses innermost first, as (x0, y0, a, b, cos, sin, half, m0):
-# the tilt's cosine and sine, and the half-width of the square around
-# the center that holds the ellipse.  The relative slack of 1e-9 dwarfs
-# the rounding of the membership test, so the square never rejects a
-# point the test would accept.
-_HEAD_TABLE = tuple(
-    (e.x0, e.y0, e.a, e.b, math.cos(phi), math.sin(phi), max(e.a, e.b) * (1.0 + 1e-9), e.m0)
-    for e in reversed(_HEAD_ELLIPSES)
-    for phi in (math.radians(e.phi_deg),)
-)
+# The ellipses in table order as six (ellipses, 1) columns x0, y0, a,
+# b, cos, sin, with the tilt's cosine and sine from math.cos and
+# math.sin.  An ellipse's rank is its table index plus one and
+# _HEAD_M0[rank] its m0; rank 0 (no ellipse) maps to 0.
+_HEAD_TABLE = np.array(
+    [
+        (e.x0, e.y0, e.a, e.b, math.cos(phi), math.sin(phi))
+        for e in _HEAD_ELLIPSES
+        for phi in (math.radians(e.phi_deg),)
+    ]
+).T[:, :, None]
+_HEAD_RANK = np.arange(1, len(_HEAD_ELLIPSES) + 1)[:, None]
+_HEAD_M0 = np.array([0.0] + [e.m0 for e in _HEAD_ELLIPSES])
+# points per membership test: (ellipses, chunk) temporaries of 1.3 MB
+_HEAD_CHUNK = 2**14
 
 SHEPP_LOGAN_T1 = 1.0
 SHEPP_LOGAN_T2 = 0.2
 
 
-def shepp_logan_m0(x: float, y: float, scale: float = 1.0) -> float:
+def shepp_logan_m0(x, y, scale: float = 1.0):
     """Equilibrium magnetization of the head phantom at (x, y); 0 outside.
 
-    The innermost ellipse that contains the point sets the value.  The
-    arithmetic runs on Python floats whatever scalar type comes in.
+    ``x`` and ``y`` are scalars or arrays that broadcast together; an
+    array comes back in their broadcast shape, a scalar as a Python
+    float.  Every point is tested against all ten ellipses at once, and
+    the innermost (last in table order) that contains it sets the value.
     """
-    x, y = float(x) / scale, float(y) / scale
-    for x0, y0, a, b, cos, sin, half, m0 in _HEAD_TABLE:
-        dx = x - x0
-        if abs(dx) > half:
-            continue
-        dy = y - y0
-        if abs(dy) > half:
-            continue
+    x, y = np.broadcast_arrays(
+        np.asarray(x, dtype=float) / scale, np.asarray(y, dtype=float) / scale
+    )
+    value = np.empty(x.shape)
+    flat, xs, ys = value.reshape(-1), x.reshape(-1), y.reshape(-1)
+    x0, y0, a, b, cos, sin = _HEAD_TABLE
+    for lo in range(0, flat.size, _HEAD_CHUNK):
+        dx = xs[lo : lo + _HEAD_CHUNK] - x0
+        dy = ys[lo : lo + _HEAD_CHUNK] - y0
         u = (dx * cos + dy * sin) / a
         v = (-dx * sin + dy * cos) / b
-        if u * u + v * v <= 1.0:
-            return m0
-    return 0.0
+        inside = u * u + v * v <= 1.0
+        flat[lo : lo + _HEAD_CHUNK] = _HEAD_M0[(inside * _HEAD_RANK).max(axis=0)]
+    return value if value.ndim else float(value)
 
 
 def shepp_logan(scale: float, thickness: float = 1e-3) -> Phantom:

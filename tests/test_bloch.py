@@ -91,8 +91,10 @@ def test_gradient_interval_rotations(moment, m_in, m_out):
         lambda: RelaxationParams(t1=1.0, t2=0.0, m0=1.0),
         lambda: RelaxationParams(t1=-1.0, t2=0.1, m0=1.0),
         lambda: RelaxationParams(t1=1.0, t2=0.1, m0=-0.5),
+        lambda: RelaxationParams(t1=1.0, t2=0.1, m0=math.nan),
+        lambda: RelaxationParams(t1=1.0, t2=0.1, m0=math.inf),
     ],
-    ids=["t2", "t1", "m0"],
+    ids=["t2", "t1", "m0", "m0 nan", "m0 inf"],
 )
 def test_invalid_arguments_raise_library_error(call):
     with pytest.raises(InvalidParameter):

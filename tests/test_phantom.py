@@ -1,8 +1,12 @@
+import logging
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mrsim.phantom as phantom_module
 from mrsim.bloch import RelaxationParams
 from mrsim.engine import build_spin_arrays
 from mrsim.errors import InvalidParameter, ParseError, SpinBudgetExceeded
@@ -12,6 +16,7 @@ from mrsim.phantom import (
     Affine,
     Phantom,
     PhantomBox,
+    SpinList,
     SpinSample,
     parse_object_file,
     rasterize,
@@ -134,16 +139,145 @@ def test_spin_list_matches_site_by_site_evaluation():
     assert np.array_equal(packed.domega, spins.delta_omega)
 
 
-def test_rasterize_checks_tissue_like_relaxation_params():
-    def cube(**props):
-        return Phantom([PhantomBox(origin=(0, 0, 0), size=(0.1, 0.1, 0.1), **props)])
+def _site_by_site(box, spacing):
+    """The spins of one box with every callable property called per
+    site, as ``rasterize`` calls one that does not take arrays."""
 
+    def per_site(prop):
+        if not callable(prop):
+            return prop
+
+        def call(x, y, z):
+            if np.ndim(x):
+                raise TypeError("per site only")
+            return prop(x, y, z)
+
+        return call
+
+    fields = ("m0", "t1", "t2", "delta_omega")
+    box = replace(box, **{f: per_site(getattr(box, f)) for f in fields})
+    return rasterize(Phantom([box]), spacing)
+
+
+_COLUMNS = ("pos", "m0", "t1", "t2", "delta_omega")
+
+
+def _assert_same_spins(got, want):
+    for name in _COLUMNS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, prop, reason",
+    [
+        ("t2", lambda x, y, z: 0.05 * math.exp(x), "raised TypeError"),
+        ("m0", lambda x, y, z: 0.5, "returned shape () for 15 sites"),
+        ("delta_omega", lambda x, y, z: 3.0 * (x - x.mean()), "differs from per-site calls"),
+    ],
+    ids=["raises", "scalar", "differs"],
+)
+def test_callable_falls_back_to_site_by_site_evaluation(caplog, name, prop, reason):
+    spacing = (0.01, 0.01, 1.0)
+    boxes = [thin((0.1, 0.1), (0.02, 0.02)), thin((0.0, 0.0), (0.05, 0.03), **{name: prop})]
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        spins = rasterize(Phantom(boxes), spacing)
+    lines = [rec.getMessage() for rec in caplog.records if "site-by-site" in rec.getMessage()]
+    assert len(lines) == 1 and lines[0].startswith(f"box 1 {name}:") and reason in lines[0]
+    single = rasterize(Phantom(boxes[:1]), spacing)
+    assert len(spins) == len(single) + 15
+    _assert_same_spins(
+        SpinList(*(getattr(spins, name)[len(single) :] for name in _COLUMNS)),
+        _site_by_site(boxes[1], spacing),
+    )
+
+
+def test_callable_that_works_in_place_cannot_move_the_sites():
+    def shift(x, y, z):
+        x += 1.0
+        return x
+
+    box = thin((0.0, 0.0), (0.05, 0.03), delta_omega=shift)
+    spins = rasterize(Phantom([box]), (0.01, 0.01, 1.0))
+    still = rasterize(Phantom([replace(box, delta_omega=0.0)]), (0.01, 0.01, 1.0))
+    assert np.array_equal(spins.pos, still.pos)
+    assert np.array_equal(spins.delta_omega, spins.pos[:, 0] + 1.0)
+
+
+def test_head_phantom_m0_is_called_on_the_whole_lattice(monkeypatch, caplog):
+    calls = []
+
+    def counted(x, y, scale):
+        calls.append(np.size(x))
+        return shepp_logan_m0(x, y, scale)
+
+    monkeypatch.setattr(phantom_module, "shepp_logan_m0", counted)
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        spins = rasterize(shepp_logan(0.1), (0.004, 0.004, 1.0))
+    # one call on the 2,500 sites, and three per-site checks
+    assert calls == [2500, 1, 1, 1] and len(spins) > 1000
+    assert not [rec for rec in caplog.records if "site-by-site" in rec.getMessage()]
+
+
+def test_head_spin_list_matches_site_by_site_evaluation():
+    scale = 0.255
+    spacing = 0.5 / 64 / 1.5 * 0.999
+    sx, sy = 0.37 * spacing, -0.21 * spacing
+    lattices = {
+        # crit. 6's lattice: one spin per pixel of a 64^2 image
+        "crit. 6": (shepp_logan(scale).boxes[0], 0.5 / 64 * 0.999),
+        # head96_loop's lattice: the head shifted by a sub-voxel
+        "head96_loop": (
+            PhantomBox(
+                origin=(-scale + sx, -scale + sy, -5e-4),
+                size=(2 * scale, 2 * scale, 1e-3),
+                m0=lambda x, y, z: shepp_logan_m0(x - sx, y - sy, scale),
+                t1=1.0,
+                t2=0.2,
+            ),
+            spacing,
+        ),
+    }
+    for name, (box, d) in lattices.items():
+        spins = rasterize(Phantom([box]), (d, d, 1.0))
+        assert len(spins) > 2000, name
+        _assert_same_spins(spins, _site_by_site(box, (d, d, 1.0)))
+
+
+def _cube(**props):
+    return Phantom([PhantomBox(origin=(0, 0, 0), size=(0.1, 0.1, 0.1), **props)])
+
+
+def test_rasterize_checks_tissue_like_relaxation_params():
     with pytest.raises(InvalidParameter, match="relaxation times must be positive"):
-        rasterize(cube(t2=0.0), (0.05, 0.05, 0.05))
+        rasterize(_cube(t2=0.0), (0.05, 0.05, 0.05))
     with pytest.raises(InvalidParameter, match="m0 must be non-negative"):
-        rasterize(cube(m0=-1.0), (0.05, 0.05, 0.05))
+        rasterize(_cube(m0=-1.0), (0.05, 0.05, 0.05))
     with pytest.warns(UserWarning, match="exceeds t1"):
-        rasterize(cube(t1=0.1, t2=0.2), (0.05, 0.05, 0.05))
+        rasterize(_cube(t1=0.1, t2=0.2), (0.05, 0.05, 0.05))
+
+
+@pytest.mark.parametrize(
+    "props, message",
+    [
+        ({"m0": math.nan}, "m0 must be non-negative"),
+        ({"m0": lambda x, y, z: math.nan}, "m0 must be non-negative"),
+        ({"m0": lambda x, y, z: np.where(x > 0.05, np.inf, 1.0)}, "m0 must be non-negative"),
+        # 0/0 on arrays is NaN, where Python floats raise
+        ({"m0": lambda x, y, z: (x - 0.025) / (x - 0.025)}, "m0 must be non-negative"),
+        ({"delta_omega": math.nan}, "delta_omega must be finite"),
+        ({"delta_omega": lambda x, y, z: np.where(y > 0.05, np.nan, 0.0)}, "must be finite"),
+    ],
+    ids=["m0 nan", "callable m0 nan", "callable m0 inf", "m0 0/0", "dw nan", "callable dw nan"],
+)
+def test_rasterize_rejects_non_finite_tissue(props, message):
+    with pytest.raises(InvalidParameter, match=message), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rasterize(_cube(**props), (0.05, 0.05, 0.05))
+
+
+def test_rasterize_accepts_infinite_relaxation_times():
+    spins = rasterize(_cube(t1=math.inf, t2=math.inf), (0.05, 0.05, 0.05))
+    assert len(spins) == 8 and np.all(spins.t1 == math.inf) and np.all(spins.t2 == math.inf)
 
 
 def test_equilibrium_magnetization_scale_invariance():
@@ -222,12 +356,29 @@ def test_head_phantom_bit_identical_to_reference():
         "boundaries, scaled": (np.array(_near_boundaries()) * scale, scale),
     }
     for name, (points, s) in cases.items():
-        got = [shepp_logan_m0(x, y, s) for x, y in points]
         want = [reference_shepp_logan_m0(x, y, s) for x, y in points]
-        assert got == want, name
+        assert shepp_logan_m0(points[:, 0], points[:, 1], s).tolist() == want, name
+        # scalars take the same code as arrays; the random points are
+        # checked as one array only
+        if name != "random":
+            got = [shepp_logan_m0(x, y, s) for x, y in points]
+            assert got == want, name
     # the boundary points reach the outside and every region
     values = {shepp_logan_m0(x, y) for x, y in _near_boundaries()}
     assert {0.0} | {e.m0 for e in _HEAD_ELLIPSES} <= values
+
+
+def test_head_phantom_takes_scalars_and_arrays():
+    for x, y in ((0.0, 0.1), (np.float64(0.0), np.float64(0.1)), (np.array(0.0), 0.1)):
+        value = shepp_logan_m0(x, y)
+        assert type(value) is float and value == 0.80
+    assert type(shepp_logan_m0(0.9, 0.9)) is float
+    # arrays broadcast together and keep their shape
+    xs = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    got = shepp_logan_m0(xs, 0.35, scale=2.0)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[reference_shepp_logan_m0(x, 0.35, 2.0) for x in row] for row in xs]
+    assert shepp_logan_m0(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 def test_head_phantom_outside_emits_no_spins():
@@ -289,7 +440,17 @@ def test_parse_object_shepp_logan_block():
 
 @pytest.mark.parametrize(
     "line",
-    ["t1_s = 0", "t2_s = -1", "m0 = -0.5", "size_m = 0,1,1", "size_m = 1 1 -1e-3"],
+    [
+        "t1_s = 0",
+        "t2_s = -1",
+        "m0 = -0.5",
+        "m0 = nan",
+        "m0 = inf",
+        "delta_omega_rad_s = nan",
+        "delta_omega_rad_s = -inf",
+        "size_m = 0,1,1",
+        "size_m = 1 1 -1e-3",
+    ],
 )
 def test_parse_object_rejects_bad_box_value_at_its_line(line):
     text = f"# phantom\n[box]\norigin_m = 0 0 0\nsize_m = 1 1 1\n{line}\nt1_s = 2\n"
