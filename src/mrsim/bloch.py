@@ -5,10 +5,10 @@ long intervals cost one evaluation.  Each piece of rotation and
 relaxation math exists once, as an array operator on the complex
 transverse state ``mxy = mx + 1j*my`` and Mz of many spins
 (:func:`apply_rotation` with :func:`hard_pulse_matrix`,
-:func:`precession_factor`, :func:`regrow_mz`); the spin-block kernel of
-:mod:`mrsim.engine` runs on them.  They take Python scalars as well, so
-one spin needs no API of its own.  A shaped pulse is a train of hard
-pulses (:func:`hard_pulse_decomposition`).
+:func:`precession_factor`, :func:`regrow_mz` with :func:`t1_factors`);
+the spin-block kernel of :mod:`mrsim.engine` runs on them.  They take
+Python scalars as well, so one spin needs no API of its own.  A shaped
+pulse is a train of hard pulses (:func:`hard_pulse_decomposition`).
 
 mrsim simulates protons: every gradient moment, pulse flip and
 field deviation uses the one gyromagnetic ratio :data:`GAMMA_PROTON`.
@@ -114,12 +114,20 @@ def hard_pulse_matrix(alpha: float, phi: float) -> np.ndarray:
 
 
 def apply_rotation(r: np.ndarray, mxy, mz):
-    """Rotate (Re mxy, Im mxy, mz) by the 3x3 matrix r; returns (mxy, mz)."""
-    mx, my = np.real(mxy), np.imag(mxy)
-    out = np.empty_like(mxy, dtype=complex)
-    out.real = r[0, 0] * mx + r[0, 1] * my + r[0, 2] * mz
-    out.imag = r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz
-    return out, r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz
+    """Rotate (Re mxy, Im mxy, mz) by the 3x3 matrix r; returns (mxy, mz).
+
+    The three components are stacked as one (3, ...) array and turned by
+    one ``einsum`` contraction; a matrix product would start BLAS threads
+    in every worker process of the engine's pool.  Axes of r after the
+    first two broadcast with the spins, so r may hold one matrix per
+    spin.  Scalars come back as scalars.
+    """
+    stacked = np.empty((3,) + np.broadcast(mxy, mz).shape)
+    stacked[0], stacked[1], stacked[2] = mxy.real, mxy.imag, mz
+    turned = np.einsum("ij...,j...->i...", r, stacked)
+    out = np.empty(turned.shape[1:], dtype=complex)
+    out.real, out.imag = turned[0], turned[1]
+    return out[()], turned[2][()]
 
 
 def precession_factor(phase, dt, inv_t2, out=None):
@@ -136,10 +144,19 @@ def precession_factor(phase, dt, inv_t2, out=None):
     return np.exp(out, out=out)[()]
 
 
+def t1_factors(m0, inv_t1, dt):
+    """The two factors of T1 regrowth over dt: ``e1 = exp(-dt/T1)`` and
+    the recovered ``m0 * (1 - e1)``, so that Mz becomes ``mz * e1 +
+    recovered``.  A caller that regrows over the same interval again can
+    keep them."""
+    e1 = np.exp(-dt * inv_t1)
+    return e1, m0 * (1.0 - e1)
+
+
 def regrow_mz(mz, m0, inv_t1, dt):
     """Longitudinal magnetization after relaxing toward m0 with T1 for dt."""
-    e1 = np.exp(-dt * inv_t1)
-    return mz * e1 + m0 * (1.0 - e1)
+    e1, recovered = t1_factors(m0, inv_t1, dt)
+    return mz * e1 + recovered
 
 
 def hard_pulse_decomposition(envelope, per_sample_dt: float) -> list:

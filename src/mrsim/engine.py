@@ -19,40 +19,60 @@ bound, then the pruned k-t walk if that bound is broken) while they
 compute.
 
 Loop order inside a worker: elementary sequences outer, with the
-per-spin arithmetic vectorized across the block.  The kernel keeps the
-transverse magnetization as one complex array ``mxy = mx + 1j*my``.
-After an element's pulse, its evolution is one fixed product of
-per-event factors ``exp(-1j*(pos.dmom + domega*dt) - dt/T2)``, so the
-kernel evolves every spin through an element with its *propagator*,
-whose row i is the running product up to event i, evaluated from the
-cumulative time and moment that the tables hold.  A row reads a spin
-only through its Δω, its T2 and its position on the axes that the
-element's moment moves, and on a regular lattice in a homogeneous field
-many spins share all of these.  So a chunk numbers the distinct values
-of that key and builds an ``(events, keys)`` propagator, one column per
-key: a sample is the unconjugated dot product of its row with the
-per-key sums of ``weight * mxy``, taken by two real ``np.bincount``s,
-and ``mxy`` is multiplied by the last row mapped back to the spins.
-When more than half of a chunk's spins would need their own column, as
-when a Legendre field gives each spin its own Δω, or the chunk has too
-few spins for the keys to pay, the propagator is ``(events, n)``, one
-column per spin, and a sample is the dot product with ``weight * mxy``
-itself.  One ``np.vecdot`` takes all of an
+per-spin arithmetic vectorized across the block, and per-spin work only
+where the physics differs per spin.  The kernel keeps the transverse
+magnetization as one complex array ``mxy = mx + 1j*my``.  A pulse turns
+the stacked (Re mxy, Im mxy, Mz) of all spins by one 3x3 ``einsum``
+contraction.  After the pulse, an element's evolution is one fixed
+product of per-event factors ``exp(-1j*(pos.dmom + domega*dt) -
+dt/T2)``, so the kernel evolves every spin through an element with its
+*propagator*, whose row i is the running product up to event i,
+evaluated from the cumulative time and moment that the tables hold.  A
+row reads a spin only through its Δω, its T2 and its position on the
+axes that the element's moment moves, and on a regular lattice in a
+homogeneous field many spins share all of these.  So a chunk numbers the
+distinct values of that key and builds an ``(events, keys)``
+propagator, one column per key: a sample is the unconjugated dot
+product of its row with the per-key sums of ``weight * mxy``, taken by
+two real ``np.bincount``s, and ``mxy`` is multiplied by the last row
+mapped back to the spins.  When more than half of a chunk's spins would
+need their own column, as when a Legendre field gives each spin its own
+Δω, or the chunk has too few spins for the keys to pay, the propagator
+is ``(events, n)``, one column per spin, and a sample is the dot product
+with ``weight * mxy`` itself.  One ``np.vecdot`` takes all of an
 element's sample rows, which come first.  A snapshot only reads: it is
 the element-start state times the one factor from the start to its
-time, per spin, so asking for it changes no echo.  Elements that
-:func:`mrsim.sequence.distinct_elements` groups together and that
-recur share one cached propagator; an element that occurs once builds
-its own and drops it.  The kernel evolves a block in chunks of spins
-whose propagators, the cached ones plus the largest built one, fit
-``_PROPAGATOR_BYTES`` at one column per spin, so a block of any size
-needs that much extra memory at most.  Without an explicit block count,
-``run`` cuts one block per chunk, and at least one per worker.  Every
-spin starts in thermal equilibrium, ``mxy = 0`` and ``mz = m0``.  Only
-pulses and snapshots read Mz, so T1 relaxation is deferred: the elapsed
-time accumulates and Mz is relaxed over all of it just before it is
-read.  The rotation, the precession factor and the Mz regrowth are the
-array operators of :mod:`mrsim.bloch`.
+time, per spin, so asking for it changes no echo.
+
+Elements that :func:`mrsim.sequence.distinct_elements` groups together
+and that recur share one cached propagator, evaluated by one complex
+``exp`` per row and column.  An element that occurs once builds its
+propagator as a product of parts and drops it: a *time part*
+``exp(-1j*domega*t - t/T2)``, which reads only the element's event
+times and is evaluated on the chunk's (Δω, T2) columns, or per spin
+when those are not keyed, and one *axis part* ``exp(-1j*x*m)`` per
+moved axis, which reads only that axis's moments and is evaluated on
+the chunk's distinct coordinates on the axis.  Each part is gathered
+into the propagator's columns.  The tables number the parts that
+several such elements share, and a chunk caches those, so a train of
+phase-encode lobes of one duration and one readout prephaser evaluates
+only each lobe's own phase-encode part.  The kernel evolves a block in
+chunks of spins whose cached arrays (propagators, factor parts, T1
+factors) plus twice the largest propagator built for one element (the
+propagator and the one uncached part alive with it) fit
+``_PROPAGATOR_BYTES`` at one complex value per spin and row, so a block
+of any size needs that much extra memory at most.  Without an explicit
+block count, ``run`` cuts one block per chunk, and at least one per
+worker.
+
+Every spin starts in thermal equilibrium, ``mxy = 0`` and ``mz = m0``.
+Only pulses and snapshots read Mz, so T1 relaxation is deferred: Mz is
+relaxed over the whole interval since the last pulse just before it is
+read.  The tables hold each entry's interval since the last pulse and
+number the intervals that recur at a pulse; a chunk keeps their two
+factors ``exp(-dt/T1)`` and ``m0 * (1 - exp(-dt/T1))``.  The rotation,
+the precession factor and the T1 factors are the array operators of
+:mod:`mrsim.bloch`.
 
 The alternative decomposition, a pipeline of per-interval operator
 stages that spins stream through, was rejected: every spin must visit
@@ -71,7 +91,7 @@ import platform
 import queue as queue_mod
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence as TySequence, Tuple
 
 import multiprocessing as mp
@@ -84,6 +104,7 @@ from .bloch import (
     hard_pulse_matrix,
     precession_factor,
     regrow_mz,
+    t1_factors,
 )
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import InvalidParameter, WorkerPanic
@@ -117,12 +138,16 @@ class EsTable:
     that the element's propagator reads.  The first ``n_samples`` events
     record the samples of acquisition ``acq``; a last event, if any,
     covers the rest of the interval.  Every entry of a distinct element
-    shares the same read-only event arrays.  ``snaps`` holds one (time
-    from the element start, partial moment at that time, snapshot index)
-    per snapshot in the element, which reads the element-start state.
-    ``group`` numbers the propagator that the entry shares with the other
-    entries of its distinct element, or is -1 when the element occurs
-    once.
+    shares the same read-only event arrays, and an entry without samples
+    or snapshots is the distinct element's table itself.  ``snaps`` holds
+    one (time from the element start, partial moment at that time,
+    snapshot index) per snapshot in the element, which reads the
+    element-start state.  ``group`` numbers the propagator that the entry
+    shares with the other entries of its distinct element, or is -1 when
+    the element occurs once.  Such a one-off element builds its
+    propagator from factor parts: ``parts`` numbers its time part and
+    then one part per axis of ``axes``, each -1 when no other one-off
+    element shares it.
     """
 
     pulse_mat: Optional[np.ndarray]
@@ -134,6 +159,7 @@ class EsTable:
     axes: Tuple[int, ...]
     snaps: Tuple[Tuple[float, np.ndarray, int], ...] = ()
     group: int = -1
+    parts: Tuple[int, ...] = ()
     acq: int = -1
     n_samples: int = 0
 
@@ -146,6 +172,12 @@ class OperatorTables:
     snapshot_times: Tuple[float, ...]
     pulse_memo_hits: int
     group_rows: List[int]  # events, i.e. propagator rows, of each group
+    part_rows: List[int]  # events of each numbered factor part
+    # per entry: the seconds since the last pulse (or the start) at its
+    # start, over which its pulse first regrows Mz, and the number of that
+    # interval when it recurs at another pulse, else -1
+    mz_ages: List[Tuple[float, int]]
+    t1_intervals: List[float]  # seconds of each numbered interval
 
 
 def precompute_sequence_tables(
@@ -154,53 +186,65 @@ def precompute_sequence_tables(
 ) -> OperatorTables:
     """Build per-elementary-sequence operator tables.
 
-    Pulse matrices are shared between identical pulses (the memo hit
-    count is reported); gradient moments and the event timing grid are
-    evaluated once so workers never touch the waveform objects.  Every
-    entry of a distinct element (:func:`mrsim.sequence.distinct_elements`)
-    shares one set of read-only event arrays (``ev_dt``, ``ev_dmom``,
-    their running sums and moving axes), whether or not a snapshot falls
-    inside it; a snapshot is one (time, partial moment, index) tuple of
-    its entry's ``snaps``.  A distinct element that occurs more than once
-    is numbered as a group, in order of first occurrence, so that a
-    kernel chunk builds its propagator once.  Raises InvalidParameter for
-    a snapshot time outside the sequence.
+    Each distinct element (:func:`mrsim.sequence.distinct_elements`) gets
+    one table: its pulse matrix, shared between identical pulses (the
+    memo hit count is reported per entry), and one set of read-only event
+    arrays (``ev_dt``, ``ev_dmom``, their running sums and moving axes),
+    so workers never touch the waveform objects.  An entry adds only its
+    acquisition index and its snapshots, each one (time, partial moment,
+    index) tuple of its ``snaps``.  A distinct element that occurs more
+    than once is numbered as a group, in order of first occurrence, so
+    that a kernel chunk builds its propagator once; the factor parts that
+    one-off elements share, and the intervals between pulses that recur,
+    are numbered the same way.  Raises InvalidParameter for a snapshot
+    time outside the sequence.
     """
     snapshot_times = tuple(snapshot_times)
     reps, distinct = distinct_elements(sequence)
     _log.debug("operator tables: %d elements, %d distinct", len(distinct), len(reps))
-    shared: Dict[int, dict] = {}  # distinct element -> its read-only event arrays
-    entry_fields: List[dict] = []  # EsTable fields of every entry but group
-    acq_times: List[np.ndarray] = []
+    group_of = _number_recurring(distinct)
     memo: Dict[Tuple[float, float], np.ndarray] = {}
-    hits = 0
-    t0 = 0.0
-    acq = 0
-    for es, g in zip(sequence.elements, distinct):
+    tables: List[EsTable] = []  # one per distinct element
+    for g, es in enumerate(reps):
         mat = None
         if es.pulse is not None:
             key = (es.pulse.alpha, es.pulse.phi)
-            if key in memo:
-                hits += 1
-            else:
+            if key not in memo:
                 memo[key] = hard_pulse_matrix(es.pulse.alpha, es.pulse.phi)
             mat = memo[key]
-        t1 = t0 + es.duration
-        if g not in shared:
-            shared[g] = _event_arrays(es)
-        entry_fields.append(dict(pulse_mat=mat, duration=es.duration, **shared[g]))
+        table = EsTable(mat, es.duration, group=group_of.get(g, -1), **_event_arrays(es))
+        table.n_samples = es.acquisition.n_samples if es.acquisition.enabled else 0
+        tables.append(table)
+    part_rows = _number_parts([t for t in tables if t.group < 0 and t.ev_t.size])
+    sample_times = [es.acquisition.sample_times(es.duration) for es in reps]
+
+    entries: List[EsTable] = []
+    acq_times: List[np.ndarray] = []
+    ages: List[float] = []
+    t0 = age = 0.0
+    for es, g in zip(sequence.elements, distinct):
+        entry = tables[g]
+        t1 = t0 + entry.duration
         snaps = [
             (float(t_abs - t0), si)
             for si, t_abs in enumerate(snapshot_times)
-            if t0 < t_abs <= t1 or (t_abs == 0.0 and len(entry_fields) == 1)
+            if t0 < t_abs <= t1 or (t_abs == 0.0 and not entries)
         ]
-        if snaps:
-            moments = es.gradient.partial_moments([t for t, _ in snaps], es.duration)
-            entry_fields[-1]["snaps"] = tuple((t, m, si) for (t, si), m in zip(snaps, moments))
-        if es.acquisition.enabled:
-            entry_fields[-1].update(acq=acq, n_samples=es.acquisition.n_samples)
-            acq_times.append(t0 + es.acquisition.sample_times(es.duration))
-            acq += 1
+        if snaps or entry.n_samples:
+            times = [t for t, _ in snaps]
+            moments = es.gradient.partial_moments(times, es.duration) if snaps else ()
+            entry = replace(
+                entry,
+                snaps=tuple((t, m, si) for (t, si), m in zip(snaps, moments)),
+                acq=len(acq_times) if entry.n_samples else -1,
+            )
+            if entry.n_samples:
+                acq_times.append(t0 + sample_times[g])
+        entries.append(entry)
+        ages.append(age)
+        if entry.pulse_mat is not None:
+            age = 0.0
+        age += entry.duration
         t0 = t1
     # checked against the running sum that placed the snapshots, so that
     # every time accepted here has been placed in an element
@@ -208,19 +252,46 @@ def precompute_sequence_tables(
         raise InvalidParameter(
             f"snapshot times {snapshot_times} s lie outside the sequence of {t0:.6g} s"
         )
-    counts = collections.Counter(distinct)
-    group_of: Dict[int, int] = {}  # distinct element -> its propagator group
-    for g in distinct:
-        if counts[g] > 1:
-            group_of.setdefault(g, len(group_of))
+    pulsed = [entry.pulse_mat is not None and age != 0.0 for entry, age in zip(entries, ages)]
+    interval_of = _number_recurring(age for age, p in zip(ages, pulsed) if p)
     return OperatorTables(
-        entries=[EsTable(group=group_of.get(g, -1), **f) for f, g in zip(entry_fields, distinct)],
-        n_acq=acq,
+        entries=entries,
+        n_acq=len(acq_times),
         acq_times=acq_times,
         snapshot_times=snapshot_times,
-        pulse_memo_hits=hits,
-        group_rows=[shared[g]["ev_dt"].size for g in group_of],
+        pulse_memo_hits=sum(entry.pulse_mat is not None for entry in entries) - len(memo),
+        group_rows=[tables[g].ev_dt.size for g in group_of],
+        part_rows=part_rows,
+        mz_ages=[(age, interval_of.get(age, -1) if p else -1) for age, p in zip(ages, pulsed)],
+        t1_intervals=list(interval_of),
     )
+
+
+def _number_recurring(keys) -> Dict[object, int]:
+    """Number the keys that occur more than once, from 0 in order of first
+    occurrence."""
+    counts = collections.Counter(keys)
+    recurring = [key for key, n in counts.items() if n > 1]
+    return {key: i for i, key in enumerate(recurring)}
+
+
+def _number_parts(one_offs: List[EsTable]) -> List[int]:
+    """Set the ``parts`` of the tables of one-off elements: a time part,
+    which reads only ``ev_t``, then one part per moved axis, which reads
+    only that column of ``ev_mom``.  Parts that two or more of them share
+    are numbered, the others are -1.  Returns the events (rows) of each
+    numbered part."""
+    keys = [
+        [t.ev_t.tobytes()] + [(ax, t.ev_mom[:, ax].tobytes()) for ax in t.axes] for t in one_offs
+    ]
+    number = _number_recurring(key for table_keys in keys for key in table_keys)
+    rows = [0] * len(number)
+    for table, table_keys in zip(one_offs, keys):
+        table.parts = tuple(number.get(key, -1) for key in table_keys)
+        for part in table.parts:
+            if part >= 0:
+                rows[part] = table.ev_t.size
+    return rows
 
 
 def _event_arrays(es) -> dict:
@@ -319,32 +390,48 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
     echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
     snapshots: List[List[np.ndarray]] = [[] for _ in tables.snapshot_times]
     chunks = partition_blocks(block, -(-block.n // per_chunk))
-    evolved = [_evolve(tables, chunk, echoes, snapshots) for chunk in chunks]
+    kept = [_evolve(tables, chunk, echoes, snapshots) for chunk in chunks]
+    most = _Kept(*map(max, zip(*kept)))
     _log.debug(
         "block %d: %d chunks of <= %d spins, %d propagator groups, %d propagator-cache bytes, "
+        "%d cached factor parts of %d bytes, %d cached T1 intervals, "
         "propagator columns / spins per chunk: %s",
         block.index,
         len(chunks),
         per_chunk,
         len(tables.group_rows),
-        max(cached for cached, _ in evolved),
-        " ".join(f"{cols}/{chunk.n}" for (_, cols), chunk in zip(evolved, chunks)),
+        most.propagator_bytes,
+        most.parts,
+        most.part_bytes,
+        most.intervals,
+        " ".join(f"{k.widest}/{chunk.n}" for k, chunk in zip(kept, chunks)),
     )
     return echoes, [np.concatenate(s) for s in snapshots]
 
 
-def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> Tuple[int, int]:
+class _Kept(NamedTuple):
+    """What one chunk kept at the end: its cached propagator bytes, its
+    cached factor parts and their bytes, and its cached T1 intervals;
+    and the most columns of any propagator it built."""
+
+    propagator_bytes: int
+    parts: int
+    part_bytes: int
+    intervals: int
+    widest: int
+
+
+def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kept:
     """Evolve one chunk from thermal equilibrium, adding its echo sums to
-    ``echoes`` and its snapshot arrays to ``snapshots``; returns its
-    cached propagator bytes and the most columns of any propagator it
-    built."""
+    ``echoes`` and its snapshot arrays to ``snapshots``."""
     inv_t1, inv_t2, m0 = 1.0 / chunk.t1, 1.0 / chunk.t2, chunk.m0
     pos_domega = np.column_stack([chunk.pos, chunk.domega])
     mxy = np.zeros(chunk.n, dtype=complex)
     mz = m0  # never written in place: chunks are views of the run's arrays
-    elapsed = 0.0  # time since Mz was last brought up to date
     cache: Dict[int, tuple] = {}  # group -> its propagator, _Columns, last row per spin
-    codes: Dict[int, np.ndarray] = {}  # position axis -> code of each spin
+    parts: Dict[int, np.ndarray] = {}  # part number -> a factor part of one-off elements
+    regrowth: Dict[int, tuple] = {}  # T1 interval -> its t1_factors
+    coords: Dict[int, tuple] = {}  # position axis -> distinct values, code of each spin
     keyed: Dict[Tuple[int, ...], Optional[_Columns]] = {}  # moving axes -> columns(axes)
     widest = 0
 
@@ -358,6 +445,11 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> Tupl
         np.einsum("ek,nk->en", np.column_stack([moments, t]), sites, out=p.imag)
         return precession_factor(p.imag, t[:, None], decay, out=p)
 
+    def coordinates(ax):
+        if ax not in coords:
+            coords[ax] = np.unique(chunk.pos[:, ax], return_inverse=True)
+        return coords[ax]
+
     def columns(axes):
         # the columns of a propagator that reads the positions on
         # ``axes``, or None for one per spin; every key refines the
@@ -370,32 +462,70 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> Tupl
             )
         if axes not in keyed:
             pair = keyed[()]
-            if pair is None:
-                keyed[axes] = None
-            else:
-                for ax in axes:
-                    if ax not in codes:
-                        codes[ax] = _codes(chunk.pos[:, ax])
-                keyed[axes] = _columns([pair.of_spin] + [codes[ax] for ax in axes])
+            keyed[axes] = (
+                None
+                if pair is None
+                else _columns([pair.of_spin] + [coordinates(ax)[1] for ax in axes])
+            )
         return keyed[axes]
 
-    for entry in tables.entries:
+    def part(number, make):
+        # a part that another one-off element shares is made once per chunk
+        if number not in parts:
+            if number < 0:
+                return make()
+            parts[number] = make()
+        return parts[number]
+
+    def assembled(entry, cols):
+        # a one-off element's propagator: the product of its time part, on
+        # the (domega, T2) columns or per spin when those are not keyed,
+        # and one part exp(-1j * x * m) per moved axis, on that axis's
+        # distinct coordinates, each gathered into the element's columns.
+        # One uncached part is alive at a time
+        on = slice(None) if cols is None else cols.spin  # a spin of each column
+        pair = keyed[()]
+        spins, pair_at = (None, None) if pair is None else (pair.spin, pair.of_spin[on])
+        p = np.ones((entry.ev_t.size, chunk.n if cols is None else cols.spin.size), dtype=complex)
+        step = max(1, chunk.n // p.shape[1])  # a gather copies at most one row per spin
+
+        def time():
+            return factors(entry.ev_t, np.zeros_like(entry.ev_mom), spins)
+
+        _gather_into(p, part(entry.parts[0], time), pair_at, step)
+        for ax, number in zip(entry.axes, entry.parts[1:]):
+            values, code = coordinates(ax)
+            moment = entry.ev_mom[:, ax]
+
+            def turn():
+                return precession_factor(np.multiply.outer(moment, values), 0.0, 0.0)
+
+            _gather_into(p, part(number, turn), code[on], step)
+        return p
+
+    for entry, (age, interval) in zip(tables.entries, tables.mz_ages):
         if entry.pulse_mat is not None:
-            if elapsed:
-                mz, elapsed = regrow_mz(mz, m0, inv_t1, elapsed), 0.0
+            if age:
+                e1, recovered = regrowth.get(interval) or t1_factors(m0, inv_t1, age)
+                if interval >= 0:
+                    regrowth[interval] = e1, recovered
+                mz = mz * e1 + recovered
+            age = 0.0
             mxy, mz = apply_rotation(entry.pulse_mat, mxy, mz)
         for t, moment, si in entry.snaps:
             at = mxy * factors(np.array([t]), moment[None])[0]
-            mz_at = regrow_mz(mz, m0, inv_t1, elapsed + t)
+            mz_at = regrow_mz(mz, m0, inv_t1, age + t)
             snapshots[si].append(np.column_stack([at.real, at.imag, mz_at]))
-        elapsed += entry.duration
         if not entry.ev_t.size:
             continue
         if entry.group in cache:
             p, cols, last = cache[entry.group]
         else:
             cols = columns(entry.axes)
-            p = factors(entry.ev_t, entry.ev_mom, None if cols is None else cols.spin)
+            if entry.group < 0:
+                p = assembled(entry, cols)
+            else:
+                p = factors(entry.ev_t, entry.ev_mom, None if cols is None else cols.spin)
             widest = max(widest, p.shape[1])
             last = p[-1] if cols is None else p[-1][cols.of_spin]
             if entry.group >= 0:
@@ -416,11 +546,28 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> Tupl
             rows = p[: entry.n_samples]
             echoes[entry.acq, : entry.n_samples] += np.vecdot(rows, wm.conj()).conj()
         mxy *= last
-    # a keyed last row is an array of its own, a per-spin one a row of p
-    return sum(
-        (0 if p is None else p.nbytes) + (0 if cols is None else last.nbytes)
-        for p, cols, last in cache.values()
-    ), widest
+    return _Kept(
+        # a keyed last row is an array of its own, a per-spin one a row of p
+        sum(
+            (0 if p is None else p.nbytes) + (0 if cols is None else last.nbytes)
+            for p, cols, last in cache.values()
+        ),
+        len(parts),
+        sum(a.nbytes for a in parts.values()),
+        len(regrowth),
+        widest,
+    )
+
+
+def _gather_into(p: np.ndarray, part: np.ndarray, index: Optional[np.ndarray], step: int) -> None:
+    """Multiply ``p`` in place by the columns ``index`` of ``part`` (all of
+    them for None), ``step`` rows at a time, so that a gathered copy holds
+    at most ``step`` rows."""
+    if index is None:
+        p *= part
+        return
+    for lo in range(0, p.shape[0], step):
+        p[lo : lo + step] *= np.take(part[lo : lo + step], index, axis=1)
 
 
 def _codes(values: np.ndarray) -> np.ndarray:
@@ -488,15 +635,18 @@ def _columns(codes: List[np.ndarray]) -> Optional[_Columns]:
 
 
 def _chunk_spins(tables: OperatorTables) -> int:
-    """The most spins whose propagators fit ``_PROPAGATOR_BYTES``: every
-    group's cached one, plus the largest that an element occurring once
-    builds for itself (a snapshot's single row is not counted), at one
-    column per spin.  A keyed propagator has fewer columns (see
-    :func:`_columns`); a cached one without samples keeps only its last
-    row, and a one-off one-event propagator may hold half a row per spin
-    more than its share while it maps its last row back."""
+    """The most spins whose cached and built arrays fit ``_PROPAGATOR_BYTES``
+    at one complex value per spin and row: every group's cached
+    propagator, every numbered factor part and T1 interval (two floats
+    per spin), and twice the largest propagator that an element
+    occurring once builds (its factor and the one uncached part alive
+    with it).  A snapshot's single row is not counted.  A keyed propagator
+    has fewer columns (see :func:`_columns`); a cached one without samples
+    keeps only its last row, and a one-off one-event propagator may hold
+    half a row per spin more than its share while it maps its last row
+    back."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
-    rows = sum(tables.group_rows) + own
+    rows = sum(tables.group_rows) + sum(tables.part_rows) + len(tables.t1_intervals) + 2 * own
     return max(1, _PROPAGATOR_BYTES // (16 * max(rows, 1)))  # complex128 per spin and row
 
 

@@ -21,7 +21,9 @@ coefficients, decay factors and sample relaxation, and the walk applies
 them through the package's own steps, wrapped with their no-op guards
 in ``rf_split``, ``relax_interval`` and ``gradient_shift``.  The
 reference head phantom tests every ellipse of
-``mrsim.phantom.shepp_logan_m0`` in table order.
+``mrsim.phantom.shepp_logan_m0`` in table order.  The reference rotation
+is the component-by-component form of ``mrsim.bloch.apply_rotation``
+that its one ``einsum`` contraction replaced.
 """
 
 import cmath
@@ -247,6 +249,16 @@ def legendre_recurrence(order, x):
     for n in range(1, order):
         p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
     return p
+
+
+def reference_rotation(r, mxy, mz):
+    """(mxy, mz) turned by the 3x3 matrix r, written out as the fifteen
+    scalar-times-array operations of each component."""
+    mx, my = np.real(mxy), np.imag(mxy)
+    out = np.empty_like(mxy, dtype=complex)
+    out.real = r[0, 0] * mx + r[0, 1] * my + r[0, 2] * mz
+    out.imag = r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz
+    return out, r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz
 
 
 def reference_kernel(tables, block):

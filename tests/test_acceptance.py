@@ -368,7 +368,7 @@ def test_criterion_06_head_phantom_image(head_phantom_run):
     mag = img.magnitude
     xs = img.axis_coords(1)
     ys = img.axis_coords(0)
-    reference = np.array([[shepp_logan_m0(x, y, scale) for x in xs] for y in ys])
+    reference = shepp_logan_m0(xs[None, :], ys[:, None], scale)
     pearson = np.corrcoef(mag.ravel(), reference.ravel())[0, 1]
     row = mag[n // 2]
     plateau = np.median(row[13:19])

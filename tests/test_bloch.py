@@ -16,7 +16,13 @@ from mrsim.bloch import (
 )
 from mrsim.errors import InvalidParameter
 
-from oracles import rk4_bloch, rotate_axis_angle, shaped_pulse, small_tip_response
+from oracles import (
+    reference_rotation,
+    rk4_bloch,
+    rotate_axis_angle,
+    shaped_pulse,
+    small_tip_response,
+)
 
 
 def hard_pulse(m, alpha, phi):
@@ -44,6 +50,37 @@ def interval(m, r, moment, dt):
 def test_hard_pulse_reference_points(alpha_deg, phi_deg, m_in, m_out):
     got = hard_pulse(m_in, math.radians(alpha_deg), math.radians(phi_deg))
     np.testing.assert_allclose(got, m_out, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 4788])
+def test_rotation_matches_the_component_formula(n):
+    """The one einsum contraction against the fifteen scalar-times-array
+    operations it replaced.  einsum may sum a component's three products
+    in another order; each form is within 4.5 roundings of the spin's
+    largest component, so they differ by at most 9."""
+    rng = np.random.default_rng(n)
+    mxy = rng.normal(size=n) + 1j * rng.normal(size=n)
+    mz = rng.normal(size=n)
+    for alpha, phi in [(math.pi / 2, 0.0), (math.pi, 1.3), (0.4, -2.2)]:
+        r = hard_pulse_matrix(alpha, phi)
+        got_mxy, got_mz = apply_rotation(r, mxy, mz)
+        want_mxy, want_mz = reference_rotation(r, mxy, mz)
+        assert got_mxy.shape == got_mz.shape == (n,)
+        largest = np.abs(np.column_stack([mxy.real, mxy.imag, mz])).max(axis=1)
+        scale = 9 * np.finfo(float).eps * largest
+        assert np.all(np.abs(got_mxy.real - want_mxy.real) <= scale)
+        assert np.all(np.abs(got_mxy.imag - want_mxy.imag) <= scale)
+        assert np.all(np.abs(got_mz - want_mz) <= scale)
+
+
+def test_rotation_of_scalars_returns_scalars():
+    r = hard_pulse_matrix(1.1, 0.3)
+    mxy, mz = apply_rotation(r, 0.3 - 0.4j, 0.8)
+    assert isinstance(mxy, complex) and isinstance(mz, float)
+    assert not isinstance(mxy, np.ndarray) and not isinstance(mz, np.ndarray)
+    want_mxy, want_mz = reference_rotation(r, 0.3 - 0.4j, 0.8)
+    assert mxy == pytest.approx(complex(want_mxy), abs=1e-15)
+    assert mz == pytest.approx(want_mz, abs=1e-15)
 
 
 def test_precess_relax_thermal_equilibrium():

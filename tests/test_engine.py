@@ -347,10 +347,12 @@ def test_kernel_logs_factor_cache_size(caplog):
 
 
 def propagator_rows(tables):
-    """Propagator rows per spin that a kernel chunk holds at most: every
-    group's, plus the largest of an element that occurs once."""
+    """Rows per spin that a kernel chunk holds at most: every group's
+    propagator, every numbered factor part and T1 interval, plus twice the
+    largest propagator of an element that occurs once (its factor and the
+    one uncached part alive with it)."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
-    return sum(tables.group_rows) + own
+    return sum(tables.group_rows) + sum(tables.part_rows) + len(tables.t1_intervals) + 2 * own
 
 
 def test_factor_cache_stays_within_byte_budget(monkeypatch, caplog):
@@ -386,9 +388,9 @@ def test_one_off_readout_is_chunked_to_the_budget(monkeypatch, caplog):
     tables = precompute_sequence_tables(Sequence(oracle_sequence().elements[:4]))
     assert tables.group_rows == []
     readout_rows = tables.entries[3].ev_dt.size
-    assert readout_rows == propagator_rows(tables) >= 7
+    assert 2 * readout_rows == propagator_rows(tables) >= 14
     block = oracle_block()
-    monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * readout_rows * 10)
+    monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * propagator_rows(tables) * 10)
     assert engine_mod._default_blocks(tables, block.n, 1) == 4
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         echoes, _ = compute_block(tables, block)
@@ -513,9 +515,13 @@ def test_kernel_logs_keyed_columns_and_reduced_cache_bytes(monkeypatch, caplog):
     # the readout, the one group, keeps its 7 rows on 16 columns and its
     # last row per spin, which carries mxy through the element
     cache = 16 * (7 * 16 + 256)
+    # the two one-off prephasers share their time part, on the one
+    # (domega, T2) column, and their x part, on 16 x values
+    parts = 16 * (1 + 16)
     assert line == (
         f"block 0: 2 chunks of <= 256 spins, 1 propagator groups, {cache} propagator-cache "
-        "bytes, propagator columns / spins per chunk: 16/256 16/256"
+        f"bytes, 2 cached factor parts of {parts} bytes, 0 cached T1 intervals, "
+        "propagator columns / spins per chunk: 16/256 16/256"
     )
     ref_echoes, _ = reference_kernel(tables, block)
     assert delta_e_stoer(ref_echoes, echoes) <= -250.0
@@ -534,6 +540,101 @@ def test_number_tuples_separates_tuples_whose_count_product_passes_int64():
     assert spin.size == len(np.unique(spins, axis=0))
     # the spin that stands for each spin's tuple has the same one
     assert np.array_equal(spins[spin[of_spin]], spins)
+
+
+# ---------------------------------------------------------------------------
+# one-off elements from shared factor parts; T1 regrowth per interval
+# ---------------------------------------------------------------------------
+
+
+def phase_encoded_spin_echo():
+    """8 rows of a spin echo.  Each row's encoding lobe (the 90, the x
+    prephaser and the row's y phase encode) occurs once; the lobes share
+    their duration and their x moment."""
+    return build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+
+
+def grid_block(domega):
+    """16 x 16 x 2 sites 2 mm apart in one tissue: 256 distinct (x, y)
+    sites, two spins on each."""
+    axes = np.arange(16) * 2e-3 - 16e-3
+    pos = np.stack(np.meshgrid(axes, axes, [-1e-3, 1e-3], indexing="ij"), axis=-1)
+    return keyed_block(pos.reshape(-1, 3), domega=domega, t2=0.1)
+
+
+@pytest.mark.parametrize(
+    "domega, time_columns, lobe_columns",
+    [(np.random.default_rng(9).uniform(-80.0, 80.0, 512), 512, 512), (25.0, 1, 256)],
+    ids=["per-spin", "keyed"],
+)
+def test_one_off_lobes_multiply_shared_time_and_x_parts(caplog, domega, time_columns, lobe_columns):
+    """A Legendre-like field gives every spin its own off-resonance, so
+    the chunk keeps a column per spin and the time part is evaluated per
+    spin; in a homogeneous field it is one (domega, T2) column and the
+    lobes are keyed on the (x, y) sites.  Either way the x part is
+    evaluated on the 16 x values and each lobe's y part on the 16 y
+    values."""
+    tables = precompute_sequence_tables(phase_encoded_spin_echo())
+    lobes = [e for e in tables.entries if e.group < 0]
+    assert len(lobes) == 8 and all(e.ev_t.size == 1 and e.axes == (0, 1) for e in lobes)
+    # one time part, one x part, and each row's own y part
+    assert [e.parts for e in lobes] == [(0, 1, -1)] * 8
+    assert tables.part_rows == [1, 1]
+    block = grid_block(domega)
+    (echoes, snaps), line = logged_kernel(caplog, tables, block)
+    assert f", 2 cached factor parts of {16 * (time_columns + 16)} bytes, " in line
+    assert columns_per_chunk(line) == f"{lobe_columns}/512"
+    assert_matches_reference_kernel(tables, block, echoes, snaps)
+
+
+def test_recurring_pulse_intervals_keep_their_t1_factors(caplog):
+    """Pulses after 5 ms (once), 10 ms (twice) and 20 ms (twice): the two
+    intervals that recur are numbered, and a chunk keeps their T1
+    factors."""
+    readout = GradientWaveform.constant(gx=1e-2)
+
+    def pulse(alpha, phi, duration, row=None):
+        acquire = {} if row is None else dict(gradient=readout, acquisition=AcquisitionSpec(5))
+        return ElementarySequence(
+            pulse=HardPulse(alpha, phi), duration=duration, kspace_row=row, **acquire
+        )
+
+    seq = Sequence(
+        [
+            pulse(math.pi / 2, 0.0, 5e-3),
+            pulse(math.pi, math.pi / 2, 10e-3, row=0),
+            pulse(math.pi, math.pi / 2, 10e-3, row=1),
+            pulse(math.pi, math.pi / 2, 20e-3),
+            pulse(math.pi / 3, 0.2, 20e-3),
+            pulse(math.pi / 2, 0.0, 5e-3, row=2),
+        ]
+    )
+    tables = precompute_sequence_tables(seq)
+    assert tables.t1_intervals == [10e-3, 20e-3]
+    assert [interval for _, interval in tables.mz_ages] == [-1, -1, 0, 0, 1, 1]
+    block = oracle_block()
+    (echoes, snaps), line = logged_kernel(caplog, tables, block)
+    assert ", 2 cached T1 intervals, " in line
+    assert_matches_reference_kernel(tables, block, echoes, snaps)
+
+
+def test_entries_share_their_element_table_unless_they_acquire_or_snap():
+    seq = phase_encoded_spin_echo()
+    t_snap = sum(es.duration for es in seq.elements[:5]) + 1e-3  # in the second 180 element
+    tables = precompute_sequence_tables(seq, snapshot_times=(t_snap,))
+    refocus = tables.entries[1::4]
+    assert all(entry is refocus[0] for entry in refocus[2:])
+    assert refocus[1] is not refocus[0] and refocus[1].snaps and not refocus[0].snaps
+    readouts = tables.entries[2::4]
+    assert [entry.acq for entry in readouts] == list(range(8))
+    assert all(entry.ev_t is readouts[0].ev_t for entry in readouts)
+    t0 = 0.0
+    for es, entry in zip(seq.elements, tables.entries):
+        if entry.n_samples:
+            want = t0 + es.acquisition.sample_times(es.duration)
+            assert tables.acq_times[entry.acq].tobytes() == want.tobytes()
+        t0 += es.duration
+    assert tables.pulse_memo_hits == 14
 
 
 # ---------------------------------------------------------------------------

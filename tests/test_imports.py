@@ -112,3 +112,60 @@ def test_a_run_with_a_loop_coil_and_a_fit_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# calls that can reach BLAS, whose threads every worker process of the
+# engine's pool would start; np.vecdot and a plain einsum are ufunc loops
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
+
+
+def blas_uses(source: str) -> list:
+    """Lines that can reach BLAS: the ``@`` operator, a name, attribute or
+    import of one of ``BLAS_NAMES``, or an ``einsum`` call with
+    ``optimize``, which may hand the contraction to ``tensordot``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(BLAS_NAMES & set(m.split(".")) for m in modules + [a.name for a in node.names]):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and any(k.arg == "optimize" for k in node.keywords):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "einsum":
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_scan_finds_every_way_into_blas():
+    source = textwrap.dedent(
+        """\
+        import numpy as np
+        from numpy.linalg import norm
+        from numpy import matmul
+        a = x @ y
+        a @= y
+        np.dot(x, y)
+        x.dot(y)
+        np.inner(x, y) + np.tensordot(x, y)
+        np.einsum("ij,jk->ik", x, y, optimize=True)
+        einsum("ij,jk->ik", x, y, optimize="greedy")
+        np.linalg.norm(x)
+        np.vecdot(x, y) + np.einsum("ij,jk->ik", x, y).sum()
+        """
+    )
+    assert blas_uses(source) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+
+
+def test_spin_kernel_modules_stay_off_blas():
+    found = {
+        name: lines
+        for name in ("engine.py", "bloch.py")
+        if (lines := blas_uses((ROOT / "src" / "mrsim" / name).read_text("utf-8")))
+    }
+    assert found == {}
