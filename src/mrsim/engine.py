@@ -26,8 +26,7 @@ the stacked (Re mxy, Im mxy, Mz) of all spins by one 3x3 ``einsum``
 contraction.  After the pulse, an element's evolution is one fixed
 product of per-event factors ``exp(-1j*(pos.dmom + domega*dt) -
 dt/T2)``, so the kernel evolves every spin through an element with its
-*propagator*, whose row i is the running product up to event i,
-evaluated from the cumulative time and moment that the tables hold.  A
+*propagator*, whose row i is the product of the factors up to event i.  A
 row reads a spin only through its Δω, its T2 and its position on the
 axes that the element's moment moves, and on a regular lattice in a
 homogeneous field many spins share all of these.  So a chunk numbers the
@@ -45,25 +44,35 @@ the element-start state times the one factor from the start to its
 time, per spin, so asking for it changes no echo.
 
 Elements that :func:`mrsim.sequence.distinct_elements` groups together
-and that recur share one cached propagator, evaluated by one complex
-``exp`` per row and column.  An element that occurs once builds its
-propagator as a product of parts and drops it: a *time part*
-``exp(-1j*domega*t - t/T2)``, which reads only the element's event
-times and is evaluated on the chunk's (Δω, T2) columns, or per spin
-when those are not keyed, and one *axis part* ``exp(-1j*x*m)`` per
-moved axis, which reads only that axis's moments and is evaluated on
-the chunk's distinct coordinates on the axis.  Each part is gathered
-into the propagator's columns.  The tables number the parts that
-several such elements share, and a chunk caches those, so a train of
-phase-encode lobes of one duration and one readout prephaser evaluates
-only each lobe's own phase-encode part.  The kernel evolves a block in
-chunks of spins whose cached arrays (propagators, factor parts, T1
-factors) plus twice the largest propagator built for one element (the
-propagator and the one uncached part alive with it) fit
-``_PROPAGATOR_BYTES`` at one complex value per spin and row, so a block
-of any size needs that much extra memory at most.  Without an explicit
-block count, ``run`` cuts one block per chunk, and at least one per
-worker.
+and that recur share one cached propagator.  A readout samples at a
+fixed step, so most of its events take the same step of time and
+moment.  The tables index each such element's distinct steps; a chunk
+evaluates one factor per distinct step and column, gathers the factors
+into the events' rows and multiplies the rows down: one complex
+multiply per row and column instead of one complex ``exp``.  This
+running product follows each spin event by event, as an isochromat
+simulator does.  Its rounding grows with the rows it spans, as a few
+distinct steps round the same way at every event, so every 64th row
+steps from the element start and the product restarts there.
+
+An element that occurs once builds its propagator as a product of
+parts and drops it: a *time part* ``exp(-1j*domega*t - t/T2)``, which
+reads only the element's event times and is evaluated on the chunk's
+(Δω, T2) columns, or per spin when those are not keyed, and one *axis
+part* ``exp(-1j*x*m)`` per moved axis, which reads only that axis's
+moments and is evaluated on the chunk's distinct coordinates on the
+axis.  Each part is gathered into the propagator's columns.  The tables
+number the parts that several such elements share, and a chunk caches
+those, so a train of phase-encode lobes of one duration and one readout
+prephaser evaluates only each lobe's own phase-encode part.
+
+The kernel evolves a block in chunks of spins whose cached arrays
+(propagators, factor parts, T1 factors) plus twice the largest
+propagator built for one element (the propagator and the one uncached
+part alive with it) fit ``_PROPAGATOR_BYTES`` at one complex value per
+spin and row, so a block of any size needs that much extra memory at
+most.  Without an explicit block count, ``run`` cuts one block per
+chunk, and at least one per worker.
 
 Every spin starts in thermal equilibrium, ``mxy = 0`` and ``mz = m0``.
 Only pulses and snapshots read Mz, so T1 relaxation is deferred: Mz is
@@ -120,6 +129,11 @@ _POLL_S = 0.2
 _PROPAGATOR_BYTES = 16 << 20
 # the fewest spins whose propagators a chunk builds on distinct keys (see _columns)
 _MIN_KEYED_SPINS = 256
+# the fewest columns whose running product goes row by row (see _running_product)
+_ROW_PRODUCT_COLUMNS = 256
+# the most rows of a running product before it restarts from an exact row
+# (see _number_steps): its rounding grows with the rows that it spans
+_ANCHOR_ROWS = 64
 
 # ---------------------------------------------------------------------------
 # spin-independent precomputation (master side)
@@ -144,10 +158,14 @@ class EsTable:
     snapshot index) per snapshot in the element, which reads the
     element-start state.  ``group`` numbers the propagator that the entry
     shares with the other entries of its distinct element, or is -1 when
-    the element occurs once.  Such a one-off element builds its
-    propagator from factor parts: ``parts`` numbers its time part and
-    then one part per axis of ``axes``, each -1 when no other one-off
-    element shares it.
+    the element occurs once.  A group's ``steps`` (:func:`_number_steps`)
+    holds its bit-distinct steps ``(dt, dmom, of_event)``: row
+    ``of_event[i]`` of ``dt`` and ``dmom`` is the step of event i, which
+    for every ``_ANCHOR_ROWS``-th event runs from the element start; a
+    chunk evaluates one factor per step and builds the propagator as
+    their running product.  A one-off element builds its propagator from
+    factor parts: ``parts`` numbers its time part and then one part per
+    axis of ``axes``, each -1 when no other one-off element shares it.
     """
 
     pulse_mat: Optional[np.ndarray]
@@ -159,6 +177,7 @@ class EsTable:
     axes: Tuple[int, ...]
     snaps: Tuple[Tuple[float, np.ndarray, int], ...] = ()
     group: int = -1
+    steps: tuple = ()
     parts: Tuple[int, ...] = ()
     acq: int = -1
     n_samples: int = 0
@@ -194,14 +213,14 @@ def precompute_sequence_tables(
     acquisition index and its snapshots, each one (time, partial moment,
     index) tuple of its ``snaps``.  A distinct element that occurs more
     than once is numbered as a group, in order of first occurrence, so
-    that a kernel chunk builds its propagator once; the factor parts that
+    that a kernel chunk builds its propagator once, from the distinct
+    steps that its table indexes; the factor parts that
     one-off elements share, and the intervals between pulses that recur,
     are numbered the same way.  Raises InvalidParameter for a snapshot
     time outside the sequence.
     """
     snapshot_times = tuple(snapshot_times)
     reps, distinct = distinct_elements(sequence)
-    _log.debug("operator tables: %d elements, %d distinct", len(distinct), len(reps))
     group_of = _number_recurring(distinct)
     memo: Dict[Tuple[float, float], np.ndarray] = {}
     tables: List[EsTable] = []  # one per distinct element
@@ -214,7 +233,17 @@ def precompute_sequence_tables(
             mat = memo[key]
         table = EsTable(mat, es.duration, group=group_of.get(g, -1), **_event_arrays(es))
         table.n_samples = es.acquisition.n_samples if es.acquisition.enabled else 0
+        if table.group >= 0:
+            table.steps = _number_steps(table)
         tables.append(table)
+    group_tables = [tables[g] for g in group_of]
+    _log.debug(
+        "operator tables: %d elements, %d distinct, %d group rows from %d distinct steps",
+        len(distinct),
+        len(reps),
+        sum(t.ev_dt.size for t in group_tables),
+        sum(t.steps[0].size for t in group_tables),
+    )
     part_rows = _number_parts([t for t in tables if t.group < 0 and t.ev_t.size])
     sample_times = [es.acquisition.sample_times(es.duration) for es in reps]
 
@@ -260,7 +289,7 @@ def precompute_sequence_tables(
         acq_times=acq_times,
         snapshot_times=snapshot_times,
         pulse_memo_hits=sum(entry.pulse_mat is not None for entry in entries) - len(memo),
-        group_rows=[tables[g].ev_dt.size for g in group_of],
+        group_rows=[t.ev_dt.size for t in group_tables],
         part_rows=part_rows,
         mz_ages=[(age, interval_of.get(age, -1) if p else -1) for age, p in zip(ages, pulsed)],
         t1_intervals=list(interval_of),
@@ -273,6 +302,35 @@ def _number_recurring(keys) -> Dict[object, int]:
     counts = collections.Counter(keys)
     recurring = [key for key, n in counts.items() if n > 1]
     return {key: i for i, key in enumerate(recurring)}
+
+
+def _number_steps(table: EsTable) -> tuple:
+    """The bit-distinct steps (duration, moment increment) of a group's
+    events: (dt, dmom, of_event), read-only, where row ``of_event[i]`` of
+    ``dt`` and ``dmom`` is the step of event i.  Every ``_ANCHOR_ROWS``-th
+    event steps from the element start instead (its running time and
+    moment), so that the running product restarts there.  When every step
+    is distinct, ``of_event`` is None and ``dt`` and ``dmom`` hold one
+    row per event, which for a group of ``_ANCHOR_ROWS`` events or fewer
+    are ``ev_dt`` and ``ev_dmom`` themselves.  One 1-D ``np.unique``
+    sorts the rows, each viewed as a single ``np.void`` value."""
+    dt, dmom = table.ev_dt, table.ev_dmom
+    if dt.size > _ANCHOR_ROWS:
+        anchors = slice(_ANCHOR_ROWS, None, _ANCHOR_ROWS)
+        dt, dmom = dt.copy(), dmom.copy()
+        dt[anchors], dmom[anchors] = table.ev_t[anchors], table.ev_mom[anchors]
+    of_event = None
+    if dt.size > 1:
+        rows = np.column_stack([dmom, dt])
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, of_key = np.unique(keys, return_index=True, return_inverse=True)
+        if first.size < dt.size:
+            dt, dmom, of_event = dt[first], dmom[first], of_key
+    steps = dt, dmom, of_event
+    for arr in steps:
+        if arr is not None:
+            arr.flags.writeable = False
+    return steps
 
 
 def _number_parts(one_offs: List[EsTable]) -> List[int]:
@@ -503,6 +561,17 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
             _gather_into(p, part(number, turn), code[on], step)
         return p
 
+    def running(entry, cols):
+        # a group's propagator: one factor per distinct step, gathered
+        # into the events' rows (which drops the factors), then the
+        # running product down the rows
+        dt, dmom, of_event = entry.steps
+        p = factors(dt, dmom, None if cols is None else cols.spin)
+        if of_event is not None:
+            p = np.take(p, of_event, axis=0)
+        _running_product(p)
+        return p
+
     for entry, (age, interval) in zip(tables.entries, tables.mz_ages):
         if entry.pulse_mat is not None:
             if age:
@@ -525,7 +594,7 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
             if entry.group < 0:
                 p = assembled(entry, cols)
             else:
-                p = factors(entry.ev_t, entry.ev_mom, None if cols is None else cols.spin)
+                p = running(entry, cols)
             widest = max(widest, p.shape[1])
             last = p[-1] if cols is None else p[-1][cols.of_spin]
             if entry.group >= 0:
@@ -557,6 +626,29 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
         len(regrowth),
         widest,
     )
+
+
+def _running_product(p: np.ndarray) -> None:
+    """Multiply each row of ``p`` in place by every row above it, back to
+    the last multiple of ``_ANCHOR_ROWS``, whose row steps from the
+    element start (see :func:`_number_steps`).
+
+    ``np.multiply.accumulate`` down the rows walks one column at a time,
+    about 6 ns per value on a 2-core x86_64 box, where one multiply per
+    row costs about 1 us plus 0.9 ns per value.  So a propagator of
+    ``_ROW_PRODUCT_COLUMNS`` columns or more, such as ``head96_loop``'s
+    4,788, multiplies row by row, and a narrower one, such as the keyed
+    readouts of ``tse128_pool`` and ``cpmg12_auto``, accumulates; the two
+    forms agree to rounding."""
+    if len(p) < 2:
+        return
+    for lo in range(0, len(p), _ANCHOR_ROWS):
+        run = p[lo : lo + _ANCHOR_ROWS]
+        if p.shape[1] < _ROW_PRODUCT_COLUMNS:
+            np.multiply.accumulate(run, axis=0, out=run)
+            continue
+        for i in range(1, len(run)):
+            np.multiply(run[i - 1], run[i], out=run[i])
 
 
 def _gather_into(p: np.ndarray, part: np.ndarray, index: Optional[np.ndarray], step: int) -> None:
@@ -644,7 +736,9 @@ def _chunk_spins(tables: OperatorTables) -> int:
     has fewer columns (see :func:`_columns`); a cached one without samples
     keeps only its last row, and a one-off one-event propagator may hold
     half a row per spin more than its share while it maps its last row
-    back."""
+    back.  A group build also holds its distinct-step factors until it
+    gathers them into its rows, at most rows - 1 rows more than its
+    propagator; they are not counted either."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
     rows = sum(tables.group_rows) + sum(tables.part_rows) + len(tables.t1_intervals) + 2 * own
     return max(1, _PROPAGATOR_BYTES // (16 * max(rows, 1)))  # complex128 per spin and row

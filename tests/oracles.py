@@ -261,9 +261,10 @@ def reference_rotation(r, mxy, mz):
     return out, r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz
 
 
-def reference_kernel(tables, block):
+def reference_kernel(tables, block, dtype=float):
     """Evolve a spin block from thermal equilibrium event by event on
-    real (mx, my, mz) arrays.
+    real (mx, my, mz) arrays of ``dtype``; ``np.longdouble`` rounds the
+    evolution of the tables' float steps less than the kernel does.
 
     Every event rotates the transverse plane by ``pos . dmom + domega*dt``
     and relaxes all three components over ``dt``; pulses apply their
@@ -272,11 +273,14 @@ def reference_kernel(tables, block):
     element start, with its own cos/sin and exp.  Same inputs and outputs
     as ``mrsim.engine.compute_block``.
     """
-    pos, domega, w, m0 = block.pos, block.domega, block.weight, block.m0
-    mx, my, mz = np.zeros(m0.size), np.zeros(m0.size), m0.copy()
-    inv_t1, inv_t2 = 1.0 / block.t1, 1.0 / block.t2
+    pos, domega, m0, t1, t2 = (
+        np.asarray(a, dtype=dtype) for a in (block.pos, block.domega, block.m0, block.t1, block.t2)
+    )
+    w = block.weight.astype(np.result_type(dtype, np.complex64))
+    mx, my, mz = np.zeros_like(m0), np.zeros_like(m0), m0.copy()
+    inv_t1, inv_t2 = 1.0 / t1, 1.0 / t2
     n_samples = max((e.n_samples for e in tables.entries), default=0)
-    echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
+    echoes = np.zeros((tables.n_acq, n_samples), dtype=w.dtype)
     snapshots = {}
     for entry in tables.entries:
         if entry.pulse_mat is not None:
@@ -308,7 +312,8 @@ def reference_kernel(tables, block):
                     mz = mz * e1 + m0 * (1.0 - e1)
             if i < entry.n_samples:
                 echoes[entry.acq, i] = np.dot(w, mx) + 1j * np.dot(w, my)
-    return echoes, [snapshots[i] for i in range(len(tables.snapshot_times))]
+    snapshots = [snapshots[i].astype(float) for i in range(len(tables.snapshot_times))]
+    return echoes.astype(complex), snapshots
 
 
 def reference_prune(trace, grayscale_levels=256):

@@ -16,6 +16,7 @@ from mrsim.bloch import (
     HardPulse,
     RelaxationParams,
     hard_pulse_matrix,
+    precession_factor,
 )
 from mrsim.discretize import max_spacing, pruned_max_spacing
 from mrsim.engine import (
@@ -330,6 +331,99 @@ def test_propagator_groups_only_for_recurring_elements():
     assert tables.entries[3].ev_dt is tables.entries[6].ev_dt is tables.entries[7].ev_dt
     assert tables.entries[3].snaps and not tables.entries[6].snaps
     assert tables.group_rows == plain.group_rows == [tables.entries[6].ev_dt.size]
+
+
+def test_tables_log_group_rows_and_distinct_steps(caplog):
+    """The oracle's one group, its 7-sample readout, steps from its start
+    to the first sample (no time, no moment), then by 1 ms at a constant
+    gradient; sample times and moments that are not multiples of one
+    bit-exact step give the rest."""
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        tables = precompute_sequence_tables(oracle_sequence())
+    readout = tables.entries[3]
+    rows = np.column_stack([readout.ev_dmom, readout.ev_dt])
+    assert len({row.tobytes() for row in rows}) == 4
+    assert any(
+        "7 elements, 6 distinct, 7 group rows from 4 distinct steps" in rec.getMessage()
+        for rec in caplog.records
+    )
+    dt, dmom, of_event = readout.steps
+    assert np.array_equal(dt[of_event], readout.ev_dt)
+    assert np.array_equal(dmom[of_event], readout.ev_dmom)
+
+
+def recurring_readout(n_samples, prephase=True):
+    """A 90 and an 8 ms readout of n_samples at a constant gradient, twice:
+    the readout is a group, and with the prephaser its echo peaks
+    mid-readout."""
+    duration = 8e-3
+    readout = GradientWaveform.constant(gx=1e-3)
+    lead = dict(gradient=GradientWaveform.constant(gx=-1e-3), duration=duration / 2)
+    els = []
+    for row in range(2):
+        els.append(
+            ElementarySequence(pulse=HardPulse(math.pi / 2, 0.3), **(lead if prephase else {}))
+        )
+        els.append(
+            ElementarySequence(
+                gradient=readout,
+                duration=duration,
+                acquisition=AcquisitionSpec(n_samples),
+                kspace_row=row,
+            )
+        )
+    return Sequence(els)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+)
+@pytest.mark.parametrize("row_columns", [256, 1], ids=["accumulate", "row-by-row"])
+def test_long_recurring_readout_follows_the_long_double_evolution(monkeypatch, row_columns):
+    """A running product of 2,048 rows, in either form, stays within
+    -270 dB of the event-by-event evolution in long double.  Without its
+    restarts every 64 rows it drifts to about -260 dB: each of the
+    readout's few distinct steps rounds its T2 decay and its turn the
+    same way at every event.  The float reference kernel drifts as far
+    for the same reason, so it is compared at the usual -250 dB."""
+    import mrsim.engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "_ROW_PRODUCT_COLUMNS", row_columns)
+    tables = precompute_sequence_tables(recurring_readout(2048))
+    readout = tables.entries[1]
+    assert readout.group >= 0 and readout.n_samples == 2048
+    assert readout.steps[0].size < readout.ev_dt.size // 8
+    block = oracle_block(n=200)
+    echoes, _ = compute_block(tables, block)
+    exact, _ = reference_kernel(tables, block, dtype=np.longdouble)
+    assert np.abs(exact).max() > 1e-2
+    assert delta_e_stoer(exact, echoes) <= -270.0
+    ref_echoes, _ = reference_kernel(tables, block)
+    assert delta_e_stoer(ref_echoes, echoes) <= -250.0
+
+
+def test_group_build_evaluates_one_factor_row_per_distinct_step(monkeypatch):
+    import mrsim.engine as engine_mod
+
+    tables = precompute_sequence_tables(recurring_readout(48, prephase=False))
+    readout = tables.entries[1]
+    assert [e.ev_dt.size for e in tables.entries[::2]] == [0, 0]
+    rows = np.column_stack([readout.ev_dmom, readout.ev_dt])
+    steps = len({row.tobytes() for row in rows})
+    assert readout.group >= 0 and readout.steps[0].size == steps < readout.ev_dt.size // 2
+    block = oracle_block()
+    evaluated = []
+
+    def counted(phase, dt, inv_t2, out=None):
+        evaluated.append(np.shape(phase))
+        return precession_factor(phase, dt, inv_t2, out=out)
+
+    monkeypatch.setattr(engine_mod, "precession_factor", counted)
+    echoes, _ = compute_block(tables, block)
+    # the readout is built once and read from the cache the second time
+    assert evaluated == [(steps, block.n)]
+    ref_echoes, _ = reference_kernel(tables, block)
+    assert delta_e_stoer(ref_echoes, echoes) <= -250.0
 
 
 def test_kernel_logs_factor_cache_size(caplog):
