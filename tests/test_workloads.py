@@ -1,0 +1,48 @@
+"""The benchmark workloads' echoes, pinned.
+
+Each workload of ``perfbench/workloads.py`` runs at the default seed and
+full size and must reproduce its checked-in reference echoes
+(``perfbench/reference/*.npy``) to the kernel's -250 dB gate, tighter
+than the benchmark's own -200 dB.  A change meant to alter the echoes
+regenerates the references with ``perfbench/make_reference.py``.  The
+pooled runs must not depend on the worker count.
+"""
+
+import sys
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mrsim
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+
+MAX_DB = -250.0
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_workload_echoes_match_their_reference(name):
+    workload = WORKLOADS[name](DEFAULT_SEED)
+    ref = np.load(workload.reference_path())
+    echoes = workload.reference_echoes(workload.operate().echoes)
+    assert echoes.shape == ref.shape
+    assert mrsim.compare_results(ref, echoes).delta_e_db <= MAX_DB
+
+
+@pytest.mark.parametrize("name", ["tse128_pool", "head96_loop"])
+def test_echoes_in_four_blocks_do_not_depend_on_the_worker_count(name):
+    exp = WORKLOADS[name](DEFAULT_SEED).exp
+    echoes = []
+    for workers in (1, 2, 3):
+        # overridden spacings warn when they exceed the relaxation-free bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = mrsim.run(replace(exp, workers=workers, blocks=4))
+        echoes.append(result.echo_matrix().tobytes())
+    assert echoes[1] == echoes[0] and echoes[2] == echoes[0]
