@@ -12,6 +12,15 @@ The engine serves three purposes: echo prediction through the object's
 spatial-frequency function, derivation of the spatial discretization a
 spin simulation needs, and an independent oracle for the spin engine.
 
+The walk (:func:`simulate_kt`) keeps its state as two sorted tuples of
+order tuples with a list of Python complex populations each, and builds
+a :class:`ConfigurationSet` only for its result.  A gradient shift moves
+every transversal order by the same integer triple, which is one-to-one
+and keeps the sorted order, so it relabels the orders and merges
+nothing.  A pulse split reads the state through a plan of indices that
+is cached per pair of order tuples for the walk, so a recurring state
+(an echo train) builds it once.
+
 Conventions: spatial frequencies are angular (rad/m) everywhere; a
 transversal configuration of order o contributes
 ``a_o * exp(-1j * (o*unit) . x)`` to mx + 1j*my, matching the clockwise
@@ -64,10 +73,6 @@ class Configuration:
     k_position: Tuple[float, float, float]
 
 
-def _neg(order: Order) -> Order:
-    return (-order[0], -order[1], -order[2])
-
-
 @dataclass
 class ConfigurationSet:
     """Populations keyed by (kind, integer order) plus the per-axis unit.
@@ -83,12 +88,6 @@ class ConfigurationSet:
     @staticmethod
     def equilibrium(m0: float = 1.0, unit=(None, None, None)) -> "ConfigurationSet":
         return ConfigurationSet(unit=tuple(unit), longi={ZERO: complex(m0)})
-
-
-def _row(pops: Dict[Order, complex]):
-    """Sorted orders and their populations as one row (1, m)."""
-    orders = sorted(pops)
-    return orders, np.fromiter([pops[o] for o in orders], complex, len(orders)).reshape(1, -1)
 
 
 def _real_b0(b0: complex) -> complex:
@@ -117,33 +116,6 @@ def _mixing_coefficients(pulse: Optional[HardPulse]):
     return tuple(complex(c) for c in row_a + row_b)
 
 
-def _rf_split(state: ConfigurationSet, mix, cut: float) -> ConfigurationSet:
-    """Weighted population exchange within every |order| group, then
-    the prune: populations below ``cut`` go, except the order-0 Mz; a
-    cut of 0 keeps everything."""
-    t00, t01, t02, t20, t21, t22 = mix
-    orders = set(state.trans) | set(state.longi)
-    orders |= {_neg(o) for o in orders}
-    new_trans: Dict[Order, complex] = {}
-    new_longi: Dict[Order, complex] = {}
-    for o in orders:
-        a = state.trans.get(o, 0j)
-        a_conj_neg = state.trans.get(_neg(o), 0j).conjugate()
-        b = state.longi.get(o, 0j)
-        na = t00 * a + t01 * a_conj_neg + t02 * b
-        nb = t20 * a + t21 * a_conj_neg + t22 * b
-        if na != 0j:
-            new_trans[o] = new_trans.get(o, 0j) + na
-        if nb != 0j or o == ZERO:
-            new_longi[o] = new_longi.get(o, 0j) + nb
-    if ZERO in new_longi:
-        new_longi[ZERO] = _real_b0(new_longi[ZERO])
-    if cut > 0.0:
-        new_trans = {o: p for o, p in new_trans.items() if abs(p) >= cut}
-        new_longi = {o: p for o, p in new_longi.items() if abs(p) >= cut or o == ZERO}
-    return ConfigurationSet(state.unit, new_trans, new_longi)
-
-
 def _interval_decay(relax: RelaxationParams, dt: float) -> Tuple[float, float, float]:
     """(e2, e1, regrowth) of the order-0 Mz over dt."""
     e2 = math.exp(-dt / relax.t2)
@@ -151,25 +123,101 @@ def _interval_decay(relax: RelaxationParams, dt: float) -> Tuple[float, float, f
     return e2, e1, relax.m0 * (1.0 - e1)
 
 
-def _relax(state: ConfigurationSet, decay: Tuple[float, float, float]) -> ConfigurationSet:
-    """T2 decay of transversal, T1 decay of longitudinal populations;
-    the order-0 longitudinal population additionally regrows toward m0."""
-    e2, e1, regrowth = decay
-    new_trans = {o: p * e2 for o, p in state.trans.items()}
-    new_longi = {o: p * e1 for o, p in state.longi.items()}
-    new_longi[ZERO] = _real_b0(new_longi.get(ZERO, 0j) + regrowth)
-    return ConfigurationSet(state.unit, new_trans, new_longi)
+# The walk's state is (trans_orders, trans_pops, longi_orders, longi_pops):
+# each ``*_orders`` a tuple of distinct order tuples in sorted order,
+# each ``*_pops`` a list of Python complex, one per order.
 
 
-def _shifted(trans: Dict[Order, complex], q: Order) -> Dict[Order, complex]:
-    """Every transversal order shifted by the integer triple q;
-    populations landing on the same order merge (configuration
-    interference)."""
-    new_trans: Dict[Order, complex] = {}
-    for o, p in trans.items():
-        key = (o[0] + q[0], o[1] + q[1], o[2] + q[2])
-        new_trans[key] = new_trans.get(key, 0j) + p
-    return new_trans
+def _split_plan(trans_orders: Tuple[Order, ...], longi_orders: Tuple[Order, ...]):
+    """How a pulse split reads a state with these orders: per order of
+    the sorted union of both order sets and their negatives, the order,
+    the indices of a_o, of a_-o and of b_o in the population lists (-1,
+    past the end, where the state lacks one) and whether it is order 0."""
+    trans_at = {o: i for i, o in enumerate(trans_orders)}
+    longi_at = {o: i for i, o in enumerate(longi_orders)}
+    orders = {*trans_orders, *longi_orders}
+    orders.update([(-o[0], -o[1], -o[2]) for o in orders])
+    return [
+        (
+            o,
+            trans_at.get(o, -1),
+            trans_at.get((-o[0], -o[1], -o[2]), -1),
+            longi_at.get(o, -1),
+            o == ZERO,
+        )
+        for o in sorted(orders)
+    ]
+
+
+def _split(plan, mix, cut: float, trans_pops: List[complex], longi_pops: List[complex]):
+    """Weighted population exchange within every |order| group, then
+    the prune: populations below ``cut`` go, except the order-0 Mz; a
+    cut of 0 keeps only the nonzero ones.  ``plan`` is the
+    :func:`_split_plan` of the state's orders; returns the new state."""
+    t00, t01, t02, t20, t21, t22 = mix
+    # index -1 of each list reads the 0j of a missing population
+    trans_pops = trans_pops + [0j]
+    longi_pops = longi_pops + [0j]
+    pruned = cut > 0.0
+    new_trans, new_tpops, new_longi, new_lpops = [], [], [], []
+    for o, ia, ineg, ib, zero in plan:
+        a = trans_pops[ia]
+        a_conj_neg = trans_pops[ineg].conjugate()
+        b = longi_pops[ib]
+        na = t00 * a + t01 * a_conj_neg + t02 * b
+        nb = t20 * a + t21 * a_conj_neg + t22 * b
+        # 0j + p turns a -0.0 part into 0.0, as a sum into an empty slot does
+        if na != 0j and (not pruned or abs(na) >= cut):
+            new_trans.append(o)
+            new_tpops.append(0j + na)
+        if zero:
+            new_longi.append(o)
+            new_lpops.append(_real_b0(0j + nb))
+        elif nb != 0j and (not pruned or abs(nb) >= cut):
+            new_longi.append(o)
+            new_lpops.append(0j + nb)
+    return tuple(new_trans), new_tpops, tuple(new_longi), new_lpops
+
+
+def _relax_shift(
+    trans_orders: Tuple[Order, ...],
+    trans_pops: List[complex],
+    longi_orders: Tuple[Order, ...],
+    longi_pops: List[complex],
+    decay: Optional[Tuple[float, float, float]],
+    q: Order,
+    relabels: Dict[tuple, Tuple[Order, ...]],
+):
+    """Relaxation by ``decay`` (None for none), then the shift of every
+    transversal order by the integer triple q.
+
+    T2 decays the transversal, T1 the longitudinal populations, and the
+    order-0 Mz regrows toward m0.  A shift moves every order by the same
+    q, which is one-to-one and keeps the sorted order, so it only
+    relabels the orders, once per (orders, q) in ``relabels``; the
+    shifted populations take ``0j + p``, as a sum into an empty slot
+    does.  Returns the new state.
+    """
+    shifts = q != ZERO
+    if decay is not None:
+        e2, e1, regrowth = decay
+        if shifts:
+            trans_pops = [0j + p * e2 for p in trans_pops]
+        else:
+            trans_pops = [p * e2 for p in trans_pops]
+        longi_pops = [p * e1 for p in longi_pops]
+        zero = longi_orders.index(ZERO)
+        longi_pops[zero] = _real_b0(longi_pops[zero] + regrowth)
+    elif shifts:
+        trans_pops = [0j + p for p in trans_pops]
+    if shifts:
+        key = (trans_orders, q)
+        shifted = relabels.get(key)
+        if shifted is None:
+            q0, q1, q2 = q
+            shifted = relabels[key] = tuple((o[0] + q0, o[1] + q1, o[2] + q2) for o in trans_orders)
+        trans_orders = shifted
+    return trans_orders, trans_pops, longi_orders, longi_pops
 
 
 def synthesize_echo(
@@ -184,7 +232,8 @@ def synthesize_echo(
     ``object_spectrum`` maps k of shape (..., 3) rad/m to a complex
     array of shape (...); it is called once, on all configurations.
     """
-    orders, pops = _row(state.trans)
+    orders = sorted(state.trans)
+    pops = np.array([[state.trans[o] for o in orders]], dtype=complex)
     k = _k_positions(_k_scale(state.unit), orders, np.array([frac], dtype=float))
     return complex((pops * object_spectrum(k)).sum())
 
@@ -320,6 +369,13 @@ def simulate_kt(
     and partial moments) is computed once per group of
     :func:`mrsim.sequence.distinct_elements` at the start of the call;
     the walk then applies those steps in element order.
+
+    The walk keeps its state as sorted order tuples with a list of
+    Python complex populations per kind, and builds ``final`` once at
+    the end.  A pulse split reads the state through a plan of indices
+    (:func:`_split_plan`), built once per pair of order tuples that a
+    pulse meets; a gradient shift relabels the orders, once per (orders,
+    shift).  Recurring states, as in an echo train, reuse both.
     """
     reps, groups = distinct_elements(sequence)
     _log.debug("k-t walk: %d elements, %d distinct", len(groups), len(reps))
@@ -335,71 +391,78 @@ def simulate_kt(
     at_boundary = np.zeros((1, 3))
     boundary_k: Dict[tuple, np.ndarray] = {}
     bases: Dict[tuple, np.ndarray] = {}  # order tuple -> its k without offset
-    state = ConfigurationSet.equilibrium(relax.m0, unit)
+    plans: Dict[tuple, list] = {}  # (trans orders, longi orders) -> split plan
+    relabels: Dict[tuple, Tuple[Order, ...]] = {}  # (orders, shift) -> shifted orders
+    trans, pops, longi, lpops = (), [], (ZERO,), [complex(relax.m0)]
     # populations below the cut are pruned after every pulse split
     cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
     trace: List[TracePoint] = []
     echoes: List[np.ndarray] = []
+    splits = 0
     now = 0.0
 
     def k_at(orders, fracs):
         """Read-only k (points, m, 3) of ``orders`` offset by ``fracs``; at
         a boundary (fracs None) one array per order tuple."""
-        key = tuple(orders)
         if fracs is None:
-            k = boundary_k.get(key)
+            k = boundary_k.get(orders)
             if k is None:
-                k = boundary_k[key] = k_at(orders, at_boundary)
+                k = boundary_k[orders] = k_at(orders, at_boundary)
             return k
-        base = bases.get(key)
+        base = bases.get(orders)
         if base is None:
-            base = bases[key] = _k_base(scale, orders)
+            base = bases[orders] = _k_base(scale, orders)
         k = base + fracs[:, None, :]
         k.flags.writeable = False
         return k
 
-    def emit(at, fracs, orders, pops, longi, lpops):
+    def emit(at, fracs, orders, rows, longi, lrows):
         """Trace rows and observe call for the configurations at the
         instants ``at`` (an array); returns the transversal k (points, m, 3)."""
         k = k_at(orders, fracs)
         if observe is not None and orders:
-            observe(k, pops)
+            observe(k, rows)
         if record_trace:
-            rows = zip(
+            points = zip(
                 at.tolist(),
-                _entries("transversal", orders, pops, k),
-                _entries("longitudinal", longi, lpops, k_at(longi, fracs)),
+                _entries("transversal", orders, rows, k),
+                _entries("longitudinal", longi, lrows, k_at(longi, fracs)),
             )
-            trace.extend(TracePoint(t, a + b) for t, a, b in rows)
+            trace.extend(TracePoint(t, a + b) for t, a, b in points)
         return k
 
-    def record(t):
+    def record(t, trans, pops, longi, lpops):
         if record_trace:
-            emit(np.array([t]), None, *_row(state.trans), *_row(state.longi))
-        elif observe is not None and state.trans:
-            orders, pops = _row(state.trans)
-            observe(k_at(orders, None), pops)
+            emit(np.array([t]), None, trans, np.array([pops], complex), longi, np.array([lpops]))
+        elif observe is not None and trans:
+            observe(k_at(trans, None), np.array([pops]))
 
-    record(now)
+    record(now, trans, pops, longi, lpops)
     for g in groups:
         step = steps[g]
         if step.mix is not None:
-            state = _rf_split(state, step.mix, cut)
-            record(now)
+            key = (trans, longi)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _split_plan(trans, longi)
+            trans, pops, longi, lpops = _split(plan, step.mix, cut, pops, lpops)
+            splits += 1
+            record(now, trans, pops, longi, lpops)
         if step.samples is not None:
-            orders, pops, longi, lpops = _relax_readout(state, step.samples)
-            k = emit(now + step.ts, step.partial, orders, pops, longi, lpops)
+            rows, lrows = _relax_readout(pops, longi, lpops, step.samples)
+            k = emit(now + step.ts, step.partial, trans, rows, longi, lrows)
             if object_spectrum is not None:
-                echoes.append((pops * object_spectrum(k)).sum(-1))
-            state.trans = dict(zip(orders, pops[-1].tolist()))
-            state.longi = dict(zip(longi, lpops[-1].tolist()))
-        if step.decay is not None:
-            state = _relax(state, step.decay)
-        if step.q != ZERO:
-            state.trans = _shifted(state.trans, step.q)
+                echoes.append((rows * object_spectrum(k)).sum(-1))
+            pops, lpops = rows[-1].tolist(), lrows[-1].tolist()
+        if step.decay is not None or step.q != ZERO:
+            trans, pops, longi, lpops = _relax_shift(
+                trans, pops, longi, lpops, step.decay, step.q, relabels
+            )
         now += step.duration
-        record(now)
-    return KtRun(echoes=echoes, trace=trace, final=state)
+        record(now, trans, pops, longi, lpops)
+    _log.debug("k-t walk: %d pulse splits from %d split plans", splits, len(plans))
+    final = ConfigurationSet(unit, dict(zip(trans, pops)), dict(zip(longi, lpops)))
+    return KtRun(echoes=echoes, trace=trace, final=final)
 
 
 @dataclass
@@ -487,31 +550,34 @@ def _k_positions(scale: np.ndarray, orders, fracs: np.ndarray) -> np.ndarray:
     return _k_base(scale, orders) + fracs[:, None, :]
 
 
-def _relax_readout(state: ConfigurationSet, samples: _SampleRelaxation):
+def _relax_readout(
+    pops: List[complex], longi: Tuple[Order, ...], lpops: List[complex], samples: _SampleRelaxation
+):
     """Populations at every sample instant of one readout.
 
-    The same products in the same order as one :func:`_relax` per
+    The same products in the same order as one relaxation step per
     sample interval: one running product of T2 / T1 decay factors
     over both kinds, the order-0 Mz by its regrowth recurrence; a
     zero-length interval leaves the populations as they are.  The
     recurrence runs on real floats: the order-0 population enters real
     and the factors are real, so the complex form's imaginary part stays
-    exactly 0.  Returns the sorted transversal orders, their populations
-    (samples, m), and the same pair for the longitudinal configurations.
+    exactly 0.  Takes the transversal populations, the longitudinal
+    orders and populations of a walk state; returns the transversal
+    (samples, m) and the longitudinal populations at every sample.
     """
-    (orders, pops), (longi, lpops) = _row(state.trans), _row(state.longi)
-    m = len(orders)
-    scan = np.empty((len(samples.e1s) + 1, m + len(longi)), dtype=complex)
-    scan[0, :m], scan[0, m:] = pops[0], lpops[0]
+    m = len(pops)
+    scan = np.empty((len(samples.e1s) + 1, m + len(lpops)), dtype=complex)
+    scan[0] = pops + lpops
     scan[1:, :m] = samples.e2
     scan[1:, m:] = samples.e1
     np.multiply.accumulate(scan, axis=0, out=scan)
-    b0s, b0 = [], state.longi[ZERO].real
+    zero = longi.index(ZERO)
+    b0s, b0 = [], lpops[zero].real
     for e1, regrowth in zip(samples.e1s, samples.regrowth):
         b0 = b0 * e1 + regrowth
         b0s.append(b0)
-    scan[1:, m + longi.index(ZERO)] = b0s
-    return orders, scan[samples.row, :m], longi, scan[samples.row, m:]
+    scan[1:, m + zero] = b0s
+    return scan[samples.row, :m], scan[samples.row, m:]
 
 
 def _entries(kind: str, orders, pops: np.ndarray, k: np.ndarray) -> List[List[Configuration]]:

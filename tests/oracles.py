@@ -18,8 +18,10 @@ unit, k excursion and readout axes are the per-element forms of
 ``mrsim.discretize.max_spacing``:
 every elementary sequence computes its own moments, shift, mixing
 coefficients, decay factors and sample relaxation, and the walk applies
-them through the package's own steps, wrapped with their no-op guards
-in ``rf_split``, ``relax_interval`` and ``gradient_shift``.  The
+them on a ``ConfigurationSet`` of dicts keyed by order, through
+``_rf_split``, ``_relax`` and ``_shifted``, one population at a time,
+wrapped with their no-op guards in ``rf_split``, ``relax_interval`` and
+``gradient_shift``.  The
 reference head phantom tests every ellipse of
 ``mrsim.phantom.shepp_logan_m0`` in table order.  The reference rotation
 is the component-by-component form of ``mrsim.bloch.apply_rotation``
@@ -47,10 +49,6 @@ from mrsim.ktspace import (
     _interval_decay,
     _mixing_coefficients,
     _real_b0,
-    _relax,
-    _rf_split,
-    _row,
-    _shifted,
 )
 from mrsim.phantom import _HEAD_ELLIPSES
 from mrsim.recon import _FIT_MAX_NFEV, _FIT_TOL
@@ -403,6 +401,63 @@ def _reference_readout(state, relax, ts):
     return orders, scan[row, :m], longi, scan[row, m:]
 
 
+def _row(pops):
+    """Sorted orders and their populations as one row (1, m)."""
+    orders = sorted(pops)
+    return orders, np.fromiter([pops[o] for o in orders], complex, len(orders)).reshape(1, -1)
+
+
+def _neg(order):
+    return (-order[0], -order[1], -order[2])
+
+
+def _rf_split(state, mix, cut):
+    """Weighted population exchange within every |order| group, then
+    the prune: populations below ``cut`` go, except the order-0 Mz; a
+    cut of 0 keeps everything nonzero."""
+    t00, t01, t02, t20, t21, t22 = mix
+    orders = set(state.trans) | set(state.longi)
+    orders |= {_neg(o) for o in orders}
+    new_trans, new_longi = {}, {}
+    for o in orders:
+        a = state.trans.get(o, 0j)
+        a_conj_neg = state.trans.get(_neg(o), 0j).conjugate()
+        b = state.longi.get(o, 0j)
+        na = t00 * a + t01 * a_conj_neg + t02 * b
+        nb = t20 * a + t21 * a_conj_neg + t22 * b
+        if na != 0j:
+            new_trans[o] = new_trans.get(o, 0j) + na
+        if nb != 0j or o == ZERO:
+            new_longi[o] = new_longi.get(o, 0j) + nb
+    if ZERO in new_longi:
+        new_longi[ZERO] = _real_b0(new_longi[ZERO])
+    if cut > 0.0:
+        new_trans = {o: p for o, p in new_trans.items() if abs(p) >= cut}
+        new_longi = {o: p for o, p in new_longi.items() if abs(p) >= cut or o == ZERO}
+    return ConfigurationSet(state.unit, new_trans, new_longi)
+
+
+def _relax(state, decay):
+    """T2 decay of transversal, T1 decay of longitudinal populations;
+    the order-0 longitudinal population additionally regrows toward m0."""
+    e2, e1, regrowth = decay
+    new_trans = {o: p * e2 for o, p in state.trans.items()}
+    new_longi = {o: p * e1 for o, p in state.longi.items()}
+    new_longi[ZERO] = _real_b0(new_longi.get(ZERO, 0j) + regrowth)
+    return ConfigurationSet(state.unit, new_trans, new_longi)
+
+
+def _shifted(trans, q):
+    """Every transversal order shifted by the integer triple q.  The
+    shift is one-to-one, so no two populations land on one order; each
+    lands on an empty slot as ``0j + p``."""
+    new_trans = {}
+    for o, p in trans.items():
+        key = (o[0] + q[0], o[1] + q[1], o[2] + q[2])
+        new_trans[key] = new_trans.get(key, 0j) + p
+    return new_trans
+
+
 def rf_split(state, pulse, cut=DEFAULT_PRUNE):
     """The walk's pulse split and prune at ``cut``; no pulse leaves the
     state as it is."""
@@ -481,7 +536,8 @@ def reference_walk(
         state = gradient_shift(state, q)
         now += es.duration
         record(now)
-    return KtRun(echoes=echoes, trace=trace, final=state)
+    final = ConfigurationSet(unit, dict(sorted(state.trans.items())), dict(sorted(state.longi.items())))
+    return KtRun(echoes=echoes, trace=trace, final=final)
 
 
 def reference_k_excursion(sequence, domega_margin=(0.0, 0.0, 0.0)):

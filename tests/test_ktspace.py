@@ -44,6 +44,8 @@ from mrsim.sequence import (
 )
 
 from oracles import (
+    _relax,
+    _shifted,
     gradient_shift,
     reference_k_excursion,
     reference_unit,
@@ -53,6 +55,21 @@ from oracles import (
 )
 
 NO_RELAX = RelaxationParams(t1=math.inf, t2=math.inf, m0=1.0)
+
+
+def walk_state(state):
+    """The walk's form of a ConfigurationSet: sorted order tuples and
+    population lists."""
+    trans, longi = tuple(sorted(state.trans)), tuple(sorted(state.longi))
+    return trans, [state.trans[o] for o in trans], longi, [state.longi[o] for o in longi]
+
+
+def walk_split(state, mix, cut):
+    """The walk's pulse split of a ConfigurationSet, through its plan."""
+    trans, pops, longi, lpops = walk_state(state)
+    plan = ktspace._split_plan(trans, longi)
+    trans, pops, longi, lpops = ktspace._split(plan, mix, cut, pops, lpops)
+    return ConfigurationSet(state.unit, dict(zip(trans, pops)), dict(zip(longi, lpops)))
 
 
 def gradient_es(moment_x, duration=0.01, pulse=None, acquire=0):
@@ -140,7 +157,7 @@ def test_relax_interval_long_time_leaves_equilibrium():
     relax = RelaxationParams(t1=0.1, t2=0.05, m0=1.0)
     out = relax_interval(state, relax, dt=50 * relax.t1)
     # prune through the walk's split, with the identity for its mixing
-    out = ktspace._rf_split(out, (1, 0, 0, 0, 0, 1), DEFAULT_PRUNE)
+    out = walk_split(out, (1, 0, 0, 0, 0, 1), DEFAULT_PRUNE)
     assert set(out.trans) == set()
     assert out.longi[ZERO] == pytest.approx(1.0)
 
@@ -164,13 +181,44 @@ def test_complex_order_zero_population_raises_library_error():
         rf_split(state, HardPulse(math.pi / 2, 0.0))
 
 
-def test_gradient_shift_merges_on_interference():
+def test_gradient_shift_moves_every_order_without_merging():
+    # a shift moves every order by the same q, so (-1,) lands on the
+    # empty (0,) and (0,) on (1,): nothing merges
     state = ConfigurationSet.equilibrium(0.0, unit=(1.0, None, None))
     state.trans = {(-1, 0, 0): 0.5 + 0j, (1, 0, 0): 0.25 + 0j, (0, 0, 0): 1j}
     out = gradient_shift(state, (1, 0, 0))
     assert out.trans[(0, 0, 0)] == pytest.approx(0.5)
     assert out.trans[(2, 0, 0)] == pytest.approx(0.25)
     assert out.trans[(1, 0, 0)] == pytest.approx(1j)
+
+
+_ORDER = st.tuples(*[st.integers(-4, 4)] * 3)
+_PART = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+_POP = st.builds(complex, _PART, _PART)
+
+
+@given(
+    trans=st.dictionaries(_ORDER, _POP, max_size=8),
+    longi=st.dictionaries(_ORDER, _POP, max_size=4),
+    b0=st.floats(-1.0, 1.0),
+    decay=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    q=st.tuples(*[st.integers(-3, 3)] * 3).filter(lambda q: q != ZERO),
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_walk_shift_keeps_orders_sorted_and_matches_the_oracle(trans, longi, b0, decay, q):
+    # a uniform shift is one-to-one and keeps the order of the orders, so
+    # the walk only relabels them; its populations, signed zeros
+    # included, are those of the per-element relaxation and shift
+    state = ConfigurationSet((1.0, 1.0, 1.0), trans, {**longi, ZERO: complex(b0, 0.0)})
+    orders, pops, lorders, lpops = walk_state(state)
+    got = ktspace._relax_shift(orders, pops, lorders, lpops, decay, q, {})
+    shifted = got[0]
+    assert len(shifted) == len(orders)
+    assert all(a < b for a, b in zip(shifted, shifted[1:]))
+    want = state if decay is None else _relax(state, decay)
+    want_trans = _shifted(want.trans, q)
+    assert repr(list(zip(shifted, got[1]))) == repr(sorted(want_trans.items()))
+    assert repr(list(zip(got[2], got[3]))) == repr(sorted(want.longi.items()))
 
 
 def test_gradient_shift_zero_is_identity():
@@ -245,8 +293,9 @@ def test_readout_step_matches_per_sample_relaxation():
     relax = RelaxationParams(t1=0.4, t2=0.1, m0=0.9)
     ts = np.array([0.0, 0.001, 0.001, 0.0025, 0.004, 0.004])
     samples = ktspace._SampleRelaxation.of(relax, ts)
-    orders, pops, longi, lpops = ktspace._relax_readout(state, samples)
-    assert orders == sorted(state.trans) and longi == sorted(state.longi)
+    orders, start, longi, lstart = walk_state(state)
+    pops, lpops = ktspace._relax_readout(start, longi, lstart, samples)
+    assert list(orders) == sorted(state.trans) and list(longi) == sorted(state.longi)
     ref, prev = state, 0.0
     for i, t in enumerate(ts):
         ref, prev = relax_interval(ref, relax, t - prev), t
@@ -584,3 +633,7 @@ def test_walk_logs_element_and_distinct_counts(caplog):
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         simulate_kt(seq, NO_RELAX, record_trace=False)
     assert any("32 elements, 11 distinct" in rec.getMessage() for rec in caplog.records)
+    # every phase-encode row meets its pulses with orders of its own
+    assert any(
+        rec.getMessage() == "k-t walk: 16 pulse splits from 16 split plans" for rec in caplog.records
+    )
