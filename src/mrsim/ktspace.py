@@ -433,7 +433,7 @@ def simulate_kt(
 
     def record(t, trans, pops, longi, lpops):
         if record_trace:
-            emit(np.array([t]), None, trans, np.array([pops], complex), longi, np.array([lpops]))
+            emit(np.array([t]), None, trans, np.array([pops]), longi, np.array([lpops]))
         elif observe is not None and trans:
             observe(k_at(trans, None), np.array([pops]))
 

@@ -45,6 +45,7 @@ from mrsim.sequence import (
 
 from oracles import (
     _relax,
+    _rf_split,
     _shifted,
     gradient_shift,
     reference_k_excursion,
@@ -219,6 +220,32 @@ def test_walk_shift_keeps_orders_sorted_and_matches_the_oracle(trans, longi, b0,
     want_trans = _shifted(want.trans, q)
     assert repr(list(zip(shifted, got[1]))) == repr(sorted(want_trans.items()))
     assert repr(list(zip(got[2], got[3]))) == repr(sorted(want.longi.items()))
+
+
+# few orders and parts, so that a_o, a_-o and b_o often meet with signed zeros
+_FEW_ORDERS = st.tuples(st.integers(-1, 1), st.just(0), st.just(0))
+_FEW_PARTS = st.sampled_from([0.0, -0.0, 0.25, -0.5])
+_FEW_POPS = st.builds(complex, _FEW_PARTS, _FEW_PARTS)
+
+
+@given(
+    trans=st.dictionaries(_FEW_ORDERS, _FEW_POPS),
+    longi=st.dictionaries(_FEW_ORDERS, _FEW_POPS),
+    b0=_FEW_PARTS,
+    alpha=st.sampled_from([math.pi / 2, math.pi, 0.7]),
+    phi=st.sampled_from([0.0, math.pi / 2, -math.pi, 1.3]),
+    cut=st.sampled_from([0.0, DEFAULT_PRUNE, 0.3]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_walk_split_matches_the_oracle(trans, longi, b0, alpha, phi, cut):
+    # the split through its plan against the per-element split, every
+    # population bit for bit, signed zeros included
+    state = ConfigurationSet((1.0, 1.0, 1.0), trans, {**longi, ZERO: complex(b0, 0.0)})
+    mix = ktspace._mixing_coefficients(HardPulse(alpha, phi))
+    got = walk_split(state, mix, cut)
+    want = _rf_split(state, mix, cut)
+    assert repr(list(got.trans.items())) == repr(sorted(want.trans.items()))
+    assert repr(list(got.longi.items())) == repr(sorted(want.longi.items()))
 
 
 def test_gradient_shift_zero_is_identity():
