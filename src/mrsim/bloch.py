@@ -89,6 +89,12 @@ class HardPulse:
     alpha: float
     phi: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.phi)):
+            raise InvalidParameter(
+                f"pulse flip and phase must be finite, got alpha={self.alpha}, phi={self.phi}"
+            )
+
 
 def hard_pulse_matrix(alpha: float, phi: float) -> np.ndarray:
     """3x3 rotation matrix of a hard pulse (norm preserving).

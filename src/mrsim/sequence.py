@@ -56,6 +56,7 @@ _SHAPE_FIELDS = {
     "trapezoid": ("gx", "gy", "gz", "ramp_s", "flat_s"),
     "sampled": ("samples", "sample_dt"),
 }
+_SCALAR_FIELDS = ("gx", "gy", "gz", "ramp_s", "flat_s", "sample_dt")
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,16 @@ class GradientWaveform:
             raise InvalidParameter(f"unknown gradient shape {self.shape!r}")
         unread = [
             name
-            for name in ("gx", "gy", "gz", "ramp_s", "flat_s", "sample_dt")
+            for name in _SCALAR_FIELDS
             if name not in _SHAPE_FIELDS[self.shape] and getattr(self, name) != 0.0
         ]
         if self.shape != "sampled" and self.samples is not None:
             unread.append("samples")
         if unread:
             raise InvalidParameter(f"a {self.shape} gradient does not read {', '.join(unread)}")
+        non_finite = [name for name in _SCALAR_FIELDS if not math.isfinite(getattr(self, name))]
+        if non_finite:
+            raise InvalidParameter(f"gradient {', '.join(non_finite)} must be finite")
         if self.shape != "sampled":
             return
         try:
@@ -99,6 +103,8 @@ class GradientWaveform:
             raise InvalidParameter(
                 f"sampled gradient needs (n, 3) samples in T/m, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise InvalidParameter("sampled gradient samples must be finite")
         object.__setattr__(self, "samples", tuple(map(tuple, arr.tolist())))
 
     @staticmethod
@@ -205,8 +211,8 @@ class ElementarySequence:
     def __post_init__(self):
         if self.pulse is not None and self.pulse.alpha == 0.0:
             object.__setattr__(self, "pulse", None)
-        if self.duration < 0.0:
-            raise InvalidParameter(f"duration must be >= 0, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise InvalidParameter(f"duration must be finite and >= 0, got {self.duration}")
         if self.acquisition.enabled:
             if self.duration <= 0.0:
                 raise InvalidParameter("acquisition requires duration > 0")
@@ -677,15 +683,14 @@ def _block_to_es(block: dict, blockline: int) -> ElementarySequence:
         if key == "rf_phase_deg" and get("rf_flip_deg", 0.0) == 0.0:
             raise ParseError("rf_phase_deg needs a nonzero rf_flip_deg", line)
     flip, phase = get("rf_flip_deg", 0.0), get("rf_phase_deg", 0.0)
-    pulse = HardPulse(math.radians(flip), math.radians(phase))
     amps = [1e-3 * get(k, 0.0) for k in _GRAD_KEYS]
-    if shape == "trapezoid":
-        grad = GradientWaveform.trapezoid(*amps, get("ramp_s", 0.0), get("flat_s", 0.0))
-    else:
-        grad = GradientWaveform.constant(*amps)
     try:
+        if shape == "trapezoid":
+            grad = GradientWaveform.trapezoid(*amps, get("ramp_s", 0.0), get("flat_s", 0.0))
+        else:
+            grad = GradientWaveform.constant(*amps)
         return ElementarySequence(
-            pulse=pulse,
+            pulse=HardPulse(math.radians(flip), math.radians(phase)),
             gradient=grad,
             duration=get("duration_s", 0.0),
             acquisition=AcquisitionSpec(get("acquire", 0)),
@@ -711,11 +716,14 @@ def _expand_shaped(block: dict, blockline: int, base_dir: str) -> list:
         raise ParseError(f"envelope file {path} must have two columns", line)
     b1 = (data[:, 0] + 1j * data[:, 1]) * 1e-6  # uT -> T
     dt = get("sample_dt_s")
-    grad = GradientWaveform.constant(*(1e-3 * get(k, 0.0) for k in _GRAD_KEYS))
-    return [
-        ElementarySequence(pulse=pulse, gradient=grad, duration=dt)
-        for pulse in hard_pulse_decomposition(b1, dt)
-    ]
+    try:
+        grad = GradientWaveform.constant(*(1e-3 * get(k, 0.0) for k in _GRAD_KEYS))
+        return [
+            ElementarySequence(pulse=pulse, gradient=grad, duration=dt)
+            for pulse in hard_pulse_decomposition(b1, dt)
+        ]
+    except InvalidParameter as exc:
+        raise ParseError(str(exc), blockline) from None
 
 
 def parse_sequence_file(text: str, base_dir: str = ".") -> Sequence:

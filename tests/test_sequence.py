@@ -495,3 +495,61 @@ def test_kspace_placement_needs_an_acquisition(placement):
 def test_gradient_rejects_fields_its_shape_does_not_read(make):
     with pytest.raises(InvalidParameter):
         make()
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["alpha", "phi"])
+def test_hard_pulse_rejects_a_non_finite_flip_or_phase(field, value):
+    # a NaN flip gave NaN echoes and an infinite one a bare math domain
+    # error in the pulse coefficients
+    with pytest.raises(InvalidParameter, match="finite"):
+        HardPulse(**{"alpha": 1.0, "phi": 0.0, field: value})
+    assert ElementarySequence(pulse=HardPulse(0.0, 1.2), duration=0.01).pulse is None
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: ElementarySequence(duration=v),
+        lambda v: ElementarySequence(pulse=HardPulse(1.0), duration=v, acquisition=AcquisitionSpec(4)),
+        lambda v: GradientWaveform.constant(gx=v),
+        lambda v: GradientWaveform.constant(gz=v),
+        lambda v: GradientWaveform.trapezoid(gy=v, ramp_s=1e-3, flat_s=1e-3),
+        lambda v: GradientWaveform.trapezoid(gx=1e-3, ramp_s=v, flat_s=1e-3),
+        lambda v: GradientWaveform.trapezoid(gx=1e-3, ramp_s=1e-3, flat_s=v),
+        lambda v: GradientWaveform.from_samples([(0.0, v, 0.0), (0.0, 0.0, 0.0)], 1e-3),
+        lambda v: GradientWaveform.from_samples([(0.0, 1e-3, 0.0), (0.0, 0.0, 0.0)], v),
+    ],
+    ids=["duration", "acquired_duration", "gx", "gz", "trapezoid_gy", "ramp", "flat", "sample", "sample_dt"],
+)
+def test_non_finite_timing_or_gradient_is_rejected(make, value):
+    # each was accepted and ran to NaN echoes
+    with pytest.raises(InvalidParameter, match="finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key", ["rf_flip_deg", "rf_phase_deg", "duration_s", "grad_x_mT_per_m", "grad_y_mT_per_m"]
+)
+def test_parse_rejects_a_non_finite_value_at_its_block(key, value):
+    lines = {"duration_s": "0.01", "rf_flip_deg": "90", "grad_x_mT_per_m": "1"}
+    lines[key] = value
+    body = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    text = f"[elementary]\nduration_s = 0.01\n\n[elementary]\n{body}"
+    with pytest.raises(ParseError, match="finite") as err:
+        parse_sequence_file(text)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("envelope, dt", [("nan 0\n1 0\n", "1e-5"), ("1 0\n1 0\n", "nan")])
+def test_parse_rejects_a_non_finite_shaped_pulse_at_its_block(tmp_path, envelope, dt):
+    (tmp_path / "env.txt").write_text(envelope)
+    text = f"[elementary]\nduration_s = 0.01\n[rf_shaped]\nsamples = env.txt\nsample_dt_s = {dt}\n"
+    with pytest.raises(ParseError, match="finite") as err:
+        parse_sequence_file(text, base_dir=str(tmp_path))
+    assert err.value.line == 3
