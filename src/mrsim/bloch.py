@@ -4,11 +4,13 @@ The operators are exact for piecewise-constant fields, so arbitrarily
 long intervals cost one evaluation.  Each piece of rotation and
 relaxation math exists once, as an array operator on the complex
 transverse state ``mxy = mx + 1j*my`` and Mz of many spins
-(:func:`apply_rotation` with :func:`hard_pulse_matrix`,
+(:func:`apply_pulse` with :func:`hard_pulse_coefficients`,
 :func:`precession_factor`, :func:`regrow_mz` with :func:`t1_factors`);
 the spin-block kernel of :mod:`mrsim.engine` runs on them.  They take
-Python scalars as well, so one spin needs no API of its own.  A shaped
-pulse is a train of hard pulses (:func:`hard_pulse_decomposition`).
+Python scalars as well, so one spin needs no API of its own.  The k-t
+walk of :mod:`mrsim.ktspace` applies the same pulse coefficients to each
+configuration order.  A shaped pulse is a train of hard pulses
+(:func:`hard_pulse_decomposition`).
 
 mrsim simulates protons: every gradient moment, pulse flip and
 field deviation uses the one gyromagnetic ratio :data:`GAMMA_PROTON`.
@@ -96,22 +98,20 @@ class HardPulse:
             )
 
 
-def hard_pulse_matrix(alpha: float, phi: float) -> np.ndarray:
-    """3x3 rotation matrix of a hard pulse (norm preserving).
-
-    Rotates by alpha about the transverse axis (cos(phi), sin(phi), 0)
-    in the sense that maps (0,0,1) to (0, sin(alpha), cos(alpha)) for
-    phi = 0.
-    """
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cp, sp = np.cos(phi), np.sin(phi)
-    return np.array(
-        [
-            [cp * cp + sp * sp * ca, sp * cp * (1.0 - ca), -sp * sa],
-            [sp * cp * (1.0 - ca), sp * sp + cp * cp * ca, cp * sa],
-            [sp * sa, -cp * sa, ca],
-        ]
-    )
+def hard_pulse_coefficients(alpha: float, phi: float):
+    """The rows for a_o and b_o of the complex matrix of a hard pulse
+    acting on (a_o, conj(a_-o), b_o), EPG's T matrix (Weigel, JMRI
+    41:266, 2015), as six scalars: the one form of a pulse in mrsim."""
+    ca2 = math.cos(alpha / 2.0) ** 2
+    sa2 = math.sin(alpha / 2.0) ** 2
+    sa = math.sin(alpha)
+    ephi = cmath.exp(1j * phi)
+    row_a = [ca2, sa2 * ephi * ephi, 1j * sa * ephi]
+    row_b = [0.5j * sa / ephi, -0.5j * sa * ephi, math.cos(alpha)]
+    # Python complex, whose type the split's populations inherit: the
+    # walk's per-population arithmetic is faster on them than on numpy
+    # scalars, and gives the same bits
+    return tuple(complex(c) for c in row_a + row_b)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +119,22 @@ def hard_pulse_matrix(alpha: float, phi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def apply_rotation(r: np.ndarray, mxy, mz):
-    """Rotate (Re mxy, Im mxy, mz) by the 3x3 matrix r; returns (mxy, mz).
-
-    The three components are stacked as one (3, ...) array and turned by
-    one ``einsum`` contraction; a matrix product would start BLAS threads
-    in every worker process of the engine's pool.  Axes of r after the
-    first two broadcast with the spins, so r may hold one matrix per
-    spin.  Scalars come back as scalars.
+def apply_pulse(mix, mxy, mz):
+    """(mxy, mz) after the pulse of :func:`hard_pulse_coefficients`
+    ``mix = (A, B, C, t20, t21, E)``.  A spin is the order-0 case, so
+    mxy' = A*mxy + B*conj(mxy) + C*mz and, as Mz is real, mz' =
+    Re(D*mxy) + E*mz with D = t20 + conj(t21).  Coefficient arrays
+    broadcast with the spins, so mix may hold one pulse per spin.
+    Scalars come back as scalars.
     """
-    stacked = np.empty((3,) + np.broadcast(mxy, mz).shape)
-    stacked[0], stacked[1], stacked[2] = mxy.real, mxy.imag, mz
-    turned = np.einsum("ij...,j...->i...", r, stacked)
-    out = np.empty(turned.shape[1:], dtype=complex)
-    out.real, out.imag = turned[0], turned[1]
-    return out[()], turned[2][()]
+    a, b, c, t20, t21, e = mix
+    out = np.conjugate(mxy)
+    out *= b
+    out += np.multiply(a, mxy)
+    out += np.multiply(c, mz)
+    new_mz = np.multiply(e.real, mz)
+    new_mz += np.multiply(t20 + t21.conjugate(), mxy).real
+    return out[()], new_mz[()]
 
 
 def precession_factor(phase, dt, inv_t2, out=None):

@@ -21,10 +21,10 @@ compute.
 Loop order inside a worker: elementary sequences outer, with the
 per-spin arithmetic vectorized across the block, and per-spin work only
 where the physics differs per spin.  The kernel keeps the transverse
-magnetization as one complex array ``mxy = mx + 1j*my``.  A pulse turns
-the stacked (Re mxy, Im mxy, Mz) of all spins by one 3x3 ``einsum``
-contraction.  After the pulse, an element's evolution is one fixed
-product of per-event factors ``exp(-1j*(pos.dmom + domega*dt) -
+magnetization as one complex array ``mxy = mx + 1j*my``.  A pulse is
+complex multiply-adds on the k-t walk's six pulse coefficients
+(:func:`mrsim.bloch.apply_pulse`).  After it, an element's evolution is
+one fixed product of per-event factors ``exp(-1j*(pos.dmom + domega*dt) -
 dt/T2)``, so the kernel evolves every spin through an element with its
 *propagator*, whose row i is the product of the factors up to event i.  A
 row reads a spin only through its Δω, its T2 and its position on the
@@ -109,8 +109,8 @@ import numpy as np
 
 from .bloch import (
     RelaxationParams,
-    apply_rotation,
-    hard_pulse_matrix,
+    apply_pulse,
+    hard_pulse_coefficients,
     precession_factor,
     regrow_mz,
     t1_factors,
@@ -166,9 +166,11 @@ class EsTable:
     their running product.  A one-off element builds its propagator from
     factor parts: ``parts`` numbers its time part and then one part per
     axis of ``axes``, each -1 when no other one-off element shares it.
+    ``pulse_mat`` holds the :func:`mrsim.bloch.hard_pulse_coefficients`
+    of the pulse, once a matrix, by the name the benchmark's tracer reads.
     """
 
-    pulse_mat: Optional[np.ndarray]
+    pulse_mat: Optional[tuple]
     duration: float
     ev_dt: np.ndarray
     ev_dmom: np.ndarray
@@ -206,10 +208,10 @@ def precompute_sequence_tables(
     """Build per-elementary-sequence operator tables.
 
     Each distinct element (:func:`mrsim.sequence.distinct_elements`) gets
-    one table: its pulse matrix, shared between identical pulses (the
-    memo hit count is reported per entry), and one set of read-only event
-    arrays (``ev_dt``, ``ev_dmom``, their running sums and moving axes),
-    so workers never touch the waveform objects.  An entry adds only its
+    one table: its pulse coefficients, shared between identical pulses
+    (the memo hit count is reported per entry), and one set of read-only
+    event arrays (``ev_dt``, ``ev_dmom``, their running sums and moving
+    axes), so workers never touch the waveform objects.  An entry adds only its
     acquisition index and its snapshots, each one (time, partial moment,
     index) tuple of its ``snaps``.  A distinct element that occurs more
     than once is numbered as a group, in order of first occurrence, so
@@ -222,16 +224,14 @@ def precompute_sequence_tables(
     snapshot_times = tuple(snapshot_times)
     reps, distinct = distinct_elements(sequence)
     group_of = _number_recurring(distinct)
-    memo: Dict[Tuple[float, float], np.ndarray] = {}
+    memo: Dict[Tuple[float, float], tuple] = {}
     tables: List[EsTable] = []  # one per distinct element
     for g, es in enumerate(reps):
-        mat = None
+        mix = None
         if es.pulse is not None:
             key = (es.pulse.alpha, es.pulse.phi)
-            if key not in memo:
-                memo[key] = hard_pulse_matrix(es.pulse.alpha, es.pulse.phi)
-            mat = memo[key]
-        table = EsTable(mat, es.duration, group=group_of.get(g, -1), **_event_arrays(es))
+            mix = memo[key] = memo.get(key) or hard_pulse_coefficients(*key)
+        table = EsTable(mix, es.duration, group=group_of.get(g, -1), **_event_arrays(es))
         table.n_samples = es.acquisition.n_samples if es.acquisition.enabled else 0
         if table.group >= 0:
             table.steps = _number_steps(table)
@@ -580,7 +580,7 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
                     regrowth[interval] = e1, recovered
                 mz = mz * e1 + recovered
             age = 0.0
-            mxy, mz = apply_rotation(entry.pulse_mat, mxy, mz)
+            mxy, mz = apply_pulse(entry.pulse_mat, mxy, mz)
         for t, moment, si in entry.snaps:
             at = mxy * factors(np.array([t]), moment[None])[0]
             mz_at = regrow_mz(mz, m0, inv_t1, age + t)

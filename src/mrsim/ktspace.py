@@ -30,7 +30,6 @@ obey b(-o) = conj(b(o)), which keeps Mz real.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bloch import HardPulse, RelaxationParams
+from .bloch import RelaxationParams, hard_pulse_coefficients
 from .errors import ComplexOrderZero, IncommensurateMoments
 from .sequence import Sequence, distinct_elements
 
@@ -96,24 +95,6 @@ def _real_b0(b0: complex) -> complex:
     if abs(b0.imag) > _B0_IMAG_BOUND * max(abs(b0), 1e-300):
         raise ComplexOrderZero(f"order-0 longitudinal population went complex: {b0}")
     return complex(b0.real, 0.0)
-
-
-def _mixing_coefficients(pulse: Optional[HardPulse]):
-    """The rows for a_o and b_o of the complex pulse matrix acting on
-    (a_o, conj(a_-o), b_o), as six scalars; None for no pulse."""
-    if pulse is None:
-        return None
-    alpha, phi = pulse.alpha, pulse.phi
-    ca2 = math.cos(alpha / 2.0) ** 2
-    sa2 = math.sin(alpha / 2.0) ** 2
-    sa = math.sin(alpha)
-    ephi = cmath.exp(1j * phi)
-    row_a = [ca2, sa2 * ephi * ephi, 1j * sa * ephi]
-    row_b = [0.5j * sa / ephi, -0.5j * sa * ephi, math.cos(alpha)]
-    # Python complex, whose type the split's populations inherit: the
-    # walk's per-population arithmetic is faster on them than on numpy
-    # scalars, and gives the same bits
-    return tuple(complex(c) for c in row_a + row_b)
 
 
 def _interval_decay(relax: RelaxationParams, dt: float) -> Tuple[float, float, float]:
@@ -502,9 +483,9 @@ class _SampleRelaxation:
 class _WalkStep:
     """What one elementary sequence does to the configuration state.
 
-    ``mix``: the mixing coefficients of its pulse, None without one; ``decay``:
-    (e2, e1, regrowth) over the time left after the last sample, None
-    when none is left; ``q``: the integer order shift of its moment;
+    ``mix``: the :func:`mrsim.bloch.hard_pulse_coefficients` of its
+    pulse, None without one; ``decay``: (e2, e1, regrowth) over the time
+    left after the last sample, None when none is left; ``q``: the integer order shift of its moment;
     ``ts`` / ``partial`` / ``samples``: sample instants, the moment moved
     by each and their relaxation, None without acquisition.
     """
@@ -521,7 +502,7 @@ class _WalkStep:
     def of(es, moments, relax: RelaxationParams, unit, shift_tol: float):
         step = _WalkStep(
             es.duration,
-            _mixing_coefficients(es.pulse),
+            None if es.pulse is None else hard_pulse_coefficients(es.pulse.alpha, es.pulse.phi),
             None,
             _integer_shift(moments, unit, tol=shift_tol),
         )

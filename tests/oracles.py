@@ -24,8 +24,11 @@ wrapped with their no-op guards in ``rf_split``, ``relax_interval`` and
 ``gradient_shift``.  The
 reference head phantom tests every ellipse of
 ``mrsim.phantom.shepp_logan_m0`` in table order.  The reference rotation
-is the component-by-component form of ``mrsim.bloch.apply_rotation``
-that its one ``einsum`` contraction replaced.
+is the real 3x3 matrix of a hard pulse (``hard_pulse_matrix``, the
+axis-angle form written out) applied component by component, the form
+that ``mrsim.bloch.apply_pulse`` and its six complex coefficients
+replaced; ``coefficient_rotation`` turns those coefficients back into
+that matrix for ``reference_kernel``.
 """
 
 import cmath
@@ -35,7 +38,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import ellipe, ellipk, hyp2f1
 
-from mrsim.bloch import GAMMA_PROTON
+from mrsim.bloch import GAMMA_PROTON, hard_pulse_coefficients
 from mrsim.errors import IncommensurateMoments
 from mrsim.ktspace import (
     DEFAULT_PRUNE,
@@ -47,7 +50,6 @@ from mrsim.ktspace import (
     _entries,
     _integer_shift,
     _interval_decay,
-    _mixing_coefficients,
     _real_b0,
 )
 from mrsim.phantom import _HEAD_ELLIPSES
@@ -249,6 +251,49 @@ def legendre_recurrence(order, x):
     return p
 
 
+def hard_pulse_matrix(alpha, phi):
+    """3x3 rotation matrix of a hard pulse acting on (mx, my, mz).
+
+    Rotates by alpha about the transverse axis (cos(phi), sin(phi), 0)
+    in the sense that maps (0,0,1) to (0, sin(alpha), cos(alpha)) for
+    phi = 0.  Arrays of alpha and phi give one matrix per case along the
+    last axis.
+    """
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cp, sp = np.cos(phi), np.sin(phi)
+    return np.array(
+        [
+            [cp * cp + sp * sp * ca, sp * cp * (1.0 - ca), -sp * sa],
+            [sp * cp * (1.0 - ca), sp * sp + cp * cp * ca, cp * sa],
+            [sp * sa, -cp * sa, ca],
+        ]
+    )
+
+
+def coefficient_rotation(mix):
+    """The real 3x3 matrix on (mx, my, mz) of the pulse coefficients
+    ``mix = (A, B, C, t20, t21, t22)`` of ``hard_pulse_coefficients``.
+
+    With mxy = x + iy, the coefficients give mxy' = A*mxy + B*conj(mxy)
+    + C*mz and mz' = Re(t20*mxy + t21*conj(mxy) + t22*mz).  Splitting
+    each product into real and imaginary parts::
+
+        x' = (Ar + Br) x + (Bi - Ai) y + Cr z
+        y' = (Ai + Bi) x + (Ar - Br) y + Ci z
+        z' = (t20r + t21r) x + (t21i - t20i) y + t22r z
+
+    The imaginary part of t22 is zero and is dropped, as Mz is real.
+    """
+    a, b, c, t20, t21, t22 = (complex(m) for m in mix)
+    return np.array(
+        [
+            [a.real + b.real, b.imag - a.imag, c.real],
+            [a.imag + b.imag, a.real - b.real, c.imag],
+            [t20.real + t21.real, t21.imag - t20.imag, t22.real],
+        ]
+    )
+
+
 def reference_rotation(r, mxy, mz):
     """(mxy, mz) turned by the 3x3 matrix r, written out as the fifteen
     scalar-times-array operations of each component."""
@@ -265,8 +310,8 @@ def reference_kernel(tables, block, dtype=float):
     evolution of the tables' float steps less than the kernel does.
 
     Every event rotates the transverse plane by ``pos . dmom + domega*dt``
-    and relaxes all three components over ``dt``; pulses apply their
-    3x3 matrix.  Events ``i < n_samples`` record the samples.  A snapshot
+    and relaxes all three components over ``dt``; pulses apply the 3x3
+    matrix of their coefficients (``coefficient_rotation``).  Events ``i < n_samples`` record the samples.  A snapshot
     turns and relaxes the element-start state over its time from the
     element start, with its own cos/sin and exp.  Same inputs and outputs
     as ``mrsim.engine.compute_block``.
@@ -282,7 +327,7 @@ def reference_kernel(tables, block, dtype=float):
     snapshots = {}
     for entry in tables.entries:
         if entry.pulse_mat is not None:
-            r = entry.pulse_mat
+            r = coefficient_rotation(entry.pulse_mat)
             mx, my, mz = (
                 r[0, 0] * mx + r[0, 1] * my + r[0, 2] * mz,
                 r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz,
@@ -461,8 +506,9 @@ def _shifted(trans, q):
 def rf_split(state, pulse, cut=DEFAULT_PRUNE):
     """The walk's pulse split and prune at ``cut``; no pulse leaves the
     state as it is."""
-    mix = _mixing_coefficients(pulse)
-    return state if mix is None else _rf_split(state, mix, cut)
+    if pulse is None:
+        return state
+    return _rf_split(state, hard_pulse_coefficients(pulse.alpha, pulse.phi), cut)
 
 
 def relax_interval(state, relax, dt):

@@ -18,8 +18,8 @@ from mrsim.bloch import (
     GAMMA_PROTON,
     HardPulse,
     RelaxationParams,
-    apply_rotation,
-    hard_pulse_matrix,
+    apply_pulse,
+    hard_pulse_coefficients,
     precession_factor,
     regrow_mz,
 )
@@ -103,10 +103,11 @@ def test_criterion_01_operators_match_ode():
             phase[i] = moment
             b[i] = (0.0, 0.0, moment / (GAMMA_PROTON * dt[i]))
     # the kernel's operators, each once over all 100 cases: a pulse per
-    # case (hard_pulse_matrix of arrays holds one matrix per case along
-    # its last axis), or a turn with relaxation
+    # case (one array per pulse coefficient, one element per case), or a
+    # turn with relaxation
     mxy = start[:, 0] + 1j * start[:, 1]
-    pulsed_mxy, pulsed_mz = apply_rotation(hard_pulse_matrix(alpha, phi), mxy, start[:, 2])
+    mix = np.array([hard_pulse_coefficients(a, p) for a, p in zip(alpha, phi)]).T
+    pulsed_mxy, pulsed_mz = apply_pulse(mix, mxy, start[:, 2])
     free_mxy = mxy * precession_factor(phase, dt, 1.0 / t2)
     free_mz = regrow_mz(start[:, 2], m0, 1.0 / t1, dt)
     pulsed = kinds == 1

@@ -9,14 +9,15 @@ from mrsim.bloch import (
     GAMMA_PROTON,
     NO_RELAX,
     RelaxationParams,
-    apply_rotation,
-    hard_pulse_matrix,
+    apply_pulse,
+    hard_pulse_coefficients,
     precession_factor,
     regrow_mz,
 )
 from mrsim.errors import InvalidParameter
 
 from oracles import (
+    hard_pulse_matrix,
     reference_rotation,
     rk4_bloch,
     rotate_axis_angle,
@@ -25,10 +26,16 @@ from oracles import (
 )
 
 
+def pulse_coefficients(alpha, phi):
+    """The six hard-pulse coefficients of each case, one array each, for
+    one ``apply_pulse`` over all cases."""
+    return np.vectorize(hard_pulse_coefficients, otypes=[complex] * 6)(alpha, phi)
+
+
 def hard_pulse(m, alpha, phi):
     """(mx, my, mz) after a hard pulse, by the array operators on one spin
-    or, with arrays, on many."""
-    mxy, mz = apply_rotation(hard_pulse_matrix(alpha, phi), m[0] + 1j * m[1], m[2])
+    or, with arrays, on many, each with its own pulse."""
+    mxy, mz = apply_pulse(pulse_coefficients(alpha, phi), m[0] + 1j * m[1], m[2])
     return np.array([np.real(mxy), np.imag(mxy), mz])
 
 
@@ -54,17 +61,16 @@ def test_hard_pulse_reference_points(alpha_deg, phi_deg, m_in, m_out):
 
 @pytest.mark.parametrize("n", [1, 7, 4788])
 def test_rotation_matches_the_component_formula(n):
-    """The one einsum contraction against the fifteen scalar-times-array
-    operations it replaced.  einsum may sum a component's three products
-    in another order; each form is within 4.5 roundings of the spin's
-    largest component, so they differ by at most 9."""
+    """The complex multiply-adds on the pulse coefficients against the
+    fifteen scalar-times-array operations of the real rotation matrix.
+    Each form is within 4.5 roundings of the spin's largest component,
+    so they differ by at most 9."""
     rng = np.random.default_rng(n)
     mxy = rng.normal(size=n) + 1j * rng.normal(size=n)
     mz = rng.normal(size=n)
     for alpha, phi in [(math.pi / 2, 0.0), (math.pi, 1.3), (0.4, -2.2)]:
-        r = hard_pulse_matrix(alpha, phi)
-        got_mxy, got_mz = apply_rotation(r, mxy, mz)
-        want_mxy, want_mz = reference_rotation(r, mxy, mz)
+        got_mxy, got_mz = apply_pulse(hard_pulse_coefficients(alpha, phi), mxy, mz)
+        want_mxy, want_mz = reference_rotation(hard_pulse_matrix(alpha, phi), mxy, mz)
         assert got_mxy.shape == got_mz.shape == (n,)
         largest = np.abs(np.column_stack([mxy.real, mxy.imag, mz])).max(axis=1)
         scale = 9 * np.finfo(float).eps * largest
@@ -74,11 +80,10 @@ def test_rotation_matches_the_component_formula(n):
 
 
 def test_rotation_of_scalars_returns_scalars():
-    r = hard_pulse_matrix(1.1, 0.3)
-    mxy, mz = apply_rotation(r, 0.3 - 0.4j, 0.8)
+    mxy, mz = apply_pulse(hard_pulse_coefficients(1.1, 0.3), 0.3 - 0.4j, 0.8)
     assert isinstance(mxy, complex) and isinstance(mz, float)
     assert not isinstance(mxy, np.ndarray) and not isinstance(mz, np.ndarray)
-    want_mxy, want_mz = reference_rotation(r, 0.3 - 0.4j, 0.8)
+    want_mxy, want_mz = reference_rotation(hard_pulse_matrix(1.1, 0.3), 0.3 - 0.4j, 0.8)
     assert mxy == pytest.approx(complex(want_mxy), abs=1e-15)
     assert mz == pytest.approx(want_mz, abs=1e-15)
 
@@ -235,8 +240,8 @@ angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 components = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
-# a batch of spins, each with its own pulse: hard_pulse_matrix of arrays
-# holds one matrix per spin along its last axis
+# a batch of spins, each with its own pulse: pulse_coefficients of arrays
+# holds one array per coefficient, one element per spin
 batches = st.lists(
     st.tuples(angles, angles, components, components, components), min_size=1, max_size=8
 ).map(lambda rows: np.array(rows).T)

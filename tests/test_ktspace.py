@@ -12,8 +12,8 @@ from mrsim.bloch import (
     GAMMA_PROTON,
     HardPulse,
     RelaxationParams,
-    apply_rotation,
-    hard_pulse_matrix,
+    apply_pulse,
+    hard_pulse_coefficients,
     precession_factor,
     regrow_mz,
 )
@@ -129,10 +129,9 @@ def test_rf_split_zero_flip_is_exact_identity():
     state = ConfigurationSet.equilibrium(1.0)
     state.trans[(1, 0, 0)] = 0.25 - 0.1j
     # a zero flip is no pulse: the element drops it, and the walk skips
-    # the split where a pulse has no mixing coefficients
+    # the split of an element without a pulse
     pulse = ElementarySequence(pulse=HardPulse(0.0, 1.23), duration=0.001).pulse
     assert pulse is None
-    assert ktspace._mixing_coefficients(pulse) is None
     out = rf_split(state, pulse)
     assert out.trans == state.trans
     assert out.longi == state.longi
@@ -241,11 +240,43 @@ def test_walk_split_matches_the_oracle(trans, longi, b0, alpha, phi, cut):
     # the split through its plan against the per-element split, every
     # population bit for bit, signed zeros included
     state = ConfigurationSet((1.0, 1.0, 1.0), trans, {**longi, ZERO: complex(b0, 0.0)})
-    mix = ktspace._mixing_coefficients(HardPulse(alpha, phi))
+    mix = hard_pulse_coefficients(alpha, phi)
     got = walk_split(state, mix, cut)
     want = _rf_split(state, mix, cut)
     assert repr(list(got.trans.items())) == repr(sorted(want.trans.items()))
     assert repr(list(got.longi.items())) == repr(sorted(want.longi.items()))
+
+
+@pytest.mark.parametrize("n", [1, 7, 4788])
+def test_spin_pulse_is_the_walks_order_0_split(n):
+    # the spin kernel and the walk apply one pulse operator: a spin is the
+    # order-0 configuration state, and its split equals apply_pulse on
+    # the spin to within 4 roundings of its largest component.  Not bit
+    # for bit, as the sums are reordered: apply_pulse folds t20 +
+    # conj(t21) into one coefficient before it multiplies mxy, where the
+    # split sums two products, and numpy's complex multiply of arrays may
+    # fuse a product into its difference, which Python's rounds apart
+    rng = np.random.default_rng(n)
+    mxy = rng.normal(size=n) + 1j * rng.normal(size=n)
+    mz = rng.normal(size=n)
+    largest = np.abs(np.column_stack([mxy.real, mxy.imag, mz])).max(axis=1)
+    bound = 4 * np.finfo(float).eps * largest
+    for alpha in [math.pi / 2, math.pi, 0.7]:
+        for phi in [0.0, math.pi / 2, -math.pi, 1.3]:
+            mix = hard_pulse_coefficients(alpha, phi)
+            got_mxy, got_mz = apply_pulse(mix, mxy, mz)
+            want_mxy, want_mz = np.zeros(n, dtype=complex), np.zeros(n)
+            for i in range(n):
+                state = ConfigurationSet(
+                    (1.0, 1.0, 1.0), {ZERO: complex(mxy[i])}, {ZERO: complex(mz[i], 0.0)}
+                )
+                split = walk_split(state, mix, 0.0)
+                assert set(split.trans) <= {ZERO} and set(split.longi) == {ZERO}
+                want_mxy[i] = split.trans.get(ZERO, 0j)
+                want_mz[i] = split.longi[ZERO].real
+            assert np.all(np.abs(got_mxy.real - want_mxy.real) <= bound)
+            assert np.all(np.abs(got_mxy.imag - want_mxy.imag) <= bound)
+            assert np.all(np.abs(got_mz - want_mz) <= bound)
 
 
 def test_gradient_shift_zero_is_identity():
@@ -414,7 +445,7 @@ def test_incommensurate_sequence_uses_continuous_fallback():
     # direct spin-sum reference at the final time, all 41 spins at once
     mxy, mz = np.zeros(41, dtype=complex), np.ones(41)
     for (a, p, mom) in moments:
-        mxy, mz = apply_rotation(hard_pulse_matrix(math.radians(a), math.radians(p)), mxy, mz)
+        mxy, mz = apply_pulse(hard_pulse_coefficients(math.radians(a), math.radians(p)), mxy, mz)
         mxy = mxy * precession_factor(mom * positions, dt, 1.0 / NO_RELAX.t2)
         mz = regrow_mz(mz, NO_RELAX.m0, 1.0 / NO_RELAX.t1, dt)
     total = mxy.sum() / 41
