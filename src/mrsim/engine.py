@@ -211,9 +211,9 @@ def precompute_sequence_tables(
     one table: its pulse coefficients, shared between identical pulses
     (the memo hit count is reported per entry), and one set of read-only
     event arrays (``ev_dt``, ``ev_dmom``, their running sums and moving
-    axes), so workers never touch the waveform objects.  An entry adds only its
-    acquisition index and its snapshots, each one (time, partial moment,
-    index) tuple of its ``snaps``.  A distinct element that occurs more
+    axes), so workers never touch the waveform objects.  An entry adds
+    only its acquisition index and its snapshots, each one (time, partial
+    moment, index) tuple of its ``snaps``.  A distinct element that occurs more
     than once is numbered as a group, in order of first occurrence, so
     that a kernel chunk builds its propagator once, from the distinct
     steps that its table indexes; the factor parts that
@@ -230,7 +230,9 @@ def precompute_sequence_tables(
         mix = None
         if es.pulse is not None:
             key = (es.pulse.alpha, es.pulse.phi)
-            mix = memo[key] = memo.get(key) or hard_pulse_coefficients(*key)
+            if key not in memo:
+                memo[key] = hard_pulse_coefficients(*key)
+            mix = memo[key]
         table = EsTable(mix, es.duration, group=group_of.get(g, -1), **_event_arrays(es))
         table.n_samples = es.acquisition.n_samples if es.acquisition.enabled else 0
         if table.group >= 0:

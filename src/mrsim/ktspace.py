@@ -485,9 +485,10 @@ class _WalkStep:
 
     ``mix``: the :func:`mrsim.bloch.hard_pulse_coefficients` of its
     pulse, None without one; ``decay``: (e2, e1, regrowth) over the time
-    left after the last sample, None when none is left; ``q``: the integer order shift of its moment;
-    ``ts`` / ``partial`` / ``samples``: sample instants, the moment moved
-    by each and their relaxation, None without acquisition.
+    left after the last sample, None when none is left; ``q``: the
+    integer order shift of its moment; ``ts`` / ``partial`` /
+    ``samples``: sample instants, the moment moved by each and their
+    relaxation, None without acquisition.
     """
 
     duration: float

@@ -256,8 +256,7 @@ def hard_pulse_matrix(alpha, phi):
 
     Rotates by alpha about the transverse axis (cos(phi), sin(phi), 0)
     in the sense that maps (0,0,1) to (0, sin(alpha), cos(alpha)) for
-    phi = 0.  Arrays of alpha and phi give one matrix per case along the
-    last axis.
+    phi = 0.
     """
     ca, sa = np.cos(alpha), np.sin(alpha)
     cp, sp = np.cos(phi), np.sin(phi)
