@@ -16,6 +16,7 @@ description file, read by :mod:`mrsim.grammar`, become boxes here.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -65,14 +66,18 @@ class PhantomBox:
     def __post_init__(self):
         if len(self.origin) != 3 or len(self.size) != 3:
             raise InvalidParameter("origin and size must be 3-vectors")
+        _check_box_field("origin", self.origin)
         _check_box_field("size", self.size)
 
 
 def _check_box_field(name: str, value) -> None:
-    """Reject a box size with a non-positive component, a constant t1 or
-    t2 <= 0, a constant m0 that is negative or not finite and a constant
+    """Reject a box origin or size with a component that is not finite,
+    a size with a non-positive component, a constant t1 or t2 <= 0, a
+    constant m0 that is negative or not finite and a constant
     delta_omega that is not finite; properties that vary with position
     are checked at every site by :func:`rasterize`."""
+    if name in ("origin", "size") and not all(math.isfinite(v) for v in value):
+        raise InvalidParameter(f"box {name} components must be finite, got {value}")
     if name == "size" and any(s <= 0.0 for s in value):
         raise InvalidParameter(f"box size components must be positive, got {value}")
     if callable(value):
@@ -370,8 +375,7 @@ def shepp_logan_m0(x, y, scale: float = 1.0):
 def shepp_logan(scale: float, thickness: float = 1e-3) -> Phantom:
     """Ten-ellipse head phantom scaled so the unit half-width maps to
     ``scale`` meters; one thin box with an ellipse-membership evaluator."""
-    if scale <= 0.0:
-        raise InvalidParameter(f"scale must be positive, got {scale}")
+    _check_scale(scale)
     box = PhantomBox(
         origin=(-scale, -scale, -thickness / 2.0),
         size=(2.0 * scale, 2.0 * scale, thickness),
@@ -381,6 +385,11 @@ def shepp_logan(scale: float, thickness: float = 1e-3) -> Phantom:
         delta_omega=0.0,
     )
     return Phantom([box])
+
+
+def _check_scale(scale: float) -> None:
+    if not 0.0 < scale < math.inf:
+        raise InvalidParameter(f"scale must be positive and finite, got {scale}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +425,12 @@ def _property(value: str) -> PropertyFn:
     )
 
 
-def _box_field(name: str, read):
-    """Reader of one [box] key: ``read``, then the PhantomBox check of
-    field ``name``."""
+def _checked(read, check):
+    """Reader of one key: ``read``, then ``check`` of its value."""
 
     def reader(value: str):
         out = read(value)
-        _check_box_field(name, out)
+        check(out)
         return out
 
     return reader
@@ -438,8 +446,11 @@ _BOX_KEYS = {
     "delta_omega_rad_s": ("delta_omega", _property),
 }
 _GRAMMAR = {
-    "box": {key: _box_field(name, read) for key, (name, read) in _BOX_KEYS.items()},
-    "shepp_logan": {"scale_m": float},
+    "box": {
+        key: _checked(read, functools.partial(_check_box_field, name))
+        for key, (name, read) in _BOX_KEYS.items()
+    },
+    "shepp_logan": {"scale_m": _checked(float, _check_scale)},
 }
 
 

@@ -106,8 +106,8 @@ class Legendre12Inhomogeneity:
     r: float
 
     def __post_init__(self):
-        if self.c < 0.0 or self.r <= 0.0:
-            raise InvalidParameter(f"need C >= 0 and R > 0, got C={self.c}, R={self.r}")
+        if not (0.0 <= self.c < math.inf and 0.0 < self.r < math.inf):
+            raise InvalidParameter(f"need finite C >= 0 and R > 0, got C={self.c}, R={self.r}")
 
     def __call__(self, x):
         """delta_B0 (tesla) at positions of shape (..., 3); a single
@@ -156,6 +156,10 @@ class UniformSensitivity:
 
     s: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise InvalidParameter(f"sensitivity must be finite, got S={self.s}")
+
     def __call__(self, x) -> np.ndarray:
         """Sensitivity vectors of shape (..., 3) at positions of shape (..., 3)."""
         out = np.zeros(_positions(x).shape)
@@ -180,11 +184,15 @@ class CircularLoop:
     diameter: float
 
     def __post_init__(self):
-        if self.diameter <= 0.0:
-            raise InvalidParameter(f"diameter must be positive, got {self.diameter}")
+        if not 0.0 < self.diameter < math.inf:
+            raise InvalidParameter(f"diameter must be positive and finite, got {self.diameter}")
         if np.shape(self.center) != (3,) or np.shape(self.normal) != (3,):
             raise InvalidParameter(
                 f"center and normal must be 3-vectors, got {self.center} and {self.normal}"
+            )
+        if not np.isfinite(np.concatenate([self.center, self.normal])).all():
+            raise InvalidParameter(
+                f"center and normal must be finite, got {self.center} and {self.normal}"
             )
         n = np.asarray(self.normal, dtype=float)
         if not np.linalg.norm(n) > 0.0:
@@ -306,12 +314,14 @@ def _read_grid_numbers(path: str, per_node: int):
     if len(tokens) < 9:
         raise ParseError(f"grid file {path} lacks the 9-number header")
     try:
-        nx, ny, nz = (int(float(t)) for t in tokens[:3])
-        origin = tuple(float(t) for t in tokens[3:6])
-        step = tuple(float(t) for t in tokens[6:9])
+        header = [float(t) for t in tokens[:9]]
         data = np.array([float(t) for t in tokens[9:]])
     except ValueError as exc:
         raise ParseError(f"grid file {path}: {exc}") from None
+    if not (all(map(math.isfinite, header)) and np.isfinite(data).all()):
+        raise ParseError(f"grid file {path}: every number must be finite")
+    nx, ny, nz = (int(h) for h in header[:3])
+    origin, step = tuple(header[3:6]), tuple(header[6:9])
     want = nx * ny * nz * per_node
     if data.size != want:
         raise ParseError(f"grid file {path}: expected {want} values, found {data.size}")

@@ -292,6 +292,23 @@ def test_box_size_must_be_positive():
         PhantomBox(origin=(0, 0, 0), size=(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["origin", "size"])
+def test_box_geometry_must_be_finite(field, value):
+    # a NaN origin rasterized spins at x = NaN; a NaN size failed with a
+    # bare ValueError and an infinite one with an OverflowError
+    geometry = dict(origin=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0))
+    geometry[field] = (1.0, value, 1.0)
+    with pytest.raises(InvalidParameter, match="finite"):
+        PhantomBox(**geometry)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+def test_head_phantom_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(InvalidParameter, match="scale must be positive and finite"):
+        shepp_logan(scale)
+
+
 # ---------------------------------------------------------------------------
 # head phantom
 # ---------------------------------------------------------------------------
@@ -450,11 +467,32 @@ def test_parse_object_shepp_logan_block():
         "delta_omega_rad_s = -inf",
         "size_m = 0,1,1",
         "size_m = 1 1 -1e-3",
+        "origin_m = nan 0 0",
+        "origin_m = 0 0 -inf",
+        "size_m = nan 1 1",
+        "size_m = 1 inf 1",
     ],
 )
 def test_parse_object_rejects_bad_box_value_at_its_line(line):
-    text = f"# phantom\n[box]\norigin_m = 0 0 0\nsize_m = 1 1 1\n{line}\nt1_s = 2\n"
+    # the key under test is set once, at line 5; t2_s takes its place
+    key = line.split("=")[0].strip()
+    base = "".join(
+        f"{k} = {v}\n" if k != key else "t2_s = 0.1\n"
+        for k, v in {"origin_m": "0 0 0", "size_m": "1 1 1"}.items()
+    )
+    text = f"# phantom\n[box]\n{base}{line}\nt1_s = 2\n"
     with pytest.raises(ParseError) as info:
+        parse_object_file(text)
+    assert info.value.line == 5
+    assert "already set" not in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_parse_object_rejects_a_head_scale_at_its_line(value):
+    # a NaN scale parsed and failed in rasterize with a bare ValueError, and
+    # -1 escaped as an InvalidParameter without a line
+    text = f"[box]\norigin_m = 0 0 0\nsize_m = 1 1 1\n[shepp_logan]\nscale_m = {value}\n"
+    with pytest.raises(ParseError, match="scale must be positive and finite") as info:
         parse_object_file(text)
     assert info.value.line == 5
 

@@ -20,6 +20,7 @@ from mrsim.system import (
     complex_weight,
     default_system,
     load_scalar_grid,
+    load_vector_grid,
     parse_system_file,
     spin_off_resonance,
     _ellipke,
@@ -432,3 +433,66 @@ def test_system_model_takes_no_gyromagnetic_ratio():
     # mrsim simulates protons: the spacing bound and the kernel share GAMMA_PROTON
     with pytest.raises(TypeError):
         SystemModel(field=StaticField(b0=1.5), receive=UniformSensitivity(), gamma=2 * GAMMA_PROTON)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Legendre12Inhomogeneity(c=v, r=0.25),
+        lambda v: Legendre12Inhomogeneity(c=20e-6, r=v),
+        lambda v: UniformSensitivity(s=v),
+        lambda v: CircularLoop(center=(0.0, 0.0, v), normal=(0.0, 0.0, 1.0), diameter=0.15),
+        lambda v: CircularLoop(center=(0.0, 0.0, 0.1), normal=(0.0, v, 1.0), diameter=0.15),
+        lambda v: CircularLoop(center=(0.0, 0.0, 0.1), normal=(0.0, 0.0, 1.0), diameter=v),
+    ],
+    ids=["legendre_c", "legendre_r", "uniform_s", "loop_center", "loop_normal", "loop_diameter"],
+)
+def test_system_models_reject_non_finite_parameters(make, value):
+    # each NaN was accepted and reached the off-resonance or the coil weights
+    with pytest.raises(InvalidParameter, match="finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[static_field]\nb0_T = 1.5\ninhomogeneity = legendre12 C_uT={} R_m=0.25\n",
+        "[static_field]\nb0_T = 1.5\ninhomogeneity = legendre12 C_uT=20 R_m={}\n",
+        "[static_field]\nb0_T = 1.5\n[receive]\nmodel = uniform S={}\n",
+        "[static_field]\nb0_T = 1.5\n[receive]\n"
+        "model = loop center_m=0,0,{} normal=0,0,1 diameter_m=0.15\n",
+        "[static_field]\nb0_T = 1.5\n[receive]\n"
+        "model = loop center_m=0,0,0.1 normal=0,0,1 diameter_m={}\n",
+    ],
+    ids=["C_uT", "R_m", "S", "center_m", "diameter_m"],
+)
+def test_parse_system_rejects_a_non_finite_parameter_at_its_line(text, value):
+    with pytest.raises(ParseError, match="finite") as err:
+        parse_system_file(text.format(value))
+    assert err.value.line == text.count("\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 4, 7, 9], ids=["shape", "origin", "step", "value"])
+def test_grid_files_reject_non_finite_numbers(tmp_path, at, value):
+    # float() read each of them; an infinite shape raised a bare OverflowError
+    for load, per_node in [(load_scalar_grid, 1), (load_vector_grid, 3)]:
+        numbers = "2 2 2 0 0 0 0.1 0.1 0.1".split() + ["0"] * (8 * per_node)
+        numbers[at] = value
+        path = tmp_path / "bad.grid"
+        path.write_text(" ".join(numbers) + "\n")
+        with pytest.raises(ParseError, match="bad.grid: .*finite"):
+            load(str(path))
+
+
+def test_parse_system_names_the_line_of_a_grid_file_with_a_non_finite_value(tmp_path):
+    (tmp_path / "field.grid").write_text("2 2 2 0 0 0 0.1 0.1 0.1\n0 0 0 nan 0 0 0 0\n")
+    text = "[static_field]\nb0_T = 1\ninhomogeneity = grid file=field.grid\n"
+    with pytest.raises(ParseError, match="finite") as err:
+        parse_system_file(text, base_dir=str(tmp_path))
+    assert err.value.line == 3
