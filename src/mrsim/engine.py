@@ -10,13 +10,13 @@ echo sums; the reducer accumulates partials into the final records.  In
 deterministic mode the reduction folds blocks in ascending index order
 regardless of completion order, so a result never depends on which
 block finishes first.  It depends on the worker count only through the
-block count: results at different worker counts are bit-identical when
-``blocks`` is fixed, or when the spins fill at least one kernel chunk
-per worker at each count, since without ``blocks`` ``run`` cuts at
-least one block per worker.  A spacing override only decides whether
-to warn, so with workers the master checks it (the relaxation-free
-bound, then the pruned k-t walk if that bound is broken) while they
-compute.
+block count, which is ``blocks``, or one per worker without it, unless
+the spins need more blocks to fit the kernel's memory budget: results
+at different worker counts are bit-identical when ``blocks`` is given,
+or when the spins need at least one block per worker at each count.  A
+spacing override only decides whether to warn, so with workers the
+master checks it (the relaxation-free bound, then the pruned k-t walk
+if that bound is broken) while they compute.
 
 Loop order inside a worker: elementary sequences outer, with the
 per-spin arithmetic vectorized across the block, and per-spin work only
@@ -29,14 +29,14 @@ dt/T2)``, so the kernel evolves every spin through an element with its
 *propagator*, whose row i is the product of the factors up to event i.  A
 row reads a spin only through its Δω, its T2 and its position on the
 axes that the element's moment moves, and on a regular lattice in a
-homogeneous field many spins share all of these.  So a chunk numbers the
+homogeneous field many spins share all of these.  So a block numbers the
 distinct values of that key and builds an ``(events, keys)``
 propagator, one column per key: a sample is the unconjugated dot
 product of its row with the per-key sums of ``weight * mxy``, taken by
 two real ``np.bincount``s, and ``mxy`` is multiplied by the last row
-mapped back to the spins.  When more than half of a chunk's spins would
+mapped back to the spins.  When more than half of a block's spins would
 need their own column, as when a Legendre field gives each spin its own
-Δω, or the chunk has too few spins for the keys to pay, the propagator
+Δω, or the block has too few spins for the keys to pay, the propagator
 is ``(events, n)``, one column per spin, and a sample is the dot product
 with ``weight * mxy`` itself.  One ``np.vecdot`` takes all of an
 element's sample rows, which come first.  A snapshot only reads: it is
@@ -46,7 +46,7 @@ time, per spin, so asking for it changes no echo.
 Elements that :func:`mrsim.sequence.distinct_elements` groups together
 and that recur share one cached propagator.  A readout samples at a
 fixed step, so most of its events take the same step of time and
-moment.  The tables index each such element's distinct steps; a chunk
+moment.  The tables index each such element's distinct steps; a block
 evaluates one factor per distinct step and column, gathers the factors
 into the events' rows and multiplies the rows down: one complex
 multiply per row and column instead of one complex ``exp``.  This
@@ -57,28 +57,28 @@ steps from the element start and the product restarts there.
 
 An element that occurs once builds its propagator as a product of
 parts and drops it: a *time part* ``exp(-1j*domega*t - t/T2)``, which
-reads only the element's event times and is evaluated on the chunk's
+reads only the element's event times and is evaluated on the block's
 (Δω, T2) columns, or per spin when those are not keyed, and one *axis
 part* ``exp(-1j*x*m)`` per moved axis, which reads only that axis's
-moments and is evaluated on the chunk's distinct coordinates on the
+moments and is evaluated on the block's distinct coordinates on the
 axis.  Each part is gathered into the propagator's columns.  The tables
-number the parts that several such elements share, and a chunk caches
+number the parts that several such elements share, and a block caches
 those, so a train of phase-encode lobes of one duration and one readout
 prephaser evaluates only each lobe's own phase-encode part.
 
-The kernel evolves a block in chunks of spins whose cached arrays
-(propagators, factor parts, T1 factors) plus twice the largest
-propagator built for one element (the propagator and the one uncached
-part alive with it) fit ``_PROPAGATOR_BYTES`` at one complex value per
-spin and row, so a block of any size needs that much extra memory at
-most.  Without an explicit block count, ``run`` cuts one block per
-chunk, and at least one per worker.
+A block is the unit of memory as well as of work: ``run`` cuts blocks
+whose cached arrays (propagators, factor parts, T1 factors) plus twice
+the largest propagator built for one element (the propagator and the
+one uncached part alive with it) fit ``_PROPAGATOR_BYTES`` at one
+complex value per spin and row (:func:`_block_spins`), so the kernel
+needs that much extra memory at most.  It cuts the fewest such blocks,
+and at least ``blocks`` of them, or one per worker.
 
 Every spin starts in thermal equilibrium, ``mxy = 0`` and ``mz = m0``.
 Only pulses and snapshots read Mz, so T1 relaxation is deferred: Mz is
 relaxed over the whole interval since the last pulse just before it is
 read.  The tables hold each entry's interval since the last pulse and
-number the intervals that recur at a pulse; a chunk keeps their two
+number the intervals that recur at a pulse; a block keeps their two
 factors ``exp(-dt/T1)`` and ``m0 * (1 - exp(-dt/T1))``.  The rotation,
 the precession factor and the T1 factors are the array operators of
 :mod:`mrsim.bloch`.
@@ -125,9 +125,9 @@ _log = logging.getLogger(__name__)
 # seconds the master waits for a result before checking for dead workers
 _POLL_S = 0.2
 # budget of the propagators that the kernel holds at once; it sets the
-# kernel's chunk size and so bounds its extra memory per worker
+# kernel's block size and so bounds its extra memory per worker
 _PROPAGATOR_BYTES = 16 << 20
-# the fewest spins whose propagators a chunk builds on distinct keys (see _columns)
+# the fewest spins whose propagators a block builds on distinct keys (see _columns)
 _MIN_KEYED_SPINS = 256
 # the fewest columns whose running product goes row by row (see _running_product)
 _ROW_PRODUCT_COLUMNS = 256
@@ -162,7 +162,7 @@ class EsTable:
     holds its bit-distinct steps ``(dt, dmom, of_event)``: row
     ``of_event[i]`` of ``dt`` and ``dmom`` is the step of event i, which
     for every ``_ANCHOR_ROWS``-th event runs from the element start; a
-    chunk evaluates one factor per step and builds the propagator as
+    block evaluates one factor per step and builds the propagator as
     their running product.  A one-off element builds its propagator from
     factor parts: ``parts`` numbers its time part and then one part per
     axis of ``axes``, each -1 when no other one-off element shares it.
@@ -188,7 +188,6 @@ class EsTable:
 @dataclass
 class OperatorTables:
     entries: List[EsTable]
-    n_acq: int
     acq_times: List[np.ndarray]
     snapshot_times: Tuple[float, ...]
     pulse_memo_hits: int
@@ -215,7 +214,7 @@ def precompute_sequence_tables(
     only its acquisition index and its snapshots, each one (time, partial
     moment, index) tuple of its ``snaps``.  A distinct element that occurs more
     than once is numbered as a group, in order of first occurrence, so
-    that a kernel chunk builds its propagator once, from the distinct
+    that the kernel builds its propagator once per block, from the distinct
     steps that its table indexes; the factor parts that
     one-off elements share, and the intervals between pulses that recur,
     are numbered the same way.  Raises InvalidParameter for a snapshot
@@ -287,7 +286,6 @@ def precompute_sequence_tables(
     interval_of = _number_recurring(age for age, p in zip(ages, pulsed) if p)
     return OperatorTables(
         entries=entries,
-        n_acq=len(acq_times),
         acq_times=acq_times,
         snapshot_times=snapshot_times,
         pulse_memo_hits=sum(entry.pulse_mat is not None for entry in entries) - len(memo),
@@ -436,58 +434,22 @@ def partition_blocks(arrays: SpinBlock, n_blocks: int) -> List[SpinBlock]:
 
 
 def compute_block(tables: OperatorTables, block: SpinBlock):
-    """Evolve one block through the whole sequence.
+    """Evolve one block from thermal equilibrium through the whole sequence.
 
     Returns (echo_partials, snapshots): echo_partials is a complex array
-    (n_acq, n_samples) of coil-weighted transverse sums over the block;
-    snapshots is a list of (n, 3) magnetization arrays, one per
-    requested snapshot time.  The block is evolved in chunks of at most
-    ``_chunk_spins(tables)`` spins, so that its propagators stay within
-    ``_PROPAGATOR_BYTES`` whatever the block size.
+    (acquisitions, samples) of coil-weighted transverse sums over the
+    block; snapshots is a list of (n, 3) magnetization arrays, one per
+    requested snapshot time.  ``run`` cuts blocks of at most
+    ``_block_spins(tables)`` spins, so that a block's propagators stay
+    within ``_PROPAGATOR_BYTES``.
     """
-    per_chunk = _chunk_spins(tables)
     n_samples = max((e.n_samples for e in tables.entries), default=0)
-    echoes = np.zeros((tables.n_acq, n_samples), dtype=complex)
-    snapshots: List[List[np.ndarray]] = [[] for _ in tables.snapshot_times]
-    chunks = partition_blocks(block, -(-block.n // per_chunk))
-    kept = [_evolve(tables, chunk, echoes, snapshots) for chunk in chunks]
-    most = _Kept(*map(max, zip(*kept)))
-    _log.debug(
-        "block %d: %d chunks of <= %d spins, %d propagator groups, %d propagator-cache bytes, "
-        "%d cached factor parts of %d bytes, %d cached T1 intervals, "
-        "propagator columns / spins per chunk: %s",
-        block.index,
-        len(chunks),
-        per_chunk,
-        len(tables.group_rows),
-        most.propagator_bytes,
-        most.parts,
-        most.part_bytes,
-        most.intervals,
-        " ".join(f"{k.widest}/{chunk.n}" for k, chunk in zip(kept, chunks)),
-    )
-    return echoes, [np.concatenate(s) for s in snapshots]
-
-
-class _Kept(NamedTuple):
-    """What one chunk kept at the end: its cached propagator bytes, its
-    cached factor parts and their bytes, and its cached T1 intervals;
-    and the most columns of any propagator it built."""
-
-    propagator_bytes: int
-    parts: int
-    part_bytes: int
-    intervals: int
-    widest: int
-
-
-def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kept:
-    """Evolve one chunk from thermal equilibrium, adding its echo sums to
-    ``echoes`` and its snapshot arrays to ``snapshots``."""
-    inv_t1, inv_t2, m0 = 1.0 / chunk.t1, 1.0 / chunk.t2, chunk.m0
-    pos_domega = np.column_stack([chunk.pos, chunk.domega])
-    mxy = np.zeros(chunk.n, dtype=complex)
-    mz = m0  # never written in place: chunks are views of the run's arrays
+    echoes = np.zeros((len(tables.acq_times), n_samples), dtype=complex)
+    snapshots: List[Optional[np.ndarray]] = [None] * len(tables.snapshot_times)
+    inv_t1, inv_t2, m0 = 1.0 / block.t1, 1.0 / block.t2, block.m0
+    pos_domega = np.column_stack([block.pos, block.domega])
+    mxy = np.zeros(block.n, dtype=complex)
+    mz = m0  # never written in place: blocks are views of the run's arrays
     cache: Dict[int, tuple] = {}  # group -> its propagator, _Columns, last row per spin
     parts: Dict[int, np.ndarray] = {}  # part number -> a factor part of one-off elements
     regrowth: Dict[int, tuple] = {}  # T1 interval -> its t1_factors
@@ -507,7 +469,7 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
 
     def coordinates(ax):
         if ax not in coords:
-            coords[ax] = np.unique(chunk.pos[:, ax], return_inverse=True)
+            coords[ax] = np.unique(block.pos[:, ax], return_inverse=True)
         return coords[ax]
 
     def columns(axes):
@@ -516,8 +478,8 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
         # (domega, T2) one, so it has at least as many columns
         if () not in keyed:
             keyed[()] = (
-                _columns([_codes(chunk.domega), _codes(inv_t2)])
-                if chunk.n >= _MIN_KEYED_SPINS
+                _columns([_codes(block.domega), _codes(inv_t2)])
+                if block.n >= _MIN_KEYED_SPINS
                 else None
             )
         if axes not in keyed:
@@ -530,7 +492,7 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
         return keyed[axes]
 
     def part(number, make):
-        # a part that another one-off element shares is made once per chunk
+        # a part that another one-off element shares is made once per block
         if number not in parts:
             if number < 0:
                 return make()
@@ -546,8 +508,8 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
         on = slice(None) if cols is None else cols.spin  # a spin of each column
         pair = keyed[()]
         spins, pair_at = (None, None) if pair is None else (pair.spin, pair.of_spin[on])
-        p = np.ones((entry.ev_t.size, chunk.n if cols is None else cols.spin.size), dtype=complex)
-        step = max(1, chunk.n // p.shape[1])  # a gather copies at most one row per spin
+        p = np.ones((entry.ev_t.size, block.n if cols is None else cols.spin.size), dtype=complex)
+        step = max(1, block.n // p.shape[1])  # a gather copies at most one row per spin
 
         def time():
             return factors(entry.ev_t, np.zeros_like(entry.ev_mom), spins)
@@ -586,7 +548,7 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
         for t, moment, si in entry.snaps:
             at = mxy * factors(np.array([t]), moment[None])[0]
             mz_at = regrow_mz(mz, m0, inv_t1, age + t)
-            snapshots[si].append(np.column_stack([at.real, at.imag, mz_at]))
+            snapshots[si] = np.column_stack([at.real, at.imag, mz_at])
         if not entry.ev_t.size:
             continue
         if entry.group in cache:
@@ -610,14 +572,20 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
             # leave the plain sum of row * wm; it takes one dot product
             # per row, where a matrix product would start OpenBLAS
             # threads in every worker process of the pool
-            wm = chunk.weight * mxy
+            wm = block.weight * mxy
             if cols is not None:
                 # echo_i = sum over columns c of p[i, c] * (sum of wm over c's spins)
                 wm = np.bincount(cols.parts, wm.view(float), 2 * p.shape[1]).view(complex)
             rows = p[: entry.n_samples]
             echoes[entry.acq, : entry.n_samples] += np.vecdot(rows, wm.conj()).conj()
         mxy *= last
-    return _Kept(
+    _log.debug(
+        "block %d: %d spins, %d propagator groups, %d propagator-cache bytes, "
+        "%d cached factor parts of %d bytes, %d cached T1 intervals, "
+        "widest propagator %d columns",
+        block.index,
+        block.n,
+        len(tables.group_rows),
         # a keyed last row is an array of its own, a per-spin one a row of p
         sum(
             (0 if p is None else p.nbytes) + (0 if cols is None else last.nbytes)
@@ -628,6 +596,7 @@ def _evolve(tables: OperatorTables, chunk: SpinBlock, echoes, snapshots) -> _Kep
         len(regrowth),
         widest,
     )
+    return echoes, snapshots
 
 
 def _running_product(p: np.ndarray) -> None:
@@ -702,7 +671,7 @@ def _columns(codes: List[np.ndarray]) -> Optional[_Columns]:
     """The columns of the distinct tuples of per-spin codes, or None for
     one column per spin.
 
-    A chunk is keyed when it has ``_MIN_KEYED_SPINS`` spins or more (the
+    A block is keyed when it has ``_MIN_KEYED_SPINS`` spins or more (the
     kernel checks that before it codes them) and the columns are at most
     half the spins.  Measured on a 2-core x86_64 box, keyed against
     per-spin kernel time:
@@ -716,7 +685,7 @@ def _columns(codes: List[np.ndarray]) -> Optional[_Columns]:
       keeps one column per spin.
 
     At half, a keyed propagator of two events or more, with its last row
-    per spin, also fits the per-spin budget of :func:`_chunk_spins`.
+    per spin, also fits the per-spin budget of :func:`_block_spins`.
     """
     spins = codes[0].size
     # the tuples are at least as many as the values of any one column
@@ -728,13 +697,13 @@ def _columns(codes: List[np.ndarray]) -> Optional[_Columns]:
     return _Columns(of_spin, spin, (2 * of_spin[:, None] + (0, 1)).ravel())
 
 
-def _chunk_spins(tables: OperatorTables) -> int:
-    """The most spins whose cached and built arrays fit ``_PROPAGATOR_BYTES``
-    at one complex value per spin and row: every group's cached
-    propagator, every numbered factor part and T1 interval (two floats
-    per spin), and twice the largest propagator that an element
-    occurring once builds (its factor and the one uncached part alive
-    with it).  A snapshot's single row is not counted.  A keyed propagator
+def _block_spins(tables: OperatorTables) -> int:
+    """The most spins of a block, whose cached and built arrays fit
+    ``_PROPAGATOR_BYTES`` at one complex value per spin and row: every
+    group's cached propagator, every numbered factor part and T1 interval
+    (two floats per spin), and twice the largest propagator that an
+    element occurring once builds (its factor and the one uncached part
+    alive with it).  A snapshot's single row is not counted.  A keyed propagator
     has fewer columns (see :func:`_columns`); a cached one without samples
     keeps only its last row, and a one-off one-event propagator may hold
     half a row per spin more than its share while it maps its last row
@@ -744,11 +713,6 @@ def _chunk_spins(tables: OperatorTables) -> int:
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
     rows = sum(tables.group_rows) + sum(tables.part_rows) + len(tables.t1_intervals) + 2 * own
     return max(1, _PROPAGATOR_BYTES // (16 * max(rows, 1)))  # complex128 per spin and row
-
-
-def _default_blocks(tables: OperatorTables, n_spins: int, workers: int) -> int:
-    """One block per kernel chunk, and at least one block per worker."""
-    return max(workers, -(-n_spins // _chunk_spins(tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +765,8 @@ class Experiment:
     spacing: Optional[Tuple[float, float, float]] = None
     workers: int = 1
     deterministic: bool = True
-    # default: one per kernel chunk (see _chunk_spins), and at least one
-    # per worker; any count gives the kernel the same memory bound
+    # the fewest blocks; run cuts more when the spins need them to fit the
+    # kernel's memory budget (see _block_spins); default: one per worker
     blocks: Optional[int] = None
     snapshot_times: Tuple[float, ...] = ()
 
@@ -953,10 +917,9 @@ def run(exp: Experiment) -> RunResult:
         raise InvalidParameter("the phantom rasterized to zero spins")
     arrays = build_spin_arrays(spins, exp.system)
     tables = precompute_sequence_tables(exp.sequence, snapshot_times=exp.snapshot_times)
-    if exp.blocks is not None:
-        n_blocks = exp.blocks
-    else:
-        n_blocks = _default_blocks(tables, arrays.n, exp.workers)
+    # the fewest blocks within the propagator budget, and at least the
+    # blocks asked for, or one per worker
+    n_blocks = max(exp.blocks or exp.workers, -(-arrays.n // _block_spins(tables)))
     blocks = partition_blocks(arrays, n_blocks)
     busy: Dict[int, float] = {}
 
@@ -982,15 +945,10 @@ def run(exp: Experiment) -> RunResult:
     for echoes, _snaps in folds:
         echo_sum = echoes if echo_sum is None else echo_sum + echoes
     records = []
-    if echo_sum is not None and tables.n_acq:
+    if echo_sum is not None and tables.acq_times:
         echo_sum = echo_sum / n_spins
-        for i in range(tables.n_acq):
-            records.append(
-                EchoRecord(
-                    values=echo_sum[i, : tables.acq_times[i].size],
-                    timestamps=tables.acq_times[i],
-                )
-            )
+        for values, times in zip(echo_sum, tables.acq_times):
+            records.append(EchoRecord(values=values[: times.size], timestamps=times))
     wall = time.perf_counter() - wall_start
     metrics = RunMetrics(
         wall_time_s=wall,

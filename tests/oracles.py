@@ -322,7 +322,7 @@ def reference_kernel(tables, block, dtype=float):
     mx, my, mz = np.zeros_like(m0), np.zeros_like(m0), m0.copy()
     inv_t1, inv_t2 = 1.0 / t1, 1.0 / t2
     n_samples = max((e.n_samples for e in tables.entries), default=0)
-    echoes = np.zeros((tables.n_acq, n_samples), dtype=w.dtype)
+    echoes = np.zeros((len(tables.acq_times), n_samples), dtype=w.dtype)
     snapshots = {}
     for entry in tables.entries:
         if entry.pulse_mat is not None:

@@ -3,6 +3,7 @@ import logging
 import math
 import multiprocessing as mp
 import os
+import re
 import signal
 import warnings
 
@@ -105,7 +106,7 @@ def test_tables_one_entry_per_elementary_sequence():
     seq = build_tse(0.5, 32, 2, 0.03, 0.8, readout_gradient(0.5, 32, 0.01))
     tables = precompute_sequence_tables(seq)
     assert len(tables.entries) == len(seq.elements)
-    assert tables.n_acq == 32
+    assert len(tables.acq_times) == 32
 
 
 def test_pulse_memo_shares_repeated_pulses():
@@ -435,18 +436,49 @@ def test_kernel_logs_factor_cache_size(caplog):
     expected = f"{groups} propagator groups, {rows * block.n * 16} propagator-cache bytes"
     assert rows > 0
     assert any(
-        "block 0: 1 chunks" in rec.getMessage() and expected in rec.getMessage()
+        f"block 0: {block.n} spins, " in rec.getMessage() and expected in rec.getMessage()
         for rec in caplog.records
     )
 
 
 def propagator_rows(tables):
-    """Rows per spin that a kernel chunk holds at most: every group's
+    """Rows per spin that a kernel block holds at most: every group's
     propagator, every numbered factor part and T1 interval, plus twice the
     largest propagator of an element that occurs once (its factor and the
     one uncached part alive with it)."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
     return sum(tables.group_rows) + sum(tables.part_rows) + len(tables.t1_intervals) + 2 * own
+
+
+def run_on_spins(monkeypatch, spins, **kw):
+    """run() of ``small_experiment(**kw)`` on the given spin arrays in
+    place of its rasterized phantom.  Returns the result, its echo sums
+    and snapshots, and the spins of each block that run handed the
+    kernel, recorded in the kernel's process."""
+    import mrsim.engine as engine_mod
+
+    kernel = engine_mod.compute_block
+    handed = mp.get_context().SimpleQueue()
+
+    def recorded(tables, block):
+        handed.put(block.n)
+        return kernel(tables, block)
+
+    monkeypatch.setattr(engine_mod, "build_spin_arrays", lambda rasterized, system: spins)
+    monkeypatch.setattr(engine_mod, "compute_block", recorded)
+    with warnings.catch_warnings():
+        # the phantom's spacing need not suit the sequence: its spins are not run
+        warnings.simplefilter("ignore")
+        result = run(small_experiment(**kw))
+    echoes = result.echo_matrix() * spins.n
+    snaps = [snap for _t, snap in result.snapshots]
+    sizes = [handed.get() for _ in range(result.metrics.blocks)]
+    handed.close()
+    return result, echoes, snaps, sizes
+
+
+def block_lines(caplog):
+    return [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("block ")]
 
 
 def test_factor_cache_stays_within_byte_budget(monkeypatch, caplog):
@@ -455,23 +487,29 @@ def test_factor_cache_stays_within_byte_budget(monkeypatch, caplog):
     # the second pass repeats every element, so each is a group
     seq = Sequence(oracle_sequence().elements * 2)
     tables = precompute_sequence_tables(seq, snapshot_times=ORACLE_SNAPSHOTS)
-    block = oracle_block()
+    spins = oracle_block()
     assert len(tables.group_rows) > 2
-    # room for the propagators of 13 spins: the block runs in 4 chunks,
-    # and every chunk caches every group
+    # room for the propagators of 13 spins: run cuts 4 blocks, and every
+    # block caches every group
     budget = 16 * propagator_rows(tables) * 13
     monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", budget + 15)
+    assert engine_mod._block_spins(tables) == 13
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
-        echoes, snaps = compute_block(tables, block)
-    expected = (
-        f"block 0: 4 chunks of <= 13 spins, {len(tables.group_rows)} propagator groups, "
-        f"{16 * sum(tables.group_rows) * 10} propagator-cache bytes"
-    )
-    assert any(expected in rec.getMessage() for rec in caplog.records)
-    ref_echoes, ref_snaps = reference_kernel(tables, block)
+        result, echoes, snaps, handed = run_on_spins(
+            monkeypatch, spins, sequence=seq, snapshot_times=ORACLE_SNAPSHOTS
+        )
+    assert result.metrics.blocks == 4 and handed == [10] * 4
+    lines = block_lines(caplog)
+    assert len(lines) == 4
+    for i, line in enumerate(lines):
+        assert line.startswith(
+            f"block {i}: 10 spins, {len(tables.group_rows)} propagator groups, "
+            f"{16 * sum(tables.group_rows) * 10} propagator-cache bytes"
+        )
+    ref_echoes, ref_snaps = reference_kernel(tables, spins)
     assert delta_e_stoer(ref_echoes, echoes) <= -250.0
     for snap, ref_snap in zip(snaps, ref_snaps):
-        assert snap.shape == (block.n, 3)
+        assert snap.shape == (spins.n, 3)
         assert delta_e_stoer(ref_snap, snap) <= -250.0
 
 
@@ -479,23 +517,29 @@ def test_one_off_readout_is_chunked_to_the_budget(monkeypatch, caplog):
     import mrsim.engine as engine_mod
 
     # the sequence's only readout occurs once: no propagator is cached
-    tables = precompute_sequence_tables(Sequence(oracle_sequence().elements[:4]))
+    tables_sequence = Sequence(oracle_sequence().elements[:4])
+    tables = precompute_sequence_tables(tables_sequence)
     assert tables.group_rows == []
     readout_rows = tables.entries[3].ev_dt.size
     assert 2 * readout_rows == propagator_rows(tables) >= 14
-    block = oracle_block()
+    spins = oracle_block()
     monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * propagator_rows(tables) * 10)
-    assert engine_mod._default_blocks(tables, block.n, 1) == 4
+    assert engine_mod._block_spins(tables) == 10
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
-        echoes, _ = compute_block(tables, block)
-    expected = "block 0: 4 chunks of <= 10 spins, 0 propagator groups, 0 propagator-cache bytes"
-    assert any(expected in rec.getMessage() for rec in caplog.records)
-    ref_echoes, _ = reference_kernel(tables, block)
+        result, echoes, _, handed = run_on_spins(monkeypatch, spins, sequence=tables_sequence)
+    assert result.metrics.blocks == 4 and handed == [10] * 4
+    lines = block_lines(caplog)
+    assert len(lines) == 4
+    for i, line in enumerate(lines):
+        assert line.startswith(
+            f"block {i}: 10 spins, 0 propagator groups, 0 propagator-cache bytes"
+        )
+    ref_echoes, _ = reference_kernel(tables, spins)
     assert delta_e_stoer(ref_echoes, echoes) <= -250.0
 
 
 # ---------------------------------------------------------------------------
-# propagators on the distinct keys of a chunk
+# propagators on the distinct keys of a block
 # ---------------------------------------------------------------------------
 
 
@@ -537,12 +581,15 @@ def logged_kernel(caplog, tables, block):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         result = compute_block(tables, block)
-    [line] = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("block ")]
+    [line] = block_lines(caplog)
     return result, line
 
 
-def columns_per_chunk(line):
-    return line.rsplit(": ", 1)[1]
+def columns_per_block(line):
+    """'columns/spins': the columns of the widest propagator and the spins
+    of the block that a kernel DEBUG line reports."""
+    match = re.fullmatch(r"block \d+: (\d+) spins, .*, widest propagator (\d+) columns", line)
+    return f"{match[2]}/{match[1]}"
 
 
 def assert_matches_reference_kernel(tables, block, echoes, snaps):
@@ -560,7 +607,7 @@ def test_lattice_block_builds_one_propagator_column_per_lattice_column(caplog):
     (echoes, snaps), line = logged_kernel(caplog, tables, block)
     # the readout and the prephaser move x, the phase-encode lobe y
     assert sorted({e.axes for e in tables.entries}) == [(), (0,), (1,)]
-    assert columns_per_chunk(line) == "16/256"
+    assert columns_per_block(line) == "16/256"
     assert_matches_reference_kernel(tables, block, echoes, snaps)
 
 
@@ -576,7 +623,7 @@ def test_spins_at_one_site_keep_a_column_per_distinct_t2_or_domega(caplog, colum
     tables = precompute_sequence_tables(oracle_sequence(), snapshot_times=ORACLE_SNAPSHOTS)
     block = keyed_block(one_site(256), **column)
     (echoes, snaps), line = logged_kernel(caplog, tables, block)
-    assert columns_per_chunk(line) == "3/256"
+    assert columns_per_block(line) == "3/256"
     assert_matches_reference_kernel(tables, block, echoes, snaps)
 
 
@@ -590,7 +637,7 @@ def test_columns_are_keyed_up_to_half_of_at_least_256_spins(caplog, spins, disti
     values = np.random.default_rng(7).uniform(-80.0, 80.0, distinct)
     block = keyed_block(one_site(spins), domega=cycle(values, spins), t2=0.1)
     (echoes, snaps), line = logged_kernel(caplog, tables, block)
-    assert columns_per_chunk(line) == f"{columns}/{spins}"
+    assert columns_per_block(line) == f"{columns}/{spins}"
     assert_matches_reference_kernel(tables, block, echoes, snaps)
 
 
@@ -598,26 +645,29 @@ def test_kernel_logs_keyed_columns_and_reduced_cache_bytes(monkeypatch, caplog):
     import mrsim.engine as engine_mod
 
     tables = precompute_sequence_tables(oracle_sequence())
-    block = lattice_block(nx=32)
-    # two chunks of 256 spins, each on 16 of the lattice's 32 x values:
+    spins = lattice_block(nx=32)
+    # two blocks of 256 spins, each on 16 of the lattice's 32 x values:
     # the readout's and the prephaser's 16 columns are the most
     monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * propagator_rows(tables) * 256)
     readout = tables.entries[3]
     assert readout.group >= 0 and readout.n_samples == readout.ev_t.size == 7
     assert tables.group_rows == [7]
-    (echoes, _), line = logged_kernel(caplog, tables, block)
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        _, echoes, _, handed = run_on_spins(monkeypatch, spins, sequence=oracle_sequence())
+    assert handed == [256, 256]
     # the readout, the one group, keeps its 7 rows on 16 columns and its
     # last row per spin, which carries mxy through the element
     cache = 16 * (7 * 16 + 256)
     # the two one-off prephasers share their time part, on the one
     # (domega, T2) column, and their x part, on 16 x values
     parts = 16 * (1 + 16)
-    assert line == (
-        f"block 0: 2 chunks of <= 256 spins, 1 propagator groups, {cache} propagator-cache "
+    assert block_lines(caplog) == [
+        f"block {i}: 256 spins, 1 propagator groups, {cache} propagator-cache "
         f"bytes, 2 cached factor parts of {parts} bytes, 0 cached T1 intervals, "
-        "propagator columns / spins per chunk: 16/256 16/256"
-    )
-    ref_echoes, _ = reference_kernel(tables, block)
+        "widest propagator 16 columns"
+        for i in range(2)
+    ]
+    ref_echoes, _ = reference_kernel(tables, spins)
     assert delta_e_stoer(ref_echoes, echoes) <= -250.0
 
 
@@ -663,7 +713,7 @@ def grid_block(domega):
 )
 def test_one_off_lobes_multiply_shared_time_and_x_parts(caplog, domega, time_columns, lobe_columns):
     """A Legendre-like field gives every spin its own off-resonance, so
-    the chunk keeps a column per spin and the time part is evaluated per
+    the block keeps a column per spin and the time part is evaluated per
     spin; in a homogeneous field it is one (domega, T2) column and the
     lobes are keyed on the (x, y) sites.  Either way the x part is
     evaluated on the 16 x values and each lobe's y part on the 16 y
@@ -677,13 +727,13 @@ def test_one_off_lobes_multiply_shared_time_and_x_parts(caplog, domega, time_col
     block = grid_block(domega)
     (echoes, snaps), line = logged_kernel(caplog, tables, block)
     assert f", 2 cached factor parts of {16 * (time_columns + 16)} bytes, " in line
-    assert columns_per_chunk(line) == f"{lobe_columns}/512"
+    assert columns_per_block(line) == f"{lobe_columns}/512"
     assert_matches_reference_kernel(tables, block, echoes, snaps)
 
 
 def test_recurring_pulse_intervals_keep_their_t1_factors(caplog):
     """Pulses after 5 ms (once), 10 ms (twice) and 20 ms (twice): the two
-    intervals that recur are numbered, and a chunk keeps their T1
+    intervals that recur are numbered, and a block keeps their T1
     factors."""
     readout = GradientWaveform.constant(gx=1e-2)
 
@@ -762,17 +812,60 @@ def test_default_blocks_fit_the_propagator_budget(monkeypatch, caplog):
     per_block = one.spin_count // 3
     monkeypatch.setattr(engine_mod, "_PROPAGATOR_BYTES", 16 * propagator_rows(tables) * per_block)
     shrunk = run(small_experiment())
-    chunks = -(-one.spin_count // per_block)
-    assert shrunk.metrics.blocks == chunks >= 3
-    # an explicit block count keeps its meaning; the kernel chunks the block
+    needed = -(-one.spin_count // per_block)
+    assert shrunk.metrics.blocks == needed >= 3
+    # an explicit block count is the fewest blocks: run cuts as many as
+    # the budget needs
     with caplog.at_level(logging.DEBUG, logger="mrsim"):
         explicit = run(small_experiment(blocks=1))
-    assert explicit.metrics.blocks == 1
+    assert explicit.metrics.blocks == needed
     groups = len(tables.group_rows)
-    expected = f"block 0: {chunks} chunks of <= {per_block} spins, {groups} propagator groups"
-    assert any(expected in rec.getMessage() for rec in caplog.records)
+    lines = block_lines(caplog)
+    assert len(lines) == needed
+    for i, line in enumerate(lines):
+        spins = int(line.split(": ")[1].split()[0])
+        assert line.startswith(f"block {i}: {spins} spins, {groups} propagator groups")
+        assert spins <= per_block
     for res in (pooled, shrunk, explicit):
         assert delta_e_stoer(one.echo_matrix(), res.echo_matrix()) <= -250.0
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        dict(blocks=1),
+        pytest.param(
+            dict(workers=2),
+            marks=pytest.mark.skipif(
+                mp.get_start_method() != "fork", reason="the patched kernel reaches workers by fork"
+            ),
+        ),
+        dict(blocks=8),
+    ],
+    ids=["default", "blocks=1", "workers=2", "blocks=8"],
+)
+def test_run_hands_the_kernel_at_most_the_block_budget(monkeypatch, kw):
+    """With room for a third of the spins' propagators, run cuts the
+    fewest blocks that fit, and at least the blocks asked for, or one
+    per worker, and no block that it hands the kernel exceeds the
+    budget."""
+    import mrsim.engine as engine_mod
+
+    exp = small_experiment(**kw)
+    spins = build_spin_arrays(rasterize(exp.phantom, exp.spacing), exp.system)
+    unpatched = run(exp)
+    tables = precompute_sequence_tables(exp.sequence)
+    monkeypatch.setattr(
+        engine_mod, "_PROPAGATOR_BYTES", 16 * propagator_rows(tables) * (spins.n // 3)
+    )
+    per_block = engine_mod._block_spins(tables)
+    assert per_block == spins.n // 3
+    result, _, _, handed = run_on_spins(monkeypatch, spins, **kw)
+    lower = kw.get("blocks") or kw.get("workers", 1)
+    assert result.metrics.blocks == max(lower, -(-spins.n // per_block)) == len(handed)
+    assert sum(handed) == spins.n and max(handed) <= per_block
+    assert delta_e_stoer(unpatched.echo_matrix(), result.echo_matrix()) <= -250.0
 
 
 def test_block_partition_invariance(reference_run):
