@@ -3,10 +3,11 @@
 Role separation follows a partitioner / worker / reducer contract: the
 partitioner (master) rasterizes the object, precomputes everything that
 does not depend on the spin (pulse trigonometry, gradient moments,
-sample timing), cuts the spin set into blocks and hands blocks to
-workers as they become free over a bounded queue; workers evolve their
-spins through every elementary sequence and return per-block partial
-echo sums; the reducer accumulates partials into the final records.  In
+sample timing) and cuts the spin set into blocks before any worker
+starts; worker ``w`` of ``workers`` takes the fixed share of blocks
+``w, w + workers, ...``, evolves their spins through every elementary
+sequence and sends each block's partial echo sums back over a pipe of
+its own; the reducer accumulates partials into the final records.  In
 deterministic mode the reduction folds blocks in ascending index order
 regardless of completion order, so a result never depends on which
 block finishes first.  It depends on the worker count only through the
@@ -97,13 +98,13 @@ import logging
 import math
 import os
 import platform
-import queue as queue_mod
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence as TySequence, Tuple
 
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 
 import numpy as np
 
@@ -122,8 +123,6 @@ from .sequence import Sequence, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
 
 _log = logging.getLogger(__name__)
-# seconds the master waits for a result before checking for dead workers
-_POLL_S = 0.2
 # budget of the propagators that the kernel holds at once; it sets the
 # kernel's block size and so bounds its extra memory per worker
 _PROPAGATOR_BYTES = 16 << 20
@@ -876,26 +875,17 @@ def _warn_spacing(problems: List[str]) -> None:
         warnings.warn(message, stacklevel=3)  # at the caller of run()
 
 
-def _worker_main(task_q, result_q, tables, worker_id, holding):
-    """Compute blocks until the None sentinel; ``holding[worker_id]`` is
-    the index of the block in hand (-1 between blocks), so the master
-    can name it should this process die."""
-    while True:
-        task = task_q.get()
-        if task is None:
-            break
-        block = task
-        holding[worker_id] = block.index
+def _worker_main(tables, share, conn):
+    """Compute a share of the blocks, sending each block's result, or the
+    kernel's error in its place, over ``conn``."""
+    for block in share:
         started = time.perf_counter()
         try:
-            echoes, snaps = compute_block(tables, block)
+            result = compute_block(tables, block)
         except Exception as exc:  # surfaced as WorkerPanic by the master
-            result_q.put((block.index, None, None, worker_id, 0.0, repr(exc)))
-        else:
-            result_q.put(
-                (block.index, echoes, snaps, worker_id, time.perf_counter() - started, None)
-            )
-        holding[worker_id] = -1
+            conn.send((block.index, None, repr(exc)))
+            return
+        conn.send((block.index, result, time.perf_counter() - started))
 
 
 def run(exp: Experiment) -> RunResult:
@@ -975,99 +965,76 @@ def run(exp: Experiment) -> RunResult:
 
 
 def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, meanwhile=None):
-    """Dispatch blocks to worker processes over bounded queues.
+    """Compute the blocks in worker processes, worker ``w`` taking blocks
+    ``w, w + workers, ...``.
 
-    The task queue is bounded so the partitioner only stays ahead of the
-    workers by a fixed number of blocks; a block is retired only after
-    the reducer has folded its partial result (backpressure toward the
-    master).  Returns (fold_order, index_order, side): deterministic
-    mode folds echoes in ascending block index, nondeterministic mode in
-    completion order; side is the value of ``meanwhile()``, which the
-    master calls once the first blocks are queued (None without it).  A
-    worker that exits without reporting (killed, ``os._exit``) is
-    noticed while waiting for results and raised as
-    :class:`WorkerPanic` naming a block that never came back.
+    Each worker gets its share, and under fork the tables with it, as
+    its process arguments, and sends each result over a one-way pipe of
+    its own.  The master holds no write end, so a pipe reads EOF once its
+    worker has exited, after every result that worker sent.  Returns
+    (fold_order, index_order, side): deterministic mode folds echoes in
+    ascending block index, nondeterministic mode in arrival order; side
+    is the value of ``meanwhile()``, which the master calls while the
+    workers compute (None without it).  A kernel error, or a worker that
+    exits before its share is done (killed, ``os._exit``), is raised as
+    :class:`WorkerPanic` naming the block, and stops every worker.
     """
     ctx = mp.get_context()
-    task_q = ctx.Queue(maxsize=max(2, 2 * exp.workers))
-    result_q = ctx.Queue()
-    holding = ctx.RawArray("q", [-1] * exp.workers)
-    workers = [
-        ctx.Process(
-            target=_worker_main, args=(task_q, result_q, tables, wid, holding), daemon=True
-        )
-        for wid in range(exp.workers)
-    ]
-    for proc in workers:
-        proc.start()
-    sent = 0
-    done = 0
+    shares = [blocks[w :: exp.workers] for w in range(exp.workers)]
+    workers = []
+    readers: Dict[mp_connection.Connection, int] = {}
     arrival: List[tuple] = []
     by_index: Dict[int, tuple] = {}
-    failure = None
     side = None
     clean = False
-
-    def feed() -> None:
-        nonlocal sent
-        while sent < len(blocks):
-            try:
-                task_q.put_nowait(blocks[sent])
-            except queue_mod.Full:
-                break
-            sent += 1
-
     try:
-        feed()
+        for w, share in enumerate(shares):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker_main, args=(tables, share, writer), daemon=True)
+            proc.start()
+            writer.close()  # before the next fork, so EOF follows this worker alone
+            workers.append(proc)
+            readers[reader] = w
         if meanwhile is not None:
             side = meanwhile()
-        while done < len(blocks):
-            feed()
-            try:
-                index, echoes, snaps, wid, t_comp, err = result_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                dead = next((w for w, p in enumerate(workers) if p.exitcode is not None), None)
-                if dead is not None:
-                    failure = _dead_worker_panic(
-                        workers[dead], holding[dead], blocks[:sent], by_index
-                    )
-                    break
-                continue
-            done += 1
-            if err is not None:
-                failure = WorkerPanic(index, err)
-                break
-            busy[wid] = busy.get(wid, 0.0) + t_comp
-            arrival.append((echoes, snaps))
-            by_index[index] = (echoes, snaps)
-        clean = failure is None
+        while readers:
+            for reader in mp_connection.wait(list(readers)):
+                w = readers[reader]
+                try:
+                    index, result, spent = reader.recv()
+                except (EOFError, OSError):  # exited, or died mid-message
+                    del readers[reader]
+                    reader.close()
+                    _check_share(workers[w], shares[w], by_index)
+                    continue
+                if result is None:  # the kernel's error in place of the time
+                    raise WorkerPanic(index, spent)
+                busy[w] = busy.get(w, 0.0) + spent
+                arrival.append(result)
+                by_index[index] = result
+        clean = True
     finally:
-        if not clean:
-            # blocks nobody will read must not hold up interpreter exit
-            task_q.cancel_join_thread()
-            for proc in workers:
-                proc.terminate()
-        else:
-            for _ in workers:
-                task_q.put(None)
         for proc in workers:
+            if not clean:
+                proc.terminate()
             proc.join()
-        task_q.close()
-        result_q.close()
-    if failure is not None:
-        raise failure
+        for reader in readers:
+            reader.close()
     ordered = [by_index[i] for i in sorted(by_index)]
     return (ordered if exp.deterministic else arrival), ordered, side
 
 
-def _dead_worker_panic(proc, held: int, sent_blocks, by_index) -> WorkerPanic:
-    """Name the block a worker died on: the one it held, or else the
-    first block that was sent but has not come back."""
-    died = f"worker process {proc.pid} exited with code {proc.exitcode} without reporting"
-    if held >= 0 and held not in by_index:
-        return WorkerPanic(held, f"{died} while computing this block")
-    outstanding = [b.index for b in sent_blocks if b.index not in by_index]
-    return WorkerPanic(outstanding[0], f"{died}; this block was sent but never returned")
+def _check_share(proc, share, by_index) -> None:
+    """Raise WorkerPanic if a worker whose pipe closed left its share
+    unfinished: it died on the first block that has no result."""
+    missing = next((b.index for b in share if b.index not in by_index), None)
+    if missing is not None:
+        proc.join()
+        raise WorkerPanic(
+            missing,
+            f"worker process {proc.pid} exited with code {proc.exitcode} without "
+            "reporting while computing this block",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1068,15 +1068,36 @@ def test_run_with_automatic_spacing_groups_its_sequence_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.skipif(
+    mp.get_start_method() != "fork", reason="the patched kernel reaches workers only by fork"
+)
 def test_worker_panic_surfaces_block_index(monkeypatch):
     import mrsim.engine as engine_mod
 
-    def boom(tables, block):
-        raise RuntimeError("kernel exploded")
+    kernel = engine_mod.compute_block
 
-    monkeypatch.setattr(engine_mod, "compute_block", boom)
-    with pytest.raises(WorkerPanic):
+    def boom_on_block_3(tables, block):
+        if block.index == 3:
+            raise RuntimeError("kernel exploded")
+        return kernel(tables, block)
+
+    monkeypatch.setattr(engine_mod, "compute_block", boom_on_block_3)
+    with pytest.raises(WorkerPanic) as info:
         run(small_experiment(workers=2, blocks=4))
+    assert info.value.block_index == 3
+    assert "RuntimeError('kernel exploded')" in str(info.value)
+    assert mp.active_children() == []
+
+
+def test_worker_with_an_empty_share_matches_one_process():
+    # 2 spins on 3 workers: 2 blocks, so the third worker gets none
+    box = PhantomBox(origin=(0.0, 0.0, -5e-4), size=(0.016, 0.008, 1e-3), m0=1.0, t1=1.0, t2=0.1)
+    kw = dict(phantom=Phantom([box]), blocks=3)
+    one = run(small_experiment(workers=1, **kw))
+    pool = run(small_experiment(workers=3, **kw))
+    assert one.spin_count == 2 and pool.metrics.blocks == 2
+    assert np.array_equal(one.echo_matrix(), pool.echo_matrix())
+    assert mp.active_children() == []
 
 
 @pytest.mark.skipif(
@@ -1136,22 +1157,6 @@ def test_master_failure_in_pool_stops_workers(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert mp.active_children() == []
-
-
-def test_dead_worker_blamed_on_a_block_it_held_or_an_outstanding_one():
-    from types import SimpleNamespace
-
-    from mrsim.engine import _dead_worker_panic
-
-    proc = SimpleNamespace(pid=4321, exitcode=-9)
-    sent = [SimpleNamespace(index=i) for i in range(3)]
-    returned = {0: None}
-    held = _dead_worker_panic(proc, 2, sent, returned)
-    assert held.block_index == 2 and "while computing this block" in str(held)
-    # died between blocks: the first block sent but not returned
-    idle = _dead_worker_panic(proc, -1, sent, returned)
-    assert idle.block_index == 1 and "sent but never returned" in str(idle)
-    assert "exited with code -9" in str(idle)
 
 
 def test_snapshots_in_rasterization_order():
