@@ -48,6 +48,10 @@ class Affine:
     gy: float = 0.0
     gz: float = 0.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.c, self.gx, self.gy, self.gz))):
+            raise InvalidParameter(f"affine coefficients must be finite, got {self}")
+
     def __call__(self, x: float, y: float, z: float) -> float:
         return self.c + self.gx * x + self.gy * y + self.gz * z
 
@@ -75,7 +79,8 @@ def _check_box_field(name: str, value) -> None:
     a size with a non-positive component, a constant t1 or t2 <= 0, a
     constant m0 that is negative or not finite and a constant
     delta_omega that is not finite; properties that vary with position
-    are checked at every site by :func:`rasterize`."""
+    are checked at every site by :func:`rasterize`, and an
+    :class:`Affine` checks its coefficients itself."""
     if name in ("origin", "size") and not all(math.isfinite(v) for v in value):
         raise InvalidParameter(f"box {name} components must be finite, got {value}")
     if name == "size" and any(s <= 0.0 for s in value):

@@ -120,12 +120,26 @@ class Legendre12Inhomogeneity:
         return np.where(origin, 0.0, value)[()]
 
 
+def _b0(value) -> float:
+    """A nominal flux density, which must be positive and finite."""
+    b0 = float(value)
+    if not 0.0 < b0 < math.inf:
+        raise InvalidParameter(f"b0 must be positive and finite, got {b0}")
+    return b0
+
+
 @dataclass(frozen=True)
 class StaticField:
-    """Nominal flux density plus an optional inhomogeneity model."""
+    """Nominal flux density plus an optional inhomogeneity model.
+
+    ``b0`` is informational: both engines work in the rotating frame,
+    where only the deviation ``delta_b0`` moves a spin."""
 
     b0: float
     inhomogeneity: Optional[object] = None  # None | Legendre12Inhomogeneity | ScalarGrid
+
+    def __post_init__(self):
+        _b0(self.b0)
 
     def delta_b0(self, x):
         """Static-field deviation (tesla) at positions of shape (..., 3)."""
@@ -370,7 +384,7 @@ def parse_system_file(text: str, base_dir: str = ".") -> SystemModel:
         "grid": ({"file": str}, lambda p: load_vector_grid(grid_path(p))),
     }
     grammar = {
-        "static_field": {"b0_T": float, "inhomogeneity": model_reader(inhomogeneity)},
+        "static_field": {"b0_T": _b0, "inhomogeneity": model_reader(inhomogeneity)},
         "receive": {"model": model_reader(receive)},
     }
     params: dict = {}

@@ -471,6 +471,13 @@ def test_parse_object_shepp_logan_block():
         "origin_m = 0 0 -inf",
         "size_m = nan 1 1",
         "size_m = 1 inf 1",
+        # affine coefficients that overflow to inf; they parsed and failed
+        # in rasterize without a line
+        "m0 = affine: 1e999",
+        "t1_s = affine: -1e999 + 1*x",
+        "t2_s = affine: 0.1 + 1e999*x",
+        "delta_omega_rad_s = affine: 1 - 1e999*y",
+        "m0 = affine: 1 + 2*x + 1e999 * z",
     ],
 )
 def test_parse_object_rejects_bad_box_value_at_its_line(line):
@@ -500,6 +507,18 @@ def test_parse_object_rejects_a_head_scale_at_its_line(value):
 def test_parse_object_leaves_affine_tissue_to_rasterize():
     ph = parse_object_file("[box]\norigin_m = 0 0 0\nsize_m = 1 1 1\nt2_s = affine: 0.1 + 1*x\n")
     assert ph.boxes[0].t2(-0.2, 0.0, 0.0) == pytest.approx(-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coefficient", ["c", "gx", "gy", "gz"])
+def test_affine_coefficients_must_be_finite(coefficient, value):
+    with pytest.raises(InvalidParameter, match="affine coefficients must be finite"):
+        Affine(**{"c": 1.0, coefficient: value})
+
+
+def test_parse_object_accepts_an_infinite_constant_t1():
+    ph = parse_object_file("[box]\norigin_m = 0 0 0\nsize_m = 1 1 1\nt1_s = inf\n")
+    assert ph.boxes[0].t1 == math.inf
 
 
 def test_parse_object_errors():

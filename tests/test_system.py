@@ -496,3 +496,19 @@ def test_parse_system_names_the_line_of_a_grid_file_with_a_non_finite_value(tmp_
     with pytest.raises(ParseError, match="finite") as err:
         parse_system_file(text, base_dir=str(tmp_path))
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("b0", [0.0, -1.5, math.nan, math.inf, -math.inf])
+def test_static_field_rejects_a_b0_that_is_not_positive_and_finite(b0):
+    # b0 is informational, as both engines work in the rotating frame, and
+    # NaN and negative values were accepted
+    with pytest.raises(InvalidParameter, match="b0 must be positive and finite"):
+        StaticField(b0=b0)
+
+
+@pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf", "-inf"])
+def test_parse_system_rejects_a_bad_b0_at_its_line(value):
+    text = f"# system\n[static_field]\nb0_T = {value}\n[receive]\nmodel = uniform\n"
+    with pytest.raises(ParseError, match="b0_T: b0 must be positive and finite") as err:
+        parse_system_file(text)
+    assert err.value.line == 3
