@@ -161,8 +161,10 @@ class PruneBound:
     """
 
     def __init__(self, grayscale_levels: int = 256):
-        if grayscale_levels < 1:
-            raise InvalidParameter("grayscale_levels must be >= 1")
+        if not 1 <= grayscale_levels < math.inf:
+            raise InvalidParameter(
+                f"grayscale_levels must be >= 1 and finite, got {grayscale_levels!r}"
+            )
         self.bound_ratio = 0.5 / grayscale_levels
         self._reduced = [0.0, 0.0, 0.0]
         # configuration count -> the (k, populations) of each pending call

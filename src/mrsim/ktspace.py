@@ -19,7 +19,9 @@ every transversal order by the same integer triple, which is one-to-one
 and keeps the sorted order, so it relabels the orders and merges
 nothing.  A pulse split reads the state through a plan of indices that
 is cached per pair of order tuples for the walk, so a recurring state
-(an echo train) builds it once.
+(an echo train) builds it once.  Echoes are synthesized in batches of
+readouts, with one object-spectrum call per configuration count in a
+batch, not one per readout.
 
 Conventions: spatial frequencies are angular (rad/m) everywhere; a
 transversal configuration of order o contributes
@@ -39,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bloch import RelaxationParams, hard_pulse_coefficients
-from .errors import ComplexOrderZero, IncommensurateMoments
+from .errors import ComplexOrderZero, IncommensurateMoments, InvalidParameter
 from .sequence import Sequence, distinct_elements
 
 _log = logging.getLogger(__name__)
@@ -60,6 +62,9 @@ _FALLBACK_RESOLUTION = 1024
 # whole readout at once is no faster and, for 768 k on 20,000 spins,
 # peaks ~470 MiB higher.
 _LATTICE_CHUNK = 2**20
+# populations (samples times configurations) of the readouts whose
+# echoes the walk synthesizes together, with one spectrum call per width
+_SYNTH_BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -327,10 +332,18 @@ def simulate_kt(
 
     Echo samples are produced wherever the sequence acquires, using the
     supplied object spectrum: k of shape (..., 3) rad/m in, a complex
-    array of shape (...) out, called once per readout on every
-    configuration at every sample.  The tracker itself only needs the
-    tissue relaxation constants; position dependence enters through the
-    spectrum alone, so one run serves every region with the same T1/T2.
+    array of shape (...) out.  The walk collects each readout's k and
+    populations; once ``_SYNTH_BATCH`` populations are pending, and at
+    its end, it calls the spectrum once per configuration count m, on
+    the k (points, m, 3) of the pending readouts with m configurations
+    stacked along the points (:func:`_synthesize`).  Each
+    echo is the sum a call per readout would give, bit for bit, unless
+    the spectrum's own rounding depends on how many k it gets (the
+    matrix product of :func:`lattice_spectrum` may).  A spectrum's
+    exception reaches the caller as raised.  The tracker itself only
+    needs the tissue relaxation constants; position dependence enters
+    through the spectrum alone, so one run serves every region with the
+    same T1/T2.  ``prune_threshold`` must be >= 0 and finite.
 
     ``observe(k, populations)`` sees the transversal configurations at
     every instant a trace would record, without building the trace: k
@@ -358,6 +371,8 @@ def simulate_kt(
     pulse meets; a gradient shift relabels the orders, once per (orders,
     shift).  Recurring states, as in an echo train, reuse both.
     """
+    if not 0.0 <= prune_threshold < math.inf:
+        raise InvalidParameter(f"prune_threshold must be >= 0 and finite, got {prune_threshold!r}")
     reps, groups = distinct_elements(sequence)
     _log.debug("k-t walk: %d elements, %d distinct", len(groups), len(reps))
     moments = _element_moments(reps)
@@ -379,7 +394,9 @@ def simulate_kt(
     cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
     trace: List[TracePoint] = []
     echoes: List[np.ndarray] = []
-    splits = 0
+    # (echo index, k, populations) of the readouts awaiting synthesis
+    pending: List[Tuple[int, np.ndarray, np.ndarray]] = []
+    pending_size = spectrum_calls = splits = 0
     now = 0.0
 
     def k_at(orders, fracs):
@@ -433,7 +450,12 @@ def simulate_kt(
             rows, lrows = _relax_readout(pops, longi, lpops, step.samples)
             k = emit(now + step.ts, step.partial, trans, rows, longi, lrows)
             if object_spectrum is not None:
-                echoes.append((rows * object_spectrum(k)).sum(-1))
+                pending.append((len(echoes), k, rows))
+                echoes.append(None)
+                pending_size += rows.size
+                if pending_size >= _SYNTH_BATCH:
+                    spectrum_calls += _synthesize(object_spectrum, pending, echoes)
+                    pending, pending_size = [], 0
             pops, lpops = rows[-1].tolist(), lrows[-1].tolist()
         if step.decay is not None or step.q != ZERO:
             trans, pops, longi, lpops = _relax_shift(
@@ -442,8 +464,43 @@ def simulate_kt(
         now += step.duration
         record(now, trans, pops, longi, lpops)
     _log.debug("k-t walk: %d pulse splits from %d split plans", splits, len(plans))
+    if object_spectrum is not None:
+        if pending:
+            spectrum_calls += _synthesize(object_spectrum, pending, echoes)
+        _log.debug(
+            "k-t walk: echoes of %d readouts from %d spectrum calls", len(echoes), spectrum_calls
+        )
     final = ConfigurationSet(unit, dict(zip(trans, pops)), dict(zip(longi, lpops)))
     return KtRun(echoes=echoes, trace=trace, final=final)
+
+
+def _synthesize(
+    object_spectrum: Callable[[np.ndarray], np.ndarray],
+    pending: List[Tuple[int, np.ndarray, np.ndarray]],
+    echoes: List[Optional[np.ndarray]],
+) -> int:
+    """Fill in the echoes of the pending readouts; returns the number of
+    spectrum calls.
+
+    ``pending`` holds the index in ``echoes``, the k (points, m, 3) and
+    the populations (points, m) of each readout.  The readouts of one
+    width m are concatenated along the points and take one spectrum
+    call; each readout's echo is its rows of ``(rows *
+    spectrum(k)).sum(-1)``, a view.  The sum reduces every point on its
+    own, with the pairwise summation of a single readout's call.
+    """
+    by_width: Dict[int, list] = {}
+    for entry in pending:
+        by_width.setdefault(entry[2].shape[1], []).append(entry)
+    for group in by_width.values():
+        k = np.concatenate([k for _, k, _ in group])
+        rows = np.concatenate([rows for _, _, rows in group])
+        values = (rows * object_spectrum(k)).sum(-1)
+        start = 0
+        for i, _, part in group:
+            echoes[i] = values[start : start + len(part)]
+            start += len(part)
+    return len(by_width)
 
 
 @dataclass
@@ -680,6 +737,12 @@ def lattice_spectrum(positions, weights) -> Callable:
     """
     pos = np.asarray(positions, dtype=float)
     w = np.asarray(weights, dtype=complex)
+    if pos.ndim != 2 or pos.shape[1] != 3 or not np.isfinite(pos).all():
+        raise InvalidParameter("lattice positions must be a finite (n, 3) array")
+    if w.shape != pos.shape[:1] or not np.isfinite(w).all():
+        raise InvalidParameter(
+            f"lattice weights must be {len(pos)} finite values, one per position"
+        )
     step = max(1, _LATTICE_CHUNK // max(len(pos), 1))
 
     def spectrum(k) -> np.ndarray:
@@ -694,9 +757,16 @@ def lattice_spectrum(positions, weights) -> Callable:
 
 def box_spectrum(center, size, m0: float = 1.0) -> Callable:
     """Analytic spectrum of a constant box, for k of shape (..., 3):
-    product of sinc factors."""
+    product of sinc factors.  ``center`` is three finite numbers,
+    ``size`` three positive finite ones, and ``m0`` >= 0 and finite."""
     center = np.asarray(center, dtype=float)
     size = np.asarray(size, dtype=float)
+    if center.shape != (3,) or not np.isfinite(center).all():
+        raise InvalidParameter("box center must be three finite numbers")
+    if size.shape != (3,) or not (np.isfinite(size) & (size > 0.0)).all():
+        raise InvalidParameter("box size must be three positive finite numbers")
+    if not 0.0 <= m0 < math.inf:
+        raise InvalidParameter(f"box m0 must be >= 0 and finite, got {m0!r}")
 
     def spectrum(k) -> np.ndarray:
         k = np.asarray(k, dtype=float)

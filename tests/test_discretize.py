@@ -213,6 +213,19 @@ def test_prune_one_gray_level_is_maximal():
     assert loose[0] <= tight[0]
 
 
+@pytest.mark.parametrize("levels", [math.nan, math.inf, -math.inf, 0, 0.5])
+def test_prune_rejects_grayscale_levels_below_one_or_not_finite(levels):
+    # NaN and inf passed the ``< 1`` check and gave the unpruned K_max
+    seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+    relax = RelaxationParams(t1=1.0, t2=0.1, m0=1.0)
+    with pytest.raises(InvalidParameter, match="grayscale_levels"):
+        PruneBound(levels)
+    with pytest.raises(InvalidParameter, match="grayscale_levels"):
+        pruned_max_spacing(seq, relax, grayscale_levels=levels)
+    with pytest.raises(InvalidParameter, match="grayscale_levels"):
+        steady_state_prune([], grayscale_levels=levels)
+
+
 @pytest.mark.parametrize("levels", [1, 256, 4096])
 def test_prune_matches_point_by_point_reference(levels):
     for seq, relax in (

@@ -18,7 +18,7 @@ from mrsim.bloch import (
     regrow_mz,
 )
 from mrsim.discretize import PruneBound
-from mrsim.errors import ComplexOrderZero, IncommensurateMoments, MrSimError
+from mrsim.errors import ComplexOrderZero, IncommensurateMoments, InvalidParameter, MrSimError
 from mrsim.ktspace import (
     DEFAULT_PRUNE,
     ZERO,
@@ -38,7 +38,9 @@ from mrsim.sequence import (
     ElementarySequence,
     GradientWaveform,
     Sequence,
+    build_cpmg,
     build_spin_echo,
+    build_tse,
     distinct_elements,
     readout_gradient,
 )
@@ -472,6 +474,53 @@ def test_lattice_spectrum_matches_direct_sum(monkeypatch):
     assert spec(np.zeros((4, 0, 3))).shape == (4, 0)
 
 
+@pytest.mark.parametrize(
+    "positions, weights",
+    [
+        ([(0.0, 0.0, math.nan), (0.01, 0.0, 0.0)], [1.0, 1.0]),
+        ([(0.0, math.inf, 0.0), (0.01, 0.0, 0.0)], [1.0, 1.0]),
+        ([(0.0, 0.0), (0.01, 0.0)], [1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0]),
+        ([[(0.0, 0.0, 0.0)], [(0.01, 0.0, 0.0)]], [1.0, 1.0]),
+        ([(0.0, 0.0, 0.0), (0.01, 0.0, 0.0)], [1.0]),
+        ([(0.0, 0.0, 0.0), (0.01, 0.0, 0.0)], [1.0, 1.0, 1.0]),
+        ([(0.0, 0.0, 0.0), (0.01, 0.0, 0.0)], [[1.0, 1.0]]),
+        ([(0.0, 0.0, 0.0), (0.01, 0.0, 0.0)], [1.0, complex(math.nan, 0.0)]),
+    ],
+)
+def test_lattice_spectrum_rejects_bad_positions_or_weights(positions, weights):
+    # these raised a bare numpy error at the first call, inside the walk
+    with pytest.raises(InvalidParameter):
+        lattice_spectrum(positions, weights)
+
+
+@pytest.mark.parametrize(
+    "center, size, m0",
+    [
+        ((math.nan, 0.0, 0.0), (0.1, 0.1, 0.1), 1.0),
+        ((0.0, -math.inf, 0.0), (0.1, 0.1, 0.1), 1.0),
+        ((0.0, 0.0), (0.1, 0.1, 0.1), 1.0),
+        ((0.0, 0.0, 0.0), (0.1, 0.1), 1.0),
+        ((0.0, 0.0, 0.0), 0.1, 1.0),
+        ((0.0, 0.0, 0.0), (0.1, math.nan, 0.1), 1.0),
+        ((0.0, 0.0, 0.0), (0.1, 0.1, math.inf), 1.0),
+        ((0.0, 0.0, 0.0), (0.0, 0.1, 0.1), 1.0),
+        ((0.0, 0.0, 0.0), (0.1, -0.1, 0.1), 1.0),
+        ((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), -1.0),
+        ((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), math.nan),
+        ((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), math.inf),
+    ],
+)
+def test_box_spectrum_rejects_bad_geometry(center, size, m0):
+    # a NaN size gave NaN echoes
+    with pytest.raises(InvalidParameter):
+        box_spectrum(center, size, m0)
+
+
+def test_box_spectrum_of_zero_density_is_zero():
+    assert box_spectrum((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), 0.0)(np.array([1.0, 2.0, 3.0])) == 0.0
+
+
 def test_max_k_single_readout():
     k_max = 150.0
     els = [
@@ -694,4 +743,109 @@ def test_walk_logs_element_and_distinct_counts(caplog):
     # every phase-encode row meets its pulses with orders of its own
     assert any(
         rec.getMessage() == "k-t walk: 16 pulse splits from 16 split plans" for rec in caplog.records
+    )
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+def test_walk_rejects_a_prune_threshold_that_is_negative_or_not_finite(threshold):
+    # NaN and -1 acted as 0 and inf pruned every transversal population
+    seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
+    with pytest.raises(InvalidParameter, match="prune_threshold"):
+        simulate_kt(seq, RelaxationParams(1.0, 0.1, 1.0), prune_threshold=threshold)
+
+
+# ---------------------------------------------------------------------------
+# echoes synthesized in batches of readouts
+# ---------------------------------------------------------------------------
+
+
+def _counted(spectrum):
+    """``spectrum`` and the list of the k shapes it is called with."""
+    shapes = []
+
+    def counted(k):
+        shapes.append(k.shape)
+        return spectrum(k)
+
+    return counted, shapes
+
+
+def _kt_cpmg12_walk(spectrum):
+    """The CPMG-12 walk of the ``kt_cpmg12`` benchmark workload at 16^2,
+    its first tissue: 192 readouts of 16 samples, one configuration each."""
+    seq = build_cpmg(
+        fov=0.375, n=16, n_echoes=12, dte=0.02, tr=2.0,
+        readout_grad=readout_gradient(0.375, 16, 0.012),
+    )
+    return simulate_kt(seq, RelaxationParams(0.3, 0.05, 1.0), object_spectrum=spectrum, record_trace=False)
+
+
+def _unpruned_tse():
+    """An unpruned TSE-32 walk: 32 readouts of 3 to 47 configurations."""
+    seq = build_tse(
+        fov=0.25, n=32, turbo_factor=8, echo_spacing=0.02, tr=0.5,
+        readout_grad=readout_gradient(0.25, 32, 0.008),
+    )
+    return seq, RelaxationParams(1.0, 0.1, 1.0)
+
+
+def test_walk_synthesizes_a_batch_of_readouts_in_one_spectrum_call():
+    spectrum, shapes = _counted(box_spectrum((-0.09, -0.09, 0.0), (0.09, 0.09, 1e-3), 0.9))
+    run = _kt_cpmg12_walk(spectrum)
+    assert len(run.echoes) == 192 and all(e.shape == (16,) for e in run.echoes)
+    assert shapes == [(192 * 16, 1, 3)]
+
+
+@pytest.mark.parametrize("batch", [None, 1])
+def test_batched_echoes_match_the_per_readout_oracle(monkeypatch, batch):
+    # readouts of 8 or more configurations take numpy's pairwise sum,
+    # which a sequential sum over the flattened batch would not reproduce
+    if batch is not None:
+        monkeypatch.setattr(ktspace, "_SYNTH_BATCH", batch)
+    seq, relax = _unpruned_tse()
+    box = box_spectrum((0.01, 0.0, 0.0), (0.1, 0.08, 1e-3), 0.8)
+    spectrum, shapes = _counted(box)
+    got = simulate_kt(seq, relax, object_spectrum=spectrum, prune_threshold=0.0, record_trace=False)
+    want = reference_walk(seq, relax, object_spectrum=box, prune_threshold=0.0)
+    assert [e.tobytes() for e in got.echoes] == [e.tobytes() for e in want.echoes]
+    widths = [shape[1] for shape in shapes]
+    assert max(widths) >= 8
+    # one call per width of a batch, or per readout when each fills one
+    if batch == 1:
+        assert len(shapes) == 32
+    else:
+        assert len(set(widths)) <= len(shapes) < 32
+
+
+def test_batched_lattice_echoes_match_per_readout_synthesis(monkeypatch):
+    # a lattice spectrum's matmul blocks by the number of k rows it gets,
+    # so a batch may round differently from one readout
+    rng = np.random.default_rng(11)
+    lattice = lattice_spectrum(rng.uniform(-0.05, 0.05, size=(40, 3)), rng.uniform(0.1, 1.0, size=40))
+    seq, relax = _unpruned_tse()
+    batched = simulate_kt(seq, relax, object_spectrum=lattice, prune_threshold=0.0, record_trace=False)
+    monkeypatch.setattr(ktspace, "_SYNTH_BATCH", 1)
+    single = simulate_kt(seq, relax, object_spectrum=lattice, prune_threshold=0.0, record_trace=False)
+    want = np.array(single.echoes)
+    diff = np.linalg.norm(np.array(batched.echoes) - want)
+    assert diff <= 1e-15 * np.linalg.norm(want)  # -300 dB
+
+
+def test_spectrum_error_reaches_the_caller_unchanged():
+    error = RuntimeError("spectrum failed")
+
+    def failing(k):
+        raise error
+
+    with pytest.raises(RuntimeError) as info:
+        _kt_cpmg12_walk(failing)
+    assert info.value is error
+
+
+def test_walk_logs_readouts_and_spectrum_calls(caplog):
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        _kt_cpmg12_walk(box_spectrum((0.0, 0.0, 0.0), (0.09, 0.09, 1e-3)))
+    assert any(
+        rec.getMessage() == "k-t walk: echoes of 192 readouts from 1 spectrum calls"
+        for rec in caplog.records
     )
