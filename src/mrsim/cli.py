@@ -70,6 +70,7 @@ def _cmd_simulate(args) -> int:
         "workers": result.metrics.workers,
         "blocks": result.metrics.blocks,
         "wall_time_s": result.metrics.wall_time_s,
+        "stages_s": result.metrics.stages,
         "throughput_spins_per_s": result.metrics.throughput,
         "busy_fraction": result.metrics.busy_fraction,
         "hardware": result.metrics.hardware,

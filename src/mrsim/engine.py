@@ -96,6 +96,7 @@ from __future__ import annotations
 import collections
 import logging
 import math
+import operator
 import os
 import platform
 import time
@@ -729,12 +730,22 @@ class EchoRecord:
 
 @dataclass
 class RunMetrics:
+    """How a run went.  ``stages`` holds the seconds of each stage of
+    :func:`run` by name, in order: ``spacing`` (the automatic spacing, or
+    a one-process run's check of an override), ``rasterize``,
+    ``system_eval`` (:func:`build_spin_arrays`), ``tables``, ``kernel``
+    (cutting the blocks and evolving them; a pooled run checks an
+    override here, in the master while the workers compute) and
+    ``reduce`` (summing the echoes and gathering the snapshots).  They
+    add up to at most ``wall_time_s``."""
+
     wall_time_s: float
     throughput: float  # spins per second of wall time
     workers: int
     blocks: int
     busy_fraction: Dict[int, float]
     hardware: str
+    stages: Dict[str, float]
 
 
 @dataclass
@@ -888,13 +899,39 @@ def _worker_main(tables, share, conn):
         conn.send((block.index, result, time.perf_counter() - started))
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a Python int >= 1: an integer, numpy's included, but
+    not a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}") from None
+    if n < 1:
+        raise InvalidParameter(f"{name} must be >= 1, got {value!r}")
+    return n
+
+
 def run(exp: Experiment) -> RunResult:
-    """Execute one experiment; see the module docstring for the roles."""
-    if exp.workers < 1:
-        raise InvalidParameter(f"workers must be >= 1, got {exp.workers}")
-    if exp.blocks is not None and exp.blocks < 1:
-        raise InvalidParameter(f"blocks must be >= 1, got {exp.blocks}")
-    wall_start = time.perf_counter()
+    """Execute one experiment; see the module docstring for the roles.
+    Its stages are timed into ``RunMetrics.stages``."""
+    exp = replace(
+        exp,
+        workers=_count("workers", exp.workers),
+        blocks=None if exp.blocks is None else _count("blocks", exp.blocks),
+    )
+    if not isinstance(exp.deterministic, bool):
+        raise InvalidParameter(f"deterministic must be True or False, got {exp.deterministic!r}")
+    wall_start = stage_start = time.perf_counter()
+    stages: Dict[str, float] = {}
+
+    def stage(name: str) -> None:
+        nonlocal stage_start
+        now = time.perf_counter()
+        stages[name] = now - stage_start
+        stage_start = now
+
     if exp.spacing is None:
         spacing, report = _auto_spacing(exp)
     else:
@@ -902,11 +939,15 @@ def run(exp: Experiment) -> RunResult:
         if exp.workers == 1:
             report, problems = _check_spacing(exp, spacing)
             _warn_spacing(problems)
+    stage("spacing")
     spins = rasterize(exp.phantom, spacing)
     if not spins:
         raise InvalidParameter("the phantom rasterized to zero spins")
+    stage("rasterize")
     arrays = build_spin_arrays(spins, exp.system)
+    stage("system_eval")
     tables = precompute_sequence_tables(exp.sequence, snapshot_times=exp.snapshot_times)
+    stage("tables")
     # the fewest blocks within the propagator budget, and at least the
     # blocks asked for, or one per worker
     n_blocks = max(exp.blocks or exp.workers, -(-arrays.n // _block_spins(tables)))
@@ -929,6 +970,7 @@ def run(exp: Experiment) -> RunResult:
         if checked is not None:
             report, problems = checked
             _warn_spacing(problems)
+    stage("kernel")
 
     n_spins = arrays.n
     echo_sum: Optional[np.ndarray] = None
@@ -939,7 +981,15 @@ def run(exp: Experiment) -> RunResult:
         echo_sum = echo_sum / n_spins
         for values, times in zip(echo_sum, tables.acq_times):
             records.append(EchoRecord(values=values[: times.size], timestamps=times))
+    # snapshots concatenate in block-index order regardless of the fold
+    # order, preserving rasterization order
+    snapshots = [
+        (t, np.concatenate([snaps[i] for _echoes, snaps in ordered]))
+        for i, t in enumerate(exp.snapshot_times)
+    ]
+    stage("reduce")
     wall = time.perf_counter() - wall_start
+    _log.debug("run stages: %s", ", ".join(f"{name} {t:.4f} s" for name, t in stages.items()))
     metrics = RunMetrics(
         wall_time_s=wall,
         throughput=n_spins / wall if wall > 0 else math.inf,
@@ -947,13 +997,8 @@ def run(exp: Experiment) -> RunResult:
         blocks=len(blocks),
         busy_fraction={w: t / wall for w, t in sorted(busy.items())} if wall > 0 else {},
         hardware=f"{platform.machine()} {platform.processor() or 'cpu'} x{os.cpu_count()}",
+        stages=stages,
     )
-    # snapshots concatenate in block-index order regardless of the fold
-    # order, preserving rasterization order
-    snapshots = [
-        (t, np.concatenate([snaps[i] for _echoes, snaps in ordered]))
-        for i, t in enumerate(exp.snapshot_times)
-    ]
     return RunResult(
         echoes=records,
         metrics=metrics,

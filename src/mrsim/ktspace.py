@@ -14,14 +14,18 @@ spin simulation needs, and an independent oracle for the spin engine.
 
 The walk (:func:`simulate_kt`) keeps its state as two sorted tuples of
 order tuples with a list of Python complex populations each, and builds
-a :class:`ConfigurationSet` only for its result.  A gradient shift moves
-every transversal order by the same integer triple, which is one-to-one
-and keeps the sorted order, so it relabels the orders and merges
-nothing.  A pulse split reads the state through a plan of indices that
-is cached per pair of order tuples for the walk, so a recurring state
-(an echo train) builds it once.  Echoes are synthesized in batches of
-readouts, with one object-spectrum call per configuration count in a
-batch, not one per readout.
+a :class:`ConfigurationSet` only for its result.  It steps from pulse to
+pulse: between two pulses relaxation only scales the populations and a
+gradient only shifts every transversal order by the same integer
+triple, which is one-to-one and keeps the sorted order, so it relabels
+the orders and merges nothing.  A span, a pulse element and the
+elements up to the next one, takes one running product of decay
+factors over all its intervals, one k array and one relabel by its
+summed shift.  A pulse split reads the state through a plan of indices
+that is cached per pair of order tuples for the walk, so a recurring
+state (an echo train) builds it once.  Echoes are synthesized in
+batches of readouts, with one object-spectrum call per configuration
+count in a batch, not one per readout.
 
 Conventions: spatial frequencies are angular (rad/m) everywhere; a
 transversal configuration of order o contributes
@@ -65,6 +69,9 @@ _LATTICE_CHUNK = 2**20
 # populations (samples times configurations) of the readouts whose
 # echoes the walk synthesizes together, with one spectrum call per width
 _SYNTH_BATCH = 1 << 13
+# populations (points times configurations of both kinds) of the most a
+# span walks at once; a longer one, such as an EPI train, goes in parts
+_SPAN_BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -163,47 +170,6 @@ def _split(plan, mix, cut: float, trans_pops: List[complex], longi_pops: List[co
             new_longi.append(o)
             new_lpops.append(0j + nb)
     return tuple(new_trans), new_tpops, tuple(new_longi), new_lpops
-
-
-def _relax_shift(
-    trans_orders: Tuple[Order, ...],
-    trans_pops: List[complex],
-    longi_orders: Tuple[Order, ...],
-    longi_pops: List[complex],
-    decay: Optional[Tuple[float, float, float]],
-    q: Order,
-    relabels: Dict[tuple, Tuple[Order, ...]],
-):
-    """Relaxation by ``decay`` (None for none), then the shift of every
-    transversal order by the integer triple q.
-
-    T2 decays the transversal, T1 the longitudinal populations, and the
-    order-0 Mz regrows toward m0.  A shift moves every order by the same
-    q, which is one-to-one and keeps the sorted order, so it only
-    relabels the orders, once per (orders, q) in ``relabels``; the
-    shifted populations take ``0j + p``, as a sum into an empty slot
-    does.  Returns the new state.
-    """
-    shifts = q != ZERO
-    if decay is not None:
-        e2, e1, regrowth = decay
-        if shifts:
-            trans_pops = [0j + p * e2 for p in trans_pops]
-        else:
-            trans_pops = [p * e2 for p in trans_pops]
-        longi_pops = [p * e1 for p in longi_pops]
-        zero = longi_orders.index(ZERO)
-        longi_pops[zero] = _real_b0(longi_pops[zero] + regrowth)
-    elif shifts:
-        trans_pops = [0j + p for p in trans_pops]
-    if shifts:
-        key = (trans_orders, q)
-        shifted = relabels.get(key)
-        if shifted is None:
-            q0, q1, q2 = q
-            shifted = relabels[key] = tuple((o[0] + q0, o[1] + q1, o[2] + q2) for o in trans_orders)
-        trans_orders = shifted
-    return trans_orders, trans_pops, longi_orders, longi_pops
 
 
 def synthesize_echo(
@@ -348,28 +314,37 @@ def simulate_kt(
     ``observe(k, populations)`` sees the transversal configurations at
     every instant a trace would record, without building the trace: k
     is (points, m, 3) rad/m and populations (points, m), the m
-    configurations in order.  A readout is observed in one call for all
-    its samples.  Every k array it receives is read-only: at element
-    boundaries the walk builds one per set of orders, so ``observe`` may
-    receive the same array in several calls, and may group the calls
-    that share it.
+    configurations in order.  It is called once per span (see below),
+    on every point of the span in time order: the state after the
+    span's pulse, each readout's samples and each element's end.  A span
+    of more than ``_SPAN_BATCH`` populations is observed in parts of
+    whole elements.  Every k array it receives is read-only, and the
+    same array may come again when a span recurs with the same orders
+    and shifts.
 
     Sequences whose moments share no common measure are tracked on the
     continuous-k fallback grid (smallest moment / 1024), merging
     configurations whose k positions round together.
 
-    Everything an elementary sequence contributes apart from the state
-    (mixing coefficients, integer shift, decay factors, sample instants
-    and partial moments) is computed once per group of
-    :func:`mrsim.sequence.distinct_elements` at the start of the call;
-    the walk then applies those steps in element order.
+    The walk steps from pulse to pulse.  A span is a pulse element and
+    every element after it up to the next pulse element (the elements
+    before the first pulse form one too).  Between two pulses every
+    configuration only decays and shifts, so a span takes one running
+    product of decay factors over all its intervals
+    (:func:`_walk_span`), one k array and one ``observe`` call, and
+    relabels the orders once by its summed shift.  What an element
+    contributes apart from its pulse and shift (decay factors, sample
+    instants and partial moments, a :class:`_Piece`) is computed once
+    per group of :func:`mrsim.sequence.distinct_elements`, and what a
+    span does once per sequence of pieces (:class:`_SpanShape`), so
+    phase-encode lobes that differ only in their shift share one.
 
     The walk keeps its state as sorted order tuples with a list of
     Python complex populations per kind, and builds ``final`` once at
     the end.  A pulse split reads the state through a plan of indices
     (:func:`_split_plan`), built once per pair of order tuples that a
-    pulse meets; a gradient shift relabels the orders, once per (orders,
-    shift).  Recurring states, as in an echo train, reuse both.
+    pulse meets; a span relabels the orders once per (orders, shift).
+    Recurring states, as in an echo train, reuse both.
     """
     if not 0.0 <= prune_threshold < math.inf:
         raise InvalidParameter(f"prune_threshold must be >= 0 and finite, got {prune_threshold!r}")
@@ -382,96 +357,265 @@ def simulate_kt(
     except IncommensurateMoments:
         unit = _fallback_unit(moments)
         shift_tol = math.inf
-    steps = [_WalkStep.of(es, m, relax, unit, shift_tol) for es, m in zip(reps, moments)]
+    pieces: List[_Piece] = []
+    piece_at: Dict[tuple, int] = {}
+    steps = []  # per distinct element: mixing coefficients or None, piece, shift
+    for es, moment in zip(reps, moments):
+        piece = _Piece.of(es, relax)
+        at = piece_at.setdefault(piece.key(), len(pieces))
+        if at == len(pieces):
+            pieces.append(piece)
+        mix = None if es.pulse is None else hard_pulse_coefficients(es.pulse.alpha, es.pulse.phi)
+        steps.append((mix, at, _integer_shift(moment, unit, tol=shift_tol)))
+    spans = []  # (mixing coefficients or None, pieces, shifts)
+    for g in groups:
+        mix, at, q = steps[g]
+        if mix is not None or not spans:
+            span_pieces, shifts = [], []
+            spans.append((mix, span_pieces, shifts))
+        span_pieces.append(at)
+        shifts.append(q)
+
     scale = _k_scale(unit)
-    at_boundary = np.zeros((1, 3))
-    boundary_k: Dict[tuple, np.ndarray] = {}
-    bases: Dict[tuple, np.ndarray] = {}  # order tuple -> its k without offset
+    # no order leaves +-(elements * largest shift); below 2**53 orders
+    # and their sums are exact as floats, so a span's k takes its shifts
+    # as float offsets, and otherwise its orders segment by segment
+    largest = max((abs(c) for _, _, q in steps for c in q), default=0)
+    float_offsets = len(groups) * largest < 2**53
+    shapes: Dict[tuple, _SpanShape] = {}  # (pieces, opens) -> span shape
+    float_orders: Dict[tuple, np.ndarray] = {}  # order tuple -> (m, 3) floats
+    # (shape, orders, shifts) -> k of a span, kept once the key recurs
+    k_seen: set = set()
+    k_kept: Dict[tuple, np.ndarray] = {}
     plans: Dict[tuple, list] = {}  # (trans orders, longi orders) -> split plan
     relabels: Dict[tuple, Tuple[Order, ...]] = {}  # (orders, shift) -> shifted orders
-    trans, pops, longi, lpops = (), [], (ZERO,), [complex(relax.m0)]
+    state = ((), [], (ZERO,), [complex(relax.m0)])
     # populations below the cut are pruned after every pulse split
     cut = prune_threshold * (relax.m0 if relax.m0 > 0 else 1.0)
     trace: List[TracePoint] = []
     echoes: List[np.ndarray] = []
     # (echo index, k, populations) of the readouts awaiting synthesis
     pending: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    pending_size = spectrum_calls = splits = 0
+    pending_size = spectrum_calls = splits = walked = 0
     now = 0.0
+    needs_k = observe is not None or object_spectrum is not None or record_trace
 
-    def k_at(orders, fracs):
-        """Read-only k (points, m, 3) of ``orders`` offset by ``fracs``; at
-        a boundary (fracs None) one array per order tuple."""
-        if fracs is None:
-            k = boundary_k.get(orders)
-            if k is None:
-                k = boundary_k[orders] = k_at(orders, at_boundary)
+    def shape_of(span_pieces, opens):
+        key = (span_pieces, opens)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _SpanShape([pieces[i] for i in span_pieces], opens)
+        return shape
+
+    def as_floats(orders):
+        floats = float_orders.get(orders)
+        if floats is None:
+            floats = float_orders[orders] = np.array(orders, dtype=float).reshape(-1, 3)
+        return floats
+
+    def span_k(shape, trans, shifts, sums):
+        """Read-only k (points, m, 3) of a span that starts on ``trans``."""
+        key = (shape, trans, shifts)
+        k = k_kept.get(key)
+        if k is not None:
             return k
-        base = bases.get(orders)
-        if base is None:
-            base = bases[orders] = _k_base(scale, orders)
-        k = base + fracs[:, None, :]
+        if float_offsets:
+            offsets = np.repeat(np.array(sums, dtype=float), shape.counts, axis=0)
+            k = (as_floats(trans) + offsets[:, None, :]) * scale + shape.frac[:, None, :]
+        else:
+            k = np.concatenate([
+                _k_positions(scale, _relabel(trans, q, relabels), shape.frac[at])
+                for at, q in zip(shape.segments, sums)
+            ])
         k.flags.writeable = False
+        if key in k_seen:
+            k_kept[key] = k
+        else:
+            k_seen.add(key)
         return k
 
-    def emit(at, fracs, orders, rows, longi, lrows):
-        """Trace rows and observe call for the configurations at the
-        instants ``at`` (an array); returns the transversal k (points, m, 3)."""
-        k = k_at(orders, fracs)
-        if observe is not None and orders:
-            observe(k, rows)
-        if record_trace:
-            points = zip(
-                at.tolist(),
-                _entries("transversal", orders, rows, k),
-                _entries("longitudinal", longi, lrows, k_at(longi, fracs)),
-            )
-            trace.extend(TracePoint(t, a + b) for t, a, b in points)
-        return k
-
-    def record(t, trans, pops, longi, lpops):
-        if record_trace:
-            emit(np.array([t]), None, trans, np.array([pops]), longi, np.array([lpops]))
-        elif observe is not None and trans:
-            observe(k_at(trans, None), np.array([pops]))
-
-    record(now, trans, pops, longi, lpops)
-    for g in groups:
-        step = steps[g]
-        if step.mix is not None:
+    if record_trace:
+        trans, pops, longi, lpops = state
+        at_start = np.zeros((1, 3))
+        points = zip(
+            _entries("transversal", trans, np.array([pops]), _k_positions(scale, trans, at_start)),
+            _entries("longitudinal", longi, np.array([lpops]), _k_positions(scale, longi, at_start)),
+        )
+        trace.extend(TracePoint(now, a + b) for a, b in points)
+    for mix, span_pieces, shifts in spans:
+        if mix is not None:
+            trans, pops, longi, lpops = state
             key = (trans, longi)
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = _split_plan(trans, longi)
-            trans, pops, longi, lpops = _split(plan, step.mix, cut, pops, lpops)
+            state = _split(plan, mix, cut, pops, lpops)
             splits += 1
-            record(now, trans, pops, longi, lpops)
-        if step.samples is not None:
-            rows, lrows = _relax_readout(pops, longi, lpops, step.samples)
-            k = emit(now + step.ts, step.partial, trans, rows, longi, lrows)
+        span_pieces, shifts = tuple(span_pieces), tuple(shifts)
+        shape = shape_of(span_pieces, mix is not None)
+        if len(span_pieces) == 1 or shape.size * (len(state[1]) + len(state[3])) <= _SPAN_BATCH:
+            parts = ((shape, shifts),)
+        else:
+            parts = [
+                (shape_of(span_pieces[at:stop], mix is not None and at == 0), shifts[at:stop])
+                for at, stop in _span_parts(pieces, span_pieces, shape.opens, len(state[1]) + len(state[3]))
+            ]
+        for i, (shape, shifts) in enumerate(parts):
+            trans, longi = state[0], state[2]
+            m = len(trans)
+            # a span starts on a split or the first state; a later part
+            # of it may start on a -0.0
+            scan, sums, state = _walk_span(shape, shifts, state, relabels, i == 0, record_trace)
+            walked += 1
+            points = scan.take(shape.point_rows, axis=0)
+            rows = points[:, :m]
+            k = span_k(shape, trans, shifts, sums) if needs_k else None
+            if observe is not None and m:
+                observe(k, rows)
             if object_spectrum is not None:
-                pending.append((len(echoes), k, rows))
-                echoes.append(None)
-                pending_size += rows.size
+                for start, end in shape.readouts:
+                    pending.append((len(echoes), k[start:end], rows[start:end]))
+                    echoes.append(None)
+                    pending_size += (end - start) * m
                 if pending_size >= _SYNTH_BATCH:
                     spectrum_calls += _synthesize(object_spectrum, pending, echoes)
                     pending, pending_size = [], 0
-            pops, lpops = rows[-1].tolist(), lrows[-1].tolist()
-        if step.decay is not None or step.q != ZERO:
-            trans, pops, longi, lpops = _relax_shift(
-                trans, pops, longi, lpops, step.decay, step.q, relabels
-            )
-        now += step.duration
-        record(now, trans, pops, longi, lpops)
+            if record_trace:
+                now = _trace_span(trace, now, shape, sums, trans, rows, k, longi,
+                                  points[:, m:], as_floats(longi) * scale, relabels)
     _log.debug("k-t walk: %d pulse splits from %d split plans", splits, len(plans))
+    _log.debug("k-t walk: %d spans from %d span shapes", walked, len(shapes))
     if object_spectrum is not None:
         if pending:
             spectrum_calls += _synthesize(object_spectrum, pending, echoes)
         _log.debug(
             "k-t walk: echoes of %d readouts from %d spectrum calls", len(echoes), spectrum_calls
         )
+    trans, pops, longi, lpops = state
     final = ConfigurationSet(unit, dict(zip(trans, pops)), dict(zip(longi, lpops)))
     return KtRun(echoes=echoes, trace=trace, final=final)
+
+
+def _span_parts(pieces, span_pieces, opens: bool, width: int):
+    """(start, stop) of the parts of a span of more than ``_SPAN_BATCH``
+    populations, ``width`` per point: runs of whole elements that stay
+    within it, or one element."""
+    parts, at, size = [], 0, int(opens)
+    for i, p in enumerate(span_pieces):
+        if i > at and (size + pieces[p].points) * width > _SPAN_BATCH:
+            parts.append((at, i))
+            at, size = i, 0
+        size += pieces[p].points
+    parts.append((at, len(span_pieces)))
+    return parts
+
+
+def _relabel(orders: Tuple[Order, ...], q: Order, relabels: Dict[tuple, Tuple[Order, ...]]):
+    """Every order shifted by the integer triple q, once per (orders, q)
+    in ``relabels``.  A shift is one-to-one and keeps the sorted order."""
+    if q == ZERO:
+        return orders
+    key = (orders, q)
+    shifted = relabels.get(key)
+    if shifted is None:
+        q0, q1, q2 = q
+        shifted = relabels[key] = tuple((o[0] + q0, o[1] + q1, o[2] + q2) for o in orders)
+    return shifted
+
+
+def _walk_span(shape: "_SpanShape", shifts, state, relabels, clean: bool = False, every_mz: bool = True):
+    """Walk a state through one span: returns the running product
+    (rows, m + l), the summed shift of each point segment (see
+    :class:`_SpanShape`) and the state at the end.  Without ``every_mz``
+    the order-0 Mz is set in the last row only.
+
+    Row 0 holds the state, each later row the state after one interval:
+    the transversal columns decayed by T2, the longitudinal ones by T1,
+    the order-0 Mz by its regrowth recurrence on real floats (the
+    order-0 population is real and the factors are, so the complex
+    form's imaginary part stays exactly 0).  One running product over
+    every interval gives the populations of the per-element walk, which
+    multiplies a readout's samples as complex arrays, an element's rest
+    as Python ``p * e`` (per part from Python 3.14) and gives each
+    shifted population ``0j + p``: the forms differ only in the sign of
+    a zero part, and only where a zero part is -0.0 or a part underflows
+    to 0.  Neither happens while no part of the last row is zero that
+    was not zero in row 0, and no zero part of row 0 is -0.0, which is
+    so for a ``clean`` state: one from a split, which gives every
+    population ``0j + p``, or the first one; otherwise the span is
+    redone element by element in those forms (:func:`_exact_span`).
+    """
+    trans, pops, longi, lpops = state
+    m = len(pops)
+    scan = np.empty((shape.rows, m + len(lpops)), dtype=complex)
+    scan[0] = pops + lpops
+    scan[1:, :m] = shape.e2
+    scan[1:, m:] = shape.e1
+    np.multiply.accumulate(scan, axis=0, out=scan)
+    first, last = scan[0].view(float), scan[-1].view(float)
+    nonzero = np.count_nonzero(first)
+    if np.count_nonzero(last) != nonzero or (
+        not clean and nonzero < first.size and np.signbit(first[first == 0.0]).any()
+    ):
+        scan[1:, :m] = shape.e2
+        scan[1:, m:] = shape.e1
+        _exact_span(scan, m, shape, shifts)
+    zero = longi.index(ZERO)
+    b0s, b0 = [], lpops[zero].real
+    for mz in shape.mz:
+        if mz is not None:
+            b0 = b0 * mz[0] + mz[1]
+        if every_mz:
+            b0s.append(b0)
+    if every_mz:
+        scan[1:, m + zero] = b0s
+    else:
+        scan[-1, m + zero] = b0
+    s0 = s1 = s2 = 0
+    sums = [ZERO]
+    for q0, q1, q2 in shifts:
+        s0, s1, s2 = s0 + q0, s1 + q1, s2 + q2
+        sums.append((s0, s1, s2))
+    end = scan[-1].tolist()
+    return scan, sums, (_relabel(trans, sums[-1], relabels), end[:m], longi, end[m:])
+
+
+def _exact_span(scan: np.ndarray, m: int, shape: "_SpanShape", shifts) -> None:
+    """The running product of :func:`_walk_span` element by element, in
+    the per-element walk's forms: a readout's rows as one complex
+    running product, the rest as Python ``p * e``, no rest as a copy,
+    and ``0j + p`` on the transversal populations of an element that
+    shifts.  ``scan`` holds the start row and the factor rows."""
+    for (start, last, end), piece, q in zip(shape.ends, shape.pieces, shifts):
+        if last > start:
+            np.multiply.accumulate(scan[start : last + 1], axis=0, out=scan[start : last + 1])
+        if piece.rest is None:
+            scan[end] = scan[last]
+        else:
+            scan[end] = [p * e for p, e in zip(scan[last].tolist(), scan[end].real.tolist())]
+        if q != ZERO:
+            scan[end, :m] += 0j
+
+
+def _trace_span(trace, now, shape, sums, trans, rows, k, longi, lrows, lbase, relabels) -> float:
+    """Append the trace points of one span; returns the time at its end.
+    Each element's end is ``now + duration``, each sample ``now + ts``
+    from the element's start, as the elements come."""
+    times = [now] if shape.opens else []
+    for piece in shape.pieces:
+        if piece.ts is not None:
+            times.extend((now + piece.ts).tolist())
+        now += piece.duration
+        times.append(now)
+    lk = lbase + shape.frac[:, None, :]
+    for at, q in zip(shape.segments, sums):
+        points = zip(
+            times[at],
+            _entries("transversal", _relabel(trans, q, relabels), rows[at], k[at]),
+            _entries("longitudinal", longi, lrows[at], lk[at]),
+        )
+        trace.extend(TracePoint(t, a + b) for t, a, b in points)
+    return now
 
 
 def _synthesize(
@@ -503,76 +647,119 @@ def _synthesize(
     return len(by_width)
 
 
-@dataclass
-class _SampleRelaxation:
-    """Relaxation of one tissue through the sample instants of a readout.
+@dataclass(frozen=True, eq=False)
+class _Piece:
+    """What one elementary sequence does between pulses, its pulse and
+    shift aside.
 
-    ``row[i]`` is the running-product row of sample i (row 0 holds the
-    populations at the readout start, row j the state after the j-th
-    interval that moves); ``e2`` / ``e1`` are those intervals' decay
-    factors as (intervals, 1) columns, ``e1s`` / ``regrowth`` the same
-    T1 factors and the order-0 regrowth ``m0 * (1 - e1)`` as floats.
-    """
-
-    row: np.ndarray
-    e2: np.ndarray
-    e1: np.ndarray
-    e1s: List[float]
-    regrowth: List[float]
-
-    @staticmethod
-    def of(relax: RelaxationParams, ts: np.ndarray) -> "_SampleRelaxation":
-        dts = np.empty_like(ts)
-        dts[0], dts[1:] = ts[0], ts[1:] - ts[:-1]
-        moved = dts != 0.0
-        live = dts[moved].tolist()
-        e1s = [math.exp(-dt / relax.t1) for dt in live]
-        return _SampleRelaxation(
-            row=moved.cumsum(),
-            e2=np.array([math.exp(-dt / relax.t2) for dt in live])[:, None],
-            e1=np.array(e1s)[:, None],
-            e1s=e1s,
-            regrowth=[relax.m0 * (1.0 - e1) for e1 in e1s],
-        )
-
-
-@dataclass
-class _WalkStep:
-    """What one elementary sequence does to the configuration state.
-
-    ``mix``: the :func:`mrsim.bloch.hard_pulse_coefficients` of its
-    pulse, None without one; ``decay``: (e2, e1, regrowth) over the time
-    left after the last sample, None when none is left; ``q``: the
-    integer order shift of its moment; ``ts`` / ``partial`` /
-    ``samples``: sample instants, the moment moved by each and their
-    relaxation, None without acquisition.
+    ``moves``: (e2, e1, regrowth) of each interval up to a new sample
+    instant; ``rest``: the same over the time left after the last sample,
+    None when none is left; ``ts`` / ``partial``: the sample instants
+    and the moment moved by each; ``samples``: the row of each sample
+    among the intervals, 0 for the element's start.  The last three are
+    None without acquisition.
     """
 
     duration: float
-    mix: Optional[tuple]
-    decay: Optional[Tuple[float, float, float]]
-    q: Order
+    moves: tuple
+    rest: Optional[Tuple[float, float, float]]
     ts: Optional[np.ndarray] = None
     partial: Optional[np.ndarray] = None
-    samples: Optional[_SampleRelaxation] = None
+    samples: Optional[np.ndarray] = None
 
     @staticmethod
-    def of(es, moments, relax: RelaxationParams, unit, shift_tol: float):
-        step = _WalkStep(
-            es.duration,
-            None if es.pulse is None else hard_pulse_coefficients(es.pulse.alpha, es.pulse.phi),
-            None,
-            _integer_shift(moments, unit, tol=shift_tol),
+    def of(es, relax: RelaxationParams) -> "_Piece":
+        if not es.acquisition.enabled:
+            rest = None if es.duration == 0.0 else _interval_decay(relax, es.duration)
+            return _Piece(es.duration, (), rest)
+        ts = es.acquisition.sample_times(es.duration)
+        return _Piece.sampling(relax, es.duration, ts, es.gradient.partial_moments(ts, es.duration))
+
+    @staticmethod
+    def sampling(relax: RelaxationParams, duration: float, ts: np.ndarray, partial: np.ndarray):
+        """The piece of an element that samples at the instants ``ts``; a
+        repeated instant adds no interval."""
+        dts = np.empty_like(ts)
+        dts[0], dts[1:] = ts[0], ts[1:] - ts[:-1]
+        moved = dts != 0.0
+        left = duration - ts[-1]
+        return _Piece(
+            duration,
+            tuple(_interval_decay(relax, dt) for dt in dts[moved].tolist()),
+            None if left == 0.0 else _interval_decay(relax, left),
+            ts,
+            partial,
+            moved.cumsum(),
         )
-        rest = es.duration
-        if es.acquisition.enabled:
-            step.ts = es.acquisition.sample_times(es.duration)
-            step.partial = es.gradient.partial_moments(step.ts, es.duration)
-            step.samples = _SampleRelaxation.of(relax, step.ts)
-            rest = es.duration - step.ts[-1]
-        if rest != 0.0:
-            step.decay = _interval_decay(relax, rest)
-        return step
+
+    @property
+    def points(self) -> int:
+        """Points it adds to a span: its samples and its end."""
+        return 1 if self.ts is None else len(self.ts) + 1
+
+    def key(self) -> tuple:
+        if self.ts is None:
+            return (self.duration, self.moves, self.rest)
+        return (self.duration, self.moves, self.rest, self.ts.tobytes(), self.partial.tobytes())
+
+
+class _SpanShape:
+    """A run of pieces walked as one: where each interval, sample and
+    element end falls in the running product of :func:`_walk_span`.
+
+    The running product has ``rows`` rows: row 0 the start, then per
+    piece a row for each interval in ``moves`` and one for its end
+    (its rest, or a copy without one).  ``e2`` / ``e1`` are the factors
+    of rows 1: as (rows - 1, 1) columns, 1.0 for a copy, and ``mz`` the
+    (e1, regrowth) of each, None for a copy.  ``ends`` holds per piece
+    the row it starts on, the row of its last sample interval and its
+    end row.
+
+    The points are the start (when the span ``opens`` with the state
+    after a pulse), then per piece its samples and its end: scan row
+    ``point_rows[p]`` and k offset ``frac[p]`` (the partial moment, 0 at
+    an end).  They fall into segments of one order set each, segment j
+    of ``counts[j]`` points (the slice ``segments[j]``) holding the
+    orders shifted by the pieces before piece j: the start and the
+    samples of piece 0, then the end of piece j - 1 with the samples of
+    piece j, and last the end of the last piece.  ``readouts`` are the
+    point slices of the samples.
+    """
+
+    def __init__(self, pieces: List[_Piece], opens: bool):
+        self.pieces = pieces
+        self.opens = opens
+        e2, e1, self.mz, self.ends, self.readouts = [], [], [], [], []
+        point_rows = [0] if opens else []
+        fracs = [np.zeros((len(point_rows), 3))]
+        self.counts = []
+        count, row = int(opens), 0
+        for piece in pieces:
+            start = row
+            if piece.ts is not None:
+                self.readouts.append((len(point_rows), len(point_rows) + len(piece.ts)))
+                point_rows.extend((row + piece.samples).tolist())
+                fracs.append(piece.partial)
+                count += len(piece.ts)
+            for decay in piece.moves + (piece.rest,):
+                e2.append(1.0 if decay is None else decay[0])
+                e1.append(1.0 if decay is None else decay[1])
+                self.mz.append(None if decay is None else decay[1:])
+            row += len(piece.moves) + 1
+            self.ends.append((start, row - 1, row))
+            self.counts.append(count)
+            point_rows.append(row)
+            fracs.append(np.zeros((1, 3)))
+            count = 1
+        self.counts.append(count)
+        bounds = np.cumsum([0] + self.counts).tolist()
+        self.segments = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.rows = row + 1
+        self.e2 = np.array(e2)[:, None]
+        self.e1 = np.array(e1)[:, None]
+        self.size = len(point_rows)
+        self.point_rows = np.array(point_rows)
+        self.frac = np.concatenate(fracs)
 
 
 def _k_scale(unit) -> np.ndarray:
@@ -587,36 +774,6 @@ def _k_base(scale: np.ndarray, orders) -> np.ndarray:
 def _k_positions(scale: np.ndarray, orders, fracs: np.ndarray) -> np.ndarray:
     """k of every configuration at every point: (points, m, 3) rad/m."""
     return _k_base(scale, orders) + fracs[:, None, :]
-
-
-def _relax_readout(
-    pops: List[complex], longi: Tuple[Order, ...], lpops: List[complex], samples: _SampleRelaxation
-):
-    """Populations at every sample instant of one readout.
-
-    The same products in the same order as one relaxation step per
-    sample interval: one running product of T2 / T1 decay factors
-    over both kinds, the order-0 Mz by its regrowth recurrence; a
-    zero-length interval leaves the populations as they are.  The
-    recurrence runs on real floats: the order-0 population enters real
-    and the factors are real, so the complex form's imaginary part stays
-    exactly 0.  Takes the transversal populations, the longitudinal
-    orders and populations of a walk state; returns the transversal
-    (samples, m) and the longitudinal populations at every sample.
-    """
-    m = len(pops)
-    scan = np.empty((len(samples.e1s) + 1, m + len(lpops)), dtype=complex)
-    scan[0] = pops + lpops
-    scan[1:, :m] = samples.e2
-    scan[1:, m:] = samples.e1
-    np.multiply.accumulate(scan, axis=0, out=scan)
-    zero = longi.index(ZERO)
-    b0s, b0 = [], lpops[zero].real
-    for e1, regrowth in zip(samples.e1s, samples.regrowth):
-        b0 = b0 * e1 + regrowth
-        b0s.append(b0)
-    scan[1:, m + zero] = b0s
-    return scan[samples.row, :m], scan[samples.row, m:]
 
 
 def _entries(kind: str, orders, pops: np.ndarray, k: np.ndarray) -> List[List[Configuration]]:

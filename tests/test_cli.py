@@ -81,6 +81,9 @@ def test_simulate_writes_outputs(simulated):
     assert manifest["spin_count"] > 0
     assert len(manifest["trajectory"]) == 8
     assert "deterministic" not in manifest
+    stages = manifest["stages_s"]
+    assert list(stages) == ["spacing", "rasterize", "system_eval", "tables", "kernel", "reduce"]
+    assert sum(stages.values()) <= manifest["wall_time_s"]
     assert os.path.exists(simulated / "spacing.txt")
 
 

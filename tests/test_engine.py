@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrsim import engine
 from mrsim.bloch import (
     GAMMA_PROTON,
     HardPulse,
@@ -920,6 +921,63 @@ def test_nan_spacing_override_is_rejected_before_the_check(workers):
 def test_run_rejects_fewer_than_one_block(blocks):
     with pytest.raises(InvalidParameter, match="blocks must be >= 1"):
         run(small_experiment(blocks=blocks))
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("workers", 0),
+        ("workers", 2.0),
+        ("workers", 1.0),
+        ("workers", 2.5),
+        ("workers", math.nan),
+        ("workers", True),
+        ("workers", "2"),
+        ("workers", None),
+        ("blocks", 2.5),
+        ("blocks", 2.0),
+        ("blocks", math.nan),
+        ("blocks", math.inf),
+        ("blocks", True),
+        ("blocks", "2"),
+        ("deterministic", "no"),
+        ("deterministic", 0),
+        ("deterministic", None),
+    ],
+)
+def test_run_rejects_worker_and_block_counts_that_are_not_integers(monkeypatch, setting, value):
+    # 2.5 and 2.0 raised a bare TypeError, NaN blocks ran one block, True
+    # ran as 1, "no" ran deterministic and 1.0 was reported as 1.0; the
+    # check comes before anything runs, so no worker process starts
+    def started(*args, **kwargs):
+        raise AssertionError("run went past its input checks")
+
+    monkeypatch.setattr(engine, "_run_pool", started)
+    monkeypatch.setattr(engine, "rasterize", started)
+    with pytest.raises(InvalidParameter, match=setting):
+        run(small_experiment(**{setting: value}))
+
+
+def test_run_takes_numpy_integer_counts_and_reports_python_ints():
+    res = run(small_experiment(workers=np.int64(1), blocks=np.int32(2)))
+    assert type(res.metrics.workers) is int and res.metrics.workers == 1
+    assert type(res.metrics.blocks) is int and res.metrics.blocks == 2
+
+
+STAGES = ["spacing", "rasterize", "system_eval", "tables", "kernel", "reduce"]
+
+
+@pytest.mark.parametrize("workers, spacing", [(1, None), (1, (0.008, 0.008, 0.002)), (2, (0.008, 0.008, 0.002))])
+def test_run_times_its_six_stages_within_its_wall_time(caplog, workers, spacing):
+    # no speed is asserted: only names, signs and that the stages fit
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        res = run(small_experiment(workers=workers, spacing=spacing))
+    stages = res.metrics.stages
+    assert list(stages) == STAGES
+    assert all(t >= 0.0 for t in stages.values())
+    assert sum(stages.values()) <= res.metrics.wall_time_s
+    logged = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("run stages: ")]
+    assert len(logged) == 1 and all(f"{name} " in logged[0] for name in STAGES)
 
 
 def test_infinite_spacing_on_an_axis_without_k_excursion():

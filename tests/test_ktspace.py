@@ -39,6 +39,7 @@ from mrsim.sequence import (
     GradientWaveform,
     Sequence,
     build_cpmg,
+    build_gradient_epi,
     build_spin_echo,
     build_tse,
     distinct_elements,
@@ -199,27 +200,41 @@ _PART = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
 _POP = st.builds(complex, _PART, _PART)
 
 
+_DECAY = st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+_SHIFT = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
 @given(
     trans=st.dictionaries(_ORDER, _POP, max_size=8),
     longi=st.dictionaries(_ORDER, _POP, max_size=4),
     b0=st.floats(-1.0, 1.0),
-    decay=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-    q=st.tuples(*[st.integers(-3, 3)] * 3).filter(lambda q: q != ZERO),
+    decay=_DECAY,
+    q=_SHIFT.filter(lambda q: q != ZERO),
+    more=st.lists(st.tuples(_DECAY, _SHIFT), max_size=3),
 )
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_walk_shift_keeps_orders_sorted_and_matches_the_oracle(trans, longi, b0, decay, q):
-    # a uniform shift is one-to-one and keeps the order of the orders, so
-    # the walk only relabels them; its populations, signed zeros
-    # included, are those of the per-element relaxation and shift
+def test_walk_shift_keeps_orders_sorted_and_matches_the_oracle(trans, longi, b0, decay, q, more):
+    # a span of one shifting element, or of several: a uniform shift is
+    # one-to-one and keeps the order of the orders, so the walk only
+    # relabels them; its populations at every element's end, signed
+    # zeros included, are those of the per-element relaxation and shift
     state = ConfigurationSet((1.0, 1.0, 1.0), trans, {**longi, ZERO: complex(b0, 0.0)})
-    orders, pops, lorders, lpops = walk_state(state)
-    got = ktspace._relax_shift(orders, pops, lorders, lpops, decay, q, {})
+    elements = [(decay, q), *more]
+    shape = ktspace._SpanShape([ktspace._Piece(0.001, (), d) for d, _ in elements], opens=False)
+    orders, _, lorders, _ = walk_state(state)
+    scan, sums, got = ktspace._walk_span(shape, [s for _, s in elements], walk_state(state), {})
     shifted = got[0]
     assert len(shifted) == len(orders)
     assert all(a < b for a, b in zip(shifted, shifted[1:]))
-    want = state if decay is None else _relax(state, decay)
-    want_trans = _shifted(want.trans, q)
-    assert repr(list(zip(shifted, got[1]))) == repr(sorted(want_trans.items()))
+    want = state
+    for (d, s), row, total in zip(elements, scan[shape.point_rows].tolist(), sums[1:]):
+        want = want if d is None else _relax(want, d)
+        if s != ZERO:
+            want = ConfigurationSet(want.unit, _shifted(want.trans, s), want.longi)
+        at = ktspace._relabel(orders, total, {})
+        assert repr(list(zip(at, row[: len(at)]))) == repr(sorted(want.trans.items()))
+        assert repr(list(zip(lorders, row[len(at) :]))) == repr(sorted(want.longi.items()))
+    assert repr(list(zip(shifted, got[1]))) == repr(sorted(want.trans.items()))
     assert repr(list(zip(got[2], got[3]))) == repr(sorted(want.longi.items()))
 
 
@@ -352,9 +367,12 @@ def test_readout_step_matches_per_sample_relaxation():
     assert len(state.trans) > 2 and len(state.longi) > 2
     relax = RelaxationParams(t1=0.4, t2=0.1, m0=0.9)
     ts = np.array([0.0, 0.001, 0.001, 0.0025, 0.004, 0.004])
-    samples = ktspace._SampleRelaxation.of(relax, ts)
-    orders, start, longi, lstart = walk_state(state)
-    pops, lpops = ktspace._relax_readout(start, longi, lstart, samples)
+    piece = ktspace._Piece.sampling(relax, 0.004, ts, np.zeros((len(ts), 3)))
+    shape = ktspace._SpanShape([piece], opens=False)
+    orders, _, longi, _ = walk_state(state)
+    scan, _, _ = ktspace._walk_span(shape, [ZERO], walk_state(state), {})
+    at = shape.point_rows[slice(*shape.readouts[0])]
+    pops, lpops = scan[at, : len(orders)], scan[at, len(orders) :]
     assert list(orders) == sorted(state.trans) and list(longi) == sorted(state.longi)
     ref, prev = state, 0.0
     for i, t in enumerate(ts):
@@ -669,8 +687,14 @@ SPECTRUM = box_spectrum((0.004, -0.002, 0.0), (0.03, 0.02, 1e-3), 0.9)
 
 
 def _observed(walk, seq, relax):
+    """Every observed point in order, its k and population rows as bytes,
+    and the prune bound over them."""
     seen = []
-    walk(seq, relax, record_trace=False, observe=lambda k, p: seen.append((k.tobytes(), p.tobytes())))
+
+    def points(k, populations):
+        seen.extend((kk.tobytes(), pp.tobytes()) for kk, pp in zip(k, populations))
+
+    walk(seq, relax, record_trace=False, observe=points)
     bound = PruneBound()
     walk(seq, relax, record_trace=False, observe=bound)
     return seen, bound.k_max
@@ -724,8 +748,8 @@ def test_walks_on_distinct_elements_match_per_element_oracles(picks, tissue, odd
 
 
 def test_observer_cannot_write_into_k():
-    # boundary k arrays are shared between calls, so a write would
-    # corrupt what later calls see
+    # a span's k array may come again when the span recurs, so a write
+    # would corrupt what later calls see
     seq = build_spin_echo(0.25, 8, 0.03, 0.5, readout_gradient(0.25, 8, 0.008))
 
     def scribble(k, populations):
@@ -744,6 +768,102 @@ def test_walk_logs_element_and_distinct_counts(caplog):
     assert any(
         rec.getMessage() == "k-t walk: 16 pulse splits from 16 split plans" for rec in caplog.records
     )
+
+
+def _differ(got, want):
+    """Names of the parts of two runs that differ: trace, echoes, final;
+    repr spells every float and complex part exactly, signed zeros
+    included."""
+    return [
+        name
+        for name, a, b in (
+            ("trace", repr(got.trace), repr(want.trace)),
+            ("echoes", [e.tobytes() for e in got.echoes], [e.tobytes() for e in want.echoes]),
+            ("final", repr(got.final), repr(want.final)),
+        )
+        if a != b
+    ]
+
+
+def test_walk_through_a_decay_that_underflows_matches_the_oracle():
+    # over 0.1 s at T2 = 1e-4 s the decay is exactly 0, so every
+    # transversal part becomes a zero signed by the complex product,
+    # -0.0 for a negative real part; the shifting elements after it in
+    # the same span then give each shifted population 0j + p
+    relax = RelaxationParams(t1=0.5, t2=1e-4, m0=1.0)
+    read = ElementarySequence(
+        gradient=_const(4 * _M, duration=0.008), duration=0.008, acquisition=AcquisitionSpec(9), kspace_row=0
+    )
+    span = [
+        ElementarySequence(duration=0.1),
+        ElementarySequence(gradient=_const(my=_M, duration=0.002), duration=0.002),
+        read,
+        ElementarySequence(gradient=_const(2 * _M, duration=0.002), duration=0.002),
+    ]
+    elements = []
+    for alpha, phi in ((1.1, 2.0), (2.4, -2.3), (0.7, 4.0)):
+        pulse = ElementarySequence(pulse=HardPulse(alpha, phi), gradient=_const(_M), duration=0.004)
+        elements += [pulse, read, *span]
+    seq = Sequence(elements, name="underflow")
+    got = simulate_kt(seq, relax, object_spectrum=SPECTRUM, prune_threshold=0.0)
+    want = reference_walk(seq, relax, object_spectrum=SPECTRUM, prune_threshold=0.0)
+    assert _differ(got, want) == []
+    assert _observed(simulate_kt, seq, relax) == _observed(reference_walk, seq, relax)
+    # the walk met zeros of both signs
+    parts = {
+        math.copysign(1.0, part)
+        for point in got.trace
+        for e in point.entries
+        for part in (e.population.real, e.population.imag)
+        if part == 0.0
+    }
+    assert parts == {-1.0, 1.0}
+
+
+def _cpmg8():
+    """CPMG-4 at 8^2: 8 shots of 5 spans each, of 3 span shapes (the
+    excitation, an echo with its inter-echo filler, the last echo with
+    the relaxation filler)."""
+    seq = build_cpmg(fov=0.25, n=8, n_echoes=4, dte=0.02, tr=0.5, readout_grad=readout_gradient(0.25, 8, 0.008))
+    return seq, RelaxationParams(1.0, 0.1, 1.0)
+
+
+def test_walk_observes_each_span_in_one_call():
+    seq, relax = _cpmg8()
+    calls = []
+    simulate_kt(seq, relax, record_trace=False, observe=lambda k, p: calls.append(len(p)))
+    # the excitation: its start and its end; an echo: its start, the
+    # ends of the pulse gap and the blip, 8 samples, the ends of the
+    # readout, the blip and the filler
+    assert calls == [2, 14, 14, 14, 14] * 8
+
+
+def test_walk_logs_spans_and_span_shapes(caplog):
+    seq, relax = _cpmg8()
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        simulate_kt(seq, relax, record_trace=False)
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert "k-t walk: 40 spans from 3 span shapes" in messages
+    # after the splits line
+    assert messages.index("k-t walk: 40 spans from 3 span shapes") > next(
+        i for i, text in enumerate(messages) if "pulse splits" in text
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_a_long_span_is_walked_in_parts_that_match_the_oracle(monkeypatch, batch):
+    # an EPI train is one span; in parts of whole elements it keeps the
+    # oracle's points, echoes and trace
+    monkeypatch.setattr(ktspace, "_SPAN_BATCH", batch)
+    seq = build_gradient_epi(fov=0.25, n=8, n_echoes=8, readout_grad=readout_gradient(0.25, 8, 0.004))
+    relax = RelaxationParams(0.5, 0.05, 1.0)
+    sizes = []
+    got = simulate_kt(seq, relax, object_spectrum=SPECTRUM, observe=lambda k, p: sizes.append(p.size))
+    want = reference_walk(seq, relax, object_spectrum=SPECTRUM)
+    assert _differ(got, want) == []
+    assert _observed(simulate_kt, seq, relax) == _observed(reference_walk, seq, relax)
+    # one element at a time, or at most the batch's populations at once
+    assert len(sizes) > 1 and all(size <= max(batch, 9) for size in sizes)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
