@@ -377,13 +377,13 @@ def simulate_kt(
         shifts.append(q)
 
     scale = _k_scale(unit)
-    # no order leaves +-(elements * largest shift); below 2**53 orders
-    # and their sums are exact as floats, so a span's k takes its shifts
-    # as float offsets, and otherwise its orders segment by segment
+    # no order leaves +-(elements * largest shift), so a span's shifted
+    # orders are exact as int64 below 2**63; past it, as they may be on
+    # the continuous-k fallback grid, they stay Python ints
     largest = max((abs(c) for _, _, q in steps for c in q), default=0)
-    float_offsets = len(groups) * largest < 2**53
-    shapes: Dict[tuple, _SpanShape] = {}  # (pieces, opens) -> span shape
-    float_orders: Dict[tuple, np.ndarray] = {}  # order tuple -> (m, 3) floats
+    order_type = np.int64 if len(groups) * largest < 2**63 else object
+    shapes: Dict[tuple, _SpanShape] = {}  # (pieces, opens) -> span or part shape
+    span_shapes = set()  # the shapes of whole spans
     # (shape, orders, shifts) -> k of a span, kept once the key recurs
     k_seen: set = set()
     k_kept: Dict[tuple, np.ndarray] = {}
@@ -396,7 +396,7 @@ def simulate_kt(
     echoes: List[np.ndarray] = []
     # (echo index, k, populations) of the readouts awaiting synthesis
     pending: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    pending_size = spectrum_calls = splits = walked = 0
+    pending_size = spectrum_calls = splits = 0
     now = 0.0
     needs_k = observe is not None or object_spectrum is not None or record_trace
 
@@ -407,26 +407,17 @@ def simulate_kt(
             shape = shapes[key] = _SpanShape([pieces[i] for i in span_pieces], opens)
         return shape
 
-    def as_floats(orders):
-        floats = float_orders.get(orders)
-        if floats is None:
-            floats = float_orders[orders] = np.array(orders, dtype=float).reshape(-1, 3)
-        return floats
-
     def span_k(shape, trans, shifts, sums):
-        """Read-only k (points, m, 3) of a span that starts on ``trans``."""
+        """Read-only k (points, m, 3) of a span that starts on ``trans``:
+        each point's shifted orders, rounded to float once, as a
+        relabelled order set is."""
         key = (shape, trans, shifts)
         k = k_kept.get(key)
         if k is not None:
             return k
-        if float_offsets:
-            offsets = np.repeat(np.array(sums, dtype=float), shape.counts, axis=0)
-            k = (as_floats(trans) + offsets[:, None, :]) * scale + shape.frac[:, None, :]
-        else:
-            k = np.concatenate([
-                _k_positions(scale, _relabel(trans, q, relabels), shape.frac[at])
-                for at, q in zip(shape.segments, sums)
-            ])
+        orders = np.array(trans, dtype=order_type).reshape(-1, 3)
+        offsets = np.repeat(np.array(sums, dtype=order_type), shape.counts, axis=0)
+        k = (orders + offsets[:, None, :]).astype(float) * scale + shape.frac[:, None, :]
         k.flags.writeable = False
         if key in k_seen:
             k_kept[key] = k
@@ -453,6 +444,7 @@ def simulate_kt(
             splits += 1
         span_pieces, shifts = tuple(span_pieces), tuple(shifts)
         shape = shape_of(span_pieces, mix is not None)
+        span_shapes.add(shape)
         if len(span_pieces) == 1 or shape.size * (len(state[1]) + len(state[3])) <= _SPAN_BATCH:
             parts = ((shape, shifts),)
         else:
@@ -466,7 +458,6 @@ def simulate_kt(
             # a span starts on a split or the first state; a later part
             # of it may start on a -0.0
             scan, sums, state = _walk_span(shape, shifts, state, relabels, i == 0, record_trace)
-            walked += 1
             points = scan.take(shape.point_rows, axis=0)
             rows = points[:, :m]
             k = span_k(shape, trans, shifts, sums) if needs_k else None
@@ -482,9 +473,9 @@ def simulate_kt(
                     pending, pending_size = [], 0
             if record_trace:
                 now = _trace_span(trace, now, shape, sums, trans, rows, k, longi,
-                                  points[:, m:], as_floats(longi) * scale, relabels)
+                                  points[:, m:], _k_base(scale, longi), relabels)
     _log.debug("k-t walk: %d pulse splits from %d split plans", splits, len(plans))
-    _log.debug("k-t walk: %d spans from %d span shapes", walked, len(shapes))
+    _log.debug("k-t walk: %d spans from %d span shapes", len(spans), len(span_shapes))
     if object_spectrum is not None:
         if pending:
             spectrum_calls += _synthesize(object_spectrum, pending, echoes)

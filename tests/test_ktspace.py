@@ -866,6 +866,42 @@ def test_a_long_span_is_walked_in_parts_that_match_the_oracle(monkeypatch, batch
     assert len(sizes) > 1 and all(size <= max(batch, 9) for size in sizes)
 
 
+def test_walk_logs_whole_spans_when_it_walks_them_in_parts(monkeypatch, caplog):
+    seq = build_gradient_epi(fov=0.25, n=8, n_echoes=8, readout_grad=readout_gradient(0.25, 8, 0.004))
+    relax = RelaxationParams(0.5, 0.05, 1.0)
+
+    def span_line():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mrsim"):
+            simulate_kt(seq, relax, record_trace=False)
+        return [rec.getMessage() for rec in caplog.records if "span shapes" in rec.getMessage()]
+
+    whole = span_line()
+    monkeypatch.setattr(ktspace, "_SPAN_BATCH", 1)
+    assert span_line() == whole
+
+
+def test_walk_past_int64_orders_matches_the_oracle():
+    # no common measure of 1e16 and 1e16 (1 + 1.23e-7): on the fallback
+    # grid of 1/1024 rad/m, set by the 1 rad/m lobe, the 1e16 lobes
+    # shift by about 1e19 orders, past 2**63
+    els = [
+        gradient_es(1e16, pulse=HardPulse(math.pi / 2, 0.0)),
+        gradient_es(1e16 * (1.0 + 1.23e-7), pulse=HardPulse(2.0, 0.7)),
+        gradient_es(1.0),
+        gradient_es(-5e15, acquire=4),
+        gradient_es(1e16, pulse=HardPulse(1.1, 0.3)),
+        gradient_es(1e16, acquire=3),
+    ]
+    seq = Sequence(els, name="wide")
+    with pytest.raises(IncommensurateMoments):
+        derive_unit_k(seq)
+    got = simulate_kt(seq, NO_RELAX, object_spectrum=SPECTRUM)
+    assert max(abs(o[0]) for o in got.final.trans) > 2**63
+    assert _differ(got, reference_walk(seq, NO_RELAX, object_spectrum=SPECTRUM)) == []
+    assert _observed(simulate_kt, seq, NO_RELAX) == _observed(reference_walk, seq, NO_RELAX)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
 def test_walk_rejects_a_prune_threshold_that_is_negative_or_not_finite(threshold):
     # NaN and -1 acted as 0 and inf pruned every transversal population
