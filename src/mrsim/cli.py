@@ -73,6 +73,7 @@ def _cmd_simulate(args) -> int:
         "stages_s": result.metrics.stages,
         "throughput_spins_per_s": result.metrics.throughput,
         "busy_fraction": result.metrics.busy_fraction,
+        "cpu_s": result.metrics.cpu_s,
         "hardware": result.metrics.hardware,
         "acquisition_t0_s": [rec.timestamps[0] for rec in result.echoes],
         "sample_dt_s": [

@@ -71,9 +71,29 @@ A block is the unit of memory as well as of work: ``run`` cuts blocks
 whose cached arrays (propagators, factor parts, T1 factors) plus twice
 the largest propagator built for one element (the propagator and the
 one uncached part alive with it) fit ``_PROPAGATOR_BYTES`` at one
-complex value per spin and row (:func:`_block_spins`), so the kernel
-needs that much extra memory at most.  It cuts the fewest such blocks,
-and at least ``blocks`` of them, or one per worker.
+complex value per spin and row (:func:`_block_spins`).  It cuts the
+fewest such blocks, and at least ``blocks`` of them, or one per worker.
+Above the block's inputs, one :func:`compute_block` then needs at most
+that budget plus:
+
+- the block's results: its echo array, acquisitions x samples x 16 B,
+  and 24 B per spin for each snapshot;
+- 26 complex values (416 B) per spin: the state (mxy, mz, 1/T1, 1/T2,
+  the positions with the off-resonance: 4.5 values), the keys (each
+  moved axis's codes and distinct coordinates, at most 1 value per
+  axis; the columns of the (off-resonance, T2) key and of each set of
+  moved axes, at most 1.75 values each for at most 8 sets) and the
+  temporaries of one step (at most 4.5 values: a pulse's or a
+  snapshot's arrays, a sample's weighted sums, a gathered row, or the
+  sort that numbers a key);
+- a group's distinct-step factors until they are gathered into its
+  rows, distinct steps x columns x 16 B;
+- 4 complex values per event of the element being built (its times
+  and moments, stacked for ``einsum``);
+- numpy's iteration buffers of one ufunc call, ``np.getbufsize()``
+  elements per operand (3 x 8,192 x 16 B = 384 KiB at the default).
+
+The tests measure this promise under ``tracemalloc``.
 
 Every spin starts in thermal equilibrium, ``mxy = 0`` and ``mz = m0``.
 Only pulses and snapshots read Mz, so T1 relaxation is deferred: Mz is
@@ -96,6 +116,7 @@ from __future__ import annotations
 import collections
 import logging
 import math
+import numbers
 import operator
 import os
 import platform
@@ -150,20 +171,15 @@ class EsTable:
     running sums from the element start.  ``axes`` lists the axes on
     which some ``ev_mom[i]`` is nonzero, the only coordinates of a spin
     that the element's propagator reads.  The first ``n_samples`` events
-    record the samples of acquisition ``acq``; a last event, if any,
-    covers the rest of the interval.  Every entry of a distinct element
-    shares the same read-only event arrays, and an entry without samples
-    or snapshots is the distinct element's table itself.  ``snaps`` holds
-    one (time from the element start, partial moment at that time,
-    snapshot index) per snapshot in the element, which reads the
-    element-start state.  ``group`` numbers the propagator that the entry
-    shares with the other entries of its distinct element, or is -1 when
-    the element occurs once.  A group's ``steps`` (:func:`_number_steps`)
-    holds its bit-distinct steps ``(dt, dmom, of_event)``: row
-    ``of_event[i]`` of ``dt`` and ``dmom`` is the step of event i, which
-    for every ``_ANCHOR_ROWS``-th event runs from the element start; a
-    block evaluates one factor per step and builds the propagator as
-    their running product.  A one-off element builds its propagator from
+    record the samples of the element's acquisition; a last event, if
+    any, covers the rest of the interval.  ``group`` numbers the
+    propagator of an element that recurs, or is -1 when the element
+    occurs once.  A group's ``steps`` (:func:`_number_steps`) holds its
+    bit-distinct steps ``(dt, dmom, of_event)``: row ``of_event[i]`` of
+    ``dt`` and ``dmom`` is the step of event i, which for every
+    ``_ANCHOR_ROWS``-th event runs from the element start; a block
+    evaluates one factor per step and builds the propagator as their
+    running product.  A one-off element builds its propagator from
     factor parts: ``parts`` numbers its time part and then one part per
     axis of ``axes``, each -1 when no other one-off element shares it.
     ``pulse_mat`` holds the :func:`mrsim.bloch.hard_pulse_coefficients`
@@ -177,19 +193,20 @@ class EsTable:
     ev_t: np.ndarray
     ev_mom: np.ndarray
     axes: Tuple[int, ...]
-    snaps: Tuple[Tuple[float, np.ndarray, int], ...] = ()
     group: int = -1
     steps: tuple = ()
     parts: Tuple[int, ...] = ()
-    acq: int = -1
     n_samples: int = 0
 
 
 @dataclass
 class OperatorTables:
-    entries: List[EsTable]
-    acq_times: List[np.ndarray]
+    entries: List[EsTable]  # per element, its distinct element's table itself
+    acq_times: List[np.ndarray]  # per acquiring element, in element order
     snapshot_times: Tuple[float, ...]
+    # by entry that holds snapshots: its (time from the element start,
+    # partial moment at that time, snapshot index), which read its start state
+    snaps: Dict[int, Tuple[Tuple[float, np.ndarray, int], ...]]
     pulse_memo_hits: int
     group_rows: List[int]  # events, i.e. propagator rows, of each group
     part_rows: List[int]  # events of each numbered factor part
@@ -210,17 +227,20 @@ def precompute_sequence_tables(
     one table: its pulse coefficients, shared between identical pulses
     (the memo hit count is reported per entry), and one set of read-only
     event arrays (``ev_dt``, ``ev_dmom``, their running sums and moving
-    axes), so workers never touch the waveform objects.  An entry adds
-    only its acquisition index and its snapshots, each one (time, partial
-    moment, index) tuple of its ``snaps``.  A distinct element that occurs more
-    than once is numbered as a group, in order of first occurrence, so
-    that the kernel builds its propagator once per block, from the distinct
-    steps that its table indexes; the factor parts that
-    one-off elements share, and the intervals between pulses that recur,
-    are numbered the same way.  Raises InvalidParameter for a snapshot
-    time outside the sequence.
+    axes), so workers never touch the waveform objects.  Every entry of
+    the element is that table.  ``acq_times`` is in element order, the
+    kernel's order of acquisitions; ``snaps`` holds, by entry, each
+    snapshot's time from the element start and partial moment, placed by
+    one search over the element ends.  A distinct element that occurs
+    more than once is numbered as a group, in order of first occurrence,
+    so that the kernel builds its propagator once per block, from the
+    distinct steps that its table indexes; the factor parts that one-off
+    elements share, and the intervals between pulses that recur, are
+    numbered the same way.  Raises InvalidParameter for snapshot times
+    that are not a sequence of real numbers, or that lie outside the
+    sequence.
     """
-    snapshot_times = tuple(snapshot_times)
+    snapshot_times = _snapshot_times(snapshot_times)
     reps, distinct = distinct_elements(sequence)
     group_of = _number_recurring(distinct)
     memo: Dict[Tuple[float, float], tuple] = {}
@@ -248,46 +268,40 @@ def precompute_sequence_tables(
     part_rows = _number_parts([t for t in tables if t.group < 0 and t.ev_t.size])
     sample_times = [es.acquisition.sample_times(es.duration) for es in reps]
 
-    entries: List[EsTable] = []
-    acq_times: List[np.ndarray] = []
-    ages: List[float] = []
-    t0 = age = 0.0
-    for es, g in zip(sequence.elements, distinct):
-        entry = tables[g]
-        t1 = t0 + entry.duration
-        snaps = [
-            (float(t_abs - t0), si)
-            for si, t_abs in enumerate(snapshot_times)
-            if t0 < t_abs <= t1 or (t_abs == 0.0 and not entries)
-        ]
-        if snaps or entry.n_samples:
-            times = [t for t, _ in snaps]
-            moments = es.gradient.partial_moments(times, es.duration) if snaps else ()
-            entry = replace(
-                entry,
-                snaps=tuple((t, m, si) for (t, si), m in zip(snaps, moments)),
-                acq=len(acq_times) if entry.n_samples else -1,
-            )
-            if entry.n_samples:
-                acq_times.append(t0 + sample_times[g])
-        entries.append(entry)
+    entries = [tables[g] for g in distinct]
+    # element ends, summed in element order; the range check reads the
+    # sum that places the snapshots, so every time it accepts is placed
+    ends = np.add.accumulate([entry.duration for entry in entries])
+    starts = np.append(0.0, ends[:-1])
+    if not all(0.0 <= t <= float(ends[-1]) for t in snapshot_times):
+        raise InvalidParameter(
+            f"snapshot times {snapshot_times} s lie outside the sequence of {ends[-1]:.6g} s"
+        )
+    acq_times = [
+        t0 + sample_times[g] for t0, g in zip(starts.tolist(), distinct) if tables[g].n_samples
+    ]
+    # a time on an element boundary ends that element; 0 is in the first
+    times = np.asarray(snapshot_times, dtype=float)
+    at = np.searchsorted(ends, times, side="left")
+    snaps = {}
+    for i in sorted(set(at.tolist())):
+        held = np.flatnonzero(at == i)
+        es, t = sequence.elements[i], times[held] - starts[i]
+        moments = es.gradient.partial_moments(t, es.duration)
+        snaps[i] = tuple(zip(t.tolist(), moments, held.tolist()))
+    ages, age = [], 0.0
+    for entry in entries:
         ages.append(age)
         if entry.pulse_mat is not None:
             age = 0.0
         age += entry.duration
-        t0 = t1
-    # checked against the running sum that placed the snapshots, so that
-    # every time accepted here has been placed in an element
-    if not all(0.0 <= t <= t0 for t in snapshot_times):
-        raise InvalidParameter(
-            f"snapshot times {snapshot_times} s lie outside the sequence of {t0:.6g} s"
-        )
     pulsed = [entry.pulse_mat is not None and age != 0.0 for entry, age in zip(entries, ages)]
     interval_of = _number_recurring(age for age, p in zip(ages, pulsed) if p)
     return OperatorTables(
         entries=entries,
         acq_times=acq_times,
         snapshot_times=snapshot_times,
+        snaps=snaps,
         pulse_memo_hits=sum(entry.pulse_mat is not None for entry in entries) - len(memo),
         group_rows=[t.ev_dt.size for t in group_tables],
         part_rows=part_rows,
@@ -438,10 +452,13 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
 
     Returns (echo_partials, snapshots): echo_partials is a complex array
     (acquisitions, samples) of coil-weighted transverse sums over the
-    block; snapshots is a list of (n, 3) magnetization arrays, one per
-    requested snapshot time.  ``run`` cuts blocks of at most
+    block, one row per acquiring entry in element order, the order of
+    ``tables.acq_times``; snapshots is a list of (n, 3) magnetization
+    arrays, one per requested snapshot time, each taken in the entry of
+    ``tables.snaps`` that holds it.  ``run`` cuts blocks of at most
     ``_block_spins(tables)`` spins, so that a block's propagators stay
-    within ``_PROPAGATOR_BYTES``.
+    within ``_PROPAGATOR_BYTES`` and the call within the memory promise
+    of the module docstring.
     """
     n_samples = max((e.n_samples for e in tables.entries), default=0)
     echoes = np.zeros((len(tables.acq_times), n_samples), dtype=complex)
@@ -520,7 +537,11 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
             moment = entry.ev_mom[:, ax]
 
             def turn():
-                return precession_factor(np.multiply.outer(moment, values), 0.0, 0.0)
+                # the phase goes into the factor's imaginary part: no real
+                # array of half the part's size is made beside it
+                p = np.empty((moment.size, values.size), dtype=complex)
+                np.multiply.outer(moment, values, out=p.imag)
+                return precession_factor(p.imag, 0.0, 0.0, out=p)
 
             _gather_into(p, part(number, turn), code[on], step)
         return p
@@ -536,7 +557,8 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
         _running_product(p)
         return p
 
-    for entry, (age, interval) in zip(tables.entries, tables.mz_ages):
+    acq = 0  # acquisitions are numbered in element order
+    for i, (entry, (age, interval)) in enumerate(zip(tables.entries, tables.mz_ages)):
         if entry.pulse_mat is not None:
             if age:
                 e1, recovered = regrowth.get(interval) or t1_factors(m0, inv_t1, age)
@@ -545,7 +567,7 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
                 mz = mz * e1 + recovered
             age = 0.0
             mxy, mz = apply_pulse(entry.pulse_mat, mxy, mz)
-        for t, moment, si in entry.snaps:
+        for t, moment, si in tables.snaps.get(i, ()):
             at = mxy * factors(np.array([t]), moment[None])[0]
             mz_at = regrow_mz(mz, m0, inv_t1, age + t)
             snapshots[si] = np.column_stack([at.real, at.imag, mz_at])
@@ -577,7 +599,8 @@ def compute_block(tables: OperatorTables, block: SpinBlock):
                 # echo_i = sum over columns c of p[i, c] * (sum of wm over c's spins)
                 wm = np.bincount(cols.parts, wm.view(float), 2 * p.shape[1]).view(complex)
             rows = p[: entry.n_samples]
-            echoes[entry.acq, : entry.n_samples] += np.vecdot(rows, wm.conj()).conj()
+            echoes[acq, : entry.n_samples] += np.vecdot(rows, wm.conj()).conj()
+            acq += 1
         mxy *= last
     _log.debug(
         "block %d: %d spins, %d propagator groups, %d propagator-cache bytes, "
@@ -703,13 +726,14 @@ def _block_spins(tables: OperatorTables) -> int:
     group's cached propagator, every numbered factor part and T1 interval
     (two floats per spin), and twice the largest propagator that an
     element occurring once builds (its factor and the one uncached part
-    alive with it).  A snapshot's single row is not counted.  A keyed propagator
-    has fewer columns (see :func:`_columns`); a cached one without samples
-    keeps only its last row, and a one-off one-event propagator may hold
-    half a row per spin more than its share while it maps its last row
-    back.  A group build also holds its distinct-step factors until it
-    gathers them into its rows, at most rows - 1 rows more than its
-    propagator; they are not counted either."""
+    alive with it).  A keyed propagator has fewer columns (see
+    :func:`_columns`), and a cached one without samples keeps only its
+    last row, so both fit the rows counted here.  The module docstring's
+    memory promise adds what this leaves out: the block's results, a
+    fixed number of values per spin (a snapshot's row among them), a
+    group's distinct-step factors before their gather, at most rows - 1
+    rows more than its propagator, per-event columns and numpy's
+    buffers."""
     own = max((e.ev_dt.size for e in tables.entries if e.group < 0), default=0)
     rows = sum(tables.group_rows) + sum(tables.part_rows) + len(tables.t1_intervals) + 2 * own
     return max(1, _PROPAGATOR_BYTES // (16 * max(rows, 1)))  # complex128 per spin and row
@@ -737,13 +761,18 @@ class RunMetrics:
     (cutting the blocks and evolving them; a pooled run checks an
     override here, in the master while the workers compute) and
     ``reduce`` (summing the echoes and gathering the snapshots).  They
-    add up to at most ``wall_time_s``."""
+    add up to at most ``wall_time_s``.  ``busy_fraction`` is each worker's
+    wall time inside :func:`compute_block` over ``wall_time_s``, which
+    also counts time the worker was descheduled; ``cpu_s`` is, by the same
+    keys, the CPU seconds that its thread spent there
+    (``time.thread_time``)."""
 
     wall_time_s: float
     throughput: float  # spins per second of wall time
     workers: int
     blocks: int
     busy_fraction: Dict[int, float]
+    cpu_s: Dict[int, float]
     hardware: str
     stages: Dict[str, float]
 
@@ -886,17 +915,24 @@ def _warn_spacing(problems: List[str]) -> None:
         warnings.warn(message, stacklevel=3)  # at the caller of run()
 
 
+def _timed_block(tables, block):
+    """compute_block's result and its (wall, CPU) seconds; the CPU time
+    is the calling thread's (``time.thread_time``)."""
+    wall, cpu = time.perf_counter(), time.thread_time()
+    result = compute_block(tables, block)
+    return result, (time.perf_counter() - wall, time.thread_time() - cpu)
+
+
 def _worker_main(tables, share, conn):
-    """Compute a share of the blocks, sending each block's result, or the
-    kernel's error in its place, over ``conn``."""
+    """Compute a share of the blocks, sending each block's result and its
+    seconds, or the kernel's error in their place, over ``conn``."""
     for block in share:
-        started = time.perf_counter()
         try:
-            result = compute_block(tables, block)
+            result, spent = _timed_block(tables, block)
         except Exception as exc:  # surfaced as WorkerPanic by the master
             conn.send((block.index, None, repr(exc)))
             return
-        conn.send((block.index, result, time.perf_counter() - started))
+        conn.send((block.index, result, spent))
 
 
 def _count(name: str, value) -> int:
@@ -913,6 +949,22 @@ def _count(name: str, value) -> int:
     return n
 
 
+def _snapshot_times(value) -> Tuple[float, ...]:
+    """``value`` as a tuple of its times: a sequence or array of real
+    numbers, numpy's and exact ones included, but not of bools."""
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        times = tuple(value)
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in times):
+            raise TypeError
+    except TypeError:
+        raise InvalidParameter(
+            f"snapshot_times must be a sequence of real numbers other than bools, got {value!r}"
+        ) from None
+    return times
+
+
 def run(exp: Experiment) -> RunResult:
     """Execute one experiment; see the module docstring for the roles.
     Its stages are timed into ``RunMetrics.stages``."""
@@ -920,6 +972,7 @@ def run(exp: Experiment) -> RunResult:
         exp,
         workers=_count("workers", exp.workers),
         blocks=None if exp.blocks is None else _count("blocks", exp.blocks),
+        snapshot_times=_snapshot_times(exp.snapshot_times),
     )
     if not isinstance(exp.deterministic, bool):
         raise InvalidParameter(f"deterministic must be True or False, got {exp.deterministic!r}")
@@ -952,21 +1005,24 @@ def run(exp: Experiment) -> RunResult:
     # blocks asked for, or one per worker
     n_blocks = max(exp.blocks or exp.workers, -(-arrays.n // _block_spins(tables)))
     blocks = partition_blocks(arrays, n_blocks)
-    busy: Dict[int, float] = {}
+    # wall and CPU seconds inside compute_block, by worker
+    busy: Dict[int, float] = collections.defaultdict(float)
+    cpu: Dict[int, float] = collections.defaultdict(float)
 
     if exp.workers == 1:
         # the blocks run in index order, so they also fold in that order
         folds = []
         for block in blocks:
-            started = time.perf_counter()
-            folds.append(compute_block(tables, block))
-            busy[0] = busy.get(0, 0.0) + (time.perf_counter() - started)
+            result, (busy_s, cpu_s) = _timed_block(tables, block)
+            folds.append(result)
+            busy[0] += busy_s
+            cpu[0] += cpu_s
         ordered = folds
     else:
         # the master has nothing to do while the workers compute, so it
         # checks a spacing override then
         check = None if exp.spacing is None else (lambda: _check_spacing(exp, spacing))
-        folds, ordered, checked = _run_pool(exp, tables, blocks, busy, meanwhile=check)
+        folds, ordered, checked = _run_pool(exp, tables, blocks, busy, cpu, meanwhile=check)
         if checked is not None:
             report, problems = checked
             _warn_spacing(problems)
@@ -990,12 +1046,14 @@ def run(exp: Experiment) -> RunResult:
     stage("reduce")
     wall = time.perf_counter() - wall_start
     _log.debug("run stages: %s", ", ".join(f"{name} {t:.4f} s" for name, t in stages.items()))
+    busy_fraction = {w: t / wall for w, t in sorted(busy.items())} if wall > 0 else {}
     metrics = RunMetrics(
         wall_time_s=wall,
         throughput=n_spins / wall if wall > 0 else math.inf,
         workers=exp.workers,
         blocks=len(blocks),
-        busy_fraction={w: t / wall for w, t in sorted(busy.items())} if wall > 0 else {},
+        busy_fraction=busy_fraction,
+        cpu_s={w: cpu[w] for w in busy_fraction},
         hardware=f"{platform.machine()} {platform.processor() or 'cpu'} x{os.cpu_count()}",
         stages=stages,
     )
@@ -1009,18 +1067,19 @@ def run(exp: Experiment) -> RunResult:
     )
 
 
-def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, meanwhile=None):
+def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, cpu, meanwhile=None):
     """Compute the blocks in worker processes, worker ``w`` taking blocks
     ``w, w + workers, ...``.
 
     Each worker gets its share, and under fork the tables with it, as
     its process arguments, and sends each result over a one-way pipe of
-    its own.  The master holds no write end, so a pipe reads EOF once its
-    worker has exited, after every result that worker sent.  Returns
-    (fold_order, index_order, side): deterministic mode folds echoes in
-    ascending block index, nondeterministic mode in arrival order; side
-    is the value of ``meanwhile()``, which the master calls while the
-    workers compute (None without it).  A kernel error, or a worker that
+    its own, with its wall and CPU seconds, which add up by worker in
+    ``busy`` and ``cpu``.  The master holds no write end, so a pipe reads
+    EOF once its worker has exited, after every result that worker sent.
+    Returns (fold_order, index_order, side): deterministic mode folds
+    echoes in ascending block index, nondeterministic mode in arrival
+    order; side is the value of ``meanwhile()``, which the master calls
+    while the workers compute (None without it).  A kernel error, or a worker that
     exits before its share is done (killed, ``os._exit``), is raised as
     :class:`WorkerPanic` naming the block, and stops every worker.
     """
@@ -1052,9 +1111,10 @@ def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, meanwhile=N
                     reader.close()
                     _check_share(workers[w], shares[w], by_index)
                     continue
-                if result is None:  # the kernel's error in place of the time
+                if result is None:  # the kernel's error in place of the seconds
                     raise WorkerPanic(index, spent)
-                busy[w] = busy.get(w, 0.0) + spent
+                busy[w] += spent[0]
+                cpu[w] += spent[1]
                 arrival.append(result)
                 by_index[index] = result
         clean = True

@@ -28,7 +28,9 @@ is the real 3x3 matrix of a hard pulse (``hard_pulse_matrix``, the
 axis-angle form written out) applied component by component, the form
 that ``mrsim.bloch.apply_pulse`` and its six complex coefficients
 replaced; ``coefficient_rotation`` turns those coefficients back into
-that matrix for ``reference_kernel``.
+that matrix for ``reference_kernel``.  The reference snapshot placement
+is the per-element comprehension that one ``np.searchsorted`` over the
+element ends replaced.
 """
 
 import cmath
@@ -324,7 +326,8 @@ def reference_kernel(tables, block, dtype=float):
     n_samples = max((e.n_samples for e in tables.entries), default=0)
     echoes = np.zeros((len(tables.acq_times), n_samples), dtype=w.dtype)
     snapshots = {}
-    for entry in tables.entries:
+    acq = 0
+    for k, entry in enumerate(tables.entries):
         if entry.pulse_mat is not None:
             r = coefficient_rotation(entry.pulse_mat)
             mx, my, mz = (
@@ -332,7 +335,7 @@ def reference_kernel(tables, block, dtype=float):
                 r[1, 0] * mx + r[1, 1] * my + r[1, 2] * mz,
                 r[2, 0] * mx + r[2, 1] * my + r[2, 2] * mz,
             )
-        for t, moment, snap in entry.snaps:
+        for t, moment, snap in tables.snaps.get(k, ()):
             theta = pos @ moment + domega * t
             c, s = np.cos(theta), np.sin(theta)
             e1, e2 = np.exp(-t * inv_t1), np.exp(-t * inv_t2)
@@ -353,9 +356,34 @@ def reference_kernel(tables, block, dtype=float):
                     my = my * e2
                     mz = mz * e1 + m0 * (1.0 - e1)
             if i < entry.n_samples:
-                echoes[entry.acq, i] = np.dot(w, mx) + 1j * np.dot(w, my)
+                echoes[acq, i] = np.dot(w, mx) + 1j * np.dot(w, my)
+        acq += entry.n_samples > 0
     snapshots = [snapshots[i].astype(float) for i in range(len(tables.snapshot_times))]
     return echoes.astype(complex), snapshots
+
+
+def reference_snapshots(sequence, snapshot_times):
+    """The snapshots of each element by the per-element rule that one
+    search over the element ends in ``mrsim.engine`` replaced: with t0
+    and t1 the running sums of the durations at an element's start and
+    end, a time t is in it when t0 < t <= t1, or when t is 0 and it is
+    the first element.  Returns, by index of an element holding one, its
+    (time from the element start, partial moment, snapshot index) in
+    snapshot order, as ``OperatorTables.snaps``."""
+    snaps = {}
+    t0 = 0.0
+    for i, es in enumerate(sequence.elements):
+        t1 = t0 + es.duration
+        held = [
+            (float(t - t0), si)
+            for si, t in enumerate(snapshot_times)
+            if t0 < t <= t1 or (t == 0.0 and i == 0)
+        ]
+        if held:
+            moments = es.gradient.partial_moments([t for t, _ in held], es.duration)
+            snaps[i] = tuple((t, m, si) for (t, si), m in zip(held, moments))
+        t0 = t1
+    return snaps
 
 
 def reference_prune(trace, grayscale_levels=256):

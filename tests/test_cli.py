@@ -84,6 +84,8 @@ def test_simulate_writes_outputs(simulated):
     stages = manifest["stages_s"]
     assert list(stages) == ["spacing", "rasterize", "system_eval", "tables", "kernel", "reduce"]
     assert sum(stages.values()) <= manifest["wall_time_s"]
+    assert list(manifest["cpu_s"]) == list(manifest["busy_fraction"])
+    assert all(s >= 0.0 for s in manifest["cpu_s"].values())
     assert os.path.exists(simulated / "spacing.txt")
 
 

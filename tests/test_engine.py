@@ -1,4 +1,6 @@
 import dataclasses
+import fractions
+import itertools
 import logging
 import math
 import multiprocessing as mp
@@ -50,12 +52,13 @@ from mrsim.sequence import (
     Sequence,
     build_spin_echo,
     build_tse,
+    distinct_elements,
     parse_sequence_file,
     readout_gradient,
 )
 from mrsim.system import default_system
 
-from oracles import reference_kernel, shaped_pulse
+from oracles import reference_kernel, reference_snapshots, shaped_pulse
 
 
 def box_phantom(m0=1.0, t2=0.2):
@@ -137,11 +140,11 @@ def test_memoized_tables_bit_identical_to_recomputation():
         alone = precompute_sequence_tables(Sequence([es])).entries[0]
         for name in events:
             assert bits(getattr(entry, name)) == bits(getattr(alone, name)), (i, name)
-        assert (entry.snaps != ()) == (i == snapped)
+    assert list(tables.snaps) == [snapped]
     shared, snap = tables.entries[2], tables.entries[snapped]
     assert tables.entries[6].ev_dt is shared.ev_dt
     assert snap.ev_dt is shared.ev_dt and snap.ev_dmom is shared.ev_dmom
-    [(t, moment, index)] = snap.snaps
+    [(t, moment, index)] = tables.snaps[snapped]
     assert t == pytest.approx(1e-3, abs=1e-15) and index == 0
     g = seq.elements[snapped].gradient
     assert np.array_equal(moment, g.partial_moments([t], seq.elements[snapped].duration)[0])
@@ -331,7 +334,7 @@ def test_propagator_groups_only_for_recurring_elements():
     groups = [-1, -1, -1, 0, -1, -1, 0, 0]
     assert [e.group for e in plain.entries] == [e.group for e in tables.entries] == groups
     assert tables.entries[3].ev_dt is tables.entries[6].ev_dt is tables.entries[7].ev_dt
-    assert tables.entries[3].snaps and not tables.entries[6].snaps
+    assert 3 in tables.snaps and 6 not in tables.snaps
     assert tables.group_rows == plain.group_rows == [tables.entries[6].ev_dt.size]
 
 
@@ -763,22 +766,29 @@ def test_recurring_pulse_intervals_keep_their_t1_factors(caplog):
     assert_matches_reference_kernel(tables, block, echoes, snaps)
 
 
-def test_entries_share_their_element_table_unless_they_acquire_or_snap():
+def test_every_entry_of_a_distinct_element_is_its_table():
+    """Whether it acquires, holds a snapshot or neither, an element's
+    entry is its distinct element's table; the acquisitions are numbered
+    in element order and the snapshot is the tables' by entry."""
     seq = phase_encoded_spin_echo()
     t_snap = sum(es.duration for es in seq.elements[:5]) + 1e-3  # in the second 180 element
     tables = precompute_sequence_tables(seq, snapshot_times=(t_snap,))
+    first = {}
+    for i, g in enumerate(distinct_elements(seq)[1]):
+        assert tables.entries[i] is tables.entries[first.setdefault(g, i)], i
     refocus = tables.entries[1::4]
-    assert all(entry is refocus[0] for entry in refocus[2:])
-    assert refocus[1] is not refocus[0] and refocus[1].snaps and not refocus[0].snaps
+    assert all(entry is refocus[0] for entry in refocus)
+    assert list(tables.snaps) == [5]
     readouts = tables.entries[2::4]
-    assert [entry.acq for entry in readouts] == list(range(8))
     assert all(entry.ev_t is readouts[0].ev_t for entry in readouts)
-    t0 = 0.0
+    t0, acq = 0.0, 0
     for es, entry in zip(seq.elements, tables.entries):
         if entry.n_samples:
             want = t0 + es.acquisition.sample_times(es.duration)
-            assert tables.acq_times[entry.acq].tobytes() == want.tobytes()
+            assert tables.acq_times[acq].tobytes() == want.tobytes()
+            acq += 1
         t0 += es.duration
+    assert acq == len(tables.acq_times) == 8
     assert tables.pulse_memo_hits == 14
 
 
@@ -978,6 +988,15 @@ def test_run_times_its_six_stages_within_its_wall_time(caplog, workers, spacing)
     assert sum(stages.values()) <= res.metrics.wall_time_s
     logged = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("run stages: ")]
     assert len(logged) == 1 and all(f"{name} " in logged[0] for name in STAGES)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_reports_cpu_seconds_by_worker_beside_busy_time(workers):
+    # no speed is asserted: only the names, the keys and the signs
+    res = run(small_experiment(workers=workers, blocks=4))
+    cpu = res.metrics.cpu_s
+    assert list(cpu) == list(res.metrics.busy_fraction) == list(range(workers))
+    assert all(type(s) is float and s >= 0.0 for s in cpu.values())
 
 
 def test_infinite_spacing_on_an_axis_without_k_excursion():
@@ -1274,6 +1293,90 @@ def test_tables_reject_snapshot_times_outside_the_sequence(times):
     tables = precompute_sequence_tables(one_row, snapshot_times=(0.0, one_row.duration))
     _echoes, snaps = compute_block(tables, oracle_block())
     assert [s.shape for s in snaps] == [(oracle_block().n, 3)] * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    leading_zeros=st.integers(0, 2),
+    durations=st.lists(st.sampled_from([0.0, 1e-3, 2.5e-3, 1e-2 / 3, 0.1]), min_size=1, max_size=7),
+)
+def test_snapshot_placement_matches_the_per_element_rule(data, leading_zeros, durations):
+    """Times on element boundaries, 0 before leading zero-length elements,
+    the sequence end, several times in one element, in any order: each
+    lands in the element, at the time from its start and with the partial
+    moment, that the per-element rule gives, bit for bit."""
+    durations = [0.0] * leading_zeros + durations
+    gradient = GradientWaveform.constant
+    seq = Sequence(
+        [
+            ElementarySequence(gradient=gradient(gx=1e-3 * i, gy=-2e-3), duration=d)
+            for i, d in enumerate(durations, 1)
+        ]
+    )
+    ends = list(itertools.accumulate(durations))
+    starts = [0.0] + ends[:-1]
+    within = st.tuples(st.integers(0, len(durations) - 1), st.floats(0.0, 1.0)).map(
+        lambda iu: starts[iu[0]] + iu[1] * durations[iu[0]]
+    )
+    time = st.one_of(st.sampled_from([0.0, ends[-1]] + ends), within)
+    times = data.draw(st.lists(time, max_size=12))
+    got = precompute_sequence_tables(seq, snapshot_times=times).snaps
+    want = reference_snapshots(seq, times)
+    assert list(got) == list(want)
+    for i, snaps in want.items():
+        assert [(t.hex(), m.tobytes(), si) for t, m, si in got[i]] == [
+            (t.hex(), m.tobytes(), si) for t, m, si in snaps
+        ], i
+
+
+# a scalar, "0.01", 1+0j and None raised a bare TypeError, some of them
+# only after the spacing stage had run; True snapshotted at t = 1 s
+NOT_TIMES = [
+    0.01,
+    "0.01",
+    b"0.01",
+    (1 + 0j,),
+    (None,),
+    (True,),
+    (np.True_,),
+    (0.01, "0.02"),
+    ((0.01,),),
+    np.array(0.01),
+    np.array([[0.01]]),
+]
+
+
+@pytest.mark.parametrize("times", NOT_TIMES, ids=repr)
+def test_run_rejects_snapshot_times_that_are_not_real_numbers(monkeypatch, times):
+    def started(*args, **kwargs):
+        raise AssertionError("run went past its input checks")
+
+    for name in ("_check_spacing", "_auto_spacing", "rasterize", "_run_pool"):
+        monkeypatch.setattr(engine, name, started)
+    with pytest.raises(InvalidParameter, match="snapshot_times must be"):
+        run(small_experiment(snapshot_times=times))
+
+
+@pytest.mark.parametrize("times", NOT_TIMES, ids=repr)
+def test_tables_reject_snapshot_times_that_are_not_real_numbers(times):
+    with pytest.raises(InvalidParameter, match="snapshot_times must be"):
+        precompute_sequence_tables(small_experiment().sequence, snapshot_times=times)
+
+
+def test_snapshot_times_are_any_sequence_of_real_numbers():
+    # a list, an array and numpy or exact numbers place the snapshots as
+    # the same floats do, and are reported as given
+    want = run(small_experiment(snapshot_times=(0.0, 0.02, 0.5)))
+    for times in (
+        [0, 0.02, 0.5],
+        np.array([0.0, 0.02, 0.5]),
+        (np.int64(0), np.float64(0.02), fractions.Fraction(1, 2)),
+    ):
+        res = run(small_experiment(snapshot_times=times))
+        assert [t for t, _ in res.snapshots] == list(times)
+        for (_t, snap), (_w, ref) in zip(res.snapshots, want.snapshots):
+            assert np.array_equal(snap, ref)
 
 
 def test_echo_matrix_rejects_acquisitions_of_different_lengths():
