@@ -172,12 +172,7 @@ def _cmd_fit_t2(args) -> int:
 def _cmd_spacing(args) -> int:
     sequence = _load_sequence(args.sequence)
     phantom = _load_object(args.object) if args.object else None
-    report = max_spacing(
-        sequence,
-        phantom=phantom,
-        object_delta_omega_bound=args.delta_omega_bound,
-        char_length=args.char_length,
-    )
+    report = max_spacing(sequence, phantom=phantom)
     print(report.text())
     print(report.machine_lines())
     return 0
@@ -231,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     spc = sub.add_parser("spacing", help="spatial discretization report")
     spc.add_argument("--sequence", required=True)
     spc.add_argument("--object", default=None)
-    spc.add_argument("--delta-omega-bound", type=float, default=0.0)
-    spc.add_argument("--char-length", type=float, default=None)
     spc.set_defaults(func=_cmd_spacing)
     return parser
 

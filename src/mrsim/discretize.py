@@ -20,7 +20,7 @@ from .bloch import GAMMA_PROTON, RelaxationParams
 from .errors import InvalidParameter
 from .ktspace import TracePoint, max_k_excursion, simulate_kt
 from .phantom import lattice_sites
-from .sequence import Sequence, _solve_readout, distinct_elements
+from .sequence import Sequence, _solve_readout
 
 _log = logging.getLogger(__name__)
 
@@ -79,67 +79,11 @@ def _report(k_max, **fields) -> SpacingReport:
     )
 
 
-def _transverse_lifetime(sequence: Sequence) -> float:
-    """Longest continuous interval during which transversal configurations
-    can exist: conservatively, from the first pulse to the sequence end."""
-    t = 0.0
-    first = None
-    for es in sequence.elements:
-        if es.pulse is not None and first is None:
-            first = t
-        t += es.duration
-    return 0.0 if first is None else t - first
-
-
-def max_spacing(
-    sequence: Sequence,
-    phantom=None,
-    object_delta_omega_bound: float = 0.0,
-    char_length: Optional[float] = None,
-) -> SpacingReport:
-    """Spin-spacing bound dx < pi/K_max per axis, with an off-resonance margin.
-
-    ``object_delta_omega_bound`` (rad/s) bounds the worst off-resonance
-    over the object (field inhomogeneity, chemical shift).  Acting over
-    the transverse lifetime it behaves like an extra pseudo-gradient of
-    bound/char_length, which is added to K_max along the axes the
-    acquisition gradients use; this margin model is deliberately
-    conservative.  Raises InvalidParameter for a negative bound or a
-    char_length that is not positive.
-    """
-    if not object_delta_omega_bound >= 0.0:
-        raise InvalidParameter(
-            f"object_delta_omega_bound must be >= 0 rad/s, got {object_delta_omega_bound!r}"
-        )
-    if char_length is not None and not char_length > 0.0:
-        raise InvalidParameter(f"char_length must be > 0 m, got {char_length!r}")
-    notes = []
-    margin = [0.0, 0.0, 0.0]
-    if object_delta_omega_bound > 0.0:
-        if char_length is None:
-            if phantom is None:
-                raise InvalidParameter(
-                    "off-resonance margin needs char_length or a phantom for the length scale"
-                )
-            lo, hi = phantom.bounding_box()
-            char_length = float(max(hi - lo)) / 2.0
-        lifetime = _transverse_lifetime(sequence)
-        extra = object_delta_omega_bound * lifetime / char_length
-        readout_axes = set()
-        for es in distinct_elements(sequence)[0]:
-            if not es.acquisition.enabled:
-                continue
-            # the k moves of the readout, whatever the waveform's shape
-            ts = np.append(es.acquisition.sample_times(es.duration), es.duration)
-            moved = np.any(es.gradient.partial_moments(ts, es.duration) != 0.0, axis=0)
-            readout_axes.update(np.flatnonzero(moved).tolist())
-        for ax in readout_axes:
-            margin[ax] = extra
-        notes.append(
-            f"off-resonance margin {extra:.6g} rad/m over lifetime {lifetime:.6g} s "
-            f"applied to axes {sorted(readout_axes)}"
-        )
-    report = _report(max_k_excursion(sequence, domega_margin=tuple(margin)), notes=notes)
+def max_spacing(sequence: Sequence, phantom=None) -> SpacingReport:
+    """Spin-spacing bound dx < pi/K_max per axis, K_max the largest |k|
+    any configuration of the relaxation-free walk reaches; with a
+    phantom, also the spin count that spacing gives."""
+    report = _report(max_k_excursion(sequence))
     if phantom is not None:
         report.predicted_spins = lattice_sites(phantom, report.spacing)
     return report

@@ -1175,9 +1175,12 @@ def compare_results(ref, test, rel_threshold: float = 1e-6) -> ComparisonResult:
     """Floating-point tolerant dataset comparison.
 
     Returns the difference-energy ratio in dB plus the number of
-    components whose relative error exceeds the threshold.  Components
-    where both values sit at machine-epsilon scale are not rated.
+    components whose relative error exceeds the threshold, which must be
+    >= 0 and finite.  Components where both values sit at machine-epsilon
+    scale are not rated.
     """
+    if not 0.0 <= rel_threshold < math.inf:
+        raise InvalidParameter(f"rel_threshold must be >= 0 and finite, got {rel_threshold!r}")
     ref = np.asarray(ref)
     test = np.asarray(test)
     if ref.shape != test.shape:

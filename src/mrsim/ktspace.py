@@ -775,10 +775,7 @@ def _entries(kind: str, orders, pops: np.ndarray, k: np.ndarray) -> List[List[Co
     ]
 
 
-def max_k_excursion(
-    sequence: Sequence,
-    domega_margin: Tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> Tuple[float, float, float]:
+def max_k_excursion(sequence: Sequence) -> Tuple[float, float, float]:
     """Per-axis maximum |k| reached by any configuration at any time.
 
     Walks per-axis intervals: the extreme moments the transversal and
@@ -786,10 +783,8 @@ def max_k_excursion(
     along the continuous k motion inside each interval.  RF mixing maps
     the extremes of both sets onto those of the mixed set and gradient
     shifts translate them, so this is exact for the maximum over every
-    reachable order while staying O(#elementary sequences).
-    ``domega_margin`` (rad/m per axis) is added on top as a
-    user-supplied off-resonance allowance.  Works directly on the
-    continuous moments, so no common k unit is required.
+    reachable order while staying O(#elementary sequences).  Works
+    directly on the continuous moments, so no common k unit is required.
 
     Whether an element flips, its moment and the span of its k motion
     are worked out once per group of
@@ -824,7 +819,7 @@ def max_k_excursion(
         ]
         idle = all(m == 0.0 and span in (None, (0.0, 0.0)) for _, m, span in steps)
         kmax.append(0.0 if idle else _axis_excursion(steps, groups))
-    return tuple(kmax[ax] + domega_margin[ax] for ax in range(3))
+    return tuple(kmax)
 
 
 def _axis_excursion(steps, groups) -> float:

@@ -11,6 +11,7 @@ phase correction for the half-sample offset of symmetric readouts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence as TySequence, Tuple
 
@@ -86,8 +87,13 @@ def assemble_kspace(
     ``trajectory`` holds one (volume, row, reversed) triple per
     acquisition; reversed rows are sample-flipped before placement.
     Every row must be filled at most once per volume; missing rows stay
-    zero and are flagged.
+    zero and are flagged.  Raises InvalidParameter for a ``fov`` that is
+    not > 0 and finite and an ``n_rows`` that is not an integer >= 1.
     """
+    if fov is not None and not 0.0 < fov < math.inf:
+        raise InvalidParameter(f"fov must be > 0 and finite, got {fov!r}")
+    if n_rows is not None and not (isinstance(n_rows, numbers.Integral) and n_rows >= 1):
+        raise InvalidParameter(f"n_rows must be an integer >= 1, got {n_rows!r}")
     echoes = np.asarray(echoes, dtype=complex)
     if echoes.ndim != 2:
         raise InvalidParameter(f"echo matrix must be 2-D, got {echoes.shape}")

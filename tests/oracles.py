@@ -12,10 +12,9 @@ of ``mrsim.recon.cpmg_fit``; the reference kernel is the spin-block event loop o
 transverse arrays that the fused complex kernel of ``mrsim.engine``
 replaced, and the reference prune is the point-by-point
 form of ``mrsim.discretize.steady_state_prune``.  The reference walk,
-unit, k excursion and readout axes are the per-element forms of
+unit and k excursion are the per-element forms of
 ``mrsim.ktspace.simulate_kt``, ``derive_unit_k`` and
-``max_k_excursion`` and of the off-resonance margin's axes in
-``mrsim.discretize.max_spacing``:
+``max_k_excursion``:
 every elementary sequence computes its own moments, shift, mixing
 coefficients, decay factors and sample relaxation, and the walk applies
 them on a ``ConfigurationSet`` of dicts keyed by order, through
@@ -422,17 +421,6 @@ def reference_unit(sequence):
     return tuple(_axis_unit(per_axis[ax]) for ax in range(3))
 
 
-def reference_readout_axes(sequence):
-    """The axes along which any acquisition moves k, element by element:
-    those of the off-resonance margin of ``mrsim.discretize.max_spacing``."""
-    axes = set()
-    for _, es in sequence.acquisitions():
-        ts = np.append(es.acquisition.sample_times(es.duration), es.duration)
-        moved = np.any(es.gradient.partial_moments(ts, es.duration) != 0.0, axis=0)
-        axes.update(np.flatnonzero(moved).tolist())
-    return sorted(axes)
-
-
 def reference_fallback_unit(sequence):
     per_axis = [None, None, None]
     for es in sequence.elements:
@@ -613,7 +601,7 @@ def reference_walk(
     return KtRun(echoes=echoes, trace=trace, final=final)
 
 
-def reference_k_excursion(sequence, domega_margin=(0.0, 0.0, 0.0)):
+def reference_k_excursion(sequence):
     """Per-axis maximum |k|, visiting every partial-moment row of every
     element: same inputs and outputs as ``mrsim.ktspace.max_k_excursion``."""
     kmax = [0.0, 0.0, 0.0]
@@ -652,7 +640,7 @@ def reference_k_excursion(sequence, domega_margin=(0.0, 0.0, 0.0)):
             t_lo = t_lo + moments
             t_hi = t_hi + moments
             visit(t_lo, t_hi)
-    return tuple(kmax[ax] + domega_margin[ax] for ax in range(3))
+    return tuple(kmax)
 
 
 def reference_shepp_logan_m0(x, y, scale=1.0):

@@ -227,7 +227,6 @@ TABLES = {
 SIMULATE = ["simulate", "--sequence", "{w}/seq.txt", "--object", "{w}/object.txt"]
 KT_DIAGRAM = ["kt-diagram", "--sequence", "{w}/seq.txt", "--out", "{w}/bad.csv"]
 RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov", "0.2"]
-MARGIN = ["spacing", "--sequence", "{w}/seq.txt", "--delta-omega-bound"]
 
 
 @pytest.mark.parametrize(
@@ -243,9 +242,12 @@ MARGIN = ["spacing", "--sequence", "{w}/seq.txt", "--delta-omega-bound"]
         [*RECON, "--trajectory", "table:{w}/table_two_columns.txt", "--out", "{w}/bad.pgm"],
         [*RECON, "--trajectory", "table:{w}/table_rev_yes.txt", "--out", "{w}/bad.pgm"],
         [*RECON[:3], "--size", "4", "8", "--trajectory", "se", "--out", "{w}/bad.pgm"],
-        [*MARGIN, "100", "--char-length", "-0.1"],
-        [*MARGIN, "100", "--char-length", "0"],
-        [*MARGIN, "-100", "--char-length", "0.1"],
+        *(
+            [*RECON[:6], "--fov", fov, "--trajectory", "se", "--out", "{w}/bad.pgm"]
+            for fov in ("0", "-0.2", "nan", "inf")
+        ),
+        [*RECON[:4], "8", "-2", "--trajectory", "se", "--out", "{w}/bad.pgm"],
+        ["compare", "--ref", RECON[2], "--test", RECON[2], "--rel-threshold", "nan"],
     ],
     ids=[
         "series_not_two_columns",
@@ -258,9 +260,12 @@ MARGIN = ["spacing", "--sequence", "{w}/seq.txt", "--delta-omega-bound"]
         "table_two_columns",
         "table_rev_yes",
         "size_nx_not_the_sample_count",
-        "margin_char_length_negative",
-        "margin_char_length_zero",
-        "margin_bound_negative",
+        "recon_fov_zero",
+        "recon_fov_negative",
+        "recon_fov_nan",
+        "recon_fov_inf",
+        "recon_rows_negative",
+        "compare_threshold_nan",
     ],
 )
 def test_cli_reports_errors_cleanly(argv, workdir, simulated, capsys):
@@ -277,6 +282,15 @@ def test_simulate_always_folds_in_block_order_and_takes_no_flag_for_it(workdir, 
         main([arg.format(w=workdir) for arg in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--delta-omega-bound", "100"), ("--char-length", "0.1")])
+def test_spacing_takes_no_off_resonance_margin_flags(workdir, capsys, flag, value):
+    argv = ["spacing", "--sequence", "{w}/seq.txt", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(w=workdir) for arg in argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_simulate_reports_acquisitions_of_different_lengths(workdir, capsys):

@@ -33,7 +33,6 @@ from mrsim.sequence import (
 from oracles import (
     reference_k_excursion,
     reference_prune,
-    reference_readout_axes,
     shaped_pulse,
 )
 
@@ -85,52 +84,7 @@ def test_max_spacing_monotone_under_extension():
     assert report_b.dx_max[0] <= report_a.dx_max[0]
 
 
-def test_max_spacing_margin_applied_to_readout_axis():
-    seq = readout_only(100.0)
-    plain = max_spacing(seq)
-    with_margin = max_spacing(seq, object_delta_omega_bound=500.0, char_length=0.1)
-    assert with_margin.k_max[0] > plain.k_max[0]
-    assert with_margin.k_max[1] == plain.k_max[1]
-    with pytest.raises(InvalidParameter):
-        max_spacing(seq, object_delta_omega_bound=500.0)
-
-
-@pytest.mark.parametrize(
-    "bound, char_length",
-    [(100.0, -0.1), (100.0, 0.0), (-100.0, 0.1), (-100.0, None), (math.nan, 0.1)],
-)
-def test_max_spacing_rejects_a_margin_out_of_range(bound, char_length):
-    # a negative char_length would lower K_max below its value without a
-    # margin, a zero one divide by zero, and a negative bound be ignored
-    seq = readout_only(100.0)
-    with pytest.raises(InvalidParameter, match="must be"):
-        max_spacing(seq, object_delta_omega_bound=bound, char_length=char_length)
-
-
-@pytest.mark.parametrize(
-    "readout",
-    [
-        GradientWaveform.constant(gx=1e-3),
-        GradientWaveform.from_samples([[1e-3, 0.0, 0.0]] * 5, 1e-3),
-    ],
-    ids=["constant", "sampled"],
-)
-def test_max_spacing_margin_follows_the_readout_of_any_shape(readout):
-    seq = Sequence(
-        [
-            ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0), duration=1e-3),
-            ElementarySequence(gradient=readout, duration=4e-3, acquisition=AcquisitionSpec(5)),
-        ]
-    )
-    report = max_spacing(seq, object_delta_omega_bound=100.0, char_length=0.1)
-    # the readout's 1070.65 rad/m plus 100 rad/s * 5 ms / 0.1 m
-    assert report.k_max == (pytest.approx(1075.65, abs=0.005), 0.0, 0.0)
-    assert report.notes == [
-        "off-resonance margin 5 rad/m over lifetime 0.005 s applied to axes [0]"
-    ]
-
-
-def test_grouped_margin_and_k_excursion_match_per_element_forms():
+def test_grouped_k_excursion_matches_the_per_element_form():
     # two readout shapes, each repeated: a constant one along x and a
     # sampled one along y, and an acquisition that moves no k
     along_y = np.zeros((5, 3))
@@ -149,16 +103,7 @@ def test_grouped_margin_and_k_excursion_match_per_element_forms():
     refocus = ElementarySequence(pulse=HardPulse(math.pi, 0.0), duration=0.001)
     excite = ElementarySequence(pulse=HardPulse(math.pi / 2, 0.0))
     seq = Sequence([excite] + 2 * ([refocus] + readouts), name="two shapes")
-    report = max_spacing(seq, object_delta_omega_bound=100.0, char_length=0.1)
-    lifetime = seq.duration
-    extra = 100.0 * lifetime / 0.1
-    axes = reference_readout_axes(seq)
-    assert axes == [0, 1]
-    assert report.notes == [
-        f"off-resonance margin {extra:.6g} rad/m over lifetime {lifetime:.6g} s "
-        f"applied to axes {axes}"
-    ]
-    assert report.k_max == reference_k_excursion(seq, domega_margin=(extra, extra, 0.0))
+    assert max_spacing(seq).k_max == reference_k_excursion(seq)
 
 
 def test_max_spacing_predicts_spin_count():

@@ -1488,6 +1488,15 @@ def test_compare_results_counts_exceedances():
     assert cmp.compared == 3
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf, -math.inf])
+def test_compare_results_rejects_a_threshold_out_of_range(threshold):
+    # unchecked, NaN counts no exceedance and -1 every component, even on
+    # identical data
+    ref = np.array([1.0 + 1j, 2.0 - 3j])
+    with pytest.raises(InvalidParameter, match="rel_threshold must be >= 0 and finite"):
+        compare_results(ref, ref.copy(), rel_threshold=threshold)
+
+
 def test_compare_results_identity():
     ref = np.array([1.0 + 1j, 2.0 - 3j])
     cmp = compare_results(ref, ref.copy())

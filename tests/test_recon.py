@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mrsim.recon as recon_mod
-from mrsim.errors import FitDiverged, TrajectoryMismatch
+from mrsim.errors import FitDiverged, InvalidParameter, TrajectoryMismatch
 from mrsim.io import read_raw_grid
 from mrsim.recon import (
     ExponentialFit,
@@ -78,6 +78,27 @@ def test_assemble_rejects_duplicate_rows():
 def test_assemble_rejects_count_mismatch():
     with pytest.raises(TrajectoryMismatch):
         assemble_kspace(np.ones((3, 4), dtype=complex), [(0, 0, False)], n_rows=4)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"fov": 0.0}, "fov must be > 0 and finite"),
+        ({"fov": -0.2}, "fov must be > 0 and finite"),
+        ({"fov": math.nan}, "fov must be > 0 and finite"),
+        ({"fov": math.inf}, "fov must be > 0 and finite"),
+        ({"n_rows": 0}, "n_rows must be an integer >= 1"),
+        ({"n_rows": -2}, "n_rows must be an integer >= 1"),
+        ({"n_rows": 2.5}, "n_rows must be an integer >= 1"),
+    ],
+    ids=["fov_zero", "fov_negative", "fov_nan", "fov_inf", "rows_zero", "rows_negative", "rows_half"],
+)
+def test_assemble_rejects_a_fov_or_row_count_out_of_range(kwargs, message):
+    # unchecked, a zero fov divides by zero, a negative one flips the k
+    # step, NaN makes NaN axes, inf a zero step, and -2 rows numpy's error
+    echoes = np.ones((2, 4), dtype=complex)
+    with pytest.raises(InvalidParameter, match=message):
+        assemble_kspace(echoes, [(0, 0, False), (0, 1, False)], **kwargs)
 
 
 def test_assemble_marks_missing_rows():
