@@ -1,25 +1,28 @@
 """Parallel spin-level simulation engine.
 
-Role separation follows a partitioner / worker / reducer contract: the
-partitioner (master) rasterizes the object, precomputes everything that
-does not depend on the spin (pulse trigonometry, gradient moments,
-sample timing) and cuts the spin set into blocks before any worker
-starts; worker ``w`` of ``workers`` takes the fixed share of blocks
-``w, w + workers, ...``, evolves their spins through every elementary
-sequence and sends each block's partial echo sums back over a pipe of
-its own; the reducer accumulates partials into the final records.  In
-deterministic mode the reduction folds blocks in ascending index order
-regardless of completion order, so a result never depends on which
-block finishes first.  It depends on the worker count only through the
-block count, which is ``blocks``, or one per worker without it, unless
-the spins need more blocks to fit the kernel's memory budget: results
-at different worker counts are bit-identical when ``blocks`` is given,
-or when the spins need at least one block per worker at each count.  A
-spacing override only decides whether to warn, so with workers the
-master checks it (the relaxation-free bound, then the pruned k-t walk
-if that bound is broken) while they compute.
+Role separation follows a partitioner / worker / reducer contract; the
+roles are not processes.  The partitioner (master) rasterizes the
+object, precomputes everything that does not depend on the spin (pulse
+trigonometry, gradient moments, sample timing) and cuts the spin set
+into blocks before any worker starts.  Share ``w`` of ``workers`` is the
+fixed set of blocks ``w, w + workers, ...``, whose spins a worker evolves
+through every elementary sequence: worker processes take shares ``0 ...
+workers - 2`` and send each block's partial echo sums back over a pipe
+of their own, and the master computes the last share itself, so a
+1-worker run starts no process.  The reducer accumulates partials into
+the final records.  In deterministic mode the reduction folds blocks in
+ascending index order regardless of completion order, so a result never
+depends on which block finishes first.  It depends on the worker count
+only through the block count, which is ``blocks``, or one per worker
+without it, unless the spins need more blocks to fit the kernel's
+memory budget: results at different worker counts are bit-identical
+when ``blocks`` is given, or when the spins need at least one block per
+worker at each count.  A spacing override only decides whether to warn,
+so the master checks it (the relaxation-free bound, then the pruned k-t
+walk if that bound is broken) once the worker processes have started,
+before its own share.
 
-Loop order inside a worker: elementary sequences outer, with the
+Loop order inside a block: elementary sequences outer, with the
 per-spin arithmetic vectorized across the block, and per-spin work only
 where the physics differs per spin.  The kernel keeps the transverse
 magnetization as one complex array ``mxy = mx + 1j*my``.  A pulse is
@@ -117,7 +120,6 @@ import collections
 import logging
 import math
 import numbers
-import operator
 import os
 import platform
 import time
@@ -141,7 +143,7 @@ from .bloch import (
 from .discretize import SpacingReport, max_spacing, pruned_max_spacing
 from .errors import InvalidParameter, WorkerPanic
 from .phantom import Phantom, SpinList, _positive_spacing, rasterize
-from .sequence import Sequence, distinct_elements
+from .sequence import Sequence, _count, distinct_elements
 from .system import SystemModel, complex_weight, default_system, spin_off_resonance
 
 _log = logging.getLogger(__name__)
@@ -755,17 +757,17 @@ class EchoRecord:
 @dataclass
 class RunMetrics:
     """How a run went.  ``stages`` holds the seconds of each stage of
-    :func:`run` by name, in order: ``spacing`` (the automatic spacing, or
-    a one-process run's check of an override), ``rasterize``,
-    ``system_eval`` (:func:`build_spin_arrays`), ``tables``, ``kernel``
-    (cutting the blocks and evolving them; a pooled run checks an
-    override here, in the master while the workers compute) and
-    ``reduce`` (summing the echoes and gathering the snapshots).  They
-    add up to at most ``wall_time_s``.  ``busy_fraction`` is each worker's
-    wall time inside :func:`compute_block` over ``wall_time_s``, which
-    also counts time the worker was descheduled; ``cpu_s`` is, by the same
-    keys, the CPU seconds that its thread spent there
-    (``time.thread_time``)."""
+    :func:`run` by name, in order: ``spacing`` (the automatic spacing
+    only), ``rasterize``, ``system_eval`` (:func:`build_spin_arrays`),
+    ``tables``, ``kernel`` (cutting the blocks and evolving them; the
+    master checks a spacing override here, while the worker processes
+    compute) and ``reduce`` (summing the echoes and gathering the
+    snapshots).  They add up to at most ``wall_time_s``.
+    ``busy_fraction`` is each worker's wall time inside
+    :func:`compute_block` over ``wall_time_s``, which also counts time the
+    worker was descheduled, keyed by share: the master's is ``workers -
+    1``; ``cpu_s`` is, by the same keys, the CPU seconds that its thread
+    spent there (``time.thread_time``)."""
 
     wall_time_s: float
     throughput: float  # spins per second of wall time
@@ -935,20 +937,6 @@ def _worker_main(tables, share, conn):
         conn.send((block.index, result, spent))
 
 
-def _count(name: str, value) -> int:
-    """``value`` as a Python int >= 1: an integer, numpy's included, but
-    not a bool."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        n = operator.index(value)
-    except TypeError:
-        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}") from None
-    if n < 1:
-        raise InvalidParameter(f"{name} must be >= 1, got {value!r}")
-    return n
-
-
 def _snapshot_times(value) -> Tuple[float, ...]:
     """``value`` as a tuple of its times: a sequence or array of real
     numbers, numpy's and exact ones included, but not of bools."""
@@ -989,9 +977,6 @@ def run(exp: Experiment) -> RunResult:
         spacing, report = _auto_spacing(exp)
     else:
         spacing = _positive_spacing(exp.spacing)
-        if exp.workers == 1:
-            report, problems = _check_spacing(exp, spacing)
-            _warn_spacing(problems)
     stage("spacing")
     spins = rasterize(exp.phantom, spacing)
     if not spins:
@@ -1008,24 +993,12 @@ def run(exp: Experiment) -> RunResult:
     # wall and CPU seconds inside compute_block, by worker
     busy: Dict[int, float] = collections.defaultdict(float)
     cpu: Dict[int, float] = collections.defaultdict(float)
-
-    if exp.workers == 1:
-        # the blocks run in index order, so they also fold in that order
-        folds = []
-        for block in blocks:
-            result, (busy_s, cpu_s) = _timed_block(tables, block)
-            folds.append(result)
-            busy[0] += busy_s
-            cpu[0] += cpu_s
-        ordered = folds
-    else:
-        # the master has nothing to do while the workers compute, so it
-        # checks a spacing override then
-        check = None if exp.spacing is None else (lambda: _check_spacing(exp, spacing))
-        folds, ordered, checked = _run_pool(exp, tables, blocks, busy, cpu, meanwhile=check)
-        if checked is not None:
-            report, problems = checked
-            _warn_spacing(problems)
+    # the master checks a spacing override while the workers compute
+    check = None if exp.spacing is None else (lambda: _check_spacing(exp, spacing))
+    folds, ordered, checked = _run_pool(exp, tables, blocks, busy, cpu, meanwhile=check)
+    if checked is not None:
+        report, problems = checked
+        _warn_spacing(problems)
     stage("kernel")
 
     n_spins = arrays.n
@@ -1068,55 +1041,75 @@ def run(exp: Experiment) -> RunResult:
 
 
 def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, cpu, meanwhile=None):
-    """Compute the blocks in worker processes, worker ``w`` taking blocks
-    ``w, w + workers, ...``.
+    """Compute the blocks, share ``w`` of ``workers`` taking blocks ``w, w
+    + workers, ...``: shares ``0 ... workers - 2`` in worker processes,
+    and the last in the master, which first calls ``meanwhile()``, the
+    check of a spacing override that ``run`` passes (the automatic
+    spacing is resolved before the blocks are cut).  A 1-worker run is
+    this loop with no process.
 
     Each worker gets its share, and under fork the tables with it, as
     its process arguments, and sends each result over a one-way pipe of
-    its own, with its wall and CPU seconds, which add up by worker in
+    its own, with its wall and CPU seconds, which add up by share in
     ``busy`` and ``cpu``.  The master holds no write end, so a pipe reads
     EOF once its worker has exited, after every result that worker sent.
-    Returns (fold_order, index_order, side): deterministic mode folds
-    echoes in ascending block index, nondeterministic mode in arrival
-    order; side is the value of ``meanwhile()``, which the master calls
-    while the workers compute (None without it).  A kernel error, or a worker that
-    exits before its share is done (killed, ``os._exit``), is raised as
-    :class:`WorkerPanic` naming the block, and stops every worker.
+    After each of its own blocks the master takes the results that are
+    ready, so that no worker waits long in ``send``, and at the end it
+    reads every pipe to EOF.  Returns (fold_order, index_order, side):
+    deterministic mode folds echoes in ascending block index,
+    nondeterministic mode in arrival order; side is the value of
+    ``meanwhile()`` (None without it).  A kernel error, in a worker or in
+    the master, or a worker that exits before its share is done (killed,
+    ``os._exit``), is raised as :class:`WorkerPanic` naming the block,
+    and stops every worker.
     """
     ctx = mp.get_context()
     shares = [blocks[w :: exp.workers] for w in range(exp.workers)]
+    master = exp.workers - 1
     workers = []
     readers: Dict[mp_connection.Connection, int] = {}
     arrival: List[tuple] = []
     by_index: Dict[int, tuple] = {}
-    side = None
     clean = False
+
+    def keep(w, index, result, spent):
+        busy[w] += spent[0]
+        cpu[w] += spent[1]
+        arrival.append(result)
+        by_index[index] = result
+
+    def take(ready):
+        for reader in ready:
+            w = readers[reader]
+            try:
+                index, result, spent = reader.recv()
+            except (EOFError, OSError):  # exited, or died mid-message
+                del readers[reader]
+                reader.close()
+                _check_share(workers[w], shares[w], by_index)
+                continue
+            if result is None:  # the kernel's error in place of the seconds
+                raise WorkerPanic(index, spent)
+            keep(w, index, result, spent)
+
     try:
-        for w, share in enumerate(shares):
+        for w, share in enumerate(shares[:master]):
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_worker_main, args=(tables, share, writer), daemon=True)
             proc.start()
             writer.close()  # before the next fork, so EOF follows this worker alone
             workers.append(proc)
             readers[reader] = w
-        if meanwhile is not None:
-            side = meanwhile()
+        side = None if meanwhile is None else meanwhile()
+        for block in shares[master]:
+            try:
+                result, spent = _timed_block(tables, block)
+            except Exception as exc:
+                raise WorkerPanic(block.index, repr(exc)) from exc
+            keep(master, block.index, result, spent)
+            take(mp_connection.wait(list(readers), timeout=0))
         while readers:
-            for reader in mp_connection.wait(list(readers)):
-                w = readers[reader]
-                try:
-                    index, result, spent = reader.recv()
-                except (EOFError, OSError):  # exited, or died mid-message
-                    del readers[reader]
-                    reader.close()
-                    _check_share(workers[w], shares[w], by_index)
-                    continue
-                if result is None:  # the kernel's error in place of the seconds
-                    raise WorkerPanic(index, spent)
-                busy[w] += spent[0]
-                cpu[w] += spent[1]
-                arrival.append(result)
-                by_index[index] = result
+            take(mp_connection.wait(list(readers)))
         clean = True
     finally:
         for proc in workers:
@@ -1125,6 +1118,12 @@ def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, cpu, meanwh
             proc.join()
         for reader in readers:
             reader.close()
+    _log.debug(
+        "spin blocks: %d, worker processes started: %d, blocks the master computed: %d",
+        len(blocks),
+        len(workers),
+        len(shares[master]),
+    )
     ordered = [by_index[i] for i in sorted(by_index)]
     return (ordered if exp.deterministic else arrival), ordered, side
 

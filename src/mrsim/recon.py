@@ -87,8 +87,11 @@ def assemble_kspace(
     ``trajectory`` holds one (volume, row, reversed) triple per
     acquisition; reversed rows are sample-flipped before placement.
     Every row must be filled at most once per volume; missing rows stay
-    zero and are flagged.  Raises InvalidParameter for a ``fov`` that is
-    not > 0 and finite and an ``n_rows`` that is not an integer >= 1.
+    zero and are flagged.  Without ``n_rows`` the matrix runs to the
+    largest row.  Raises InvalidParameter for a ``fov`` that is not > 0
+    and finite and an ``n_rows`` that is not an integer >= 1, and
+    TrajectoryMismatch for a row outside the matrix, or for no row >= 0
+    to size it by.
     """
     if fov is not None and not 0.0 < fov < math.inf:
         raise InvalidParameter(f"fov must be > 0 and finite, got {fov!r}")
@@ -104,7 +107,9 @@ def assemble_kspace(
     nx = echoes.shape[1]
     volumes = sorted({int(v) for v, _, _ in trajectory})
     if n_rows is None:
-        n_rows = max(int(r) for _, r, _ in trajectory) + 1
+        n_rows = max((int(r) for _, r, _ in trajectory), default=-1) + 1
+        if n_rows < 1:
+            raise TrajectoryMismatch("no row >= 0 in the trajectory to size the matrix by")
     if fov is not None:
         kx0, dkx = standard_axes(fov, nx)
         ky0, dky = standard_axes(fov, n_rows)
@@ -207,12 +212,17 @@ def cpmg_fit(times, intensities) -> ExponentialFit:
 
     Damped least squares seeded by a log-linear regression; raises
     FitDiverged when no decay is observable within the sampled window
-    (T2 far beyond the largest echo time) or the iteration fails.
+    (T2 far beyond the largest echo time) or the iteration fails, and
+    InvalidParameter for times or intensities that are not finite.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(intensities, dtype=float)
     if t.shape != y.shape or t.size < 2:
         raise InvalidParameter("need equally many times and intensities (>= 2)")
+    for name, values in (("times", t), ("intensities", y)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise InvalidParameter(f"{name} must be finite; {bad} of {values.size} are not")
     positive = y > 0
     if np.sum(positive) < 2:
         raise FitDiverged("intensity series has fewer than two positive samples")

@@ -22,6 +22,7 @@ is 2*pi/FOV and the N samples span +-k_max = +-pi*(N-1)/FOV inclusive.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Tuple
@@ -166,19 +167,33 @@ class GradientWaveform:
         return GAMMA_PROTON * out
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as a Python int >= ``least``: an integer, numpy's
+    included, but not a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}") from None
+    if n < least:
+        raise InvalidParameter(f"{name} must be >= {least}, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class AcquisitionSpec:
     """Data acquisition within one elementary sequence.
 
     n_samples points are taken at i*duration/(n-1), i = 0..n-1, i.e.
-    both endpoints are sampled; zero samples is no acquisition.
+    both endpoints are sampled; zero samples is no acquisition.  The
+    count is an integer >= 0, numpy's included but not a bool.
     """
 
     n_samples: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 0:
-            raise InvalidParameter(f"n_samples must be >= 0, got {self.n_samples}")
+        object.__setattr__(self, "n_samples", _count("n_samples", self.n_samples, least=0))
 
     @property
     def enabled(self) -> bool:

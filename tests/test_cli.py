@@ -224,6 +224,10 @@ TABLES = {
     "table_two_columns.txt": "\n".join(ROWS[:3] + ["0 3"] + ROWS[4:]),
     "table_rev_yes.txt": "\n".join(ROWS[:3] + ["0 3 yes"] + ROWS[4:]),
 }
+SERIES = {
+    "series_nan_time.txt": "0.02 0.5\nnan 0.4\n0.06 0.3",
+    "series_inf_time.txt": "0.02 0.5\ninf 0.4\n0.06 0.3",
+}
 SIMULATE = ["simulate", "--sequence", "{w}/seq.txt", "--object", "{w}/object.txt"]
 KT_DIAGRAM = ["kt-diagram", "--sequence", "{w}/seq.txt", "--out", "{w}/bad.csv"]
 RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov", "0.2"]
@@ -233,6 +237,8 @@ RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov",
     "argv",
     [
         ["fit-t2", "--series", "{w}/object.txt"],
+        ["fit-t2", "--series", "{w}/series_nan_time.txt"],
+        ["fit-t2", "--series", "{w}/series_inf_time.txt"],
         [*KT_DIAGRAM, "--tissue", "1.0"],
         [*KT_DIAGRAM, "--tissue", "1,0.1,1,7"],
         [*SIMULATE, "--spacing-override", "a,b,c", "--out", "{w}/bad"],
@@ -251,6 +257,8 @@ RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov",
     ],
     ids=[
         "series_not_two_columns",
+        "series_time_nan",
+        "series_time_inf",
         "tissue_one_value",
         "tissue_four_values",
         "spacing_override_not_numbers",
@@ -269,7 +277,7 @@ RECON = ["recon", "--echoes", "{run}/echoes.mrsim", "--size", "8", "8", "--fov",
     ],
 )
 def test_cli_reports_errors_cleanly(argv, workdir, simulated, capsys):
-    for name, text in TABLES.items():
+    for name, text in {**TABLES, **SERIES}.items():
         (workdir / name).write_text(text + "\n")
     code = main([arg.format(w=workdir, run=simulated) for arg in argv])
     assert code == 2

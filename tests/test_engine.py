@@ -1145,25 +1145,82 @@ def test_run_with_automatic_spacing_groups_its_sequence_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.skipif(
+FORK_ONLY = pytest.mark.skipif(
     mp.get_start_method() != "fork", reason="the patched kernel reaches workers only by fork"
 )
-def test_worker_panic_surfaces_block_index(monkeypatch):
+
+
+@pytest.mark.parametrize(
+    "workers, failing",
+    [
+        pytest.param(2, 3, id="master_share"),
+        pytest.param(2, 2, marks=FORK_ONLY, id="worker_share"),
+        pytest.param(1, 3, id="one_worker"),
+    ],
+)
+def test_worker_panic_surfaces_block_index(monkeypatch, workers, failing):
+    # of 4 blocks on 2 workers, the master computes blocks 1 and 3
     import mrsim.engine as engine_mod
 
     kernel = engine_mod.compute_block
 
-    def boom_on_block_3(tables, block):
-        if block.index == 3:
+    def boom(tables, block):
+        if block.index == failing:
             raise RuntimeError("kernel exploded")
         return kernel(tables, block)
 
-    monkeypatch.setattr(engine_mod, "compute_block", boom_on_block_3)
+    monkeypatch.setattr(engine_mod, "compute_block", boom)
     with pytest.raises(WorkerPanic) as info:
-        run(small_experiment(workers=2, blocks=4))
-    assert info.value.block_index == 3
+        run(small_experiment(workers=workers, blocks=4))
+    assert info.value.block_index == failing
     assert "RuntimeError('kernel exploded')" in str(info.value)
     assert mp.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_loop_starts_one_process_fewer_than_workers(monkeypatch, workers):
+    # the master computes the last share itself: one worker is no process
+    started = []
+    start = mp.process.BaseProcess.start
+
+    def counted(proc):
+        started.append(proc)
+        return start(proc)
+
+    monkeypatch.setattr(mp.process.BaseProcess, "start", counted)
+    res = run(small_experiment(workers=workers, blocks=6))
+    assert len(started) == workers - 1 and res.metrics.blocks == 6
+    assert mp.active_children() == []
+
+
+@FORK_ONLY
+@pytest.mark.parametrize("workers", [2, 3])
+def test_master_computes_the_last_share_and_reports_its_seconds(monkeypatch, workers):
+    kernel = engine.compute_block
+    computed = mp.get_context().SimpleQueue()
+
+    def recorded(tables, block):
+        computed.put((block.index, os.getpid()))
+        return kernel(tables, block)
+
+    monkeypatch.setattr(engine, "compute_block", recorded)
+    res = run(small_experiment(workers=workers, blocks=2 * workers))
+    by_pid = [computed.get() for _ in range(res.metrics.blocks)]
+    computed.close()
+    master = workers - 1
+    assert sorted(i for i, pid in by_pid if pid == os.getpid()) == [master, master + workers]
+    assert res.metrics.busy_fraction[master] > 0.0 and res.metrics.cpu_s[master] > 0.0
+
+
+@pytest.mark.parametrize("workers, by_master", [(1, 4), (2, 2), (3, 1)])
+def test_block_loop_logs_its_blocks_processes_and_the_masters_share(caplog, workers, by_master):
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        run(small_experiment(workers=workers, blocks=4))
+    logged = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("spin blocks: ")]
+    assert logged == [
+        f"spin blocks: 4, worker processes started: {workers - 1}, "
+        f"blocks the master computed: {by_master}"
+    ]
 
 
 def test_worker_with_an_empty_share_matches_one_process():

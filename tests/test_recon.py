@@ -101,6 +101,17 @@ def test_assemble_rejects_a_fov_or_row_count_out_of_range(kwargs, message):
         assemble_kspace(echoes, [(0, 0, False), (0, 1, False)], **kwargs)
 
 
+@pytest.mark.parametrize(
+    "echoes, trajectory",
+    [(np.ones((1, 4)), [(0, -3, False)]), (np.ones((0, 4)), [])],
+    ids=["rows_all_negative", "empty"],
+)
+def test_assemble_without_a_row_count_rejects_a_trajectory_without_a_row(echoes, trajectory):
+    # the largest row sizes the matrix, and here there is none >= 0
+    with pytest.raises(TrajectoryMismatch, match="no row >= 0"):
+        assemble_kspace(echoes, trajectory)
+
+
 def test_assemble_marks_missing_rows():
     echoes = np.ones((2, 4), dtype=complex)
     k = assemble_kspace(echoes, [(0, 0, False), (0, 2, False)], n_rows=4)[0]
@@ -231,6 +242,17 @@ def test_cpmg_fit_constant_series_diverges():
     t = np.arange(1, 13) * 0.02
     with pytest.raises(FitDiverged):
         cpmg_fit(t, np.full(12, 0.7))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("which", ["times", "intensities"])
+def test_cpmg_fit_rejects_values_that_are_not_finite(which, value):
+    # a NaN time breaks the seed's regression, a NaN intensity the
+    # residual norm
+    series = {"times": FIT_T.copy(), "intensities": decay_series(0.2, 0.0)}
+    series[which][3] = value
+    with pytest.raises(InvalidParameter, match=f"{which} must be finite"):
+        cpmg_fit(series["times"], series["intensities"])
 
 
 def test_cpmg_fit_rejects_nonpositive_series():

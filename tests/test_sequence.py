@@ -462,6 +462,20 @@ def test_acquisition_is_its_sample_count():
         AcquisitionSpec(-1)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, np.True_, math.nan, math.inf, "3", None], ids=repr)
+def test_acquisition_takes_only_an_integer_sample_count(count):
+    # 2.5 samples would step past the element's end; a bool or NaN is
+    # no count
+    with pytest.raises(InvalidParameter, match="n_samples must be an integer >= 0"):
+        AcquisitionSpec(count)
+
+
+def test_acquisition_takes_a_numpy_integer_count_as_a_python_int():
+    acq = AcquisitionSpec(np.int32(3))
+    assert type(acq.n_samples) is int and acq == AcquisitionSpec(3)
+    np.testing.assert_allclose(acq.sample_times(1.0), [0.0, 0.5, 1.0])
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_parse_rejects_acquire_without_samples(count):
     # leaving acquire out is no acquisition; a count below 1 is an error
