@@ -71,6 +71,7 @@ def _cmd_simulate(args) -> int:
         "blocks": result.metrics.blocks,
         "wall_time_s": result.metrics.wall_time_s,
         "stages_s": result.metrics.stages,
+        "spacing_check_s": result.metrics.spacing_check_s,
         "throughput_spins_per_s": result.metrics.throughput,
         "busy_fraction": result.metrics.busy_fraction,
         "cpu_s": result.metrics.cpu_s,

@@ -167,14 +167,13 @@ _ANCHOR_ROWS = 64
 class EsTable:
     """Precomputed operator data of one elementary sequence.
 
-    Events partition the interval at every sample instant: ``ev_dt[i]``
-    seconds and gradient-moment increment ``ev_dmom[i]`` (rad/m per
-    axis) lead up to event i, and ``ev_t[i]`` / ``ev_mom[i]`` are their
-    running sums from the element start.  ``axes`` lists the axes on
-    which some ``ev_mom[i]`` is nonzero, the only coordinates of a spin
-    that the element's propagator reads.  The first ``n_samples`` events
-    record the samples of the element's acquisition; a last event, if
-    any, covers the rest of the interval.  ``group`` numbers the
+    Events are the element's own instants: ``ev_t`` holds its sample
+    times, the first ``n_samples`` events, then its end if it runs on
+    after its last sample, and ``ev_mom`` the gradient moments (rad/m per
+    axis) there, by the waveform's one formula; ``ev_dt`` and ``ev_dmom``
+    are the increments that lead up to each event.  ``axes`` lists the
+    axes on which some ``ev_mom[i]`` is nonzero, the only coordinates of
+    a spin that the element's propagator reads.  ``group`` numbers the
     propagator of an element that recurs, or is -1 when the element
     occurs once.  A group's ``steps`` (:func:`_number_steps`) holds its
     bit-distinct steps ``(dt, dmom, of_event)``: row ``of_event[i]`` of
@@ -228,19 +227,19 @@ def precompute_sequence_tables(
     Each distinct element (:func:`mrsim.sequence.distinct_elements`) gets
     one table: its pulse coefficients, shared between identical pulses
     (the memo hit count is reported per entry), and one set of read-only
-    event arrays (``ev_dt``, ``ev_dmom``, their running sums and moving
-    axes), so workers never touch the waveform objects.  Every entry of
-    the element is that table.  ``acq_times`` is in element order, the
-    kernel's order of acquisitions; ``snaps`` holds, by entry, each
-    snapshot's time from the element start and partial moment, placed by
-    one search over the element ends.  A distinct element that occurs
-    more than once is numbered as a group, in order of first occurrence,
-    so that the kernel builds its propagator once per block, from the
-    distinct steps that its table indexes; the factor parts that one-off
-    elements share, and the intervals between pulses that recur, are
-    numbered the same way.  Raises InvalidParameter for snapshot times
-    that are not a sequence of real numbers, or that lie outside the
-    sequence.
+    event arrays (times, moments, their increments and moving axes), so
+    workers never touch the waveform objects.  Every entry of the element
+    is that table.  ``acq_times`` holds, in element order, the kernel's
+    order of acquisitions, the sample rows of ``ev_t`` from the sequence
+    start; ``snaps`` holds, by entry, each snapshot's time from the
+    element start and partial moment, placed by one search over the
+    element ends.  A distinct element that occurs more than once is
+    numbered as a group, in order of first occurrence, so that the kernel
+    builds its propagator once per block, from the distinct steps that
+    its table indexes; the factor parts that one-off elements share, and
+    the intervals between pulses that recur, are numbered the same way.
+    Raises InvalidParameter for snapshot times that are not a sequence of
+    real numbers, or that lie outside the sequence.
     """
     snapshot_times = _snapshot_times(snapshot_times)
     reps, distinct = distinct_elements(sequence)
@@ -268,7 +267,6 @@ def precompute_sequence_tables(
         sum(t.steps[0].size for t in group_tables),
     )
     part_rows = _number_parts([t for t in tables if t.group < 0 and t.ev_t.size])
-    sample_times = [es.acquisition.sample_times(es.duration) for es in reps]
 
     entries = [tables[g] for g in distinct]
     # element ends, summed in element order; the range check reads the
@@ -280,7 +278,7 @@ def precompute_sequence_tables(
             f"snapshot times {snapshot_times} s lie outside the sequence of {ends[-1]:.6g} s"
         )
     acq_times = [
-        t0 + sample_times[g] for t0, g in zip(starts.tolist(), distinct) if tables[g].n_samples
+        t0 + e.ev_t[: e.n_samples] for t0, e in zip(starts.tolist(), entries) if e.n_samples
     ]
     # a time on an element boundary ends that element; 0 is in the first
     times = np.asarray(snapshot_times, dtype=float)
@@ -289,7 +287,7 @@ def precompute_sequence_tables(
     for i in sorted(set(at.tolist())):
         held = np.flatnonzero(at == i)
         es, t = sequence.elements[i], times[held] - starts[i]
-        moments = es.gradient.partial_moments(t, es.duration)
+        moments = es.gradient.partial_moments(t)
         snaps[i] = tuple(zip(t.tolist(), moments, held.tolist()))
     ages, age = [], 0.0
     for entry in entries:
@@ -369,23 +367,15 @@ def _number_parts(one_offs: List[EsTable]) -> List[int]:
 
 
 def _event_arrays(es) -> dict:
-    """Read-only event arrays of one elementary sequence: one event per
-    sample in time order, then one for the rest of the interval; their
-    running sums, and the axes that the running moment moves."""
-    ts = np.sort(np.asarray(es.acquisition.sample_times(es.duration), dtype=float))
-    total = np.asarray(es.gradient.moments(es.duration), dtype=float)
-    if ts.size:
-        partial = es.gradient.partial_moments(ts, es.duration)
-        ev_dt = np.diff(ts, prepend=0.0)
-        ev_dmom = np.diff(partial, axis=0, prepend=np.zeros((1, 3)))
-        last_t, last_m = ts[-1], partial[-1]
-    else:
-        ev_dt, ev_dmom, last_t, last_m = np.zeros(0), np.zeros((0, 3)), 0.0, np.zeros(3)
-    # tail: remaining evolution after the last event
-    if last_t < es.duration or np.any(last_m != total):
-        ev_dt = np.concatenate([ev_dt, [es.duration - last_t]])
-        ev_dmom = np.concatenate([ev_dmom, [total - last_m]])
-    ev_t, ev_mom = ev_dt.cumsum(), ev_dmom.cumsum(axis=0)
+    """Read-only event arrays of one elementary sequence: ``ev_t`` is the
+    sample times, then the element's end if it runs on after its last
+    sample; ``ev_mom`` is the moments there, ``ev_dt`` and ``ev_dmom``
+    their increments, and ``axes`` the axes that the moment moves."""
+    t = es.acquisition.sample_times(es.duration)
+    end = [es.duration] if es.duration > (t[-1] if t.size else 0.0) else []
+    t = np.concatenate([[0.0], t, end])  # the element start, then every event
+    mom = es.gradient.partial_moments(t)
+    ev_dt, ev_dmom, ev_t, ev_mom = np.diff(t), np.diff(mom, axis=0), t[1:], mom[1:]
     for arr in (ev_dt, ev_dmom, ev_t, ev_mom):
         arr.flags.writeable = False
     axes = tuple(ax for ax, moved in enumerate(ev_mom.any(axis=0).tolist()) if moved)
@@ -763,6 +753,8 @@ class RunMetrics:
     master checks a spacing override here, while the worker processes
     compute) and ``reduce`` (summing the echoes and gathering the
     snapshots).  They add up to at most ``wall_time_s``.
+    ``spacing_check_s`` is the seconds of that override check, part of
+    ``kernel``, and 0.0 with the automatic spacing.
     ``busy_fraction`` is each worker's wall time inside
     :func:`compute_block` over ``wall_time_s``, which also counts time the
     worker was descheduled, keyed by share: the master's is ``workers -
@@ -777,6 +769,7 @@ class RunMetrics:
     cpu_s: Dict[int, float]
     hardware: str
     stages: Dict[str, float]
+    spacing_check_s: float
 
 
 @dataclass
@@ -917,11 +910,11 @@ def _warn_spacing(problems: List[str]) -> None:
         warnings.warn(message, stacklevel=3)  # at the caller of run()
 
 
-def _timed_block(tables, block):
-    """compute_block's result and its (wall, CPU) seconds; the CPU time
-    is the calling thread's (``time.thread_time``)."""
+def _timed(fn, *args):
+    """``fn(*args)`` and its (wall, CPU) seconds; the CPU time is the
+    calling thread's (``time.thread_time``)."""
     wall, cpu = time.perf_counter(), time.thread_time()
-    result = compute_block(tables, block)
+    result = fn(*args)
     return result, (time.perf_counter() - wall, time.thread_time() - cpu)
 
 
@@ -930,7 +923,7 @@ def _worker_main(tables, share, conn):
     seconds, or the kernel's error in their place, over ``conn``."""
     for block in share:
         try:
-            result, spent = _timed_block(tables, block)
+            result, spent = _timed(compute_block, tables, block)
         except Exception as exc:  # surfaced as WorkerPanic by the master
             conn.send((block.index, None, repr(exc)))
             return
@@ -994,10 +987,11 @@ def run(exp: Experiment) -> RunResult:
     busy: Dict[int, float] = collections.defaultdict(float)
     cpu: Dict[int, float] = collections.defaultdict(float)
     # the master checks a spacing override while the workers compute
-    check = None if exp.spacing is None else (lambda: _check_spacing(exp, spacing))
+    check = None if exp.spacing is None else (lambda: _timed(_check_spacing, exp, spacing))
     folds, ordered, checked = _run_pool(exp, tables, blocks, busy, cpu, meanwhile=check)
+    check_s = 0.0
     if checked is not None:
-        report, problems = checked
+        (report, problems), (check_s, _) = checked
         _warn_spacing(problems)
     stage("kernel")
 
@@ -1018,7 +1012,8 @@ def run(exp: Experiment) -> RunResult:
     ]
     stage("reduce")
     wall = time.perf_counter() - wall_start
-    _log.debug("run stages: %s", ", ".join(f"{name} {t:.4f} s" for name, t in stages.items()))
+    shown = ", ".join(f"{name} {t:.4f} s" for name, t in stages.items())
+    _log.debug("run stages: %s; spacing check %.4f s", shown, check_s)
     busy_fraction = {w: t / wall for w, t in sorted(busy.items())} if wall > 0 else {}
     metrics = RunMetrics(
         wall_time_s=wall,
@@ -1029,6 +1024,7 @@ def run(exp: Experiment) -> RunResult:
         cpu_s={w: cpu[w] for w in busy_fraction},
         hardware=f"{platform.machine()} {platform.processor() or 'cpu'} x{os.cpu_count()}",
         stages=stages,
+        spacing_check_s=check_s,
     )
     return RunResult(
         echoes=records,
@@ -1103,7 +1099,7 @@ def _run_pool(exp: Experiment, tables: OperatorTables, blocks, busy, cpu, meanwh
         side = None if meanwhile is None else meanwhile()
         for block in shares[master]:
             try:
-                result, spent = _timed_block(tables, block)
+                result, spent = _timed(compute_block, tables, block)
             except Exception as exc:
                 raise WorkerPanic(block.index, repr(exc)) from exc
             keep(master, block.index, result, spent)

@@ -664,7 +664,7 @@ class _Piece:
             rest = None if es.duration == 0.0 else _interval_decay(relax, es.duration)
             return _Piece(es.duration, (), rest)
         ts = es.acquisition.sample_times(es.duration)
-        return _Piece.sampling(relax, es.duration, ts, es.gradient.partial_moments(ts, es.duration))
+        return _Piece.sampling(relax, es.duration, ts, es.gradient.partial_moments(ts))
 
     @staticmethod
     def sampling(relax: RelaxationParams, duration: float, ts: np.ndarray, partial: np.ndarray):
@@ -803,7 +803,7 @@ def max_k_excursion(sequence: Sequence) -> Tuple[float, float, float]:
             ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
         else:
             ts = np.array([0.0, es.duration])
-        rows = es.gradient.partial_moments(ts, es.duration)
+        rows = es.gradient.partial_moments(ts)
         return rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
 
     reps, groups = distinct_elements(sequence)

@@ -132,15 +132,11 @@ class GradientWaveform:
         return np.array([self.gx, self.gy, self.gz])
 
     def moments(self, duration: float) -> np.ndarray:
-        """gamma * integral(G dt) per axis over the full interval, rad/m."""
-        if self.shape == "constant":
-            return GAMMA_PROTON * self.amplitudes() * duration
-        if self.shape == "trapezoid":
-            return GAMMA_PROTON * self.amplitudes() * (self.ramp_s + self.flat_s)
-        arr = np.asarray(self.samples, dtype=float)
-        return GAMMA_PROTON * np.trapezoid(arr, dx=self.sample_dt, axis=0)
+        """gamma * integral(G dt) per axis over the full interval, rad/m:
+        :meth:`partial_moments` at ``duration``, bit for bit."""
+        return self.partial_moments([duration])[0]
 
-    def partial_moments(self, ts, duration: float) -> np.ndarray:
+    def partial_moments(self, ts) -> np.ndarray:
         """Cumulative moments gamma * integral_0^t(G) at times ts, shape (len(ts), 3)."""
         ts = np.asarray(ts, dtype=float)
         if self.shape == "constant":
@@ -185,9 +181,10 @@ def _count(name: str, value, least: int = 1) -> int:
 class AcquisitionSpec:
     """Data acquisition within one elementary sequence.
 
-    n_samples points are taken at i*duration/(n-1), i = 0..n-1, i.e.
-    both endpoints are sampled; zero samples is no acquisition.  The
-    count is an integer >= 0, numpy's included but not a bool.
+    n_samples points are taken at ``np.linspace(0, duration, n)``: both
+    endpoints are sampled, the last at the element's end exactly, and one
+    sample is at 0; zero samples is no acquisition.  The count is an
+    integer >= 0, numpy's included but not a bool.
     """
 
     n_samples: int = 0
@@ -200,11 +197,10 @@ class AcquisitionSpec:
         return self.n_samples > 0
 
     def sample_times(self, duration: float) -> np.ndarray:
-        if not self.enabled:
+        """The sample instants from the element start; the last of two or more is ``duration``."""
+        if not self.enabled:  # most elements do not acquire, and linspace is slow
             return np.empty(0)
-        if self.n_samples == 1:
-            return np.array([0.0])
-        return np.arange(self.n_samples) * (duration / (self.n_samples - 1))
+        return np.linspace(0.0, duration, self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -233,7 +229,7 @@ class ElementarySequence:
                 raise InvalidParameter("acquisition requires duration > 0")
         elif (self.kspace_row, self.kspace_volume, self.kspace_reversed) != (None, 0, False):
             raise InvalidParameter("k-space placement needs an acquisition")
-        if self.gradient.shape == "trapezoid" and self.duration > 0.0:
+        if self.gradient.shape == "trapezoid":
             want = 2.0 * self.gradient.ramp_s + self.gradient.flat_s
             if abs(want - self.duration) > 1e-12 * max(1.0, self.duration):
                 raise InvalidParameter(
@@ -659,7 +655,7 @@ _UNITLESS = {
 
 
 def _missing_unit(stem: str, full: str):
-    def read(value: str):
+    def read(_value: str):
         raise UnitError(f"key {stem!r} is missing its unit suffix (use {full!r})")
 
     return read

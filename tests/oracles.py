@@ -379,7 +379,7 @@ def reference_snapshots(sequence, snapshot_times):
             if t0 < t <= t1 or (t == 0.0 and i == 0)
         ]
         if held:
-            moments = es.gradient.partial_moments([t for t, _ in held], es.duration)
+            moments = es.gradient.partial_moments([t for t, _ in held])
             snaps[i] = tuple((t, m, si) for (t, si), m in zip(held, moments))
         t0 = t1
     return snaps
@@ -585,7 +585,7 @@ def reference_walk(
         rest = es.duration
         if es.acquisition.enabled:
             ts = es.acquisition.sample_times(es.duration)
-            partial = es.gradient.partial_moments(ts, es.duration)
+            partial = es.gradient.partial_moments(ts)
             orders, pops, longi, lpops = _reference_readout(state, relax, ts)
             k = emit((now + ts).tolist(), partial, orders, pops, longi, lpops)
             if object_spectrum is not None:
@@ -631,7 +631,7 @@ def reference_k_excursion(sequence):
                 ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
             else:
                 ts = np.array([0.0, es.duration])
-            for row in es.gradient.partial_moments(ts, es.duration):
+            for row in es.gradient.partial_moments(ts):
                 visit(t_lo, t_hi, row)
         elif has_trans:
             visit(t_lo, t_hi)

@@ -115,6 +115,36 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
+def _parameters(fn):
+    args = fn.args
+    named = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [a.arg for a in named if a is not None]
+
+
+def test_every_function_parameter_is_read():
+    """A parameter that its function never reads is an input that cannot
+    change anything.  Every ``def`` in the package must read each of its
+    parameters in its body, nested functions included; ``self``,
+    ``cls``, names starting with ``_`` and lambdas are exempt."""
+    unread = []
+    for path in sorted((ROOT / "src" / "mrsim").rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{fn.lineno} {fn.name}({name})"
+                for name in _parameters(fn)
+                if name not in read and name not in ("self", "cls") and not name.startswith("_")
+            ]
+    assert unread == []
+
+
 def _is_meta(node):
     return (isinstance(node, ast.Attribute) and node.attr == "meta") or (
         isinstance(node, ast.Name) and node.id == "meta"

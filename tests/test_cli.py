@@ -86,6 +86,7 @@ def test_simulate_writes_outputs(simulated):
     assert sum(stages.values()) <= manifest["wall_time_s"]
     assert list(manifest["cpu_s"]) == list(manifest["busy_fraction"])
     assert all(s >= 0.0 for s in manifest["cpu_s"].values())
+    assert manifest["spacing_check_s"] == 0.0  # the automatic spacing is checked by no one
     assert os.path.exists(simulated / "spacing.txt")
 
 
@@ -206,6 +207,7 @@ def test_manifest_is_strict_json_with_inf_as_a_string(workdir):
     text = (workdir / "strict" / "echoes.mrsim.manifest.json").read_text()
     manifest = json.loads(text, parse_constant=reject)
     assert [float(v) for v in manifest["spacing_m"]] == [0.005, 0.005, float("inf")]
+    assert 0.0 < manifest["spacing_check_s"] <= manifest["stages_s"]["kernel"]
 
 
 def test_fit_t2_cli(workdir, capsys):

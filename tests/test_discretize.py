@@ -312,7 +312,7 @@ def test_streaming_prune_matches_reference_when_a_sampled_readout_turns():
         kspace_row=0,
     )
     seq = Sequence(SPREAD + [readout], name="turn")
-    moved = readout.gradient.partial_moments(readout.acquisition.sample_times(0.012), 0.012)[:, 0]
+    moved = readout.gradient.partial_moments(readout.acquisition.sample_times(0.012))[:, 0]
     assert moved.argmax() not in (0, len(moved) - 1)
     _, ranked = _streamed_matches_reference(seq, RelaxationParams(t1=1.0, t2=0.3, m0=1.0))
     assert ranked[0] > 0

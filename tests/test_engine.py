@@ -147,7 +147,7 @@ def test_memoized_tables_bit_identical_to_recomputation():
     [(t, moment, index)] = tables.snaps[snapped]
     assert t == pytest.approx(1e-3, abs=1e-15) and index == 0
     g = seq.elements[snapped].gradient
-    assert np.array_equal(moment, g.partial_moments([t], seq.elements[snapped].duration)[0])
+    assert np.array_equal(moment, g.partial_moments([t])[0])
     for name in events:
         with pytest.raises(ValueError):
             getattr(shared, name)[0] = 1
@@ -988,6 +988,23 @@ def test_run_times_its_six_stages_within_its_wall_time(caplog, workers, spacing)
     assert sum(stages.values()) <= res.metrics.wall_time_s
     logged = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("run stages: ")]
     assert len(logged) == 1 and all(f"{name} " in logged[0] for name in STAGES)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_reports_the_override_checks_seconds_beside_its_stages(caplog, workers):
+    # no speed is asserted: the check's seconds are part of the kernel
+    # stage with an override, 0.0 with the automatic spacing, and logged
+    with caplog.at_level(logging.DEBUG, logger="mrsim"):
+        automatic = run(small_experiment(workers=workers, spacing=None))
+        override = run(small_experiment(workers=workers))
+    assert automatic.metrics.spacing_check_s == 0.0
+    assert 0.0 < override.metrics.spacing_check_s <= override.metrics.stages["kernel"]
+    assert list(automatic.metrics.stages) == list(override.metrics.stages) == STAGES
+    logged = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("run stages: ")]
+    assert [line.rsplit("; ", 1)[1] for line in logged] == [
+        "spacing check 0.0000 s",
+        f"spacing check {override.metrics.spacing_check_s:.4f} s",
+    ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrsim.bloch import GAMMA_PROTON, HardPulse
+from mrsim.engine import precompute_sequence_tables
 from mrsim.errors import InvalidParameter, ParseError, TimingInfeasible, UnitError
 from mrsim.sequence import (
     AcquisitionSpec,
@@ -58,7 +61,7 @@ def test_trapezoid_moment_closed_form():
     ts = np.linspace(0, dur, 1201)
     amp = np.where(ts < 1e-3, ts / 1e-3, np.where(ts < 5e-3, 1.0, (6e-3 - ts) / 1e-3)) * 2e-3
     numeric = GAMMA_PROTON * np.concatenate([[0.0], np.cumsum((amp[1:] + amp[:-1]) / 2 * np.diff(ts))])
-    analytic = g.partial_moments(ts, dur)[:, 0]
+    analytic = g.partial_moments(ts)[:, 0]
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
@@ -134,9 +137,75 @@ def test_trapezoid_duration_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize("duration", [0.0, 1e-3, 5e-3])
+def test_trapezoid_must_fill_its_duration_at_every_duration(duration):
+    # at duration 0 the moment of the 2 ms lobe, 535 rad/m, would be
+    # dropped: the partial moment at 0 is 0
+    with pytest.raises(InvalidParameter, match="does not match duration"):
+        ElementarySequence(
+            gradient=GradientWaveform.trapezoid(gx=1e-3, ramp_s=1e-3, flat_s=1e-3),
+            duration=duration,
+        )
+    assert ElementarySequence(gradient=GradientWaveform.trapezoid(gx=1e-3), duration=0.0)
+
+
+def test_parse_rejects_a_trapezoid_without_its_duration_at_its_block():
+    text = (
+        "[elementary]\nduration_s = 0.01\n\n[elementary]\ngrad_shape = trapezoid\n"
+        "grad_x_mT_per_m = 1\nramp_s = 0.001\nflat_s = 0.001\n"
+    )
+    with pytest.raises(ParseError, match="does not match duration") as err:
+        parse_sequence_file(text)
+    assert err.value.line == 4
+
+
 def test_acquisition_sample_times_span_interval():
     acq = AcquisitionSpec(5)
     np.testing.assert_allclose(acq.sample_times(1.0), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _waveforms(draw, duration):
+    """A constant, trapezoid or sampled waveform that fills ``duration``."""
+    amp = st.floats(-5e-2, 5e-2, allow_subnormal=False)
+    shape = draw(st.sampled_from(["constant", "trapezoid", "sampled"]))
+    if shape == "constant":
+        return GradientWaveform.constant(draw(amp), draw(amp), draw(amp))
+    if shape == "trapezoid":
+        ramp = duration * draw(st.floats(0.0, 0.5))
+        return GradientWaveform.trapezoid(
+            draw(amp), draw(amp), draw(amp), ramp_s=ramp, flat_s=duration - 2.0 * ramp
+        )
+    rows = draw(st.integers(2, 40))
+    samples = draw(st.lists(st.tuples(amp, amp, amp), min_size=rows, max_size=rows))
+    return GradientWaveform.from_samples(samples, duration / (rows - 1))
+
+
+@st.composite
+def _readouts(draw):
+    duration = draw(st.floats(1e-5, 1.0, allow_subnormal=False))
+    gradient = _waveforms(draw, duration)
+    n = draw(st.integers(1, 600))
+    return ElementarySequence(
+        gradient=gradient, duration=duration, acquisition=AcquisitionSpec(n)
+    )
+
+
+@given(es=_readouts())
+@settings(max_examples=200, deadline=None)
+def test_a_waveform_has_one_moment_and_a_readout_ends_on_its_last_sample(es):
+    # the moment over the element is the partial moment at its end, bit
+    # for bit, and the last of two or more samples is that end, so the
+    # tables hold one event per sample and no tail event that only
+    # rounding would make
+    d, n = es.duration, es.acquisition.n_samples
+    assert es.gradient.moments(d).tobytes() == es.gradient.partial_moments([d])[0].tobytes()
+    ts = es.acquisition.sample_times(d)
+    assert ts.size == n and ts[0] == 0.0 and (n == 1 or ts[-1] == d)
+    table = precompute_sequence_tables(Sequence([es])).entries[0]
+    assert table.ev_t.size == (n if n > 1 else 2)
+    assert table.ev_t[: n].tobytes() == ts.tobytes()
+    assert table.ev_mom.tobytes() == es.gradient.partial_moments(table.ev_t).tobytes()
+    assert table.ev_mom[-1].tobytes() == es.gradient.moments(d).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +247,7 @@ def test_spin_echo_echo_crosses_k_zero_at_te():
             k = -k
         if es.acquisition.enabled:
             ts = es.acquisition.sample_times(es.duration)
-            partial = es.gradient.partial_moments(ts, es.duration)[:, 0]
+            partial = es.gradient.partial_moments(ts)[:, 0]
             crossing = ts[np.argmin(np.abs(k + partial))]
             assert t + crossing == pytest.approx(te, rel=1e-9)
         k += es.gradient.moments(es.duration)[0]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import mrsim
+from mrsim import engine
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -24,6 +25,10 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 MAX_DB = -250.0
+# the events of every workload's tables and the spins of a block that
+# fit the kernel's budget, with one event per sample of each readout
+EVENTS = {"tse128_pool": 16960, "cpmg12_auto": 13856, "head96_loop": 4288, "kt_cpmg12": 3856}
+BLOCK_SPINS = {"tse128_pool": 3986, "cpmg12_auto": 14768, "head96_loop": 14563, "kt_cpmg12": 26886}
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))
@@ -46,3 +51,14 @@ def test_echoes_in_four_blocks_do_not_depend_on_the_worker_count(name):
             result = mrsim.run(replace(exp, workers=workers, blocks=4))
         echoes.append(result.echo_matrix().tobytes())
     assert echoes[1] == echoes[0] and echoes[2] == echoes[0]
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_workload_readouts_end_on_their_last_sample(name):
+    # a readout whose last sample ends the element takes no tail event;
+    # every workload's readouts end on their last sample
+    tables = engine.precompute_sequence_tables(WORKLOADS[name](DEFAULT_SEED).exp.sequence)
+    acquiring = [e for e in tables.entries if e.n_samples]
+    assert acquiring and all(e.ev_dt.size == e.n_samples for e in acquiring)
+    assert sum(e.ev_dt.size for e in tables.entries) == EVENTS[name]
+    assert engine._block_spins(tables) == BLOCK_SPINS[name]
