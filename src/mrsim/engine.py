@@ -167,15 +167,15 @@ _ANCHOR_ROWS = 64
 class EsTable:
     """Precomputed operator data of one elementary sequence.
 
-    Events are the element's own instants: ``ev_t`` holds its sample
-    times, the first ``n_samples`` events, then its end if it runs on
-    after its last sample, and ``ev_mom`` the gradient moments (rad/m per
-    axis) there, by the waveform's one formula; ``ev_dt`` and ``ev_dmom``
-    are the increments that lead up to each event.  ``axes`` lists the
-    axes on which some ``ev_mom[i]`` is nonzero, the only coordinates of
-    a spin that the element's propagator reads.  ``group`` numbers the
-    propagator of an element that recurs, or is -1 when the element
-    occurs once.  A group's ``steps`` (:func:`_number_steps`) holds its
+    Events are the rows of the element's own
+    :attr:`~mrsim.sequence.ElementarySequence.events` past its start:
+    ``ev_t`` holds its ``n_samples`` sample times, then its end if it runs
+    on after the last, and ``ev_mom`` the moments (rad/m per axis) there;
+    ``ev_dt`` and ``ev_dmom`` are the increments up to each.  ``axes``
+    lists the axes on which some ``ev_mom[i]`` is nonzero, the only
+    coordinates of a spin that the element's propagator reads.  ``group``
+    numbers the propagator of an element that recurs, or is -1 when the
+    element occurs once.  A group's ``steps`` (:func:`_number_steps`) holds its
     bit-distinct steps ``(dt, dmom, of_event)``: row ``of_event[i]`` of
     ``dt`` and ``dmom`` is the step of event i, which for every
     ``_ANCHOR_ROWS``-th event runs from the element start; a block
@@ -367,17 +367,13 @@ def _number_parts(one_offs: List[EsTable]) -> List[int]:
 
 
 def _event_arrays(es) -> dict:
-    """Read-only event arrays of one elementary sequence: ``ev_t`` is the
-    sample times, then the element's end if it runs on after its last
-    sample; ``ev_mom`` is the moments there, ``ev_dt`` and ``ev_dmom``
-    their increments, and ``axes`` the axes that the moment moves."""
-    t = es.acquisition.sample_times(es.duration)
-    end = [es.duration] if es.duration > (t[-1] if t.size else 0.0) else []
-    t = np.concatenate([[0.0], t, end])  # the element start, then every event
-    mom = es.gradient.partial_moments(t)
+    """Read-only event arrays of one elementary sequence: ``ev_t`` and
+    ``ev_mom`` are views of its :attr:`~mrsim.sequence.ElementarySequence.events`
+    past the start, ``ev_dt`` and ``ev_dmom`` their increments, and
+    ``axes`` the axes that the moment moves."""
+    t, mom = es.events
     ev_dt, ev_dmom, ev_t, ev_mom = np.diff(t), np.diff(mom, axis=0), t[1:], mom[1:]
-    for arr in (ev_dt, ev_dmom, ev_t, ev_mom):
-        arr.flags.writeable = False
+    ev_dt.flags.writeable = ev_dmom.flags.writeable = False
     axes = tuple(ax for ax, moved in enumerate(ev_mom.any(axis=0).tolist()) if moved)
     return dict(ev_dt=ev_dt, ev_dmom=ev_dmom, ev_t=ev_t, ev_mom=ev_mom, axes=axes)
 

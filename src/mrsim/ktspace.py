@@ -59,6 +59,9 @@ _B0_IMAG_BOUND = 1e-10
 # within this relative tolerance and with a denominator up to _MAX_DEN
 _UNIT_TOL = 1e-9
 _MAX_DEN = 10**6
+# the walk shifts an element by the integer nearest its moment over the
+# unit, within this relative tolerance
+_SHIFT_TOL = 1e-6
 # moments without a common measure: orders quantize k at the smallest
 # moment over this many steps
 _FALLBACK_RESOLUTION = 1024
@@ -214,10 +217,6 @@ def _axis_unit(moments: List[float]) -> Optional[float]:
     return abs(ref) * num_gcd / den_lcm
 
 
-def _element_moments(elements) -> List[np.ndarray]:
-    return [es.gradient.moments(es.duration) for es in elements]
-
-
 def _unit_of(moments: List[np.ndarray]):
     """Per-axis unit of a list of moments, each axis on its distinct
     values in order of first occurrence: the reference moment and the
@@ -230,13 +229,13 @@ def _unit_of(moments: List[np.ndarray]):
 
 def derive_unit_k(sequence: Sequence) -> Tuple[Optional[float], Optional[float], Optional[float]]:
     """Per-axis unit spatial frequency: the greatest common measure of
-    all per-elementary-sequence gradient moments.  Axes whose moments
-    are all zero have no unit (order stays 0)."""
+    all per-elementary-sequence gradient moments, the last rows of their
+    events.  Axes whose moments are all zero have no unit (order stays 0)."""
     reps, _ = distinct_elements(sequence)
-    return _unit_of(_element_moments(reps))
+    return _unit_of([es.events[1][-1] for es in reps])
 
 
-def _integer_shift(moments: np.ndarray, unit, tol: float = 1e-6) -> Order:
+def _integer_shift(moments: np.ndarray, unit, tol: float) -> Order:
     q = []
     for ax in range(3):
         if unit[ax] is None or unit[ax] == 0.0:
@@ -332,12 +331,12 @@ def simulate_kt(
     configuration only decays and shifts, so a span takes one running
     product of decay factors over all its intervals
     (:func:`_walk_span`), one k array and one ``observe`` call, and
-    relabels the orders once by its summed shift.  What an element
-    contributes apart from its pulse and shift (decay factors, sample
-    instants and partial moments, a :class:`_Piece`) is computed once
-    per group of :func:`mrsim.sequence.distinct_elements`, and what a
-    span does once per sequence of pieces (:class:`_SpanShape`), so
-    phase-encode lobes that differ only in their shift share one.
+    relabels the orders once by its summed shift.  An element's shift
+    (by the last moment row of its ``events``) and what else it does (a
+    :class:`_Piece`) are taken once per group of
+    :func:`mrsim.sequence.distinct_elements`, and what a span does once
+    per sequence of pieces (:class:`_SpanShape`), so phase-encode lobes
+    that differ only in their shift share one.
 
     The walk keeps its state as sorted order tuples with a list of
     Python complex populations per kind, and builds ``final`` once at
@@ -350,8 +349,8 @@ def simulate_kt(
         raise InvalidParameter(f"prune_threshold must be >= 0 and finite, got {prune_threshold!r}")
     reps, groups = distinct_elements(sequence)
     _log.debug("k-t walk: %d elements, %d distinct", len(groups), len(reps))
-    moments = _element_moments(reps)
-    shift_tol = 1e-6
+    moments = [es.events[1][-1] for es in reps]
+    shift_tol = _SHIFT_TOL
     try:
         unit = _unit_of(moments)
     except IncommensurateMoments:
@@ -645,10 +644,10 @@ class _Piece:
 
     ``moves``: (e2, e1, regrowth) of each interval up to a new sample
     instant; ``rest``: the same over the time left after the last sample,
-    None when none is left; ``ts`` / ``partial``: the sample instants
-    and the moment moved by each; ``samples``: the row of each sample
-    among the intervals, 0 for the element's start.  The last three are
-    None without acquisition.
+    None when none is left; ``ts`` / ``partial``: rows 1 ... n of the
+    element's ``events``, its sample instants and moments; ``samples``:
+    the row of each sample among the intervals, 0 for the element's
+    start.  The last three are None without acquisition.
     """
 
     duration: float
@@ -663,8 +662,9 @@ class _Piece:
         if not es.acquisition.enabled:
             rest = None if es.duration == 0.0 else _interval_decay(relax, es.duration)
             return _Piece(es.duration, (), rest)
-        ts = es.acquisition.sample_times(es.duration)
-        return _Piece.sampling(relax, es.duration, ts, es.gradient.partial_moments(ts))
+        t, moments = es.events
+        n = es.acquisition.n_samples + 1
+        return _Piece.sampling(relax, es.duration, t[1:n], moments[1:n])
 
     @staticmethod
     def sampling(relax: RelaxationParams, duration: float, ts: np.ndarray, partial: np.ndarray):
@@ -786,31 +786,27 @@ def max_k_excursion(sequence: Sequence) -> Tuple[float, float, float]:
     reachable order while staying O(#elementary sequences).  Works
     directly on the continuous moments, so no common k unit is required.
 
-    Whether an element flips, its moment and the span of its k motion
-    are worked out once per group of
-    :func:`mrsim.sequence.distinct_elements`, as Python floats.  The
-    axes are independent, so each is walked on its own with scalar
+    Whether an element flips, its moment (the last moment row of its
+    ``events``) and the span of its k motion (a sampled shape's, on its
+    own grid; no other shape passes its ends) are worked out once per
+    group of :func:`mrsim.sequence.distinct_elements`, as Python floats.
+    The axes are independent, so each is walked on its own with scalar
     arithmetic only; an axis without moment or motion stays at 0.
     """
 
     def motion(es):
-        """Per-axis lowest and highest partial moment inside the interval,
-        None where k does not move.  A rounded sum is monotone in each
-        term, so |lo + row| over all rows peaks at one of the two."""
-        if es.duration <= 0.0 or es.gradient.is_zero:
+        """Per-axis lowest and highest partial moment of a sampled
+        interval, None for another shape, which runs monotonically from 0
+        to its moment, the ends the walk visits anyway.  A rounded sum is
+        monotone in each term, so |lo + row| peaks at one of the two."""
+        if es.gradient.shape != "sampled" or es.duration <= 0.0 or es.gradient.is_zero:
             return None
-        if es.gradient.shape == "sampled":
-            ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
-        else:
-            ts = np.array([0.0, es.duration])
+        ts = np.linspace(0.0, es.duration, max(len(es.gradient.samples), 2))
         rows = es.gradient.partial_moments(ts)
         return rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
 
     reps, groups = distinct_elements(sequence)
-    plan = [
-        (es.pulse is not None, m.tolist(), motion(es))
-        for es, m in zip(reps, _element_moments(reps))
-    ]
+    plan = [(es.pulse is not None, es.events[1][-1].tolist(), motion(es)) for es in reps]
     kmax = []
     for ax in range(3):
         steps = [

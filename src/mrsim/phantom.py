@@ -23,6 +23,7 @@ import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -250,8 +251,19 @@ def _check_tissue(m0: np.ndarray, t1: np.ndarray, t2: np.ndarray, delta_omega: n
 
 
 def _positive_spacing(spacing) -> Tuple[float, float, float]:
-    """(dx, dy, dz) as floats; InvalidParameter unless every component
-    is positive (NaN is not)."""
+    """(dx, dy, dz) as floats; InvalidParameter unless it is exactly three
+    real numbers, numpy's included but not bools, each positive (NaN is
+    not)."""
+    try:
+        if isinstance(spacing, (str, bytes)):
+            raise TypeError
+        spacing = tuple(spacing)
+        if len(spacing) != 3 or not all(
+            isinstance(s, Real) and not isinstance(s, bool) for s in spacing
+        ):
+            raise TypeError
+    except TypeError:
+        raise InvalidParameter(f"spacing must be three real numbers, got {spacing!r}") from None
     spacing = tuple(float(s) for s in spacing)
     if any(not s > 0.0 for s in spacing):
         raise InvalidParameter(f"spacing components must be positive, got {spacing}")

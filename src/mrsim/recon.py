@@ -90,8 +90,8 @@ def assemble_kspace(
     zero and are flagged.  Without ``n_rows`` the matrix runs to the
     largest row.  Raises InvalidParameter for a ``fov`` that is not > 0
     and finite and an ``n_rows`` that is not an integer >= 1, and
-    TrajectoryMismatch for a row outside the matrix, or for no row >= 0
-    to size it by.
+    TrajectoryMismatch for an acquisition without a row (None), a row
+    outside the matrix, or for no row >= 0 to size it by.
     """
     if fov is not None and not 0.0 < fov < math.inf:
         raise InvalidParameter(f"fov must be > 0 and finite, got {fov!r}")
@@ -104,6 +104,9 @@ def assemble_kspace(
         raise TrajectoryMismatch(
             f"{echoes.shape[0]} acquisitions but {len(trajectory)} trajectory entries"
         )
+    rowless = [acq for acq, (_, row, _) in enumerate(trajectory) if row is None]
+    if rowless:
+        raise TrajectoryMismatch(f"acquisition {rowless[0]} has no k-space row")
     nx = echoes.shape[1]
     volumes = sorted({int(v) for v, _, _ in trajectory})
     if n_rows is None:

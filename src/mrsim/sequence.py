@@ -25,6 +25,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -207,7 +208,9 @@ class AcquisitionSpec:
 class ElementarySequence:
     """One atomic interval: hard pulse at the start, fixed-form gradient,
     optional acquisition.  Zero fields and zero duration are allowed; a
-    zero-flip pulse is stored as ``pulse=None``."""
+    zero-flip pulse is stored as ``pulse=None``.  ``kspace_row`` (or
+    None) and ``kspace_volume`` are integers >= 0, numpy's included but
+    not bools, and ``kspace_reversed`` is a bool."""
 
     pulse: Optional[HardPulse] = None
     gradient: GradientWaveform = GradientWaveform()
@@ -224,6 +227,14 @@ class ElementarySequence:
             object.__setattr__(self, "pulse", None)
         if not 0.0 <= self.duration < math.inf:
             raise InvalidParameter(f"duration must be finite and >= 0, got {self.duration}")
+        if self.kspace_row is not None:
+            object.__setattr__(self, "kspace_row", _count("kspace_row", self.kspace_row, least=0))
+        volume = _count("kspace_volume", self.kspace_volume, least=0)
+        object.__setattr__(self, "kspace_volume", volume)
+        if not isinstance(self.kspace_reversed, bool):
+            raise InvalidParameter(
+                f"kspace_reversed must be True or False, got {self.kspace_reversed!r}"
+            )
         if self.acquisition.enabled:
             if self.duration <= 0.0:
                 raise InvalidParameter("acquisition requires duration > 0")
@@ -242,6 +253,19 @@ class ElementarySequence:
                     f"sampled gradient spans (n-1)*sample_dt = {span} s, "
                     f"not the duration {self.duration} s"
                 )
+
+    @cached_property
+    def events(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(t, moments)``, made once per element: ``t`` is the
+        start (0.0), the sample instants, then the end if the element runs
+        on after its last sample; ``moments`` is ``partial_moments(t)``,
+        so its last row is ``moments(duration)``, bit for bit."""
+        t = self.acquisition.sample_times(self.duration)
+        end = [self.duration] if self.duration > (t[-1] if t.size else 0.0) else []
+        t = np.concatenate([[0.0], t, end])
+        moments = self.gradient.partial_moments(t)
+        t.flags.writeable = moments.flags.writeable = False
+        return t, moments
 
 
 @dataclass
@@ -360,6 +384,12 @@ def _grad_for_moments(mx: float, my: float, duration: float) -> GradientWaveform
     )
 
 
+def _positive(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise InvalidParameter(f"{name} must be > 0 and finite, got {value!r}")
+    return value
+
+
 def _check_interval(value: float, what: str) -> float:
     if value < 0.0:
         raise TimingInfeasible(f"{what} comes out negative ({value:.6g} s)")
@@ -385,6 +415,7 @@ def build_spin_echo(
     with n samples whose k=0 crossing sits at te, and a relaxation
     filler up to tr.  Rows run from the most negative ky upward.
     """
+    n = _count("n", n, least=2)
     tau = readout_duration(fov, n, readout_grad)
     k_max = GAMMA_PROTON * readout_grad * tau / 2.0
     half1 = _check_interval(te / 2.0, "time before the refocusing pulse")
@@ -428,6 +459,8 @@ def _echo_train(
     blip_s: float,
 ):
     """Common 90-(180-encode-read-rewind)* skeleton for TSE and CPMG."""
+    n_echoes = _count("n_echoes", n_echoes)
+    blip_s = _positive("blip_s", blip_s)
     tau = readout_duration(fov, n, readout_grad)
     k_max = GAMMA_PROTON * readout_grad * tau / 2.0
     half1 = _check_interval(dte / 2.0, "time before the first refocusing pulse")
@@ -489,6 +522,7 @@ def build_tse(
     by exp(-e*echo_spacing/T2) and the rows carry the corresponding
     periodic amplitude modulation.
     """
+    n, turbo_factor = _count("n", n, least=2), _count("turbo_factor", turbo_factor)
     if n % turbo_factor != 0:
         raise InvalidParameter(f"matrix size {n} not divisible by turbo factor {turbo_factor}")
     elements = _echo_train(
@@ -521,6 +555,7 @@ def build_cpmg(
     k-space matrix per echo time (e+1)*dte; fitting the per-pixel decay
     over those volumes recovers T2 and the relative spin density.
     """
+    n = _count("n", n, least=2)
     elements = _echo_train(
         fov,
         n,
@@ -556,10 +591,12 @@ def build_gradient_epi(
     order.  With shots > 1 the shots interleave: shot s, echo e covers
     row e*shots + s.  Rows beyond shots*n_echoes stay empty.
     """
+    n, shots = _count("n", n, least=2), _count("shots", shots)
+    n_echoes = _count("n_echoes", n_echoes)
+    blip_s = _positive("blip_s", blip_s)
     tau = readout_duration(fov, n, readout_grad)
     k_max = GAMMA_PROTON * readout_grad * tau / 2.0
-    if prephase_s is None:
-        prephase_s = tau / 2.0
+    prephase_s = tau / 2.0 if prephase_s is None else _positive("prephase_s", prephase_s)
     if shots * n_echoes > n:
         raise InvalidParameter(f"{shots} shots x {n_echoes} echoes exceed {n} rows")
     dky = _k_step(fov)

@@ -188,3 +188,38 @@ def test_one_encoding_for_no_pulse_and_no_acquisition():
     fields = [f.name for f in dataclasses.fields(mrsim.AcquisitionSpec)]
     assert fields == ["n_samples"]
     assert not hasattr(mrsim.HardPulse, "is_identity")
+
+
+def _callers(attr):
+    """(module file, enclosing def path) of every ``<x>.attr(...)`` call
+    in ``src/mrsim``; a call outside any def has the path ""."""
+    found = set()
+
+    def visit(node, file, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{path}.{child.name}" if path else child.name
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr
+            ):
+                found.add((file, path))
+            visit(child, file, inner)
+
+    for path in sorted((ROOT / "src" / "mrsim").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return found
+
+
+def test_an_elements_events_are_derived_in_one_place():
+    """``ElementarySequence.events`` alone takes an element's sample
+    instants; outside ``mrsim.sequence``, partial moments are taken only
+    at snapshot instants and on the sampled shape's motion grid."""
+    assert _callers("sample_times") == {("sequence.py", "ElementarySequence.events")}
+    outside = {c for c in _callers("partial_moments") if c[0] != "sequence.py"}
+    assert outside == {
+        ("engine.py", "precompute_sequence_tables"),
+        ("ktspace.py", "max_k_excursion.motion"),
+    }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrsim import ktspace
 from mrsim.bloch import GAMMA_PROTON, NO_RELAX, HardPulse, RelaxationParams
 from mrsim.discretize import (
     PruneBound,
@@ -16,7 +17,7 @@ from mrsim.discretize import (
     steady_state_prune,
 )
 from mrsim.errors import InvalidParameter
-from mrsim.ktspace import Configuration, TracePoint, simulate_kt
+from mrsim.ktspace import Configuration, TracePoint, derive_unit_k, max_k_excursion, simulate_kt
 from mrsim.phantom import Phantom, PhantomBox
 from mrsim.sequence import (
     AcquisitionSpec,
@@ -438,6 +439,74 @@ def test_pruned_max_spacing_relaxes_multi_repetition_bound():
     hard = max_spacing(seq)
     soft = pruned_max_spacing(seq, RelaxationParams(t1=1.0, t2=0.2, m0=1.0))
     assert soft.dx_max[0] > 2.0 * hard.dx_max[0]
+
+
+@st.composite
+def _commensurate_sequences(draw):
+    """Pulses, lobes and readouts on all three axes whose moments are
+    integer multiples of one unit per axis, zero-length elements among
+    them; constant and trapezoid lobes."""
+    units = [draw(st.floats(50.0, 2000.0)) for _ in range(3)]
+    elements = []
+    for _ in range(draw(st.integers(1, 10))):
+        pulse = None
+        if draw(st.booleans()):
+            pulse = HardPulse(draw(st.floats(0.1, math.pi)), draw(st.floats(0.0, 2 * math.pi)))
+        duration = draw(st.sampled_from([0.0, 1e-3, 2.5e-3, 4e-3]))
+        if duration == 0.0:
+            elements.append(ElementarySequence(pulse=pulse))
+            continue
+        q = [draw(st.integers(-3, 3)) for _ in range(3)]
+        if draw(st.booleans()):
+            ramp = duration * draw(st.sampled_from([0.1, 0.25, 0.5]))
+            # a trapezoid's moment is gamma * G * (ramp + flat)
+            amps = [qi * u / (GAMMA_PROTON * (duration - ramp)) for qi, u in zip(q, units)]
+            gradient = GradientWaveform.trapezoid(*amps, ramp_s=ramp, flat_s=duration - 2 * ramp)
+        else:
+            amps = [qi * u / (GAMMA_PROTON * duration) for qi, u in zip(q, units)]
+            gradient = GradientWaveform.constant(*amps)
+        samples = draw(st.sampled_from([0, 0, 1, 2, 5]))
+        elements.append(ElementarySequence(pulse, gradient, duration, AcquisitionSpec(samples)))
+    return Sequence(elements)
+
+
+def _rounding_allowance(seq):
+    """How far a walked |k| may pass the relaxation-free K_max per axis.
+    The walk shifts element i by q_i units, which its unit derivation
+    and its shift check hold within ``_SHIFT_TOL * max(unit, |m_i|)`` of
+    the moment m_i; an axis without a unit takes no shift, its moments
+    all within ``_UNIT_TOL * max(largest moment, 1)`` of zero.  A path
+    through the sequence adds each element's error once at most, on top
+    of the float sums of both bounds, a few ulps per element."""
+    unit = derive_unit_k(seq)
+    moments = np.array([es.gradient.moments(es.duration) for es in seq.elements])
+    largest = np.abs(moments).max(axis=0)
+    allow = []
+    for ax in range(3):
+        m = np.abs(moments[:, ax])
+        if unit[ax] is None:
+            per_element = np.full(m.shape, ktspace._UNIT_TOL * max(largest[ax], 1.0))
+        else:
+            per_element = ktspace._SHIFT_TOL * np.maximum(unit[ax], m)
+        allow.append(per_element.sum())
+    k_free = np.array(max_k_excursion(seq))
+    return k_free, np.array(allow) + 4 * len(seq.elements) * np.finfo(float).eps * k_free
+
+
+@given(seq=_commensurate_sequences(), t2=st.floats(0.005, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_the_walk_and_its_prune_stay_within_the_relaxation_free_bound(seq, t2):
+    k_free, allow = _rounding_allowance(seq)
+    relax = RelaxationParams(t1=1.0, t2=t2, m0=1.0)
+    walked = np.zeros(3)
+
+    def observe(k, populations):
+        np.maximum(walked, np.abs(k).max(axis=(0, 1)), out=walked)
+
+    simulate_kt(seq, relax, record_trace=False, observe=observe)
+    assert (walked <= k_free + allow).all(), (walked - k_free, allow)
+    pruned = np.array(pruned_max_spacing(seq, relax).k_max)
+    assert (pruned <= k_free + allow).all(), (pruned - k_free, allow)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,27 @@ def small_experiment(**kw):
 # ---------------------------------------------------------------------------
 
 
+def _logging_calls(method, name, calls):
+    def logged(*args, **kwargs):
+        calls.append(name)
+        return method(*args, **kwargs)
+
+    return logged
+
+
+def test_a_second_run_derives_only_its_snapshot_moments(monkeypatch):
+    # the snapshots fall in two elements, three of them in the first
+    exp = small_experiment(snapshot_times=(0.0, 0.004, 0.0041, 0.5))
+    calls = []
+    for cls, name in ((GradientWaveform, "partial_moments"), (AcquisitionSpec, "sample_times")):
+        monkeypatch.setattr(cls, name, _logging_calls(getattr(cls, name), name, calls))
+    run(exp)
+    calls.clear()
+    run(exp)
+    # one partial_moments call per element that holds snapshots, for their instants
+    assert calls == ["partial_moments", "partial_moments"]
+
+
 def test_tables_one_entry_per_elementary_sequence():
     seq = build_tse(0.5, 32, 2, 0.03, 0.8, readout_gradient(0.5, 32, 0.01))
     tables = precompute_sequence_tables(seq)
@@ -925,6 +946,16 @@ def test_nan_spacing_override_is_rejected_before_the_check(workers):
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameter, match="must be positive"):
             run(small_experiment(spacing=(math.nan, 0.008, 0.002), workers=workers))
+
+
+@pytest.mark.parametrize(
+    "spacing", [(0.008, 0.008, 0.002, 0.5), (0.008, 0.008), 0.008, "abc"],
+    ids=["four", "two", "scalar", "string"],
+)
+def test_run_takes_a_spacing_of_exactly_three_real_numbers(spacing):
+    # a fourth value ran, was ignored and came back in RunResult.spacing
+    with pytest.raises(InvalidParameter, match="three real numbers"):
+        run(small_experiment(spacing=spacing))
 
 
 @pytest.mark.parametrize("blocks", [0, -5])

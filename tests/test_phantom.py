@@ -86,6 +86,26 @@ def test_rasterize_rejects_a_nan_spacing():
         rasterize(Phantom([box]), (math.nan, 0.01, 0.01))
 
 
+@pytest.mark.parametrize(
+    "spacing",
+    [(0.01, 0.01, 0.01, 0.5), (0.01, 0.01), 0.01, "abc", (0.01, True, 0.01), ("0.01", 0.01, 0.01)],
+    ids=["four", "two", "scalar", "string", "bool", "string_component"],
+)
+def test_rasterize_takes_exactly_three_real_numbers(spacing):
+    # a fourth value was ignored; two raised IndexError, a scalar
+    # TypeError and "abc" ValueError
+    box = PhantomBox(origin=(0, 0, 0), size=(0.03, 0.03, 0.03), m0=1.0)
+    with pytest.raises(InvalidParameter, match="three real numbers"):
+        rasterize(Phantom([box]), spacing)
+
+
+def test_rasterize_takes_a_spacing_as_numpy_values():
+    box = PhantomBox(origin=(0, 0, 0), size=(0.03, 0.03, 0.03), m0=1.0)
+    want = rasterize(Phantom([box]), (0.01, 0.01, 0.01))
+    for spacing in (np.full(3, 0.01), (np.float32(0.01), 0.01, 0.01), [0.01, 0.01, 0.01]):
+        assert len(rasterize(Phantom([box]), spacing)) == len(want)
+
+
 def test_spin_budget_enforced():
     # 2000 x 2000 x 1 sites, twice the cap; they are counted, never allocated
     box = PhantomBox(origin=(0, 0, 0), size=(2, 2, 1e-3), m0=1.0)

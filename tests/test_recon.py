@@ -112,6 +112,14 @@ def test_assemble_without_a_row_count_rejects_a_trajectory_without_a_row(echoes,
         assemble_kspace(echoes, trajectory)
 
 
+@pytest.mark.parametrize("n_rows", [None, 4])
+def test_assemble_names_an_acquisition_without_a_row(n_rows):
+    # int(None) was a bare TypeError
+    echoes = np.ones((2, 4), dtype=complex)
+    with pytest.raises(TrajectoryMismatch, match="acquisition 1 has no k-space row"):
+        assemble_kspace(echoes, [(0, 0, False), (0, None, False)], n_rows=n_rows)
+
+
 def test_assemble_marks_missing_rows():
     echoes = np.ones((2, 4), dtype=complex)
     k = assemble_kspace(echoes, [(0, 0, False), (0, 2, False)], n_rows=4)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrsim.bloch import GAMMA_PROTON, HardPulse
+from mrsim import ktspace
+from mrsim.bloch import GAMMA_PROTON, HardPulse, RelaxationParams
 from mrsim.engine import precompute_sequence_tables
 from mrsim.errors import InvalidParameter, ParseError, TimingInfeasible, UnitError
 from mrsim.sequence import (
@@ -206,6 +208,63 @@ def test_a_waveform_has_one_moment_and_a_readout_ends_on_its_last_sample(es):
     assert table.ev_t[: n].tobytes() == ts.tobytes()
     assert table.ev_mom.tobytes() == es.gradient.partial_moments(table.ev_t).tobytes()
     assert table.ev_mom[-1].tobytes() == es.gradient.moments(d).tobytes()
+
+
+def _derived_events(es):
+    """An element's events as the spin tables derived them on their own:
+    the start, the sample instants, the end after the last sample, and
+    the partial moments there."""
+    t = es.acquisition.sample_times(es.duration)
+    end = [es.duration] if es.duration > (t[-1] if t.size else 0.0) else []
+    t = np.concatenate([[0.0], t, end])
+    return t, es.gradient.partial_moments(t)
+
+
+@st.composite
+def _elements(draw):
+    """Constant, trapezoid and sampled elements, zero-length ones
+    included, with or without an acquisition."""
+    duration = draw(st.one_of(st.just(0.0), st.floats(1e-5, 1.0, allow_subnormal=False)))
+    n = draw(st.integers(0, 60)) if duration > 0.0 else 0
+    return ElementarySequence(
+        gradient=_waveforms(draw, duration), duration=duration, acquisition=AcquisitionSpec(n)
+    )
+
+
+@given(es=_elements())
+@settings(max_examples=200, deadline=None)
+def test_an_element_makes_its_events_once_and_each_engine_reads_them(es):
+    t, moments = es.events
+    derived_t, derived_moments = _derived_events(es)
+    assert t.tobytes() == derived_t.tobytes()
+    assert moments.tobytes() == derived_moments.tobytes()
+    assert es.events is es.events and not (t.flags.writeable or moments.flags.writeable)
+    # the element's moment is the last row
+    assert moments[-1].tobytes() == es.gradient.moments(es.duration).tobytes()
+    # the spin tables hold every row past the start, as views
+    table = precompute_sequence_tables(Sequence([es])).entries[0]
+    assert table.ev_t.tobytes() == t[1:].tobytes() and table.ev_t.base is t
+    assert table.ev_mom.tobytes() == moments[1:].tobytes() and table.ev_mom.base is moments
+    # the walk's piece holds the sample rows 1 ... n
+    n = es.acquisition.n_samples
+    piece = ktspace._Piece.of(es, RelaxationParams(1.0, 0.1, 1.0))
+    if n:
+        assert piece.ts.tobytes() == t[1 : n + 1].tobytes()
+        assert piece.partial.tobytes() == moments[1 : n + 1].tobytes()
+    else:
+        assert piece.ts is None and piece.partial is None
+
+
+def test_a_replaced_element_makes_its_own_events():
+    es = ElementarySequence(
+        gradient=GradientWaveform.constant(gx=1e-3), duration=0.004, acquisition=AcquisitionSpec(3)
+    )
+    # the start, then the samples, the last at the end
+    assert es.events[0].tolist() == [0.0, 0.0, 0.002, 0.004]
+    longer = dataclasses.replace(es, duration=0.008, acquisition=AcquisitionSpec(1))
+    assert longer.events[0].tolist() == [0.0, 0.0, 0.008]
+    assert longer.events[1][-1].tobytes() == longer.gradient.moments(0.008).tobytes()
+    assert es.events[0].tolist() == [0.0, 0.0, 0.002, 0.004]
 
 
 # ---------------------------------------------------------------------------
@@ -636,3 +695,88 @@ def test_parse_rejects_a_non_finite_shaped_pulse_at_its_block(tmp_path, envelope
     with pytest.raises(ParseError, match="finite") as err:
         parse_sequence_file(text, base_dir=str(tmp_path))
     assert err.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# rejected counts, lobes and placements
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [
+        # 2.5 read as row 2 fills row 2 twice beside a readout there
+        dict(kspace_row=2.5),
+        dict(kspace_row=-1),
+        dict(kspace_row=True),
+        dict(kspace_row="3"),
+        dict(kspace_volume=1.5),
+        dict(kspace_volume=-2),
+        dict(kspace_volume=True),
+        dict(kspace_volume="3"),
+        dict(kspace_volume=None),
+        # "no" is truthy, so the row would be reversed
+        dict(kspace_reversed="no"),
+        dict(kspace_reversed=1),
+        dict(kspace_reversed=None),
+    ],
+    ids=lambda p: "-".join(f"{k}={v!r}" for k, v in p.items()),
+)
+def test_kspace_placement_takes_integer_rows_and_volumes_and_a_bool(placement):
+    name = next(iter(placement))
+    with pytest.raises(InvalidParameter, match=name):
+        ElementarySequence(duration=0.01, acquisition=AcquisitionSpec(4), **placement)
+
+
+def test_kspace_placement_keeps_numpy_integers_as_python_ints():
+    es = ElementarySequence(
+        duration=0.01,
+        acquisition=AcquisitionSpec(4),
+        kspace_row=np.int64(3),
+        kspace_volume=np.uint8(2),
+        kspace_reversed=True,
+    )
+    assert (es.kspace_row, es.kspace_volume) == (3, 2)
+    assert type(es.kspace_row) is int and type(es.kspace_volume) is int
+
+
+@pytest.mark.parametrize("key", ["kspace_row = -1", "kspace_volume = -2"])
+def test_parse_rejects_a_negative_kspace_row_or_volume_at_its_block(key):
+    text = f"[sequence]\nname = s\n\n[elementary]\nduration_s = 0.01\nacquire = 4\n{key}\n"
+    with pytest.raises(ParseError, match=key.split()[0]) as err:
+        parse_sequence_file(text)
+    assert err.value.line == 4
+
+
+_G8 = readout_gradient(0.5, 8, 0.01)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: build_tse(0.5, 8, 0, 0.04, 0.5, _G8), "turbo_factor"),
+        (lambda: build_tse(0.5, 8, 2.0, 0.04, 0.5, _G8), "turbo_factor"),
+        (lambda: build_tse(0.5, 8, True, 0.04, 0.5, _G8), "turbo_factor"),
+        (lambda: build_tse(0.5, 8, 2, 0.04, 0.5, _G8, blip_s=0.0), "blip_s"),
+        (lambda: build_tse(0.5, 8.0, 2, 0.04, 0.5, _G8), "n"),
+        (lambda: build_cpmg(0.5, 8, 0, 0.04, 0.5, _G8), "n_echoes"),
+        (lambda: build_cpmg(0.5, 8, -3, 0.04, 0.5, _G8), "n_echoes"),
+        (lambda: build_cpmg(0.5, 8, 3, 0.04, 0.5, _G8, blip_s=math.nan), "blip_s"),
+        (lambda: build_gradient_epi(0.5, 8, 0, _G8), "n_echoes"),
+        (lambda: build_gradient_epi(0.5, 8, 4, _G8, shots=0), "shots"),
+        (lambda: build_gradient_epi(0.5, 8, 4, _G8, blip_s=0.0), "blip_s"),
+        (lambda: build_gradient_epi(0.5, 8, 4, _G8, prephase_s=0.0), "prephase_s"),
+        (lambda: build_gradient_epi(0.5, 8, 4, _G8, prephase_s=math.inf), "prephase_s"),
+        (lambda: build_spin_echo(0.5, 16.0, 0.05, 0.5, readout_gradient(0.5, 16, 0.02)), "n"),
+    ],
+    ids=[
+        "tse_turbo_0", "tse_turbo_2.0", "tse_turbo_true", "tse_blip_0", "tse_n_8.0",
+        "cpmg_echoes_0", "cpmg_echoes_-3", "cpmg_blip_nan", "epi_echoes_0", "epi_shots_0",
+        "epi_blip_0", "epi_prephase_0", "epi_prephase_inf", "se_n_16.0",
+    ],
+)
+def test_builders_reject_counts_and_lobes_out_of_range(build, name):
+    # unchecked: ZeroDivisionError, TypeError, or a sequence that never
+    # acquires or takes True as one echo per shot
+    with pytest.raises(InvalidParameter, match=rf"^{name} must be"):
+        build()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mrsim
-from mrsim import engine
+from mrsim import engine, sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -62,3 +62,36 @@ def test_workload_readouts_end_on_their_last_sample(name):
     assert acquiring and all(e.ev_dt.size == e.n_samples for e in acquiring)
     assert sum(e.ev_dt.size for e in tables.entries) == EVENTS[name]
     assert engine._block_spins(tables) == BLOCK_SPINS[name]
+
+
+def count_calls(monkeypatch, counts, cls, name):
+    """Count the calls of ``cls.name`` into ``counts[name]``."""
+    method = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_a_second_run_derives_no_events(name, monkeypatch):
+    # every element's events are made once, by the element: a second
+    # run of one experiment re-derives none (530 partial_moments and 134
+    # sample_times calls per tse128_pool run when each engine derived
+    # its own)
+    exp = WORKLOADS[name](DEFAULT_SEED).exp
+    counts = {}
+    count_calls(monkeypatch, counts, sequence.GradientWaveform, "partial_moments")
+    count_calls(monkeypatch, counts, sequence.AcquisitionSpec, "sample_times")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first = mrsim.run(exp)
+        made = dict(counts)
+        counts.clear()
+        second = mrsim.run(exp)
+    distinct = len(sequence.distinct_elements(exp.sequence)[0])
+    assert made == {"partial_moments": distinct, "sample_times": distinct}
+    assert counts == {}
+    assert second.echo_matrix().tobytes() == first.echo_matrix().tobytes()
